@@ -45,20 +45,21 @@ Lifecycle run_lifecycle(const std::string& name,
 
   core::StayAwayConfig cfg;
   cfg.actions_enabled = false;
-  core::StayAwayRuntime runtime(host, *probe, cfg);
+  core::HostPipeline pipeline(host, *probe, cfg);
   for (int p = 0; p < 240; ++p) {
     host.run(10);
-    runtime.on_period();
+    pipeline.on_period();
   }
 
   Lifecycle out;
   out.name = name;
-  out.records = runtime.records();
+  out.records = pipeline.records();
   // Copy the final labelled geometry.
-  for (std::size_t i = 0; i < runtime.state_space().size(); ++i) {
-    out.space.add_state(runtime.state_space().label(i));
+  const core::StateSpace& space = pipeline.stay_away_mapper()->space();
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    out.space.add_state(space.label(i));
   }
-  out.space.sync_positions(runtime.state_space().positions());
+  out.space.sync_positions(space.positions());
   return out;
 }
 

@@ -13,7 +13,7 @@
 
 #include "apps/cpubomb.hpp"
 #include "apps/vlc_stream.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "harness/scenarios.hpp"
 #include "mds/distance.hpp"
 #include "mds/incremental.hpp"
@@ -108,21 +108,22 @@ void BM_FullControlPeriod(benchmark::State& state) {
   host.add_vm("bomb", sim::VmKind::Batch, std::make_unique<apps::CpuBomb>(),
               3.0);
   core::StayAwayConfig cfg;
-  core::StayAwayRuntime runtime(host, *probe, cfg);
+  core::HostPipeline pipeline(host, *probe, cfg);
   for (int p = 0; p < 60; ++p) {  // warm-up: learn the map
     host.run(10);
-    runtime.on_period();
+    pipeline.on_period();
   }
   for (auto _ : state) {
     state.PauseTiming();  // advancing the simulated host is not controller cost
     host.run(10);
     state.ResumeTiming();
-    runtime.on_period();
+    pipeline.on_period();
   }
   // The paper reports ~2% CPU: controller wall time per 1 s control
   // period. With T = measured ns/iteration, overhead% = T / 1e9 * 100.
   state.counters["controller_reps"] =
-      static_cast<double>(runtime.representatives().size());
+      static_cast<double>(
+          pipeline.stay_away_mapper()->representatives().size());
 }
 BENCHMARK(BM_FullControlPeriod)->Unit(benchmark::kMicrosecond);
 

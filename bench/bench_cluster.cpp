@@ -31,7 +31,6 @@
 #include "obs/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::bench {
 namespace {
@@ -108,10 +107,6 @@ int main(int argc, char** argv) {
   // The surge window is fixed at 60..120 s; the tail after it is where
   // the migrated bomb's extra progress accumulates.
   const double duration_s = smoke ? 160.0 : 240.0;
-
-  // Coordinated fleets run lockstep (sequential); keep the kernel pool
-  // pinned so the comparison measures policy, not scheduling.
-  util::set_hot_path_threads(1);
 
   std::cout << "=== bench_cluster: flash crowd on front, 2 calm spares, "
             << "mobile cpubomb ===\n";

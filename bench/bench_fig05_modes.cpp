@@ -8,7 +8,7 @@
 
 #include "apps/soplex.hpp"
 #include "apps/vlc_stream.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "harness/scenarios.hpp"
 #include "stats/circular.hpp"
 #include "util/ascii_plot.hpp"
@@ -33,11 +33,11 @@ int main() {
 
   core::StayAwayConfig cfg;
   cfg.actions_enabled = false;  // observe the natural lifecycle
-  core::StayAwayRuntime runtime(host, *probe, cfg);
+  core::HostPipeline pipeline(host, *probe, cfg);
 
   for (int period = 0; period < 260; ++period) {
     host.run(10);
-    runtime.on_period();
+    pipeline.on_period();
   }
 
   // Scatter: one glyph per execution mode.
@@ -47,7 +47,7 @@ int main() {
     groups[m].label = monitor::to_string(static_cast<monitor::ExecutionMode>(m));
     groups[m].glyph = glyphs[m];
   }
-  for (const auto& rec : runtime.records()) {
+  for (const auto& rec : pipeline.records()) {
     groups[static_cast<std::size_t>(rec.mode)].points.emplace_back(rec.state.x,
                                                                    rec.state.y);
   }
@@ -56,10 +56,12 @@ int main() {
   std::cout << plot_scatter(groups, opts) << "\n";
 
   // Per-mode trajectory statistics + distributions (the pdf panels).
+  const core::ModeTrajectories& trajectories =
+      pipeline.trajectory_forecaster()->trajectories();
   std::cout << "mode                steps  mean_step  angle_bias(resultant)\n";
   for (std::size_t m = 0; m < 4; ++m) {
     auto mode = static_cast<monitor::ExecutionMode>(m);
-    const auto& model = runtime.trajectories().model(mode);
+    const auto& model = trajectories.model(mode);
     if (model.observations() == 0) {
       std::cout << pad_right(monitor::to_string(mode), 20) << "0\n";
       continue;
@@ -90,7 +92,7 @@ int main() {
   std::cout << "\nstep-length densities per mode (histogram, normalized):\n";
   for (std::size_t m = 1; m < 4; ++m) {  // skip idle: trivial
     auto mode = static_cast<monitor::ExecutionMode>(m);
-    const auto& model = runtime.trajectories().model(mode);
+    const auto& model = trajectories.model(mode);
     if (model.observations() < 3) continue;
     std::vector<double> density;
     const auto& h = model.step_histogram();
@@ -101,8 +103,9 @@ int main() {
     std::cout << plot_lines({density}, {"density"}, p) << "\n";
   }
 
-  std::cout << "representatives: " << runtime.representatives().size()
-            << ", map stress: " << format_double(runtime.embedder().stress(), 4)
+  const core::StayAwayMapper& mapper = *pipeline.stay_away_mapper();
+  std::cout << "representatives: " << mapper.representatives().size()
+            << ", map stress: " << format_double(mapper.embedder().stress(), 4)
             << "\n";
   std::cout << "\nExpected shape (paper): soplex-only follows a consistent\n"
                "orientation (high resultant), co-located execution oscillates\n"

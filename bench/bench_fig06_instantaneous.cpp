@@ -9,7 +9,7 @@
 
 #include "apps/cpubomb.hpp"
 #include "apps/vlc_transcode.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "harness/scenarios.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/strings.hpp"
@@ -31,13 +31,13 @@ int main() {
 
   core::StayAwayConfig cfg;
   cfg.actions_enabled = false;
-  core::StayAwayRuntime runtime(host, *probe, cfg);
+  core::HostPipeline pipeline(host, *probe, cfg);
 
   std::size_t first_violation_period = 0;
   std::size_t colocation_period = 0;
   for (int period = 0; period < 120; ++period) {
     host.run(10);
-    const auto& rec = runtime.on_period();
+    const auto& rec = pipeline.on_period();
     if (colocation_period == 0 &&
         rec.mode == monitor::ExecutionMode::CoLocated) {
       colocation_period = static_cast<std::size_t>(period);
@@ -50,8 +50,8 @@ int main() {
   ScatterGroup batch_only{"A: cpubomb alone", 'A', {}};
   ScatterGroup colocated{"B: co-located", 'B', {}};
   ScatterGroup violation{"C: violation", '#', {}};
-  const auto& space = runtime.state_space();
-  for (const auto& rec : runtime.records()) {
+  const auto& space = pipeline.stay_away_mapper()->space();
+  for (const auto& rec : pipeline.records()) {
     if (space.label(rec.representative) == core::StateLabel::Violation) {
       violation.points.emplace_back(rec.state.x, rec.state.y);
     } else if (rec.mode == monitor::ExecutionMode::BatchOnly) {

@@ -9,7 +9,7 @@
 
 #include "apps/twitter_analysis.hpp"
 #include "apps/vlc_stream.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "harness/scenarios.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/strings.hpp"
@@ -30,18 +30,18 @@ int main() {
               std::make_unique<apps::TwitterAnalysis>(), 15.0);
 
   core::StayAwayConfig cfg;  // actions enabled (Action status: True)
-  core::StayAwayRuntime runtime(host, *probe, cfg);
+  core::HostPipeline pipeline(host, *probe, cfg);
 
   for (int period = 0; period < 300; ++period) {
     host.run(10);
-    runtime.on_period();
+    pipeline.on_period();
   }
 
   ScatterGroup throttling{"throttled periods", 'T', {}};
   ScatterGroup running{"co-running periods", '.', {}};
   ScatterGroup violation{"violation states", '#', {}};
-  const auto& space = runtime.state_space();
-  for (const auto& rec : runtime.records()) {
+  const auto& space = pipeline.stay_away_mapper()->space();
+  for (const auto& rec : pipeline.records()) {
     if (space.label(rec.representative) == core::StateLabel::Violation) {
       violation.points.emplace_back(rec.state.x, rec.state.y);
     } else if (rec.batch_paused_after) {
@@ -58,7 +58,7 @@ int main() {
   // co-located mode.
   double mean_step = 0.0;
   std::size_t steps = 0;
-  const auto& recs = runtime.records();
+  const auto& recs = pipeline.records();
   for (std::size_t i = 1; i < recs.size(); ++i) {
     if (recs[i].mode == monitor::ExecutionMode::CoLocated &&
         recs[i - 1].mode == monitor::ExecutionMode::CoLocated) {
@@ -72,8 +72,10 @@ int main() {
             << ", mean step length: " << format_double(mean_step, 4)
             << " (small relative to map scale "
             << format_double(space.scale(), 4) << " -> gradual)\n";
-  std::cout << "pauses: " << runtime.governor().pauses()
-            << ", resumes: " << runtime.governor().resumes()
+  const core::ThrottleGovernor& governor =
+      pipeline.governor_actuator()->governor();
+  std::cout << "pauses: " << governor.pauses()
+            << ", resumes: " << governor.resumes()
             << ", violation states: " << space.violation_count() << "\n";
 
   // Action timeline, the shading of the paper's figure.

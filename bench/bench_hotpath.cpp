@@ -1,7 +1,7 @@
 // Hot-path benchmark: per-control-period latency of the map->predict
 // engine at n in {64, 256, 1024} representatives.
 //
-// Three engines run the identical period schedule (a growth period — one
+// Two engines run the identical period schedule (a growth period — one
 // new representative arrives and the map is re-embedded — followed by
 // steady periods that only predict):
 //
@@ -11,12 +11,10 @@
 //                 recomputes labels, nearest-safe distances and Rayleigh
 //                 radii from scratch (the predictor issues 5 candidate
 //                 queries + 1 tally query per period).
-//   incremental   The current engine, single thread: the dissimilarity
-//                 matrix grows by one row/column, the cold solve is
-//                 skipped when the warm solve meets the stress bound, and
-//                 violation ranges are served from the StateSpace cache.
-//   incr+threads  The same engine with the hot-path pool sized to the
-//                 hardware.
+//   incremental   The current engine: the dissimilarity matrix grows by
+//                 one row/column, the cold solve is skipped when the warm
+//                 solve meets the stress bound, and violation ranges are
+//                 served from the StateSpace cache.
 //
 // The cost of the enabled observability layer (the five span timers plus
 // the counter/gauge publish the runtime executes each period) is measured
@@ -30,7 +28,6 @@
 #include <chrono>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/embedder.hpp"
@@ -45,7 +42,6 @@
 #include "stats/rayleigh.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::bench {
 namespace {
@@ -192,7 +188,7 @@ EngineTiming run_schedule(std::size_t n, GrowFn grow, QueryFn query) {
 
 struct Row {
   std::size_t n;
-  EngineTiming scratch, fast, fast_mt;
+  EngineTiming scratch, fast;
   double obs_period_us = 0.0;  // per-period instrumentation cost
   double obs_overhead_pct = 0.0;
 };
@@ -205,8 +201,7 @@ Row run_size(std::size_t n) {
   Row row;
   row.n = n;
 
-  // From-scratch baseline, strictly sequential like the seed.
-  util::set_hot_path_threads(1);
+  // From-scratch baseline.
   {
     ScratchEngine engine;
     std::vector<std::vector<double>> grown(vectors.begin(),
@@ -223,7 +218,7 @@ Row run_size(std::size_t n) {
         [&](const mds::Point2& p) { return engine.in_violation_region(p); });
   }
 
-  // Incremental engine, single thread.
+  // Incremental engine.
   {
     FastEngine engine(kWarmSkipStress);
     for (std::size_t i = 0; i < n0; ++i) engine.add(vectors[i]);
@@ -273,23 +268,6 @@ Row run_size(std::size_t n) {
     row.obs_overhead_pct =
         row.obs_period_us / (row.fast.period_ms * 1000.0) * 100.0;
   }
-
-  // Incremental engine, pool sized to the hardware.
-  util::set_hot_path_threads(0);
-  {
-    FastEngine engine(kWarmSkipStress);
-    for (std::size_t i = 0; i < n0; ++i) engine.add(vectors[i]);
-    engine.sync();
-    std::size_t next = n0;
-    row.fast_mt = run_schedule(
-        n,
-        [&] {
-          engine.add(vectors[next++]);
-          engine.sync();
-        },
-        [&](const mds::Point2& p) { return engine.space.in_violation_region(p); });
-  }
-  util::set_hot_path_threads(1);
   return row;
 }
 
@@ -318,19 +296,16 @@ int main() {
             << " growth periods (new representative, re-embed), "
             << kGrowthPeriods * kSteadyPerGrowth
             << " steady periods; " << kQueriesPerPeriod
-            << " region queries per period\n";
-  std::cout << "hardware threads: " << std::thread::hardware_concurrency()
-            << "\n\n";
+            << " region queries per period\n\n";
 
   std::vector<Row> rows;
   for (std::size_t n : {std::size_t{64}, std::size_t{256}, std::size_t{1024}}) {
     Row row = run_size(n);
     std::cout << "n = " << n << " representatives (hits: scratch "
               << row.scratch.hits << ", incremental " << row.fast.hits
-              << ", incr+threads " << row.fast_mt.hits << ")\n";
+              << ")\n";
     print_engine("from-scratch", n, row.scratch, row.scratch);
     print_engine("incremental ", n, row.fast, row.scratch);
-    print_engine("incr+threads", n, row.fast_mt, row.scratch);
     std::cout << "  enabled-metrics cost: "
               << format_double(row.obs_period_us, 3) << " us/period = "
               << format_double(row.obs_overhead_pct, 3)
@@ -341,8 +316,7 @@ int main() {
   std::cout << "CSV:\n";
   std::cout << "n,scratch_period_ms,scratch_growth_ms,scratch_steady_ms,"
                "incr_period_ms,incr_growth_ms,incr_steady_ms,"
-               "incr_mt_period_ms,incr_mt_growth_ms,incr_mt_steady_ms,"
-               "speedup_incr,speedup_incr_mt,obs_period_us,"
+               "speedup_incr,obs_period_us,"
                "obs_overhead_pct\n";
   for (const auto& r : rows) {
     std::cout << r.n << "," << format_double(r.scratch.period_ms, 3) << ","
@@ -351,12 +325,7 @@ int main() {
               << format_double(r.fast.period_ms, 3) << ","
               << format_double(r.fast.growth_ms, 3) << ","
               << format_double(r.fast.steady_ms, 4) << ","
-              << format_double(r.fast_mt.period_ms, 3) << ","
-              << format_double(r.fast_mt.growth_ms, 3) << ","
-              << format_double(r.fast_mt.steady_ms, 4) << ","
               << format_double(r.scratch.period_ms / r.fast.period_ms, 1)
-              << ","
-              << format_double(r.scratch.period_ms / r.fast_mt.period_ms, 1)
               << ","
               << format_double(r.obs_period_us, 3) << ","
               << format_double(r.obs_overhead_pct, 3)
@@ -369,7 +338,6 @@ int main() {
     std::string p = "hotpath.n" + std::to_string(r.n) + ".";
     record.gauge(p + "scratch_period_ms").set(r.scratch.period_ms);
     record.gauge(p + "incr_period_ms").set(r.fast.period_ms);
-    record.gauge(p + "incr_mt_period_ms").set(r.fast_mt.period_ms);
     record.gauge(p + "obs_period_us").set(r.obs_period_us);
     record.gauge(p + "obs_overhead_pct").set(r.obs_overhead_pct);
     record.gauge(p + "speedup_incr")

@@ -14,7 +14,7 @@
 #include "apps/vlc_stream.hpp"
 #include "apps/vlc_transcode.hpp"
 #include "bench_common.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 
 namespace {
 
@@ -44,19 +44,19 @@ Outcome run(bool demotion) {
   core::StayAwayConfig cfg;
   cfg.allow_sensitive_demotion = demotion;
   cfg.seed = 31;
-  core::StayAwayRuntime runtime(host, *probe, cfg);
+  core::HostPipeline pipeline(host, *probe, cfg);
 
   Outcome out;
   for (int p = 0; p < 300; ++p) {
     host.run(10);
-    const auto& rec = runtime.on_period();
+    const auto& rec = pipeline.on_period();
     if (rec.violation_observed) ++out.high_violations;
   }
   const auto& transcode =
       dynamic_cast<const apps::VlcTranscode&>(host.vm(low).app());
   out.low_frames = transcode.frames_done();
   out.low_paused_s = host.vm(low).paused_time();
-  out.pauses = runtime.governor().pauses();
+  out.pauses = pipeline.governor_actuator()->governor().pauses();
   return out;
 }
 

@@ -5,7 +5,7 @@
 #   ./ci.sh --tier1              configure, build, ctest (the gate, ROADMAP.md)
 #   ./ci.sh --asan               AddressSanitizer + UBSan, Debug, full suite
 #   ./ci.sh --tsan               ThreadSanitizer, full suite (data races in the
-#                                hot-path pool / parallel kernels / obs layer)
+#                                fleet worker pool / ingest rings / obs layer)
 #   ./ci.sh --paranoid           STAYAWAY_PARANOID=ON Debug build: every
 #                                SA_INVARIANT audit enabled, full suite
 #   ./ci.sh --tidy               best-effort clang-tidy over src/ (skipped
@@ -14,7 +14,7 @@
 #                                generated fault plan in the ASan tree, so the
 #                                degraded-mode path runs sanitized end to end
 #   ./ci.sh --fleet              fleet gate (DESIGN.md §13): the fleet tests
-#                                (byte-identical fleet-of-1 golden, scenario
+#                                (pinned single-host goldens, scenario
 #                                overlays, worker invariance) in the tier-1
 #                                tree, then the fleet concurrency surfaces
 #                                under ThreadSanitizer
@@ -156,7 +156,7 @@ EOF
         grep -q "readings quarantined" <<<"$out"
       ;;
     fleet)
-      # Fleet gate: the golden fleet-of-1 / overlay / invariance tests in
+      # Fleet gate: the single-host golden / overlay / invariance tests in
       # the tier-1 tree first (fast failure), then the fleet concurrency
       # surfaces — 8 pipelines on a 4-worker pool sharing one observer —
       # under ThreadSanitizer.

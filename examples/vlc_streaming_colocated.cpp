@@ -1,10 +1,11 @@
 // Example: wiring Stay-Away by hand (no experiment harness) around a VLC
 // streaming server and two batch jobs — the lower-level API a downstream
-// integrator would use to embed the runtime into their own control plane.
+// integrator would use to embed the per-host pipeline into their own
+// control plane.
 //
 // Shows: host construction, per-VM scheduling, the period loop, reading
-// the runtime's internals (map, governor, predictions), and exporting the
-// learned template at the end.
+// the pipeline's stage internals (map, governor, predictions), and
+// exporting the learned template at the end.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -12,7 +13,7 @@
 #include "apps/soplex.hpp"
 #include "apps/twitter_analysis.hpp"
 #include "apps/vlc_stream.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "harness/scenarios.hpp"
 #include "util/strings.hpp"
 
@@ -39,16 +40,17 @@ int main() {
   host.add_vm("soplex", sim::VmKind::Batch,
               std::make_unique<apps::Soplex>(soplex_spec), /*start=*/20.0);
 
-  // 4. The middleware itself.
+  // 4. The middleware itself: the full Stay-Away stage wiring
+  //    (mapper -> forecaster -> governor actuator) on this host.
   core::StayAwayConfig config;
   config.period_s = 1.0;
-  core::StayAwayRuntime runtime(host, probe, config);
+  core::HostPipeline pipeline(host, probe, config);
 
   // 5. The control loop: 10 simulator ticks per 1 s control period.
   std::size_t violations = 0;
   for (int period = 0; period < 240; ++period) {
     host.run(10);
-    const core::PeriodRecord& rec = runtime.on_period();
+    const core::PeriodRecord& rec = pipeline.on_period();
     if (rec.violation_observed) ++violations;
     if (rec.action != core::ThrottleAction::None) {
       std::cout << "t=" << format_double(rec.time, 0) << "s  "
@@ -60,23 +62,26 @@ int main() {
     }
   }
 
-  // 6. What the middleware learned.
+  // 6. What the middleware learned, read off the typed stage views.
+  const core::StayAwayMapper& mapper = *pipeline.stay_away_mapper();
+  const core::ThrottleGovernor& governor =
+      pipeline.governor_actuator()->governor();
   std::cout << "\nviolating periods: " << violations << " / 240\n";
-  std::cout << "representatives: " << runtime.representatives().size()
-            << " (from " << runtime.representatives().total_observed()
+  std::cout << "representatives: " << mapper.representatives().size()
+            << " (from " << mapper.representatives().total_observed()
             << " samples; dedup per paper section 4)\n";
-  std::cout << "violation states: " << runtime.state_space().violation_count()
-            << ", map stress: " << format_double(runtime.embedder().stress(), 3)
+  std::cout << "violation states: " << mapper.space().violation_count()
+            << ", map stress: " << format_double(mapper.embedder().stress(), 3)
             << "\n";
-  std::cout << "governor: " << runtime.governor().pauses() << " pauses, "
-            << runtime.governor().resumes() << " resumes ("
-            << runtime.governor().random_resumes() << " anti-starvation), "
-            << runtime.governor().failed_resumes()
-            << " failed -> beta=" << format_double(runtime.governor().beta(), 3)
+  std::cout << "governor: " << governor.pauses() << " pauses, "
+            << governor.resumes() << " resumes ("
+            << governor.random_resumes() << " anti-starvation), "
+            << governor.failed_resumes()
+            << " failed -> beta=" << format_double(governor.beta(), 3)
             << "\n";
 
   // 7. Persist the learned template for the next co-location (§6).
-  core::StateTemplate templ = runtime.export_template("vlc-stream");
+  core::StateTemplate templ = mapper.export_template("vlc-stream");
   std::ofstream out("vlc_stream_template.csv");
   templ.save(out);
   std::cout << "template saved: vlc_stream_template.csv ("

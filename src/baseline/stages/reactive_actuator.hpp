@@ -3,8 +3,7 @@
 // observed, resume after a blind cooldown. No model, no prediction — the
 // non-predictive comparator for Stay-Away running in the same pipeline
 // shape (DESIGN.md §13). All host effects go through the injected
-// ActuationPort; ReactiveThrottle in baseline/reactive.hpp adapts this
-// stage to the legacy InterferencePolicy interface.
+// ActuationPort.
 #pragma once
 
 #include <cstddef>

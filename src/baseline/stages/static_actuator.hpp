@@ -3,9 +3,7 @@
 // any resource crosses a fixed cap, resume below a hysteresis margin.
 // Stands in for the profile-once approaches the paper argues against
 // (§1, §8). All host effects (including the utilization read) go through
-// the injected ActuationPort; StaticThreshold in
-// baseline/static_threshold.hpp adapts this stage to the legacy
-// InterferencePolicy interface.
+// the injected ActuationPort.
 #pragma once
 
 #include <cstddef>

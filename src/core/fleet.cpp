@@ -301,13 +301,6 @@ void FleetController::run() {
     for (Member& m : members_) drive(m);
     return;
   }
-  // Concurrent members each run full map->predict->act loops; the
-  // process-wide hot-path pool is non-reentrant and single-owner, so
-  // kernel-level parallelism must be off (1 thread = pure inline calls
-  // with no shared pool state) before host-level parallelism goes on.
-  SA_REQUIRE(util::hot_path_threads() == 1,
-             "fleet workers > 1 requires hot_path_threads == 1 "
-             "(host-level and kernel-level parallelism do not compose)");
   util::ThreadPool pool(workers);
   // RangeFn must not throw: capture per-member exceptions and surface
   // the first after the section ends.

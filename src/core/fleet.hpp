@@ -2,9 +2,9 @@
 // completion, optionally concurrently on a private worker pool
 // (DESIGN.md §13). Hosts never share mutable state: each member owns its
 // simulated host, pipeline, RNG streams (split from the fleet seed via
-// fleet_host_seed) and degradation machinery, so a fleet of one host
-// with default config emits a PeriodRecord stream byte-identical to the
-// single-host runtime (golden test in tests/test_fleet.cpp).
+// fleet_host_seed) and degradation machinery. A fleet of one host is the
+// single-host run (harness::run_experiment); pinned goldens in
+// tests/test_fleet.cpp hold it to its historical output.
 #pragma once
 
 #include <cstdint>
@@ -151,11 +151,9 @@ class FleetController {
   }
 
   /// Drives every member for its configured periods, with up to
-  /// config.workers members in flight at once. Requires the process-wide
-  /// hot-path pool to be single-threaded when workers > 1 (host-level
-  /// and kernel-level parallelism do not compose — the global pool is
-  /// not reentrant). Exceptions from member loops are captured per
-  /// member and the first one rethrown after every worker joined.
+  /// config.workers members in flight at once. Exceptions from member
+  /// loops are captured per member and the first one rethrown after
+  /// every worker joined.
   /// With a period hook installed, members run in lockstep instead
   /// (workers are ignored; the coordinated fleet is sequential by
   /// construction so coordinator decisions are deterministic).

@@ -5,9 +5,8 @@
 // implementations themselves must not see the host (stage-host-isolation
 // lint rule), which is why this lives in src/core/, not src/core/stages/.
 //
-// Shared by HostPipeline (which installs the fault injector) and the
-// baseline policy adapters in src/baseline/ (fault-free, constructed per
-// period).
+// Owned by HostPipeline, which installs the fault injector; a bare
+// fault-free port drives a stage directly (tests/test_baseline.cpp).
 #pragma once
 
 #include <vector>

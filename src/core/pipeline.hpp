@@ -8,7 +8,7 @@
 //
 // With the full Stay-Away wiring (the three-argument constructor) the
 // emitted PeriodRecord stream is byte-identical to the historical
-// monolithic StayAwayRuntime — the invariant every figure bench and the
+// monolithic control loop — the invariant every figure bench and the
 // fault golden rest on, pinned by tests/test_runtime.cpp and
 // tests/test_fleet.cpp.
 #pragma once

@@ -1,13 +1,9 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
-#include "apps/webservice.hpp"
-#include "baseline/reactive.hpp"
-#include "baseline/static_threshold.hpp"
-#include "harness/rig.hpp"
-#include "harness/stayaway_policy.hpp"
+#include "harness/fleet.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::harness {
@@ -27,131 +23,9 @@ const char* to_string(PolicyKind kind) {
 }
 
 ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  HostRig rig = build_host_rig(spec);
-  sim::SimHost& host = *rig.host;
-  const sim::QosProbe* probe = rig.probe;
-  const apps::Webservice* webservice = rig.webservice;
-  sim::VmId sensitive_id = rig.sensitive_id;
-  const std::vector<sim::VmId>& batch_ids = rig.batch_ids;
-
-  core::StayAwayConfig sa_config = derive_stayaway_config(spec);
-
-  std::unique_ptr<baseline::InterferencePolicy> policy;
-  StayAwayPolicy* stayaway = nullptr;
-  switch (spec.policy) {
-    case PolicyKind::NoPrevention:
-      policy = std::make_unique<baseline::NoPrevention>();
-      break;
-    case PolicyKind::StayAway: {
-      auto p = std::make_unique<StayAwayPolicy>(host, *probe, sa_config,
-                                                spec.seed_template);
-      stayaway = p.get();
-      policy = std::move(p);
-      break;
-    }
-    case PolicyKind::Reactive:
-      policy = std::make_unique<baseline::ReactiveThrottle>();
-      break;
-    case PolicyKind::StaticThreshold:
-      policy = std::make_unique<baseline::StaticThreshold>();
-      break;
-  }
-  if (spec.observer != nullptr && stayaway != nullptr) {
-    stayaway->runtime().set_observer(spec.observer);
-  }
-  if (stayaway != nullptr && spec.faults.has_value() &&
-      !spec.faults->empty()) {
-    stayaway->runtime().install_faults(*spec.faults);
-  }
-
-  ExperimentResult result;
-  auto ticks_per_period =
-      static_cast<std::size_t>(std::llround(spec.period_s / spec.tick_s));
-  auto periods =
-      static_cast<std::size_t>(std::llround(spec.duration_s / spec.period_s));
-
-  for (std::size_t p = 0; p < periods; ++p) {
-    double util_acc = 0.0;
-    for (std::size_t t = 0; t < ticks_per_period; ++t) {
-      host.step();
-      util_acc += host.instantaneous_cpu_utilization();
-    }
-    baseline::PolicyDecision decision = policy->on_period(host, *probe);
-
-    bool sensitive_up = host.vm(sensitive_id).present(host.now());
-    result.time.push_back(host.now());
-    result.qos.push_back(sensitive_up ? probe->normalized_qos() : 1.0);
-    bool violated = sensitive_up && probe->violated();
-    // Uniform decision log: every policy, not just Stay-Away, narrates
-    // what it did through the event sink.
-    if (spec.observer != nullptr && spec.observer->sink() != nullptr) {
-      obs::Event e(host.now(), "decision");
-      e.with("policy", obs::JsonValue(policy->name()))
-          .with("action", obs::JsonValue(to_string(decision.action)))
-          .with("reason", obs::JsonValue(decision.reason))
-          .with("targets", obs::JsonValue(decision.targets.size()))
-          .with("batch_paused", obs::JsonValue(decision.batch_paused_after))
-          .with("qos", obs::JsonValue(result.qos.back()))
-          .with("violated", obs::JsonValue(violated));
-      spec.observer->emit(e);
-    }
-    result.violated.push_back(violated ? 1 : 0);
-    result.utilization.push_back(util_acc /
-                                 static_cast<double>(ticks_per_period));
-    bool any_batch = false;
-    for (sim::VmId id : batch_ids) {
-      if (host.vm(id).active(host.now())) any_batch = true;
-    }
-    result.batch_running.push_back(any_batch ? 1 : 0);
-    if (webservice != nullptr) {
-      result.offered_tps.push_back(webservice->offered_rps(host.now()));
-      result.completed_tps.push_back(webservice->completed_tps());
-    }
-    if (violated) ++result.violation_periods;
-  }
-
-  // Aggregates.
-  if (!result.qos.empty()) {
-    double qacc = 0.0;
-    double uacc = 0.0;
-    for (std::size_t i = 0; i < result.qos.size(); ++i) {
-      qacc += result.qos[i];
-      uacc += result.utilization[i];
-    }
-    result.avg_qos = qacc / static_cast<double>(result.qos.size());
-    result.avg_utilization = uacc / static_cast<double>(result.qos.size());
-    result.violation_fraction = static_cast<double>(result.violation_periods) /
-                                static_cast<double>(result.qos.size());
-  }
-  result.sensitive_cpu_work = host.vm(sensitive_id).cpu_work_done();
-  for (sim::VmId id : batch_ids) {
-    result.batch_cpu_work += host.vm(id).cpu_work_done();
-  }
-
-  if (stayaway != nullptr) {
-    const auto& rt = stayaway->runtime();
-    result.stayaway_records = rt.records();
-    result.tally = rt.tally();
-    result.pauses = rt.governor().pauses();
-    result.resumes = rt.governor().resumes();
-    for (const auto& rec : result.stayaway_records) {
-      if (rec.degradation == core::DegradationState::Degraded) {
-        ++result.degraded_periods;
-      } else if (rec.degradation == core::DegradationState::Failsafe) {
-        ++result.failsafe_periods;
-      }
-    }
-    result.readings_quarantined = rt.readings_quarantined();
-    result.actuation_retries = rt.actuation_retries();
-    result.actuation_abandoned = rt.actuation_abandoned();
-    result.final_beta = rt.governor().beta();
-    result.representative_count = rt.representatives().size();
-    result.final_stress = rt.embedder().stress();
-    result.exported_template =
-        rt.export_template(to_string(spec.sensitive));
-    result.final_map = rt.state_space().positions();
-  }
-  return result;
+  FleetSpec fleet;
+  fleet.hosts.push_back({"solo", spec});
+  return std::move(run_fleet(fleet).hosts.front().result);
 }
 
 ExperimentResult run_isolated(ExperimentSpec spec) {

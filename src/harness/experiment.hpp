@@ -1,6 +1,7 @@
-// Experiment runner: wires a host, a sensitive app, a batch set and a
-// policy; runs the co-location lifecycle; records the series the paper's
-// figures are built from.
+// Single-host experiment: a host, a sensitive app, a batch set and a
+// policy, run through the co-location lifecycle as a fleet of one host
+// (harness/fleet.hpp); records the series the paper's figures are built
+// from.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +9,7 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "core/template_store.hpp"
 #include "harness/scenarios.hpp"
 #include "obs/observer.hpp"
@@ -42,8 +43,9 @@ struct ExperimentSpec {
   /// sampler options (stayaway.sampler). Used when policy == StayAway.
   core::StayAwayConfig stayaway;
   /// Optional observability attachment (non-owning; must outlive the
-  /// run). The runtime publishes loop metrics/events into it and the
-  /// harness logs every policy's per-period decision through its sink.
+  /// run). The Stay-Away pipeline publishes loop metrics/events into it
+  /// and the harness logs every policy's per-period decision through its
+  /// sink.
   /// Purely passive: results are identical with or without it.
   obs::Observer* observer = nullptr;
   /// Offered-load workload for the sensitive app; nullopt = constant peak.
@@ -52,11 +54,11 @@ struct ExperimentSpec {
   std::optional<core::StateTemplate> seed_template;
   /// Deterministic fault plan (DESIGN.md §12): sensor dropout/corruption,
   /// QoS-blind windows, dropped pause/resume commands. Installed into the
-  /// Stay-Away runtime when policy == StayAway; an absent or empty plan
+  /// Stay-Away pipeline when policy == StayAway; an absent or empty plan
   /// leaves the run byte-identical to the fault-free loop.
   std::optional<sim::FaultPlan> faults;
   /// Extra named batch VMs beyond the `batch` kind's set; every VM must
-  /// exist before the runtime is constructed (the sampler fixes its
+  /// exist before the pipeline is constructed (the sampler fixes its
   /// metric layout then and refuses to sample a changed host).
   std::vector<ExtraVmSpec> extra_batch;
   double tick_s = 0.1;
@@ -105,7 +107,7 @@ struct ExperimentResult {
   mds::Embedding final_map;
 };
 
-/// Runs one experiment to completion.
+/// Runs one experiment to completion: run_fleet over a single host.
 ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Convenience: the isolated baseline of the same sensitive configuration

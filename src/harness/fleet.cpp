@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "apps/webservice.hpp"
-#include "baseline/policy.hpp"
 #include "baseline/stages/reactive_actuator.hpp"
 #include "baseline/stages/static_actuator.hpp"
 #include "core/checkpoint.hpp"
@@ -18,18 +17,6 @@
 
 namespace stayaway::harness {
 namespace {
-
-baseline::PolicyAction to_policy_action(core::ThrottleAction action) {
-  switch (action) {
-    case core::ThrottleAction::None:
-      return baseline::PolicyAction::None;
-    case core::ThrottleAction::Pause:
-      return baseline::PolicyAction::Pause;
-    case core::ThrottleAction::Resume:
-      return baseline::PolicyAction::Resume;
-  }
-  return baseline::PolicyAction::None;
-}
 
 /// One host's mutable driving state for the duration of run_fleet. Slots
 /// are only ever touched by the single worker driving their member, so
@@ -81,8 +68,8 @@ std::unique_ptr<core::HostPipeline> make_pipeline(
   return nullptr;
 }
 
-/// Post-run extraction of the Stay-Away internals, mirroring what
-/// run_experiment reads off StayAwayRuntime.
+/// Post-run extraction of the Stay-Away internals (records, tally,
+/// governor and mapper state) into the host's ExperimentResult.
 void extract_stayaway(const core::HostPipeline& pipeline,
                       const ExperimentSpec& spec, ExperimentResult& result) {
   const core::StayAwayMapper* mapper = pipeline.stay_away_mapper();
@@ -148,8 +135,8 @@ FleetResult run_fleet(const FleetSpec& spec) {
                  "duplicate fleet host name: " + hs.name);
     }
   }
-  // A fleet of one keeps the historical unlabelled observability stream
-  // (the byte-identical-fleet-of-1 contract); real fleets tag everything.
+  // A fleet of one (every single-host run) keeps the historical
+  // unlabelled observability stream; real fleets tag everything.
   const bool label_hosts = spec.hosts.size() > 1;
 
   std::vector<Slot> slots(spec.hosts.size());
@@ -232,8 +219,8 @@ FleetResult run_fleet(const FleetSpec& spec) {
     obs::Observer* observer = hs.experiment.observer != nullptr
                                   ? hs.experiment.observer
                                   : spec.observer;
-    // Mirror run_experiment: only the Stay-Away loop publishes its
-    // internal metric/event stream; every policy narrates decisions.
+    // Only the Stay-Away loop publishes its internal metric/event
+    // stream; every policy narrates decisions.
     if (observer != nullptr && hs.experiment.policy == PolicyKind::StayAway) {
       slot.pipeline->set_observer(observer);
     }
@@ -325,7 +312,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
         e.with("policy",
                obs::JsonValue(to_string(slot.spec->experiment.policy)))
             .with("action",
-                  obs::JsonValue(to_string(to_policy_action(rec.action))))
+                  obs::JsonValue(core::to_string(rec.action)))
             .with("reason", obs::JsonValue(outcome.reason))
             .with("targets", obs::JsonValue(targets))
             .with("batch_paused", obs::JsonValue(rec.batch_paused_after))

@@ -1,10 +1,10 @@
 // Fleet experiment runner (DESIGN.md §13): N named per-host experiment
 // specs driven as independent HostPipelines by core::FleetController,
 // optionally concurrently. Each host gets its own simulated host, VM set,
-// RNG streams and degradation state; the per-host results are the same
-// ExperimentResult the single-host runner produces. A fleet of one host
-// replays run_experiment byte-for-byte (golden test in
-// tests/test_fleet.cpp, fault-free and under a fault plan).
+// RNG streams and degradation state, and yields one ExperimentResult.
+// This is the only run driver: run_experiment is a fleet of one host.
+// Pinned goldens in tests/test_fleet.cpp hold the single-host path to
+// its historical output, fault-free and under a fault plan.
 #pragma once
 
 #include <cstddef>
@@ -65,9 +65,8 @@ struct FleetHostSpec {
 
 struct FleetSpec {
   std::vector<FleetHostSpec> hosts;
-  /// Hosts driven concurrently (core::FleetController workers). More
-  /// than one worker requires the hot-path pool pinned to one thread —
-  /// host-level and kernel-level parallelism do not compose.
+  /// Hosts driven concurrently (core::FleetController workers) — the
+  /// library's only parallelism axis. Results do not depend on it.
   std::size_t workers = 1;
   /// Shared passive observer for every host that does not carry its own
   /// (ExperimentSpec::observer takes precedence per host). With more

@@ -1,10 +1,9 @@
 // HostRig — one fully populated simulated host for an experiment: the
 // host itself plus the sensitive VM and every batch VM the spec asks
-// for, in the exact construction order the single-host runner has always
-// used (order is part of the determinism contract: VM ids, app RNG
-// streams and the sampler's metric layout all derive from it). Shared by
-// run_experiment and the fleet runner so a fleet of one host replays the
-// historical run byte-for-byte.
+// for, in a fixed construction order (order is part of the determinism
+// contract: VM ids, app RNG streams and the sampler's metric layout all
+// derive from it). The fleet runner builds one per host, and rebuilds it
+// identically after a crash.
 #pragma once
 
 #include <memory>

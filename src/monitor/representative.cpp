@@ -5,33 +5,8 @@
 
 #include "linalg/matrix.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::monitor {
-
-namespace {
-/// Below this set size the nearest-representative scan stays sequential:
-/// the pool hand-off costs more than the scan itself.
-constexpr std::size_t kParallelScanThreshold = 128;
-
-// Paranoid audit: re-derive the argmin sequentially and compare with the
-// scan's answer. Catches a parallel distance scan that diverged from the
-// sequential comparison order.
-bool argmin_matches(const std::vector<std::vector<double>>& reps,
-                    const std::vector<double>& v, std::size_t best,
-                    double best_dist) {
-  std::size_t check_best = 0;
-  double check_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < reps.size(); ++i) {
-    double d = linalg::euclidean_distance(reps[i], v);
-    if (d < check_dist) {
-      check_dist = d;
-      check_best = i;
-    }
-  }
-  return reps.empty() || (check_best == best && check_dist == best_dist);
-}
-}  // namespace
 
 RepresentativeSet::RepresentativeSet(double epsilon, std::size_t max_size)
     : epsilon_(epsilon), max_size_(max_size) {
@@ -48,36 +23,13 @@ Assignment RepresentativeSet::assign(const std::vector<double>& v) {
 
   std::size_t best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
-  util::ThreadPool& pool = util::hot_path_pool();
-  if (pool.size() > 1 && reps_.size() >= kParallelScanThreshold) {
-    // Distances are computed in parallel, the argmin scan stays
-    // sequential — same comparisons in the same order as the sequential
-    // path, so the chosen representative is identical.
-    scan_dist_.resize(reps_.size());
-    pool.for_ranges(reps_.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        scan_dist_[i] = linalg::euclidean_distance(reps_[i], v);
-      }
-    });
-    for (std::size_t i = 0; i < scan_dist_.size(); ++i) {
-      if (scan_dist_[i] < best_dist) {
-        best_dist = scan_dist_[i];
-        best = i;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < reps_.size(); ++i) {
-      double d = linalg::euclidean_distance(reps_[i], v);
-      if (d < best_dist) {
-        best_dist = d;
-        best = i;
-      }
+  for (std::size_t i = 0; i < reps_.size(); ++i) {
+    double d = linalg::euclidean_distance(reps_[i], v);
+    if (d < best_dist) {
+      best_dist = d;
+      best = i;
     }
   }
-
-  SA_INVARIANT(argmin_matches(reps_, v, best, best_dist),
-               "parallel nearest-representative scan diverged from the "
-               "sequential argmin");
   if (!reps_.empty() && (best_dist <= epsilon_ || full())) {
     ++weights_[best];
     return {best, false, best_dist};

@@ -18,8 +18,8 @@ namespace stayaway::replay {
 
 /// The runnable fleet of a parsed document: explicit [host] sections map
 /// 1:1; a plain document becomes the degenerate one-host fleet "host0"
-/// with its seed unchanged (the fleet-of-1 byte-identical contract makes
-/// this exactly the single-host run).
+/// with its seed unchanged (a single-host run is a fleet of one, so this
+/// is exactly the single-host run).
 harness::FleetSpec to_fleet_spec(const harness::FleetScenario& fleet);
 
 /// Canonical form of a document: serialize → reparse, so the returned

@@ -1,18 +1,17 @@
-// Small reusable worker pool for the map->predict hot-path kernels
-// (distance matrices, Guttman transforms, stress sums).
+// Small reusable worker pool: core::FleetController drives its fleet
+// members across one of these, which makes fleet workers the library's
+// only parallelism axis (the analyzer's `parallelism-axis` rule keeps it
+// that way).
 //
 // Design constraints, in order:
-//   1. Determinism. With 1 thread every kernel runs the exact historical
-//      sequential code, bit for bit. With k >= 2 threads the work is split
-//      into contiguous index ranges whose *values* never depend on thread
-//      scheduling — only on the range boundaries — so repeated runs agree.
-//   2. Reuse. The control loop runs every period; spawning threads per
-//      call would dwarf the work. Workers are parked on a condition
-//      variable between calls.
+//   1. Determinism. The work is split into contiguous index ranges whose
+//      *values* never depend on thread scheduling — only on the range
+//      boundaries — so repeated runs agree.
+//   2. Reuse. Workers are parked on a condition variable between calls.
 //   3. No dependencies. Plain <thread>/<condition_variable>.
 //
 // Range functions must not throw: an exception on a worker thread would
-// terminate the process. The hot-path kernels are pure arithmetic.
+// terminate the process.
 #pragma once
 
 #include <atomic>
@@ -47,8 +46,7 @@ class ThreadPool {
   /// the alternative is a silent deadlock).
   void for_ranges(std::size_t n, const RangeFn& fn);
 
-  /// True while a parallel section is executing on this pool. Used by
-  /// set_hot_path_threads to reject reconfiguration mid-section.
+  /// True while a parallel section is executing on this pool.
   bool in_parallel() const {
     return in_parallel_.load(std::memory_order_relaxed);
   }
@@ -74,24 +72,5 @@ class ThreadPool {
   bool stop_ SA_GUARDED_BY(mu_) = false;
   std::atomic<bool> in_parallel_{false};
 };
-
-/// Process-wide pool shared by the hot-path kernels. Defaults to a single
-/// thread, which keeps every kernel bit-identical to the historical
-/// sequential implementation; opt into parallelism with
-/// set_hot_path_threads(). Reconfigure only from the control thread while
-/// no kernel is running.
-ThreadPool& hot_path_pool();
-
-/// Replaces the global pool with one of `n` threads (0 = one per hardware
-/// thread). n == current size is a no-op.
-///
-/// The documented ownership rule is enforced: calling this while a
-/// parallel section is active throws (always), and calling it from a
-/// thread other than the one that performed the first reconfiguration
-/// throws in debug builds (the first caller becomes the control thread).
-void set_hot_path_threads(std::size_t n);
-
-/// Current parallelism of the global pool.
-std::size_t hot_path_threads();
 
 }  // namespace stayaway::util

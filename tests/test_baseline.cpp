@@ -1,14 +1,20 @@
-// Unit tests for the baseline policies: no-prevention, reactive throttle,
-// static threshold.
+// Unit tests for the baseline policies in their pipeline-stage form:
+// no-prevention (an actuator-less HostPipeline), the reactive throttle
+// (ReactiveActuator) and the static threshold (StaticThresholdActuator),
+// each driven through a core::SimHostActuationPort exactly as the fleet
+// runner drives them.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "apps/cpubomb.hpp"
 #include "apps/vlc_stream.hpp"
-#include "baseline/policy.hpp"
-#include "baseline/reactive.hpp"
-#include "baseline/static_threshold.hpp"
+#include "baseline/stages/reactive_actuator.hpp"
+#include "baseline/stages/static_actuator.hpp"
+#include "core/host_port.hpp"
+#include "core/pipeline.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::baseline {
@@ -23,10 +29,11 @@ sim::HostSpec host_spec() {
 
 struct Rig {
   sim::SimHost host;
+  core::SimHostActuationPort port;
   const sim::QosProbe* probe = nullptr;
   sim::VmId batch;
 
-  Rig() : host(host_spec(), 0.1), batch(0) {
+  Rig() : host(host_spec(), 0.1), port(host), batch(0) {
     auto vlc = std::make_unique<apps::VlcStream>();
     probe = vlc.get();
     host.add_vm("vlc", sim::VmKind::Sensitive, std::move(vlc));
@@ -35,12 +42,41 @@ struct Rig {
   }
 };
 
+/// One control period's result: the action slice of the record plus the
+/// actuator's outcome (what it touched and why).
+struct Step {
+  core::ThrottleAction action = core::ThrottleAction::None;
+  bool batch_paused_after = false;
+  core::Actuator::Outcome outcome;
+};
+
+/// Runs one 1 s period (10 ticks of 0.1 s), then lets the actuator act on
+/// the observed QoS — the slice of HostPipeline::on_period a baseline
+/// pipeline exercises.
+Step step(core::Actuator& actuator, sim::SimHost& host,
+          core::SimHostActuationPort& port, const sim::QosProbe& probe) {
+  host.run(10);
+  core::PeriodRecord rec;
+  rec.time = host.now();
+  rec.violation_observed = probe.violated();
+  Step s;
+  s.outcome = actuator.act(port, rec, core::DegradationState::Normal, nullptr);
+  s.action = rec.action;
+  s.batch_paused_after = rec.batch_paused_after;
+  return s;
+}
+
+Step step(core::Actuator& actuator, Rig& rig) {
+  return step(actuator, rig.host, rig.port, *rig.probe);
+}
+
 TEST(NoPrevention, NeverActs) {
   Rig rig;
-  NoPrevention policy;
+  core::HostPipeline pipeline(rig.host, *rig.probe, core::StayAwayConfig{},
+                              core::StageSet{});
   for (int p = 0; p < 20; ++p) {
     rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
+    EXPECT_EQ(pipeline.on_period().action, core::ThrottleAction::None);
   }
   EXPECT_FALSE(rig.host.vm(rig.batch).paused());
   EXPECT_DOUBLE_EQ(rig.host.vm(rig.batch).paused_time(), 0.0);
@@ -49,15 +85,14 @@ TEST(NoPrevention, NeverActs) {
 
 TEST(Reactive, PausesAfterObservedViolation) {
   Rig rig;
-  ReactiveThrottle policy;
+  ReactiveActuator actuator;
   int periods_until_pause = 0;
   for (int p = 0; p < 20 && !rig.host.vm(rig.batch).paused(); ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
+    step(actuator, rig);
     ++periods_until_pause;
   }
   EXPECT_TRUE(rig.host.vm(rig.batch).paused());
-  EXPECT_GE(policy.pauses(), 1u);
+  EXPECT_GE(actuator.pauses(), 1u);
   // The violation had to be *observed* first: at least one period passed.
   EXPECT_GE(periods_until_pause, 1);
 }
@@ -66,18 +101,12 @@ TEST(Reactive, ResumesAfterCooldown) {
   Rig rig;
   ReactiveConfig cfg;
   cfg.cooldown_s = 3.0;
-  ReactiveThrottle policy(cfg);
+  ReactiveActuator actuator(cfg);
   // Drive to a pause.
-  while (!rig.host.vm(rig.batch).paused()) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  while (!rig.host.vm(rig.batch).paused()) step(actuator, rig);
   double paused_at = rig.host.now();
   // Run until resume.
-  while (rig.host.vm(rig.batch).paused()) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  while (rig.host.vm(rig.batch).paused()) step(actuator, rig);
   EXPECT_GE(rig.host.now() - paused_at, 3.0 - 1e-9);
 }
 
@@ -85,33 +114,27 @@ TEST(Reactive, RepausesOnRecurringViolation) {
   Rig rig;
   ReactiveConfig cfg;
   cfg.cooldown_s = 2.0;
-  ReactiveThrottle policy(cfg);
-  for (int p = 0; p < 60; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  ReactiveActuator actuator(cfg);
+  for (int p = 0; p < 60; ++p) step(actuator, rig);
   // CPUBomb always re-violates after resume: multiple pause cycles.
-  EXPECT_GE(policy.pauses(), 2u);
+  EXPECT_GE(actuator.pauses(), 2u);
 }
 
 TEST(Reactive, InvalidCooldownRejected) {
   ReactiveConfig cfg;
   cfg.cooldown_s = 0.0;
-  EXPECT_THROW(ReactiveThrottle{cfg}, PreconditionError);
+  EXPECT_THROW(ReactiveActuator{cfg}, PreconditionError);
 }
 
 TEST(StaticThreshold, PausesOnHighCpuUtilization) {
   Rig rig;
   StaticThresholdConfig cfg;
   cfg.cpu_cap = 0.85;
-  StaticThreshold policy(cfg);
-  for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  StaticThresholdActuator actuator(cfg);
+  for (int p = 0; p < 5; ++p) step(actuator, rig);
   // VLC (2.6) + CPUBomb (4) saturate the host: utilization ~1 > cap.
   EXPECT_TRUE(rig.host.vm(rig.batch).paused());
-  EXPECT_GE(policy.pauses(), 1u);
+  EXPECT_GE(actuator.pauses(), 1u);
 }
 
 TEST(StaticThreshold, ResumesBelowHysteresis) {
@@ -119,18 +142,12 @@ TEST(StaticThreshold, ResumesBelowHysteresis) {
   StaticThresholdConfig cfg;
   cfg.cpu_cap = 0.85;
   cfg.hysteresis = 0.1;
-  StaticThreshold policy(cfg);
+  StaticThresholdActuator actuator(cfg);
   // Pause under load.
-  for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  for (int p = 0; p < 5; ++p) step(actuator, rig);
   ASSERT_TRUE(rig.host.vm(rig.batch).paused());
   // With the bomb paused, VLC alone uses 2.6/4 = 0.65 < 0.75: resume.
-  for (int p = 0; p < 3; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  for (int p = 0; p < 3; ++p) step(actuator, rig);
   EXPECT_FALSE(rig.host.vm(rig.batch).paused());
 }
 
@@ -161,11 +178,9 @@ TEST(StaticThreshold, BlindToSwapViolations) {
   cfg.cpu_cap = 0.9;
   cfg.memory_cap = 2.0;  // memory rule effectively disabled
   cfg.membw_cap = 0.9;
-  StaticThreshold policy(cfg);
-  for (int p = 0; p < 20; ++p) {
-    host.run(10);
-    policy.on_period(host, *probe);
-  }
+  StaticThresholdActuator actuator(cfg);
+  core::SimHostActuationPort port(host);
+  for (int p = 0; p < 20; ++p) step(actuator, host, port, *probe);
   EXPECT_FALSE(host.vm(hog_id).paused());
   EXPECT_TRUE(probe->violated());  // swap hurt VLC, policy never noticed
 }
@@ -173,81 +188,79 @@ TEST(StaticThreshold, BlindToSwapViolations) {
 TEST(StaticThreshold, InvalidHysteresisRejected) {
   StaticThresholdConfig cfg;
   cfg.hysteresis = -0.1;
-  EXPECT_THROW(StaticThreshold{cfg}, PreconditionError);
+  EXPECT_THROW(StaticThresholdActuator{cfg}, PreconditionError);
 }
 
-TEST(PolicyNames, Stable) {
-  EXPECT_EQ(NoPrevention{}.name(), "no-prevention");
-  EXPECT_EQ(ReactiveThrottle{}.name(), "reactive");
-  EXPECT_EQ(StaticThreshold{}.name(), "static-threshold");
-}
-
-TEST(PolicyDecision, NoPreventionAlwaysNone) {
+TEST(BaselineOutcome, NoPreventionAlwaysNone) {
   Rig rig;
-  NoPrevention policy;
+  core::HostPipeline pipeline(rig.host, *rig.probe, core::StayAwayConfig{},
+                              core::StageSet{});
   rig.host.run(10);
-  PolicyDecision d = policy.on_period(rig.host, *rig.probe);
-  EXPECT_EQ(d.action, PolicyAction::None);
-  EXPECT_TRUE(d.targets.empty());
-  EXPECT_FALSE(d.batch_paused_after);
+  const core::PeriodRecord& rec = pipeline.on_period();
+  EXPECT_EQ(rec.action, core::ThrottleAction::None);
+  EXPECT_FALSE(rec.batch_paused_after);
+  const core::Actuator::Outcome& outcome = pipeline.last_outcome();
+  EXPECT_TRUE(outcome.paused.empty());
+  EXPECT_TRUE(outcome.resumed.empty());
+  EXPECT_TRUE(outcome.reason.empty());
 }
 
-TEST(PolicyDecision, ReactiveReportsPauseAndResume) {
+TEST(BaselineOutcome, ReactiveReportsPauseAndResume) {
   Rig rig;
   ReactiveConfig cfg;
   cfg.cooldown_s = 2.0;
-  ReactiveThrottle policy(cfg);
-  PolicyDecision d;
+  ReactiveActuator actuator(cfg);
+  Step s;
   // Drive to the first pause and inspect that decision.
   for (int p = 0; p < 20; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action != PolicyAction::None) break;
+    s = step(actuator, rig);
+    if (s.action != core::ThrottleAction::None) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Pause);
-  EXPECT_EQ(d.reason, "observed-violation");
-  EXPECT_EQ(d.targets, std::vector<sim::VmId>{rig.batch});
-  EXPECT_TRUE(d.batch_paused_after);
+  EXPECT_EQ(s.action, core::ThrottleAction::Pause);
+  EXPECT_EQ(s.outcome.reason, "observed-violation");
+  EXPECT_EQ(s.outcome.paused, std::vector<sim::VmId>{rig.batch});
+  EXPECT_TRUE(s.batch_paused_after);
+  EXPECT_TRUE(actuator.batch_paused());
   // And the eventual resume names the cooldown.
   for (int p = 0; p < 40; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action == PolicyAction::Resume) break;
+    s = step(actuator, rig);
+    if (s.action == core::ThrottleAction::Resume) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Resume);
-  EXPECT_EQ(d.reason, "cooldown-elapsed");
-  EXPECT_EQ(d.targets, std::vector<sim::VmId>{rig.batch});
-  EXPECT_FALSE(d.batch_paused_after);
+  EXPECT_EQ(s.action, core::ThrottleAction::Resume);
+  EXPECT_EQ(s.outcome.reason, "cooldown-elapsed");
+  EXPECT_EQ(s.outcome.resumed, std::vector<sim::VmId>{rig.batch});
+  EXPECT_FALSE(s.batch_paused_after);
+  EXPECT_FALSE(actuator.batch_paused());
 }
 
-TEST(PolicyDecision, StaticThresholdNamesItsRules) {
+TEST(BaselineOutcome, StaticThresholdNamesItsRules) {
   Rig rig;
   StaticThresholdConfig cfg;
   cfg.cpu_cap = 0.85;
   cfg.hysteresis = 0.1;
-  StaticThreshold policy(cfg);
-  PolicyDecision d;
+  StaticThresholdActuator actuator(cfg);
+  Step s;
   for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action != PolicyAction::None) break;
+    s = step(actuator, rig);
+    if (s.action != core::ThrottleAction::None) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Pause);
-  EXPECT_EQ(d.reason, "threshold-exceeded");
-  ASSERT_FALSE(d.targets.empty());
+  EXPECT_EQ(s.action, core::ThrottleAction::Pause);
+  EXPECT_EQ(s.outcome.reason, "threshold-exceeded");
+  ASSERT_FALSE(s.outcome.paused.empty());
   for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action == PolicyAction::Resume) break;
+    s = step(actuator, rig);
+    if (s.action == core::ThrottleAction::Resume) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Resume);
-  EXPECT_EQ(d.reason, "below-hysteresis");
+  EXPECT_EQ(s.action, core::ThrottleAction::Resume);
+  EXPECT_EQ(s.outcome.reason, "below-hysteresis");
 }
 
-TEST(PolicyDecision, ActionNamesStable) {
-  EXPECT_STREQ(to_string(PolicyAction::None), "none");
-  EXPECT_STREQ(to_string(PolicyAction::Pause), "pause");
-  EXPECT_STREQ(to_string(PolicyAction::Resume), "resume");
+// The fleet runner's `decision` event spells the action through
+// core::to_string(ThrottleAction); these strings are part of the stream.
+TEST(BaselineOutcome, ActionNamesStable) {
+  EXPECT_STREQ(core::to_string(core::ThrottleAction::None), "none");
+  EXPECT_STREQ(core::to_string(core::ThrottleAction::Pause), "pause");
+  EXPECT_STREQ(core::to_string(core::ThrottleAction::Resume), "resume");
 }
 
 }  // namespace

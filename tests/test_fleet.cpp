@@ -1,18 +1,19 @@
-// Fleet runner tests: the byte-identical fleet-of-1 contract (fault-free
-// and under a fault plan), the baseline policies driven as pipeline
-// stages, per-host seed splitting, host-labelled observability and
-// worker-count invariance.
+// Fleet runner tests: pinned single-host goldens (fault-free and under a
+// fault plan, for every policy kind), per-host seed splitting,
+// host-labelled observability and worker-count invariance.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 #include "harness/fleet.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
-#include "util/thread_pool.hpp"
+#include "util/strings.hpp"
 
 namespace stayaway::harness {
 namespace {
@@ -47,8 +48,8 @@ sim::FaultPlan stress_plan() {
   return plan;
 }
 
-/// Full-field comparison: the fleet of one must replay the single-host
-/// runner exactly, not approximately.
+/// Full-field comparison: two runs of the same hosts must agree exactly,
+/// not approximately.
 void expect_results_equal(const ExperimentResult& fleet,
                           const ExperimentResult& solo) {
   EXPECT_EQ(fleet.time, solo.time);
@@ -153,32 +154,82 @@ TEST(FleetHostSeed, SplitsAreStatisticallyIndependent) {
   }
 }
 
+// Golden digests of the single-host path, captured from the historical
+// run_experiment period loop before it became a fleet of one. Any drift
+// of the single-host driver from that history fails here.
+struct Golden {
+  PolicyKind policy;
+  bool faulted;
+  std::uint64_t digest;
+};
+constexpr Golden kGoldens[] = {
+    {PolicyKind::NoPrevention, false, 0x5f41ac68212b97f1ULL},
+    {PolicyKind::NoPrevention, true, 0x5f41ac68212b97f1ULL},
+    {PolicyKind::StayAway, false, 0x726c6795c0e2baf6ULL},
+    {PolicyKind::StayAway, true, 0xcd050d60366fca48ULL},
+    {PolicyKind::Reactive, false, 0xa5cfd5d1004e279bULL},
+    {PolicyKind::Reactive, true, 0xa5cfd5d1004e279bULL},
+    {PolicyKind::StaticThreshold, false, 0x31eeb084a7510293ULL},
+    {PolicyKind::StaticThreshold, true, 0x31eeb084a7510293ULL},
+};
+
+std::uint64_t golden_of(PolicyKind policy, bool faulted) {
+  for (const Golden& g : kGoldens) {
+    if (g.policy == policy && g.faulted == faulted) return g.digest;
+  }
+  ADD_FAILURE() << "no golden for " << to_string(policy);
+  return 0;
+}
+
+/// fnv1a64 over the encoded Stay-Away records plus the exact per-period
+/// qos / violated / utilization / batch-running series and the delivered
+/// batch work.
+std::uint64_t result_digest(const ExperimentResult& r) {
+  std::string text;
+  for (const core::PeriodRecord& rec : r.stayaway_records) {
+    text += core::encode_record(rec);
+  }
+  auto series = [&text](const char* name, const auto& values) {
+    text += name;
+    for (auto v : values) {
+      text += ' ';
+      text += format_double_exact(static_cast<double>(v));
+    }
+    text += '\n';
+  };
+  series("qos", r.qos);
+  series("violated", r.violated);
+  series("utilization", r.utilization);
+  series("batch_running", r.batch_running);
+  text += "batch_cpu_work " + format_double_exact(r.batch_cpu_work) + '\n';
+  return core::fnv1a64(text);
+}
+
+FleetResult run_solo(const std::string& name, const ExperimentSpec& spec) {
+  FleetSpec fleet;
+  fleet.hosts.push_back({name, spec});
+  return run_fleet(fleet);
+}
+
 TEST(Fleet, SingleHostMatchesExperimentByteIdentical) {
   ExperimentSpec spec = short_spec(PolicyKind::StayAway);
-  ExperimentResult solo = run_experiment(spec);
-
-  FleetSpec fleet;
-  fleet.hosts.push_back({"solo", spec});
-  FleetResult r = run_fleet(fleet);
+  FleetResult r = run_solo("solo", spec);
   ASSERT_EQ(r.hosts.size(), 1u);
   EXPECT_EQ(r.hosts[0].name, "solo");
-  expect_results_equal(r.hosts[0].result, solo);
+  EXPECT_EQ(result_digest(r.hosts[0].result),
+            golden_of(PolicyKind::StayAway, false));
   ASSERT_TRUE(r.hosts[0].result.exported_template.has_value());
-  ASSERT_TRUE(solo.exported_template.has_value());
   EXPECT_EQ(r.hosts[0].result.exported_template->entries.size(),
-            solo.exported_template->entries.size());
+            r.hosts[0].result.representative_count);
+  // run_experiment is the same fleet of one.
+  expect_results_equal(run_experiment(spec), r.hosts[0].result);
 }
 
 TEST(Fleet, SingleHostMatchesExperimentUnderFaults) {
   ExperimentSpec spec = short_spec(PolicyKind::StayAway);
   spec.faults = stress_plan();
   ExperimentResult solo = run_experiment(spec);
-
-  FleetSpec fleet;
-  fleet.hosts.push_back({"faulted", spec});
-  FleetResult r = run_fleet(fleet);
-  ASSERT_EQ(r.hosts.size(), 1u);
-  expect_results_equal(r.hosts[0].result, solo);
+  EXPECT_EQ(result_digest(solo), golden_of(PolicyKind::StayAway, true));
   // The plan must actually have degraded the loop, or the golden proves
   // nothing about the faulted path.
   EXPECT_GT(solo.degraded_periods + solo.failsafe_periods, 0u);
@@ -188,13 +239,15 @@ TEST(Fleet, BaselinePoliciesMatchExperiment) {
   for (PolicyKind policy :
        {PolicyKind::NoPrevention, PolicyKind::Reactive,
         PolicyKind::StaticThreshold}) {
-    ExperimentSpec spec = short_spec(policy);
-    ExperimentResult solo = run_experiment(spec);
-    FleetSpec fleet;
-    fleet.hosts.push_back({"base", spec});
-    FleetResult r = run_fleet(fleet);
-    ASSERT_EQ(r.hosts.size(), 1u) << to_string(policy);
-    expect_results_equal(r.hosts[0].result, solo);
+    for (bool faulted : {false, true}) {
+      ExperimentSpec spec = short_spec(policy);
+      if (faulted) spec.faults = stress_plan();
+      FleetResult r = run_solo("base", spec);
+      ASSERT_EQ(r.hosts.size(), 1u) << to_string(policy);
+      EXPECT_EQ(result_digest(r.hosts[0].result), golden_of(policy, faulted))
+          << to_string(policy) << (faulted ? " faulted" : " fault-free");
+      EXPECT_TRUE(r.hosts[0].result.stayaway_records.empty());
+    }
   }
 }
 
@@ -210,7 +263,6 @@ TEST(Fleet, ReplicateSplitsNamesAndSeeds) {
 }
 
 TEST(Fleet, WorkersDoNotChangeResults) {
-  util::set_hot_path_threads(1);
   ExperimentSpec base = short_spec(PolicyKind::StayAway);
   base.duration_s = 30.0;
   FleetSpec serial = replicate_fleet(base, 4, 5, 1);

@@ -1,6 +1,6 @@
-// Tests for the incremental/cached/parallel map->predict hot path:
-// the growable dissimilarity matrix, the violation-range cache, the
-// warm-start cold-skip, the thread pool, and the predictor's
+// Tests for the incremental/cached map->predict hot path: the growable
+// dissimilarity matrix, the violation-range cache, the warm-start
+// cold-skip, the fleet's worker pool, and the predictor's
 // empty-candidate guard. The load-bearing property throughout is
 // equivalence: every fast path must produce the same results as the
 // from-scratch path it replaces.
@@ -73,14 +73,6 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
   }
 }
 
-TEST(ThreadPool, GlobalPoolDefaultsToOneThreadAndReconfigures) {
-  EXPECT_EQ(util::hot_path_threads(), 1u);
-  util::set_hot_path_threads(4);
-  EXPECT_EQ(util::hot_path_threads(), 4u);
-  util::set_hot_path_threads(1);
-  EXPECT_EQ(util::hot_path_threads(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Incremental dissimilarity matrix.
 
@@ -113,45 +105,6 @@ TEST(HotPath, ExtendedDistanceMatrixHandlesEdgeCases) {
   EXPECT_EQ(mds::extended_distance_matrix(full, vectors)
                 .max_abs_difference(full),
             0.0);
-}
-
-TEST(HotPath, DistanceMatrixThreadCountInvariant) {
-  Rng rng(44);
-  auto vectors = random_vectors(97, 8, rng);
-  util::set_hot_path_threads(1);
-  linalg::Matrix seq = mds::distance_matrix(vectors);
-  util::set_hot_path_threads(4);
-  linalg::Matrix par = mds::distance_matrix(vectors);
-  linalg::Matrix ext = mds::extended_distance_matrix(
-      linalg::Matrix(), vectors);
-  util::set_hot_path_threads(1);
-  EXPECT_EQ(seq.max_abs_difference(par), 0.0);
-  EXPECT_EQ(seq.max_abs_difference(ext), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel SMACOF.
-
-TEST(HotPath, SmacofThreadedMatchesSequential) {
-  Rng rng(45);
-  auto vectors = random_vectors(60, 5, rng);
-  linalg::Matrix delta = mds::distance_matrix(vectors);
-
-  util::set_hot_path_threads(1);
-  mds::SmacofResult seq = mds::smacof(delta);
-  util::set_hot_path_threads(4);
-  mds::SmacofResult par = mds::smacof(delta);
-  util::set_hot_path_threads(1);
-
-  // The Guttman transform is row-parallel and bit-identical; only the
-  // stress reduction order differs (last-ulp), which may not move the
-  // converged configuration by more than the equivalence budget.
-  ASSERT_EQ(seq.points.size(), par.points.size());
-  for (std::size_t i = 0; i < seq.points.size(); ++i) {
-    EXPECT_NEAR(seq.points[i].x, par.points[i].x, 1e-9);
-    EXPECT_NEAR(seq.points[i].y, par.points[i].y, 1e-9);
-  }
-  EXPECT_NEAR(seq.stress, par.stress, 1e-9);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 
 #include "apps/vlc_stream.hpp"
 #include "apps/vlc_transcode.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "harness/scenarios.hpp"
 
 namespace stayaway::core {
@@ -46,7 +46,7 @@ TEST(Priority, VmCarriesPriority) {
 
 TEST(Priority, LowerPrioritySensitiveDemotedUnderContention) {
   PriorityRig rig;
-  StayAwayRuntime rt(rig.host, *rig.probe, demotion_config());
+  HostPipeline rt(rig.host, *rig.probe, demotion_config());
   for (int p = 0; p < 40; ++p) {
     rig.host.run(10);
     rt.on_period();
@@ -55,14 +55,14 @@ TEST(Priority, LowerPrioritySensitiveDemotedUnderContention) {
   // protected VM violates and the low-priority sensitive VM is paused.
   EXPECT_GT(rig.host.vm(rig.low).paused_time(), 1.0);
   EXPECT_DOUBLE_EQ(rig.host.vm(rig.high).paused_time(), 0.0);
-  EXPECT_GT(rt.governor().pauses(), 0u);
+  EXPECT_GT(rt.governor_actuator()->governor().pauses(), 0u);
 }
 
 TEST(Priority, DemotionDisabledByDefault) {
   PriorityRig rig;
   StayAwayConfig cfg;
   cfg.seed = 5;  // allow_sensitive_demotion defaults to false
-  StayAwayRuntime rt(rig.host, *rig.probe, cfg);
+  HostPipeline rt(rig.host, *rig.probe, cfg);
   for (int p = 0; p < 40; ++p) {
     rig.host.run(10);
     rt.on_period();
@@ -83,7 +83,7 @@ TEST(Priority, BatchVmPreferredOverSensitiveDemotion) {
   auto batch = host.add_vm("transcode-batch", sim::VmKind::Batch,
                            std::make_unique<apps::VlcTranscode>(), 0.0);
 
-  StayAwayRuntime rt(host, *probe, demotion_config());
+  HostPipeline rt(host, *probe, demotion_config());
   for (int p = 0; p < 40; ++p) {
     host.run(10);
     rt.on_period();
@@ -97,14 +97,14 @@ TEST(Priority, DemotedVmResumesLater) {
   StayAwayConfig cfg = demotion_config();
   cfg.governor.starvation_patience_s = 5.0;
   cfg.governor.random_resume_probability = 1.0;
-  StayAwayRuntime rt(rig.host, *rig.probe, cfg);
+  HostPipeline rt(rig.host, *rig.probe, cfg);
   for (int p = 0; p < 60; ++p) {
     rig.host.run(10);
     rt.on_period();
   }
   // The anti-starvation probe must have resumed the demoted VM at least
   // once (its transcode job keeps making some progress).
-  EXPECT_GT(rt.governor().resumes(), 0u);
+  EXPECT_GT(rt.governor_actuator()->governor().resumes(), 0u);
   const auto& transcode =
       dynamic_cast<const apps::VlcTranscode&>(rig.host.vm(rig.low).app());
   EXPECT_GT(transcode.frames_done(), 0.0);

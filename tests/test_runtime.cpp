@@ -1,4 +1,4 @@
-// Integration tests for StayAwayRuntime: the full Mapping -> Prediction ->
+// Integration tests for HostPipeline: the full Mapping -> Prediction ->
 // Action loop against the simulated host.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "apps/cpubomb.hpp"
 #include "apps/vlc_stream.hpp"
-#include "core/runtime.hpp"
+#include "core/pipeline.hpp"
 #include "harness/scenarios.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
@@ -46,7 +46,7 @@ StayAwayConfig test_config() {
   return cfg;
 }
 
-void run_periods(Rig& rig, StayAwayRuntime& rt, std::size_t periods) {
+void run_periods(Rig& rig, HostPipeline& rt, std::size_t periods) {
   for (std::size_t p = 0; p < periods; ++p) {
     rig.host.run(10);  // 10 ticks of 0.1 s = one 1 s period
     rt.on_period();
@@ -55,29 +55,30 @@ void run_periods(Rig& rig, StayAwayRuntime& rt, std::size_t periods) {
 
 TEST(Runtime, LearnsStatesAndRecords) {
   Rig rig;
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   run_periods(rig, rt, 20);
   EXPECT_EQ(rt.records().size(), 20u);
-  EXPECT_GT(rt.representatives().size(), 1u);
-  EXPECT_EQ(rt.state_space().size(), rt.representatives().size());
+  const StayAwayMapper& mapper = *rt.stay_away_mapper();
+  EXPECT_GT(mapper.representatives().size(), 1u);
+  EXPECT_EQ(mapper.space().size(), mapper.representatives().size());
   // Layout: sensitive + aggregated batch, 4 metrics each.
-  EXPECT_EQ(rt.layout().dimension(), 8u);
+  EXPECT_EQ(mapper.layout().dimension(), 8u);
 }
 
 TEST(Runtime, MarksViolationStates) {
   Rig rig(/*batch_start=*/3.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   run_periods(rig, rt, 15);
   // CPUBomb against full-rate VLC must violate at least once before the
   // controller gets on top of it.
-  EXPECT_GT(rt.state_space().violation_count(), 0u);
+  EXPECT_GT(rt.stay_away_mapper()->space().violation_count(), 0u);
 }
 
 TEST(Runtime, ThrottlesBatchUnderContention) {
   Rig rig(/*batch_start=*/3.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   run_periods(rig, rt, 30);
-  EXPECT_GT(rt.governor().pauses(), 0u);
+  EXPECT_GT(rt.governor_actuator()->governor().pauses(), 0u);
   // Batch must have spent real time paused.
   EXPECT_GT(rig.host.vm(rig.batch).paused_time(), 1.0);
 }
@@ -88,7 +89,7 @@ TEST(Runtime, ProtectsQosComparedToNoPolicy) {
   std::size_t without_violations = 0;
   {
     Rig rig(3.0);
-    StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+    HostPipeline rt(rig.host, *rig.probe, test_config());
     for (int p = 0; p < 60; ++p) {
       rig.host.run(10);
       rt.on_period();
@@ -110,23 +111,23 @@ TEST(Runtime, PassiveModeNeverActs) {
   Rig rig(3.0);
   StayAwayConfig cfg = test_config();
   cfg.actions_enabled = false;
-  StayAwayRuntime rt(rig.host, *rig.probe, cfg);
+  HostPipeline rt(rig.host, *rig.probe, cfg);
   run_periods(rig, rt, 30);
-  EXPECT_FALSE(rt.batch_paused());
+  EXPECT_FALSE(rt.governor_actuator()->batch_paused());
   EXPECT_DOUBLE_EQ(rig.host.vm(rig.batch).paused_time(), 0.0);
   for (const auto& rec : rt.records()) {
     EXPECT_EQ(rec.action, ThrottleAction::None);
   }
   // It still learns and predicts.
-  EXPECT_GT(rt.state_space().violation_count(), 0u);
-  EXPECT_GT(rt.tally().total(), 0u);
+  EXPECT_GT(rt.stay_away_mapper()->space().violation_count(), 0u);
+  EXPECT_GT(rt.trajectory_forecaster()->tally().total(), 0u);
 }
 
 TEST(Runtime, RecordsCarryModeTransitions) {
   Rig rig(/*batch_start=*/5.0);
   StayAwayConfig cfg = test_config();
   cfg.actions_enabled = false;
-  StayAwayRuntime rt(rig.host, *rig.probe, cfg);
+  HostPipeline rt(rig.host, *rig.probe, cfg);
   run_periods(rig, rt, 12);
   // Early periods: sensitive only; later: co-located.
   EXPECT_EQ(rt.records().front().mode, monitor::ExecutionMode::SensitiveOnly);
@@ -137,61 +138,64 @@ TEST(Runtime, TemplateExportRoundTripsThroughSeed) {
   StateTemplate exported;
   {
     Rig rig(3.0);
-    StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+    HostPipeline rt(rig.host, *rig.probe, test_config());
     run_periods(rig, rt, 25);
-    exported = rt.export_template("vlc-stream");
-    EXPECT_EQ(exported.entries.size(), rt.representatives().size());
-    EXPECT_EQ(exported.violation_count(), rt.state_space().violation_count());
+    const StayAwayMapper& mapper = *rt.stay_away_mapper();
+    exported = mapper.export_template("vlc-stream");
+    EXPECT_EQ(exported.entries.size(), mapper.representatives().size());
+    EXPECT_EQ(exported.violation_count(), mapper.space().violation_count());
     EXPECT_GT(exported.violation_count(), 0u);
   }
-  // Seed a fresh runtime with the template: it starts pre-populated.
+  // Seed a fresh pipeline with the template: it starts pre-populated.
   Rig rig2(3.0);
-  StayAwayRuntime rt2(rig2.host, *rig2.probe, test_config());
-  rt2.seed_template(exported);
-  EXPECT_EQ(rt2.representatives().size(), exported.entries.size());
-  EXPECT_EQ(rt2.state_space().violation_count(), exported.violation_count());
+  HostPipeline rt2(rig2.host, *rig2.probe, test_config());
+  StayAwayMapper& mapper2 = *rt2.stay_away_mapper();
+  mapper2.seed_template(exported);
+  EXPECT_EQ(mapper2.representatives().size(), exported.entries.size());
+  EXPECT_EQ(mapper2.space().violation_count(), exported.violation_count());
 }
 
 TEST(Runtime, SeedAfterStartRejected) {
   Rig rig;
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   run_periods(rig, rt, 1);
   StateTemplate t;
   t.entries.push_back({std::vector<double>(8, 0.5), StateLabel::Safe});
-  EXPECT_THROW(rt.seed_template(t), PreconditionError);
+  EXPECT_THROW(rt.stay_away_mapper()->seed_template(t), PreconditionError);
 }
 
 TEST(Runtime, SeedDimensionMismatchRejected) {
   Rig rig;
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   StateTemplate t;
   t.entries.push_back({{0.5, 0.5}, StateLabel::Safe});  // wrong dimension
-  EXPECT_THROW(rt.seed_template(t), PreconditionError);
+  EXPECT_THROW(rt.stay_away_mapper()->seed_template(t), PreconditionError);
 }
 
 TEST(Runtime, BetaAdaptsOverLongRun) {
   Rig rig(3.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   run_periods(rig, rt, 120);
   // CPUBomb never phase-changes, so resumes mostly fail and beta grows.
-  EXPECT_GE(rt.governor().beta(), rt.config().governor.beta_initial);
-  EXPECT_GT(rt.governor().resumes(), 0u);
+  const ThrottleGovernor& governor = rt.governor_actuator()->governor();
+  EXPECT_GE(governor.beta(), rt.config().governor.beta_initial);
+  EXPECT_GT(governor.resumes(), 0u);
 }
 
 TEST(Runtime, StressStaysLowWithTwoEntities) {
   // §5: with one sensitive + one logical batch VM, 2-D is an adequate
   // representation and stress stays low.
   Rig rig(3.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   run_periods(rig, rt, 40);
-  EXPECT_LT(rt.embedder().stress(), 0.15);
+  EXPECT_LT(rt.stay_away_mapper()->embedder().stress(), 0.15);
 }
 
 TEST(Runtime, InvalidPeriodRejected) {
   Rig rig;
   StayAwayConfig cfg = test_config();
   cfg.period_s = 0.0;
-  EXPECT_THROW(StayAwayRuntime(rig.host, *rig.probe, cfg),
+  EXPECT_THROW(HostPipeline(rig.host, *rig.probe, cfg),
                PreconditionError);
 }
 
@@ -201,11 +205,11 @@ TEST(Runtime, UnifiedSamplerConfigDrivesTheLoop) {
   // built from equal configs replay identically, and changing only
   // config.sampler demonstrably changes the loop.
   Rig rig_a(3.0);
-  StayAwayRuntime rt_a(rig_a.host, *rig_a.probe, test_config());
+  HostPipeline rt_a(rig_a.host, *rig_a.probe, test_config());
   run_periods(rig_a, rt_a, 25);
 
   Rig rig_b(3.0);
-  StayAwayRuntime rt_b(rig_b.host, *rig_b.probe, test_config());
+  HostPipeline rt_b(rig_b.host, *rig_b.probe, test_config());
   run_periods(rig_b, rt_b, 25);
 
   ASSERT_EQ(rt_a.records().size(), rt_b.records().size());
@@ -214,7 +218,7 @@ TEST(Runtime, UnifiedSamplerConfigDrivesTheLoop) {
   StayAwayConfig noisy = test_config();
   noisy.sampler.noise_fraction = 0.2;
   Rig rig_c(3.0);
-  StayAwayRuntime rt_c(rig_c.host, *rig_c.probe, noisy);
+  HostPipeline rt_c(rig_c.host, *rig_c.probe, noisy);
   run_periods(rig_c, rt_c, 25);
   EXPECT_NE(rt_a.records(), rt_c.records());
 }
@@ -225,22 +229,22 @@ TEST(Runtime, AccuracyIsZeroBeforeAnyPrediction) {
   EXPECT_DOUBLE_EQ(tally.accuracy(), 0.0);
   // And a freshly constructed runtime reports the same, not NaN.
   Rig rig;
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
-  EXPECT_DOUBLE_EQ(rt.tally().accuracy(), 0.0);
+  HostPipeline rt(rig.host, *rig.probe, test_config());
+  EXPECT_DOUBLE_EQ(rt.trajectory_forecaster()->tally().accuracy(), 0.0);
 }
 
 TEST(Runtime, ObserverIsPassive) {
   // The control loop with full observability attached must emit a
   // byte-identical PeriodRecord sequence to the bare loop.
   Rig rig_plain(3.0);
-  StayAwayRuntime rt_plain(rig_plain.host, *rig_plain.probe, test_config());
+  HostPipeline rt_plain(rig_plain.host, *rig_plain.probe, test_config());
   run_periods(rig_plain, rt_plain, 40);
 
   std::ostringstream events;
   obs::JsonlSink sink(events);
   obs::Observer observer(&sink);
   Rig rig_obs(3.0);
-  StayAwayRuntime rt_obs(rig_obs.host, *rig_obs.probe, test_config());
+  HostPipeline rt_obs(rig_obs.host, *rig_obs.probe, test_config());
   rt_obs.set_observer(&observer);
   run_periods(rig_obs, rt_obs, 40);
 
@@ -254,7 +258,7 @@ TEST(Runtime, ObserverCoversAllLoopPhases) {
   obs::JsonlSink sink(events);
   obs::Observer observer(&sink);
   Rig rig(3.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   rt.set_observer(&observer);
   run_periods(rig, rt, 30);
   observer.flush();
@@ -289,7 +293,7 @@ TEST(Runtime, ObserverCoversAllLoopPhases) {
   }
   EXPECT_EQ(loop_periods, 30u);
   // Governor activity surfaced as pause/resume events with reasons.
-  if (rt.governor().pauses() > 0) {
+  if (rt.governor_actuator()->governor().pauses() > 0) {
     bool saw_pause = false;
     for (const auto& e : parsed) {
       if (e.type == "pause") {
@@ -317,11 +321,11 @@ TEST(RuntimeFaults, EmptyPlanKeepsRecordsByteIdentical) {
   // byte-identical to the plain loop — the whole validate/quarantine/
   // degradation machinery must be a pure pass-through when healthy.
   Rig rig_plain(3.0);
-  StayAwayRuntime rt_plain(rig_plain.host, *rig_plain.probe, test_config());
+  HostPipeline rt_plain(rig_plain.host, *rig_plain.probe, test_config());
   run_periods(rig_plain, rt_plain, 40);
 
   Rig rig_faulted(3.0);
-  StayAwayRuntime rt_faulted(rig_faulted.host, *rig_faulted.probe,
+  HostPipeline rt_faulted(rig_faulted.host, *rig_faulted.probe,
                              test_config());
   sim::FaultPlan empty;
   empty.seed = 99;  // a different fault seed must not matter either
@@ -330,7 +334,7 @@ TEST(RuntimeFaults, EmptyPlanKeepsRecordsByteIdentical) {
 
   ASSERT_EQ(rt_plain.records().size(), rt_faulted.records().size());
   EXPECT_EQ(rt_plain.records(), rt_faulted.records());
-  EXPECT_EQ(rt_faulted.readings_quarantined(), 0u);
+  EXPECT_EQ(rt_faulted.stay_away_mapper()->readings_quarantined(), 0u);
   EXPECT_EQ(rt_faulted.degradation(), DegradationState::Normal);
 }
 
@@ -339,7 +343,7 @@ TEST(RuntimeFaults, NonFiniteReadingsNeverReachTheMap) {
   // must impute, and nothing non-finite may leak into the embedding or
   // the representative set — in any build mode, hence explicit EXPECTs.
   Rig rig(3.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   sim::FaultPlan plan;
   plan.seed = 7;
   plan.faults.push_back(fault_of(sim::FaultKind::NonFinite, 0.0,
@@ -347,7 +351,7 @@ TEST(RuntimeFaults, NonFiniteReadingsNeverReachTheMap) {
   rt.install_faults(plan);
   run_periods(rig, rt, 20);
 
-  EXPECT_GT(rt.readings_quarantined(), 0u);
+  EXPECT_GT(rt.stay_away_mapper()->readings_quarantined(), 0u);
   for (const auto& rec : rt.records()) {
     EXPECT_GT(rec.quarantined_dims, 0u) << "at t=" << rec.time;
     EXPECT_TRUE(std::isfinite(rec.state.x) && std::isfinite(rec.state.y))
@@ -355,8 +359,10 @@ TEST(RuntimeFaults, NonFiniteReadingsNeverReachTheMap) {
     EXPECT_NE(rec.degradation, DegradationState::Normal)
         << "imputed inputs must degrade the loop, t=" << rec.time;
   }
-  for (std::size_t i = 0; i < rt.representatives().size(); ++i) {
-    for (double v : rt.representatives().representative(i)) {
+  const monitor::RepresentativeSet& reps =
+      rt.stay_away_mapper()->representatives();
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    for (double v : reps.representative(i)) {
       EXPECT_TRUE(std::isfinite(v)) << "representative " << i;
     }
   }
@@ -367,7 +373,7 @@ TEST(RuntimeFaults, QosBlindnessEscalatesToFailsafeAndRecovers) {
   // must pause every batch VM, then step back down to Normal (resuming
   // the batch) once telemetry returns.
   Rig rig(3.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   sim::FaultPlan plan;
   plan.seed = 7;
   plan.faults.push_back(fault_of(sim::FaultKind::QosBlind, 5.0, 20.0));
@@ -400,7 +406,7 @@ TEST(RuntimeFaults, DroppedPauseCommandsAreRetriedUntilDelivered) {
   // pause fails, the ledger retries with backoff, and a retry landing
   // after the fault window must finally take effect.
   Rig rig(/*batch_start=*/0.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   sim::FaultPlan plan;
   plan.seed = 7;
   plan.faults.push_back(fault_of(sim::FaultKind::QosBlind, 3.0, 1000.0));
@@ -408,15 +414,15 @@ TEST(RuntimeFaults, DroppedPauseCommandsAreRetriedUntilDelivered) {
   rt.install_faults(plan);
   run_periods(rig, rt, 30);
 
-  EXPECT_GT(rt.actuation_retries(), 0u);
-  EXPECT_EQ(rt.actuation_abandoned(), 0u);
+  EXPECT_GT(rt.governor_actuator()->actuation_retries(), 0u);
+  EXPECT_EQ(rt.governor_actuator()->actuation_abandoned(), 0u);
   bool saw_pending = false;
   for (const auto& rec : rt.records()) {
     if (rec.actuation_pending) saw_pending = true;
   }
   EXPECT_TRUE(saw_pending);
   // Reconciliation won: the batch really is paused by the end.
-  EXPECT_TRUE(rt.batch_paused());
+  EXPECT_TRUE(rt.governor_actuator()->batch_paused());
   EXPECT_GT(rig.host.vm(rig.batch).paused_time(), 1.0);
 }
 
@@ -424,7 +430,7 @@ TEST(RuntimeFaults, UndeliverableCommandsAreAbandoned) {
   // Pause channel dead for the whole run: the bounded retry budget must
   // run out rather than retry forever.
   Rig rig(/*batch_start=*/0.0);
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   sim::FaultPlan plan;
   plan.seed = 7;
   plan.faults.push_back(fault_of(sim::FaultKind::QosBlind, 3.0, 1000.0));
@@ -432,13 +438,13 @@ TEST(RuntimeFaults, UndeliverableCommandsAreAbandoned) {
   rt.install_faults(plan);
   run_periods(rig, rt, 30);
 
-  EXPECT_GT(rt.actuation_abandoned(), 0u);
+  EXPECT_GT(rt.governor_actuator()->actuation_abandoned(), 0u);
   EXPECT_DOUBLE_EQ(rig.host.vm(rig.batch).paused_time(), 0.0);
 }
 
 TEST(RuntimeFaults, InstallAfterStartRejected) {
   Rig rig;
-  StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+  HostPipeline rt(rig.host, *rig.probe, test_config());
   run_periods(rig, rt, 1);
   EXPECT_THROW(rt.install_faults(sim::FaultPlan{}), PreconditionError);
 }
@@ -446,7 +452,7 @@ TEST(RuntimeFaults, InstallAfterStartRejected) {
 TEST(RuntimeFaults, FaultedRunsAreDeterministic) {
   auto run = [] {
     Rig rig(3.0);
-    StayAwayRuntime rt(rig.host, *rig.probe, test_config());
+    HostPipeline rt(rig.host, *rig.probe, test_config());
     sim::FaultPlan plan;
     plan.seed = 11;
     plan.faults.push_back(
@@ -472,7 +478,7 @@ TEST(RuntimeFaults, ObserverStaysPassiveUnderFaults) {
   plan.faults.push_back(fault_of(sim::FaultKind::QosBlind, 10.0, 16.0));
 
   Rig rig_plain(3.0);
-  StayAwayRuntime rt_plain(rig_plain.host, *rig_plain.probe, test_config());
+  HostPipeline rt_plain(rig_plain.host, *rig_plain.probe, test_config());
   rt_plain.install_faults(plan);
   run_periods(rig_plain, rt_plain, 30);
 
@@ -480,7 +486,7 @@ TEST(RuntimeFaults, ObserverStaysPassiveUnderFaults) {
   obs::JsonlSink sink(events);
   obs::Observer observer(&sink);
   Rig rig_obs(3.0);
-  StayAwayRuntime rt_obs(rig_obs.host, *rig_obs.probe, test_config());
+  HostPipeline rt_obs(rig_obs.host, *rig_obs.probe, test_config());
   rt_obs.set_observer(&observer);
   rt_obs.install_faults(plan);
   run_periods(rig_obs, rt_obs, 30);

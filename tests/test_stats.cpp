@@ -1,5 +1,5 @@
-// Unit tests for src/stats: online stats, histogram, KDE, ECDF, sampler,
-// circular stats, Rayleigh radius, descriptive stats, Zipf, VAR(1).
+// Unit tests for src/stats: online stats, histogram, sampler, circular
+// stats, Rayleigh radius, descriptive stats, Zipf, VAR(1).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,9 +9,7 @@
 
 #include "stats/circular.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/ecdf.hpp"
 #include "stats/histogram.hpp"
-#include "stats/kde.hpp"
 #include "stats/online.hpp"
 #include "stats/rayleigh.hpp"
 #include "stats/sampler.hpp"
@@ -135,66 +133,6 @@ TEST(Histogram, CumulativeReachesOne) {
   h.add(0.1);
   h.add(0.9);
   EXPECT_NEAR(h.cumulative(h.bins() - 1), 1.0, 1e-12);
-}
-
-// ------------------------------------------------------------------ kde
-TEST(Kde, PeaksAtSampleCluster) {
-  std::vector<double> samples{1.0, 1.1, 0.9, 1.05, 0.95};
-  Kde kde = Kde::with_silverman_bandwidth(samples);
-  EXPECT_GT(kde.evaluate(1.0), kde.evaluate(3.0));
-}
-
-TEST(Kde, IntegratesToApproximatelyOne) {
-  std::vector<double> samples{0.0, 0.5, 1.0, 1.5, 2.0};
-  Kde kde(samples, 0.3);
-  double acc = 0.0;
-  const int grid = 2000;
-  for (int i = 0; i <= grid; ++i) {
-    double x = -3.0 + 8.0 * i / grid;
-    acc += kde.evaluate(x) * (8.0 / grid);
-  }
-  EXPECT_NEAR(acc, 1.0, 0.01);
-}
-
-TEST(Kde, GridEvaluation) {
-  std::vector<double> samples{0.0};
-  Kde kde(samples, 1.0);
-  auto grid = kde.evaluate_grid(-1.0, 1.0, 3);
-  ASSERT_EQ(grid.size(), 3u);
-  EXPECT_GT(grid[1], grid[0]);  // peak at sample
-  EXPECT_NEAR(grid[0], grid[2], 1e-12);
-}
-
-TEST(Kde, DegenerateSpreadStaysDefined) {
-  std::vector<double> samples{2.0, 2.0, 2.0};
-  Kde kde = Kde::with_silverman_bandwidth(samples);
-  EXPECT_TRUE(std::isfinite(kde.evaluate(2.0)));
-  EXPECT_GT(kde.evaluate(2.0), 0.0);
-}
-
-TEST(Kde, InvalidInputsRejected) {
-  std::vector<double> empty;
-  EXPECT_THROW(Kde(empty, 1.0), PreconditionError);
-  std::vector<double> one{1.0};
-  EXPECT_THROW(Kde(one, 0.0), PreconditionError);
-}
-
-// ----------------------------------------------------------------- ecdf
-TEST(Ecdf, FractionsAndQuantiles) {
-  std::vector<double> samples{1.0, 2.0, 3.0, 4.0};
-  Ecdf e(samples);
-  EXPECT_DOUBLE_EQ(e.at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(e.at(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(e.at(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(e.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(e.quantile(1.0), 4.0);
-  EXPECT_NEAR(e.quantile(0.5), 2.5, 1e-12);
-}
-
-TEST(Ecdf, SingleSample) {
-  std::vector<double> samples{7.0};
-  Ecdf e(samples);
-  EXPECT_DOUBLE_EQ(e.quantile(0.3), 7.0);
 }
 
 // -------------------------------------------------------------- sampler
@@ -446,32 +384,6 @@ TEST(Histogram, QuantileOfSingleLoadedBinStaysInsideThatBin) {
     EXPECT_GE(x, 7.0) << "q=" << q;
     EXPECT_LE(x, 8.0) << "q=" << q;
   }
-}
-
-TEST(Ecdf, NonFiniteSamplesRejected) {
-  std::vector<double> nan_samples{1.0, std::numeric_limits<double>::quiet_NaN()};
-  EXPECT_THROW(Ecdf{nan_samples}, PreconditionError);
-  std::vector<double> inf_samples{1.0, std::numeric_limits<double>::infinity()};
-  EXPECT_THROW(Ecdf{inf_samples}, PreconditionError);
-}
-
-TEST(Kde, NonFiniteInputsRejected) {
-  std::vector<double> nan_samples{1.0, std::numeric_limits<double>::quiet_NaN()};
-  EXPECT_THROW(Kde(nan_samples, 1.0), PreconditionError);
-  EXPECT_THROW(Kde::with_silverman_bandwidth(nan_samples), PreconditionError);
-  std::vector<double> fine{1.0, 2.0};
-  EXPECT_THROW(Kde(fine, std::numeric_limits<double>::quiet_NaN()),
-               PreconditionError);
-}
-
-TEST(Kde, SilvermanBandwidthDefinedForConstantSamples) {
-  // Zero spread drives the Silverman rule to h = 0; the fallback keeps
-  // evaluation defined (a narrow spike, not a NaN field).
-  std::vector<double> constant(8, 4.2);
-  Kde kde = Kde::with_silverman_bandwidth(constant);
-  EXPECT_TRUE(std::isfinite(kde.evaluate(4.2)));
-  EXPECT_GT(kde.evaluate(4.2), 0.0);
-  EXPECT_TRUE(std::isfinite(kde.evaluate(0.0)));
 }
 
 TEST(Circular, VarianceNeverNegative) {

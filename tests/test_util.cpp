@@ -1,4 +1,4 @@
-// Unit tests for src/util: contracts, RNG, ring buffer, CSV, strings,
+// Unit tests for src/util: contracts, RNG, CSV, strings,
 // ASCII plotting.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "util/ascii_plot.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -139,59 +138,6 @@ TEST(Rng, ForkDecorrelates) {
     if (parent.uniform() == child.uniform()) ++same;
   }
   EXPECT_LT(same, 5);
-}
-
-// ---------------------------------------------------------- ring buffer
-TEST(RingBuffer, FillsThenWraps) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_FALSE(rb.full());
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  rb.push(4);  // evicts 1
-  EXPECT_EQ(rb.size(), 3u);
-  EXPECT_EQ(rb[0], 2);
-  EXPECT_EQ(rb[1], 3);
-  EXPECT_EQ(rb[2], 4);
-}
-
-TEST(RingBuffer, FrontBackTrackOldestNewest) {
-  RingBuffer<int> rb(2);
-  rb.push(10);
-  EXPECT_EQ(rb.front(), 10);
-  EXPECT_EQ(rb.back(), 10);
-  rb.push(20);
-  rb.push(30);
-  EXPECT_EQ(rb.front(), 20);
-  EXPECT_EQ(rb.back(), 30);
-}
-
-TEST(RingBuffer, SnapshotOrdersOldestFirst) {
-  RingBuffer<int> rb(3);
-  for (int i = 1; i <= 5; ++i) rb.push(i);
-  EXPECT_EQ(rb.snapshot(), (std::vector<int>{3, 4, 5}));
-}
-
-TEST(RingBuffer, ClearEmpties) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  rb.push(7);
-  EXPECT_EQ(rb[0], 7);
-}
-
-TEST(RingBuffer, IndexOutOfRangeThrows) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  EXPECT_THROW(rb[1], PreconditionError);
-}
-
-TEST(RingBuffer, ZeroCapacityRejected) {
-  EXPECT_THROW(RingBuffer<int>(0), PreconditionError);
 }
 
 // -------------------------------------------------------------- strings

@@ -17,8 +17,12 @@
 //                    is likewise its own entry above core and may never
 //                    include sim/ (not even sim/vm.hpp): it reads hosts
 //                    through the core/pipeline.hpp seam and takes IDs
-//                    from core/stages/stage.hpp. System includes are
-//                    ignored — usage is policed by the determinism pass.
+//                    from core/stages/stage.hpp. One parallelism axis:
+//                    fleet workers are the library's only threads, so
+//                    under src/ only the fleet controller
+//                    (src/core/fleet.*) may include util/thread_pool.hpp.
+//                    System includes are ignored — usage is policed by
+//                    the determinism pass.
 //   lock-discipline  any mutable field of a class that owns a mutex must
 //                    carry SA_GUARDED_BY / SA_PT_GUARDED_BY
 //                    (src/util/annotations.hpp) or an explicit
@@ -395,6 +399,17 @@ const std::map<std::string, std::set<std::string>>& layering() {
   return kAllowed;
 }
 
+/// One parallelism axis (DESIGN.md §9): the fleet controller's worker pool
+/// is the library's only source of threads. Under src/ only
+/// src/core/fleet.* (and the pool's own implementation) may include it.
+bool may_include_thread_pool(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = path.substr(0, slash + 1);
+  const std::string file = path.substr(slash + 1);
+  return (dir.ends_with("src/core/") && file.starts_with("fleet.")) ||
+         (dir.ends_with("src/util/") && file.starts_with("thread_pool."));
+}
+
 void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
   const std::string mod = module_of(f.path);
   const bool in_stages = path_has_dir(f.path, "stages/");
@@ -437,6 +452,14 @@ void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
                            "; it reads host state through the "
                            "core/pipeline.hpp seam and actuates through "
                            "stage commands, never sim/ directly"});
+        continue;
+      }
+      if (!mod.empty() && t.text == "util/thread_pool.hpp" &&
+          !may_include_thread_pool(f.path)) {
+        out.push_back({f.path, t.line, "include-graph", "parallelism-axis",
+                       "only src/core/fleet.* may include " + t.text +
+                           "; fleet workers are the only parallelism axis, "
+                           "kernels stay sequential"});
         continue;
       }
       if (!mod.empty() && layering().count(dep) != 0 && dep != mod) {
@@ -1098,6 +1121,12 @@ std::vector<Fixture> self_test_fixtures() {
                {"layering"}});
   f.push_back({"checkpoint-include-core-ok", "src/core/checkpoint.hpp",
                "#pragma once\n#include \"core/pipeline.hpp\"\n",
+               {}});
+  f.push_back({"thread-pool-in-mds", "src/mds/inc21.cpp",
+               "#include \"util/thread_pool.hpp\"\n",
+               {"parallelism-axis"}});
+  f.push_back({"thread-pool-in-fleet-ok", "src/core/fleet.cpp",
+               "#include \"util/thread_pool.hpp\"\n",
                {}});
   // --- lock discipline ---------------------------------------------------
   f.push_back({"unguarded-field", "src/obs/lock1.hpp",
