@@ -5,7 +5,8 @@
 #   ./ci.sh --tier1              configure, build, ctest (the gate, ROADMAP.md)
 #   ./ci.sh --asan               AddressSanitizer + UBSan, Debug, full suite
 #   ./ci.sh --tsan               ThreadSanitizer, full suite (data races in the
-#                                fleet worker pool / ingest rings / obs layer)
+#                                fleet worker pool — the only threads — and
+#                                the obs layer it shares)
 #   ./ci.sh --paranoid           STAYAWAY_PARANOID=ON Debug build: every
 #                                SA_INVARIANT audit enabled, full suite
 #   ./ci.sh --tidy               best-effort clang-tidy over src/ (skipped
@@ -26,16 +27,18 @@
 #   ./ci.sh --ingest             streaming-ingestion gate (DESIGN.md §15):
 #                                the ingest test suite plus the bench_ingest
 #                                bounds (--smoke) in the tier-1 tree, then
-#                                the producer/consumer surfaces — 8 ring-fed
-#                                pipelines on a 4-worker pool — under
-#                                ThreadSanitizer
+#                                fleet workers over ring-fed members — 8
+#                                ring-fed pipelines on a 4-worker pool —
+#                                under ThreadSanitizer
 #   ./ci.sh --recovery           crash-recovery gate (DESIGN.md §17): the
 #                                checkpoint/restore test suite plus the
 #                                bench_recovery acceptance bounds (--smoke:
 #                                zero aborted runs with 1-of-8 hosts
-#                                crashing) in the tier-1 tree, then an
-#                                end-to-end checkpoint -> corrupt ->
-#                                restore round trip through stayaway_sim
+#                                crashing) in the tier-1 tree, then
+#                                end-to-end checkpoint -> restore round
+#                                trips through stayaway_sim (synchronous
+#                                and ring-fed) and a corrupt-blob
+#                                rejection
 #   ./ci.sh --cluster            cluster-coordination gate (DESIGN.md §18):
 #                                the cluster test suite plus the
 #                                bench_cluster acceptance bound (--smoke:
@@ -270,9 +273,9 @@ EOF
     ingest)
       # Streaming-ingestion gate (DESIGN.md §15): the ingest suite and the
       # bench_ingest acceptance bounds (>=5x ring throughput, flat
-      # landmark-incremental embed cost) in the tier-1 tree, then the
-      # producer/consumer protocol — one producer thread per host, 8
-      # ring-fed pipelines on a 4-worker fleet pool — under TSan.
+      # landmark-incremental embed cost) in the tier-1 tree, then fleet
+      # workers over ring-fed members — 8 ring sources generating inline
+      # on a 4-worker fleet pool — under TSan.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" --target test_ingest bench_ingest ||
         return 1
@@ -291,9 +294,10 @@ EOF
       # Crash-recovery gate (DESIGN.md §17): the checkpoint codec + super-
       # visor test suite and the bench_recovery acceptance bounds (full
       # record streams, zero divergences, 1-of-8 hosts crashing) in the
-      # tier-1 tree, then stayaway_sim driven through a full checkpoint ->
-      # restore round trip — including a corrupted blob, which must be
-      # rejected by checksum, not silently restored.
+      # tier-1 tree, then stayaway_sim driven through full checkpoint ->
+      # restore round trips — synchronous and ring-fed (every pipeline
+      # checkpoints) — and a corrupted blob, which must be rejected by
+      # checksum, not silently restored.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
           --target test_checkpoint bench_recovery stayaway_sim || return 1
@@ -313,6 +317,12 @@ EOF
         [[ -s "$tmpdir/ckpt/host0.ckpt" ]] || { rm -rf "$tmpdir"; return 1; }
       ./build/tools/stayaway_sim --restore "$tmpdir/ckpt" \
         "$tmpdir/scenario.conf" >/dev/null || { rm -rf "$tmpdir"; return 1; }
+      ./build/tools/stayaway_sim --ingest-rate 16 --supervise \
+        --checkpoint-every 5 --checkpoint-dir "$tmpdir/ring" \
+        "$tmpdir/scenario.conf" >/dev/null &&
+        grep -q "ring_pending_sequence" "$tmpdir/ring/host0.ckpt" &&
+        ./build/tools/stayaway_sim --ingest-rate 16 --restore "$tmpdir/ring" \
+          "$tmpdir/scenario.conf" >/dev/null || { rm -rf "$tmpdir"; return 1; }
       # Flip one body byte; the restore must fail closed on the checksum.
       printf 'X' | dd of="$tmpdir/ckpt/host0.ckpt" bs=1 seek=64 conv=notrunc \
         status=none || { rm -rf "$tmpdir"; return 1; }
@@ -324,7 +334,7 @@ EOF
         echo "corrupted checkpoint was not rejected" >&2
         return 1
       }
-      echo "checkpoint round trip + corrupt-blob rejection: ok"
+      echo "checkpoint round trips (sync + ring) + corrupt-blob rejection: ok"
       ;;
     analyze)
       # Static-analysis gate (DESIGN.md §16). The textual passes always

@@ -41,4 +41,16 @@ core::Actuator::Outcome ReactiveActuator::act(core::ActuationPort& port,
   return outcome;
 }
 
+void ReactiveActuator::save_state(util::StateWriter& w) const {
+  w.boolean("reactive_paused", paused_);
+  w.real("reactive_paused_at", paused_at_);
+  w.u64("reactive_pauses", pauses_);
+}
+
+void ReactiveActuator::load_state(util::StateReader& r) {
+  paused_ = r.boolean("reactive_paused");
+  paused_at_ = r.real("reactive_paused_at");
+  pauses_ = static_cast<std::size_t>(r.u64("reactive_pauses"));
+}
+
 }  // namespace stayaway::baseline

@@ -30,6 +30,10 @@ class ReactiveActuator final : public core::Actuator {
   bool batch_paused() const { return paused_; }
   std::size_t pauses() const { return pauses_; }
 
+  /// Snapshot of the pause latch, its start time and the pause count.
+  void save_state(util::StateWriter& w) const override;
+  void load_state(util::StateReader& r) override;
+
  private:
   ReactiveConfig config_;
   bool paused_ = false;

@@ -49,4 +49,14 @@ core::Actuator::Outcome StaticThresholdActuator::act(core::ActuationPort& port,
   return outcome;
 }
 
+void StaticThresholdActuator::save_state(util::StateWriter& w) const {
+  w.boolean("static_paused", paused_);
+  w.u64("static_pauses", pauses_);
+}
+
+void StaticThresholdActuator::load_state(util::StateReader& r) {
+  paused_ = r.boolean("static_paused");
+  pauses_ = static_cast<std::size_t>(r.u64("static_pauses"));
+}
+
 }  // namespace stayaway::baseline

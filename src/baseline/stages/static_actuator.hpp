@@ -33,6 +33,10 @@ class StaticThresholdActuator final : public core::Actuator {
   bool batch_paused() const { return paused_; }
   std::size_t pauses() const { return pauses_; }
 
+  /// Snapshot of the pause latch and the pause count.
+  void save_state(util::StateWriter& w) const override;
+  void load_state(util::StateReader& r) override;
+
  private:
   StaticThresholdConfig config_;
   bool paused_ = false;

@@ -59,7 +59,7 @@ PeriodRecord read_period_record(util::StateReader& r);
 std::string encode_record(const PeriodRecord& rec);
 
 /// Encodes the full checkpoint of `pipeline` at the current period
-/// boundary. Requires pipeline.checkpointable().
+/// boundary.
 std::string encode_checkpoint(const HostPipeline& pipeline);
 
 /// Decodes `blob` into a freshly built pipeline (same wiring, same fault

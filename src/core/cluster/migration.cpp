@@ -58,10 +58,6 @@ Actuator::Outcome MigrationActuator::act(ActuationPort& port,
   return inner_->act(port, rec, degradation, observer);
 }
 
-bool MigrationActuator::checkpointable() const {
-  return inner_ == nullptr || inner_->checkpointable();
-}
-
 void MigrationActuator::save_state(util::StateWriter& w) const {
   w.boolean("migration_gate", gate_);
   w.u64("migration_incoming", incoming_);

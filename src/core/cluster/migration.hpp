@@ -50,10 +50,8 @@ class MigrationActuator final : public Actuator {
   const Actuator* inner() const { return inner_.get(); }
   std::size_t migrations_out() const { return migrations_out_total_; }
 
-  /// Checkpointable when the inner stage is (or is absent). The gate,
-  /// incoming note and outbox are snapshotted too, so a restore resumes
-  /// mid-handshake exactly.
-  bool checkpointable() const override;
+  /// Snapshots the gate, incoming note and outbox with the inner stage,
+  /// so a restore resumes mid-handshake exactly.
   void save_state(util::StateWriter& w) const override;
   void load_state(util::StateReader& r) override;
 

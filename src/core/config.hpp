@@ -74,23 +74,20 @@ struct DegradationConfig {
 /// How the map over representatives is (re)computed each period.
 enum class EmbedMethod {
   SmacofWarm,  // full SMACOF, warm-started from the previous layout (default)
-  SmacofCold,  // full SMACOF from a classical-MDS seed every time (ablation)
-  Landmark,    // landmark-MDS approximation (§4's fast path)
   Pca,         // PCA projection (ablation comparator, §2.2)
   LandmarkIncremental,  // streaming path (DESIGN.md §15): fit landmarks
                         // once, place only the NEW representatives each
                         // period — O(new points) — and refit (with
                         // Procrustes re-alignment) only when the set has
-                        // grown past landmark_refresh_factor since the
-                        // last fit
+                        // doubled since the last fit
 };
 
 /// Where the control loop's samples come from (DESIGN.md §15).
 enum class IngestSource {
   Synchronous,  // one Sampler::sample() per period — the historical,
                 // byte-identical default
-  Ring,         // a producer thread replays a trace into a per-host
-                // lock-free SPSC ring the pipeline drains every period
+  Ring,         // each drain replays a trace into a bounded per-host
+                // ring up to a lookahead and pops the due samples
 };
 
 /// Unified ingestion surface: the synchronous sampler, trace replay and
@@ -102,18 +99,18 @@ enum class IngestSource {
 /// byte-identical).
 struct IngestConfig {
   IngestSource source = IngestSource::Synchronous;
-  /// Producer emission rate in samples per simulated second (Ring only).
+  /// Emission rate in samples per simulated second (Ring only).
   double rate_hz = 4.0;
-  /// SPSC ring capacity in samples (rounded up to a power of two). A
-  /// full ring drops the push and counts the overflow — backpressure is
+  /// Ring capacity in samples (rounded up to a power of two). A full
+  /// ring drops the push and counts the overflow — backpressure is
   /// surfaced, never silently absorbed.
   std::size_t ring_capacity = 1024;
-  /// How far past the consumer's gate the producer may run ahead, in
-  /// simulated seconds. Samples inside the lookahead wait in the ring
-  /// until their period.
+  /// How far past the drain clock each drain generates, in simulated
+  /// seconds. Samples inside the lookahead wait in the ring until their
+  /// period.
   double lookahead_s = 0.25;
   /// Optional burst window: within [burst_start_s, burst_end_s) the
-  /// producer emits at burst_rate_hz instead of rate_hz. 0 disables the
+  /// ring emits at burst_rate_hz instead of rate_hz. 0 disables the
   /// burst. This is the window the fuzzer's shrinker minimizes.
   double burst_rate_hz = 0.0;
   double burst_start_s = 0.0;
@@ -153,13 +150,8 @@ struct StayAwayConfig {
   /// highest-priority present sensitive VM are throttled instead.
   bool allow_sensitive_demotion = false;
   EmbedMethod embed_method = EmbedMethod::SmacofWarm;
-  /// Landmark count when embed_method == Landmark/LandmarkIncremental.
+  /// Landmark count when embed_method == LandmarkIncremental.
   std::size_t landmark_count = 24;
-  /// LandmarkIncremental only: refit the landmark model (full refresh +
-  /// Procrustes re-alignment) once the representative count reaches this
-  /// factor of the count at the last fit. Geometric refresh keeps the
-  /// amortized per-point embed cost O(1) in the map size.
-  double landmark_refresh_factor = 2.0;
   /// Normalized stress-1 below which a warm-started SMACOF layout is
   /// accepted without the verifying cold run (§4 overhead: the cold run
   /// doubles the per-growth embedding cost and almost never wins once the

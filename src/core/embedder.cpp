@@ -15,6 +15,10 @@ namespace stayaway::core {
 
 namespace {
 
+/// LandmarkIncremental refits once the set has grown by this factor since
+/// the last fit (geometric refresh: O(1) amortized refit cost per point).
+constexpr double kLandmarkRefreshFactor = 2.0;
+
 // SA_INVARIANT audits (paranoid tier, see DESIGN.md §11). These are the
 // mathematical contracts the incremental hot path must preserve: growing
 // the dissimilarity matrix row-by-row must keep it a valid dissimilarity
@@ -42,15 +46,11 @@ bool all_finite(const mds::Embedding& points) {
 }  // namespace
 
 MapEmbedder::MapEmbedder(EmbedMethod method, std::size_t landmark_count,
-                         double warm_skip_stress,
-                         double landmark_refresh_factor)
+                         double warm_skip_stress)
     : method_(method),
       landmark_count_(std::max<std::size_t>(landmark_count, 3)),
-      warm_skip_stress_(warm_skip_stress),
-      landmark_refresh_factor_(landmark_refresh_factor) {
+      warm_skip_stress_(warm_skip_stress) {
   SA_REQUIRE(warm_skip_stress >= 0.0, "stress bound must be non-negative");
-  SA_REQUIRE(landmark_refresh_factor >= 1.0,
-             "landmark refresh factor must be at least 1");
 }
 
 const mds::Embedding& MapEmbedder::update(
@@ -105,97 +105,65 @@ void MapEmbedder::embed(const monitor::RepresentativeSet& reps) {
   }
 
   const linalg::Matrix& delta = refresh_delta(vectors);
+  if (method_ == EmbedMethod::Pca) {
+    positions_ = mds::pca_embed(vectors);
+    stress_ = mds::normalized_stress(delta, positions_);
+    return;
+  }
 
-  switch (method_) {
-    case EmbedMethod::Pca: {
-      positions_ = mds::pca_embed(vectors);
-      stress_ = mds::normalized_stress(delta, positions_);
-      return;
+  // SmacofWarm — and LandmarkIncremental below the landmark count: a
+  // handful of points is cheap to solve exactly, and the warm seed keeps
+  // the map stable until the streaming regime takes over.
+  mds::Embedding prev = positions_;
+  mds::SmacofResult res;
+  if (!prev.empty()) {
+    // Warm seed: old points keep their spot; each new one is placed
+    // against everything already positioned. Warm starts converge in a
+    // couple of iterations but can inherit a local minimum, so unless the
+    // warm stress already meets the skip bound a cold run (classical-MDS
+    // seed) verifies it and the lower-stress configuration wins (ties go
+    // to cold, as historically).
+    mds::SmacofOptions opts;
+    mds::Embedding init = prev;
+    for (std::size_t i = prev.size(); i < n; ++i) {
+      std::vector<double> d(i, 0.0);
+      for (std::size_t j = 0; j < i; ++j) d[j] = delta.at(i, j);
+      init.push_back(mds::place_point(init, d));
     }
-    case EmbedMethod::Landmark: {
-      if (n > landmark_count_) {
-        mds::Embedding prev = positions_;
-        positions_ = mds::landmark_embed(vectors, landmark_count_);
-        stress_ = mds::normalized_stress(delta, positions_);
-        if (prev.size() >= 2) {
-          mds::Embedding head(positions_.begin(),
-                              positions_.begin() +
-                                  static_cast<std::ptrdiff_t>(prev.size()));
-          auto align = mds::procrustes_align(head, prev,
-                                             {.allow_reflection = true,
-                                              .allow_scaling = false});
-          positions_ = align.transform.apply(positions_);
-        }
-        return;
-      }
-      // Too few points for landmarks: fall through to full SMACOF.
-      [[fallthrough]];
+    opts.initial = std::move(init);
+    res = mds::smacof(delta, opts);
+    total_iterations_ += res.iterations;
+    if (warm_skip_stress_ > 0.0 && res.stress <= warm_skip_stress_) {
+      ++cold_runs_skipped_;
+    } else {
+      const double warm_stress = res.stress;
+      mds::SmacofResult cold = mds::smacof(delta);
+      total_iterations_ += cold.iterations;
+      if (cold.stress <= res.stress) res = std::move(cold);
+      // Stress monotonicity: keeping the better of the two solves can
+      // never end up above the warm-started stress.
+      SA_CHECK(res.stress <= warm_stress,
+               "warm/cold selection must not increase stress");
     }
-    // Below the landmark count the incremental mode embeds exactly like
-    // SmacofWarm — a handful of points is cheap to solve exactly, and the
-    // warm seed keeps the map stable until the streaming regime takes
-    // over.
-    case EmbedMethod::LandmarkIncremental:
-    case EmbedMethod::SmacofCold:
-    case EmbedMethod::SmacofWarm: {
-      const bool warm = method_ == EmbedMethod::SmacofWarm ||
-                        method_ == EmbedMethod::LandmarkIncremental;
-      mds::Embedding prev = positions_;
-      mds::SmacofResult res;
-      if (warm && !prev.empty()) {
-        // Warm seed: old points keep their spot; each new one is placed
-        // against everything already positioned. Warm starts converge in
-        // a couple of iterations but can inherit a local minimum, so
-        // unless the warm stress already meets the skip bound a cold run
-        // (classical-MDS seed) verifies it and the lower-stress
-        // configuration wins (ties go to cold, as historically).
-        mds::SmacofOptions opts;
-        mds::Embedding init = prev;
-        for (std::size_t i = prev.size(); i < n; ++i) {
-          std::vector<double> d(i, 0.0);
-          for (std::size_t j = 0; j < i; ++j) d[j] = delta.at(i, j);
-          init.push_back(mds::place_point(init, d));
-        }
-        opts.initial = std::move(init);
-        res = mds::smacof(delta, opts);
-        total_iterations_ += res.iterations;
-        if (warm_skip_stress_ > 0.0 && res.stress <= warm_skip_stress_) {
-          ++cold_runs_skipped_;
-        } else {
-          const double warm_stress = res.stress;
-          mds::SmacofResult cold = mds::smacof(delta);
-          total_iterations_ += cold.iterations;
-          if (cold.stress <= res.stress) res = std::move(cold);
-          // Stress monotonicity: keeping the better of the two solves can
-          // never end up above the warm-started stress.
-          SA_CHECK(res.stress <= warm_stress,
-                   "warm/cold selection must not increase stress");
-        }
-      } else {
-        res = mds::smacof(delta);  // classical-MDS seed
-        total_iterations_ += res.iterations;
-      }
-      positions_ = std::move(res.points);
-      stress_ = res.stress;
-      if (warm && prev.size() >= 2) {
-        // Whichever solution won, rotate/flip it back onto the previous
-        // layout so directions in the map stay meaningful across periods.
-        mds::Embedding head(positions_.begin(),
-                            positions_.begin() +
-                                static_cast<std::ptrdiff_t>(prev.size()));
-        auto align = mds::procrustes_align(head, prev,
-                                           {.allow_reflection = true,
-                                            .allow_scaling = false});
-        positions_ = align.transform.apply(positions_);
-      }
-      return;
-    }
+  } else {
+    res = mds::smacof(delta);  // classical-MDS seed
+    total_iterations_ += res.iterations;
+  }
+  positions_ = std::move(res.points);
+  stress_ = res.stress;
+  if (prev.size() >= 2) {
+    // Whichever solution won, rotate/flip it back onto the previous
+    // layout so directions in the map stay meaningful across periods.
+    mds::Embedding head(positions_.begin(),
+                        positions_.begin() +
+                            static_cast<std::ptrdiff_t>(prev.size()));
+    auto align = mds::procrustes_align(
+        head, prev, {.allow_reflection = true, .allow_scaling = false});
+    positions_ = align.transform.apply(positions_);
   }
 }
 
 void MapEmbedder::save_state(util::StateWriter& w) const {
-  SA_REQUIRE(checkpointable(),
-             "save_state on a landmark-incremental embedder");
   std::vector<double> xs, ys;
   xs.reserve(positions_.size());
   ys.reserve(positions_.size());
@@ -209,12 +177,18 @@ void MapEmbedder::save_state(util::StateWriter& w) const {
   w.u64("total_iterations", total_iterations_);
   w.u64("cold_runs_skipped", cold_runs_skipped_);
   w.u64("rebuilds", rebuilds_);
+  if (method_ == EmbedMethod::LandmarkIncremental) {
+    w.u64("landmark_fit_size", last_fit_size_);
+    w.real("landmark_align_rotation", landmark_align_.rotation);
+    w.boolean("landmark_align_reflected", landmark_align_.reflected);
+    w.real("landmark_align_scale", landmark_align_.scale);
+    w.real("landmark_align_tx", landmark_align_.translation.x);
+    w.real("landmark_align_ty", landmark_align_.translation.y);
+  }
 }
 
 void MapEmbedder::load_state(util::StateReader& r,
                              const std::vector<std::vector<double>>& vectors) {
-  SA_REQUIRE(checkpointable(),
-             "load_state on a landmark-incremental embedder");
   std::vector<double> xs = r.reals("positions_x");
   std::vector<double> ys = r.reals("positions_y");
   if (xs.size() != ys.size() || xs.size() != vectors.size()) {
@@ -227,11 +201,36 @@ void MapEmbedder::load_state(util::StateReader& r,
   total_iterations_ = static_cast<std::size_t>(r.u64("total_iterations"));
   cold_runs_skipped_ = static_cast<std::size_t>(r.u64("cold_runs_skipped"));
   rebuilds_ = static_cast<std::size_t>(r.u64("rebuilds"));
-  // Rebuild the dissimilarity cache to the state the incremental growth
-  // would have left it in: empty below two points (embed() short-circuits
-  // there without building one), the full matrix otherwise.
-  delta_ = vectors.size() >= 2 ? mds::distance_matrix(vectors)
-                               : linalg::Matrix();
+  landmark_model_.reset();
+  landmark_vectors_.clear();
+  landmark_align_ = mds::ProcrustesTransform{};
+  last_fit_size_ = 0;
+  if (method_ == EmbedMethod::LandmarkIncremental) {
+    last_fit_size_ = static_cast<std::size_t>(r.u64("landmark_fit_size"));
+    landmark_align_.rotation = r.real("landmark_align_rotation");
+    landmark_align_.reflected = r.boolean("landmark_align_reflected");
+    landmark_align_.scale = r.real("landmark_align_scale");
+    landmark_align_.translation.x = r.real("landmark_align_tx");
+    landmark_align_.translation.y = r.real("landmark_align_ty");
+    if (last_fit_size_ > vectors.size()) {
+      throw util::StateCodecError(
+          "embedder state: landmark fit larger than the representative set");
+    }
+  }
+  if (last_fit_size_ > 0) {
+    // Landmark regime: refit on exactly the representatives the last fit
+    // saw; the full matrix never exists here.
+    fit_landmarks({vectors.begin(),
+                   vectors.begin() +
+                       static_cast<std::ptrdiff_t>(last_fit_size_)});
+    delta_ = linalg::Matrix();
+  } else {
+    // The state the incremental growth would have left the matrix in:
+    // empty below two points (embed() short-circuits there without
+    // building one), the full matrix otherwise.
+    delta_ = vectors.size() >= 2 ? mds::distance_matrix(vectors)
+                                 : linalg::Matrix();
+  }
 }
 
 mds::Point2 MapEmbedder::place_against_landmarks(
@@ -243,13 +242,23 @@ mds::Point2 MapEmbedder::place_against_landmarks(
   return landmark_align_.apply(landmark_model_->place(d));
 }
 
+void MapEmbedder::fit_landmarks(
+    const std::vector<std::vector<double>>& vectors) {
+  landmark_model_ = mds::fit_landmark_mds(vectors, landmark_count_);
+  landmark_vectors_.clear();
+  landmark_vectors_.reserve(landmark_model_->landmark_indices.size());
+  for (std::size_t idx : landmark_model_->landmark_indices) {
+    landmark_vectors_.push_back(vectors[idx]);
+  }
+}
+
 void MapEmbedder::embed_landmark_incremental(
     const std::vector<std::vector<double>>& vectors) {
   const std::size_t n = vectors.size();
   const bool refit =
       !landmark_model_.has_value() ||
       static_cast<double>(n) >=
-          landmark_refresh_factor_ * static_cast<double>(last_fit_size_);
+          kLandmarkRefreshFactor * static_cast<double>(last_fit_size_);
   if (!refit) {
     // O(new * k): triangulate only the points that arrived since the last
     // update. Existing positions (and the stress estimate) are untouched
@@ -261,14 +270,10 @@ void MapEmbedder::embed_landmark_incremental(
   }
   // Refit: new maxmin landmark selection and exact classical-MDS solve
   // over k points, then every point re-placed. Triggered geometrically
-  // (n >= factor * last fit size), so total refit work is O(n) amortized.
+  // (n >= kLandmarkRefreshFactor * last fit size), so total refit work is
+  // O(n) amortized.
   mds::Embedding prev = positions_;
-  landmark_model_ = mds::fit_landmark_mds(vectors, landmark_count_);
-  landmark_vectors_.clear();
-  landmark_vectors_.reserve(landmark_model_->landmark_indices.size());
-  for (std::size_t idx : landmark_model_->landmark_indices) {
-    landmark_vectors_.push_back(vectors[idx]);
-  }
+  fit_landmarks(vectors);
   landmark_align_ = mds::ProcrustesTransform{};
   positions_.clear();
   positions_.reserve(n);

@@ -20,8 +20,8 @@
 // past landmark_count points, each update only *places* the new points
 // against a frozen landmark model — O(new * k), no O(n^2) matrix at all —
 // and the model is refit (with Procrustes re-alignment) only when the set
-// has grown by landmark_refresh_factor since the last fit, so refit cost
-// amortizes to O(1) per point.
+// has doubled since the last fit, so refit cost amortizes to O(1) per
+// point.
 #pragma once
 
 #include <optional>
@@ -41,11 +41,8 @@ class MapEmbedder {
   /// warm_skip_stress: normalized stress-1 below which a warm-started
   /// SMACOF solution is accepted without the verifying cold run. 0 keeps
   /// the historical behaviour (always run both, keep the better).
-  /// landmark_refresh_factor (LandmarkIncremental only): geometric refit
-  /// trigger — refit when n >= factor * size-at-last-fit.
   explicit MapEmbedder(EmbedMethod method, std::size_t landmark_count = 24,
-                       double warm_skip_stress = 0.0,
-                       double landmark_refresh_factor = 2.0);
+                       double warm_skip_stress = 0.0);
 
   /// Brings the embedding in sync with the representative set and returns
   /// it. Positions are stable (not recomputed) while the set is unchanged.
@@ -73,20 +70,15 @@ class MapEmbedder {
   /// (LandmarkIncremental only; 0 before the first fit).
   std::size_t landmark_fit_size() const { return last_fit_size_; }
 
-  /// True when this embedder's full mutable state is capturable by
-  /// save_state: the landmark-incremental model (frozen landmark fit +
-  /// alignment chain) is deliberately out of scope — pipelines using it
-  /// recover by cold replay instead (DESIGN.md §17).
-  bool checkpointable() const {
-    return method_ != EmbedMethod::LandmarkIncremental;
-  }
-
-  /// Snapshot of layout, stress and overhead counters. load_state
-  /// rebuilds the cached dissimilarity matrix from the restored
-  /// representative vectors — entry-wise identical to the incrementally
-  /// grown matrix (refresh_delta's contract), so the next growth step
-  /// proceeds exactly as the uninterrupted run's would. Requires
-  /// checkpointable().
+  /// Snapshot of layout, stress and overhead counters, plus the landmark
+  /// fit size and alignment under LandmarkIncremental. load_state
+  /// rebuilds the derived caches from the restored representative
+  /// vectors: the dissimilarity matrix (entry-wise identical to the
+  /// incrementally grown one, refresh_delta's contract) or, in the
+  /// landmark regime, the landmark model refit on the representatives
+  /// the last fit saw (the set is append-only, so the refit is
+  /// bit-exact). Either way the next update proceeds exactly as the
+  /// uninterrupted run's would.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r,
                   const std::vector<std::vector<double>>& vectors);
@@ -96,6 +88,8 @@ class MapEmbedder {
   /// Grows (or builds) the cached dissimilarity matrix to cover `vectors`.
   const linalg::Matrix& refresh_delta(
       const std::vector<std::vector<double>>& vectors);
+  /// Fits the landmark model (and its landmark vectors) over `vectors`.
+  void fit_landmarks(const std::vector<std::vector<double>>& vectors);
   /// LandmarkIncremental large-n path: place new points only, refit the
   /// landmark model geometrically.
   void embed_landmark_incremental(
@@ -106,7 +100,6 @@ class MapEmbedder {
   EmbedMethod method_;
   std::size_t landmark_count_;
   double warm_skip_stress_;
-  double landmark_refresh_factor_;
   mds::Embedding positions_;
   linalg::Matrix delta_;  // dissimilarities over the embedded vectors
   double stress_ = 0.0;

@@ -167,8 +167,7 @@ void FleetController::drive_one_period_supervised(
     }
   }
   if (config_.checkpoint_every > 0 &&
-      (p + 1) % config_.checkpoint_every == 0 &&
-      member.pipeline->checkpointable()) {
+      (p + 1) % config_.checkpoint_every == 0) {
     std::string blob = encode_checkpoint(*member.pipeline);
     const sim::FaultInjector* cinj = member.pipeline->fault_injector();
     if (cinj != nullptr && cinj->checkpoint_corrupt(member.host->now())) {
@@ -243,7 +242,7 @@ void FleetController::recover(Member& member,
   // Gap replay: live periods from the checkpoint to the failure. The
   // restored RNG streams re-draw exactly what the crashed run drew, so
   // every regenerated record must equal the history — anything else is a
-  // divergence (determinism bug or non-checkpointable state leak).
+  // divergence (determinism bug or state missing from the snapshot).
   for (std::size_t q = restored; q < period; ++q) {
     // Cluster directives (attaches, gates) acted at this period's
     // opening boundary on the crashed run; re-apply them before the

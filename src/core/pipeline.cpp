@@ -10,7 +10,7 @@ namespace {
 /// Builds the configured SampleSource (DESIGN.md §15). The synchronous
 /// source is the default and keeps the record stream byte-identical to
 /// the historical loop; the ring source replays a diurnal trace through
-/// an async producer at config.ingest.rate_hz.
+/// a bounded ring at config.ingest.rate_hz.
 std::unique_ptr<monitor::SampleSource> make_sample_source(
     sim::SimHost& host, const StayAwayConfig& config,
     const monitor::CapacityNormalizer& normalizer) {
@@ -221,15 +221,7 @@ void HostPipeline::set_actuator(std::unique_ptr<Actuator> actuator) {
   sa_actuator_ = dynamic_cast<GovernorActuator*>(actuator_.get());
 }
 
-bool HostPipeline::checkpointable() const {
-  return (mapper_ == nullptr || mapper_->checkpointable()) &&
-         (forecaster_ == nullptr || forecaster_->checkpointable()) &&
-         (actuator_ == nullptr || actuator_->checkpointable());
-}
-
 void HostPipeline::save_state(util::StateWriter& w) const {
-  SA_REQUIRE(checkpointable(),
-             "save_state on a pipeline with a non-checkpointable stage");
   w.boolean("has_mapper", mapper_ != nullptr);
   if (mapper_ != nullptr) mapper_->save_state(w);
   w.boolean("has_forecaster", forecaster_ != nullptr);
@@ -245,8 +237,6 @@ void HostPipeline::save_state(util::StateWriter& w) const {
 }
 
 void HostPipeline::load_state(util::StateReader& r) {
-  SA_REQUIRE(checkpointable(),
-             "load_state on a pipeline with a non-checkpointable stage");
   if (r.boolean("has_mapper") != (mapper_ != nullptr)) {
     throw util::StateCodecError("checkpoint/pipeline mapper wiring mismatch");
   }

@@ -118,11 +118,9 @@ class HostPipeline {
   /// rebuilt host through its restored actuation journal.
   SimHostActuationPort& actuation_port() { return *port_; }
 
-  /// Checkpoint support (DESIGN.md §17). A pipeline is checkpointable
-  /// when every wired stage can snapshot its full state — the synchronous
-  /// sample source and a non-landmark embedder for the Stay-Away wiring.
-  /// Non-checkpointable pipelines recover by cold replay instead.
-  bool checkpointable() const;
+  /// Checkpoint support (DESIGN.md §17). Every stage snapshots its full
+  /// state, so this is always true; kept for callers that still ask.
+  bool checkpointable() const { return true; }
   /// Snapshots everything on_period mutates except the record history
   /// (the checkpoint envelope owns the record codec): stage states, the
   /// delivered-actuation journal, the fault injector and the degradation

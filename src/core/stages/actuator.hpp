@@ -38,7 +38,6 @@ class GovernorActuator final : public Actuator {
   /// intent set and the open retry ledger (DESIGN.md §17). A restored
   /// actuator resumes mid-retry: backoff deadlines are absolute simulated
   /// times, so they stay meaningful across a restore.
-  bool checkpointable() const override { return true; }
   void save_state(util::StateWriter& w) const override;
   void load_state(util::StateReader& r) override;
 

@@ -28,7 +28,6 @@ class TrajectoryForecaster final : public ViolationForecaster {
 
   /// Snapshot of the per-mode trajectory models, vote RNG, the carried
   /// previous-period observation and the accuracy tally (DESIGN.md §17).
-  bool checkpointable() const override { return true; }
   void save_state(util::StateWriter& w) const override;
   void load_state(util::StateReader& r) override;
 

@@ -34,7 +34,7 @@ StayAwayMapper::StayAwayMapper(std::unique_ptr<monitor::SampleSource> source,
           quarantine_bounds(normalizer_, config.degradation.spike_margin)),
       reps_(config.dedup_epsilon, config.max_representatives),
       embedder_(config.embed_method, config.landmark_count,
-                config.warm_skip_stress, config.landmark_refresh_factor) {
+                config.warm_skip_stress) {
   SA_REQUIRE(source_ != nullptr, "the mapper needs a sample source");
   SA_REQUIRE(source_->layout().dimension() == normalizer_.layout().dimension(),
              "sample source and normalizer layouts must agree");
@@ -118,7 +118,6 @@ void StayAwayMapper::seed_template(const StateTemplate& t) {
 }
 
 void StayAwayMapper::save_state(util::StateWriter& w) const {
-  SA_REQUIRE(checkpointable(), "save_state on a non-checkpointable mapper");
   source_->save_state(w);
   quarantine_.save_state(w);
   reps_.save_state(w);
@@ -129,7 +128,6 @@ void StayAwayMapper::save_state(util::StateWriter& w) const {
 }
 
 void StayAwayMapper::load_state(util::StateReader& r) {
-  SA_REQUIRE(checkpointable(), "load_state on a non-checkpointable mapper");
   source_->load_state(r);
   quarantine_.load_state(r);
   reps_.load_state(r);

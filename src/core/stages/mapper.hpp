@@ -72,11 +72,6 @@ class StayAwayMapper final : public Mapper {
   }
   bool mapped_any_period() const { return mapped_any_period_; }
 
-  /// Checkpointable iff the source can rewind (synchronous sampling) and
-  /// the embedder's full state is capturable (not landmark-incremental).
-  bool checkpointable() const override {
-    return source_->checkpointable() && embedder_.checkpointable();
-  }
   /// Snapshot of the whole mapping chain: source/sampler RNG, quarantine,
   /// representative set, state space, embedder layout, and the carried
   /// representative (DESIGN.md §17).

@@ -26,7 +26,6 @@
 #include "core/stages/port.hpp"
 #include "monitor/health.hpp"
 #include "obs/observer.hpp"
-#include "util/check.hpp"
 #include "util/statecodec.hpp"
 
 namespace stayaway::core {
@@ -47,18 +46,11 @@ class Mapper {
   /// The labelled map the forecaster predicts over.
   virtual const StateSpace& space() const = 0;
 
-  /// Checkpoint support (DESIGN.md §17). Stages default to
-  /// non-checkpointable; pipelines whose stages cannot all snapshot
-  /// recover by cold replay instead. Callers gate on checkpointable().
-  virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const {
-    (void)w;
-    SA_CHECK(false, "save_state on a non-checkpointable mapper");
-  }
-  virtual void load_state(util::StateReader& r) {
-    (void)r;
-    SA_CHECK(false, "load_state on a non-checkpointable mapper");
-  }
+  /// Checkpoint support (DESIGN.md §17): every stage snapshots its full
+  /// mutable state at a period boundary; load_state targets a freshly
+  /// built stage of the same wiring.
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void load_state(util::StateReader& r) = 0;
 };
 
 /// Prediction stage (§3.2). forecast() observes the latest within-mode
@@ -73,15 +65,8 @@ class ViolationForecaster {
                         bool widened, obs::Observer* observer) = 0;
 
   /// Checkpoint support (DESIGN.md §17); see Mapper.
-  virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const {
-    (void)w;
-    SA_CHECK(false, "save_state on a non-checkpointable forecaster");
-  }
-  virtual void load_state(util::StateReader& r) {
-    (void)r;
-    SA_CHECK(false, "load_state on a non-checkpointable forecaster");
-  }
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void load_state(util::StateReader& r) = 0;
 };
 
 /// Action stage (§3.3). act() reconciles any outstanding actuation,
@@ -108,15 +93,8 @@ class Actuator {
                       obs::Observer* observer) = 0;
 
   /// Checkpoint support (DESIGN.md §17); see Mapper.
-  virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const {
-    (void)w;
-    SA_CHECK(false, "save_state on a non-checkpointable actuator");
-  }
-  virtual void load_state(util::StateReader& r) {
-    (void)r;
-    SA_CHECK(false, "load_state on a non-checkpointable actuator");
-  }
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void load_state(util::StateReader& r) = 0;
 };
 
 }  // namespace stayaway::core

@@ -403,7 +403,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
     host_result.name = slot.spec->name;
     host_result.result = std::move(result);
     host_result.recovery = controller.members()[i].recovery;
-    if (spec.export_checkpoints && slot.pipeline->checkpointable()) {
+    if (spec.export_checkpoints) {
       host_result.final_checkpoint = core::encode_checkpoint(*slot.pipeline);
     }
     out.hosts.push_back(std::move(host_result));

@@ -88,8 +88,8 @@ struct FleetSpec {
   /// Stall retries before the watchdog escalates to a crash recovery.
   std::size_t watchdog_budget = 3;
   /// When true each host's final checkpoint lands in
-  /// FleetHostResult::final_checkpoint (empty for non-checkpointable
-  /// pipelines) — what `stayaway_sim --checkpoint-dir` writes to disk.
+  /// FleetHostResult::final_checkpoint — what `stayaway_sim
+  /// --checkpoint-dir` writes to disk.
   bool export_checkpoints = false;
   /// Per-host checkpoint blobs to warm-start from (keyed by host name;
   /// hosts without an entry start cold). The restored periods are

@@ -251,7 +251,7 @@ void ParserState::consume(std::size_t line_no, const std::string& key,
         spec.stayaway.sampler.metrics = std::move(metrics);
       } else if (key == "ingest_source") {
         // Streaming ingestion (DESIGN.md §15): sync is the default
-        // one-sample-per-period path, ring drains an async producer.
+        // one-sample-per-period path, ring drains a trace-replay stream.
         if (value == "sync") {
           spec.stayaway.ingest.source = core::IngestSource::Synchronous;
         } else if (value == "ring") {

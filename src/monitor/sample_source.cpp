@@ -1,7 +1,10 @@
 #include "monitor/sample_source.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "util/check.hpp"
@@ -10,15 +13,56 @@ namespace stayaway::monitor {
 
 namespace {
 
-/// Delayed samples a producer holds back at once. Bounded so a saturated
-/// ingest-delay window degrades into plain lateness instead of growing
-/// an unbounded producer-side queue.
+/// Delayed samples held back at once. Bounded so a saturated ingest-delay
+/// window degrades into plain lateness instead of growing an unbounded
+/// hold-back queue.
 constexpr std::size_t kMaxHeld = 4;
 
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
   // Golden-ratio xor-mix, same family as fleet_host_seed: decorrelates
   // the ingest-anomaly stream from the value-noise stream.
   return (a ^ 0x9e3779b97f4a7c15ULL) + (b << 1);
+}
+
+/// Samples as three parallel fields: sequences, times and the flattened
+/// value vectors.
+template <typename Samples>
+void write_samples(util::StateWriter& w, const std::string& key,
+                   const Samples& samples) {
+  std::vector<std::uint64_t> sequences;
+  std::vector<double> times;
+  std::vector<double> values;
+  for (const TimedSample& s : samples) {
+    sequences.push_back(s.sequence);
+    times.push_back(s.measurement.time);
+    values.insert(values.end(), s.measurement.values.begin(),
+                  s.measurement.values.end());
+  }
+  w.u64s(key + "_sequence", sequences);
+  w.reals(key + "_time", times);
+  w.reals(key + "_values", values);
+}
+
+std::vector<TimedSample> read_samples(util::StateReader& r,
+                                      const std::string& key,
+                                      std::size_t dimension) {
+  std::vector<std::uint64_t> sequences = r.u64s(key + "_sequence");
+  std::vector<double> times = r.reals(key + "_time");
+  std::vector<double> values = r.reals(key + "_values");
+  if (times.size() != sequences.size() ||
+      values.size() != sequences.size() * dimension) {
+    throw util::StateCodecError("ring source state: malformed " + key);
+  }
+  std::vector<TimedSample> samples(sequences.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i].sequence = sequences[i];
+    samples[i].measurement.time = times[i];
+    const auto first =
+        values.begin() + static_cast<std::ptrdiff_t>(i * dimension);
+    samples[i].measurement.values.assign(
+        first, first + static_cast<std::ptrdiff_t>(dimension));
+  }
+  return samples;
 }
 
 }  // namespace
@@ -33,16 +77,6 @@ DrainReport SynchronousSampleSource::drain(double now,
   DrainReport report;
   report.delivered = 1;
   return report;
-}
-
-void SampleSource::save_state(util::StateWriter& w) const {
-  (void)w;
-  SA_CHECK(false, "save_state on a non-checkpointable sample source");
-}
-
-void SampleSource::load_state(util::StateReader& r) {
-  (void)r;
-  SA_CHECK(false, "load_state on a non-checkpointable sample source");
 }
 
 void SynchronousSampleSource::save_state(util::StateWriter& w) const {
@@ -63,11 +97,13 @@ RingSampleSource::RingSampleSource(MetricLayout layout,
       scale_(std::move(scale)),
       trace_(std::move(trace)),
       options_(options),
-      ring_(options.ring_capacity),
-      value_rng_(options.seed) {
+      capacity_(std::bit_ceil(options.ring_capacity)),
+      value_rng_(options.seed),
+      ingest_rng_(mix_seed(0, options.seed)) {
   SA_REQUIRE(layout_.dimension() > 0, "ring source needs a non-empty layout");
   SA_REQUIRE(scale_.size() == layout_.dimension(),
              "scale vector must match the layout dimension");
+  SA_REQUIRE(options_.ring_capacity > 0, "ring capacity must be positive");
   SA_REQUIRE(options_.rate_hz > 0.0, "ingest rate must be positive");
   SA_REQUIRE(options_.lookahead_s >= 0.0, "lookahead must be non-negative");
   SA_REQUIRE(options_.noise_fraction >= 0.0,
@@ -85,30 +121,16 @@ RingSampleSource::RingSampleSource(MetricLayout layout,
   // host sampler's allocations follow.
   mix_.resize(layout_.dimension());
   for (double& w : mix_) w = 0.35 + 0.6 * value_rng_.uniform();
-  // The producer starts parked: the gate opens at the first drain(), so
-  // install_faults (required before the first period) always precedes
-  // the first generated sample.
-  producer_ = std::thread([this] { producer_loop(); });
-}
-
-RingSampleSource::~RingSampleSource() {
-  {
-    util::MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  producer_cv_.notify_all();
-  if (producer_.joinable()) producer_.join();
 }
 
 void RingSampleSource::set_fault_injector(sim::FaultInjector* injector) {
-  util::MutexLock lock(mutex_);
-  SA_REQUIRE(gate_ == -std::numeric_limits<double>::infinity(),
-             "the fault injector must be attached before the first drain");
+  SA_REQUIRE(next_sequence_ == 0,
+             "the fault injector must be attached before the first sample");
   injector_ = injector;
   ingest_specs_.clear();
-  ingest_seed_ = 0;
+  ingest_rng_ = Rng(mix_seed(injector != nullptr ? injector->plan().seed : 0,
+                             options_.seed));
   if (injector == nullptr) return;
-  ingest_seed_ = injector->plan().seed;
   for (const sim::FaultSpec& f : injector->plan().faults) {
     if (f.kind == sim::FaultKind::IngestDelay ||
         f.kind == sim::FaultKind::IngestDuplicate) {
@@ -143,50 +165,36 @@ Measurement RingSampleSource::synthesize(double t) {
 }
 
 void RingSampleSource::emit(TimedSample sample) {
-  // A full ring counts the drop (ring_.dropped()); the producer never
-  // blocks on backpressure — the consumer surfaces it instead.
-  ring_.try_push(std::move(sample));
+  // Never blocks on backpressure: the drop is counted and the consumer
+  // surfaces it in the period's ingest telemetry.
+  if (ring_.size() >= capacity_) {
+    ++overflow_total_;
+    return;
+  }
+  ring_.push_back(std::move(sample));
 }
 
-void RingSampleSource::producer_loop() {
+DrainReport RingSampleSource::drain(double now,
+                                    std::vector<TimedSample>& out) {
+  DrainReport report;
+  const std::uint64_t overflow_before = overflow_total_;
+  // Generate up to the lookahead horizon. Samples an ingest-delay holds
+  // back are released behind newer ones (the late/out-of-order anomaly)
+  // and at the latest when generation stops, so none outlive the drain.
   std::vector<TimedSample> held;
-  std::optional<Rng> ingest_rng;
-  double t = 0.0;
-  std::uint64_t seq = 0;
-  util::MutexLock lock(mutex_);
-  for (;;) {
-    if (t > gate_ + options_.lookahead_s) {
-      // Caught up with the consumer's clock: flush any held-back samples
-      // (they now arrive behind newer ones — the late/out-of-order
-      // anomaly), publish how far the stream is settled, and park until
-      // the gate advances.
-      for (TimedSample& h : held) emit(std::move(h));
-      held.clear();
-      watermark_ = t;
-      consumer_cv_.notify_all();
-      producer_cv_.wait(mutex_, [&] {
-        mutex_.assert_held();
-        return stop_ || t <= gate_ + options_.lookahead_s;
-      });
-    }
-    if (stop_) break;
-    if (!ingest_rng.has_value()) {
-      // First generation strictly follows install_faults (the gate only
-      // opens at the first drain), so the plan-derived schedule is final.
-      ingest_rng.emplace(mix_seed(ingest_seed_, options_.seed));
-    }
+  while (next_time_ <= now + options_.lookahead_s) {
     TimedSample s;
-    s.sequence = seq++;
-    s.measurement = synthesize(t);
+    s.sequence = next_sequence_++;
+    s.measurement = synthesize(next_time_);
     bool delayed = false;
     bool duplicated = false;
     for (const sim::FaultSpec& f : ingest_specs_) {
-      if (!f.active(t)) continue;
+      if (!f.active(next_time_)) continue;
       if (f.kind == sim::FaultKind::IngestDelay &&
-          ingest_rng->chance(f.probability)) {
+          ingest_rng_.chance(f.probability)) {
         delayed = true;
       } else if (f.kind == sim::FaultKind::IngestDuplicate &&
-                 ingest_rng->chance(f.probability)) {
+                 ingest_rng_.chance(f.probability)) {
         duplicated = true;
       }
     }
@@ -200,26 +208,10 @@ void RingSampleSource::producer_loop() {
       for (TimedSample& h : held) emit(std::move(h));
       held.clear();
     }
-    t += interval_at(t);
+    next_time_ += interval_at(next_time_);
   }
-}
+  for (TimedSample& h : held) emit(std::move(h));
 
-DrainReport RingSampleSource::drain(double now,
-                                    std::vector<TimedSample>& out) {
-  DrainReport report;
-  {
-    util::MutexLock lock(mutex_);
-    gate_ = now;
-    producer_cv_.notify_all();
-    consumer_cv_.wait(mutex_, [&] {
-      mutex_.assert_held();
-      return stop_ || watermark_ > now;
-    });
-  }
-  // The producer is parked waiting for the gate to pass its next sample
-  // time: every sample due by `now` is settled in the ring, nothing else
-  // pops it, and the occupancy any push saw was fixed by previous drains
-  // — the whole stream (overflow included) is schedule-independent.
   auto deliver = [&](TimedSample s) {
     if (injector_ != nullptr) {
       injector_->corrupt_sample(s.measurement.time, s.measurement.values);
@@ -233,18 +225,54 @@ DrainReport RingSampleSource::drain(double now,
     pending_.reset();
   }
   if (!pending_.has_value()) {
-    while (std::optional<TimedSample> s = ring_.try_pop()) {
-      if (s->measurement.time > now) {
-        pending_ = std::move(*s);
+    while (!ring_.empty()) {
+      TimedSample s = std::move(ring_.front());
+      ring_.pop_front();
+      if (s.measurement.time > now) {
+        pending_ = std::move(s);
         break;
       }
-      deliver(std::move(*s));
+      deliver(std::move(s));
     }
   }
-  const std::uint64_t dropped = ring_.dropped();
-  report.overflow = static_cast<std::size_t>(dropped - overflow_reported_);
-  overflow_reported_ = dropped;
+  report.overflow = static_cast<std::size_t>(overflow_total_ - overflow_before);
   return report;
+}
+
+void RingSampleSource::save_state(util::StateWriter& w) const {
+  w.line("ring_value_rng", value_rng_.save_state());
+  w.line("ring_ingest_rng", ingest_rng_.save_state());
+  w.real("ring_next_time", next_time_);
+  w.u64("ring_next_sequence", next_sequence_);
+  write_samples(w, "ring_queued", ring_);
+  write_samples(w, "ring_pending",
+                pending_.has_value() ? std::vector<TimedSample>{*pending_}
+                                     : std::vector<TimedSample>{});
+  w.u64("ring_delivered_total", delivered_total_);
+  w.u64("ring_overflow_total", overflow_total_);
+}
+
+void RingSampleSource::load_state(util::StateReader& r) {
+  value_rng_.load_state(r.line("ring_value_rng"));
+  ingest_rng_.load_state(r.line("ring_ingest_rng"));
+  next_time_ = r.real("ring_next_time");
+  next_sequence_ = r.u64("ring_next_sequence");
+  std::vector<TimedSample> queued =
+      read_samples(r, "ring_queued", layout_.dimension());
+  if (queued.size() > capacity_) {
+    throw util::StateCodecError("ring source state: queue over capacity");
+  }
+  ring_.assign(std::make_move_iterator(queued.begin()),
+               std::make_move_iterator(queued.end()));
+  std::vector<TimedSample> pending =
+      read_samples(r, "ring_pending", layout_.dimension());
+  if (pending.size() > 1) {
+    throw util::StateCodecError("ring source state: more than one pending");
+  }
+  pending_.reset();
+  if (!pending.empty()) pending_ = std::move(pending.front());
+  delivered_total_ = r.u64("ring_delivered_total");
+  overflow_total_ = r.u64("ring_overflow_total");
 }
 
 }  // namespace stayaway::monitor

@@ -8,29 +8,27 @@
 //   SynchronousSampleSource  wraps HostSampler; drain() takes exactly
 //                            one sample — byte-identical to the
 //                            historical loop (golden tests).
-//   RingSampleSource         a producer thread replays a trace into a
-//                            lock-free SPSC ring (util/spsc_ring.hpp)
-//                            at a configured rate; drain() pops every
-//                            sample due by `now`. Overflow (full ring)
-//                            is counted, never blocking; late/
+//   RingSampleSource         replays a trace into a bounded per-host
+//                            ring at a configured rate; drain() pops
+//                            every sample due by `now`. Overflow (full
+//                            ring) is counted, never blocking; late/
 //                            out-of-order/duplicate anomalies are
-//                            injected by the producer from the fault
-//                            plan's ingest-delay / ingest-dup cases and
-//                            classified downstream by SampleQuarantine.
+//                            injected from the fault plan's ingest-delay
+//                            / ingest-dup cases and classified
+//                            downstream by SampleQuarantine.
 //
-// Determinism contract (what record/replay rests on): the producer only
-// emits samples with time <= gate + lookahead, where the gate is the
-// consumer's drain clock, and drain() waits until the producer's
-// watermark passes `now` before popping. Pushes therefore always run
-// against a ring occupancy fixed by previous drains, so the sample
-// stream — including every overflow drop — is a pure function of the
-// seed and the config, never of thread scheduling.
+// Determinism contract (what record/replay and checkpoints rest on):
+// drain(now) first generates every sample up to now + lookahead, then
+// pops the due ones, all on the caller's thread. Every push therefore
+// sees a ring occupancy fixed by previous drains, so the sample stream —
+// including every overflow drop — is a pure function of the seed, the
+// config and the drain clock, and its whole state can be snapshotted at
+// a period boundary.
 #pragma once
 
 #include <cstdint>
-#include <limits>
+#include <deque>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "monitor/measurement.hpp"
@@ -38,12 +36,11 @@
 #include "sim/faults.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
-#include "util/sync.hpp"
+#include "util/statecodec.hpp"
 
 namespace stayaway::monitor {
 
-/// One streamed measurement. `sequence` is the producer's emission
+/// One streamed measurement. `sequence` is the source's emission
 /// index; a duplicated delivery reuses its original's sequence, which is
 /// how the quarantine recognizes it.
 struct TimedSample {
@@ -55,7 +52,7 @@ struct TimedSample {
 struct DrainReport {
   /// Samples appended to the caller's buffer.
   std::size_t delivered = 0;
-  /// Producer pushes rejected by a full ring since the previous drain.
+  /// Emissions this drain rejected because the ring was full.
   std::size_t overflow = 0;
 };
 
@@ -83,14 +80,11 @@ class SampleSource {
   /// Samples delivered across the source's lifetime (observability).
   virtual std::uint64_t samples_taken() const = 0;
 
-  /// Checkpoint support (DESIGN.md §17). Only the synchronous source is
-  /// checkpointable — a ring source's producer thread cannot be rewound
-  /// mid-stream, so pipelines fed by one recover by cold replay instead.
-  /// The save/load defaults fail loudly; callers must gate on
-  /// checkpointable() first.
-  virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const;
-  virtual void load_state(util::StateReader& r);
+  /// Checkpoint support (DESIGN.md §17): everything drain() mutates.
+  /// load_state targets a freshly built source with the same options and
+  /// fault injector attached.
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void load_state(util::StateReader& r) = 0;
 };
 
 /// The historical path: one HostSampler reading per drain. Exists so
@@ -114,7 +108,6 @@ class SynchronousSampleSource final : public SampleSource {
     return sampler_.samples_taken();
   }
 
-  bool checkpointable() const override { return true; }
   void save_state(util::StateWriter& w) const override;
   void load_state(util::StateReader& r) override;
 
@@ -130,7 +123,7 @@ class SynchronousSampleSource final : public SampleSource {
 struct RingStreamOptions {
   /// Emission rate in samples per simulated second.
   double rate_hz = 4.0;
-  /// Producer may run this far past the consumer's gate.
+  /// Each drain generates this far past its `now`.
   double lookahead_s = 0.25;
   /// Ring capacity in samples (rounded up to a power of two).
   std::size_t ring_capacity = 1024;
@@ -144,22 +137,18 @@ struct RingStreamOptions {
   /// relative to the control clock. The default sweeps one diurnal day
   /// (86400 trace-seconds) in 300 simulated seconds.
   double time_scale = 288.0;
-  /// Seeds the producer's value noise and per-dimension demand mix.
+  /// Seeds the value noise and per-dimension demand mix.
   std::uint64_t seed = 17;
 };
 
 class RingSampleSource final : public SampleSource {
  public:
   /// `scale[d]` is the full-scale raw value of flat dimension d (the
-  /// host capacity of its metric kind); the producer emits
+  /// host capacity of its metric kind); the stream emits
   /// scale * mix * trace intensity plus noise. The trace replays on a
   /// loop via RingStreamOptions::time_scale.
   RingSampleSource(MetricLayout layout, std::vector<double> scale,
                    trace::Trace trace, RingStreamOptions options);
-  ~RingSampleSource() override;
-
-  RingSampleSource(const RingSampleSource&) = delete;
-  RingSampleSource& operator=(const RingSampleSource&) = delete;
 
   const MetricLayout& layout() const override { return layout_; }
   bool streaming() const override { return true; }
@@ -170,60 +159,45 @@ class RingSampleSource final : public SampleSource {
 
   std::uint64_t samples_taken() const override { return delivered_total_; }
 
-  /// Producer pushes dropped by a full ring so far (observability).
-  std::uint64_t overflow_total() const { return ring_.dropped(); }
+  /// Emissions dropped by a full ring so far (observability).
+  std::uint64_t overflow_total() const { return overflow_total_; }
 
   const RingStreamOptions& options() const { return options_; }
 
+  /// Snapshot of the stream position: both RNGs, the next emission time
+  /// and sequence, the queued and pending samples, and the delivered /
+  /// overflow counters. Samples held back by ingest-delay are flushed
+  /// before every drain() returns, so none are in flight at a period
+  /// boundary.
+  void save_state(util::StateWriter& w) const override;
+  void load_state(util::StateReader& r) override;
+
  private:
-  void producer_loop();
   /// Emission interval at simulated time t (burst window aware).
   double interval_at(double t) const;
   Measurement synthesize(double t);
-  /// Pushes one sample; a full ring counts the drop inside the ring.
+  /// Queues one sample; a full ring counts the drop instead.
   void emit(TimedSample sample);
 
-  // --- Immutable after construction (read by both threads). ------------
-  // sa-lint: unguarded(immutable after construction)
   MetricLayout layout_;
-  // sa-lint: unguarded(immutable after construction)
   std::vector<double> scale_;
-  // sa-lint: unguarded(immutable after construction; seeded in the ctor)
   std::vector<double> mix_;  // per-dimension demand weight, seed-derived
-  // sa-lint: unguarded(immutable after construction)
   trace::Trace trace_;
-  // sa-lint: unguarded(immutable after construction)
   RingStreamOptions options_;
-
-  // sa-lint: unguarded(internally synchronized lock-free SPSC ring)
-  util::SpscRing<TimedSample> ring_;
-  // sa-lint: unguarded(producer thread only after the ctor's mix draw)
-  Rng value_rng_;
-
-  // --- Producer <-> consumer gate protocol (see file comment). ---------
-  util::Mutex mutex_;
-  util::CondVar producer_cv_;
-  util::CondVar consumer_cv_;
-  double gate_ SA_GUARDED_BY(mutex_) =
-      -std::numeric_limits<double>::infinity();
-  double watermark_ SA_GUARDED_BY(mutex_) =
-      -std::numeric_limits<double>::infinity();
-  bool stop_ SA_GUARDED_BY(mutex_) = false;
-  std::vector<sim::FaultSpec> ingest_specs_ SA_GUARDED_BY(mutex_);
-  std::uint64_t ingest_seed_ SA_GUARDED_BY(mutex_) = 0;
-
-  // --- Consumer-side state (control thread only). -----------------------
-  // sa-lint: unguarded(consumer thread only)
+  /// options_.ring_capacity rounded up to a power of two.
+  std::size_t capacity_;
   sim::FaultInjector* injector_ = nullptr;
-  // sa-lint: unguarded(consumer thread only)
-  std::optional<TimedSample> pending_;  // popped but not yet due
-  // sa-lint: unguarded(consumer thread only)
-  std::uint64_t delivered_total_ = 0;
-  // sa-lint: unguarded(consumer thread only)
-  std::uint64_t overflow_reported_ = 0;
+  std::vector<sim::FaultSpec> ingest_specs_;
 
-  // sa-lint: unguarded(started last in the ctor, joined in the dtor)
-  std::thread producer_;  // last member: starts after everything above
+  // --- Stream state (checkpointed). -------------------------------------
+  Rng value_rng_;
+  Rng ingest_rng_;
+  double next_time_ = 0.0;
+  std::uint64_t next_sequence_ = 0;
+  std::deque<TimedSample> ring_;
+  std::optional<TimedSample> pending_;  // popped but not yet due
+  std::uint64_t delivered_total_ = 0;
+  std::uint64_t overflow_total_ = 0;
 };
 
 }  // namespace stayaway::monitor

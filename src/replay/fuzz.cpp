@@ -97,7 +97,7 @@ harness::FleetScenario mutate(Rng& rng, const FuzzConfig& config) {
   if (config.ingest) {
     // Streaming ingestion mutations (DESIGN.md §15): ring source at a
     // randomized base rate, a small ring so burst windows can overflow
-    // it, and optionally a burst window plus producer-side ingest
+    // it, and optionally a burst window plus source-side ingest
     // anomalies (late/out-of-order and duplicate deliveries).
     core::IngestConfig& ing = spec.stayaway.ingest;
     ing.source = core::IngestSource::Ring;
@@ -393,7 +393,7 @@ std::optional<std::string> detect_instability(
     if (starve_streak >= starve_limit) return "batch-starvation";
   }
   // Queue overflow / backpressure (DESIGN.md §15): a ring-fed run whose
-  // producer outpaces the drain sheds this many samples. Checked after
+  // emission rate outpaces the drain sheds this many samples. Checked after
   // the scan so the historical detectors keep their priority (pinned
   // seeds must keep reproducing their committed findings).
   constexpr std::size_t kOverflowDrops = 64;

@@ -44,7 +44,7 @@ enum class FaultKind {
   PauseFail,       // a pause command is silently dropped
   ResumeFail,      // a resume command is silently dropped
   IngestDelay,     // streaming: a sample is withheld and arrives late /
-                   // out of order (applied by the ring producer)
+                   // out of order (applied by the ring source)
   IngestDuplicate, // streaming: a sample is delivered twice (the
                    // quarantine drops the duplicate)
   // Crash-class faults (DESIGN.md §17). These are consumed by the fleet

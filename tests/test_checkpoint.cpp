@@ -7,6 +7,7 @@
 // byte-identical to the uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <functional>
@@ -15,7 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "baseline/stages/reactive_actuator.hpp"
+#include "baseline/stages/static_actuator.hpp"
 #include "core/checkpoint.hpp"
+#include "core/fleet.hpp"
 #include "core/period.hpp"
 #include "harness/fleet.hpp"
 #include "harness/rig.hpp"
@@ -273,11 +277,11 @@ TEST(CheckpointRoundTrip, NonFinitesInHistory) {
 /// run without the crash faults. Crash-class specs draw nothing from the
 /// plan RNG precisely so the two plans produce identical streams.
 void expect_crash_run_matches_clean(
+    const ExperimentSpec& clean,
     const std::vector<sim::FaultSpec>& crash_faults,
     std::size_t checkpoint_every, std::size_t watchdog_budget,
     const std::function<void(const core::RecoveryReport&)>& check) {
-  ExperimentSpec clean = short_spec();
-  clean.faults = stress_plan();
+  ASSERT_TRUE(clean.faults.has_value());
   FleetHostResult baseline = run_supervised(clean);
   EXPECT_FALSE(baseline.recovery.any_failures());
 
@@ -290,8 +294,21 @@ void expect_crash_run_matches_clean(
 
   expect_records_byte_identical(crashed.result.stayaway_records,
                                 baseline.result.stayaway_records);
+  EXPECT_EQ(crashed.result.qos, baseline.result.qos);
+  EXPECT_EQ(crashed.result.batch_running, baseline.result.batch_running);
+  EXPECT_EQ(crashed.result.batch_cpu_work, baseline.result.batch_cpu_work);
   EXPECT_EQ(crashed.recovery.divergences, 0u);
   check(crashed.recovery);
+}
+
+void expect_crash_run_matches_clean(
+    const std::vector<sim::FaultSpec>& crash_faults,
+    std::size_t checkpoint_every, std::size_t watchdog_budget,
+    const std::function<void(const core::RecoveryReport&)>& check) {
+  ExperimentSpec clean = short_spec();
+  clean.faults = stress_plan();
+  expect_crash_run_matches_clean(clean, crash_faults, checkpoint_every,
+                                 watchdog_budget, check);
 }
 
 TEST(SupervisorGolden, HostCrashColdRestartIsByteIdentical) {
@@ -421,6 +438,174 @@ TEST(SupervisorGolden, FleetSurvivesSingleHostCrash) {
   ExperimentResult solo = run_experiment(crash_spec);
   expect_records_byte_identical(r.hosts[3].result.stayaway_records,
                                 solo.stayaway_records);
+}
+
+// --- Warm restarts of every wiring --------------------------------------
+
+/// Every stage snapshots, so a crash in any wiring restores the newest
+/// checkpoint — never a cold replay.
+void expect_warm_restart(const core::RecoveryReport& r) {
+  EXPECT_GE(r.crashes, 1u);
+  EXPECT_EQ(r.cold_starts, 0u);
+  EXPECT_GT(r.checkpoints_saved, 0u);
+  EXPECT_GT(r.gap_periods_replayed, 0u);
+  EXPECT_EQ(r.divergences, 0u);
+}
+
+/// Checkpoints land after periods 4, 9, 14, 19, ...; a crash at the
+/// period-22 boundary restores the period-19 checkpoint.
+void expect_crash_at_22_restarts_warm(ExperimentSpec clean) {
+  if (!clean.faults.has_value()) clean.faults = sim::FaultPlan{};
+  expect_crash_run_matches_clean(
+      clean, {fault_of(sim::FaultKind::HostCrash, 22.0, 23.0)},
+      /*checkpoint_every=*/5, /*watchdog_budget=*/3, expect_warm_restart);
+}
+
+ExperimentSpec ring_fed_spec() {
+  ExperimentSpec spec = short_spec();
+  spec.stayaway.ingest.source = core::IngestSource::Ring;
+  spec.stayaway.ingest.rate_hz = 16.0;
+  spec.stayaway.ingest.ring_capacity = 64;
+  return spec;
+}
+
+TEST(SupervisorGolden, RingIngestWarmRestartIsByteIdentical) {
+  // Ingest delays and duplicates on top of the degradation noise. The
+  // lookahead leaves a popped-but-not-due sample pending (and more
+  // queued behind it) at every period boundary, so each checkpoint
+  // carries a stream in flight.
+  ExperimentSpec spec = ring_fed_spec();
+  spec.faults = stress_plan();
+  spec.faults->faults.push_back(
+      fault_of(sim::FaultKind::IngestDelay, 0.0, 40.0, 0.6));
+  spec.faults->faults.push_back(
+      fault_of(sim::FaultKind::IngestDuplicate, 0.0, 40.0, 0.3));
+  FleetHostResult run = run_supervised(spec);
+  EXPECT_NE(run.final_checkpoint.find("ring_pending_sequence = 1 "),
+            std::string::npos);
+  EXPECT_EQ(run.final_checkpoint.find("ring_queued_sequence = 0"),
+            std::string::npos);
+  expect_crash_at_22_restarts_warm(spec);
+}
+
+/// Landmark-model fit size after each period of `spec`, driven the way
+/// the fleet drives a host.
+std::vector<std::size_t> landmark_fit_sizes(const ExperimentSpec& spec) {
+  HostRig rig = build_host_rig(spec);
+  core::HostPipeline pipeline(*rig.host, *rig.probe,
+                              derive_stayaway_config(spec));
+  const auto ticks =
+      static_cast<std::size_t>(std::llround(spec.period_s / spec.tick_s));
+  const auto periods =
+      static_cast<std::size_t>(std::llround(spec.duration_s / spec.period_s));
+  std::vector<std::size_t> sizes;
+  for (std::size_t p = 0; p < periods; ++p) {
+    rig.host->run(ticks);
+    pipeline.on_period();
+    sizes.push_back(
+        pipeline.stay_away_mapper()->embedder().landmark_fit_size());
+  }
+  return sizes;
+}
+
+TEST(SupervisorGolden, LandmarkIncrementalWarmRestartIsByteIdentical) {
+  ExperimentSpec spec = ring_fed_spec();
+  spec.stayaway.embed_method = core::EmbedMethod::LandmarkIncremental;
+  spec.stayaway.landmark_count = 6;
+  spec.stayaway.dedup_epsilon = 0.02;
+  // The landmark model is fitted and refit before the restored period-19
+  // checkpoint and refit again after it, so the restore rebuilds a live
+  // model mid-regime.
+  const std::vector<std::size_t> fits = landmark_fit_sizes(spec);
+  ASSERT_EQ(fits.size(), 40u);
+  const auto first_fit = static_cast<std::size_t>(
+      std::find_if(fits.begin(), fits.end(),
+                   [](std::size_t n) { return n > 0; }) -
+      fits.begin());
+  ASSERT_LT(first_fit, 19u);
+  EXPECT_GT(fits[19], fits[first_fit]);
+  EXPECT_GT(fits[22], fits[19]);
+  expect_crash_at_22_restarts_warm(spec);
+}
+
+/// The harness installs no fault plan into baseline pipelines, so the
+/// baseline crash goldens wire the supervisor directly: a one-member
+/// core::FleetController whose rebuild installs a crash-only plan (it
+/// draws nothing, so the baseline's decisions are untouched). Returns
+/// the member's recovery report; `records` receives the encoded record
+/// stream and `batch_work` the batch core-seconds delivered.
+core::RecoveryReport run_baseline_supervised(
+    PolicyKind policy, const std::vector<sim::FaultSpec>& faults,
+    std::vector<std::string>& records, double& batch_work) {
+  const ExperimentSpec spec = short_spec();
+  sim::FaultPlan plan;
+  plan.faults = faults;
+  HostRig rig;
+  std::unique_ptr<core::HostPipeline> pipeline;
+  auto rebuild = [&] {
+    pipeline.reset();
+    rig = build_host_rig(spec);
+    core::StageSet stages;
+    if (policy == PolicyKind::Reactive) {
+      stages.actuator = std::make_unique<baseline::ReactiveActuator>();
+    } else {
+      stages.actuator = std::make_unique<baseline::StaticThresholdActuator>();
+    }
+    pipeline = std::make_unique<core::HostPipeline>(
+        *rig.host, *rig.probe, derive_stayaway_config(spec),
+        std::move(stages));
+    pipeline->install_faults(plan);
+    return core::FleetController::Member::Rebuilt{rig.host.get(),
+                                                  pipeline.get()};
+  };
+  core::FleetConfig config;
+  config.checkpoint_every = 5;
+  core::FleetController controller(config);
+  core::FleetController::Member member;
+  member.name = "solo";
+  core::FleetController::Member::Rebuilt fresh = rebuild();
+  member.host = fresh.host;
+  member.pipeline = fresh.pipeline;
+  member.ticks_per_period =
+      static_cast<std::size_t>(std::llround(spec.period_s / spec.tick_s));
+  member.periods =
+      static_cast<std::size_t>(std::llround(spec.duration_s / spec.period_s));
+  member.rebuild = rebuild;
+  controller.add_member(std::move(member));
+  controller.run();
+  records.clear();
+  for (const core::PeriodRecord& rec : pipeline->records()) {
+    records.push_back(core::encode_record(rec));
+  }
+  batch_work = 0.0;
+  for (sim::VmId id : rig.batch_ids) {
+    batch_work += rig.host->vm(id).cpu_work_done();
+  }
+  return controller.members().front().recovery;
+}
+
+void expect_baseline_crash_at_22_restarts_warm(PolicyKind policy) {
+  std::vector<std::string> clean, crashed;
+  double clean_work = 0.0, crashed_work = 0.0;
+  run_baseline_supervised(policy, {}, clean, clean_work);
+  core::RecoveryReport r = run_baseline_supervised(
+      policy, {fault_of(sim::FaultKind::HostCrash, 22.0, 23.0)}, crashed,
+      crashed_work);
+  ASSERT_EQ(crashed.size(), 40u);
+  EXPECT_EQ(crashed, clean);
+  EXPECT_EQ(crashed_work, clean_work);
+  expect_warm_restart(r);
+}
+
+// Both baselines hold the batch paused at the restored period-19
+// checkpoint; the reactive one must also carry its pause time across the
+// restore to resume on schedule.
+TEST(SupervisorGolden, ReactiveWarmRestartIsByteIdentical) {
+  expect_baseline_crash_at_22_restarts_warm(PolicyKind::Reactive);
+}
+
+TEST(SupervisorGolden, StaticThresholdWarmRestartIsByteIdentical) {
+  expect_baseline_crash_at_22_restarts_warm(PolicyKind::StaticThreshold);
 }
 
 // --- Migration × recovery (DESIGN.md §18) ------------------------------

@@ -109,12 +109,12 @@ TEST(FleetConcurrency, EightPipelinesOnFourWorkersMatchSerialRun) {
   EXPECT_GT(sink.emitted(), kHosts * 200);
 }
 
-// DESIGN.md §15: streaming ingestion adds one producer thread per host —
-// with 8 ring-fed pipelines on a 4-worker fleet pool that is 8 producers,
-// 4 consumers and the control thread all live at once. The gate/watermark
-// protocol must keep thread scheduling invisible: the parallel fleet's
-// record streams (ingest telemetry included) must match a serial run of
-// the identical fleet. Runs under TSan via `ci.sh --ingest`.
+// DESIGN.md §15: each ring source generates inline on the worker that
+// drains it, so 8 ring-fed pipelines on a 4-worker fleet pool share no
+// ingest state across threads. Worker scheduling must stay invisible: the
+// parallel fleet's record streams (ingest telemetry included) must match
+// a serial run of the identical fleet. Runs under TSan via
+// `ci.sh --ingest`.
 TEST(IngestConcurrency, RingFedFleetMatchesSerialRun) {
   harness::ExperimentSpec base;
   base.sensitive = harness::SensitiveKind::VlcStream;

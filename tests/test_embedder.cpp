@@ -106,7 +106,9 @@ TEST(Embedder, DistancesPreservedOnGrowth) {
 }
 
 TEST(Embedder, ColdMethodAlsoEmbedsAccurately) {
-  MapEmbedder embedder(EmbedMethod::SmacofCold);
+  // The first update has no layout to warm-start from: it is the cold
+  // (classical-MDS seeded) solve.
+  MapEmbedder embedder(EmbedMethod::SmacofWarm);
   Rng rng(6);
   monitor::RepresentativeSet reps(0.0);
   for (int i = 0; i < 10; ++i) reps.assign({rng.uniform(), rng.uniform()});
@@ -127,7 +129,8 @@ TEST(Embedder, PcaMethodProducesEmbedding) {
 }
 
 TEST(Embedder, LandmarkFallsBackBelowLandmarkCount) {
-  MapEmbedder embedder(EmbedMethod::Landmark, /*landmark_count=*/8);
+  MapEmbedder embedder(EmbedMethod::LandmarkIncremental,
+                       /*landmark_count=*/8);
   monitor::RepresentativeSet reps(0.0);
   reps.assign({0.0, 0.0});
   reps.assign({1.0, 0.0});
@@ -135,14 +138,17 @@ TEST(Embedder, LandmarkFallsBackBelowLandmarkCount) {
   const auto& pos = embedder.update(reps);
   EXPECT_EQ(pos.size(), 3u);
   EXPECT_LT(embedder.stress(), 0.02);
+  EXPECT_EQ(embedder.landmark_fit_size(), 0u);  // plain SMACOF below k
 }
 
 TEST(Embedder, LandmarkPathKicksInAboveThreshold) {
-  MapEmbedder embedder(EmbedMethod::Landmark, /*landmark_count=*/6);
+  MapEmbedder embedder(EmbedMethod::LandmarkIncremental,
+                       /*landmark_count=*/6);
   Rng rng(8);
   monitor::RepresentativeSet reps(0.0);
   for (int i = 0; i < 20; ++i) reps.assign({rng.uniform(), rng.uniform()});
   embedder.update(reps);
+  EXPECT_EQ(embedder.landmark_fit_size(), 20u);
   // Planar data: even the approximation should embed well.
   EXPECT_LT(embedder.stress(), 0.1);
 }

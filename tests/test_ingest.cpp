@@ -1,8 +1,8 @@
-// Streaming ingestion (DESIGN.md §15): the SPSC transport, the
-// RingSampleSource determinism contract, quarantine admission of late/
-// out-of-order/duplicate samples, the ingest-aware run-log and scenario
-// formats, the LandmarkIncremental embed regime, and the fuzzer's
-// ingest-overflow detector.
+// Streaming ingestion (DESIGN.md §15): the RingSampleSource determinism
+// contract, its pinned stream and checkpoint round trip, quarantine
+// admission of late/out-of-order/duplicate samples, the ingest-aware
+// run-log and scenario formats, the LandmarkIncremental embed regime, and
+// the fuzzer's ingest-overflow detector.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/config.hpp"
 #include "core/embedder.hpp"
 #include "core/period.hpp"
@@ -27,59 +28,12 @@
 #include "sim/faults.hpp"
 #include "trace/diurnal.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
+#include "util/statecodec.hpp"
 
 namespace stayaway {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// --- SPSC ring. ---------------------------------------------------------
-
-TEST(SpscRing, FifoOrderAndCounters) {
-  util::SpscRing<int> ring(8);
-  EXPECT_EQ(ring.capacity(), 8u);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_EQ(ring.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.try_pop().has_value());
-  EXPECT_EQ(ring.pushed(), 5u);
-  EXPECT_EQ(ring.popped(), 5u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  util::SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, FullRingDropsAndCounts) {
-  util::SpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));
-  EXPECT_FALSE(ring.try_push(100));
-  EXPECT_EQ(ring.dropped(), 2u);
-  // The dropped values never entered the stream.
-  ASSERT_TRUE(ring.try_pop().has_value());
-  EXPECT_TRUE(ring.try_push(4));
-  std::vector<int> rest;
-  while (auto v = ring.try_pop()) rest.push_back(*v);
-  EXPECT_EQ(rest, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(SpscRing, WrapsAroundManyTimes) {
-  util::SpscRing<std::uint64_t> ring(4);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i);
-  }
-}
 
 // --- Quarantine admission gate. -----------------------------------------
 
@@ -204,6 +158,31 @@ TEST(RingSampleSource, OverflowIsCountedAndDeterministic) {
     EXPECT_EQ(sa[i].sequence, sb[i].sequence);
   }
   EXPECT_EQ(a->overflow_total(), overflow_a);
+
+  // Capacity rounds up to a power of two: a 5-slot ring holds 8 and
+  // drops exactly what an 8-slot ring drops.
+  options.ring_capacity = 5;
+  auto five = make_ring(options);
+  options.ring_capacity = 8;
+  auto eight = make_ring(options);
+  std::size_t overflow_five = 0, overflow_eight = 0;
+  std::vector<monitor::TimedSample> s5 =
+      drain_all(*five, times, &overflow_five);
+  std::vector<monitor::TimedSample> s8 =
+      drain_all(*eight, times, &overflow_eight);
+  EXPECT_GT(overflow_eight, 0u);
+  EXPECT_LT(overflow_eight, overflow_a);
+  EXPECT_EQ(overflow_five, overflow_eight);
+  ASSERT_EQ(s5.size(), s8.size());
+  for (std::size_t i = 0; i < s5.size(); ++i) {
+    EXPECT_EQ(s5[i].sequence, s8[i].sequence);
+  }
+  // Dropped emissions never enter the stream: what arrives is in
+  // emission order with the drops as gaps.
+  for (std::size_t i = 1; i < s5.size(); ++i) {
+    EXPECT_GT(s5[i].sequence, s5[i - 1].sequence);
+  }
+  EXPECT_EQ(five->overflow_total(), overflow_five);
 }
 
 TEST(RingSampleSource, BurstWindowRaisesTheRate) {
@@ -258,6 +237,57 @@ TEST(RingSampleSource, IngestFaultsProduceLateAndDuplicateSamples) {
   }
   EXPECT_GT(late, 0u);
   EXPECT_GT(dup, 0u);
+}
+
+TEST(RingSampleSource, SaveLoadResumesTheStreamExactly) {
+  monitor::RingStreamOptions options;
+  options.rate_hz = 24.0;
+  options.ring_capacity = 16;
+  options.lookahead_s = 0.5;
+  options.seed = 4;
+  sim::FaultPlan plan;
+  plan.seed = 6;
+  plan.faults.push_back({sim::FaultKind::IngestDelay, 0.0, kInf, 0.6, 1.0, -1});
+  plan.faults.push_back(
+      {sim::FaultKind::IngestDuplicate, 0.0, kInf, 0.3, 1.0, -1});
+  sim::FaultInjector injector_a(plan);
+  sim::FaultInjector injector_b(plan);
+
+  auto original = make_ring(options);
+  original->set_fault_injector(&injector_a);
+  drain_all(*original, {1.0, 2.0, 3.0});
+  std::ostringstream saved;
+  util::StateWriter writer(saved);
+  original->save_state(writer);
+  // The lookahead leaves samples queued past the drain clock.
+  EXPECT_NE(saved.str().find("ring_pending_sequence = 1 "),
+            std::string::npos);
+
+  auto restored = make_ring(options);
+  restored->set_fault_injector(&injector_b);
+  std::istringstream in(saved.str());
+  util::StateReader reader(in);
+  restored->load_state(reader);
+  std::ostringstream resaved;
+  util::StateWriter rewriter(resaved);
+  restored->save_state(rewriter);
+  EXPECT_EQ(resaved.str(), saved.str());
+
+  const std::vector<double> tail = {4.0, 4.2, 6.0, 9.0};
+  std::size_t overflow_a = 0, overflow_b = 0;
+  std::vector<monitor::TimedSample> sa =
+      drain_all(*original, tail, &overflow_a);
+  std::vector<monitor::TimedSample> sb =
+      drain_all(*restored, tail, &overflow_b);
+  EXPECT_GT(overflow_a, 0u);
+  EXPECT_EQ(overflow_a, overflow_b);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].sequence, sb[i].sequence);
+    EXPECT_EQ(sa[i].measurement.time, sb[i].measurement.time);
+    EXPECT_EQ(sa[i].measurement.values, sb[i].measurement.values);
+  }
+  EXPECT_EQ(original->samples_taken(), restored->samples_taken());
 }
 
 // --- The ring-fed pipeline end to end. ----------------------------------
@@ -316,6 +346,47 @@ TEST(RingPipeline, RunIsDeterministicAcrossRepeats) {
   ASSERT_EQ(a.stayaway_records.size(), b.stayaway_records.size());
   EXPECT_TRUE(a.stayaway_records == b.stayaway_records);
   EXPECT_EQ(a.qos, b.qos);
+}
+
+/// fnv1a64 over the encoded Stay-Away record stream.
+std::uint64_t records_digest(const harness::ExperimentResult& res) {
+  std::string text;
+  for (const core::PeriodRecord& rec : res.stayaway_records) {
+    text += core::encode_record(rec);
+  }
+  return core::fnv1a64(text);
+}
+
+// Goldens captured from the threaded producer/consumer ring source that
+// inline generation replaced: the stream, every overflow drop and every
+// injected ingest anomaly must come out bit for bit the same.
+TEST(RingPipeline, StreamMatchesPinnedGolden) {
+  harness::ExperimentResult res = harness::run_experiment(ring_spec());
+  EXPECT_EQ(records_digest(res), 0x7b24375e9930dc64ULL);
+}
+
+TEST(RingPipeline, StreamMatchesPinnedGoldenUnderFaultsAndBurst) {
+  harness::ExperimentSpec spec = ring_spec();
+  spec.stayaway.ingest.burst_rate_hz = 256.0;
+  spec.stayaway.ingest.burst_start_s = 10.0;
+  spec.stayaway.ingest.burst_end_s = 15.0;
+  sim::FaultPlan plan;
+  plan.seed = 11;
+  plan.faults.push_back({sim::FaultKind::IngestDelay, 0.0, kInf, 0.8, 1.0, -1});
+  plan.faults.push_back(
+      {sim::FaultKind::IngestDuplicate, 0.0, kInf, 0.4, 1.0, -1});
+  spec.faults = plan;
+  harness::ExperimentResult res = harness::run_experiment(spec);
+  std::size_t late = 0, dup = 0, dropped = 0;
+  for (const auto& rec : res.stayaway_records) {
+    late += rec.late_samples;
+    dup += rec.duplicate_samples;
+    dropped += rec.overflow_drops;
+  }
+  EXPECT_GT(late, 0u);
+  EXPECT_GT(dup, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(records_digest(res), 0xae19a6aa93c4447aULL);
 }
 
 // --- Run-log format: the optional trailing ingest block. ----------------
@@ -484,8 +555,7 @@ TEST(LandmarkIncremental, PlacesNewPointsWithoutMovingOldOnes) {
 TEST(LandmarkIncremental, RefitsGeometricallyAndKeepsTheFrameAligned) {
   Rng rng(33);
   monitor::RepresentativeSet reps(0.0);
-  core::MapEmbedder embedder(core::EmbedMethod::LandmarkIncremental, 24, 0.0,
-                             2.0);
+  core::MapEmbedder embedder(core::EmbedMethod::LandmarkIncremental, 24);
   std::size_t n = 0;
   std::size_t first_fit = 0;
   mds::Embedding at_first_fit;
@@ -499,8 +569,9 @@ TEST(LandmarkIncremental, RefitsGeometricallyAndKeepsTheFrameAligned) {
     }
   }
   ASSERT_GT(first_fit, 0u);
-  // Geometric policy: at n = 200 with factor 2 the model was refit at
-  // least once past the first fit, and each refit counted as a rebuild.
+  // Geometric policy: at n = 200 the model (refit whenever the set has
+  // doubled) was refit at least once past the first fit, and each refit
+  // counted as a rebuild.
   EXPECT_GE(embedder.landmark_fit_size(),
             static_cast<std::size_t>(2 * first_fit));
   EXPECT_GE(embedder.rebuilds(), 1u);

@@ -20,9 +20,10 @@
 //                    from core/stages/stage.hpp. One parallelism axis:
 //                    fleet workers are the library's only threads, so
 //                    under src/ only the fleet controller
-//                    (src/core/fleet.*) may include util/thread_pool.hpp.
-//                    System includes are ignored — usage is policed by
-//                    the determinism pass.
+//                    (src/core/fleet.*) may include util/thread_pool.hpp,
+//                    and only the pool itself (src/util/thread_pool.*)
+//                    may include <thread> or name std::thread /
+//                    std::jthread.
 //   lock-discipline  any mutable field of a class that owns a mutex must
 //                    carry SA_GUARDED_BY / SA_PT_GUARDED_BY
 //                    (src/util/annotations.hpp) or an explicit
@@ -400,22 +401,43 @@ const std::map<std::string, std::set<std::string>>& layering() {
 }
 
 /// One parallelism axis (DESIGN.md §9): the fleet controller's worker pool
-/// is the library's only source of threads. Under src/ only
-/// src/core/fleet.* (and the pool's own implementation) may include it.
-bool may_include_thread_pool(const std::string& path) {
+/// is the library's only source of threads. Under src/ only the pool's
+/// own implementation may start threads, and only src/core/fleet.* (plus
+/// the pool) may include the pool.
+bool in_dir_with_prefix(const std::string& path, std::string_view dir,
+                        std::string_view prefix) {
   const std::size_t slash = path.rfind('/');
-  const std::string dir = path.substr(0, slash + 1);
-  const std::string file = path.substr(slash + 1);
-  return (dir.ends_with("src/core/") && file.starts_with("fleet.")) ||
-         (dir.ends_with("src/util/") && file.starts_with("thread_pool."));
+  return path.substr(0, slash + 1).ends_with(dir) &&
+         path.substr(slash + 1).starts_with(prefix);
+}
+
+bool may_own_threads(const std::string& path) {
+  return in_dir_with_prefix(path, "src/util/", "thread_pool.");
+}
+
+bool may_include_thread_pool(const std::string& path) {
+  return in_dir_with_prefix(path, "src/core/", "fleet.") ||
+         may_own_threads(path);
 }
 
 void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
   const std::string mod = module_of(f.path);
   const bool in_stages = path_has_dir(f.path, "stages/");
   const bool in_cluster = mod == "cluster";
+  const bool threads_banned = !mod.empty() && !may_own_threads(f.path);
   for (std::size_t i = 0; i < f.tokens.size(); ++i) {
     const Token& t = f.tokens[i];
+    const bool std_thread =
+        t.kind == Tok::Ident && (t.text == "thread" || t.text == "jthread") &&
+        i >= 2 && f.tokens[i - 1].text == "::" && f.tokens[i - 2].text == "std";
+    if (threads_banned &&
+        ((t.kind == Tok::HeaderName && t.text == "<thread>") || std_thread)) {
+      out.push_back({f.path, t.line, "include-graph", "parallelism-axis",
+                     "only src/util/thread_pool.* may use " +
+                         (std_thread ? "std::" + t.text : t.text) +
+                         "; fleet workers are the only parallelism axis"});
+      continue;
+    }
     if (t.kind == Tok::HeaderName && !t.text.starts_with("<")) {
       const std::string dep = include_module(t.text);
       // Stage isolation: stages/ may take sim's ID vocabulary
@@ -1127,6 +1149,13 @@ std::vector<Fixture> self_test_fixtures() {
                {"parallelism-axis"}});
   f.push_back({"thread-pool-in-fleet-ok", "src/core/fleet.cpp",
                "#include \"util/thread_pool.hpp\"\n",
+               {}});
+  f.push_back({"std-thread-in-monitor", "src/monitor/inc22.cpp",
+               "#include <thread>\nstd::thread producer_;\n",
+               {"parallelism-axis", "parallelism-axis"}});
+  f.push_back({"std-thread-in-pool-ok", "src/util/thread_pool.hpp",
+               "#pragma once\n#include <thread>\n"
+               "std::vector<std::thread> workers_;\n",
                {}});
   // --- lock discipline ---------------------------------------------------
   f.push_back({"unguarded-field", "src/obs/lock1.hpp",

@@ -408,9 +408,7 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
     std::error_code ec;
     std::filesystem::create_directories(*opts.checkpoint_dir, ec);
     SA_REQUIRE(!ec, "cannot create checkpoint dir: " + *opts.checkpoint_dir);
-    std::size_t written = 0;
     for (const FleetHostResult& host : result.hosts) {
-      if (host.final_checkpoint.empty()) continue;  // not checkpointable
       std::string path = checkpoint_path(*opts.checkpoint_dir, host.name);
       std::ofstream out(path, std::ios::binary);
       SA_REQUIRE(out.good(), "cannot write checkpoint: " + path);
@@ -418,10 +416,10 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
                 static_cast<std::streamsize>(host.final_checkpoint.size()));
       out.flush();
       SA_REQUIRE(out.good(), "failed writing checkpoint: " + path);
-      ++written;
     }
     std::cout << "checkpoints written: " << *opts.checkpoint_dir << " ("
-              << written << " of " << result.hosts.size() << " hosts)\n";
+              << result.hosts.size() << " of " << result.hosts.size()
+              << " hosts)\n";
     if (result.cluster.has_value() &&
         !result.cluster->final_coordinator.empty()) {
       std::string path = *opts.checkpoint_dir + "/coordinator.ckpt";
