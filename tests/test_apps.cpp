@@ -2,6 +2,11 @@
 // the sensitive apps' QoS behaviour and the LRU cache substrate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <list>
+#include <unordered_map>
+
 #include "apps/cpubomb.hpp"
 #include "apps/lru_cache.hpp"
 #include "apps/membomb.hpp"
@@ -12,6 +17,7 @@
 #include "apps/vlc_transcode.hpp"
 #include "apps/webservice.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace stayaway::apps {
 namespace {
@@ -353,6 +359,151 @@ TEST(LruCache, ResetCounters) {
   EXPECT_EQ(c.hits(), 0u);
   EXPECT_EQ(c.misses(), 0u);
   EXPECT_DOUBLE_EQ(c.hit_rate(), 0.0);
+}
+
+TEST(LruCache, CapacityMustFitThirtyTwoBitLinks) {
+  EXPECT_THROW(LruCache(std::numeric_limits<std::uint32_t>::max()),
+               PreconditionError);
+  LruCache c(4);
+  EXPECT_THROW(c.set_capacity(std::numeric_limits<std::uint32_t>::max()),
+               PreconditionError);
+}
+
+/// The original cache: a hash map over a std::list recency list. Kept
+/// here as the reference model the flat cache must match op for op.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool get(std::uint64_t key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses_;
+      return false;
+    }
+    recency_.splice(recency_.begin(), recency_, it->second);
+    ++hits_;
+    return true;
+  }
+  void put(std::uint64_t key) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      recency_.splice(recency_.begin(), recency_, it->second);
+      return;
+    }
+    if (capacity_ == 0) return;
+    recency_.push_front(key);
+    index_.emplace(key, recency_.begin());
+    evict_to_capacity();
+  }
+  void set_capacity(std::size_t capacity) {
+    capacity_ = capacity;
+    evict_to_capacity();
+  }
+  bool contains(std::uint64_t key) const { return index_.count(key) != 0; }
+  std::size_t size() const { return index_.size(); }
+  std::size_t capacity() const { return capacity_; }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  void reset_counters() { hits_ = misses_ = 0; }
+  void clear() {
+    recency_.clear();
+    index_.clear();
+  }
+  /// Keys from most to least recently used.
+  const std::list<std::uint64_t>& recency() const { return recency_; }
+
+ private:
+  void evict_to_capacity() {
+    while (index_.size() > capacity_) {
+      index_.erase(recency_.back());
+      recency_.pop_back();
+    }
+  }
+
+  std::size_t capacity_;
+  std::list<std::uint64_t> recency_;
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+/// Asserts the flat cache holds the reference's keys in the same recency
+/// order: on copies filled to capacity, each fresh put must evict exactly
+/// the reference's next least-recent key.
+void expect_same_recency(const LruCache& flat, const ReferenceLru& ref) {
+  ASSERT_EQ(flat.size(), ref.size());
+  LruCache probe = flat;
+  probe.set_capacity(probe.size());
+  std::uint64_t fresh = std::uint64_t{1} << 63;
+  for (auto it = ref.recency().rbegin(); it != ref.recency().rend(); ++it) {
+    ASSERT_TRUE(probe.contains(*it));
+    probe.put(fresh++);
+    ASSERT_FALSE(probe.contains(*it)) << "evicted out of recency order";
+    ASSERT_EQ(probe.size(), ref.size());
+  }
+}
+
+/// Keys whose Fibonacci hash (key * 0x9e3779b97f4a7c15) shares its top
+/// 44 bits, so they land on one probe home for every table the cache can
+/// grow to: all probing, no spreading.
+std::uint64_t colliding_key(std::uint64_t i) {
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t inverse = kGolden;  // Newton: inverse of an odd number
+  for (int k = 0; k < 6; ++k) inverse *= 2 - kGolden * inverse;
+  return inverse * ((std::uint64_t{0x5bd1e995} << 32) + i);
+}
+
+TEST(LruCache, MatchesReferenceModelOpForOp) {
+  ASSERT_EQ((colliding_key(3) * 0x9e3779b97f4a7c15ULL) >> 20,
+            (colliding_key(2003) * 0x9e3779b97f4a7c15ULL) >> 20);
+  for (std::size_t base : {0u, 1u, 2u, 7u, 1000u}) {
+    for (bool adversarial : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << base
+                                        << (adversarial ? " adversarial"
+                                                        : " dense"));
+      LruCache flat(base);
+      ReferenceLru ref(base);
+      Rng rng(1000 + base + (adversarial ? 1 : 0));
+      const std::size_t domain = 2 * base + 4;
+      auto draw_key = [&] {
+        std::uint64_t i = rng.index(domain);
+        return adversarial ? colliding_key(i) : i;
+      };
+      for (int op = 0; op < 100000; ++op) {
+        std::size_t pick = rng.index(1000);
+        if (pick < 420) {
+          std::uint64_t k = draw_key();
+          ASSERT_EQ(flat.get(k), ref.get(k)) << "op " << op;
+        } else if (pick < 840) {
+          std::uint64_t k = draw_key();
+          flat.put(k);
+          ref.put(k);
+        } else if (pick < 960) {
+          std::uint64_t k = draw_key();
+          ASSERT_EQ(flat.contains(k), ref.contains(k)) << "op " << op;
+        } else if (pick < 980) {
+          // Shrink or grow, then drift back to the base capacity.
+          std::size_t cap = rng.chance(0.5) ? base : rng.index(domain);
+          flat.set_capacity(cap);
+          ref.set_capacity(cap);
+        } else if (pick < 990) {
+          flat.reset_counters();
+          ref.reset_counters();
+        } else if (pick < 993) {
+          flat.clear();
+          ref.clear();
+        } else {
+          expect_same_recency(flat, ref);
+        }
+        ASSERT_EQ(flat.size(), ref.size()) << "op " << op;
+        ASSERT_EQ(flat.capacity(), ref.capacity()) << "op " << op;
+        ASSERT_EQ(flat.hits(), ref.hits()) << "op " << op;
+        ASSERT_EQ(flat.misses(), ref.misses()) << "op " << op;
+      }
+      expect_same_recency(flat, ref);
+    }
+  }
 }
 
 // ----------------------------------------------------------- webservice

@@ -3,14 +3,18 @@
 // host-labelled observability and worker-count invariance.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "apps/lru_cache.hpp"
+#include "apps/webservice.hpp"
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 #include "harness/fleet.hpp"
+#include "harness/rig.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
 #include "util/strings.hpp"
@@ -248,6 +252,63 @@ TEST(Fleet, BaselinePoliciesMatchExperiment) {
           << to_string(policy) << (faulted ? " faulted" : " fault-free");
       EXPECT_TRUE(r.hosts[0].result.stayaway_records.empty());
     }
+  }
+}
+
+// Golden digests of webservice runs (the cache- and Zipf-driven app),
+// one per workload mix under Stay-Away, fault-free, on a diurnal load.
+// Over 240 s the mix and cpu caches fill and evict, and the mem and mix
+// hosts pause their batch partner. The digest adds the completed-TPS
+// series to result_digest's; the final cache counters pin the exact key
+// stream and eviction order. Captured from the std::list/unordered_map
+// cache with a binary-search Zipf sampler; the flat cache and the
+// guide-table sampler must match them bit for bit.
+struct WebserviceGolden {
+  SensitiveKind sensitive;
+  BatchKind batch;
+  std::uint64_t digest;
+  std::uint64_t hits;
+  std::uint64_t misses;
+};
+constexpr WebserviceGolden kWebserviceGoldens[] = {
+    {SensitiveKind::WebserviceMem, BatchKind::MemBomb, 0xc6acc2cbc76d0424ULL,
+     805542, 146458},
+    {SensitiveKind::WebserviceMix, BatchKind::Batch2, 0x9ffebe497df3a6ffULL,
+     782651, 169349},
+    {SensitiveKind::WebserviceCpu, BatchKind::Soplex, 0x0dd07fdc0b248b43ULL,
+     632727, 319273},
+};
+
+TEST(Fleet, WebserviceRunsMatchPinnedGolden) {
+  for (const WebserviceGolden& g : kWebserviceGoldens) {
+    ExperimentSpec spec;
+    spec.sensitive = g.sensitive;
+    spec.batch = g.batch;
+    spec.policy = PolicyKind::StayAway;
+    spec.duration_s = 240.0;
+    spec.batch_start_s = 10.0;
+    spec.workload = compressed_diurnal(spec.duration_s, 1.5, 21);
+    const std::string label = to_string(g.sensitive);
+
+    FleetResult r = run_solo("ws", spec);
+    ASSERT_EQ(r.hosts.size(), 1u) << label;
+    const ExperimentResult& res = r.hosts[0].result;
+    ASSERT_FALSE(res.completed_tps.empty()) << label;
+    std::string text = std::to_string(result_digest(res));
+    for (double v : res.completed_tps) text += ' ' + format_double_exact(v);
+
+    // The app draws its keys every tick whatever the controller does, so
+    // a bare host run of the same spec leaves the cache exactly as the
+    // controlled run did.
+    HostRig rig = build_host_rig(spec);
+    ASSERT_NE(rig.webservice, nullptr) << label;
+    rig.host->run(static_cast<std::size_t>(
+        std::llround(spec.duration_s / spec.tick_s)));
+    const apps::LruCache& cache = rig.webservice->cache();
+    EXPECT_EQ(core::fnv1a64(text), g.digest) << label;
+    EXPECT_EQ(cache.hits(), g.hits) << label;
+    EXPECT_EQ(cache.misses(), g.misses) << label;
+    EXPECT_EQ(rig.webservice->cache_hit_rate(), cache.hit_rate()) << label;
   }
 }
 

@@ -2,7 +2,9 @@
 // stats, Rayleigh radius, descriptive stats, Zipf, VAR(1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <vector>
@@ -476,6 +478,95 @@ TEST(Zipf, HugeExponentConcentratesAllMassFinite) {
   }
   Rng rng(7);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(zipf.sample(rng), 0u);
+}
+
+/// The sampler's CDF, rebuilt the way its constructor builds it, and the
+/// plain inversion the guide table must reproduce: upper_bound over the
+/// whole CDF, clamped to the last rank.
+std::vector<double> reference_cdf(std::size_t n, double exponent) {
+  std::vector<double> cdf(n);
+  double acc = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    acc += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
+    cdf[k] = acc;
+  }
+  double prev = 0.0;
+  for (double& v : cdf) {
+    v = std::min(v / acc, 1.0);
+    if (v < prev) v = prev;
+    prev = v;
+  }
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+std::size_t reference_rank(const std::vector<double>& cdf, double u) {
+  auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) --it;
+  return static_cast<std::size_t>(it - cdf.begin());
+}
+
+const double kDiffExponents[] = {0.0, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+                                 1.2, 5000.0};
+const std::size_t kDiffSizes[] = {1, 2, 64, 4097, 200000};
+
+TEST(Zipf, SampleMatchesPlainUpperBound) {
+  for (std::size_t n : kDiffSizes) {
+    for (double s : kDiffExponents) {
+      ZipfSampler zipf(n, s);
+      const std::vector<double> cdf = reference_cdf(n, s);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(zipf.mass(k), k == 0 ? cdf[0] : cdf[k] - cdf[k - 1])
+            << "n=" << n << " s=" << s << " k=" << k;
+      }
+      // Identically seeded streams: same draws, same ranks, and the
+      // sampler consumes exactly one uniform per draw.
+      Rng a(n * 31 + static_cast<std::uint64_t>(s * 1000.0));
+      Rng b = a;
+      for (int i = 0; i < 1000000; ++i) {
+        const std::size_t got = zipf.sample(a);
+        const std::size_t want = reference_rank(cdf, b.uniform());
+        if (got != want) {
+          FAIL() << "n=" << n << " s=" << s << " draw " << i << ": " << got
+                 << " != " << want;
+        }
+      }
+      EXPECT_EQ(a.uniform(), b.uniform());
+    }
+  }
+}
+
+TEST(Zipf, RankMatchesPlainUpperBoundAtEdges) {
+  auto expect_rank = [](const ZipfSampler& zipf,
+                        const std::vector<double>& cdf, double u) {
+    for (double v : {std::nextafter(u, 0.0), u, std::nextafter(u, 2.0)}) {
+      ASSERT_EQ(zipf.rank(v), reference_rank(cdf, v))
+          << "n=" << cdf.size() << " u=" << v;
+    }
+  };
+  for (std::size_t n : kDiffSizes) {
+    for (double s : kDiffExponents) {
+      ZipfSampler zipf(n, s);
+      const std::vector<double> cdf = reference_cdf(n, s);
+      // Every multiple of 2^-16 (so every bucket edge of a power-of-two
+      // guide table of up to 65536 buckets) and every CDF value, exactly
+      // and one ulp either side.
+      for (std::size_t j = 0; j <= 65536 && !HasFatalFailure(); ++j) {
+        expect_rank(zipf, cdf, static_cast<double>(j) * 0x1p-16);
+      }
+      for (std::size_t k = 0; k < n && !HasFatalFailure(); ++k) {
+        expect_rank(zipf, cdf, cdf[k]);
+      }
+      if (HasFatalFailure()) return;
+      // The largest uniform draw, and inputs outside [0, 1).
+      expect_rank(zipf, cdf, 1.0 - 0x1p-53);
+      expect_rank(zipf, cdf, 0.0);
+      for (double u : {-1.0, 1.5, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_EQ(zipf.rank(u), reference_rank(cdf, u)) << "u=" << u;
+      }
+    }
+  }
 }
 
 TEST(Zipf, NonFiniteExponentRejected) {
