@@ -37,7 +37,8 @@
 #                                crashing) in the tier-1 tree, then
 #                                end-to-end checkpoint -> restore round
 #                                trips through stayaway_sim (synchronous
-#                                and ring-fed) and a corrupt-blob
+#                                and ring-fed), a plain vs supervised
+#                                summary comparison and a corrupt-blob
 #                                rejection
 #   ./ci.sh --cluster            cluster-coordination gate (DESIGN.md §18):
 #                                the cluster test suite plus the
@@ -295,8 +296,9 @@ EOF
       # visor test suite and the bench_recovery acceptance bounds (full
       # record streams, zero divergences, 1-of-8 hosts crashing) in the
       # tier-1 tree, then stayaway_sim driven through full checkpoint ->
-      # restore round trips — synchronous and ring-fed (every pipeline
-      # checkpoints) — and a corrupted blob, which must be rejected by
+      # restore round trips (synchronous and ring-fed: every pipeline
+      # checkpoints), a supervised run that must summarize exactly like
+      # the plain one, and a corrupted blob, which must be rejected by
       # checksum, not silently restored.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
@@ -323,6 +325,29 @@ EOF
         grep -q "ring_pending_sequence" "$tmpdir/ring/host0.ckpt" &&
         ./build/tools/stayaway_sim --ingest-rate 16 --restore "$tmpdir/ring" \
           "$tmpdir/scenario.conf" >/dev/null || { rm -rf "$tmpdir"; return 1; }
+      # The recovery flags run a plain document as a fleet of one, which
+      # must be the single-host run itself: same seed, same summary.
+      cat >"$tmpdir/seeded.conf" <<'EOF'
+sensitive      = webservice-mix
+batch          = membomb
+policy         = stay-away
+duration_s     = 120
+workload       = diurnal
+noise_fraction = 0.05
+batch_start_s  = 5
+EOF
+      local plain supervised
+      plain="$(./build/tools/stayaway_sim "$tmpdir/seeded.conf" |
+        tail -n 1 | awk '{$1 = ""; print}')"
+      supervised="$(./build/tools/stayaway_sim --supervise \
+        --checkpoint-every 5 "$tmpdir/seeded.conf" |
+        tail -n 1 | awk '{$1 = ""; print}')"
+      [[ -n "$plain" && "$plain" == "$supervised" ]] || {
+        echo "supervised run diverged from the plain run:" \
+          "[$plain] vs [$supervised]" >&2
+        rm -rf "$tmpdir"
+        return 1
+      }
       # Flip one body byte; the restore must fail closed on the checksum.
       printf 'X' | dd of="$tmpdir/ckpt/host0.ckpt" bs=1 seek=64 conv=notrunc \
         status=none || { rm -rf "$tmpdir"; return 1; }
@@ -334,7 +359,8 @@ EOF
         echo "corrupted checkpoint was not rejected" >&2
         return 1
       }
-      echo "checkpoint round trips (sync + ring) + corrupt-blob rejection: ok"
+      echo "checkpoint round trips (sync + ring) + plain/supervised" \
+        "equality + corrupt-blob rejection: ok"
       ;;
     analyze)
       # Static-analysis gate (DESIGN.md §16). The textual passes always

@@ -171,13 +171,11 @@ struct StayAwayConfig {
 };
 
 /// Sizing of core::FleetController: how many worker threads drive the
-/// per-host pipelines, and the base seed from which per-host RNG streams
-/// are split (fleet_host_seed).
+/// per-host pipelines, and the supervisor's cadences. Per-host seeds are
+/// the members' own (harness::replicate_fleet splits them).
 struct FleetConfig {
   /// Concurrent pipeline drivers. 1 = strictly sequential host-by-host.
   std::size_t workers = 1;
-  /// Base seed; host i derives its streams via fleet_host_seed(seed, i).
-  std::uint64_t seed = 1234;
   // --- Supervision (DESIGN.md §17); active only for members that carry
   // a rebuild callback. ------------------------------------------------
   /// Checkpoint every N completed periods (0 = checkpoints off; failures

@@ -23,18 +23,6 @@ std::uint64_t mix64(std::uint64_t z) {
 
 }  // namespace
 
-const char* to_string(MemberHealth health) {
-  switch (health) {
-    case MemberHealth::Normal:
-      return "normal";
-    case MemberHealth::Down:
-      return "down";
-    case MemberHealth::Recovering:
-      return "recovering";
-  }
-  return "unknown";
-}
-
 std::uint64_t fleet_host_seed(std::uint64_t base, std::size_t host_index) {
   // Avalanche base and index independently before combining. A single
   // finalizer over the affine input base + gamma*(i+1) is a bijection,
@@ -65,108 +53,68 @@ void FleetController::add_member(Member member) {
   members_.push_back(std::move(member));
 }
 
-void FleetController::drive(Member& member) const {
-  if (member.rebuild) {
-    std::vector<std::string> checkpoints;  // oldest..newest; last 2 kept
-    for (std::size_t p = 0; p < member.periods; ++p) {
-      drive_one_period_supervised(member, p, checkpoints);
-    }
-    return;
-  }
-  for (std::size_t p = 0; p < member.periods; ++p) {
-    drive_one_period(member);
-  }
-}
-
-void FleetController::drive_one_period(Member& member) const {
-  if (member.on_tick) {
-    for (std::size_t t = 0; t < member.ticks_per_period; ++t) {
-      member.host->step();
-      member.on_tick();
-    }
-  } else {
-    member.host->run(member.ticks_per_period);
-  }
-  const PeriodRecord& rec = member.pipeline->on_period();
-  if (member.on_period) member.on_period(rec);
-  if (recorder_) recorder_->record_period(member.name, rec);
-}
-
-void FleetController::drive_one_period_supervised(
+void FleetController::drive_period(
     Member& member, std::size_t p,
     std::vector<std::string>& checkpoints) const {
   // Injected faults are masked behind the crash horizon once handled, so
   // only a genuine (deterministic) defect can make the same period fail
   // again; after this many recoveries the member is declared dead and
-  // its exception surfaces through run() — the rest of the fleet keeps
-  // going.
+  // its exception surfaces through run().
   constexpr std::size_t kMaxRecoveriesPerPeriod = 3;
-  auto run_ticks = [&member] {
-    if (member.on_tick) {
-      for (std::size_t t = 0; t < member.ticks_per_period; ++t) {
-        member.host->step();
-        member.on_tick();
-      }
-    } else {
-      member.host->run(member.ticks_per_period);
-    }
-  };
+  const bool supervised = static_cast<bool>(member.rebuild);
   std::size_t recoveries = 0;
   // HostCrash fires at the period boundary, before any tick of p, so
   // the recovered member replays nothing it has not already done.
   const sim::FaultInjector* inj = member.pipeline->fault_injector();
-  if (inj != nullptr && inj->crash_signal(member.host->now())) {
+  if (supervised && inj != nullptr &&
+      inj->crash_signal(member.host->now())) {
     ++member.recovery.crashes;
-    member.health = MemberHealth::Down;
     recover(member, checkpoints, p, member.host->now());
     ++recoveries;
   }
-  bool period_done = false;
-  while (!period_done) {
-    run_ticks();
-    std::size_t stall_retries = 0;
-    bool escalate = false;
+  for (;;) {
+    for (std::size_t t = 0; t < member.ticks_per_period; ++t) {
+      member.host->step();
+      if (member.on_tick) member.on_tick();
+    }
+    bool failed = false;
     double fail_time = 0.0;
-    while (!escalate) {
+    for (std::size_t stall_retries = 0; !failed;) {
       try {
         const PeriodRecord& rec = member.pipeline->on_period();
         if (member.on_period) member.on_period(rec);
         if (recorder_) recorder_->record_period(member.name, rec);
-        period_done = true;
         break;
-      } catch (const StageStallError& e) {
-        // The watchdog's deadline is a deterministic attempt budget:
-        // retry the stage in place until the budget runs out, then
-        // treat the stall as a crash.
-        ++member.recovery.stalls;
-        ++stall_retries;
-        if (stall_retries < config_.watchdog_budget) continue;
-        ++member.recovery.watchdog_trips;
+      } catch (const std::exception& e) {
+        if (!supervised) throw;
+        if (const auto* stall = dynamic_cast<const StageStallError*>(&e)) {
+          // The watchdog's deadline is a deterministic attempt budget:
+          // retry the stage in place until the budget runs out, then
+          // treat the stall as a crash.
+          ++member.recovery.stalls;
+          if (++stall_retries < config_.watchdog_budget) continue;
+          ++member.recovery.watchdog_trips;
+          fail_time = stall->time();
+        } else if (const auto* thrown =
+                       dynamic_cast<const StageThrowError*>(&e)) {
+          ++member.recovery.stage_throws;
+          fail_time = thrown->time();
+        } else {
+          // An uninjected stage defect: trap it like a crash so the rest
+          // of the fleet keeps running, but give up once it proves
+          // deterministic.
+          fail_time = member.host->now();
+        }
         if (recoveries >= kMaxRecoveriesPerPeriod) throw;
-        escalate = true;
-        fail_time = e.time();
-      } catch (const StageThrowError& e) {
-        ++member.recovery.stage_throws;
-        if (recoveries >= kMaxRecoveriesPerPeriod) throw;
-        escalate = true;
-        fail_time = e.time();
-      } catch (const std::exception&) {
-        // An uninjected stage defect: trap it like a crash so the
-        // rest of the fleet keeps running, but give up once it proves
-        // deterministic.
-        if (recoveries >= kMaxRecoveriesPerPeriod) throw;
-        escalate = true;
-        fail_time = member.host->now();
+        failed = true;
       }
     }
-    if (escalate) {
-      member.health = MemberHealth::Down;
-      recover(member, checkpoints, p, fail_time);
-      ++recoveries;
-      // loop: re-run this period's ticks on the recovered host
-    }
+    if (!failed) break;
+    recover(member, checkpoints, p, fail_time);
+    ++recoveries;
+    // loop: re-run this period's ticks on the recovered host
   }
-  if (config_.checkpoint_every > 0 &&
+  if (supervised && config_.checkpoint_every > 0 &&
       (p + 1) % config_.checkpoint_every == 0) {
     std::string blob = encode_checkpoint(*member.pipeline);
     const sim::FaultInjector* cinj = member.pipeline->fault_injector();
@@ -182,7 +130,6 @@ void FleetController::drive_one_period_supervised(
 void FleetController::recover(Member& member,
                               std::vector<std::string>& checkpoints,
                               std::size_t period, double fail_time) const {
-  member.health = MemberHealth::Recovering;
   // The crashed pipeline's completed history drives the divergence
   // check; capture it (encoded, so NaN coordinates compare exactly)
   // before the rebuild tears the pipeline down.
@@ -191,19 +138,25 @@ void FleetController::recover(Member& member,
   for (const PeriodRecord& rec : member.pipeline->records()) {
     history.push_back(encode_record(rec));
   }
-  // Newest usable checkpoint wins. A checkpoint that fails to restore is
-  // dropped for good (it will not get better); with none left the member
-  // cold-starts and replays the whole run.
-  std::size_t restored = 0;
-  bool warm = false;
-  while (!checkpoints.empty() && !warm) {
+  auto rebuild = [&member] {
     Member::Rebuilt fresh = member.rebuild();
     SA_REQUIRE(fresh.host != nullptr && fresh.pipeline != nullptr,
                "rebuild must produce a host and a pipeline");
     member.host = fresh.host;
     member.pipeline = fresh.pipeline;
+  };
+  // Newest usable checkpoint wins; warm_start fast-forwards the fresh
+  // host through the restored prefix (ticks re-run, journalled
+  // actuations re-applied, no observer or hook activity). A checkpoint
+  // that fails to restore is dropped for good (it will not get better);
+  // with none left the member cold-starts and replays the whole run.
+  std::size_t restored = 0;
+  bool warm = false;
+  while (!checkpoints.empty() && !warm) {
+    rebuild();
     try {
-      restored = restore_checkpoint(*member.pipeline, checkpoints.back());
+      restored = warm_start(*member.pipeline, *member.host,
+                            member.ticks_per_period, checkpoints.back());
       warm = true;
     } catch (const util::StateCodecError&) {
       ++member.recovery.corrupt_checkpoints_dropped;
@@ -211,13 +164,8 @@ void FleetController::recover(Member& member,
     }
   }
   if (!warm) {
-    Member::Rebuilt fresh = member.rebuild();
-    SA_REQUIRE(fresh.host != nullptr && fresh.pipeline != nullptr,
-               "rebuild must produce a host and a pipeline");
-    member.host = fresh.host;
-    member.pipeline = fresh.pipeline;
+    rebuild();
     ++member.recovery.cold_starts;
-    restored = 0;
   }
   // Mask every crash spec whose window had already opened, so the
   // handled failure cannot re-fire during the replay or immediately
@@ -226,19 +174,10 @@ void FleetController::recover(Member& member,
   sim::FaultInjector* minj = member.pipeline->mutable_fault_injector();
   if (minj != nullptr) minj->set_crash_horizon(fail_time);
   if (member.on_reset) member.on_reset();
-  // The whole replay is silent: hooks, the recorder and the observer
+  // The gap replay is silent: hooks, the recorder and the observer
   // already consumed periods 0..period-1 on the crashed run.
   obs::Observer* observer = member.pipeline->observer();
   member.pipeline->set_observer(nullptr);
-  // Fast-forward through the restored prefix: re-run the ticks, re-apply
-  // the journalled actuations at their original period boundaries. Tick
-  // arithmetic is deterministic, so the host lands bit-for-bit where the
-  // checkpointed run stood.
-  SimHostActuationPort& port = member.pipeline->actuation_port();
-  for (std::size_t k = 0; k < restored; ++k) {
-    member.host->run(member.ticks_per_period);
-    port.replay_delivered(member.host->now());
-  }
   // Gap replay: live periods from the checkpoint to the failure. The
   // restored RNG streams re-draw exactly what the crashed run drew, so
   // every regenerated record must equal the history — anything else is a
@@ -260,61 +199,47 @@ void FleetController::recover(Member& member,
   if (member.replay_directives) member.replay_directives(period);
   if (observer != nullptr) member.pipeline->set_observer(observer);
   ++member.recovery.recoveries;
-  member.health = MemberHealth::Normal;
-}
-
-void FleetController::run_lockstep() {
-  // Coordinated fleets are sequential by construction: the hook's
-  // decisions must see every member's state for period p before any
-  // member starts period p+1, and determinism requires a fixed member
-  // visit order. workers is deliberately ignored.
-  const std::size_t periods = members_.front().periods;
-  for (const Member& m : members_) {
-    SA_REQUIRE(m.periods == periods,
-               "lockstep fleets need a shared period count");
-  }
-  std::vector<std::vector<std::string>> checkpoints(members_.size());
-  for (std::size_t p = 0; p < periods; ++p) {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      Member& m = members_[i];
-      if (m.rebuild) {
-        drive_one_period_supervised(m, p, checkpoints[i]);
-      } else {
-        drive_one_period(m);
-      }
-    }
-    // No hook after the final period: the run is over, and a boundary
-    // mutation there would touch hosts that never tick again.
-    if (p + 1 < periods) period_hook_(p);
-  }
 }
 
 void FleetController::run() {
   if (members_.empty()) return;
+  std::size_t periods = 0;
+  for (const Member& m : members_) periods = std::max(periods, m.periods);
   if (period_hook_) {
-    run_lockstep();
-    return;
-  }
-  std::size_t workers = std::min(config_.workers, members_.size());
-  if (workers <= 1) {
-    for (Member& m : members_) drive(m);
-    return;
-  }
-  util::ThreadPool pool(workers);
-  // RangeFn must not throw: capture per-member exceptions and surface
-  // the first after the section ends.
-  std::vector<std::exception_ptr> errors(members_.size());
-  pool.for_ranges(members_.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        drive(members_[i]);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
+    for (const Member& m : members_) {
+      SA_REQUIRE(m.periods == periods,
+                 "coordinated fleets need a shared period count");
     }
-  });
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
+  }
+  // The hook's decisions must see every member's state for period p
+  // before any member starts period p+1, so a coordinated fleet joins
+  // the pool after every period; an independent one never does.
+  const std::size_t segment = period_hook_ ? 1 : periods;
+  util::ThreadPool pool(std::min(config_.workers, members_.size()));
+  std::vector<std::vector<std::string>> checkpoints(members_.size());
+  // RangeFn must not throw: capture per-member exceptions and surface
+  // the first after the segment ends.
+  std::vector<std::exception_ptr> errors(members_.size());
+  for (std::size_t begin = 0; begin < periods; begin += segment) {
+    const std::size_t end = begin + segment;
+    pool.for_ranges(members_.size(), [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        Member& m = members_[i];
+        try {
+          for (std::size_t p = begin; p < std::min(end, m.periods); ++p) {
+            drive_period(m, p, checkpoints[i]);
+          }
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    });
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
+    // No hook after the final period: the run is over, and a boundary
+    // mutation there would touch hosts that never tick again.
+    if (period_hook_ && end < periods) period_hook_(begin);
   }
 }
 

@@ -1,10 +1,11 @@
-// FleetController — drives N independent per-host pipelines to
-// completion, optionally concurrently on a private worker pool
-// (DESIGN.md §13). Hosts never share mutable state: each member owns its
-// simulated host, pipeline, RNG streams (split from the fleet seed via
-// fleet_host_seed) and degradation machinery. A fleet of one host is the
-// single-host run (harness::run_experiment); pinned goldens in
-// tests/test_fleet.cpp hold it to its historical output.
+// FleetController — drives N per-host pipelines to completion through
+// one fleet loop on a private worker pool (DESIGN.md §13), independently
+// or, with a period hook, one shared period at a time (§18). Hosts never
+// share mutable state: each member owns its simulated host, pipeline,
+// RNG streams (split from the fleet seed via fleet_host_seed) and
+// degradation machinery. A fleet of one host is the single-host run
+// (harness::run_experiment); pinned goldens in tests/test_fleet.cpp hold
+// it to its historical output.
 #pragma once
 
 #include <cstdint>
@@ -40,18 +41,6 @@ class PeriodSink {
   virtual void record_period(const std::string& host,
                              const PeriodRecord& rec) = 0;
 };
-
-/// Supervisor view of one member's liveness (DESIGN.md §17): Normal
-/// while the control loop runs, Down the moment a crash-class failure is
-/// trapped, Recovering while the checkpoint restore + replay runs. Only
-/// the worker thread driving the member writes or reads it.
-enum class MemberHealth {
-  Normal,
-  Down,
-  Recovering,
-};
-
-const char* to_string(MemberHealth health);
 
 /// What the supervisor did for one member (DESIGN.md §17). All counters
 /// are lifetime totals over the member's run.
@@ -122,8 +111,6 @@ class FleetController {
     /// Written by the supervisor while driving; read the totals after
     /// run().
     RecoveryReport recovery;
-    /// Driver-thread-local liveness; not synchronized across threads.
-    MemberHealth health = MemberHealth::Normal;
   };
 
   explicit FleetController(FleetConfig config);
@@ -140,49 +127,48 @@ class FleetController {
   void set_recorder(PeriodSink* recorder) { recorder_ = recorder; }
 
   /// Installs a fleet-period hook (cluster mode, DESIGN.md §18): run()
-  /// then drives all members in lockstep — sequentially, one shared
-  /// period at a time — and invokes the hook between periods (after
-  /// every member finished period p, except the last). All members must
-  /// share the same period count. The hook may mutate hosts through
-  /// their actuation ports (the coordinator's attach path) but must not
-  /// drive pipelines itself. Null restores independent driving.
+  /// then drives the fleet one shared period at a time and invokes the
+  /// hook between periods (after every member finished period p, except
+  /// the last). All members must share the same period count. The hook
+  /// runs on the calling thread while no member is in flight; it may
+  /// mutate hosts through their actuation ports (the coordinator's
+  /// attach path) but must not drive pipelines itself. Null restores
+  /// independent driving.
   void set_period_hook(std::function<void(std::size_t)> hook) {
     period_hook_ = std::move(hook);
   }
 
-  /// Drives every member for its configured periods, with up to
-  /// config.workers members in flight at once. Exceptions from member
-  /// loops are captured per member and the first one rethrown after
-  /// every worker joined.
-  /// With a period hook installed, members run in lockstep instead
-  /// (workers are ignored; the coordinated fleet is sequential by
-  /// construction so coordinator decisions are deterministic).
+  /// Drives every member for its configured periods across a pool of
+  /// min(config.workers, members) threads, each owning a contiguous
+  /// slice of the members. Without a period hook the run is one segment;
+  /// with one, every period is its own segment, and the pool joins
+  /// before the hook runs. Exceptions from member loops are captured per
+  /// member; after a segment the first one in member order is rethrown,
+  /// and neither the hook nor a later segment runs.
   void run();
 
  private:
-  void drive(Member& member) const;
-  /// One unsupervised period: ticks, on_period, hooks, recorder.
-  void drive_one_period(Member& member) const;
-  /// One supervised period: crash trap, stall watchdog, recovery, and
-  /// the end-of-period checkpoint cadence. `checkpoints` spans the
-  /// member's whole run (newest last, last two kept).
-  void drive_one_period_supervised(Member& member, std::size_t p,
-                                   std::vector<std::string>& checkpoints)
-      const;
-  /// Lockstep driver behind set_period_hook().
-  void run_lockstep();
-  /// Rebuilds the member, restores the newest usable checkpoint (corrupt
-  /// ones are dropped for good; none left = cold start), masks the
-  /// handled fault behind the crash horizon and silently replays up to
-  /// `period` — leaving the member exactly where the crashed run stood
-  /// when period `period`'s ticks were about to run.
+  /// Period `p` of one member: ticks, on_period, hooks, recorder. A
+  /// member that carries `rebuild` additionally runs under the
+  /// supervisor — crash trap, stall watchdog, recovery, and the
+  /// end-of-period checkpoint cadence; `checkpoints` spans the member's
+  /// whole run (newest last, last two kept).
+  void drive_period(Member& member, std::size_t p,
+                    std::vector<std::string>& checkpoints) const;
+  /// Rebuilds the member, warm-starts it from the newest usable
+  /// checkpoint (corrupt ones are dropped for good; none left = cold
+  /// start), masks the handled fault behind the crash horizon and
+  /// silently replays up to `period` — leaving the member exactly where
+  /// the crashed run stood when period `period`'s ticks were about to
+  /// run.
   void recover(Member& member, std::vector<std::string>& checkpoints,
                std::size_t period, double fail_time) const;
 
   // Lock-free by partitioning, not by accident (DESIGN.md §16): run()
   // hands each worker a disjoint slice of members_, every per-host
   // mutable thing (host, pipeline, hooks) hangs off the Member, and the
-  // controller itself is immutable while workers run. Cross-host
+  // controller itself is immutable while workers run; the period hook
+  // only ever runs between segments, with the pool idle. Cross-host
   // aggregation goes through recorder_, which owns its own lock
   // (replay::RunRecorder). Adding controller-level mutable state shared
   // across workers would need a util::Mutex plus SA_GUARDED_BY here.

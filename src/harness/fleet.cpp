@@ -19,8 +19,9 @@ namespace stayaway::harness {
 namespace {
 
 /// One host's mutable driving state for the duration of run_fleet. Slots
-/// are only ever touched by the single worker driving their member, so
-/// the fleet needs no cross-host synchronisation.
+/// are only ever touched by the single worker driving their member, or
+/// by the coordinator's hooks between periods with every worker joined,
+/// so the fleet needs no cross-host synchronisation.
 struct Slot {
   const FleetHostSpec* spec = nullptr;
   HostRig rig;
@@ -184,17 +185,33 @@ FleetResult run_fleet(const FleetSpec& spec) {
     }
     return twins;
   };
-  // Wraps the host's actuator in the migration decorator; the mobile
-  // twins are the first cluster->mobile.size() entries of twin_ids.
-  auto wrap_migration = [cluster](Slot& slot) {
-    if (cluster == nullptr) return;
-    auto mig = std::make_unique<core::cluster::MigrationActuator>(
-        slot.pipeline->release_actuator());
-    mig->set_mobile(std::vector<sim::VmId>(
-        slot.rig.twin_ids.begin(),
-        slot.rig.twin_ids.begin() +
-            static_cast<std::ptrdiff_t>(cluster->mobile.size())));
-    slot.pipeline->set_actuator(std::move(mig));
+  // Builds a slot's host and pipeline from scratch — same wiring, same
+  // fault plan, zero periods run. The first build and the supervisor's
+  // rebuild both come through here.
+  auto build_slot = [cluster, label_hosts](Slot& slot,
+                                           const std::vector<TwinSpec>& twins,
+                                           obs::Observer* observer) {
+    const FleetHostSpec& hs = *slot.spec;
+    slot.pipeline.reset();
+    slot.rig = build_host_rig(hs.experiment, twins);
+    slot.pipeline = make_pipeline(hs, slot.rig);
+    if (cluster != nullptr) {
+      // Wrap the actuator in the migration decorator; the mobile twins
+      // are the first cluster->mobile.size() entries of twin_ids.
+      auto mig = std::make_unique<core::cluster::MigrationActuator>(
+          slot.pipeline->release_actuator());
+      mig->set_mobile(std::vector<sim::VmId>(
+          slot.rig.twin_ids.begin(),
+          slot.rig.twin_ids.begin() +
+              static_cast<std::ptrdiff_t>(cluster->mobile.size())));
+      slot.pipeline->set_actuator(std::move(mig));
+    }
+    if (label_hosts) slot.pipeline->set_host_label(hs.name);
+    // Only the Stay-Away loop publishes its internal metric/event
+    // stream; every policy narrates decisions.
+    if (observer != nullptr && hs.experiment.policy == PolicyKind::StayAway) {
+      slot.pipeline->set_observer(observer);
+    }
   };
   std::unique_ptr<core::cluster::ClusterCoordinator> coordinator;
   if (cluster != nullptr) {
@@ -212,18 +229,10 @@ FleetResult run_fleet(const FleetSpec& spec) {
     Slot& slot = slots[i];
     slot.spec = &hs;
     const std::vector<TwinSpec> twins = twins_for_host(i);
-    slot.rig = build_host_rig(hs.experiment, twins);
-    slot.pipeline = make_pipeline(hs, slot.rig);
-    wrap_migration(slot);
-    if (label_hosts) slot.pipeline->set_host_label(hs.name);
     obs::Observer* observer = hs.experiment.observer != nullptr
                                   ? hs.experiment.observer
                                   : spec.observer;
-    // Only the Stay-Away loop publishes its internal metric/event
-    // stream; every policy narrates decisions.
-    if (observer != nullptr && hs.experiment.policy == PolicyKind::StayAway) {
-      slot.pipeline->set_observer(observer);
-    }
+    build_slot(slot, twins, observer);
 
     const ExperimentSpec& espec = hs.experiment;
     auto ticks_per_period =
@@ -273,17 +282,8 @@ FleetResult run_fleet(const FleetSpec& spec) {
     // run-log replays bit-for-bit without new scenario keys.
     if (spec.supervise || (espec.faults.has_value() &&
                            espec.faults->has_crash_faults())) {
-      member.rebuild = [&slot, &hs, label_hosts, observer, twins,
-                        &wrap_migration] {
-        slot.pipeline.reset();
-        slot.rig = build_host_rig(hs.experiment, twins);
-        slot.pipeline = make_pipeline(hs, slot.rig);
-        wrap_migration(slot);
-        if (label_hosts) slot.pipeline->set_host_label(hs.name);
-        if (observer != nullptr &&
-            hs.experiment.policy == PolicyKind::StayAway) {
-          slot.pipeline->set_observer(observer);
-        }
+      member.rebuild = [&slot, observer, twins, &build_slot] {
+        build_slot(slot, twins, observer);
         return core::FleetController::Member::Rebuilt{slot.rig.host.get(),
                                                       slot.pipeline.get()};
       };

@@ -41,11 +41,12 @@ struct AdmissionSpec {
 };
 
 /// Cluster coordination for a fleet (DESIGN.md §18). Setting this turns
-/// run_fleet into a lockstep coordinated run: the ClusterCoordinator
-/// steps between fleet periods, every host's actuator is wrapped in a
-/// MigrationActuator, and workers are ignored (coordinated fleets are
-/// sequential by construction). Absent, the fleet behaves exactly as
-/// before — byte-identical to a coordinator-free run.
+/// run_fleet into a coordinated run: the fleet's workers drive one
+/// period at a time, the ClusterCoordinator steps between fleet periods
+/// with every worker joined, and every host's actuator is wrapped in a
+/// MigrationActuator. Results do not depend on the worker count. Absent,
+/// the fleet behaves exactly as before — byte-identical to a
+/// coordinator-free run.
 struct ClusterSpec {
   core::cluster::ClusterConfig config;
   std::vector<MobileVmSpec> mobile;

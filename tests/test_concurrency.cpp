@@ -4,7 +4,7 @@
 // hand-off at every size), the obs metrics registry (relaxed-atomic
 // updates racing registration and snapshots), and the fleet runner (full
 // host pipelines publishing into one shared observer from a worker
-// pool).
+// pool, independently or coordinated period by period).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,10 +15,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "harness/fleet.hpp"
+#include "harness/scenario_file.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
+#include "replay/recorder.hpp"
+#include "replay/replay.hpp"
 #include "util/thread_pool.hpp"
 
 namespace stayaway {
@@ -107,6 +111,139 @@ TEST(FleetConcurrency, EightPipelinesOnFourWorkersMatchSerialRun) {
               200u);
   }
   EXPECT_GT(sink.emitted(), kHosts * 200);
+}
+
+/// Four coordinated hosts: a mobile cpubomb that migrates off web-a, a
+/// late admission, and a crash on web-b that the supervisor recovers
+/// from mid-run while the coordinator keeps stepping.
+constexpr const char* kCoordinatedScenario = R"(sensitive  = webservice-cpu
+batch      = none
+policy     = stay-away
+duration_s = 80
+workload   = constant
+[host "web-a"]
+seed = 3
+[host "web-b"]
+seed = 5
+fault_seed = 1
+fault = host-crash start=40 end=41
+[host "web-c"]
+seed = 7
+[host "web-d"]
+seed = 9
+[cluster]
+mobile = crunch:cpubomb:web-a:20
+admit  = late:soplex:30
+)";
+
+struct CoordinatedRun {
+  harness::FleetResult result;
+  std::vector<replay::HostStream> streams;
+  std::size_t events = 0;
+};
+
+CoordinatedRun run_coordinated(std::size_t workers) {
+  std::istringstream in(kCoordinatedScenario);
+  harness::FleetSpec spec =
+      replay::to_fleet_spec(harness::parse_fleet_scenario(in));
+  spec.workers = workers;
+  spec.checkpoint_every = 5;
+  spec.export_checkpoints = true;
+  std::vector<std::string> names;
+  for (const harness::FleetHostSpec& host : spec.hosts) {
+    names.push_back(host.name);
+  }
+  replay::RunRecorder recorder(names);
+  spec.recorder = &recorder;
+  std::ostringstream events;
+  obs::JsonlSink sink(events);
+  obs::Observer observer(&sink);
+  spec.observer = &observer;
+  CoordinatedRun run;
+  run.result = harness::run_fleet(spec);
+  run.streams = recorder.streams();
+  run.events = sink.emitted();
+  return run;
+}
+
+std::vector<std::string> encoded(const std::vector<core::PeriodRecord>& recs) {
+  std::vector<std::string> out;
+  out.reserve(recs.size());
+  for (const core::PeriodRecord& rec : recs) {
+    out.push_back(core::encode_record(rec));
+  }
+  return out;
+}
+
+// DESIGN.md §18: a coordinated fleet drives its members on the worker
+// pool one period at a time and steps the coordinator between periods
+// with every worker joined. The worker count must be invisible: recorded
+// streams, result series, recoveries, the coordinator's decisions and
+// every final checkpoint match the serial run exactly. Runs under TSan
+// via `ci.sh --fleet`.
+TEST(FleetConcurrency, CoordinatedFleetOnFourWorkersMatchesSerialRun) {
+  CoordinatedRun serial = run_coordinated(1);
+  CoordinatedRun parallel = run_coordinated(4);
+
+  ASSERT_TRUE(serial.result.cluster.has_value());
+  ASSERT_TRUE(parallel.result.cluster.has_value());
+  const harness::ClusterReport& sc = *serial.result.cluster;
+  const harness::ClusterReport& pc = *parallel.result.cluster;
+  // The scenario exercises what it claims to: a migration, a decided
+  // admission and a recovered crash.
+  EXPECT_GE(sc.migrations, 1u);
+  EXPECT_GE(sc.admitted + sc.rejected, 1u);
+  EXPECT_GE(serial.result.hosts.at(1).recovery.recoveries, 1u);
+  EXPECT_EQ(serial.result.hosts.at(1).recovery.divergences, 0u);
+
+  EXPECT_EQ(pc.events, sc.events);
+  EXPECT_EQ(pc.migrations, sc.migrations);
+  EXPECT_EQ(pc.admitted, sc.admitted);
+  EXPECT_EQ(pc.rejected, sc.rejected);
+  EXPECT_EQ(pc.queued, sc.queued);
+  EXPECT_FALSE(sc.final_coordinator.empty());
+  EXPECT_EQ(pc.final_coordinator, sc.final_coordinator);
+  EXPECT_EQ(parallel.events, serial.events);
+
+  ASSERT_EQ(serial.streams.size(), 4u);
+  ASSERT_EQ(parallel.streams.size(), 4u);
+  ASSERT_EQ(serial.result.hosts.size(), 4u);
+  ASSERT_EQ(parallel.result.hosts.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::string& name = serial.result.hosts[i].name;
+    SCOPED_TRACE(name);
+    EXPECT_EQ(parallel.streams[i].name, serial.streams[i].name);
+    EXPECT_EQ(parallel.streams[i].records, serial.streams[i].records);
+    const harness::FleetHostResult& ph = parallel.result.hosts[i];
+    const harness::FleetHostResult& sh = serial.result.hosts[i];
+    EXPECT_EQ(ph.name, name);
+    EXPECT_EQ(encoded(ph.result.stayaway_records),
+              encoded(sh.result.stayaway_records));
+    EXPECT_EQ(ph.result.time, sh.result.time);
+    EXPECT_EQ(ph.result.qos, sh.result.qos);
+    EXPECT_EQ(ph.result.violated, sh.result.violated);
+    EXPECT_EQ(ph.result.utilization, sh.result.utilization);
+    EXPECT_EQ(ph.result.batch_running, sh.result.batch_running);
+    EXPECT_EQ(ph.result.offered_tps, sh.result.offered_tps);
+    EXPECT_EQ(ph.result.completed_tps, sh.result.completed_tps);
+    EXPECT_EQ(ph.result.batch_cpu_work, sh.result.batch_cpu_work);
+    EXPECT_EQ(ph.result.pauses, sh.result.pauses);
+    EXPECT_EQ(ph.result.resumes, sh.result.resumes);
+    const core::RecoveryReport& pr = ph.recovery;
+    const core::RecoveryReport& sr = sh.recovery;
+    EXPECT_EQ(pr.crashes, sr.crashes);
+    EXPECT_EQ(pr.stage_throws, sr.stage_throws);
+    EXPECT_EQ(pr.stalls, sr.stalls);
+    EXPECT_EQ(pr.watchdog_trips, sr.watchdog_trips);
+    EXPECT_EQ(pr.recoveries, sr.recoveries);
+    EXPECT_EQ(pr.corrupt_checkpoints_dropped, sr.corrupt_checkpoints_dropped);
+    EXPECT_EQ(pr.cold_starts, sr.cold_starts);
+    EXPECT_EQ(pr.checkpoints_saved, sr.checkpoints_saved);
+    EXPECT_EQ(pr.gap_periods_replayed, sr.gap_periods_replayed);
+    EXPECT_EQ(pr.divergences, sr.divergences);
+    EXPECT_FALSE(sh.final_checkpoint.empty());
+    EXPECT_EQ(ph.final_checkpoint, sh.final_checkpoint);
+  }
 }
 
 // DESIGN.md §15: each ring source generates inline on the worker that

@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/lru_cache.hpp"
 #include "apps/webservice.hpp"
@@ -378,6 +381,98 @@ TEST(Fleet, SingleHostKeepsUnlabelledObservability) {
 
   EXPECT_EQ(observer.metrics().counter("loop.periods").value(), 20u);
   EXPECT_EQ(out.str().find("\"host\":"), std::string::npos);
+}
+
+/// One host driven straight through core::FleetController; build() is
+/// also the member's rebuild.
+struct DirectSlot {
+  HostRig rig;
+  std::unique_ptr<core::HostPipeline> pipeline;
+
+  core::FleetController::Member::Rebuilt build(const ExperimentSpec& spec) {
+    pipeline.reset();
+    rig = build_host_rig(spec);
+    pipeline = std::make_unique<core::HostPipeline>(
+        *rig.host, *rig.probe, derive_stayaway_config(spec));
+    return {rig.host.get(), pipeline.get()};
+  }
+};
+
+// The fleet loop's error path. The middle member's on_period hook throws
+// from period 2 on, so an unsupervised member fails at once and a
+// supervised one exhausts its per-period recovery budget. Either way
+// run() rethrows that error — at one worker or three, with or without a
+// period hook — the hook never sees the failing period, and no segment
+// after it runs.
+TEST(FleetController, FailingMemberStopsTheRunWithItsError) {
+  constexpr std::size_t kMembers = 3;
+  constexpr std::size_t kPeriods = 6;
+  constexpr std::size_t kFailAt = 2;
+  constexpr std::size_t kMaxRecoveriesPerPeriod = 3;
+  const ExperimentSpec spec = short_spec(PolicyKind::StayAway);
+  for (bool supervised : {false, true}) {
+    for (bool hooked : {false, true}) {
+      for (std::size_t workers : {1u, 3u}) {
+        SCOPED_TRACE(std::string(supervised ? "supervised" : "unsupervised") +
+                     (hooked ? ", hooked" : ", independent") + ", workers " +
+                     std::to_string(workers));
+        std::vector<DirectSlot> slots(kMembers);
+        core::FleetConfig config;
+        config.workers = workers;
+        config.checkpoint_every = 1;
+        core::FleetController controller(config);
+        for (std::size_t i = 0; i < kMembers; ++i) {
+          DirectSlot& slot = slots[i];
+          core::FleetController::Member member;
+          member.name = "m" + std::to_string(i);
+          core::FleetController::Member::Rebuilt fresh = slot.build(spec);
+          member.host = fresh.host;
+          member.pipeline = fresh.pipeline;
+          member.ticks_per_period = 10;
+          member.periods = kPeriods;
+          if (i == 1) {
+            member.on_period = [&slot](const core::PeriodRecord&) {
+              if (slot.pipeline->records().size() > kFailAt) {
+                throw std::runtime_error("member m1 failed");
+              }
+            };
+          }
+          if (supervised) {
+            member.rebuild = [&slot, &spec] { return slot.build(spec); };
+          }
+          controller.add_member(std::move(member));
+        }
+        std::vector<std::size_t> hook_calls;
+        if (hooked) {
+          controller.set_period_hook(
+              [&hook_calls](std::size_t p) { hook_calls.push_back(p); });
+        }
+
+        std::string error;
+        try {
+          controller.run();
+        } catch (const std::runtime_error& e) {
+          error = e.what();
+        }
+        EXPECT_EQ(error, "member m1 failed");
+        // A coordinated fleet stops at the failing period's barrier; an
+        // independent one lets the healthy members finish.
+        const std::size_t healthy_periods = hooked ? kFailAt + 1 : kPeriods;
+        const std::vector<std::size_t> completed_boundaries =
+            hooked ? std::vector<std::size_t>{0, 1}
+                   : std::vector<std::size_t>{};
+        EXPECT_EQ(hook_calls, completed_boundaries);
+        for (std::size_t i : {0u, 2u}) {
+          EXPECT_EQ(slots[i].pipeline->records().size(), healthy_periods);
+          EXPECT_EQ(controller.members()[i].recovery.recoveries, 0u);
+        }
+        const core::RecoveryReport& failed = controller.members()[1].recovery;
+        EXPECT_EQ(failed.recoveries,
+                  supervised ? kMaxRecoveriesPerPeriod : 0u);
+        EXPECT_EQ(failed.checkpoints_saved, supervised ? kFailAt : 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -301,6 +301,11 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
       require_fleet_compatible(scenario, "[host \"" + name + "\"]");
       fleet.hosts.push_back({name, scenario.spec});
     }
+  } else if (opts.hosts == 0) {
+    // A plain document on the fleet path (the recovery flags put it
+    // there) is the single-host run: one host, the scenario's own seed.
+    fleet.workers = workers;
+    fleet.hosts.push_back({"host0", doc.base.spec});
   } else {
     fleet = replicate_fleet(doc.base.spec, opts.hosts, doc.base.spec.seed,
                             workers);
@@ -572,11 +577,7 @@ int run(std::istream& in, const Options& opts) {
   // the recovery flags always ride the fleet path (a fleet of one replays
   // the single-host run byte-for-byte).
   if (doc.hosts.empty() && opts.hosts == 0) {
-    if (opts.recovery_requested()) {
-      Options forced = opts;
-      forced.hosts = 1;
-      return run_fleet_mode(doc, forced);
-    }
+    if (opts.recovery_requested()) return run_fleet_mode(doc, opts);
     SA_REQUIRE(opts.workers == 0,
                "--workers needs a fleet (--hosts N or [host] sections)");
     return run_single(doc.base, opts);
