@@ -35,9 +35,10 @@
 #                                bench_recovery acceptance bounds (--smoke:
 #                                zero aborted runs with 1-of-8 hosts
 #                                crashing) in the tier-1 tree, then
-#                                end-to-end checkpoint -> restore round
-#                                trips through stayaway_sim (synchronous
-#                                and ring-fed), a plain vs supervised
+#                                end-to-end checkpoint -> restore ->
+#                                re-export round trips through
+#                                stayaway_sim (synchronous and ring-fed,
+#                                re-export cmp-equal), a plain vs supervised
 #                                summary comparison and a corrupt-blob
 #                                rejection
 #   ./ci.sh --cluster            cluster-coordination gate (DESIGN.md §18):
@@ -296,8 +297,9 @@ EOF
       # visor test suite and the bench_recovery acceptance bounds (full
       # record streams, zero divergences, 1-of-8 hosts crashing) in the
       # tier-1 tree, then stayaway_sim driven through full checkpoint ->
-      # restore round trips (synchronous and ring-fed: every pipeline
-      # checkpoints), a supervised run that must summarize exactly like
+      # restore -> re-export round trips (synchronous and ring-fed: every
+      # pipeline checkpoints; the re-exported blob must equal the one
+      # restored), a supervised run that must summarize exactly like
       # the plain one, and a corrupted blob, which must be rejected by
       # checksum, not silently restored.
       cmake -B build -S . >/dev/null &&
@@ -317,14 +319,21 @@ EOF
       ./build/tools/stayaway_sim --supervise --checkpoint-every 5 \
         --checkpoint-dir "$tmpdir/ckpt" "$tmpdir/scenario.conf" >/dev/null &&
         [[ -s "$tmpdir/ckpt/host0.ckpt" ]] || { rm -rf "$tmpdir"; return 1; }
+      # A restore that re-exports must write the blob it read, byte for
+      # byte: the re-encoded history and state are canonical.
       ./build/tools/stayaway_sim --restore "$tmpdir/ckpt" \
-        "$tmpdir/scenario.conf" >/dev/null || { rm -rf "$tmpdir"; return 1; }
+        --checkpoint-dir "$tmpdir/ckpt2" "$tmpdir/scenario.conf" >/dev/null &&
+        cmp "$tmpdir/ckpt/host0.ckpt" "$tmpdir/ckpt2/host0.ckpt" ||
+        { rm -rf "$tmpdir"; return 1; }
       ./build/tools/stayaway_sim --ingest-rate 16 --supervise \
         --checkpoint-every 5 --checkpoint-dir "$tmpdir/ring" \
         "$tmpdir/scenario.conf" >/dev/null &&
         grep -q "ring_pending_sequence" "$tmpdir/ring/host0.ckpt" &&
         ./build/tools/stayaway_sim --ingest-rate 16 --restore "$tmpdir/ring" \
-          "$tmpdir/scenario.conf" >/dev/null || { rm -rf "$tmpdir"; return 1; }
+          --checkpoint-dir "$tmpdir/ring2" "$tmpdir/scenario.conf" \
+          >/dev/null &&
+        cmp "$tmpdir/ring/host0.ckpt" "$tmpdir/ring2/host0.ckpt" ||
+        { rm -rf "$tmpdir"; return 1; }
       # The recovery flags run a plain document as a fleet of one, which
       # must be the single-host run itself: same seed, same summary.
       cat >"$tmpdir/seeded.conf" <<'EOF'
@@ -359,8 +368,8 @@ EOF
         echo "corrupted checkpoint was not rejected" >&2
         return 1
       }
-      echo "checkpoint round trips (sync + ring) + plain/supervised" \
-        "equality + corrupt-blob rejection: ok"
+      echo "checkpoint round trips + re-export cmp (sync + ring) +" \
+        "plain/supervised equality + corrupt-blob rejection: ok"
       ;;
     analyze)
       # Static-analysis gate (DESIGN.md §16). The textual passes always

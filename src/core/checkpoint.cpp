@@ -88,10 +88,10 @@ PeriodRecord read_period_record(util::StateReader& r) {
 }
 
 std::string encode_record(const PeriodRecord& rec) {
-  std::ostringstream out;
+  std::string out;
   util::StateWriter w(out);
   write_period_record(w, rec);
-  return out.str();
+  return out;
 }
 
 std::uint64_t fnv1a64(std::string_view text) {
@@ -103,20 +103,30 @@ std::uint64_t fnv1a64(std::string_view text) {
   return hash;
 }
 
-std::string encode_checkpoint(const HostPipeline& pipeline) {
-  std::ostringstream body_out;
-  util::StateWriter w(body_out);
-  w.u64("records", pipeline.records().size());
-  for (const PeriodRecord& rec : pipeline.records()) {
-    write_period_record(w, rec);
-  }
-  pipeline.save_state(w);
-  std::string body = body_out.str();
+std::string encode_checkpoint(HostPipeline& pipeline) {
+  const std::string& records = pipeline.encoded_records();
+  // The stage state goes through its own buffer first so the blob can be
+  // sized exactly: stored checkpoints then carry no spare capacity.
+  std::string state;
+  util::StateWriter state_writer(state);
+  pipeline.save_state(state_writer);
 
-  std::ostringstream out;
-  out << kHeaderPrefix << kCheckpointVersion << '\n'
-      << body << kChecksumKey << fnv1a64(body) << '\n';
-  return out.str();
+  std::string out;
+  out.reserve(records.size() + state.size() + 96);  // + header, count, trailer
+  out += kHeaderPrefix;
+  out += std::to_string(kCheckpointVersion);
+  out += '\n';
+  const std::size_t body_start = out.size();
+  util::StateWriter w(out);
+  w.u64("records", pipeline.records().size());
+  out += records;
+  out += state;
+  const std::uint64_t checksum =
+      fnv1a64(std::string_view(out).substr(body_start));
+  out += kChecksumKey;
+  out += std::to_string(checksum);
+  out += '\n';
+  return out;
 }
 
 std::size_t restore_checkpoint(HostPipeline& pipeline,

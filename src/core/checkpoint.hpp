@@ -11,9 +11,13 @@
 //
 // Doubles round-trip through format_double_exact, so restore-then-run
 // reproduces the uninterrupted run byte for byte (the golden test in
-// tests/test_checkpoint.cpp). The envelope lives in src/core/ — stages
-// serialize through util/statecodec.hpp and must never include this
-// header (stage-checkpoint-isolation lint rule).
+// tests/test_checkpoint.cpp). The record section is not re-encoded per
+// checkpoint: it comes from HostPipeline::encoded_records(), an
+// append-only memo, so a checkpoint encodes only the periods run since
+// the previous one and the bytes equal a from-scratch encode. The
+// envelope lives in src/core/ — stages serialize through
+// util/statecodec.hpp and must never include this header
+// (stage-checkpoint-isolation lint rule).
 #pragma once
 
 #include <cstdint>
@@ -59,8 +63,10 @@ PeriodRecord read_period_record(util::StateReader& r);
 std::string encode_record(const PeriodRecord& rec);
 
 /// Encodes the full checkpoint of `pipeline` at the current period
-/// boundary.
-std::string encode_checkpoint(const HostPipeline& pipeline);
+/// boundary. Non-const because the record section comes from the
+/// pipeline's append-only encoded_records() memo: only the periods run
+/// since the previous checkpoint are encoded, the bytes are the same.
+std::string encode_checkpoint(HostPipeline& pipeline);
 
 /// Decodes `blob` into a freshly built pipeline (same wiring, same fault
 /// plan, no periods run) and returns the number of completed periods.

@@ -307,14 +307,17 @@ void ClusterCoordinator::load_state(util::StateReader& r) {
 }
 
 std::string encode_coordinator(const ClusterCoordinator& coordinator) {
-  std::ostringstream body_out;
-  util::StateWriter w(body_out);
+  std::string out(kHeaderLine);
+  out += '\n';
+  const std::size_t body_start = out.size();
+  util::StateWriter w(out);
   coordinator.save_state(w);
-  std::string body = body_out.str();
-
-  std::ostringstream out;
-  out << kHeaderLine << '\n' << body << kChecksumKey << fnv1a64(body) << '\n';
-  return out.str();
+  const std::uint64_t checksum =
+      fnv1a64(std::string_view(out).substr(body_start));
+  out += kChecksumKey;
+  out += std::to_string(checksum);
+  out += '\n';
+  return out;
 }
 
 void restore_coordinator(ClusterCoordinator& coordinator,

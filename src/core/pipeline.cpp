@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include "core/checkpoint.hpp"
 #include "trace/diurnal.hpp"
 #include "util/check.hpp"
 
@@ -269,6 +270,20 @@ void HostPipeline::seed_records(std::vector<PeriodRecord> records) {
   SA_REQUIRE(records_.empty(),
              "restored record history must be seeded before the first period");
   records_ = std::move(records);
+}
+
+const std::string& HostPipeline::encoded_records() {
+  util::StateWriter w(encoded_records_);
+  for (; encoded_count_ < records_.size(); ++encoded_count_) {
+    write_period_record(w, records_[encoded_count_]);
+  }
+  return encoded_records_;
+}
+
+std::vector<PeriodRecord> HostPipeline::take_records() {
+  std::string().swap(encoded_records_);
+  encoded_count_ = 0;
+  return std::move(records_);
 }
 
 std::string HostPipeline::metric_name(const char* name) const {

@@ -10,7 +10,9 @@
 // emitted PeriodRecord stream is byte-identical to the historical
 // monolithic control loop — the invariant every figure bench and the
 // fault golden rest on, pinned by tests/test_runtime.cpp and
-// tests/test_fleet.cpp.
+// tests/test_fleet.cpp. The pipeline owns the record history and, for
+// checkpoints, an append-only memo of its encoded text
+// (encoded_records(), DESIGN.md §17).
 #pragma once
 
 #include <memory>
@@ -131,10 +133,23 @@ class HostPipeline {
   /// mismatches throw util::StateCodecError.
   void load_state(util::StateReader& r);
   /// Seeds the record history of the run being restored. Must be called
-  /// before the first live on_period().
+  /// before the first live on_period(). The encoded-record memo stays
+  /// empty: the first encoded_records() re-encodes the seeded prefix
+  /// from the decoded records, so a restored pipeline re-exports the
+  /// canonical text whatever the spelling of the blob it came from.
   void seed_records(std::vector<PeriodRecord> records);
 
   const std::vector<PeriodRecord>& records() const { return records_; }
+  /// write_period_record text of every record so far, concatenated in
+  /// order — the record section of a checkpoint body. An append-only
+  /// memo: each call encodes only the records added since the previous
+  /// one, so periodic checkpoints cost O(new periods) record encoding
+  /// instead of O(history). Filled lazily; a pipeline that is never
+  /// checkpointed never pays for it.
+  const std::string& encoded_records();
+  /// Moves the record history out (for the run's result once the run is
+  /// over) and leaves the pipeline with an empty history and memo.
+  std::vector<PeriodRecord> take_records();
   const StayAwayConfig& config() const { return config_; }
   DegradationState degradation() const { return degradation_; }
   /// The actuator's outcome for the most recent period (empty before the
@@ -195,6 +210,9 @@ class HostPipeline {
   /// Set on a state transition, consumed by publish() for the event.
   std::optional<std::pair<DegradationState, DegradationState>> transition_;
   std::vector<PeriodRecord> records_;
+  /// encoded_records() memo: the text of records_[0, encoded_count_).
+  std::string encoded_records_;
+  std::size_t encoded_count_ = 0;
   Actuator::Outcome last_outcome_;
 
   // --- Observability (passive; see set_observer). -----------------------

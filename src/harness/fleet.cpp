@@ -70,8 +70,10 @@ std::unique_ptr<core::HostPipeline> make_pipeline(
 }
 
 /// Post-run extraction of the Stay-Away internals (records, tally,
-/// governor and mapper state) into the host's ExperimentResult.
-void extract_stayaway(const core::HostPipeline& pipeline,
+/// governor and mapper state) into the host's ExperimentResult. The
+/// record history is moved out, so the pipeline must not be encoded
+/// afterwards.
+void extract_stayaway(core::HostPipeline& pipeline,
                       const ExperimentSpec& spec, ExperimentResult& result) {
   const core::StayAwayMapper* mapper = pipeline.stay_away_mapper();
   const core::TrajectoryForecaster* forecaster =
@@ -87,7 +89,7 @@ void extract_stayaway(const core::HostPipeline& pipeline,
   }
   SA_CHECK(actuator != nullptr,
            "a Stay-Away pipeline always carries a governor actuator");
-  result.stayaway_records = pipeline.records();
+  result.stayaway_records = pipeline.take_records();
   result.tally = forecaster->tally();
   result.pauses = actuator->governor().pauses();
   result.resumes = actuator->governor().resumes();
@@ -396,16 +398,17 @@ FleetResult run_fleet(const FleetSpec& spec) {
     for (sim::VmId id : slot.rig.batch_ids) {
       result.batch_cpu_work += host.vm(id).cpu_work_done();
     }
-    if (slot.spec->experiment.policy == PolicyKind::StayAway) {
-      extract_stayaway(*slot.pipeline, slot.spec->experiment, result);
-    }
     FleetHostResult host_result;
-    host_result.name = slot.spec->name;
-    host_result.result = std::move(result);
-    host_result.recovery = controller.members()[i].recovery;
+    // Before extract_stayaway, which moves the record history out.
     if (spec.export_checkpoints) {
       host_result.final_checkpoint = core::encode_checkpoint(*slot.pipeline);
     }
+    if (slot.spec->experiment.policy == PolicyKind::StayAway) {
+      extract_stayaway(*slot.pipeline, slot.spec->experiment, result);
+    }
+    host_result.name = slot.spec->name;
+    host_result.result = std::move(result);
+    host_result.recovery = controller.members()[i].recovery;
     out.hosts.push_back(std::move(host_result));
   }
   if (coordinator != nullptr) {

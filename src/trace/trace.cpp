@@ -12,6 +12,8 @@ Trace::Trace(std::vector<double> samples, double sample_interval_s)
     : samples_(std::move(samples)), interval_(sample_interval_s) {
   SA_REQUIRE(!samples_.empty(), "trace needs at least one sample");
   SA_REQUIRE(interval_ > 0.0, "sample interval must be positive");
+  min_ = *std::min_element(samples_.begin(), samples_.end());
+  max_ = *std::max_element(samples_.begin(), samples_.end());
 }
 
 double Trace::duration() const {
@@ -31,14 +33,6 @@ double Trace::normalized_at(double t) const {
   double span = max() - min();
   if (span <= 0.0) return 0.0;
   return (at(t) - min()) / span;
-}
-
-double Trace::min() const {
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double Trace::max() const {
-  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 double Trace::mean() const {

@@ -31,8 +31,9 @@ class Trace {
   /// Intensity normalized to [0,1] by the trace's own min/max.
   double normalized_at(double t) const;
 
-  double min() const;
-  double max() const;
+  /// Extremes of the samples, computed once at construction.
+  double min() const { return min_; }
+  double max() const { return max_; }
   double mean() const;
 
   /// Returns a copy rescaled so values span [lo, hi].
@@ -45,6 +46,8 @@ class Trace {
  private:
   std::vector<double> samples_;
   double interval_;
+  double min_;
+  double max_;
 };
 
 }  // namespace stayaway::trace

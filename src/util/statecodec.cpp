@@ -31,7 +31,10 @@ void StateWriter::emit(std::string_view key, std::string_view value) {
            "snapshot keys are bare identifiers");
   SA_CHECK(value.find('\n') == std::string_view::npos,
            "snapshot values are single lines");
-  out_ << key << " = " << value << '\n';
+  out_ += key;
+  out_ += " = ";
+  out_ += value;
+  out_ += '\n';
 }
 
 void StateWriter::u64(std::string_view key, std::uint64_t v) {

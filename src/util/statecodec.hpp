@@ -10,7 +10,9 @@
 // never be half-applied. Doubles use format_double_exact, making
 // write→read the identity on every value including the non-finite
 // ones; that exactness is what the crash/restore byte-identity
-// guarantee rests on.
+// guarantee rests on. The writer appends to a caller-owned std::string
+// (an envelope frames its body in the buffer it returns); the reader
+// consumes a stream.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +30,11 @@ class StateCodecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Appends fields to a caller-owned string, so an envelope can frame the
+/// body in the same buffer it returns (no stream, no intermediate copy).
 class StateWriter {
  public:
-  explicit StateWriter(std::ostream& out) : out_(out) {}
+  explicit StateWriter(std::string& out) : out_(out) {}
 
   void u64(std::string_view key, std::uint64_t v);
   void i64(std::string_view key, std::int64_t v);
@@ -46,7 +50,7 @@ class StateWriter {
 
  private:
   void emit(std::string_view key, std::string_view value);
-  std::ostream& out_;
+  std::string& out_;
 };
 
 class StateReader {

@@ -1,8 +1,8 @@
 #include "util/strings.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace stayaway {
 
@@ -24,12 +24,19 @@ std::string format_double_exact(double v) {
   if (std::isinf(v)) return v > 0.0 ? "inf" : "-inf";
   char buf[64];
   // 15 digits suffice for most values; some need 16 or 17 to survive the
-  // decimal round trip bit-exactly.
+  // decimal round trip bit-exactly. to_chars with an explicit precision
+  // is printf's %.*g in the C locale, so the text is the same as
+  // snprintf's, without the locale and format-string overhead.
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 bool parse_u64(const std::string& text, std::uint64_t& out) {

@@ -2,7 +2,8 @@
 // §17): the record codec's exactness on non-finite values, the envelope's
 // typed rejection of version/integrity/truncation damage, full-pipeline
 // round trips through edge states (empty representative set, mid-retry
-// actuation ledger, Failsafe degradation), and the load-bearing golden
+// actuation ledger, Failsafe degradation), the encoded-record memo
+// against a from-scratch encoder, and the load-bearing golden
 // guarantee — a run that crashes, restores and replays its tail is
 // byte-identical to the uninterrupted run.
 #include <gtest/gtest.h>
@@ -268,6 +269,118 @@ TEST(CheckpointRoundTrip, NonFinitesInHistory) {
       fault_of(sim::FaultKind::NonFinite, 8.0, 20.0, 0.4));
   spec.faults = plan;
   expect_restore_reencodes_identically(spec);
+}
+
+// --- Encoded-record memo -----------------------------------------------
+
+/// The checkpoint encoder without the encoded-record memo: every record,
+/// then save_state, then the FNV envelope. encode_checkpoint must match
+/// it byte for byte whenever and however often it is called.
+std::string reference_encode_checkpoint(const core::HostPipeline& pipeline) {
+  std::string body;
+  util::StateWriter w(body);
+  w.u64("records", pipeline.records().size());
+  for (const core::PeriodRecord& rec : pipeline.records()) {
+    core::write_period_record(w, rec);
+  }
+  pipeline.save_state(w);
+  return "stayaway-checkpoint v" + std::to_string(core::kCheckpointVersion) +
+         "\n" + body + "checksum = " + std::to_string(core::fnv1a64(body)) +
+         "\n";
+}
+
+/// A short run with non-finite readings in its history and the
+/// degradation machinery busy, driven period by period.
+struct ManualHost {
+  explicit ManualHost(const ExperimentSpec& s)
+      : spec(s),
+        rig(build_host_rig(spec)),
+        pipeline(*rig.host, *rig.probe, derive_stayaway_config(spec)),
+        ticks(static_cast<std::size_t>(
+            std::llround(spec.period_s / spec.tick_s))) {
+    pipeline.install_faults(*spec.faults);
+  }
+  void run_to(std::size_t periods) {
+    while (pipeline.records().size() < periods) {
+      rig.host->run(ticks);
+      pipeline.on_period();
+    }
+  }
+  ExperimentSpec spec;
+  HostRig rig;
+  core::HostPipeline pipeline;
+  std::size_t ticks;
+};
+
+ExperimentSpec memo_spec() {
+  ExperimentSpec spec = short_spec();
+  spec.faults = stress_plan();
+  spec.faults->faults.push_back(
+      fault_of(sim::FaultKind::NonFinite, 8.0, 20.0, 0.4));
+  return spec;
+}
+
+TEST(CheckpointRecordMemo, InterleavedEncodesMatchReference) {
+  ManualHost h(memo_spec());
+  for (std::size_t periods : {0u, 1u, 7u, 7u, 30u, 30u}) {
+    h.run_to(periods);
+    ASSERT_EQ(h.pipeline.records().size(), periods);
+    EXPECT_EQ(core::encode_checkpoint(h.pipeline),
+              reference_encode_checkpoint(h.pipeline))
+        << "at " << periods << " periods";
+  }
+}
+
+TEST(CheckpointRecordMemo, RestoredPrefixReexportsLikeReference) {
+  ManualHost original(memo_spec());
+  original.run_to(12);
+  const std::string blob = core::encode_checkpoint(original.pipeline);
+
+  ManualHost restored(memo_spec());
+  ASSERT_EQ(core::warm_start(restored.pipeline, *restored.rig.host,
+                             restored.ticks, blob),
+            12u);
+  // The first encode re-encodes the decoded prefix from scratch.
+  EXPECT_EQ(core::encode_checkpoint(restored.pipeline), blob);
+  for (std::size_t periods : {13u, 20u, 33u}) {
+    original.run_to(periods);
+    restored.run_to(periods);
+    const std::string again = core::encode_checkpoint(restored.pipeline);
+    EXPECT_EQ(again, reference_encode_checkpoint(restored.pipeline))
+        << "at " << periods << " periods";
+    EXPECT_EQ(again, core::encode_checkpoint(original.pipeline))
+        << "at " << periods << " periods";
+  }
+}
+
+TEST(CheckpointRecordMemo, NonCanonicalBlobReexportsCanonically) {
+  // Respell one record field ("x = 0" as "x = 0e0") and re-seal
+  // the envelope: the blob decodes to the same state, and the restored
+  // pipeline must export the canonical text, not the blob's spelling.
+  ManualHost original(memo_spec());
+  original.run_to(5);
+  const std::string blob = core::encode_checkpoint(original.pipeline);
+  const std::string header = blob.substr(0, blob.find('\n') + 1);
+  std::string body = blob.substr(header.size(),
+                                 blob.rfind("checksum = ") - header.size());
+  const std::string canonical = "\nx = 0\n";
+  const std::size_t at = body.find(canonical);
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, canonical.size(), "\nx = 0e0\n");
+  const std::string respelled = header + body + "checksum = " +
+                                std::to_string(core::fnv1a64(body)) + "\n";
+
+  ManualHost restored(memo_spec());
+  ASSERT_EQ(core::restore_checkpoint(restored.pipeline, respelled), 5u);
+  EXPECT_EQ(core::encode_checkpoint(restored.pipeline), blob);
+}
+
+TEST(CheckpointRecordMemo, ExportedRecordCountMatchesResult) {
+  // run_fleet encodes the exported blob before it moves the records
+  // into the result, so both see the whole history.
+  FleetHostResult r = run_supervised(memo_spec(), 5);
+  ASSERT_EQ(r.result.stayaway_records.size(), 40u);
+  EXPECT_NE(r.final_checkpoint.find("\nrecords = 40\n"), std::string::npos);
 }
 
 // --- Golden crash/restore byte-identity --------------------------------

@@ -256,22 +256,22 @@ TEST(RingSampleSource, SaveLoadResumesTheStreamExactly) {
   auto original = make_ring(options);
   original->set_fault_injector(&injector_a);
   drain_all(*original, {1.0, 2.0, 3.0});
-  std::ostringstream saved;
+  std::string saved;
   util::StateWriter writer(saved);
   original->save_state(writer);
   // The lookahead leaves samples queued past the drain clock.
-  EXPECT_NE(saved.str().find("ring_pending_sequence = 1 "),
+  EXPECT_NE(saved.find("ring_pending_sequence = 1 "),
             std::string::npos);
 
   auto restored = make_ring(options);
   restored->set_fault_injector(&injector_b);
-  std::istringstream in(saved.str());
+  std::istringstream in(saved);
   util::StateReader reader(in);
   restored->load_state(reader);
-  std::ostringstream resaved;
+  std::string resaved;
   util::StateWriter rewriter(resaved);
   restored->save_state(rewriter);
-  EXPECT_EQ(resaved.str(), saved.str());
+  EXPECT_EQ(resaved, saved);
 
   const std::vector<double> tail = {4.0, 4.2, 6.0, 9.0};
   std::size_t overflow_a = 0, overflow_b = 0;

@@ -1,8 +1,15 @@
-// Unit tests for src/util: contracts, RNG, CSV, strings,
-// ASCII plotting.
+// Unit tests for src/util: contracts, RNG, CSV, strings (including a
+// differential test of format_double_exact), ASCII plotting.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -146,6 +153,101 @@ TEST(Strings, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(2.0, 4), "2");
   EXPECT_EQ(format_double(0.001, 6), "0.001");
   EXPECT_EQ(format_double(-0.0, 3), "0");
+}
+
+/// The snprintf/strtod loop format_double_exact used before it moved to
+/// <charconv>: the oracle the differential test below holds it to.
+std::string reference_format_double_exact(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0.0 ? "inf" : "-inf";
+  char buf[64];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// Compares format_double_exact against the oracle on every value and
+/// checks that the text parses back to the same bits; reports the first
+/// few mismatches instead of one failure per value.
+void expect_matches_reference(const std::vector<double>& values,
+                              const char* what) {
+  std::size_t mismatches = 0;
+  for (double v : values) {
+    const std::string got = format_double_exact(v);
+    const std::string want = reference_format_double_exact(v);
+    const double back = std::strtod(got.c_str(), nullptr);
+    const bool round_trips = std::isnan(v)
+                                 ? std::isnan(back)
+                                 : std::memcmp(&back, &v, sizeof v) == 0;
+    if (got != want || !round_trips) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << what << ": " << want << " (oracle) vs " << got;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what << " over " << values.size() << " values";
+}
+
+// One million values in all, split three ways so ctest runs them in
+// parallel.
+TEST(Strings, FormatDoubleExactMatchesOracleOnRandomBitPatterns) {
+  std::mt19937_64 rng(20140919);
+  std::vector<double> bits(500000);
+  for (double& v : bits) {
+    const std::uint64_t pattern = rng();
+    std::memcpy(&v, &pattern, sizeof v);
+  }
+  expect_matches_reference(bits, "random bit patterns");
+}
+
+TEST(Strings, FormatDoubleExactMatchesOracleOnUniformValues) {
+  std::mt19937_64 rng(20140920);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> uniform(250000);
+  for (std::size_t i = 0; i < uniform.size(); ++i) {
+    // Half in [0, 1), half spread over [-1e6, 1e6).
+    uniform[i] = i % 2 == 0 ? unit(rng) : (unit(rng) * 2.0 - 1.0) * 1e6;
+  }
+  expect_matches_reference(uniform, "uniform values");
+}
+
+TEST(Strings, FormatDoubleExactMatchesOracleOnScaledValues) {
+  // Every binary exponent, subnormals included.
+  std::mt19937_64 rng(20140921);
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  std::uniform_int_distribution<int> exponent(-1074, 1023);
+  std::vector<double> scaled(250000);
+  for (double& v : scaled) {
+    v = std::ldexp(mantissa(rng), exponent(rng));
+    if (rng() % 2 == 0) v = -v;
+  }
+  expect_matches_reference(scaled, "ldexp-scaled values");
+}
+
+TEST(Strings, FormatDoubleExactEdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> edges = {
+      0.0,       -0.0,       denorm_min, -denorm_min,
+      std::nextafter(DBL_MIN, 0.0),      DBL_MIN,
+      -DBL_MIN,  DBL_MAX,    -DBL_MAX,   1e15,
+      1e16,      1e17,       1e21,       0.1 + 0.2,
+      kInf,      -kInf,      kNan,       -kNan,
+      1.0 / 3.0, 123456789012345678.0};
+  expect_matches_reference(edges, "edge cases");
+  EXPECT_EQ(format_double_exact(0.0), "0");
+  EXPECT_EQ(format_double_exact(-0.0), "-0");
+  EXPECT_EQ(format_double_exact(denorm_min), "4.94065645841247e-324");
+  EXPECT_EQ(format_double_exact(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(format_double_exact(1e15), "1e+15");
+  EXPECT_EQ(format_double_exact(1e21), "1e+21");
+  EXPECT_EQ(format_double_exact(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(format_double_exact(kInf), "inf");
+  EXPECT_EQ(format_double_exact(-kInf), "-inf");
+  EXPECT_EQ(format_double_exact(-kNan), "nan");
 }
 
 TEST(Strings, Padding) {
