@@ -38,7 +38,9 @@
 #                                end-to-end checkpoint -> restore ->
 #                                re-export round trips through
 #                                stayaway_sim (synchronous and ring-fed,
-#                                re-export cmp-equal), a plain vs supervised
+#                                re-export cmp-equal; the v3 blob's record
+#                                lines cmp-equal to a --record run's
+#                                records block), a plain vs supervised
 #                                summary comparison and a corrupt-blob
 #                                rejection
 #   ./ci.sh --cluster            cluster-coordination gate (DESIGN.md §18):
@@ -299,9 +301,9 @@ EOF
       # tier-1 tree, then stayaway_sim driven through full checkpoint ->
       # restore -> re-export round trips (synchronous and ring-fed: every
       # pipeline checkpoints; the re-exported blob must equal the one
-      # restored), a supervised run that must summarize exactly like
-      # the plain one, and a corrupted blob, which must be rejected by
-      # checksum, not silently restored.
+      # restored, and its record lines the run-log's), a supervised run
+      # that must summarize exactly like the plain one, and a corrupted
+      # blob, which must be rejected by checksum, not silently restored.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
           --target test_checkpoint bench_recovery stayaway_sim || return 1
@@ -319,6 +321,28 @@ EOF
       ./build/tools/stayaway_sim --supervise --checkpoint-every 5 \
         --checkpoint-dir "$tmpdir/ckpt" "$tmpdir/scenario.conf" >/dev/null &&
         [[ -s "$tmpdir/ckpt/host0.ckpt" ]] || { rm -rf "$tmpdir"; return 1; }
+      # One PeriodRecord codec: the exported blob is v3 and its
+      # `record = ` payloads are, line for line, the records block of a
+      # --record run of the same scenario (--record rejects checkpoint
+      # flags, so it is a second run; supervision does not perturb it).
+      [[ "$(head -n 1 "$tmpdir/ckpt/host0.ckpt")" == \
+        "stayaway-checkpoint v3" ]] || {
+        echo "exported checkpoint is not stayaway-checkpoint v3" >&2
+        rm -rf "$tmpdir"
+        return 1
+      }
+      ./build/tools/stayaway_sim --record "$tmpdir/plain.runlog" \
+        "$tmpdir/scenario.conf" >/dev/null &&
+        sed -n 's/^record = //p' "$tmpdir/ckpt/host0.ckpt" \
+          >"$tmpdir/ckpt.records" &&
+        awk '/^records "/ { n = $NF; next } n > 0 { print; n-- }' \
+          "$tmpdir/plain.runlog" >"$tmpdir/runlog.records" &&
+        [[ -s "$tmpdir/ckpt.records" ]] &&
+        cmp "$tmpdir/ckpt.records" "$tmpdir/runlog.records" || {
+        echo "checkpoint record lines differ from the run-log's" >&2
+        rm -rf "$tmpdir"
+        return 1
+      }
       # A restore that re-exports must write the blob it read, byte for
       # byte: the re-encoded history and state are canonical.
       ./build/tools/stayaway_sim --restore "$tmpdir/ckpt" \
@@ -368,8 +392,9 @@ EOF
         echo "corrupted checkpoint was not rejected" >&2
         return 1
       }
-      echo "checkpoint round trips + re-export cmp (sync + ring) +" \
-        "plain/supervised equality + corrupt-blob rejection: ok"
+      echo "checkpoint v3 record lines = run-log lines + round trips +" \
+        "re-export cmp (sync + ring) + plain/supervised equality +" \
+        "corrupt-blob rejection: ok"
       ;;
     analyze)
       # Static-analysis gate (DESIGN.md §16). The textual passes always

@@ -16,84 +16,6 @@ constexpr std::string_view kChecksumKey = "checksum = ";
 
 }  // namespace
 
-void write_period_record(util::StateWriter& w, const PeriodRecord& rec) {
-  w.real("time", rec.time);
-  w.u64("mode", static_cast<std::uint64_t>(rec.mode));
-  w.real("x", rec.state.x);
-  w.real("y", rec.state.y);
-  w.u64("representative", rec.representative);
-  w.boolean("new_representative", rec.new_representative);
-  w.boolean("violation_observed", rec.violation_observed);
-  w.boolean("violation_predicted", rec.violation_predicted);
-  w.boolean("model_ready", rec.model_ready);
-  w.u64("action", static_cast<std::uint64_t>(rec.action));
-  w.boolean("batch_paused_after", rec.batch_paused_after);
-  w.real("stress", rec.stress);
-  w.real("beta", rec.beta);
-  w.u64("degradation", static_cast<std::uint64_t>(rec.degradation));
-  w.u64("quarantined_dims", rec.quarantined_dims);
-  w.u64("max_staleness", rec.max_staleness);
-  w.boolean("qos_visible", rec.qos_visible);
-  w.u64("actuation_retries", rec.actuation_retries);
-  w.boolean("actuation_pending", rec.actuation_pending);
-  w.u64("samples_ingested", rec.samples_ingested);
-  w.u64("late_samples", rec.late_samples);
-  w.u64("duplicate_samples", rec.duplicate_samples);
-  w.u64("overflow_drops", rec.overflow_drops);
-  w.u64("migrations_out", rec.migrations_out);
-  w.u64("migrations_in", rec.migrations_in);
-}
-
-PeriodRecord read_period_record(util::StateReader& r) {
-  PeriodRecord rec;
-  rec.time = r.real("time");
-  std::uint64_t mode = r.u64("mode");
-  if (mode >= monitor::kExecutionModeCount) {
-    throw util::StateCodecError("record mode out of range");
-  }
-  rec.mode = static_cast<monitor::ExecutionMode>(mode);
-  rec.state.x = r.real("x");
-  rec.state.y = r.real("y");
-  rec.representative = static_cast<std::size_t>(r.u64("representative"));
-  rec.new_representative = r.boolean("new_representative");
-  rec.violation_observed = r.boolean("violation_observed");
-  rec.violation_predicted = r.boolean("violation_predicted");
-  rec.model_ready = r.boolean("model_ready");
-  std::uint64_t action = r.u64("action");
-  if (action > static_cast<std::uint64_t>(ThrottleAction::Resume)) {
-    throw util::StateCodecError("record action out of range");
-  }
-  rec.action = static_cast<ThrottleAction>(action);
-  rec.batch_paused_after = r.boolean("batch_paused_after");
-  rec.stress = r.real("stress");
-  rec.beta = r.real("beta");
-  std::uint64_t degradation = r.u64("degradation");
-  if (degradation > static_cast<std::uint64_t>(DegradationState::Failsafe)) {
-    throw util::StateCodecError("record degradation out of range");
-  }
-  rec.degradation = static_cast<DegradationState>(degradation);
-  rec.quarantined_dims = static_cast<std::size_t>(r.u64("quarantined_dims"));
-  rec.max_staleness = static_cast<std::size_t>(r.u64("max_staleness"));
-  rec.qos_visible = r.boolean("qos_visible");
-  rec.actuation_retries = static_cast<std::size_t>(r.u64("actuation_retries"));
-  rec.actuation_pending = r.boolean("actuation_pending");
-  rec.samples_ingested = static_cast<std::size_t>(r.u64("samples_ingested"));
-  rec.late_samples = static_cast<std::size_t>(r.u64("late_samples"));
-  rec.duplicate_samples =
-      static_cast<std::size_t>(r.u64("duplicate_samples"));
-  rec.overflow_drops = static_cast<std::size_t>(r.u64("overflow_drops"));
-  rec.migrations_out = static_cast<std::size_t>(r.u64("migrations_out"));
-  rec.migrations_in = static_cast<std::size_t>(r.u64("migrations_in"));
-  return rec;
-}
-
-std::string encode_record(const PeriodRecord& rec) {
-  std::string out;
-  util::StateWriter w(out);
-  write_period_record(w, rec);
-  return out;
-}
-
 std::uint64_t fnv1a64(std::string_view text) {
   std::uint64_t hash = 14695981039346656037ULL;
   for (char c : text) {
@@ -183,7 +105,7 @@ std::size_t restore_checkpoint(HostPipeline& pipeline,
   std::vector<PeriodRecord> records;
   records.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    records.push_back(read_period_record(r));
+    records.push_back(decode_record(r.line("record")));
   }
   pipeline.load_state(r);
   if (in.peek() != std::istringstream::traits_type::eof()) {

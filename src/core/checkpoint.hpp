@@ -4,10 +4,12 @@
 // injector and the degradation machine — framed so a restore is either
 // exact or a loud, typed failure:
 //
-//   stayaway-checkpoint v2        version header
-//   records = <n>                 } body: fixed-order `key = value`
-//   ...                           } lines via util::StateWriter
-//   checksum = <fnv1a64(body)>    integrity trailer
+//   stayaway-checkpoint v3         version header
+//   records = <n>                  } body: fixed-order `key = value`
+//   record = <encode_record line>  }   lines via util::StateWriter —
+//   ...                            }   n record lines (core/period.hpp),
+//   <stage state>                  }   then HostPipeline::save_state
+//   checksum = <fnv1a64(body)>     integrity trailer
 //
 // Doubles round-trip through format_double_exact, so restore-then-run
 // reproduces the uninterrupted run byte for byte (the golden test in
@@ -30,10 +32,9 @@
 
 namespace stayaway::core {
 
-// v2 appends the cluster fields (migrations_out/in) to every record and
-// re-keys the actuation journal on an op kind that covers the migration
-// verbs (journal_kind, was journal_pause). v1 blobs are rejected.
-inline constexpr std::uint64_t kCheckpointVersion = 2;
+// v3 writes each record as one `record = <encode_record line>`, the
+// run-log's line. Blobs of any other version are rejected.
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// The blob carries a recognized header with an unsupported version —
 /// distinct from corruption so callers can message it precisely.
@@ -49,18 +50,6 @@ class CheckpointChecksumError : public util::StateCodecError {
  public:
   using util::StateCodecError::StateCodecError;
 };
-
-/// Serializes one PeriodRecord as fixed-order body lines / reads one
-/// back. write→read is the identity on every field, including non-finite
-/// coordinates.
-void write_period_record(util::StateWriter& w, const PeriodRecord& rec);
-PeriodRecord read_period_record(util::StateReader& r);
-
-/// Canonical single-string encoding of one record. The supervisor's gap
-/// replay compares regenerated records against history through this, so
-/// divergence detection is exact even on NaN coordinates (where
-/// operator== would lie).
-std::string encode_record(const PeriodRecord& rec);
 
 /// Encodes the full checkpoint of `pipeline` at the current period
 /// boundary. Non-const because the record section comes from the

@@ -131,13 +131,8 @@ void FleetController::recover(Member& member,
                               std::vector<std::string>& checkpoints,
                               std::size_t period, double fail_time) const {
   // The crashed pipeline's completed history drives the divergence
-  // check; capture it (encoded, so NaN coordinates compare exactly)
-  // before the rebuild tears the pipeline down.
-  std::vector<std::string> history;
-  history.reserve(member.pipeline->records().size());
-  for (const PeriodRecord& rec : member.pipeline->records()) {
-    history.push_back(encode_record(rec));
-  }
+  // check; move it out before the rebuild tears the pipeline down.
+  const std::vector<PeriodRecord> history = member.pipeline->take_records();
   auto rebuild = [&member] {
     Member::Rebuilt fresh = member.rebuild();
     SA_REQUIRE(fresh.host != nullptr && fresh.pipeline != nullptr,
@@ -189,7 +184,9 @@ void FleetController::recover(Member& member,
     if (member.replay_directives) member.replay_directives(q);
     member.host->run(member.ticks_per_period);
     const PeriodRecord& rec = member.pipeline->on_period();
-    if (q >= history.size() || encode_record(rec) != history[q]) {
+    // Compared encoded, so NaN coordinates compare exactly.
+    if (q >= history.size() ||
+        encode_record(rec) != encode_record(history[q])) {
       ++member.recovery.divergences;
     }
   }

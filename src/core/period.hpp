@@ -1,12 +1,15 @@
 // The per-period contract shared by every pipeline stage: the
-// PeriodRecord each stage fills its slice of, the degradation state
-// machine the pipeline threads through them, and the passive
+// PeriodRecord each stage fills its slice of, its one text form
+// (encode_record / decode_record), the degradation state machine the
+// pipeline threads through the stages, and the passive
 // prediction-accuracy tally. Split out of runtime.hpp so stage
 // implementations (src/core/stages/) can speak the record vocabulary
 // without seeing the host or the monolithic runtime.
 #pragma once
 
 #include <cstddef>
+#include <string>
+#include <string_view>
 
 #include "core/governor.hpp"
 #include "mds/point.hpp"
@@ -66,8 +69,8 @@ struct PeriodRecord {
   bool actuation_pending = false;     // ledger still diverged afterwards
   // --- Streaming-ingestion telemetry (DESIGN.md §15). Filled only by a
   // streaming SampleSource; the synchronous path leaves all four at 0,
-  // so its serialized records stay byte-identical to the historical
-  // format (the run-log emits this block only when any field is set). --
+  // so its encoded records stay byte-identical to the historical
+  // format (encode_record emits this block only when any field is set).
   std::size_t samples_ingested = 0;   // samples drained this period
   std::size_t late_samples = 0;       // out-of-order arrivals admitted
   std::size_t duplicate_samples = 0;  // repeat deliveries dropped
@@ -75,8 +78,8 @@ struct PeriodRecord {
 
   // --- Cluster telemetry (DESIGN.md §18). Filled only when a
   // ClusterCoordinator is active; coordinator-off runs leave both at 0,
-  // so their serialized records stay byte-identical to the historical
-  // format (the run-log emits this block only when any field is set). --
+  // so their encoded records stay byte-identical to the historical
+  // format (encode_record emits this block only when any field is set).
   std::size_t migrations_out = 0;  // batch VMs detached this period
   std::size_t migrations_in = 0;   // batch VMs attached this period
 
@@ -92,6 +95,23 @@ struct PeriodRecord {
 
   bool operator==(const PeriodRecord& o) const = default;
 };
+
+/// The one text form of a PeriodRecord (DESIGN.md §14): a single line of
+/// space-separated `key=value` tokens — 19 fixed fields (t mode x y rep
+/// newrep vobs vpred model act paused stress beta deg qdims stale qosvis
+/// retries pending), then the optional ingest block (ing late dup ovf)
+/// and the optional cluster block (migout migin), each emitted only when
+/// any of its fields is non-zero. Doubles use format_double_exact, so
+/// decode_record inverts it field for field and byte equality of lines
+/// is record equality, exact even on NaN coordinates (where operator==
+/// would lie). Run-log record lines, checkpoint `record = ` lines, the
+/// supervisor's divergence check and record digests all use it.
+std::string encode_record(const PeriodRecord& rec);
+
+/// Inverse of encode_record. Throws util::StateCodecError on a malformed
+/// number, an unknown, missing or reordered field, an out-of-range
+/// mode/act/deg, or trailing tokens.
+PeriodRecord decode_record(std::string_view line);
 
 /// Passive prediction-vs-outcome tallies: each period's forecast ("will
 /// the execution progress into the violation region?") scored against the

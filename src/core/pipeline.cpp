@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include "core/checkpoint.hpp"
 #include "trace/diurnal.hpp"
 #include "util/check.hpp"
 
@@ -275,7 +274,7 @@ void HostPipeline::seed_records(std::vector<PeriodRecord> records) {
 const std::string& HostPipeline::encoded_records() {
   util::StateWriter w(encoded_records_);
   for (; encoded_count_ < records_.size(); ++encoded_count_) {
-    write_period_record(w, records_[encoded_count_]);
+    w.line("record", encode_record(records_[encoded_count_]));
   }
   return encoded_records_;
 }

@@ -124,7 +124,7 @@ class HostPipeline {
   /// state, so this is always true; kept for callers that still ask.
   bool checkpointable() const { return true; }
   /// Snapshots everything on_period mutates except the record history
-  /// (the checkpoint envelope owns the record codec): stage states, the
+  /// (the checkpoint envelope writes the records): stage states, the
   /// delivered-actuation journal, the fault injector and the degradation
   /// machine. last_outcome_ is transient and deliberately not captured.
   void save_state(util::StateWriter& w) const;
@@ -140,12 +140,12 @@ class HostPipeline {
   void seed_records(std::vector<PeriodRecord> records);
 
   const std::vector<PeriodRecord>& records() const { return records_; }
-  /// write_period_record text of every record so far, concatenated in
-  /// order — the record section of a checkpoint body. An append-only
-  /// memo: each call encodes only the records added since the previous
-  /// one, so periodic checkpoints cost O(new periods) record encoding
-  /// instead of O(history). Filled lazily; a pipeline that is never
-  /// checkpointed never pays for it.
+  /// The `record = <encode_record line>` body line of every record so
+  /// far, concatenated in order — the record section of a checkpoint
+  /// body. An append-only memo: each call encodes only the records added
+  /// since the previous one, so periodic checkpoints cost O(new periods)
+  /// record encoding instead of O(history). Filled lazily; a pipeline
+  /// that is never checkpointed never pays for it.
   const std::string& encoded_records();
   /// Moves the record history out (for the run's result once the run is
   /// over) and leaves the pipeline with an empty history and memo.

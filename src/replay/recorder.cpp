@@ -1,5 +1,6 @@
 #include "replay/recorder.hpp"
 
+#include "core/period.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::replay {
@@ -19,10 +20,10 @@ RunRecorder::RunRecorder(const std::vector<std::string>& host_names) {
 
 void RunRecorder::record_period(const std::string& host,
                                 const core::PeriodRecord& rec) {
-  // Serialize outside the lock; only the append is serialized. Per-host
+  // Encode outside the lock; only the append is serialized. Per-host
   // ordering is the controller's: one worker drives one member, so a
   // host's periods arrive in emission order.
-  std::string line = serialize_period_record(rec);
+  std::string line = core::encode_record(rec);
   util::MutexLock lock(mutex_);
   for (HostStream& stream : streams_) {
     if (stream.name == host) {

@@ -2,8 +2,6 @@
 
 #include <fstream>
 #include <istream>
-#include <optional>
-#include <sstream>
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -17,202 +15,7 @@ namespace {
                           message);
 }
 
-/// Fixed field order of a serialized PeriodRecord line. Order is part of
-/// the format: replay byte-diffs lines, so two encodings of one record
-/// must not exist. The trailing ingest block (ing..ovf, DESIGN.md §15)
-/// and cluster block (migout/migin, DESIGN.md §18) are each
-/// all-or-nothing: emitted only when any of their fields is non-zero, so
-/// a synchronous-source, coordinator-free record keeps its historical
-/// byte encoding.
-constexpr const char* kFieldOrder[] = {
-    "t",     "mode",  "x",      "y",    "rep",    "newrep", "vobs",
-    "vpred", "model", "act",    "paused", "stress", "beta",  "deg",
-    "qdims", "stale", "qosvis", "retries", "pending",
-    "ing",   "late",  "dup",    "ovf",
-    "migout", "migin",
-};
-constexpr std::size_t kFieldCount = sizeof(kFieldOrder) / sizeof(*kFieldOrder);
-
-class FieldReader {
- public:
-  explicit FieldReader(const std::string& line) : in_(line) {}
-
-  std::string next(std::size_t index) {
-    SA_DCHECK(index < kFieldCount, "field index out of range");
-    std::string token;
-    if (!(in_ >> token)) {
-      throw PreconditionError("period record truncated before field '" +
-                              std::string(kFieldOrder[index]) + "'");
-    }
-    std::string prefix = std::string(kFieldOrder[index]) + "=";
-    if (token.rfind(prefix, 0) != 0) {
-      throw PreconditionError("period record expected field '" +
-                              std::string(kFieldOrder[index]) + "', got '" +
-                              token + "'");
-    }
-    return token.substr(prefix.size());
-  }
-
-  /// Next raw token with no key check, or nullopt when the line is
-  /// exhausted — lets the caller dispatch between the optional trailing
-  /// blocks (ingest vs cluster) on the token's own key.
-  std::optional<std::string> raw() {
-    std::string token;
-    if (!(in_ >> token)) return std::nullopt;
-    return token;
-  }
-
-  void finish() {
-    std::string extra;
-    if (in_ >> extra) {
-      throw PreconditionError("trailing token in period record: '" + extra +
-                              "'");
-    }
-  }
-
- private:
-  std::istringstream in_;
-};
-
-double to_double(const std::string& value) {
-  // strtod accepts the full format_double_exact range including
-  // inf/-inf/nan (non-finite map coordinates are exactly what fuzz
-  // regression logs exist to capture).
-  std::size_t pos = 0;
-  double v = std::stod(value, &pos);
-  if (pos != value.size()) {
-    throw PreconditionError("trailing characters in number '" + value + "'");
-  }
-  return v;
-}
-
-std::uint64_t to_u64(const std::string& value) {
-  std::uint64_t v = 0;
-  if (!parse_u64(value, v)) {
-    throw PreconditionError("expected an unsigned integer, got '" + value +
-                            "'");
-  }
-  return v;
-}
-
-/// Validates `token` carries `key=` and returns the value part. The
-/// FieldReader::raw() counterpart of next()'s prefix check.
-std::string strip_field(const std::string& token, const char* key) {
-  std::string prefix = std::string(key) + "=";
-  if (token.rfind(prefix, 0) != 0) {
-    throw PreconditionError("period record expected field '" +
-                            std::string(key) + "', got '" + token + "'");
-  }
-  return token.substr(prefix.size());
-}
-
-bool to_bool(const std::string& value) {
-  if (value == "1") return true;
-  if (value == "0") return false;
-  throw PreconditionError("expected 0/1, got '" + value + "'");
-}
-
 }  // namespace
-
-std::string serialize_period_record(const core::PeriodRecord& rec) {
-  std::string out;
-  auto field = [&out](const char* key, const std::string& value) {
-    if (!out.empty()) out += ' ';
-    out += key;
-    out += '=';
-    out += value;
-  };
-  auto num = [&field](const char* key, double v) {
-    field(key, format_double_exact(v));
-  };
-  auto count = [&field](const char* key, std::size_t v) {
-    field(key, std::to_string(v));
-  };
-  auto flag = [&field](const char* key, bool v) { field(key, v ? "1" : "0"); };
-  num("t", rec.time);
-  count("mode", static_cast<std::size_t>(rec.mode));
-  num("x", rec.state.x);
-  num("y", rec.state.y);
-  count("rep", rec.representative);
-  flag("newrep", rec.new_representative);
-  flag("vobs", rec.violation_observed);
-  flag("vpred", rec.violation_predicted);
-  flag("model", rec.model_ready);
-  count("act", static_cast<std::size_t>(rec.action));
-  flag("paused", rec.batch_paused_after);
-  num("stress", rec.stress);
-  num("beta", rec.beta);
-  count("deg", static_cast<std::size_t>(rec.degradation));
-  count("qdims", rec.quarantined_dims);
-  count("stale", rec.max_staleness);
-  flag("qosvis", rec.qos_visible);
-  count("retries", rec.actuation_retries);
-  flag("pending", rec.actuation_pending);
-  if (rec.ingest_any()) {
-    count("ing", rec.samples_ingested);
-    count("late", rec.late_samples);
-    count("dup", rec.duplicate_samples);
-    count("ovf", rec.overflow_drops);
-  }
-  if (rec.cluster_any()) {
-    count("migout", rec.migrations_out);
-    count("migin", rec.migrations_in);
-  }
-  return out;
-}
-
-core::PeriodRecord parse_period_record(const std::string& line) {
-  FieldReader fields(line);
-  std::size_t i = 0;
-  core::PeriodRecord rec;
-  rec.time = to_double(fields.next(i++));
-  std::uint64_t mode = to_u64(fields.next(i++));
-  if (mode >= monitor::kExecutionModeCount) {
-    throw PreconditionError("execution mode out of range");
-  }
-  rec.mode = static_cast<monitor::ExecutionMode>(mode);
-  rec.state.x = to_double(fields.next(i++));
-  rec.state.y = to_double(fields.next(i++));
-  rec.representative = static_cast<std::size_t>(to_u64(fields.next(i++)));
-  rec.new_representative = to_bool(fields.next(i++));
-  rec.violation_observed = to_bool(fields.next(i++));
-  rec.violation_predicted = to_bool(fields.next(i++));
-  rec.model_ready = to_bool(fields.next(i++));
-  std::uint64_t act = to_u64(fields.next(i++));
-  if (act > 2) throw PreconditionError("throttle action out of range");
-  rec.action = static_cast<core::ThrottleAction>(act);
-  rec.batch_paused_after = to_bool(fields.next(i++));
-  rec.stress = to_double(fields.next(i++));
-  rec.beta = to_double(fields.next(i++));
-  std::uint64_t deg = to_u64(fields.next(i++));
-  if (deg > 2) throw PreconditionError("degradation state out of range");
-  rec.degradation = static_cast<core::DegradationState>(deg);
-  rec.quarantined_dims = static_cast<std::size_t>(to_u64(fields.next(i++)));
-  rec.max_staleness = static_cast<std::size_t>(to_u64(fields.next(i++)));
-  rec.qos_visible = to_bool(fields.next(i++));
-  rec.actuation_retries = static_cast<std::size_t>(to_u64(fields.next(i++)));
-  rec.actuation_pending = to_bool(fields.next(i++));
-  // Optional trailing blocks, each all-or-nothing: the ingest block
-  // (absent on synchronous-source records) then the cluster block
-  // (absent on coordinator-free records). A record may carry either,
-  // both, or neither; the raw() token's own key says which comes next.
-  std::optional<std::string> tail = fields.raw();
-  if (tail && tail->rfind("ing=", 0) == 0) {
-    rec.samples_ingested =
-        static_cast<std::size_t>(to_u64(strip_field(*tail, "ing")));
-    rec.late_samples = static_cast<std::size_t>(to_u64(fields.next(20)));
-    rec.duplicate_samples = static_cast<std::size_t>(to_u64(fields.next(21)));
-    rec.overflow_drops = static_cast<std::size_t>(to_u64(fields.next(22)));
-    tail = fields.raw();
-  }
-  if (tail) {
-    rec.migrations_out =
-        static_cast<std::size_t>(to_u64(strip_field(*tail, "migout")));
-    rec.migrations_in = static_cast<std::size_t>(to_u64(fields.next(24)));
-  }
-  fields.finish();
-  return rec;
-}
 
 std::string serialize_run_log(const RunLog& log) {
   std::string out = "stayaway-runlog v" + std::to_string(RunLog::kVersion) +

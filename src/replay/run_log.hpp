@@ -1,10 +1,12 @@
 // Versioned run-log (DESIGN.md §14): everything needed to re-execute a
 // fleet run deterministically — the canonical serialized scenario
 // (effective config, fleet layout, per-host seeds, fault plan) plus the
-// PeriodRecord stream each host emitted, one serialized line per period.
-// Replay re-runs the embedded scenario and byte-diffs the fresh lines
-// against the recorded ones; because record lines round-trip exactly
-// (format_double_exact), a byte-equal stream is a field-equal stream.
+// PeriodRecord stream each host emitted, one core::encode_record line per
+// period (core/period.hpp, the same line a checkpoint's `record = `
+// entries carry). Replay re-runs the embedded scenario and byte-diffs the
+// fresh lines against the recorded ones; because record lines round-trip
+// exactly (core::decode_record), a byte-equal stream is a field-equal
+// stream.
 //
 // Format (text, line oriented):
 //
@@ -13,7 +15,7 @@
 //   scenario <line-count>
 //   ...canonical scenario document, exactly <line-count> lines...
 //   records "host0" <period-count>
-//   ...one serialized PeriodRecord per line...
+//   ...one core::encode_record line per period...
 //   records "host1" <period-count>
 //   ...
 //   cluster-events <line-count>        # only on coordinated runs (§18)
@@ -25,12 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "core/period.hpp"
-
 namespace stayaway::replay {
 
-/// One host's recorded stream: the serialized PeriodRecord lines in
-/// emission order.
+/// One host's recorded stream: the core::encode_record lines in emission
+/// order.
 struct HostStream {
   std::string name;
   std::vector<std::string> records;
@@ -48,15 +48,6 @@ struct RunLog {
   /// byte-diffs it like a host stream.
   std::vector<std::string> cluster_events;
 };
-
-/// Canonical single-line form of a PeriodRecord, with exact-round-trip
-/// doubles. parse_period_record inverts it field-for-field, so byte
-/// equality of lines is equivalent to PeriodRecord equality.
-std::string serialize_period_record(const core::PeriodRecord& rec);
-
-/// Inverse of serialize_period_record; throws PreconditionError on a
-/// malformed line (wrong field order, unknown key, bad number).
-core::PeriodRecord parse_period_record(const std::string& line);
 
 std::string serialize_run_log(const RunLog& log);
 

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <sstream>
@@ -25,6 +27,7 @@
 #include "harness/fleet.hpp"
 #include "harness/rig.hpp"
 #include "harness/scenario_file.hpp"
+#include "replay/recorder.hpp"
 #include "replay/replay.hpp"
 #include "sim/faults.hpp"
 #include "util/statecodec.hpp"
@@ -105,35 +108,72 @@ TEST(CheckpointRecordCodec, NonFiniteCoordsRoundTripExactly) {
   rec.actuation_pending = true;
 
   std::string text = core::encode_record(rec);
-  std::istringstream in(text);
-  util::StateReader r(in);
-  core::PeriodRecord back = core::read_period_record(r);
+  core::PeriodRecord back = core::decode_record(text);
   EXPECT_EQ(core::encode_record(back), text);
   EXPECT_TRUE(std::isnan(back.state.x));
   EXPECT_TRUE(std::isinf(back.state.y));
 }
 
+/// `line` with the value of its `key=` token replaced by `value`.
+std::string tamper_field(const std::string& line, const std::string& key,
+                         const std::string& value) {
+  const std::size_t at = line.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return line;
+  const std::size_t start = at + key.size() + 2;
+  const std::size_t end = std::min(line.find(' ', start), line.size());
+  return line.substr(0, start) + value + line.substr(end);
+}
+
 TEST(CheckpointRecordCodec, RejectsOutOfRangeEnums) {
   core::PeriodRecord rec;
   std::string text = core::encode_record(rec);
-  auto tamper = [&text](const std::string& key, const std::string& value) {
-    std::string out;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind(key + " = ", 0) == 0) line = key + " = " + value;
-      out += line;
-      out += '\n';
-    }
-    return out;
-  };
   for (const auto& [key, value] :
        std::vector<std::pair<std::string, std::string>>{
-           {"mode", "9"}, {"action", "7"}, {"degradation", "5"}}) {
-    std::istringstream in(tamper(key, value));
-    util::StateReader r(in);
-    EXPECT_THROW(core::read_period_record(r), util::StateCodecError)
-        << key << " = " << value << " accepted";
+           {"mode", "9"}, {"act", "7"}, {"deg", "5"}}) {
+    EXPECT_THROW(core::decode_record(tamper_field(text, key, value)),
+                 util::StateCodecError)
+        << key << "=" << value << " accepted";
+  }
+}
+
+/// Every double field of a record set to ±v: decode(encode(r)) must
+/// re-encode to the same line and restore each exact bit pattern (any
+/// NaN, whose sign and payload the text form does not carry, as NaN).
+void expect_double_round_trips_exactly(double v) {
+  core::PeriodRecord rec;
+  rec.time = v;
+  rec.state = {v, -v};
+  rec.stress = v;
+  rec.beta = -v;
+  const std::string line = core::encode_record(rec);
+  const core::PeriodRecord back = core::decode_record(line);
+  EXPECT_EQ(core::encode_record(back), line);
+  for (auto [got, want] : {std::pair{back.time, rec.time},
+                           std::pair{back.state.x, rec.state.x},
+                           std::pair{back.state.y, rec.state.y},
+                           std::pair{back.stress, rec.stress},
+                           std::pair{back.beta, rec.beta}}) {
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << line;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << line;
+    }
+  }
+}
+
+TEST(PeriodRecordCodec, EdgeDoublesRoundTripByteExact) {
+  // 4.9406564584124654e-324 is denorm_min as format_double_exact spells
+  // it; std::stod throws out_of_range on it.
+  for (double v : {4.9406564584124654e-324, 2.2250738585072009e-308,
+                   std::numeric_limits<double>::min(), 0.0, -0.0,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::max(), 0.1 + 0.2}) {
+    expect_double_round_trips_exactly(v);
   }
 }
 
@@ -148,9 +188,9 @@ std::string sample_blob() {
 
 TEST(CheckpointEnvelope, VersionMismatchIsItsOwnError) {
   std::string blob = sample_blob();
-  ASSERT_NE(blob.find("stayaway-checkpoint v2\n"), std::string::npos);
+  ASSERT_NE(blob.find("stayaway-checkpoint v3\n"), std::string::npos);
   std::string wrong = blob;
-  wrong.replace(wrong.find("v2\n"), 3, "v3\n");
+  wrong.replace(wrong.find("v3\n"), 3, "v2\n");
 
   ExperimentSpec spec = short_spec();
   spec.duration_s = 12.0;
@@ -179,7 +219,7 @@ TEST(CheckpointEnvelope, TruncationAndTrailingGarbageRejected) {
 
   for (const std::string& damaged :
        {blob.substr(0, blob.size() - 10), blob.substr(0, blob.size() / 2),
-        blob + "extra = 1\n", std::string("stayaway-checkpoint v2\n")}) {
+        blob + "extra = 1\n", std::string("stayaway-checkpoint v3\n")}) {
     FleetSpec fleet;
     fleet.hosts.push_back({"solo", spec});
     fleet.restore["solo"] = damaged;
@@ -281,7 +321,7 @@ std::string reference_encode_checkpoint(const core::HostPipeline& pipeline) {
   util::StateWriter w(body);
   w.u64("records", pipeline.records().size());
   for (const core::PeriodRecord& rec : pipeline.records()) {
-    core::write_period_record(w, rec);
+    w.line("record", core::encode_record(rec));
   }
   pipeline.save_state(w);
   return "stayaway-checkpoint v" + std::to_string(core::kCheckpointVersion) +
@@ -354,8 +394,8 @@ TEST(CheckpointRecordMemo, RestoredPrefixReexportsLikeReference) {
 }
 
 TEST(CheckpointRecordMemo, NonCanonicalBlobReexportsCanonically) {
-  // Respell one record field ("x = 0" as "x = 0e0") and re-seal
-  // the envelope: the blob decodes to the same state, and the restored
+  // Respell one record field ("x=0" as "x=0e0") and re-seal the
+  // envelope: the blob decodes to the same state, and the restored
   // pipeline must export the canonical text, not the blob's spelling.
   ManualHost original(memo_spec());
   original.run_to(5);
@@ -363,10 +403,10 @@ TEST(CheckpointRecordMemo, NonCanonicalBlobReexportsCanonically) {
   const std::string header = blob.substr(0, blob.find('\n') + 1);
   std::string body = blob.substr(header.size(),
                                  blob.rfind("checksum = ") - header.size());
-  const std::string canonical = "\nx = 0\n";
+  const std::string canonical = " x=0 ";
   const std::size_t at = body.find(canonical);
   ASSERT_NE(at, std::string::npos);
-  body.replace(at, canonical.size(), "\nx = 0e0\n");
+  body.replace(at, canonical.size(), " x=0e0 ");
   const std::string respelled = header + body + "checksum = " +
                                 std::to_string(core::fnv1a64(body)) + "\n";
 
@@ -800,6 +840,76 @@ TEST(ClusterRecovery, CrashedMigrationRunReplaysByteIdentical) {
   replay::ReplayReport report = replay::replay_run_log(run.log);
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_GT(report.periods_checked, 0u);
+}
+
+
+// --- One record codec across artifacts ---------------------------------
+
+/// The `record = ` payloads of a checkpoint blob, in order.
+std::vector<std::string> checkpoint_record_lines(const std::string& blob) {
+  std::vector<std::string> lines;
+  std::istringstream in(blob);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with("record = ")) lines.push_back(line.substr(9));
+  }
+  return lines;
+}
+
+/// Runs `fleet` supervised, with checkpoint export and a recorder
+/// attached: each host's final checkpoint must carry exactly the lines
+/// the recorder captured for it, and some line must carry `block`.
+void expect_checkpoints_carry_recorder_lines(FleetSpec fleet,
+                                             const std::string& block) {
+  std::vector<std::string> names;
+  for (const FleetHostSpec& host : fleet.hosts) names.push_back(host.name);
+  replay::RunRecorder recorder(names);
+  fleet.recorder = &recorder;
+  fleet.supervise = true;
+  fleet.checkpoint_every = 10;
+  fleet.export_checkpoints = true;
+  const FleetResult r = run_fleet(fleet);
+  const std::vector<replay::HostStream> streams = recorder.streams();
+  ASSERT_EQ(streams.size(), r.hosts.size());
+  bool saw_block = false;
+  for (std::size_t h = 0; h < r.hosts.size(); ++h) {
+    ASSERT_EQ(streams[h].name, r.hosts[h].name);
+    const std::vector<std::string> lines =
+        checkpoint_record_lines(r.hosts[h].final_checkpoint);
+    ASSERT_FALSE(lines.empty()) << r.hosts[h].name;
+    ASSERT_EQ(lines.size(), streams[h].records.size()) << r.hosts[h].name;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(lines[i], streams[h].records[i])
+          << r.hosts[h].name << " period " << i;
+      saw_block = saw_block || lines[i].find(block) != std::string::npos;
+    }
+  }
+  EXPECT_TRUE(saw_block) << "no record carries '" << block << "'";
+}
+
+TEST(RecordCodecAcrossArtifacts, RingFedCheckpointCarriesRecorderLines) {
+  FleetSpec fleet;
+  fleet.hosts.push_back({"ring", ring_fed_spec()});
+  expect_checkpoints_carry_recorder_lines(fleet, " ing=");
+}
+
+TEST(RecordCodecAcrossArtifacts, CoordinatedCheckpointsCarryRecorderLines) {
+  std::istringstream in(R"(sensitive  = webservice-cpu
+batch      = none
+policy     = stay-away
+duration_s = 80
+workload   = constant
+[host "web-a"]
+seed = 3
+[host "web-b"]
+seed = 5
+[cluster]
+mobile = crunch:cpubomb:web-a:20
+)");
+  expect_checkpoints_carry_recorder_lines(
+      replay::to_fleet_spec(replay::canonical_fleet(parse_fleet_scenario(in),
+                                                    0)),
+      " migout=");
 }
 
 }  // namespace

@@ -280,20 +280,29 @@ TEST(ClusterRunLog, PeriodRecordClusterFieldsRoundTrip) {
   rec.time = 3.0;
   rec.migrations_out = 1;
   rec.migrations_in = 2;
-  std::string line = replay::serialize_period_record(rec);
+  std::string line = core::encode_record(rec);
   EXPECT_NE(line.find("migout=1"), std::string::npos);
   EXPECT_NE(line.find("migin=2"), std::string::npos);
-  core::PeriodRecord back = replay::parse_period_record(line);
+  core::PeriodRecord back = core::decode_record(line);
   EXPECT_EQ(back, rec);
-  EXPECT_EQ(replay::serialize_period_record(back), line);
+  EXPECT_EQ(core::encode_record(back), line);
 
   // Cluster-free records keep the pre-cluster line format: the trailing
   // block is all-or-nothing, so old logs parse and new logs of plain
   // runs are byte-identical to what the seed wrote.
   rec.migrations_out = 0;
   rec.migrations_in = 0;
-  EXPECT_EQ(replay::serialize_period_record(rec).find("migout"),
+  EXPECT_EQ(core::encode_record(rec).find("migout"),
             std::string::npos);
+
+  // Both tail blocks on one record: the ingest block, then the cluster
+  // block.
+  rec.samples_ingested = 5;
+  rec.migrations_in = 1;
+  line = core::encode_record(rec);
+  EXPECT_LT(line.find(" ing=5"), line.find(" migout=0 migin=1"));
+  EXPECT_EQ(core::decode_record(line), rec);
+  EXPECT_EQ(core::encode_record(core::decode_record(line)), line);
 }
 
 TEST(ClusterRunLog, ClusterEventsMustBeLastSection) {

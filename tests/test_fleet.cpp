@@ -163,7 +163,9 @@ TEST(FleetHostSeed, SplitsAreStatisticallyIndependent) {
 
 // Golden digests of the single-host path, captured from the historical
 // run_experiment period loop before it became a fleet of one. Any drift
-// of the single-host driver from that history fails here.
+// of the single-host driver from that history fails here. The Stay-Away
+// digests hash encode_record lines; they were re-derived on the
+// pre-change build when encode_record became the run-log line.
 struct Golden {
   PolicyKind policy;
   bool faulted;
@@ -172,8 +174,8 @@ struct Golden {
 constexpr Golden kGoldens[] = {
     {PolicyKind::NoPrevention, false, 0x5f41ac68212b97f1ULL},
     {PolicyKind::NoPrevention, true, 0x5f41ac68212b97f1ULL},
-    {PolicyKind::StayAway, false, 0x726c6795c0e2baf6ULL},
-    {PolicyKind::StayAway, true, 0xcd050d60366fca48ULL},
+    {PolicyKind::StayAway, false, 0xb45146de1c9b5d48ULL},
+    {PolicyKind::StayAway, true, 0xdc6c681ff896f62cULL},
     {PolicyKind::Reactive, false, 0xa5cfd5d1004e279bULL},
     {PolicyKind::Reactive, true, 0xa5cfd5d1004e279bULL},
     {PolicyKind::StaticThreshold, false, 0x31eeb084a7510293ULL},
@@ -264,8 +266,9 @@ TEST(Fleet, BaselinePoliciesMatchExperiment) {
 // hosts pause their batch partner. The digest adds the completed-TPS
 // series to result_digest's; the final cache counters pin the exact key
 // stream and eviction order. Captured from the std::list/unordered_map
-// cache with a binary-search Zipf sampler; the flat cache and the
-// guide-table sampler must match them bit for bit.
+// cache with a binary-search Zipf sampler (digests re-derived on the
+// pre-change build when encode_record became the run-log line); the
+// flat cache and the guide-table sampler must match them bit for bit.
 struct WebserviceGolden {
   SensitiveKind sensitive;
   BatchKind batch;
@@ -274,11 +277,11 @@ struct WebserviceGolden {
   std::uint64_t misses;
 };
 constexpr WebserviceGolden kWebserviceGoldens[] = {
-    {SensitiveKind::WebserviceMem, BatchKind::MemBomb, 0xc6acc2cbc76d0424ULL,
+    {SensitiveKind::WebserviceMem, BatchKind::MemBomb, 0xc13beacac1fb95a6ULL,
      805542, 146458},
-    {SensitiveKind::WebserviceMix, BatchKind::Batch2, 0x9ffebe497df3a6ffULL,
+    {SensitiveKind::WebserviceMix, BatchKind::Batch2, 0xc3eff2d22b968bc0ULL,
      782651, 169349},
-    {SensitiveKind::WebserviceCpu, BatchKind::Soplex, 0x0dd07fdc0b248b43ULL,
+    {SensitiveKind::WebserviceCpu, BatchKind::Soplex, 0xd27cf7939430ba9dULL,
      632727, 319273},
 };
 

@@ -358,11 +358,13 @@ std::uint64_t records_digest(const harness::ExperimentResult& res) {
 }
 
 // Goldens captured from the threaded producer/consumer ring source that
-// inline generation replaced: the stream, every overflow drop and every
-// injected ingest anomaly must come out bit for bit the same.
+// inline generation replaced (digests re-derived on the pre-change build
+// when encode_record became the run-log line): the stream, every
+// overflow drop and every injected ingest anomaly must come out bit for
+// bit the same.
 TEST(RingPipeline, StreamMatchesPinnedGolden) {
   harness::ExperimentResult res = harness::run_experiment(ring_spec());
-  EXPECT_EQ(records_digest(res), 0x7b24375e9930dc64ULL);
+  EXPECT_EQ(records_digest(res), 0x73d697452f83cdf4ULL);
 }
 
 TEST(RingPipeline, StreamMatchesPinnedGoldenUnderFaultsAndBurst) {
@@ -386,7 +388,7 @@ TEST(RingPipeline, StreamMatchesPinnedGoldenUnderFaultsAndBurst) {
   EXPECT_GT(late, 0u);
   EXPECT_GT(dup, 0u);
   EXPECT_GT(dropped, 0u);
-  EXPECT_EQ(records_digest(res), 0xae19a6aa93c4447aULL);
+  EXPECT_EQ(records_digest(res), 0x0d8cfa0a3587cdecULL);
 }
 
 // --- Run-log format: the optional trailing ingest block. ----------------
@@ -400,9 +402,9 @@ TEST(RunLogIngest, RecordRoundTripsWithIngestFields) {
   rec.late_samples = 2;
   rec.duplicate_samples = 1;
   rec.overflow_drops = 3;
-  std::string line = replay::serialize_period_record(rec);
+  std::string line = core::encode_record(rec);
   EXPECT_NE(line.find(" ing="), std::string::npos);
-  core::PeriodRecord back = replay::parse_period_record(line);
+  core::PeriodRecord back = core::decode_record(line);
   EXPECT_TRUE(back == rec);
 }
 
@@ -410,11 +412,11 @@ TEST(RunLogIngest, SynchronousRecordLineIsByteIdenticalToHistoricalForm) {
   core::PeriodRecord rec;
   rec.time = 12.0;
   rec.beta = 0.05;
-  std::string line = replay::serialize_period_record(rec);
+  std::string line = core::encode_record(rec);
   // No ingest block: a pre-streaming parser would still read this line.
   EXPECT_EQ(line.find(" ing="), std::string::npos);
   EXPECT_EQ(line.find(" ovf="), std::string::npos);
-  core::PeriodRecord back = replay::parse_period_record(line);
+  core::PeriodRecord back = core::decode_record(line);
   EXPECT_TRUE(back == rec);
 }
 

@@ -5,6 +5,7 @@
 // committed regression logs under tests/regressions/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "replay/replay.hpp"
 #include "replay/run_log.hpp"
 #include "util/check.hpp"
+#include "util/statecodec.hpp"
 
 namespace stayaway::replay {
 namespace {
@@ -70,12 +72,12 @@ harness::FleetScenario parse_doc(const std::string& text) {
 
 TEST(RunLogRecord, LineRoundTripsFieldForField) {
   core::PeriodRecord rec = sample_record();
-  std::string line = serialize_period_record(rec);
-  core::PeriodRecord back = parse_period_record(line);
+  std::string line = core::encode_record(rec);
+  core::PeriodRecord back = core::decode_record(line);
   EXPECT_EQ(back, rec);
   // Byte equality of lines is the replay comparison primitive; it must
   // be stable under a second trip.
-  EXPECT_EQ(serialize_period_record(back), line);
+  EXPECT_EQ(core::encode_record(back), line);
 }
 
 TEST(RunLogRecord, NonFiniteValuesRoundTripExactly) {
@@ -83,26 +85,68 @@ TEST(RunLogRecord, NonFiniteValuesRoundTripExactly) {
   rec.state.x = std::numeric_limits<double>::quiet_NaN();
   rec.state.y = std::numeric_limits<double>::infinity();
   rec.stress = -std::numeric_limits<double>::infinity();
-  std::string line = serialize_period_record(rec);
-  core::PeriodRecord back = parse_period_record(line);
+  std::string line = core::encode_record(rec);
+  core::PeriodRecord back = core::decode_record(line);
   EXPECT_TRUE(std::isnan(back.state.x));
   EXPECT_EQ(back.state.y, std::numeric_limits<double>::infinity());
   EXPECT_EQ(back.stress, -std::numeric_limits<double>::infinity());
   // NaN breaks operator==, so the byte-level identity is the contract.
-  EXPECT_EQ(serialize_period_record(back), line);
+  EXPECT_EQ(core::encode_record(back), line);
+}
+
+/// `line` with the value of its `key=` token replaced by `value`.
+std::string tamper_field(const std::string& line, const std::string& key,
+                         const std::string& value) {
+  const std::size_t at = line.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return line;
+  const std::size_t start = at + key.size() + 2;
+  const std::size_t end = std::min(line.find(' ', start), line.size());
+  return line.substr(0, start) + value + line.substr(end);
 }
 
 TEST(RunLogRecord, RejectsMalformedLines) {
-  std::string good = serialize_period_record(sample_record());
-  EXPECT_THROW(parse_period_record("t=1 bogus=2"), PreconditionError);
-  EXPECT_THROW(parse_period_record(good + " extra=1"), PreconditionError);
-  EXPECT_THROW(parse_period_record("t=1"), PreconditionError);
-  EXPECT_THROW(parse_period_record(""), PreconditionError);
+  std::string good = core::encode_record(sample_record());
+  EXPECT_THROW(core::decode_record("t=1 bogus=2"), util::StateCodecError);
+  EXPECT_THROW(core::decode_record(good + " extra=1"), util::StateCodecError);
+  EXPECT_THROW(core::decode_record("t=1"), util::StateCodecError);
+  EXPECT_THROW(core::decode_record(""), util::StateCodecError);
   // Out-of-range enums must not alias a valid state.
   std::string bad_mode = good;
   std::size_t pos = bad_mode.find("mode=");
   bad_mode[pos + 5] = '9';
-  EXPECT_THROW(parse_period_record(bad_mode), PreconditionError);
+  EXPECT_THROW(core::decode_record(bad_mode), util::StateCodecError);
+
+  // Both optional tail blocks present, so their framing is exercised too.
+  core::PeriodRecord tailed = sample_record();
+  tailed.samples_ingested = 4;
+  tailed.migrations_in = 1;
+  const std::string full = core::encode_record(tailed);
+  ASSERT_EQ(core::encode_record(core::decode_record(full)), full);
+  const std::size_t x = full.find(" x=");
+  const std::size_t y = full.find(" y=");
+  const std::size_t rep = full.find(" rep=");
+  const std::string swapped_xy = full.substr(0, x) +
+                                 full.substr(y, rep - y) +
+                                 full.substr(x, y - x) + full.substr(rep);
+  for (const std::string& bad : {
+           "t=abc" + full.substr(full.find(' ')),   // malformed number
+           tamper_field(full, "x", "abc"),          // malformed number
+           tamper_field(full, "stress", "1.0.0"),   // malformed number
+           tamper_field(full, "beta", ""),          // empty number
+           tamper_field(full, "rep", "-1"),         // signed count
+           tamper_field(full, "vobs", "2"),         // non-0/1 flag
+           "bogus=1 " + full,                       // unknown key
+           tamper_field(full, "ovf", "0 bogus=1"),  // unknown key in a block
+           swapped_xy,                              // reordered field
+           full.substr(0, full.find(" stress=")),   // truncated line
+           full.substr(0, full.find(" migin=")),    // truncated block
+           full + " migout=1 migin=1",              // repeated block
+           tamper_field(full, "act", "3"),          // out-of-range act
+           tamper_field(full, "deg", "3"),          // out-of-range deg
+       }) {
+    EXPECT_THROW(core::decode_record(bad), util::StateCodecError) << bad;
+  }
 }
 
 TEST(RunLogDocument, RoundTripsThroughParse) {
@@ -110,7 +154,7 @@ TEST(RunLogDocument, RoundTripsThroughParse) {
   log.detector = "beta-out-of-band";
   log.scenario_text = "sensitive = vlc-stream\nbatch = cpubomb\n";
   log.hosts.push_back(
-      {"web-a", {serialize_period_record(sample_record())}});
+      {"web-a", {core::encode_record(sample_record())}});
   log.hosts.push_back({"web-b", {}});
 
   std::string text = serialize_run_log(log);
@@ -217,7 +261,7 @@ TEST(Replay, RecorderIsPassive) {
     std::vector<std::string> lines;
     for (const core::PeriodRecord& rec :
          bare.hosts[h].result.stayaway_records) {
-      lines.push_back(serialize_period_record(rec));
+      lines.push_back(core::encode_record(rec));
     }
     EXPECT_EQ(recorded.log.hosts[h].records, lines);
   }
