@@ -50,7 +50,10 @@
 #                                on both violations and batch progress) in
 #                                the tier-1 tree, then a coordinated
 #                                migration run through a record -> replay
-#                                round trip
+#                                round trip, and a supervised coordinated
+#                                run through checkpoint -> restore ->
+#                                re-export (every host blob and the
+#                                coordinator blob cmp-equal)
 #   ./ci.sh --analyze            static-analysis gate (DESIGN.md §16):
 #                                stayaway_analyze self-test, then the
 #                                include-graph / lock-discipline /
@@ -238,7 +241,8 @@ EOF
       # coordinator checkpoint) plus the bench_cluster acceptance bound
       # (migration strictly beats per-host pausing on both violations and
       # batch progress) in the tier-1 tree, then a migration run driven
-      # through a full record -> replay round trip via stayaway_sim.
+      # through a full record -> replay round trip via stayaway_sim, and
+      # a coordinated checkpoint -> restore -> re-export round trip.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
           --target test_cluster bench_cluster stayaway_sim || return 1
@@ -271,8 +275,41 @@ EOF
       }
       ./build/tools/stayaway_sim --replay "$tmpdir/cluster.runlog" ||
         { rm -rf "$tmpdir"; return 1; }
+      # Coordinated checkpoints: a supervised two-host run (mobile VM +
+      # admission) exports one blob per host plus the coordinator's; a
+      # restore that re-exports must write every blob it read, byte for
+      # byte — the MigrationActuator and coordinator state included.
+      cat >"$tmpdir/ckpt.conf" <<'CONF'
+sensitive  = webservice-cpu
+batch      = none
+policy     = stay-away
+duration_s = 80
+workload   = constant
+[host "web-a"]
+seed = 3
+[host "web-b"]
+seed = 5
+[cluster]
+mobile = crunch:cpubomb:web-a:20
+admit  = late:soplex:50
+CONF
+      ./build/tools/stayaway_sim --supervise --checkpoint-every 5 \
+        --checkpoint-dir "$tmpdir/ckpt" "$tmpdir/ckpt.conf" >/dev/null &&
+        ./build/tools/stayaway_sim --restore "$tmpdir/ckpt" \
+          --checkpoint-dir "$tmpdir/ckpt2" "$tmpdir/ckpt.conf" >/dev/null ||
+        { rm -rf "$tmpdir"; return 1; }
+      local blob
+      for blob in web-a.ckpt web-b.ckpt coordinator.ckpt; do
+        [[ -s "$tmpdir/ckpt/$blob" ]] &&
+          cmp "$tmpdir/ckpt/$blob" "$tmpdir/ckpt2/$blob" || {
+          echo "coordinated checkpoint $blob did not re-export identically" >&2
+          rm -rf "$tmpdir"
+          return 1
+        }
+      done
       rm -rf "$tmpdir"
-      echo "cluster record -> replay round trip: ok"
+      echo "cluster record -> replay round trip + coordinated checkpoint" \
+        "re-export cmp (hosts + coordinator): ok"
       ;;
     ingest)
       # Streaming-ingestion gate (DESIGN.md §15): the ingest suite and the

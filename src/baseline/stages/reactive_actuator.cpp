@@ -41,16 +41,10 @@ core::Actuator::Outcome ReactiveActuator::act(core::ActuationPort& port,
   return outcome;
 }
 
-void ReactiveActuator::save_state(util::StateWriter& w) const {
-  w.boolean("reactive_paused", paused_);
-  w.real("reactive_paused_at", paused_at_);
-  w.u64("reactive_pauses", pauses_);
-}
-
-void ReactiveActuator::load_state(util::StateReader& r) {
-  paused_ = r.boolean("reactive_paused");
-  paused_at_ = r.real("reactive_paused_at");
-  pauses_ = static_cast<std::size_t>(r.u64("reactive_pauses"));
+void ReactiveActuator::persist(util::StateIO& io) {
+  io.boolean("reactive_paused", paused_);
+  io.real("reactive_paused_at", paused_at_);
+  io.u64("reactive_pauses", pauses_);
 }
 
 }  // namespace stayaway::baseline

@@ -31,8 +31,7 @@ class ReactiveActuator final : public core::Actuator {
   std::size_t pauses() const { return pauses_; }
 
   /// Snapshot of the pause latch, its start time and the pause count.
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
  private:
   ReactiveConfig config_;

@@ -49,14 +49,9 @@ core::Actuator::Outcome StaticThresholdActuator::act(core::ActuationPort& port,
   return outcome;
 }
 
-void StaticThresholdActuator::save_state(util::StateWriter& w) const {
-  w.boolean("static_paused", paused_);
-  w.u64("static_pauses", pauses_);
-}
-
-void StaticThresholdActuator::load_state(util::StateReader& r) {
-  paused_ = r.boolean("static_paused");
-  pauses_ = static_cast<std::size_t>(r.u64("static_pauses"));
+void StaticThresholdActuator::persist(util::StateIO& io) {
+  io.boolean("static_paused", paused_);
+  io.u64("static_pauses", pauses_);
 }
 
 }  // namespace stayaway::baseline

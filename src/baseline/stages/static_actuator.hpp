@@ -34,8 +34,7 @@ class StaticThresholdActuator final : public core::Actuator {
   std::size_t pauses() const { return pauses_; }
 
   /// Snapshot of the pause latch and the pause count.
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
  private:
   StaticThresholdConfig config_;

@@ -1,6 +1,5 @@
 #include "core/checkpoint.hpp"
 
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -11,7 +10,7 @@ namespace stayaway::core {
 
 namespace {
 
-constexpr std::string_view kHeaderPrefix = "stayaway-checkpoint v";
+constexpr std::string_view kCheckpointMagic = "stayaway-checkpoint";
 constexpr std::string_view kChecksumKey = "checksum = ";
 
 }  // namespace
@@ -25,92 +24,106 @@ std::uint64_t fnv1a64(std::string_view text) {
   return hash;
 }
 
-std::string encode_checkpoint(HostPipeline& pipeline) {
-  const std::string& records = pipeline.encoded_records();
-  // The stage state goes through its own buffer first so the blob can be
-  // sized exactly: stored checkpoints then carry no spare capacity.
-  std::string state;
-  util::StateWriter state_writer(state);
-  pipeline.save_state(state_writer);
-
-  std::string out;
-  out.reserve(records.size() + state.size() + 96);  // + header, count, trailer
-  out += kHeaderPrefix;
-  out += std::to_string(kCheckpointVersion);
+std::size_t begin_envelope(std::string& out, std::string_view magic,
+                           std::uint64_t version) {
+  out += magic;
+  out += " v";
+  out += std::to_string(version);
   out += '\n';
-  const std::size_t body_start = out.size();
-  util::StateWriter w(out);
-  w.u64("records", pipeline.records().size());
-  out += records;
-  out += state;
+  return out.size();
+}
+
+void seal_envelope(std::string& out, std::size_t body_start) {
   const std::uint64_t checksum =
       fnv1a64(std::string_view(out).substr(body_start));
   out += kChecksumKey;
   out += std::to_string(checksum);
   out += '\n';
+}
+
+std::string_view open_envelope(std::string_view blob, std::string_view magic,
+                               std::uint64_t version) {
+  const std::string kind(magic);
+  // A blob that does not end in a newline lost its tail — report
+  // truncation before anything subtler.
+  const std::size_t header_end = blob.find('\n');
+  if (header_end == std::string_view::npos) {
+    throw util::StateCodecError("truncated " + kind + ": no header line");
+  }
+  const std::string_view header = blob.substr(0, header_end);
+  if (!header.starts_with(magic) ||
+      !header.substr(magic.size()).starts_with(" v")) {
+    throw util::StateCodecError("not a " + kind + " blob");
+  }
+  std::uint64_t found = 0;
+  if (!parse_u64(header.substr(magic.size() + 2), found)) {
+    throw util::StateCodecError("malformed " + kind + " version");
+  }
+  if (found != version) {
+    throw CheckpointVersionError(
+        "unsupported " + kind + " version v" + std::to_string(found) +
+        " (this build reads v" + std::to_string(version) + ")");
+  }
+  if (blob.back() != '\n') {
+    throw util::StateCodecError("truncated " + kind +
+                                ": missing trailing newline");
+  }
+  std::size_t trailer_start = blob.rfind('\n', blob.size() - 2);
+  if (trailer_start == std::string_view::npos || trailer_start < header_end) {
+    throw util::StateCodecError("truncated " + kind + ": no body");
+  }
+  ++trailer_start;  // first char of the trailer line
+  const std::string_view trailer =
+      blob.substr(trailer_start, blob.size() - trailer_start - 1);
+  if (!trailer.starts_with(kChecksumKey)) {
+    throw util::StateCodecError("truncated " + kind +
+                                ": no checksum trailer");
+  }
+  std::uint64_t expected = 0;
+  if (!parse_u64(trailer.substr(kChecksumKey.size()), expected)) {
+    throw util::StateCodecError("malformed " + kind + " checksum");
+  }
+  const std::string_view body =
+      blob.substr(header_end + 1, trailer_start - header_end - 1);
+  if (fnv1a64(body) != expected) {
+    throw CheckpointChecksumError(kind + " checksum mismatch");
+  }
+  return body;
+}
+
+std::string encode_checkpoint(HostPipeline& pipeline) {
+  const std::string& records = pipeline.encoded_records();
+  // The stage state goes through its own buffer first so the blob can be
+  // sized exactly: stored checkpoints then carry no spare capacity.
+  std::string state;
+  util::StateIO state_io = util::StateIO::writer(state);
+  pipeline.persist(state_io);
+
+  std::string out;
+  out.reserve(records.size() + state.size() + 96);  // + header, count, trailer
+  const std::size_t body =
+      begin_envelope(out, kCheckpointMagic, kCheckpointVersion);
+  std::size_t count = pipeline.records().size();
+  util::StateIO::writer(out).count("records", count);
+  out += records;
+  out += state;
+  seal_envelope(out, body);
   return out;
 }
 
 std::size_t restore_checkpoint(HostPipeline& pipeline,
                                const std::string& blob) {
-  // Envelope framing first. A blob that does not end in a newline lost
-  // its tail — report truncation before anything subtler.
-  std::size_t header_end = blob.find('\n');
-  if (header_end == std::string::npos) {
-    throw util::StateCodecError("truncated checkpoint: no header line");
-  }
-  std::string_view header = std::string_view(blob).substr(0, header_end);
-  if (header.substr(0, kHeaderPrefix.size()) != kHeaderPrefix) {
-    throw util::StateCodecError("not a stayaway checkpoint");
-  }
-  std::uint64_t version = 0;
-  if (!stayaway::parse_u64(std::string(header.substr(kHeaderPrefix.size())),
-                       version)) {
-    throw util::StateCodecError("malformed checkpoint version");
-  }
-  if (version != kCheckpointVersion) {
-    throw CheckpointVersionError(
-        "unsupported checkpoint version v" + std::to_string(version) +
-        " (this build reads v" + std::to_string(kCheckpointVersion) + ")");
-  }
-  if (blob.back() != '\n') {
-    throw util::StateCodecError(
-        "truncated checkpoint: missing trailing newline");
-  }
-  std::size_t trailer_start = blob.rfind('\n', blob.size() - 2);
-  if (trailer_start == std::string::npos || trailer_start < header_end) {
-    throw util::StateCodecError("truncated checkpoint: no body");
-  }
-  ++trailer_start;  // first char of the trailer line
-  std::string_view trailer = std::string_view(blob).substr(
-      trailer_start, blob.size() - trailer_start - 1);
-  if (trailer.substr(0, kChecksumKey.size()) != kChecksumKey) {
-    throw util::StateCodecError("truncated checkpoint: no checksum trailer");
-  }
-  std::uint64_t expected = 0;
-  if (!stayaway::parse_u64(std::string(trailer.substr(kChecksumKey.size())),
-                       expected)) {
-    throw util::StateCodecError("malformed checkpoint checksum");
-  }
-  std::string_view body = std::string_view(blob).substr(
-      header_end + 1, trailer_start - header_end - 1);
-  if (fnv1a64(body) != expected) {
-    throw CheckpointChecksumError("checkpoint checksum mismatch");
-  }
-
-  // Body decode into the fresh pipeline.
-  std::istringstream in{std::string(body)};
-  util::StateReader r(in);
-  std::size_t count = static_cast<std::size_t>(r.u64("records"));
+  util::StateIO io = util::StateIO::reader(
+      open_envelope(blob, kCheckpointMagic, kCheckpointVersion));
   std::vector<PeriodRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    records.push_back(decode_record(r.line("record")));
-  }
-  pipeline.load_state(r);
-  if (in.peek() != std::istringstream::traits_type::eof()) {
-    throw util::StateCodecError("trailing data after checkpoint body");
-  }
+  std::string line;
+  io.list("records", records, [&](PeriodRecord& rec) {
+    io.line("record", line);
+    rec = decode_record(line);
+  });
+  pipeline.persist(io);
+  io.finish();
+  const std::size_t count = records.size();
   pipeline.seed_records(std::move(records));
   return count;
 }

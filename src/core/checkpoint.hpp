@@ -6,9 +6,9 @@
 //
 //   stayaway-checkpoint v3         version header
 //   records = <n>                  } body: fixed-order `key = value`
-//   record = <encode_record line>  }   lines via util::StateWriter —
+//   record = <encode_record line>  }   lines via util::StateIO —
 //   ...                            }   n record lines (core/period.hpp),
-//   <stage state>                  }   then HostPipeline::save_state
+//   <stage state>                  }   then HostPipeline::persist
 //   checksum = <fnv1a64(body)>     integrity trailer
 //
 // Doubles round-trip through format_double_exact, so restore-then-run
@@ -17,7 +17,8 @@
 // checkpoint: it comes from HostPipeline::encoded_records(), an
 // append-only memo, so a checkpoint encodes only the periods run since
 // the previous one and the bytes equal a from-scratch encode. The
-// envelope lives in src/core/ — stages serialize through
+// envelope (header, checksum trailer) is shared with the coordinator's
+// blob. It lives in src/core/ — stages describe their state through
 // util/statecodec.hpp and must never include this header
 // (stage-checkpoint-isolation lint rule).
 #pragma once
@@ -76,6 +77,27 @@ std::size_t warm_start(HostPipeline& pipeline, sim::SimHost& host,
 
 /// FNV-1a 64-bit over `text` — the envelope's integrity hash.
 std::uint64_t fnv1a64(std::string_view text);
+
+/// The envelope every checkpoint kind shares — this host blob and the
+/// coordinator blob (core/cluster/coordinator.hpp) alike:
+///
+///   <magic> v<version>           header
+///   <body>                       `key = value` lines
+///   checksum = <fnv1a64(body)>   integrity trailer
+///
+/// begin_envelope appends the header line to `out` and returns where the
+/// body starts; seal_envelope appends the trailer over everything after
+/// that offset.
+std::size_t begin_envelope(std::string& out, std::string_view magic,
+                           std::uint64_t version);
+void seal_envelope(std::string& out, std::size_t body_start);
+
+/// The body of `blob` once its framing and checksum check out. Throws
+/// CheckpointVersionError when the header names `magic` at another
+/// version, CheckpointChecksumError on an integrity failure and
+/// util::StateCodecError on any other framing damage.
+std::string_view open_envelope(std::string_view blob, std::string_view magic,
+                               std::uint64_t version);
 
 /// Deterministically flips one body byte in a stored blob so the next
 /// restore fails its checksum — how the CheckpointCorrupt fault models

@@ -1,19 +1,18 @@
 #include "core/cluster/coordinator.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "core/checkpoint.hpp"
 #include "util/check.hpp"
-#include "util/strings.hpp"
 
 namespace stayaway::core::cluster {
 
 namespace {
 
-constexpr std::string_view kHeaderLine = "stayaway-coordinator v1";
-constexpr std::string_view kChecksumKey = "checksum = ";
+// Framed by the host checkpoint's envelope: `stayaway-coordinator v1`.
+constexpr std::string_view kMagic = "stayaway-coordinator";
+constexpr std::uint64_t kVersion = 1;
 
 }  // namespace
 
@@ -193,171 +192,69 @@ void ClusterCoordinator::replay_host_period(std::size_t host,
   }
 }
 
-void ClusterCoordinator::save_state(util::StateWriter& w) const {
-  w.boolean("cluster_migrate", config_.migrate);
-  w.real("cluster_admit_margin", config_.admit_margin);
-  w.u64("cluster_admit_patience", config_.admit_patience);
-  w.u64("cluster_migration_cooldown", config_.migration_cooldown);
-  w.real("cluster_admit_footprint", config_.admit_footprint);
-  w.u64("cluster_hosts", hosts_.size());
-  w.u64("cluster_mobile", mobile_.size());
-  for (const MobileVm& vm : mobile_) {
-    w.line("mobile_name", vm.name);
-    std::vector<std::uint64_t> twins(vm.twins.begin(), vm.twins.end());
-    w.u64s("mobile_twins", twins);
-    w.u64("mobile_host", vm.host);
-    w.u64("mobile_cooldown_until", vm.cooldown_until);
-  }
-  w.u64("cluster_admissions", admissions_.size());
-  for (const Admission& a : admissions_) {
-    w.line("admission_name", a.name);
-    std::vector<std::uint64_t> twins(a.twins.begin(), a.twins.end());
-    w.u64s("admission_twins", twins);
-    w.u64("admission_arrival", a.arrival);
-    w.u64("admission_state", static_cast<std::uint64_t>(a.state));
-    w.u64("admission_host", a.host);
-  }
-  for (const auto& per_host : directives_) {
-    w.u64("directive_periods", per_host.size());
-    for (const auto& [period, d] : per_host) {
-      w.u64("directive_period", period);
-      w.boolean("directive_gate", d.gate);
-      w.u64("directive_incoming", d.incoming);
-      std::vector<std::uint64_t> attaches(d.attaches.begin(),
-                                          d.attaches.end());
-      w.u64s("directive_attaches", attaches);
-    }
-  }
-  w.u64("cluster_migrations", migrations_);
-  w.u64("cluster_admitted", admitted_);
-  w.u64("cluster_rejected", rejected_);
-  w.u64("cluster_events", events_.size());
-  for (const std::string& event : events_) {
-    w.line("event", event);
-  }
-}
-
-void ClusterCoordinator::load_state(util::StateReader& r) {
-  config_.migrate = r.boolean("cluster_migrate");
-  config_.admit_margin = r.real("cluster_admit_margin");
-  config_.admit_patience =
-      static_cast<std::size_t>(r.u64("cluster_admit_patience"));
-  config_.migration_cooldown =
-      static_cast<std::size_t>(r.u64("cluster_migration_cooldown"));
-  config_.admit_footprint = r.real("cluster_admit_footprint");
-  if (r.u64("cluster_hosts") != hosts_.size()) {
-    throw util::StateCodecError("coordinator host count mismatch");
-  }
-  if (r.u64("cluster_mobile") != mobile_.size()) {
-    throw util::StateCodecError("coordinator mobile VM count mismatch");
-  }
+void ClusterCoordinator::persist(util::StateIO& io) {
+  io.boolean("cluster_migrate", config_.migrate);
+  io.real("cluster_admit_margin", config_.admit_margin);
+  io.u64("cluster_admit_patience", config_.admit_patience);
+  io.u64("cluster_migration_cooldown", config_.migration_cooldown);
+  io.real("cluster_admit_footprint", config_.admit_footprint);
+  io.expect("cluster_hosts", hosts_.size(), "coordinator host count mismatch");
+  io.expect("cluster_mobile", mobile_.size(),
+            "coordinator mobile VM count mismatch");
   for (MobileVm& vm : mobile_) {
-    if (r.line("mobile_name") != vm.name) {
-      throw util::StateCodecError("coordinator mobile VM name mismatch");
-    }
-    std::vector<std::uint64_t> twins = r.u64s("mobile_twins");
-    vm.twins.assign(twins.begin(), twins.end());
-    vm.host = static_cast<std::size_t>(r.u64("mobile_host"));
-    if (vm.host >= hosts_.size()) {
+    io.expect("mobile_name", vm.name, "coordinator mobile VM name mismatch");
+    io.u64s("mobile_twins", vm.twins);
+    io.u64("mobile_host", vm.host);
+    if (io.loading() && vm.host >= hosts_.size()) {
       throw util::StateCodecError("coordinator mobile placement out of range");
     }
-    vm.cooldown_until =
-        static_cast<std::size_t>(r.u64("mobile_cooldown_until"));
+    io.u64("mobile_cooldown_until", vm.cooldown_until);
   }
-  if (r.u64("cluster_admissions") != admissions_.size()) {
-    throw util::StateCodecError("coordinator admission count mismatch");
-  }
+  io.expect("cluster_admissions", admissions_.size(),
+            "coordinator admission count mismatch");
   for (Admission& a : admissions_) {
-    if (r.line("admission_name") != a.name) {
-      throw util::StateCodecError("coordinator admission name mismatch");
-    }
-    std::vector<std::uint64_t> twins = r.u64s("admission_twins");
-    a.twins.assign(twins.begin(), twins.end());
-    a.arrival = static_cast<std::size_t>(r.u64("admission_arrival"));
-    std::uint64_t state = r.u64("admission_state");
-    if (state > static_cast<std::uint64_t>(AdmissionState::Rejected)) {
-      throw util::StateCodecError("coordinator admission state out of range");
-    }
-    a.state = static_cast<AdmissionState>(state);
-    a.host = static_cast<std::size_t>(r.u64("admission_host"));
+    io.expect("admission_name", a.name, "coordinator admission name mismatch");
+    io.u64s("admission_twins", a.twins);
+    io.u64("admission_arrival", a.arrival);
+    io.enumeration("admission_state", a.state, AdmissionState::Rejected);
+    io.u64("admission_host", a.host);
   }
   for (auto& per_host : directives_) {
-    per_host.clear();
-    std::size_t count = static_cast<std::size_t>(r.u64("directive_periods"));
-    for (std::size_t i = 0; i < count; ++i) {
-      std::size_t period = static_cast<std::size_t>(r.u64("directive_period"));
-      Directives d;
-      d.gate = r.boolean("directive_gate");
-      d.incoming = static_cast<std::size_t>(r.u64("directive_incoming"));
-      for (std::uint64_t id : r.u64s("directive_attaches")) {
-        d.attaches.push_back(static_cast<sim::VmId>(id));
-      }
-      per_host.emplace(period, std::move(d));
+    std::vector<std::pair<std::size_t, Directives>> periods(per_host.begin(),
+                                                            per_host.end());
+    io.list("directive_periods", periods, [&io](auto& entry) {
+      io.u64("directive_period", entry.first);
+      io.boolean("directive_gate", entry.second.gate);
+      io.u64("directive_incoming", entry.second.incoming);
+      io.u64s("directive_attaches", entry.second.attaches);
+    });
+    if (io.loading()) {
+      per_host = std::map<std::size_t, Directives>(periods.begin(),
+                                                   periods.end());
     }
   }
-  migrations_ = static_cast<std::size_t>(r.u64("cluster_migrations"));
-  admitted_ = static_cast<std::size_t>(r.u64("cluster_admitted"));
-  rejected_ = static_cast<std::size_t>(r.u64("cluster_rejected"));
-  events_.clear();
-  std::size_t events = static_cast<std::size_t>(r.u64("cluster_events"));
-  events_.reserve(events);
-  for (std::size_t i = 0; i < events; ++i) {
-    events_.push_back(r.line("event"));
-  }
+  io.u64("cluster_migrations", migrations_);
+  io.u64("cluster_admitted", admitted_);
+  io.u64("cluster_rejected", rejected_);
+  io.list("cluster_events", events_,
+          [&io](std::string& event) { io.line("event", event); });
 }
 
-std::string encode_coordinator(const ClusterCoordinator& coordinator) {
-  std::string out(kHeaderLine);
-  out += '\n';
-  const std::size_t body_start = out.size();
-  util::StateWriter w(out);
-  coordinator.save_state(w);
-  const std::uint64_t checksum =
-      fnv1a64(std::string_view(out).substr(body_start));
-  out += kChecksumKey;
-  out += std::to_string(checksum);
-  out += '\n';
+std::string encode_coordinator(ClusterCoordinator& coordinator) {
+  std::string out;
+  const std::size_t body = begin_envelope(out, kMagic, kVersion);
+  util::StateIO io = util::StateIO::writer(out);
+  coordinator.persist(io);
+  seal_envelope(out, body);
   return out;
 }
 
 void restore_coordinator(ClusterCoordinator& coordinator,
                          const std::string& blob) {
-  std::size_t header_end = blob.find('\n');
-  if (header_end == std::string::npos ||
-      std::string_view(blob).substr(0, header_end) != kHeaderLine) {
-    throw util::StateCodecError("not a stayaway coordinator checkpoint");
-  }
-  if (blob.back() != '\n') {
-    throw util::StateCodecError(
-        "truncated coordinator checkpoint: missing trailing newline");
-  }
-  std::size_t trailer_start = blob.rfind('\n', blob.size() - 2);
-  if (trailer_start == std::string::npos || trailer_start < header_end) {
-    throw util::StateCodecError("truncated coordinator checkpoint: no body");
-  }
-  ++trailer_start;
-  std::string_view trailer = std::string_view(blob).substr(
-      trailer_start, blob.size() - trailer_start - 1);
-  if (trailer.substr(0, kChecksumKey.size()) != kChecksumKey) {
-    throw util::StateCodecError(
-        "truncated coordinator checkpoint: no checksum trailer");
-  }
-  std::uint64_t expected = 0;
-  if (!stayaway::parse_u64(std::string(trailer.substr(kChecksumKey.size())),
-                           expected)) {
-    throw util::StateCodecError("malformed coordinator checksum");
-  }
-  std::string_view body = std::string_view(blob).substr(
-      header_end + 1, trailer_start - header_end - 1);
-  if (fnv1a64(body) != expected) {
-    throw CheckpointChecksumError("coordinator checkpoint checksum mismatch");
-  }
-  std::istringstream in{std::string(body)};
-  util::StateReader r(in);
-  coordinator.load_state(r);
-  if (in.peek() != std::istringstream::traits_type::eof()) {
-    throw util::StateCodecError("trailing data after coordinator body");
-  }
+  util::StateIO io =
+      util::StateIO::reader(open_envelope(blob, kMagic, kVersion));
+  coordinator.persist(io);
+  io.finish();
 }
 
 }  // namespace stayaway::core::cluster

@@ -109,9 +109,8 @@ class ClusterCoordinator {
   /// Snapshot of everything step() mutates: placements, cooldowns, the
   /// admission queue, per-host directives, counters and the event log.
   /// Host/VM registration is wiring, re-established by the caller before
-  /// load_state (mismatches throw).
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  /// a load (mismatches throw).
+  void persist(util::StateIO& io);
 
  private:
   /// Boundary decisions against one host for one period: applied live by
@@ -159,9 +158,9 @@ class ClusterCoordinator {
 };
 
 /// Versioned, checksummed single-string encoding of the coordinator
-/// state — the cluster analogue of core/checkpoint.hpp's envelope
-/// (header `stayaway-coordinator v1`, fnv1a64 trailer).
-std::string encode_coordinator(const ClusterCoordinator& coordinator);
+/// state, framed by core/checkpoint.hpp's envelope under the header
+/// `stayaway-coordinator v1`.
+std::string encode_coordinator(ClusterCoordinator& coordinator);
 
 /// Decodes `blob` into a freshly wired coordinator (same hosts, same
 /// VMs). Throws util::StateCodecError on damage or wiring mismatch.

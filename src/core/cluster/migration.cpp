@@ -58,31 +58,14 @@ Actuator::Outcome MigrationActuator::act(ActuationPort& port,
   return inner_->act(port, rec, degradation, observer);
 }
 
-void MigrationActuator::save_state(util::StateWriter& w) const {
-  w.boolean("migration_gate", gate_);
-  w.u64("migration_incoming", incoming_);
-  std::vector<std::uint64_t> outbox(outbox_.begin(), outbox_.end());
-  w.u64s("migration_outbox", outbox);
-  w.u64("migrations_out_total", migrations_out_total_);
-  w.boolean("migration_has_inner", inner_ != nullptr);
-  if (inner_ != nullptr) inner_->save_state(w);
-}
-
-void MigrationActuator::load_state(util::StateReader& r) {
-  gate_ = r.boolean("migration_gate");
-  incoming_ = static_cast<std::size_t>(r.u64("migration_incoming"));
-  outbox_.clear();
-  for (std::uint64_t id : r.u64s("migration_outbox")) {
-    outbox_.push_back(static_cast<sim::VmId>(id));
-  }
-  migrations_out_total_ =
-      static_cast<std::size_t>(r.u64("migrations_out_total"));
-  bool has_inner = r.boolean("migration_has_inner");
-  if (has_inner != (inner_ != nullptr)) {
-    throw util::StateCodecError(
-        "migration actuator inner-stage presence mismatch");
-  }
-  if (inner_ != nullptr) inner_->load_state(r);
+void MigrationActuator::persist(util::StateIO& io) {
+  io.boolean("migration_gate", gate_);
+  io.u64("migration_incoming", incoming_);
+  io.u64s("migration_outbox", outbox_);
+  io.u64("migrations_out_total", migrations_out_total_);
+  io.expect("migration_has_inner", inner_ != nullptr,
+            "migration actuator inner-stage presence mismatch");
+  if (inner_ != nullptr) inner_->persist(io);
 }
 
 }  // namespace stayaway::core::cluster

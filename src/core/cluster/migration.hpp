@@ -52,8 +52,7 @@ class MigrationActuator final : public Actuator {
 
   /// Snapshots the gate, incoming note and outbox with the inner stage,
   /// so a restore resumes mid-handshake exactly.
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
  private:
   std::unique_ptr<Actuator> inner_;

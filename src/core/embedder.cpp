@@ -163,60 +163,32 @@ void MapEmbedder::embed(const monitor::RepresentativeSet& reps) {
   }
 }
 
-void MapEmbedder::save_state(util::StateWriter& w) const {
-  std::vector<double> xs, ys;
-  xs.reserve(positions_.size());
-  ys.reserve(positions_.size());
-  for (const auto& p : positions_) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
-  w.reals("positions_x", xs);
-  w.reals("positions_y", ys);
-  w.real("stress", stress_);
-  w.u64("total_iterations", total_iterations_);
-  w.u64("cold_runs_skipped", cold_runs_skipped_);
-  w.u64("rebuilds", rebuilds_);
+void MapEmbedder::persist(util::StateIO& io,
+                          const std::vector<std::vector<double>>& vectors) {
+  io.points("positions", positions_);
+  io.real("stress", stress_);
+  io.u64("total_iterations", total_iterations_);
+  io.u64("cold_runs_skipped", cold_runs_skipped_);
+  io.u64("rebuilds", rebuilds_);
   if (method_ == EmbedMethod::LandmarkIncremental) {
-    w.u64("landmark_fit_size", last_fit_size_);
-    w.real("landmark_align_rotation", landmark_align_.rotation);
-    w.boolean("landmark_align_reflected", landmark_align_.reflected);
-    w.real("landmark_align_scale", landmark_align_.scale);
-    w.real("landmark_align_tx", landmark_align_.translation.x);
-    w.real("landmark_align_ty", landmark_align_.translation.y);
+    io.u64("landmark_fit_size", last_fit_size_);
+    io.real("landmark_align_rotation", landmark_align_.rotation);
+    io.boolean("landmark_align_reflected", landmark_align_.reflected);
+    io.real("landmark_align_scale", landmark_align_.scale);
+    io.real("landmark_align_tx", landmark_align_.translation.x);
+    io.real("landmark_align_ty", landmark_align_.translation.y);
   }
-}
-
-void MapEmbedder::load_state(util::StateReader& r,
-                             const std::vector<std::vector<double>>& vectors) {
-  std::vector<double> xs = r.reals("positions_x");
-  std::vector<double> ys = r.reals("positions_y");
-  if (xs.size() != ys.size() || xs.size() != vectors.size()) {
+  if (!io.loading()) return;
+  if (positions_.size() != vectors.size()) {
     throw util::StateCodecError(
         "embedder state: position/representative count mismatch");
   }
-  positions_.resize(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) positions_[i] = {xs[i], ys[i]};
-  stress_ = r.real("stress");
-  total_iterations_ = static_cast<std::size_t>(r.u64("total_iterations"));
-  cold_runs_skipped_ = static_cast<std::size_t>(r.u64("cold_runs_skipped"));
-  rebuilds_ = static_cast<std::size_t>(r.u64("rebuilds"));
+  if (last_fit_size_ > vectors.size()) {
+    throw util::StateCodecError(
+        "embedder state: landmark fit larger than the representative set");
+  }
   landmark_model_.reset();
   landmark_vectors_.clear();
-  landmark_align_ = mds::ProcrustesTransform{};
-  last_fit_size_ = 0;
-  if (method_ == EmbedMethod::LandmarkIncremental) {
-    last_fit_size_ = static_cast<std::size_t>(r.u64("landmark_fit_size"));
-    landmark_align_.rotation = r.real("landmark_align_rotation");
-    landmark_align_.reflected = r.boolean("landmark_align_reflected");
-    landmark_align_.scale = r.real("landmark_align_scale");
-    landmark_align_.translation.x = r.real("landmark_align_tx");
-    landmark_align_.translation.y = r.real("landmark_align_ty");
-    if (last_fit_size_ > vectors.size()) {
-      throw util::StateCodecError(
-          "embedder state: landmark fit larger than the representative set");
-    }
-  }
   if (last_fit_size_ > 0) {
     // Landmark regime: refit on exactly the representatives the last fit
     // saw; the full matrix never exists here.

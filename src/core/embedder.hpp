@@ -71,7 +71,7 @@ class MapEmbedder {
   std::size_t landmark_fit_size() const { return last_fit_size_; }
 
   /// Snapshot of layout, stress and overhead counters, plus the landmark
-  /// fit size and alignment under LandmarkIncremental. load_state
+  /// fit size and alignment under LandmarkIncremental. A load
   /// rebuilds the derived caches from the restored representative
   /// vectors: the dissimilarity matrix (entry-wise identical to the
   /// incrementally grown one, refresh_delta's contract) or, in the
@@ -79,9 +79,9 @@ class MapEmbedder {
   /// the last fit saw (the set is append-only, so the refit is
   /// bit-exact). Either way the next update proceeds exactly as the
   /// uninterrupted run's would.
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r,
-                  const std::vector<std::vector<double>>& vectors);
+  /// `vectors` is the restored representative set (read on load only).
+  void persist(util::StateIO& io,
+               const std::vector<std::vector<double>>& vectors);
 
  private:
   void embed(const monitor::RepresentativeSet& reps);

@@ -132,54 +132,27 @@ ThrottleAction ThrottleGovernor::decide(double now, bool batch_paused,
   return action;
 }
 
-void ThrottleGovernor::save_state(util::StateWriter& w) const {
-  w.line("governor_rng", rng_.save_state());
-  w.real("beta", beta_);
-  w.boolean("has_last_paused_state", last_paused_state_.has_value());
-  if (last_paused_state_.has_value()) {
-    w.real("last_paused_x", last_paused_state_->x);
-    w.real("last_paused_y", last_paused_state_->y);
-  }
-  w.boolean("has_paused_since", paused_since_.has_value());
-  if (paused_since_.has_value()) w.real("paused_since", *paused_since_);
-  w.boolean("has_resumed_at", resumed_at_.has_value());
-  if (resumed_at_.has_value()) w.real("resumed_at", *resumed_at_);
-  w.boolean("has_last_resume_reason", last_resume_reason_.has_value());
-  if (last_resume_reason_.has_value()) {
-    w.u64("last_resume_reason",
-          static_cast<std::uint64_t>(*last_resume_reason_));
-  }
-  w.u64("pauses", pauses_);
-  w.u64("resumes", resumes_);
-  w.u64("failed_resumes", failed_resumes_);
-  w.u64("random_resumes", random_resumes_);
-}
-
-void ThrottleGovernor::load_state(util::StateReader& r) {
-  rng_.load_state(r.line("governor_rng"));
-  beta_ = r.real("beta");
-  last_paused_state_.reset();
-  if (r.boolean("has_last_paused_state")) {
-    double x = r.real("last_paused_x");
-    double y = r.real("last_paused_y");
-    last_paused_state_ = mds::Point2{x, y};
-  }
-  paused_since_.reset();
-  if (r.boolean("has_paused_since")) paused_since_ = r.real("paused_since");
-  resumed_at_.reset();
-  if (r.boolean("has_resumed_at")) resumed_at_ = r.real("resumed_at");
-  last_resume_reason_.reset();
-  if (r.boolean("has_last_resume_reason")) {
-    std::uint64_t reason = r.u64("last_resume_reason");
-    if (reason > static_cast<std::uint64_t>(ResumeReason::AntiStarvation)) {
-      throw util::StateCodecError("governor state: unknown resume reason");
-    }
-    last_resume_reason_ = static_cast<ResumeReason>(reason);
-  }
-  pauses_ = static_cast<std::size_t>(r.u64("pauses"));
-  resumes_ = static_cast<std::size_t>(r.u64("resumes"));
-  failed_resumes_ = static_cast<std::size_t>(r.u64("failed_resumes"));
-  random_resumes_ = static_cast<std::size_t>(r.u64("random_resumes"));
+void ThrottleGovernor::persist(util::StateIO& io) {
+  io.rng("governor_rng", rng_);
+  io.real("beta", beta_);
+  io.optional("has_last_paused_state", last_paused_state_,
+              [&io](mds::Point2& p) {
+                io.real("last_paused_x", p.x);
+                io.real("last_paused_y", p.y);
+              });
+  io.optional("has_paused_since", paused_since_,
+              [&io](double& t) { io.real("paused_since", t); });
+  io.optional("has_resumed_at", resumed_at_,
+              [&io](double& t) { io.real("resumed_at", t); });
+  io.optional("has_last_resume_reason", last_resume_reason_,
+              [&io](ResumeReason& reason) {
+                io.enumeration("last_resume_reason", reason,
+                               ResumeReason::AntiStarvation);
+              });
+  io.u64("pauses", pauses_);
+  io.u64("resumes", resumes_);
+  io.u64("failed_resumes", failed_resumes_);
+  io.u64("random_resumes", random_resumes_);
 }
 
 }  // namespace stayaway::core

@@ -67,8 +67,7 @@ class ThrottleGovernor {
   /// Snapshot of the full decision state — beta, the RNG stream, the
   /// open-pause books and every counter (DESIGN.md §17). A restored
   /// governor makes the exact decision sequence the original would have.
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   GovernorConfig config_;

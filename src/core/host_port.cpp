@@ -122,38 +122,28 @@ void SimHostActuationPort::replay_delivered(double now) {
   }
 }
 
-void SimHostActuationPort::save_state(util::StateWriter& w) const {
+void SimHostActuationPort::persist(util::StateIO& io) {
   std::vector<std::uint64_t> kinds;
-  std::vector<std::uint64_t> vms;
+  std::vector<sim::VmId> vms;
   std::vector<double> times;
-  kinds.reserve(journal_.size());
-  vms.reserve(journal_.size());
-  times.reserve(journal_.size());
   for (const DeliveredOp& op : journal_) {
     kinds.push_back(static_cast<std::uint64_t>(op.kind));
     vms.push_back(op.vm);
     times.push_back(op.time);
   }
-  w.u64s("journal_kind", kinds);
-  w.u64s("journal_vm", vms);
-  w.reals("journal_time", times);
-}
-
-void SimHostActuationPort::load_state(util::StateReader& r) {
-  std::vector<std::uint64_t> kinds = r.u64s("journal_kind");
-  std::vector<std::uint64_t> vms = r.u64s("journal_vm");
-  std::vector<double> times = r.reals("journal_time");
+  io.u64s("journal_kind", kinds);
+  io.u64s("journal_vm", vms);
+  io.reals("journal_time", times);
+  if (!io.loading()) return;
   if (kinds.size() != vms.size() || vms.size() != times.size()) {
     throw util::StateCodecError("actuation journal arrays disagree in length");
   }
   journal_.clear();
-  journal_.reserve(kinds.size());
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     if (kinds[i] > static_cast<std::uint64_t>(OpKind::Attach)) {
       throw util::StateCodecError("actuation journal op kind out of range");
     }
-    journal_.push_back({static_cast<OpKind>(kinds[i]),
-                        static_cast<sim::VmId>(vms[i]), times[i]});
+    journal_.push_back({static_cast<OpKind>(kinds[i]), vms[i], times[i]});
   }
   replay_cursor_ = 0;
 }

@@ -63,8 +63,9 @@ class SimHostActuationPort final : public ActuationPort {
   /// exactly once; the supervisor calls this at every period boundary of
   /// the fast-forward.
   void replay_delivered(double now);
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  /// The journal as three parallel vectors; a load rewinds the replay
+  /// cursor to the first entry.
+  void persist(util::StateIO& io);
 
  private:
   sim::SimHost* host_;

@@ -42,15 +42,16 @@ class FieldTokens {
   }
 
   double real(std::string_view key) {
-    return util::parse_exact_double(std::string(next(key)), key);
+    return util::parse_exact_double(next(key), key);
   }
 
   std::uint64_t count(std::string_view key) {
-    std::string value(next(key));
+    std::string_view value = next(key);
     std::uint64_t v = 0;
     if (!parse_u64(value, v)) {
       fail("field '" + std::string(key) +
-           "': expected an unsigned integer, got '" + value + "'");
+           "': expected an unsigned integer, got '" + std::string(value) +
+           "'");
     }
     return v;
   }

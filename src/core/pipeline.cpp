@@ -221,48 +221,23 @@ void HostPipeline::set_actuator(std::unique_ptr<Actuator> actuator) {
   sa_actuator_ = dynamic_cast<GovernorActuator*>(actuator_.get());
 }
 
-void HostPipeline::save_state(util::StateWriter& w) const {
-  w.boolean("has_mapper", mapper_ != nullptr);
-  if (mapper_ != nullptr) mapper_->save_state(w);
-  w.boolean("has_forecaster", forecaster_ != nullptr);
-  if (forecaster_ != nullptr) forecaster_->save_state(w);
-  w.boolean("has_actuator", actuator_ != nullptr);
-  if (actuator_ != nullptr) actuator_->save_state(w);
-  port_->save_state(w);
-  w.boolean("has_faults", faults_.has_value());
-  if (faults_.has_value()) faults_->save_state(w);
-  w.u64("degradation", static_cast<std::uint64_t>(degradation_));
-  w.u64("qos_blind_streak", qos_blind_streak_);
-  w.u64("healthy_streak", healthy_streak_);
-}
-
-void HostPipeline::load_state(util::StateReader& r) {
-  if (r.boolean("has_mapper") != (mapper_ != nullptr)) {
-    throw util::StateCodecError("checkpoint/pipeline mapper wiring mismatch");
-  }
-  if (mapper_ != nullptr) mapper_->load_state(r);
-  if (r.boolean("has_forecaster") != (forecaster_ != nullptr)) {
-    throw util::StateCodecError(
-        "checkpoint/pipeline forecaster wiring mismatch");
-  }
-  if (forecaster_ != nullptr) forecaster_->load_state(r);
-  if (r.boolean("has_actuator") != (actuator_ != nullptr)) {
-    throw util::StateCodecError("checkpoint/pipeline actuator wiring mismatch");
-  }
-  if (actuator_ != nullptr) actuator_->load_state(r);
-  port_->load_state(r);
-  if (r.boolean("has_faults") != faults_.has_value()) {
-    throw util::StateCodecError(
-        "checkpoint/pipeline fault-injector wiring mismatch");
-  }
-  if (faults_.has_value()) faults_->load_state(r);
-  std::uint64_t degradation = r.u64("degradation");
-  if (degradation > static_cast<std::uint64_t>(DegradationState::Failsafe)) {
-    throw util::StateCodecError("degradation state out of range");
-  }
-  degradation_ = static_cast<DegradationState>(degradation);
-  qos_blind_streak_ = static_cast<std::size_t>(r.u64("qos_blind_streak"));
-  healthy_streak_ = static_cast<std::size_t>(r.u64("healthy_streak"));
+void HostPipeline::persist(util::StateIO& io) {
+  io.expect("has_mapper", mapper_ != nullptr,
+            "checkpoint/pipeline mapper wiring mismatch");
+  if (mapper_ != nullptr) mapper_->persist(io);
+  io.expect("has_forecaster", forecaster_ != nullptr,
+            "checkpoint/pipeline forecaster wiring mismatch");
+  if (forecaster_ != nullptr) forecaster_->persist(io);
+  io.expect("has_actuator", actuator_ != nullptr,
+            "checkpoint/pipeline actuator wiring mismatch");
+  if (actuator_ != nullptr) actuator_->persist(io);
+  port_->persist(io);
+  io.expect("has_faults", faults_.has_value(),
+            "checkpoint/pipeline fault-injector wiring mismatch");
+  if (faults_.has_value()) faults_->persist(io);
+  io.enumeration("degradation", degradation_, DegradationState::Failsafe);
+  io.u64("qos_blind_streak", qos_blind_streak_);
+  io.u64("healthy_streak", healthy_streak_);
 }
 
 void HostPipeline::seed_records(std::vector<PeriodRecord> records) {
@@ -272,9 +247,10 @@ void HostPipeline::seed_records(std::vector<PeriodRecord> records) {
 }
 
 const std::string& HostPipeline::encoded_records() {
-  util::StateWriter w(encoded_records_);
+  util::StateIO io = util::StateIO::writer(encoded_records_);
   for (; encoded_count_ < records_.size(); ++encoded_count_) {
-    w.line("record", encode_record(records_[encoded_count_]));
+    std::string line = encode_record(records_[encoded_count_]);
+    io.line("record", line);
   }
   return encoded_records_;
 }

@@ -123,15 +123,14 @@ class HostPipeline {
   /// Checkpoint support (DESIGN.md §17). Every stage snapshots its full
   /// state, so this is always true; kept for callers that still ask.
   bool checkpointable() const { return true; }
-  /// Snapshots everything on_period mutates except the record history
-  /// (the checkpoint envelope writes the records): stage states, the
+  /// Describes everything on_period mutates except the record history
+  /// (the checkpoint envelope carries the records): stage states, the
   /// delivered-actuation journal, the fault injector and the degradation
   /// machine. last_outcome_ is transient and deliberately not captured.
-  void save_state(util::StateWriter& w) const;
-  /// Mirror of save_state. The pipeline must be freshly built with the
-  /// same wiring and the same fault plan installed; stage-presence
-  /// mismatches throw util::StateCodecError.
-  void load_state(util::StateReader& r);
+  /// A load needs a freshly built pipeline with the same wiring and the
+  /// same fault plan installed; stage-presence mismatches throw
+  /// util::StateCodecError.
+  void persist(util::StateIO& io);
   /// Seeds the record history of the run being restored. Must be called
   /// before the first live on_period(). The encoded-record memo stays
   /// empty: the first encoded_records() re-encodes the seeded prefix

@@ -234,51 +234,20 @@ void GovernorActuator::apply_action(ActuationPort& port, ThrottleAction action,
   }
 }
 
-void GovernorActuator::save_state(util::StateWriter& w) const {
-  governor_.save_state(w);
-  w.boolean("batch_paused", batch_paused_);
-  w.u64s("throttled", std::vector<std::uint64_t>(throttled_.begin(),
-                                                 throttled_.end()));
-  w.boolean("failsafe_pause", failsafe_pause_);
-  w.boolean("has_pending", pending_.has_value());
-  if (pending_.has_value()) {
-    w.u64("pending_op", static_cast<std::uint64_t>(pending_->op));
-    w.u64s("pending_targets",
-           std::vector<std::uint64_t>(pending_->targets.begin(),
-                                      pending_->targets.end()));
-    w.u64("pending_attempts", pending_->attempts);
-    w.real("pending_next_retry_time", pending_->next_retry_time);
-    w.boolean("pending_was_failsafe", pending_->was_failsafe);
-  }
-  w.u64("actuation_retries_total", actuation_retries_total_);
-  w.u64("actuation_abandoned_total", actuation_abandoned_total_);
-}
-
-void GovernorActuator::load_state(util::StateReader& r) {
-  governor_.load_state(r);
-  batch_paused_ = r.boolean("batch_paused");
-  std::vector<std::uint64_t> throttled = r.u64s("throttled");
-  throttled_.assign(throttled.begin(), throttled.end());
-  failsafe_pause_ = r.boolean("failsafe_pause");
-  pending_.reset();
-  if (r.boolean("has_pending")) {
-    PendingActuation p;
-    std::uint64_t op = r.u64("pending_op");
-    if (op > static_cast<std::uint64_t>(ThrottleAction::Resume)) {
-      throw util::StateCodecError("pending_op out of range");
-    }
-    p.op = static_cast<ThrottleAction>(op);
-    std::vector<std::uint64_t> targets = r.u64s("pending_targets");
-    p.targets.assign(targets.begin(), targets.end());
-    p.attempts = static_cast<std::size_t>(r.u64("pending_attempts"));
-    p.next_retry_time = r.real("pending_next_retry_time");
-    p.was_failsafe = r.boolean("pending_was_failsafe");
-    pending_ = std::move(p);
-  }
-  actuation_retries_total_ =
-      static_cast<std::size_t>(r.u64("actuation_retries_total"));
-  actuation_abandoned_total_ =
-      static_cast<std::size_t>(r.u64("actuation_abandoned_total"));
+void GovernorActuator::persist(util::StateIO& io) {
+  governor_.persist(io);
+  io.boolean("batch_paused", batch_paused_);
+  io.u64s("throttled", throttled_);
+  io.boolean("failsafe_pause", failsafe_pause_);
+  io.optional("has_pending", pending_, [&io](PendingActuation& p) {
+    io.enumeration("pending_op", p.op, ThrottleAction::Resume);
+    io.u64s("pending_targets", p.targets);
+    io.u64("pending_attempts", p.attempts);
+    io.real("pending_next_retry_time", p.next_retry_time);
+    io.boolean("pending_was_failsafe", p.was_failsafe);
+  });
+  io.u64("actuation_retries_total", actuation_retries_total_);
+  io.u64("actuation_abandoned_total", actuation_abandoned_total_);
 }
 
 }  // namespace stayaway::core

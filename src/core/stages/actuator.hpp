@@ -38,8 +38,7 @@ class GovernorActuator final : public Actuator {
   /// intent set and the open retry ledger (DESIGN.md §17). A restored
   /// actuator resumes mid-retry: backoff deadlines are absolute simulated
   /// times, so they stay meaningful across a restore.
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
  private:
   /// Outstanding pause/resume commands the fault channel dropped; the

@@ -58,48 +58,24 @@ void TrajectoryForecaster::forecast(const StateSpace& space, PeriodRecord& rec,
   prev_mode_ = rec.mode;
 }
 
-void TrajectoryForecaster::save_state(util::StateWriter& w) const {
-  modes_.save_state(w);
-  w.line("forecaster_rng", rng_.save_state());
-  w.boolean("has_prev_rep", prev_rep_.has_value());
-  if (prev_rep_.has_value()) w.u64("prev_rep", *prev_rep_);
-  w.boolean("has_prev_mode", prev_mode_.has_value());
-  if (prev_mode_.has_value()) {
-    w.u64("prev_mode", static_cast<std::uint64_t>(*prev_mode_));
-  }
-  w.boolean("has_prev_predicted", prev_predicted_.has_value());
-  if (prev_predicted_.has_value()) {
-    w.boolean("prev_predicted", *prev_predicted_);
-  }
-  w.u64("tally_tp", tally_.true_positive);
-  w.u64("tally_fp", tally_.false_positive);
-  w.u64("tally_tn", tally_.true_negative);
-  w.u64("tally_fn", tally_.false_negative);
-}
-
-void TrajectoryForecaster::load_state(util::StateReader& r) {
-  modes_.load_state(r);
-  rng_.load_state(r.line("forecaster_rng"));
-  prev_rep_.reset();
-  if (r.boolean("has_prev_rep")) {
-    prev_rep_ = static_cast<std::size_t>(r.u64("prev_rep"));
-  }
-  prev_mode_.reset();
-  if (r.boolean("has_prev_mode")) {
-    std::uint64_t mode = r.u64("prev_mode");
-    if (mode >= monitor::kExecutionModeCount) {
-      throw util::StateCodecError("prev_mode out of range");
-    }
-    prev_mode_ = static_cast<monitor::ExecutionMode>(mode);
-  }
-  prev_predicted_.reset();
-  if (r.boolean("has_prev_predicted")) {
-    prev_predicted_ = r.boolean("prev_predicted");
-  }
-  tally_.true_positive = static_cast<std::size_t>(r.u64("tally_tp"));
-  tally_.false_positive = static_cast<std::size_t>(r.u64("tally_fp"));
-  tally_.true_negative = static_cast<std::size_t>(r.u64("tally_tn"));
-  tally_.false_negative = static_cast<std::size_t>(r.u64("tally_fn"));
+void TrajectoryForecaster::persist(util::StateIO& io) {
+  modes_.persist(io);
+  io.rng("forecaster_rng", rng_);
+  io.optional("has_prev_rep", prev_rep_,
+              [&io](std::size_t& rep) { io.u64("prev_rep", rep); });
+  io.optional("has_prev_mode", prev_mode_,
+              [&io](monitor::ExecutionMode& mode) {
+                io.enumeration("prev_mode", mode,
+                               monitor::ExecutionMode::CoLocated);
+              });
+  io.optional("has_prev_predicted", prev_predicted_,
+              [&io](bool& predicted) {
+                io.boolean("prev_predicted", predicted);
+              });
+  io.u64("tally_tp", tally_.true_positive);
+  io.u64("tally_fp", tally_.false_positive);
+  io.u64("tally_tn", tally_.true_negative);
+  io.u64("tally_fn", tally_.false_negative);
 }
 
 }  // namespace stayaway::core

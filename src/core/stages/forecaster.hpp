@@ -28,8 +28,7 @@ class TrajectoryForecaster final : public ViolationForecaster {
 
   /// Snapshot of the per-mode trajectory models, vote RNG, the carried
   /// previous-period observation and the accuracy tally (DESIGN.md §17).
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
  private:
   ModeTrajectories modes_;

@@ -117,28 +117,18 @@ void StayAwayMapper::seed_template(const StateTemplate& t) {
   space_.sync_positions(embedder_.update(reps_));
 }
 
-void StayAwayMapper::save_state(util::StateWriter& w) const {
-  source_->save_state(w);
-  quarantine_.save_state(w);
-  reps_.save_state(w);
-  space_.save_state(w);
-  embedder_.save_state(w);
-  w.u64("last_representative", last_representative_);
-  w.boolean("mapped_any_period", mapped_any_period_);
-}
-
-void StayAwayMapper::load_state(util::StateReader& r) {
-  source_->load_state(r);
-  quarantine_.load_state(r);
-  reps_.load_state(r);
-  space_.load_state(r);
-  if (space_.size() != reps_.size()) {
+void StayAwayMapper::persist(util::StateIO& io) {
+  source_->persist(io);
+  quarantine_.persist(io);
+  reps_.persist(io);
+  space_.persist(io);
+  if (io.loading() && space_.size() != reps_.size()) {
     throw util::StateCodecError(
         "mapper state: state space and representative set disagree");
   }
-  embedder_.load_state(r, reps_.all());
-  last_representative_ = static_cast<std::size_t>(r.u64("last_representative"));
-  mapped_any_period_ = r.boolean("mapped_any_period");
+  embedder_.persist(io, reps_.all());
+  io.u64("last_representative", last_representative_);
+  io.boolean("mapped_any_period", mapped_any_period_);
 }
 
 StateTemplate StayAwayMapper::export_template(

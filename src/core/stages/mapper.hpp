@@ -75,8 +75,7 @@ class StayAwayMapper final : public Mapper {
   /// Snapshot of the whole mapping chain: source/sampler RNG, quarantine,
   /// representative set, state space, embedder layout, and the carried
   /// representative (DESIGN.md §17).
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
  private:
   std::unique_ptr<monitor::SampleSource> source_;

@@ -46,11 +46,10 @@ class Mapper {
   /// The labelled map the forecaster predicts over.
   virtual const StateSpace& space() const = 0;
 
-  /// Checkpoint support (DESIGN.md §17): every stage snapshots its full
-  /// mutable state at a period boundary; load_state targets a freshly
-  /// built stage of the same wiring.
-  virtual void save_state(util::StateWriter& w) const = 0;
-  virtual void load_state(util::StateReader& r) = 0;
+  /// Checkpoint support (DESIGN.md §17): every stage describes its full
+  /// mutable state at a period boundary once, for both directions; a
+  /// load targets a freshly built stage of the same wiring.
+  virtual void persist(util::StateIO& io) = 0;
 };
 
 /// Prediction stage (§3.2). forecast() observes the latest within-mode
@@ -65,8 +64,7 @@ class ViolationForecaster {
                         bool widened, obs::Observer* observer) = 0;
 
   /// Checkpoint support (DESIGN.md §17); see Mapper.
-  virtual void save_state(util::StateWriter& w) const = 0;
-  virtual void load_state(util::StateReader& r) = 0;
+  virtual void persist(util::StateIO& io) = 0;
 };
 
 /// Action stage (§3.3). act() reconciles any outstanding actuation,
@@ -93,8 +91,7 @@ class Actuator {
                       obs::Observer* observer) = 0;
 
   /// Checkpoint support (DESIGN.md §17); see Mapper.
-  virtual void save_state(util::StateWriter& w) const = 0;
-  virtual void load_state(util::StateReader& r) = 0;
+  virtual void persist(util::StateIO& io) = 0;
 };
 
 }  // namespace stayaway::core

@@ -157,64 +157,20 @@ bool StateSpace::in_violation_region(const mds::Point2& p, double slack) const {
   return false;
 }
 
-namespace {
-
-void write_embedding(util::StateWriter& w, std::string_view key,
-                     const mds::Embedding& points) {
-  std::vector<double> xs, ys;
-  xs.reserve(points.size());
-  ys.reserve(points.size());
-  for (const auto& p : points) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
-  w.reals(std::string(key) + "_x", xs);
-  w.reals(std::string(key) + "_y", ys);
-}
-
-mds::Embedding read_embedding(util::StateReader& r, std::string_view key) {
-  std::vector<double> xs = r.reals(std::string(key) + "_x");
-  std::vector<double> ys = r.reals(std::string(key) + "_y");
-  if (xs.size() != ys.size()) {
-    throw util::StateCodecError("embedding state: x/y length mismatch");
-  }
-  mds::Embedding out(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = {xs[i], ys[i]};
-  return out;
-}
-
-}  // namespace
-
-void StateSpace::save_state(util::StateWriter& w) const {
-  std::vector<std::uint64_t> forced(forced_.size(), 0);
-  for (std::size_t i = 0; i < forced_.size(); ++i) forced[i] = forced_[i] ? 1 : 0;
-  w.u64s("forced", forced);
-  std::vector<std::uint64_t> visits(visits_.begin(), visits_.end());
-  w.u64s("visits", visits);
-  std::vector<std::uint64_t> violating(violating_.begin(), violating_.end());
-  w.u64s("violating", violating);
-  write_embedding(w, "positions", positions_);
-  w.u64("cache_invalidations", invalidations_);
-  w.u64("cache_rebuilds", rebuilds_);
-}
-
-void StateSpace::load_state(util::StateReader& r) {
-  std::vector<std::uint64_t> forced = r.u64s("forced");
-  std::vector<std::uint64_t> visits = r.u64s("visits");
-  std::vector<std::uint64_t> violating = r.u64s("violating");
-  mds::Embedding positions = read_embedding(r, "positions");
-  if (visits.size() != forced.size() || violating.size() != forced.size() ||
-      positions.size() != forced.size()) {
+void StateSpace::persist(util::StateIO& io) {
+  io.u64s("forced", forced_);
+  io.u64s("visits", visits_);
+  io.u64s("violating", violating_);
+  io.points("positions", positions_);
+  io.u64("cache_invalidations", invalidations_);
+  io.u64("cache_rebuilds", rebuilds_);
+  if (!io.loading()) return;
+  if (visits_.size() != forced_.size() ||
+      violating_.size() != forced_.size() ||
+      positions_.size() != forced_.size()) {
     throw util::StateCodecError("statespace state: per-state vector "
                                 "lengths disagree");
   }
-  forced_.assign(forced.size(), false);
-  for (std::size_t i = 0; i < forced.size(); ++i) forced_[i] = forced[i] != 0;
-  visits_.assign(visits.begin(), visits.end());
-  violating_.assign(violating.begin(), violating.end());
-  positions_ = std::move(positions);
-  invalidations_ = static_cast<std::size_t>(r.u64("cache_invalidations"));
-  rebuilds_ = static_cast<std::size_t>(r.u64("cache_rebuilds"));
   ranges_cache_.clear();
   ranges_dirty_ = true;
 }

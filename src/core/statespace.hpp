@@ -95,12 +95,11 @@ class StateSpace {
 
   /// Snapshot of states, evidence counters and positions (DESIGN.md
   /// §17). The violation-range cache is deliberately not captured:
-  /// load_state leaves it dirty and the first query re-derives
+  /// a load leaves it dirty and the first query re-derives
   /// byte-identical ranges from the restored geometry (the rebuild
   /// counter may therefore run ahead of the uninterrupted run's —
   /// telemetry only, never decisions).
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   std::size_t labels_cache_size() const { return forced_.size(); }

@@ -55,33 +55,35 @@ std::vector<mds::Point2> TrajectoryModel::sample_future(
   return out;
 }
 
-void TrajectoryModel::save_state(util::StateWriter& w) const {
-  w.u64("observations", observations_);
-  w.real("steps_total", steps_.total_weight());
-  w.reals("steps", steps_.raw_counts());
-  w.real("angles_total", angles_.total_weight());
-  w.reals("angles", angles_.raw_counts());
-}
+namespace {
 
-void TrajectoryModel::load_state(util::StateReader& r) {
-  observations_ = static_cast<std::size_t>(r.u64("observations"));
-  double steps_total = r.real("steps_total");
-  steps_.restore(r.reals("steps"), steps_total);
-  double angles_total = r.real("angles_total");
-  angles_.restore(r.reals("angles"), angles_total);
-}
-
-void ModeTrajectories::save_state(util::StateWriter& w) const {
-  w.u64("modes", models_.size());
-  for (const auto& m : models_) m.save_state(w);
-}
-
-void ModeTrajectories::load_state(util::StateReader& r) {
-  if (r.u64("modes") != models_.size()) {
-    throw util::StateCodecError(
-        "trajectory state: execution-mode count mismatch");
+/// `<key>_total` then the raw bin counts, restored verbatim.
+void persist_histogram(util::StateIO& io, const std::string& key,
+                       stats::Histogram& h) {
+  double total = h.total_weight();
+  std::vector<double> counts = h.raw_counts();
+  io.real(key + "_total", total);
+  io.reals(key, counts);
+  if (!io.loading()) return;
+  if (counts.size() != h.raw_counts().size()) {
+    throw util::StateCodecError("trajectory state: " + key +
+                                " bin count mismatch");
   }
-  for (auto& m : models_) m.load_state(r);
+  h.restore(counts, total);
+}
+
+}  // namespace
+
+void TrajectoryModel::persist(util::StateIO& io) {
+  io.u64("observations", observations_);
+  persist_histogram(io, "steps", steps_);
+  persist_histogram(io, "angles", angles_);
+}
+
+void ModeTrajectories::persist(util::StateIO& io) {
+  io.expect("modes", models_.size(),
+            "trajectory state: execution-mode count mismatch");
+  for (auto& m : models_) m.persist(io);
 }
 
 ModeTrajectories::ModeTrajectories(double max_step, std::size_t bins) {

@@ -45,10 +45,9 @@ class TrajectoryModel {
   const stats::Histogram& angle_histogram() const { return angles_; }
 
   /// Snapshot of histogram contents + observation count (DESIGN.md §17).
-  /// load_state targets a freshly constructed model with identical
+  /// A load targets a freshly constructed model with identical
   /// configuration (max_step, bins).
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   stats::Histogram steps_;
@@ -65,8 +64,7 @@ class ModeTrajectories {
   const TrajectoryModel& model(monitor::ExecutionMode mode) const;
 
   /// Snapshots every per-mode model, in mode order.
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   std::vector<TrajectoryModel> models_;

@@ -34,6 +34,16 @@ double parse_double(std::size_t line, const std::string& value) {
   }
 }
 
+/// Plain decimal counts only: signs, fractions, NaN and exponent forms
+/// are errors, not silent truncations.
+std::size_t parse_count(std::size_t line, const std::string& value) {
+  std::uint64_t v = 0;
+  if (!parse_u64(value, v)) {
+    fail(line, "expected a non-negative integer, got '" + value + "'");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 bool parse_bool(std::size_t line, const std::string& value) {
   if (value == "true" || value == "yes" || value == "1") return true;
   if (value == "false" || value == "no" || value == "0") return false;
@@ -212,8 +222,7 @@ void ParserState::consume(std::size_t line_no, const std::string& key,
       } else if (key == "dedup_epsilon") {
         spec.stayaway.dedup_epsilon = parse_double(line_no, value);
       } else if (key == "prediction_samples") {
-        spec.stayaway.prediction_samples =
-            static_cast<std::size_t>(parse_double(line_no, value));
+        spec.stayaway.prediction_samples = parse_count(line_no, value);
       } else if (key == "beta_initial") {
         spec.stayaway.governor.beta_initial = parse_double(line_no, value);
       } else if (key == "beta_increment") {
@@ -262,8 +271,7 @@ void ParserState::consume(std::size_t line_no, const std::string& key,
       } else if (key == "ingest_rate_hz") {
         spec.stayaway.ingest.rate_hz = parse_double(line_no, value);
       } else if (key == "ingest_ring_capacity") {
-        spec.stayaway.ingest.ring_capacity =
-            static_cast<std::size_t>(parse_double(line_no, value));
+        spec.stayaway.ingest.ring_capacity = parse_count(line_no, value);
       } else if (key == "ingest_lookahead_s") {
         spec.stayaway.ingest.lookahead_s = parse_double(line_no, value);
       } else if (key == "ingest_burst_rate_hz") {
@@ -369,11 +377,9 @@ void consume_cluster_key(std::size_t line_no, const std::string& key,
   } else if (key == "admit_margin") {
     cluster.config.admit_margin = parse_double(line_no, value);
   } else if (key == "admit_patience") {
-    cluster.config.admit_patience =
-        static_cast<std::size_t>(parse_double(line_no, value));
+    cluster.config.admit_patience = parse_count(line_no, value);
   } else if (key == "migration_cooldown") {
-    cluster.config.migration_cooldown =
-        static_cast<std::size_t>(parse_double(line_no, value));
+    cluster.config.migration_cooldown = parse_count(line_no, value);
   } else if (key == "admit_footprint") {
     cluster.config.admit_footprint = parse_double(line_no, value);
   } else if (key == "mobile") {
@@ -522,9 +528,8 @@ FleetScenario parse_fleet_scenario(std::istream& in) {
       if (seen_workers) fail(line_no, "duplicate key 'workers'");
       seen_workers = true;
       fleet.fleet_syntax = true;
-      double v = parse_double(line_no, value);
-      if (v < 1.0) fail(line_no, "workers must be >= 1");
-      fleet.workers = static_cast<std::size_t>(v);
+      fleet.workers = parse_count(line_no, value);
+      if (fleet.workers < 1) fail(line_no, "workers must be >= 1");
       continue;
     }
 

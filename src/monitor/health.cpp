@@ -57,38 +57,26 @@ SampleHealth SampleQuarantine::validate(std::vector<double>& values) {
   return health;
 }
 
-void SampleQuarantine::save_state(util::StateWriter& w) const {
-  w.reals("last_good", last_good_);
-  std::vector<std::uint64_t> staleness(staleness_.begin(), staleness_.end());
-  w.u64s("staleness", staleness);
-  w.u64("total_quarantined", total_quarantined_);
-  w.u64("total_late", total_late_);
-  w.u64("total_duplicates", total_duplicates_);
-  w.real("newest_time", newest_time_);
-  w.boolean("any_admitted", any_admitted_);
+void SampleQuarantine::persist(util::StateIO& io) {
+  io.reals("last_good", last_good_);
+  io.u64s("staleness", staleness_);
+  if (io.loading() && (last_good_.size() != bounds_.size() ||
+                       staleness_.size() != bounds_.size())) {
+    throw util::StateCodecError("quarantine state: layout dimension mismatch");
+  }
+  io.u64("total_quarantined", total_quarantined_);
+  io.u64("total_late", total_late_);
+  io.u64("total_duplicates", total_duplicates_);
+  io.real("newest_time", newest_time_);
+  io.boolean("any_admitted", any_admitted_);
   std::vector<std::uint64_t> seen(seen_sequences_.begin(),
                                   seen_sequences_.end());
   std::sort(seen.begin(), seen.end());
-  w.u64s("seen_sequences", seen);
-}
-
-void SampleQuarantine::load_state(util::StateReader& r) {
-  std::vector<double> last_good = r.reals("last_good");
-  std::vector<std::uint64_t> staleness = r.u64s("staleness");
-  if (last_good.size() != bounds_.size() ||
-      staleness.size() != bounds_.size()) {
-    throw util::StateCodecError("quarantine state: layout dimension mismatch");
+  io.u64s("seen_sequences", seen);
+  if (io.loading()) {
+    seen_sequences_.clear();
+    seen_sequences_.insert(seen.begin(), seen.end());
   }
-  last_good_ = std::move(last_good);
-  staleness_.assign(staleness.begin(), staleness.end());
-  total_quarantined_ = static_cast<std::size_t>(r.u64("total_quarantined"));
-  total_late_ = static_cast<std::size_t>(r.u64("total_late"));
-  total_duplicates_ = static_cast<std::size_t>(r.u64("total_duplicates"));
-  newest_time_ = r.real("newest_time");
-  any_admitted_ = r.boolean("any_admitted");
-  std::vector<std::uint64_t> seen = r.u64s("seen_sequences");
-  seen_sequences_.clear();
-  seen_sequences_.insert(seen.begin(), seen.end());
 }
 
 }  // namespace stayaway::monitor

@@ -78,10 +78,9 @@ class SampleQuarantine {
   /// Snapshot of imputation state, admission clock and counters
   /// (DESIGN.md §17). The seen-sequence set serializes sorted — it is
   /// only ever membership-tested, so insertion order is immaterial.
-  /// load_state targets a freshly constructed quarantine with the same
+  /// A load targets a freshly constructed quarantine with the same
   /// upper-bound layout (dimension checked).
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   std::vector<double> bounds_;

@@ -53,33 +53,22 @@ std::size_t RepresentativeSet::weight(std::size_t i) const {
   return weights_[i];
 }
 
-void RepresentativeSet::save_state(util::StateWriter& w) const {
-  w.u64("representatives", reps_.size());
-  for (const auto& rep : reps_) w.reals("rep", rep);
-  std::vector<std::uint64_t> weights(weights_.begin(), weights_.end());
-  w.u64s("weights", weights);
-  w.u64("observed", observed_);
-}
-
-void RepresentativeSet::load_state(util::StateReader& r) {
-  std::uint64_t n = r.u64("representatives");
-  std::vector<std::vector<double>> reps;
-  reps.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) reps.push_back(r.reals("rep"));
-  std::vector<std::uint64_t> weights = r.u64s("weights");
-  if (weights.size() != reps.size()) {
+void RepresentativeSet::persist(util::StateIO& io) {
+  io.list("representatives", reps_,
+          [&io](std::vector<double>& rep) { io.reals("rep", rep); });
+  io.u64s("weights", weights_);
+  io.u64("observed", observed_);
+  if (!io.loading()) return;
+  if (weights_.size() != reps_.size()) {
     throw util::StateCodecError(
         "representative state: weight/vector count mismatch");
   }
-  for (std::size_t i = 1; i < reps.size(); ++i) {
-    if (reps[i].size() != reps.front().size()) {
+  for (const std::vector<double>& rep : reps_) {
+    if (rep.size() != reps_.front().size()) {
       throw util::StateCodecError(
           "representative state: inconsistent vector dimensions");
     }
   }
-  reps_ = std::move(reps);
-  weights_.assign(weights.begin(), weights.end());
-  observed_ = static_cast<std::size_t>(r.u64("observed"));
 }
 
 }  // namespace stayaway::monitor

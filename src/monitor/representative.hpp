@@ -53,10 +53,9 @@ class RepresentativeSet {
   bool full() const { return max_size_ > 0 && reps_.size() >= max_size_; }
 
   /// Snapshot of the representative vectors, merge weights and observed
-  /// count (DESIGN.md §17). load_state targets a freshly constructed set
+  /// count (DESIGN.md §17). A load targets a freshly constructed set
   /// with the same epsilon/max_size configuration.
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   double epsilon_;

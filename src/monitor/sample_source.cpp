@@ -27,8 +27,8 @@ std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
 /// Samples as three parallel fields: sequences, times and the flattened
 /// value vectors.
 template <typename Samples>
-void write_samples(util::StateWriter& w, const std::string& key,
-                   const Samples& samples) {
+void persist_samples(util::StateIO& io, const std::string& key,
+                     Samples& samples, std::size_t dimension) {
   std::vector<std::uint64_t> sequences;
   std::vector<double> times;
   std::vector<double> values;
@@ -38,31 +38,24 @@ void write_samples(util::StateWriter& w, const std::string& key,
     values.insert(values.end(), s.measurement.values.begin(),
                   s.measurement.values.end());
   }
-  w.u64s(key + "_sequence", sequences);
-  w.reals(key + "_time", times);
-  w.reals(key + "_values", values);
-}
-
-std::vector<TimedSample> read_samples(util::StateReader& r,
-                                      const std::string& key,
-                                      std::size_t dimension) {
-  std::vector<std::uint64_t> sequences = r.u64s(key + "_sequence");
-  std::vector<double> times = r.reals(key + "_time");
-  std::vector<double> values = r.reals(key + "_values");
+  io.u64s(key + "_sequence", sequences);
+  io.reals(key + "_time", times);
+  io.reals(key + "_values", values);
+  if (!io.loading()) return;
   if (times.size() != sequences.size() ||
       values.size() != sequences.size() * dimension) {
     throw util::StateCodecError("ring source state: malformed " + key);
   }
-  std::vector<TimedSample> samples(sequences.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    samples[i].sequence = sequences[i];
-    samples[i].measurement.time = times[i];
+  samples.resize(sequences.size());
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    TimedSample& s = samples[i];
+    s.sequence = sequences[i];
+    s.measurement.time = times[i];
     const auto first =
         values.begin() + static_cast<std::ptrdiff_t>(i * dimension);
-    samples[i].measurement.values.assign(
+    s.measurement.values.assign(
         first, first + static_cast<std::ptrdiff_t>(dimension));
   }
-  return samples;
 }
 
 }  // namespace
@@ -79,14 +72,9 @@ DrainReport SynchronousSampleSource::drain(double now,
   return report;
 }
 
-void SynchronousSampleSource::save_state(util::StateWriter& w) const {
-  sampler_.save_state(w);
-  w.u64("next_sequence", next_sequence_);
-}
-
-void SynchronousSampleSource::load_state(util::StateReader& r) {
-  sampler_.load_state(r);
-  next_sequence_ = r.u64("next_sequence");
+void SynchronousSampleSource::persist(util::StateIO& io) {
+  sampler_.persist(io);
+  io.u64("next_sequence", next_sequence_);
 }
 
 RingSampleSource::RingSampleSource(MetricLayout layout,
@@ -239,40 +227,27 @@ DrainReport RingSampleSource::drain(double now,
   return report;
 }
 
-void RingSampleSource::save_state(util::StateWriter& w) const {
-  w.line("ring_value_rng", value_rng_.save_state());
-  w.line("ring_ingest_rng", ingest_rng_.save_state());
-  w.real("ring_next_time", next_time_);
-  w.u64("ring_next_sequence", next_sequence_);
-  write_samples(w, "ring_queued", ring_);
-  write_samples(w, "ring_pending",
-                pending_.has_value() ? std::vector<TimedSample>{*pending_}
-                                     : std::vector<TimedSample>{});
-  w.u64("ring_delivered_total", delivered_total_);
-  w.u64("ring_overflow_total", overflow_total_);
-}
-
-void RingSampleSource::load_state(util::StateReader& r) {
-  value_rng_.load_state(r.line("ring_value_rng"));
-  ingest_rng_.load_state(r.line("ring_ingest_rng"));
-  next_time_ = r.real("ring_next_time");
-  next_sequence_ = r.u64("ring_next_sequence");
-  std::vector<TimedSample> queued =
-      read_samples(r, "ring_queued", layout_.dimension());
-  if (queued.size() > capacity_) {
+void RingSampleSource::persist(util::StateIO& io) {
+  io.rng("ring_value_rng", value_rng_);
+  io.rng("ring_ingest_rng", ingest_rng_);
+  io.real("ring_next_time", next_time_);
+  io.u64("ring_next_sequence", next_sequence_);
+  persist_samples(io, "ring_queued", ring_, layout_.dimension());
+  if (io.loading() && ring_.size() > capacity_) {
     throw util::StateCodecError("ring source state: queue over capacity");
   }
-  ring_.assign(std::make_move_iterator(queued.begin()),
-               std::make_move_iterator(queued.end()));
-  std::vector<TimedSample> pending =
-      read_samples(r, "ring_pending", layout_.dimension());
-  if (pending.size() > 1) {
-    throw util::StateCodecError("ring source state: more than one pending");
+  std::vector<TimedSample> pending;
+  if (pending_.has_value()) pending.push_back(*pending_);
+  persist_samples(io, "ring_pending", pending, layout_.dimension());
+  if (io.loading()) {
+    if (pending.size() > 1) {
+      throw util::StateCodecError("ring source state: more than one pending");
+    }
+    pending_.reset();
+    if (!pending.empty()) pending_ = std::move(pending.front());
   }
-  pending_.reset();
-  if (!pending.empty()) pending_ = std::move(pending.front());
-  delivered_total_ = r.u64("ring_delivered_total");
-  overflow_total_ = r.u64("ring_overflow_total");
+  io.u64("ring_delivered_total", delivered_total_);
+  io.u64("ring_overflow_total", overflow_total_);
 }
 
 }  // namespace stayaway::monitor

@@ -81,10 +81,9 @@ class SampleSource {
   virtual std::uint64_t samples_taken() const = 0;
 
   /// Checkpoint support (DESIGN.md §17): everything drain() mutates.
-  /// load_state targets a freshly built source with the same options and
+  /// A load targets a freshly built source with the same options and
   /// fault injector attached.
-  virtual void save_state(util::StateWriter& w) const = 0;
-  virtual void load_state(util::StateReader& r) = 0;
+  virtual void persist(util::StateIO& io) = 0;
 };
 
 /// The historical path: one HostSampler reading per drain. Exists so
@@ -108,8 +107,7 @@ class SynchronousSampleSource final : public SampleSource {
     return sampler_.samples_taken();
   }
 
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
   const HostSampler& sampler() const { return sampler_; }
 
@@ -169,8 +167,7 @@ class RingSampleSource final : public SampleSource {
   /// overflow counters. Samples held back by ingest-delay are flushed
   /// before every drain() returns, so none are in flight at a period
   /// boundary.
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void persist(util::StateIO& io) override;
 
  private:
   /// Emission interval at simulated time t (burst window aware).

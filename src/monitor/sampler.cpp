@@ -64,14 +64,9 @@ Measurement HostSampler::sample() {
   return m;
 }
 
-void HostSampler::save_state(util::StateWriter& w) const {
-  w.line("sampler_rng", rng_.save_state());
-  w.u64("samples_taken", samples_taken_);
-}
-
-void HostSampler::load_state(util::StateReader& r) {
-  rng_.load_state(r.line("sampler_rng"));
-  samples_taken_ = static_cast<std::size_t>(r.u64("samples_taken"));
+void HostSampler::persist(util::StateIO& io) {
+  io.rng("sampler_rng", rng_);
+  io.u64("samples_taken", samples_taken_);
 }
 
 }  // namespace stayaway::monitor

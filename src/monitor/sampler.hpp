@@ -62,8 +62,7 @@ class HostSampler {
   /// map) is rebuilt from the host at construction; a restored sampler
   /// on a reconstructed host emits the exact readings the original
   /// would have.
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   const sim::SimHost* host_;

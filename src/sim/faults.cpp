@@ -366,20 +366,12 @@ void FaultInjector::set_crash_horizon(double horizon) {
   crash_horizon_ = std::max(crash_horizon_, horizon);
 }
 
-void FaultInjector::save_state(util::StateWriter& w) const {
-  w.line("fault_rng", rng_.save_state());
-  w.reals("prev_raw", prev_raw_);
-  w.u64("faulted_samples", faulted_samples_);
-  w.u64("dropped_commands", dropped_commands_);
-  w.real("crash_horizon", crash_horizon_);
-}
-
-void FaultInjector::load_state(util::StateReader& r) {
-  rng_.load_state(r.line("fault_rng"));
-  prev_raw_ = r.reals("prev_raw");
-  faulted_samples_ = static_cast<std::size_t>(r.u64("faulted_samples"));
-  dropped_commands_ = static_cast<std::size_t>(r.u64("dropped_commands"));
-  crash_horizon_ = r.real("crash_horizon");
+void FaultInjector::persist(util::StateIO& io) {
+  io.rng("fault_rng", rng_);
+  io.reals("prev_raw", prev_raw_);
+  io.u64("faulted_samples", faulted_samples_);
+  io.u64("dropped_commands", dropped_commands_);
+  io.real("crash_horizon", crash_horizon_);
 }
 
 }  // namespace stayaway::sim

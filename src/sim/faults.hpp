@@ -175,8 +175,7 @@ class FaultInjector {
   /// Snapshot of the injector's mutable state — the RNG stream, the
   /// stuck-at/stale replay sample, counters and the crash horizon
   /// (DESIGN.md §17).
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void persist(util::StateIO& io);
 
  private:
   bool command_delivered(double now, FaultKind kind);

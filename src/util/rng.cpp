@@ -1,9 +1,6 @@
 #include "util/rng.hpp"
 
-#include <sstream>
-
 #include "util/check.hpp"
-#include "util/statecodec.hpp"
 
 namespace stayaway {
 
@@ -47,22 +44,6 @@ Rng Rng::fork() {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return Rng(z ^ (z >> 31));
-}
-
-std::string Rng::save_state() const {
-  std::ostringstream out;
-  out << engine_;
-  return out.str();
-}
-
-void Rng::load_state(const std::string& text) {
-  std::istringstream in(text);
-  std::mt19937_64 restored;
-  in >> restored;
-  if (in.fail()) {
-    throw util::StateCodecError("rng state: malformed mt19937_64 stream");
-  }
-  engine_ = restored;
 }
 
 }  // namespace stayaway

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 namespace stayaway {
@@ -40,20 +39,10 @@ class Rng {
   /// decorrelated from the parent and from each other.
   Rng fork();
 
-  /// Access to the raw engine for use with std:: distributions.
+  /// Access to the raw engine for use with std:: distributions. The
+  /// engine is the only state an Rng has: util::StateIO::rng snapshots
+  /// it (DESIGN.md §17).
   std::mt19937_64& engine() { return engine_; }
-
-  /// The engine state as one space-separated text line (mt19937_64's
-  /// stream form). save→load is the identity: a restored Rng emits the
-  /// exact draw sequence the original would have (DESIGN.md §17). Safe
-  /// because every distribution helper above constructs its
-  /// std:: distribution object fresh per call — the engine is the only
-  /// state an Rng has.
-  std::string save_state() const;
-
-  /// Restores a state captured by save_state. Throws
-  /// util::StateCodecError on malformed text.
-  void load_state(const std::string& text);
 
  private:
   std::mt19937_64 engine_;

@@ -1,9 +1,12 @@
 #include "util/statecodec.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <random>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace stayaway::util {
@@ -15,166 +18,214 @@ namespace {
                         detail);
 }
 
+/// The next space-separated token of `rest` (empty when none is left).
+std::string_view next_token(std::string_view& rest) {
+  rest.remove_prefix(std::min(rest.find_first_not_of(' '), rest.size()));
+  std::string_view token = rest.substr(0, rest.find(' '));
+  rest.remove_prefix(token.size());
+  return token;
+}
+
 }  // namespace
 
-double parse_exact_double(const std::string& text, std::string_view what) {
+double parse_exact_double(std::string_view text, std::string_view what) {
   if (text.empty()) fail(what, "empty double");
-  const char* begin = text.c_str();
+  // strtod needs a terminated copy; exact doubles fit the stack buffer.
+  char buf[64];
+  std::string long_text;
+  const char* begin = buf;
+  if (text.size() < sizeof buf) {
+    text.copy(buf, text.size());
+    buf[text.size()] = '\0';
+  } else {
+    long_text = text;
+    begin = long_text.c_str();
+  }
   char* end = nullptr;
   double v = std::strtod(begin, &end);
-  if (end != begin + text.size()) fail(what, "malformed double '" + text + "'");
+  if (end != begin + text.size()) {
+    fail(what, "malformed double '" + std::string(text) + "'");
+  }
   return v;
 }
 
-void StateWriter::emit(std::string_view key, std::string_view value) {
+// --- Writing ------------------------------------------------------------
+
+std::string& StateIO::begin_line(std::string_view key) {
   SA_CHECK(key.find_first_of(" =\n") == std::string_view::npos,
            "snapshot keys are bare identifiers");
-  SA_CHECK(value.find('\n') == std::string_view::npos,
-           "snapshot values are single lines");
-  out_ += key;
-  out_ += " = ";
-  out_ += value;
-  out_ += '\n';
+  *out_ += key;
+  *out_ += " = ";
+  return *out_;
 }
 
-void StateWriter::u64(std::string_view key, std::uint64_t v) {
-  emit(key, std::to_string(v));
+void StateIO::write_u64(std::string_view key, std::uint64_t v) {
+  begin_line(key) += std::to_string(v);
+  *out_ += '\n';
 }
 
-void StateWriter::i64(std::string_view key, std::int64_t v) {
-  emit(key, std::to_string(v));
-}
+// --- Reading ------------------------------------------------------------
 
-void StateWriter::boolean(std::string_view key, bool v) {
-  emit(key, v ? "true" : "false");
-}
-
-void StateWriter::real(std::string_view key, double v) {
-  emit(key, format_double_exact(v));
-}
-
-void StateWriter::token(std::string_view key, std::string_view v) {
-  SA_CHECK(!v.empty() && v.find_first_of(" \t\n") == std::string_view::npos,
-           "snapshot tokens are single non-empty words");
-  emit(key, v);
-}
-
-void StateWriter::line(std::string_view key, std::string_view v) {
-  emit(key, v);
-}
-
-void StateWriter::reals(std::string_view key, const std::vector<double>& v) {
-  std::string out = std::to_string(v.size());
-  for (double x : v) {
-    out += ' ';
-    out += format_double_exact(x);
-  }
-  emit(key, out);
-}
-
-void StateWriter::u64s(std::string_view key,
-                       const std::vector<std::uint64_t>& v) {
-  std::string out = std::to_string(v.size());
-  for (std::uint64_t x : v) {
-    out += ' ';
-    out += std::to_string(x);
-  }
-  emit(key, out);
-}
-
-std::string StateReader::next_value(std::string_view key) {
-  std::string raw;
-  if (!std::getline(in_, raw)) {
-    fail(key, "snapshot truncated (field missing)");
-  }
-  if (in_.eof()) {
-    // getline consumed characters but hit EOF before the delimiter:
-    // the final line was cut mid-record.
+std::string_view StateIO::next_value(std::string_view key) {
+  if (in_.empty()) fail(key, "snapshot truncated (field missing)");
+  const std::size_t eol = in_.find('\n');
+  if (eol == std::string_view::npos) {
     fail(key, "snapshot truncated (missing trailing newline)");
   }
-  auto eq = raw.find(" = ");
-  if (eq == std::string::npos) fail(key, "malformed line '" + raw + "'");
-  std::string got = raw.substr(0, eq);
-  if (got != key) fail(key, "found field '" + got + "' instead");
+  std::string_view raw = in_.substr(0, eol);
+  in_.remove_prefix(eol + 1);
+  const std::size_t eq = raw.find(" = ");
+  if (eq == std::string_view::npos) {
+    fail(key, "malformed line '" + std::string(raw) + "'");
+  }
+  if (raw.substr(0, eq) != key) {
+    fail(key, "found field '" + std::string(raw.substr(0, eq)) + "' instead");
+  }
   return raw.substr(eq + 3);
 }
 
-std::uint64_t StateReader::u64(std::string_view key) {
-  std::string v = next_value(key);
+std::uint64_t StateIO::read_u64(std::string_view key) {
+  std::string_view v = next_value(key);
   std::uint64_t out = 0;
-  if (!parse_u64(v, out)) fail(key, "malformed u64 '" + v + "'");
+  if (!parse_u64(v, out)) fail(key, "malformed u64 '" + std::string(v) + "'");
   return out;
 }
 
-std::int64_t StateReader::i64(std::string_view key) {
-  std::string v = next_value(key);
-  if (v.empty()) fail(key, "empty i64");
-  bool negative = v[0] == '-';
-  std::uint64_t mag = 0;
-  if (!parse_u64(negative ? v.substr(1) : v, mag)) {
-    fail(key, "malformed i64 '" + v + "'");
-  }
-  constexpr std::uint64_t kMax =
-      static_cast<std::uint64_t>(INT64_MAX);
-  if (mag > (negative ? kMax + 1 : kMax)) fail(key, "i64 overflow '" + v + "'");
-  return negative ? -static_cast<std::int64_t>(mag)
-                  : static_cast<std::int64_t>(mag);
+std::size_t StateIO::open_vector(std::string_view key,
+                                 std::string_view& rest) {
+  rest = next_value(key);
+  std::uint64_t n = 0;
+  if (!parse_u64(next_token(rest), n)) fail(key, "malformed vector count");
+  // Each entry takes at least two characters (" v").
+  if (n > rest.size() / 2) fail(key, "vector shorter than its count");
+  return static_cast<std::size_t>(n);
 }
 
-bool StateReader::boolean(std::string_view key) {
-  std::string v = next_value(key);
-  if (v == "true") return true;
-  if (v == "false") return false;
-  fail(key, "malformed bool '" + v + "'");
-}
-
-double StateReader::real(std::string_view key) {
-  return parse_exact_double(next_value(key), key);
-}
-
-std::string StateReader::token(std::string_view key) {
-  std::string v = next_value(key);
-  if (v.empty() || v.find_first_of(" \t") != std::string::npos) {
-    fail(key, "malformed token '" + v + "'");
+std::uint64_t StateIO::vector_u64(std::string_view key,
+                                  std::string_view& rest) {
+  std::uint64_t v = 0;
+  if (!parse_u64(next_token(rest), v)) {
+    fail(key, "vector shorter than its count or malformed entry");
   }
   return v;
 }
 
-std::string StateReader::line(std::string_view key) { return next_value(key); }
-
-std::vector<double> StateReader::reals(std::string_view key) {
-  std::istringstream in(next_value(key));
-  std::uint64_t n = 0;
-  std::string head;
-  if (!(in >> head) || !parse_u64(head, n)) fail(key, "malformed vector count");
-  std::vector<double> out;
-  out.reserve(n);
-  std::string item;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!(in >> item)) fail(key, "vector shorter than its count");
-    out.push_back(parse_exact_double(item, key));
-  }
-  if (in >> item) fail(key, "vector longer than its count");
-  return out;
+void StateIO::close_vector(std::string_view key, std::string_view rest) {
+  if (!next_token(rest).empty()) fail(key, "vector longer than its count");
 }
 
-std::vector<std::uint64_t> StateReader::u64s(std::string_view key) {
-  std::istringstream in(next_value(key));
-  std::uint64_t n = 0;
-  std::string head;
-  if (!(in >> head) || !parse_u64(head, n)) fail(key, "malformed vector count");
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  std::string item;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t v = 0;
-    if (!(in >> item) || !parse_u64(item, v)) {
-      fail(key, "vector shorter than its count or malformed entry");
-    }
-    out.push_back(v);
+void StateIO::fail_field(std::string_view key, std::string_view detail) {
+  fail(key, std::string(detail));
+}
+
+void StateIO::finish() const {
+  if (!in_.empty()) {
+    throw StateCodecError("state snapshot: trailing data after the body");
   }
-  if (in >> item) fail(key, "vector longer than its count");
-  return out;
+}
+
+// --- Fields -------------------------------------------------------------
+
+void StateIO::real(std::string_view key, double& v) {
+  if (!loading()) {
+    begin_line(key) += format_double_exact(v);
+    *out_ += '\n';
+    return;
+  }
+  v = parse_exact_double(next_value(key), key);
+}
+
+void StateIO::boolean(std::string_view key, bool& v) {
+  if (!loading()) {
+    begin_line(key) += v ? "true\n" : "false\n";
+    return;
+  }
+  std::string_view text = next_value(key);
+  if (text == "true") {
+    v = true;
+  } else if (text == "false") {
+    v = false;
+  } else {
+    fail(key, "malformed bool '" + std::string(text) + "'");
+  }
+}
+
+void StateIO::line(std::string_view key, std::string& v) {
+  if (!loading()) {
+    SA_CHECK(v.find('\n') == std::string::npos,
+             "snapshot values are single lines");
+    begin_line(key) += v;
+    *out_ += '\n';
+    return;
+  }
+  v = next_value(key);
+}
+
+void StateIO::rng(std::string_view key, Rng& rng) {
+  if (!loading()) {
+    std::ostringstream text;
+    text << rng.engine();
+    begin_line(key) += text.str();
+    *out_ += '\n';
+    return;
+  }
+  std::istringstream text{std::string(next_value(key))};
+  std::mt19937_64 restored;
+  text >> restored;
+  if (text.fail()) fail(key, "malformed mt19937_64 stream");
+  rng.engine() = restored;
+}
+
+void StateIO::reals(std::string_view key, std::vector<double>& v) {
+  if (!loading()) {
+    std::string& out = begin_line(key);
+    out += std::to_string(v.size());
+    for (double x : v) {
+      out += ' ';
+      out += format_double_exact(x);
+    }
+    out += '\n';
+    return;
+  }
+  std::string_view rest;
+  const std::size_t n = open_vector(key, rest);
+  v.clear();
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string_view item = next_token(rest);
+    if (item.empty()) fail(key, "vector shorter than its count");
+    v.push_back(parse_exact_double(item, key));
+  }
+  close_vector(key, rest);
+}
+
+void StateIO::count(std::string_view key, std::size_t& n) {
+  u64(key, n);
+  // Each counted item takes at least one line, and the shortest line
+  // ("k = \n") is five bytes.
+  if (loading() && n > in_.size() / 5) {
+    fail(key, "count exceeds the input left");
+  }
+}
+
+void StateIO::expect(std::string_view key, bool wired, std::string_view what) {
+  bool v = wired;
+  boolean(key, v);
+  if (v != wired) throw StateCodecError(std::string(what));
+}
+
+void StateIO::expect(std::string_view key, std::size_t wired,
+                     std::string_view what) {
+  std::size_t v = wired;
+  u64(key, v);
+  if (v != wired) throw StateCodecError(std::string(what));
+}
+
+void StateIO::expect(std::string_view key, const std::string& wired,
+                     std::string_view what) {
+  std::string v = wired;
+  line(key, v);
+  if (v != wired) throw StateCodecError(std::string(what));
 }
 
 }  // namespace stayaway::util

@@ -1,26 +1,38 @@
 // Typed key/value line codec for component state snapshots (DESIGN.md
-// §17). Checkpointable components serialize themselves through
-// StateWriter and rehydrate through StateReader; the checkpoint
-// envelope (versioning, checksum, per-host framing) lives in
-// core/checkpoint.hpp on top of this.
+// §17). Each checkpointable component describes its state once, in a
+// `persist(util::StateIO&)` method: every field call writes the field
+// when the StateIO is a writer and reads it back when it is a reader,
+// so the save and load paths cannot drift apart. Work only a load needs
+// — wiring checks, cache rebuilds — sits after the fields, behind
+// io.loading(). The checkpoint envelope (versioning, checksum, framing)
+// lives in core/checkpoint.hpp on top of this.
 //
-// Format: one `key = value` line per field, written and read in a
-// fixed order — the reader names the key it expects next and fails
+// Format: one `key = value` line per field, in the order the persist()
+// calls make — the reader names the key it expects next and fails
 // loudly on any mismatch, so a truncated or reordered snapshot can
 // never be half-applied. Doubles use format_double_exact, making
 // write→read the identity on every value including the non-finite
 // ones; that exactness is what the crash/restore byte-identity
-// guarantee rests on. The writer appends to a caller-owned std::string
-// (an envelope frames its body in the buffer it returns); the reader
-// consumes a stream.
+// guarantee rests on. A count read from a blob never sizes an
+// allocation larger than the bytes left could fill: a count the rest
+// of the input cannot hold fails as StateCodecError. The writer appends
+// to a caller-owned std::string (an envelope frames its body in the
+// buffer it returns); the reader walks a string_view over the body.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
-#include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+namespace stayaway {
+class Rng;
+}
 
 namespace stayaway::util {
 
@@ -30,50 +42,156 @@ class StateCodecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Appends fields to a caller-owned string, so an envelope can frame the
-/// body in the same buffer it returns (no stream, no intermediate copy).
-class StateWriter {
+/// One field API for both directions of a state snapshot.
+class StateIO {
  public:
-  explicit StateWriter(std::string& out) : out_(out) {}
+  /// Appends fields to `out`, which must outlive the StateIO.
+  static StateIO writer(std::string& out) { return StateIO(&out, {}); }
+  /// Reads fields from `body`, which must outlive the StateIO.
+  static StateIO reader(std::string_view body) {
+    return StateIO(nullptr, body);
+  }
 
-  void u64(std::string_view key, std::uint64_t v);
-  void i64(std::string_view key, std::int64_t v);
-  void boolean(std::string_view key, bool v);
-  void real(std::string_view key, double v);
-  /// A single whitespace-free token (enum names, identifiers).
-  void token(std::string_view key, std::string_view v);
-  /// Free-form single-line text; internal spaces allowed (mt19937_64
-  /// engine streams). Newlines are a caller bug.
-  void line(std::string_view key, std::string_view v);
-  void reals(std::string_view key, const std::vector<double>& v);
-  void u64s(std::string_view key, const std::vector<std::uint64_t>& v);
+  bool loading() const { return out_ == nullptr; }
+
+  /// Unsigned integers (counters, indices, sizes) as plain decimals.
+  template <std::unsigned_integral T>
+  void u64(std::string_view key, T& v) {
+    if (!loading()) return write_u64(key, v);
+    v = static_cast<T>(read_u64(key));
+  }
+  void real(std::string_view key, double& v);
+  void boolean(std::string_view key, bool& v);
+  /// Free-form single-line text; internal spaces allowed.
+  void line(std::string_view key, std::string& v);
+  /// An enum as its integer value; reading rejects values past `last`.
+  template <typename E>
+    requires std::is_enum_v<E>
+  void enumeration(std::string_view key, E& v, E last) {
+    auto raw = static_cast<std::uint64_t>(v);
+    u64(key, raw);
+    if (!loading()) return;
+    if (raw > static_cast<std::uint64_t>(last)) {
+      fail_field(key, "out of range");
+    }
+    v = static_cast<E>(raw);
+  }
+  /// An Rng's mt19937_64 engine as one text line (the engine's stream
+  /// form). Write→read is the identity: the restored Rng emits the
+  /// exact draws the original would have, since every Rng distribution
+  /// helper builds its std:: distribution fresh per call.
+  void rng(std::string_view key, Rng& rng);
+
+  /// `<has_key> = true|false`, then `field(value)` when present.
+  template <typename T, typename F>
+  void optional(std::string_view has_key, std::optional<T>& v, F&& field) {
+    bool present = v.has_value();
+    boolean(has_key, present);
+    if (loading()) {
+      v.reset();
+      if (present) v.emplace();
+    }
+    if (present) field(*v);
+  }
+
+  /// `<key> = <n> v1 ... vn` vectors.
+  void reals(std::string_view key, std::vector<double>& v);
+  /// Unsigned integer vectors; a vector<bool> stores 0/1 entries.
+  template <std::unsigned_integral T>
+  void u64s(std::string_view key, std::vector<T>& v) {
+    if (!loading()) {
+      std::string& out = begin_line(key);
+      out += std::to_string(v.size());
+      for (auto x : v) {
+        out += ' ';
+        out += std::to_string(static_cast<std::uint64_t>(x));
+      }
+      out += '\n';
+      return;
+    }
+    std::string_view rest;
+    const std::size_t n = open_vector(key, rest);
+    v.clear();
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v.push_back(static_cast<T>(vector_u64(key, rest)));
+    }
+    close_vector(key, rest);
+  }
+  /// A 2-D point list (anything with double x, y members) as two real
+  /// vectors, `<key>_x` then `<key>_y`.
+  template <typename P>
+  void points(std::string_view key, std::vector<P>& pts) {
+    std::vector<double> xs, ys;
+    xs.reserve(pts.size());
+    ys.reserve(pts.size());
+    for (const P& p : pts) {
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+    }
+    reals(std::string(key) + "_x", xs);
+    reals(std::string(key) + "_y", ys);
+    if (!loading()) return;
+    if (xs.size() != ys.size()) fail_field(key, "x/y length mismatch");
+    pts.resize(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      pts[i].x = xs[i];
+      pts[i].y = ys[i];
+    }
+  }
+
+  /// A `<key> = n` line counting the items that follow, one line or
+  /// more each. Reading fails unless the bytes left could hold n lines.
+  void count(std::string_view key, std::size_t& n);
+  /// A counted list: `<count_key> = n`, then `each(item)` per item.
+  /// Reading replaces `items` with the blob's n items.
+  template <typename T, typename F>
+  void list(std::string_view count_key, std::vector<T>& items, F&& each) {
+    std::size_t n = items.size();
+    count(count_key, n);
+    if (loading()) {
+      items.clear();
+      items.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) each(items.emplace_back());
+      return;
+    }
+    for (T& item : items) each(item);
+  }
+
+  /// Wiring fields: written as `wired`; reading throws
+  /// StateCodecError(`what`) on any other value. The snapshot restores
+  /// into a component of the same wiring, never re-wires it.
+  void expect(std::string_view key, bool wired, std::string_view what);
+  void expect(std::string_view key, std::size_t wired, std::string_view what);
+  void expect(std::string_view key, const std::string& wired,
+              std::string_view what);
+
+  /// Reading: throws unless every line of the body was consumed.
+  void finish() const;
 
  private:
-  void emit(std::string_view key, std::string_view value);
-  std::string& out_;
-};
+  StateIO(std::string* out, std::string_view in) : out_(out), in_(in) {}
 
-class StateReader {
- public:
-  explicit StateReader(std::istream& in) : in_(in) {}
+  /// Appends `key = ` and returns the buffer for the value and newline.
+  std::string& begin_line(std::string_view key);
+  void write_u64(std::string_view key, std::uint64_t v);
+  /// The value of the next line; throws unless its key is `key`.
+  std::string_view next_value(std::string_view key);
+  std::uint64_t read_u64(std::string_view key);
+  /// Parses the count of a `<n> v...` value, bounded by the entries the
+  /// rest of the line could hold; `rest` receives the entries.
+  std::size_t open_vector(std::string_view key, std::string_view& rest);
+  std::uint64_t vector_u64(std::string_view key, std::string_view& rest);
+  void close_vector(std::string_view key, std::string_view rest);
+  [[noreturn]] static void fail_field(std::string_view key,
+                                      std::string_view detail);
 
-  std::uint64_t u64(std::string_view key);
-  std::int64_t i64(std::string_view key);
-  bool boolean(std::string_view key);
-  double real(std::string_view key);
-  std::string token(std::string_view key);
-  std::string line(std::string_view key);
-  std::vector<double> reals(std::string_view key);
-  std::vector<std::uint64_t> u64s(std::string_view key);
-
- private:
-  /// Next `key = value` line; throws unless the key matches exactly.
-  std::string next_value(std::string_view key);
-  std::istream& in_;
+  std::string* out_;     // null when reading
+  std::string_view in_;  // unread remainder of the body when reading
 };
 
 /// Exact double parse accepting format_double_exact's full range
 /// ("inf", "-inf", "nan"); throws StateCodecError on anything else.
-double parse_exact_double(const std::string& text, std::string_view what);
+double parse_exact_double(std::string_view text, std::string_view what);
 
 }  // namespace stayaway::util

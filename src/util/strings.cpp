@@ -39,7 +39,7 @@ std::string format_double_exact(double v) {
   return std::string(buf, end);
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
+bool parse_u64(std::string_view text, std::uint64_t& out) {
   if (text.empty() || text.size() > 20) return false;
   std::uint64_t acc = 0;
   for (char c : text) {

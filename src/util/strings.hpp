@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stayaway {
@@ -19,7 +20,7 @@ std::string format_double_exact(double v);
 /// Parses a full plain decimal u64 into out; false when text has signs,
 /// spaces, trailing characters or overflows. Seeds must go through this
 /// rather than a double parse — a 64-bit seed truncates above 2^53.
-bool parse_u64(const std::string& text, std::uint64_t& out);
+bool parse_u64(std::string_view text, std::uint64_t& out);
 
 /// Left-pads s with spaces to the given width.
 std::string pad_left(const std::string& s, std::size_t width);

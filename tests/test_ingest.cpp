@@ -257,20 +257,20 @@ TEST(RingSampleSource, SaveLoadResumesTheStreamExactly) {
   original->set_fault_injector(&injector_a);
   drain_all(*original, {1.0, 2.0, 3.0});
   std::string saved;
-  util::StateWriter writer(saved);
-  original->save_state(writer);
+  util::StateIO writer = util::StateIO::writer(saved);
+  original->persist(writer);
   // The lookahead leaves samples queued past the drain clock.
   EXPECT_NE(saved.find("ring_pending_sequence = 1 "),
             std::string::npos);
 
   auto restored = make_ring(options);
   restored->set_fault_injector(&injector_b);
-  std::istringstream in(saved);
-  util::StateReader reader(in);
-  restored->load_state(reader);
+  util::StateIO reader = util::StateIO::reader(saved);
+  restored->persist(reader);
+  reader.finish();
   std::string resaved;
-  util::StateWriter rewriter(resaved);
-  restored->save_state(rewriter);
+  util::StateIO rewriter = util::StateIO::writer(resaved);
+  restored->persist(rewriter);
   EXPECT_EQ(resaved, saved);
 
   const std::vector<double> tail = {4.0, 4.2, 6.0, 9.0};

@@ -103,6 +103,14 @@ TEST(ScenarioFile, RejectsMalformedInput) {
   EXPECT_THROW(parse("compare = maybe\n"), PreconditionError);
   EXPECT_THROW(parse("workload = sinusoid\n"), PreconditionError);
   EXPECT_THROW(parse("unknown_key = 1\n"), PreconditionError);
+  // Count keys take a plain decimal integer: no sign, NaN, fraction or
+  // out-of-range exponent form.
+  for (const std::string bad : {"-1", "nan", "2.7", "1e30"}) {
+    for (const std::string key : {"prediction_samples", "ingest_ring_capacity"}) {
+      EXPECT_THROW(parse(key + " = " + bad + "\n"), PreconditionError)
+          << key << " = " << bad;
+    }
+  }
 }
 
 TEST(ScenarioFile, RejectsDuplicateKeys) {
@@ -293,6 +301,16 @@ TEST(FleetScenarioFile, RejectsMalformedFleetSyntax) {
                PreconditionError);
   EXPECT_THROW(parse_fleet("workers = 0\n"), PreconditionError);
   EXPECT_THROW(parse_fleet("workers = 2\nworkers = 2\n"), PreconditionError);
+  for (const std::string bad : {"-1", "nan", "2.7", "1e30"}) {
+    EXPECT_THROW(parse_fleet("workers = " + bad + "\n"), PreconditionError)
+        << "workers = " << bad;
+    for (const std::string key : {"admit_patience", "migration_cooldown"}) {
+      EXPECT_THROW(parse_fleet("[host \"a\"]\n[cluster]\n" + key + " = " +
+                               bad + "\n"),
+                   PreconditionError)
+          << key << " = " << bad;
+    }
+  }
   // Per-section duplicate keys are still duplicates.
   EXPECT_THROW(parse_fleet("[host \"a\"]\nseed = 1\nseed = 2\n"),
                PreconditionError);

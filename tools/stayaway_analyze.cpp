@@ -10,10 +10,10 @@
 //                    sim/vm.hpp from sim, ...). The checkpoint codec
 //                    (src/core/checkpoint.*) is its own table entry
 //                    sitting above core, and pipeline stages may never
-//                    include it: stages serialize through the
-//                    StateWriter handed to save_state(), the envelope /
-//                    checksum / restore I/O stays in the supervisor
-//                    layer. The cluster coordinator (src/core/cluster/)
+//                    include it: stages describe their state through
+//                    the util::StateIO handed to persist(), the
+//                    envelope / checksum / restore I/O stays in the
+//                    supervisor layer. The cluster coordinator (src/core/cluster/)
 //                    is likewise its own entry above core and may never
 //                    include sim/ (not even sim/vm.hpp): it reads hosts
 //                    through the core/pipeline.hpp seam and takes IDs
@@ -442,16 +442,16 @@ void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
       const std::string dep = include_module(t.text);
       // Stage isolation: stages/ may take sim's ID vocabulary
       // (sim/vm.hpp) but nothing that reaches the simulated host.
-      // Checkpoint isolation: a stage serializes itself through the
-      // StateWriter/StateReader its save_state()/load_state() hooks are
-      // handed (util/statecodec.hpp is fine); the envelope, checksum and
-      // restore I/O belong to the supervisor layer, never to a stage.
+      // Checkpoint isolation: a stage describes its state through the
+      // util::StateIO its persist() hook is handed (util/statecodec.hpp
+      // is fine); the envelope, checksum and restore I/O belong to the
+      // supervisor layer, never to a stage.
       if (in_stages && dep == "checkpoint") {
         out.push_back({f.path, t.line, "include-graph",
                        "checkpoint-isolation",
                        "pipeline stages must not include " + t.text +
-                           "; stages serialize through the StateWriter "
-                           "handed to save_state(), checkpoint envelope "
+                           "; stages describe their state through the "
+                           "StateIO handed to persist(), checkpoint envelope "
                            "I/O stays in the supervisor layer"});
         continue;
       }
