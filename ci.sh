@@ -17,8 +17,9 @@
 #   ./ci.sh --fleet              fleet gate (DESIGN.md §13): the fleet tests
 #                                (pinned single-host goldens, scenario
 #                                overlays, worker invariance) in the tier-1
-#                                tree, then the fleet concurrency surfaces
-#                                under ThreadSanitizer
+#                                tree, a diurnal --hosts 2 run against its
+#                                own --record run and replay, then the fleet
+#                                concurrency surfaces under ThreadSanitizer
 #   ./ci.sh --fuzz               record/replay gate (DESIGN.md §14): replay
 #                                every committed tests/regressions/*.runlog
 #                                byte-identically, then a budgeted
@@ -167,14 +168,44 @@ EOF
       ;;
     fleet)
       # Fleet gate: the single-host golden / overlay / invariance tests in
-      # the tier-1 tree first (fast failure), then the fleet concurrency
-      # surfaces — 8 pipelines on a 4-worker pool sharing one observer —
-      # under ThreadSanitizer.
+      # the tier-1 tree first (fast failure), then a plain --hosts fleet
+      # against its own recording, then the fleet concurrency surfaces —
+      # 8 pipelines on a 4-worker pool sharing one observer — under
+      # ThreadSanitizer.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
-          --target test_fleet test_scenario_file test_concurrency ||
+          --target test_fleet test_scenario_file test_concurrency \
+          stayaway_sim ||
         return 1
       ctest --test-dir build --output-on-failure -R 'Fleet' || return 1
+      # A --hosts fleet is canonicalized like a --record run (DESIGN.md
+      # §14): each replica regenerates its diurnal trace from its own
+      # seed, so the plain run prints the recording's summary rows, and
+      # the recording replays.
+      local tmpdir plain recorded
+      tmpdir="$(mktemp -d)" || return 1
+      cat >"$tmpdir/diurnal.conf" <<'EOF'
+sensitive     = vlc-stream
+batch         = cpubomb
+policy        = stay-away
+duration_s    = 60
+workload      = diurnal
+batch_start_s = 5
+EOF
+      plain="$(./build/tools/stayaway_sim --hosts 2 "$tmpdir/diurnal.conf" |
+        grep -E '^host[0-9]+ ')"
+      recorded="$(./build/tools/stayaway_sim --hosts 2 \
+        --record "$tmpdir/diurnal.runlog" "$tmpdir/diurnal.conf" |
+        grep -E '^host[0-9]+ ')"
+      [[ -n "$plain" && "$plain" == "$recorded" ]] &&
+        ./build/tools/stayaway_sim --replay "$tmpdir/diurnal.runlog" || {
+        echo "--hosts run diverged from its recording:" >&2
+        echo "$plain" >&2
+        echo "$recorded" >&2
+        rm -rf "$tmpdir"
+        return 1
+      }
+      rm -rf "$tmpdir"
       cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \

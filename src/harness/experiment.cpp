@@ -5,21 +5,23 @@
 
 #include "harness/fleet.hpp"
 #include "util/check.hpp"
+#include "util/enum_names.hpp"
 
 namespace stayaway::harness {
 
+constexpr util::EnumName<PolicyKind> kPolicyNames[] = {
+    {PolicyKind::NoPrevention, "no-prevention"},
+    {PolicyKind::StayAway, "stay-away"},
+    {PolicyKind::Reactive, "reactive"},
+    {PolicyKind::StaticThreshold, "static-threshold"},
+};
+
 const char* to_string(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::NoPrevention:
-      return "no-prevention";
-    case PolicyKind::StayAway:
-      return "stay-away";
-    case PolicyKind::Reactive:
-      return "reactive";
-    case PolicyKind::StaticThreshold:
-      return "static-threshold";
-  }
-  return "unknown";
+  return util::enum_name(kPolicyNames, kind);
+}
+
+PolicyKind policy_kind_from_string(const std::string& name) {
+  return util::enum_value(kPolicyNames, name, "policy");
 }
 
 ExperimentResult run_experiment(const ExperimentSpec& spec) {

@@ -25,6 +25,8 @@ enum class PolicyKind {
 };
 
 const char* to_string(PolicyKind kind);
+/// Inverse of to_string; throws PreconditionError on unknown names.
+PolicyKind policy_kind_from_string(const std::string& name);
 
 /// An additional named batch VM (scenario files: `vm = name:kind[:start_s]`).
 /// Names must be unique across the experiment.

@@ -1,6 +1,8 @@
 // Scenario files: a small key = value format describing an experiment,
-// consumed by the stayaway_sim command-line tool (tools/). Lets a user
-// run co-location studies without writing C++.
+// consumed by the stayaway_sim command-line tool (tools/). Each section's
+// keys are listed once, in scenario_file.cpp's describe_body and
+// describe_cluster, which parse and serialize both walk: adding a key
+// means adding one list entry.
 //
 //   # VLC protected from the Twitter analytics job
 //   sensitive   = vlc-stream
@@ -56,11 +58,6 @@
 
 namespace stayaway::harness {
 
-/// Enum lookups (throw PreconditionError on unknown names).
-SensitiveKind sensitive_kind_from_string(const std::string& name);
-BatchKind batch_kind_from_string(const std::string& name);
-PolicyKind policy_kind_from_string(const std::string& name);
-
 struct Scenario {
   ExperimentSpec spec;
   /// Workload kind as written ("constant" or "diurnal"); spec.workload
@@ -100,12 +97,10 @@ struct FleetScenario {
 /// Parses a scenario document. Unknown keys, malformed lines, invalid
 /// values, duplicate VM names and unknown fault/metric kinds throw
 /// PreconditionError naming the offending line. Empty lines and '#'
-/// comments are ignored ('#' inside a quoted value is literal); keys may
-/// appear at most once, except the list-building `fault` and `vm` keys.
-/// Values may be double-quoted ("a # b") with \\ \" \n \t \r escapes —
-/// required when a value contains '#', a quote, or significant leading/
-/// trailing whitespace. Rejects fleet syntax — use parse_fleet_scenario
-/// for documents with [host] sections.
+/// comments are ignored and values may be double-quoted ("a # b"; the
+/// lexical rules are util/keyvalue.hpp's). Keys may appear at most once,
+/// except the list-building `fault` and `vm` keys. Rejects fleet syntax —
+/// use parse_fleet_scenario for documents with [host] sections.
 Scenario parse_scenario(std::istream& in);
 
 /// Parses a scenario document that may contain [host "name"] sections

@@ -9,47 +9,44 @@
 #include "apps/vlc_transcode.hpp"
 #include "trace/diurnal.hpp"
 #include "util/check.hpp"
+#include "util/enum_names.hpp"
 
 namespace stayaway::harness {
 
+constexpr util::EnumName<SensitiveKind> kSensitiveNames[] = {
+    {SensitiveKind::VlcStream, "vlc-stream"},
+    {SensitiveKind::WebserviceCpu, "webservice-cpu"},
+    {SensitiveKind::WebserviceMem, "webservice-mem"},
+    {SensitiveKind::WebserviceMix, "webservice-mix"},
+    {SensitiveKind::VlcTranscode, "vlc-transcode"},
+    {SensitiveKind::FlashCrowd, "flash-crowd"},
+};
+
+constexpr util::EnumName<BatchKind> kBatchNames[] = {
+    {BatchKind::None, "none"},
+    {BatchKind::CpuBomb, "cpubomb"},
+    {BatchKind::MemBomb, "membomb"},
+    {BatchKind::Soplex, "soplex"},
+    {BatchKind::TwitterAnalysis, "twitter-analysis"},
+    {BatchKind::VlcTranscode, "vlc-transcode"},
+    {BatchKind::Batch1, "batch-1"},
+    {BatchKind::Batch2, "batch-2"},
+};
+
 const char* to_string(SensitiveKind kind) {
-  switch (kind) {
-    case SensitiveKind::VlcStream:
-      return "vlc-stream";
-    case SensitiveKind::WebserviceCpu:
-      return "webservice-cpu";
-    case SensitiveKind::WebserviceMem:
-      return "webservice-mem";
-    case SensitiveKind::WebserviceMix:
-      return "webservice-mix";
-    case SensitiveKind::VlcTranscode:
-      return "vlc-transcode";
-    case SensitiveKind::FlashCrowd:
-      return "flash-crowd";
-  }
-  return "unknown";
+  return util::enum_name(kSensitiveNames, kind);
+}
+
+SensitiveKind sensitive_kind_from_string(const std::string& name) {
+  return util::enum_value(kSensitiveNames, name, "sensitive app");
 }
 
 const char* to_string(BatchKind kind) {
-  switch (kind) {
-    case BatchKind::None:
-      return "none";
-    case BatchKind::CpuBomb:
-      return "cpubomb";
-    case BatchKind::MemBomb:
-      return "membomb";
-    case BatchKind::Soplex:
-      return "soplex";
-    case BatchKind::TwitterAnalysis:
-      return "twitter-analysis";
-    case BatchKind::VlcTranscode:
-      return "vlc-transcode";
-    case BatchKind::Batch1:
-      return "batch-1";
-    case BatchKind::Batch2:
-      return "batch-2";
-  }
-  return "unknown";
+  return util::enum_name(kBatchNames, kind);
+}
+
+BatchKind batch_kind_from_string(const std::string& name) {
+  return util::enum_value(kBatchNames, name, "batch app");
 }
 
 sim::HostSpec paper_host() {

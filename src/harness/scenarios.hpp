@@ -42,6 +42,9 @@ enum class BatchKind {
 
 const char* to_string(SensitiveKind kind);
 const char* to_string(BatchKind kind);
+/// Inverses of to_string; throw PreconditionError on unknown names.
+SensitiveKind sensitive_kind_from_string(const std::string& name);
+BatchKind batch_kind_from_string(const std::string& name);
 
 /// The paper's testbed translated into simulator terms: 4 cores, 4 GB of
 /// memory (tight enough that a 2-3 GB batch working set forces swap).

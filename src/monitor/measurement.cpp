@@ -1,32 +1,24 @@
 #include "monitor/measurement.hpp"
 
 #include "util/check.hpp"
+#include "util/enum_names.hpp"
 
 namespace stayaway::monitor {
 
+constexpr util::EnumName<MetricKind> kMetricNames[] = {
+    {MetricKind::Cpu, "cpu"},
+    {MetricKind::Memory, "mem"},
+    {MetricKind::MemBandwidth, "membw"},
+    {MetricKind::DiskIo, "io"},
+    {MetricKind::Network, "net"},
+};
+
 const char* to_string(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::Cpu:
-      return "cpu";
-    case MetricKind::Memory:
-      return "mem";
-    case MetricKind::MemBandwidth:
-      return "membw";
-    case MetricKind::DiskIo:
-      return "io";
-    case MetricKind::Network:
-      return "net";
-  }
-  return "unknown";
+  return util::enum_name(kMetricNames, kind);
 }
 
 MetricKind metric_kind_from_string(const std::string& name) {
-  for (auto kind :
-       {MetricKind::Cpu, MetricKind::Memory, MetricKind::MemBandwidth,
-        MetricKind::DiskIo, MetricKind::Network}) {
-    if (name == to_string(kind)) return kind;
-  }
-  throw PreconditionError("unknown metric kind: " + name);
+  return util::enum_value(kMetricNames, name, "metric kind");
 }
 
 std::size_t MetricLayout::index_of(std::size_t entity, std::size_t metric) const {

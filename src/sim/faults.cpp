@@ -2,25 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
+#include <set>
 #include <sstream>
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/enum_names.hpp"
 #include "util/strings.hpp"
 
 namespace stayaway::sim {
 
 namespace {
 
-constexpr FaultKind kAllKinds[] = {
-    FaultKind::SensorDropout,  FaultKind::StuckAt,
-    FaultKind::Spike,          FaultKind::NonFinite,
-    FaultKind::StaleSample,    FaultKind::QosBlind,
-    FaultKind::PauseFail,      FaultKind::ResumeFail,
-    FaultKind::IngestDelay,    FaultKind::IngestDuplicate,
-    FaultKind::HostCrash,      FaultKind::StageStall,
-    FaultKind::StageThrow,     FaultKind::CheckpointCorrupt,
+constexpr util::EnumName<FaultKind> kFaultNames[] = {
+    {FaultKind::SensorDropout, "sensor-dropout"},
+    {FaultKind::StuckAt, "stuck-at"},
+    {FaultKind::Spike, "spike"},
+    {FaultKind::NonFinite, "non-finite"},
+    {FaultKind::StaleSample, "stale-sample"},
+    {FaultKind::QosBlind, "qos-blind"},
+    {FaultKind::PauseFail, "pause-fail"},
+    {FaultKind::ResumeFail, "resume-fail"},
+    {FaultKind::IngestDelay, "ingest-delay"},
+    {FaultKind::IngestDuplicate, "ingest-dup"},
+    {FaultKind::HostCrash, "host-crash"},
+    {FaultKind::StageStall, "stage-stall"},
+    {FaultKind::StageThrow, "stage-throw"},
+    {FaultKind::CheckpointCorrupt, "checkpoint-corrupt"},
 };
 
 bool is_sensor_fault(FaultKind kind) {
@@ -45,76 +53,23 @@ bool is_sensor_fault(FaultKind kind) {
   return false;
 }
 
-std::string trim(const std::string& s) {
-  auto begin = s.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  auto end = s.find_last_not_of(" \t\r");
-  return s.substr(begin, end - begin + 1);
-}
-
-[[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw PreconditionError("fault plan line " + std::to_string(line) + ": " +
-                          message);
-}
-
-double parse_double(std::size_t line, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    double v = std::stod(value, &pos);
-    if (pos != value.size()) fail(line, "trailing characters in number");
-    return v;
-  } catch (const std::logic_error&) {
-    fail(line, "expected a number, got '" + value + "'");
-  }
-}
-
-void validate_spec(const FaultSpec& spec, std::size_t line_no) {
+void validate_spec(const FaultSpec& spec, const util::SourceLine& at) {
   if (!(spec.probability >= 0.0 && spec.probability <= 1.0)) {
-    fail(line_no, "p must be in [0,1]");
+    at.fail("p must be in [0,1]");
   }
   if (!(spec.end_s > spec.start_s)) {
-    fail(line_no, "fault window must satisfy end > start");
+    at.fail("fault window must satisfy end > start");
   }
   if (!std::isfinite(spec.magnitude) || spec.magnitude <= 0.0) {
-    fail(line_no, "mag must be finite and positive");
+    at.fail("mag must be finite and positive");
   }
-  if (spec.dimension < -1) fail(line_no, "dim must be >= 0, or -1 for all");
+  if (spec.dimension < -1) at.fail("dim must be >= 0, or -1 for all");
 }
 
 }  // namespace
 
 const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::SensorDropout:
-      return "sensor-dropout";
-    case FaultKind::StuckAt:
-      return "stuck-at";
-    case FaultKind::Spike:
-      return "spike";
-    case FaultKind::NonFinite:
-      return "non-finite";
-    case FaultKind::StaleSample:
-      return "stale-sample";
-    case FaultKind::QosBlind:
-      return "qos-blind";
-    case FaultKind::PauseFail:
-      return "pause-fail";
-    case FaultKind::ResumeFail:
-      return "resume-fail";
-    case FaultKind::IngestDelay:
-      return "ingest-delay";
-    case FaultKind::IngestDuplicate:
-      return "ingest-dup";
-    case FaultKind::HostCrash:
-      return "host-crash";
-    case FaultKind::StageStall:
-      return "stage-stall";
-    case FaultKind::StageThrow:
-      return "stage-throw";
-    case FaultKind::CheckpointCorrupt:
-      return "checkpoint-corrupt";
-  }
-  return "unknown";
+  return util::enum_name(kFaultNames, kind);
 }
 
 bool is_crash_fault(FaultKind kind) {
@@ -137,49 +92,42 @@ bool FaultPlan::has_crash_faults() const {
 }
 
 FaultKind fault_kind_from_string(const std::string& name) {
-  for (FaultKind kind : kAllKinds) {
-    if (name == to_string(kind)) return kind;
-  }
-  throw PreconditionError("unknown fault kind: " + name);
+  return util::enum_value(kFaultNames, name, "fault kind");
 }
 
-FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no) {
-  std::istringstream in(trim(text));
+FaultSpec parse_fault_spec(const std::string& text,
+                           const util::SourceLine& at) {
+  std::istringstream in(text);
   std::string kind_name;
   in >> kind_name;
-  if (kind_name.empty()) fail(line_no, "empty fault specification");
+  if (kind_name.empty()) at.fail("empty fault specification");
 
   FaultSpec spec;
-  try {
-    spec.kind = fault_kind_from_string(kind_name);
-  } catch (const PreconditionError& e) {
-    fail(line_no, e.what());
-  }
-
+  spec.kind = at.lookup(fault_kind_from_string, kind_name);
   std::string token;
   while (in >> token) {
     auto eq = token.find('=');
     if (eq == std::string::npos) {
-      fail(line_no, "expected key=value, got '" + token + "'");
+      at.fail("expected key=value, got '" + token + "'");
     }
     std::string key = token.substr(0, eq);
     std::string value = token.substr(eq + 1);
-    if (value.empty()) fail(line_no, "empty value for '" + key + "'");
+    if (value.empty()) at.fail("empty value for '" + key + "'");
     if (key == "start") {
-      spec.start_s = parse_double(line_no, value);
+      spec.start_s = at.real(value);
     } else if (key == "end") {
-      spec.end_s = parse_double(line_no, value);
+      spec.end_s = at.real(value);
     } else if (key == "p") {
-      spec.probability = parse_double(line_no, value);
+      spec.probability = at.real(value);
     } else if (key == "mag") {
-      spec.magnitude = parse_double(line_no, value);
+      spec.magnitude = at.real(value);
     } else if (key == "dim") {
-      spec.dimension = static_cast<int>(parse_double(line_no, value));
+      spec.dimension = at.integer(value);
     } else {
-      fail(line_no, "unknown fault key '" + key + "'");
+      at.fail("unknown fault key '" + key + "'");
     }
   }
-  validate_spec(spec, line_no);
+  validate_spec(spec, at);
   return spec;
 }
 
@@ -197,46 +145,18 @@ std::string to_spec_string(const FaultSpec& spec) {
 
 FaultPlan parse_fault_plan(std::istream& in) {
   FaultPlan plan;
-  bool seed_seen = false;
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    std::string line = raw;
-    auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (in.eof() && !line.empty()) {
-      // getline hit end-of-input before a delimiter: the final line was
-      // cut mid-record (a partial write or truncated download). Silently
-      // accepting it would half-apply a plan, so fail loudly instead; an
-      // unterminated blank or comment line is harmless.
-      fail(line_no, "truncated final line (missing trailing newline)");
-    }
-    if (line.empty()) continue;
-
-    auto eq = line.find('=');
-    if (eq == std::string::npos) fail(line_no, "expected 'key = value'");
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) fail(line_no, "empty key");
-    if (value.empty()) fail(line_no, "empty value for '" + key + "'");
-
-    if (key == "seed") {
-      if (seed_seen) fail(line_no, "duplicate key 'seed'");
-      seed_seen = true;
-      // Plain decimal parses the full 64-bit range; going through a
-      // double truncates every seed above 2^53. The double fallback
-      // keeps historical forms like `seed = 1e6` working.
-      if (!parse_u64(value, plan.seed)) {
-        plan.seed = static_cast<std::uint64_t>(parse_double(line_no, value));
-      }
-    } else if (key == "fault") {
-      plan.faults.push_back(parse_fault_spec(value, line_no));
+  std::set<std::string> seen;
+  util::read_key_values(in, "fault plan", [&](const util::KeyValueLine& line) {
+    if (!line.section.empty()) line.at.fail("expected 'key = value'");
+    if (line.key == "seed") {
+      line.require_unique(seen);
+      plan.seed = line.at.seed(line.value);
+    } else if (line.key == "fault") {
+      plan.faults.push_back(parse_fault_spec(line.value, line.at));
     } else {
-      fail(line_no, "unknown key '" + key + "'");
+      line.at.fail("unknown key '" + line.key + "'");
     }
-  }
+  });
   return plan;
 }
 
@@ -244,7 +164,7 @@ FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed) {
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     // Re-validate programmatically built plans with the parser's rules.
-    validate_spec(plan_.faults[i], i + 1);
+    validate_spec(plan_.faults[i], {"fault plan", i + 1});
   }
 }
 

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "util/keyvalue.hpp"
 #include "util/rng.hpp"
 #include "util/statecodec.hpp"
 
@@ -92,8 +93,8 @@ struct FaultPlan {
 };
 
 /// Parses one fault line, `<kind> key=value ...` with keys start, end,
-/// p, mag, dim. Errors throw PreconditionError naming `line_no`.
-FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no);
+/// p, mag, dim. Errors throw PreconditionError naming `at`, its line.
+FaultSpec parse_fault_spec(const std::string& text, const util::SourceLine& at);
 
 /// Canonical single-line form of a spec, parseable by parse_fault_spec:
 /// `<kind> start=<s> [end=<s>] p=<p> mag=<m> dim=<d>` (end omitted for
@@ -109,8 +110,9 @@ std::string to_spec_string(const FaultSpec& spec);
 ///   fault = qos-blind      start=30 end=45
 ///   fault = pause-fail     start=20 end=50 p=0.5
 ///
-/// Unknown keys, unknown fault kinds and malformed values throw
-/// PreconditionError naming the offending line.
+/// Plan files share the scenario reader (util/keyvalue.hpp). Unknown keys,
+/// unknown fault kinds and malformed values throw PreconditionError
+/// naming the offending line.
 FaultPlan parse_fault_plan(std::istream& in);
 
 /// What corrupt_sample did to one measurement.

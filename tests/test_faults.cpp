@@ -42,8 +42,8 @@ TEST(FaultKindNames, RoundTrip) {
 }
 
 TEST(FaultSpecParse, FullLine) {
-  FaultSpec s =
-      parse_fault_spec("spike start=10 end=20 p=0.5 mag=4 dim=2", 3);
+  FaultSpec s = parse_fault_spec("spike start=10 end=20 p=0.5 mag=4 dim=2",
+                                 {"fault plan", 3});
   EXPECT_EQ(s.kind, FaultKind::Spike);
   EXPECT_DOUBLE_EQ(s.start_s, 10.0);
   EXPECT_DOUBLE_EQ(s.end_s, 20.0);
@@ -70,9 +70,12 @@ TEST(FaultSpecParse, ErrorsNameTheLine) {
            Case{"spike bogus=1", "unknown fault key"},
            Case{"spike p", "expected key=value"},
            Case{"spike p=abc", "expected a number"},
+           Case{"spike dim=2.7", "expected an integer"},
+           Case{"spike dim=1e30", "expected an integer"},
+           Case{"spike dim=nan", "expected an integer"},
        }) {
     try {
-      parse_fault_spec(c.text, 42);
+      parse_fault_spec(c.text, {"fault plan", 42});
       FAIL() << "no error for: " << c.text;
     } catch (const PreconditionError& e) {
       EXPECT_NE(std::string(e.what()).find("line 42"), std::string::npos)
@@ -106,6 +109,8 @@ TEST(FaultPlanParse, RejectsUnknownAndDuplicateKeys) {
   EXPECT_THROW(parse_fault_plan(dup), PreconditionError);
   std::istringstream noeq("seed 1\n");
   EXPECT_THROW(parse_fault_plan(noeq), PreconditionError);
+  std::istringstream negative("seed = -3\n");
+  EXPECT_THROW(parse_fault_plan(negative), PreconditionError);
 }
 
 TEST(FaultInjector, RejectsInvalidProgrammaticPlans) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/scenario_file.hpp"
 #include "monitor/measurement.hpp"
@@ -111,6 +113,15 @@ TEST(ScenarioFile, RejectsMalformedInput) {
           << key << " = " << bad;
     }
   }
+  // Seeds also accept a number like 1e6, but only a finite integral one
+  // in [0, 2^64): never a wrapped, truncated or saturated cast.
+  for (const std::string bad : {"-1", "nan", "2.5", "1e30"}) {
+    for (const std::string key : {"seed", "fault_seed"}) {
+      EXPECT_THROW(parse(key + " = " + bad + "\n"), PreconditionError)
+          << key << " = " << bad;
+    }
+  }
+  EXPECT_EQ(parse("seed = 1e6\n").spec.seed, 1000000u);
 }
 
 TEST(ScenarioFile, RejectsDuplicateKeys) {
@@ -187,6 +198,14 @@ TEST(ScenarioFile, UnknownFaultKindNamesTheLine) {
     std::string what = e.what();
     EXPECT_NE(what.find("line 2"), std::string::npos) << what;
     EXPECT_NE(what.find("unknown fault kind"), std::string::npos) << what;
+  }
+  // A bad fault line carries the scenario's line prefix exactly once.
+  try {
+    parse("seed = 1\nfault = qos-blind p=1.5\n");
+    FAIL() << "should have thrown";
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "scenario line 2: p must be in [0,1]");
   }
 }
 
@@ -428,6 +447,196 @@ TEST(FleetScenarioFile, FleetSerializeParseSerializeIsAFixedPoint) {
   EXPECT_EQ(back.hosts[1].first, "web-b");
   EXPECT_EQ(back.hosts[1].second.spec.batch, BatchKind::CpuBomb);
   EXPECT_EQ(back.hosts[1].second.spec.sensitive, SensitiveKind::VlcStream);
+}
+
+// A fleet document that sets every body key (including the conditional
+// ingest block, compare, fault_seed and the quoted paths) and every
+// [cluster] key to a non-default value.
+constexpr const char* kEveryKeyDocument = R"doc(workers = 3
+sensitive = webservice-mix
+batch = soplex
+policy = reactive
+duration_s = 45
+period_s = 0.5
+tick_s = 0.05
+batch_start_s = 7.5
+sensitive_start_s = 1.25
+seed = 18446744073709551615
+workload = diurnal
+workload_cycles = 2.5
+dedup_epsilon = 0.0625
+prediction_samples = 7
+beta_initial = 0.03
+beta_increment = 0.0125
+beta_max = 0.5
+resume_grace_s = 6
+starvation_patience_s = 33
+random_resume_probability = 0.125
+actions_enabled = false
+allow_sensitive_demotion = true
+aggregate_batch = false
+noise_fraction = 0.04
+metrics = mem, cpu
+ingest_source = ring
+ingest_rate_hz = 8
+ingest_ring_capacity = 256
+ingest_lookahead_s = 0.5
+ingest_burst_rate_hz = 32
+ingest_burst_start_s = 10
+ingest_burst_end_s = 20
+vm = "extra #1:membomb:12.5"
+vm = extra2:cpubomb
+fault_seed = 9007199254740993
+fault = sensor-dropout start=3 end=9 p=0.25 dim=1
+fault = resume-fail start=12 p=0.5
+compare = yes
+template_in = "in dir/t#1.csv"
+template_out = "out\tq\"s.csv"
+series_csv = " padded.csv"
+[cluster]
+migrate = false
+admit_margin = 0.375
+admit_patience = 4
+migration_cooldown = 9
+admit_footprint = 0.625
+mobile = crunch:cpubomb:web-a:20.5
+admit = late:twitter-analysis:90.25
+[host "web-a"]
+seed = 5
+[host "web-b"]
+batch = cpubomb
+vm = extra3:soplex:4
+fault = qos-blind start=30 end=45
+)doc";
+
+// serialize_fleet_scenario(kEveryKeyDocument), byte for byte: the
+// canonical text every run-log embeds. A change here breaks the replay
+// of every committed log.
+constexpr const char* kEveryKeyGolden = R"gold(workers = 3
+[cluster]
+migrate = false
+admit_margin = 0.375
+admit_patience = 4
+migration_cooldown = 9
+admit_footprint = 0.625
+mobile = crunch:cpubomb:web-a:20.5
+admit = late:twitter-analysis:90.25
+[host "web-a"]
+sensitive = webservice-mix
+batch = soplex
+policy = reactive
+duration_s = 45
+period_s = 0.5
+tick_s = 0.05
+batch_start_s = 7.5
+sensitive_start_s = 1.25
+seed = 5
+workload = diurnal
+workload_cycles = 2.5
+dedup_epsilon = 0.0625
+prediction_samples = 7
+beta_initial = 0.03
+beta_increment = 0.0125
+beta_max = 0.5
+resume_grace_s = 6
+starvation_patience_s = 33
+random_resume_probability = 0.125
+actions_enabled = false
+allow_sensitive_demotion = true
+aggregate_batch = false
+noise_fraction = 0.04
+metrics = mem,cpu
+ingest_source = ring
+ingest_rate_hz = 8
+ingest_ring_capacity = 256
+ingest_lookahead_s = 0.5
+ingest_burst_rate_hz = 32
+ingest_burst_start_s = 10
+ingest_burst_end_s = 20
+vm = "extra #1:membomb:12.5"
+vm = extra2:cpubomb:15
+fault_seed = 9007199254740993
+fault = sensor-dropout start=3 end=9 p=0.25 mag=8 dim=1
+fault = resume-fail start=12 p=0.5 mag=8 dim=-1
+compare = true
+template_in = "in dir/t#1.csv"
+template_out = "out\tq\"s.csv"
+series_csv = " padded.csv"
+[host "web-b"]
+sensitive = webservice-mix
+batch = cpubomb
+policy = reactive
+duration_s = 45
+period_s = 0.5
+tick_s = 0.05
+batch_start_s = 7.5
+sensitive_start_s = 1.25
+seed = 18446744073709551615
+workload = diurnal
+workload_cycles = 2.5
+dedup_epsilon = 0.0625
+prediction_samples = 7
+beta_initial = 0.03
+beta_increment = 0.0125
+beta_max = 0.5
+resume_grace_s = 6
+starvation_patience_s = 33
+random_resume_probability = 0.125
+actions_enabled = false
+allow_sensitive_demotion = true
+aggregate_batch = false
+noise_fraction = 0.04
+metrics = mem,cpu
+ingest_source = ring
+ingest_rate_hz = 8
+ingest_ring_capacity = 256
+ingest_lookahead_s = 0.5
+ingest_burst_rate_hz = 32
+ingest_burst_start_s = 10
+ingest_burst_end_s = 20
+vm = "extra #1:membomb:12.5"
+vm = extra2:cpubomb:15
+vm = extra3:soplex:4
+fault_seed = 9007199254740993
+fault = sensor-dropout start=3 end=9 p=0.25 mag=8 dim=1
+fault = resume-fail start=12 p=0.5 mag=8 dim=-1
+fault = qos-blind start=30 end=45 p=1 mag=8 dim=-1
+compare = true
+template_in = "in dir/t#1.csv"
+template_out = "out\tq\"s.csv"
+series_csv = " padded.csv"
+)gold";
+
+TEST(FleetScenarioFile, CanonicalTextMatchesGolden) {
+  EXPECT_EQ(serialize_fleet_scenario(parse_fleet(kEveryKeyDocument)),
+            kEveryKeyGolden);
+  EXPECT_EQ(serialize_fleet_scenario(parse_fleet(kEveryKeyGolden)),
+            kEveryKeyGolden);
+}
+
+TEST(FleetScenarioFile, EveryNonRepeatableKeyRejectsADuplicate) {
+  // Repeat each scalar line of the golden text in place; only the
+  // list-building keys may appear more than once in a section.
+  std::vector<std::string> lines;
+  std::istringstream in(kEveryKeyGolden);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string key = lines[i].substr(0, lines[i].find(" = "));
+    if (lines[i].front() == '[' || key == "vm" || key == "fault" ||
+        key == "mobile" || key == "admit") {
+      continue;
+    }
+    std::string doc;
+    for (std::size_t j = 0; j < lines.size(); ++j) {
+      doc += lines[j] + "\n";
+      if (j == i) doc += lines[j] + "\n";
+    }
+    EXPECT_THROW(parse_fleet(doc), PreconditionError) << lines[i];
+    ++checked;
+  }
+  // workers, five [cluster] knobs, and 36 scalar keys in each host.
+  EXPECT_EQ(checked, 1u + 5u + 2u * 36u);
 }
 
 TEST(FleetScenarioFile, SerializedDocumentRunsIdentically) {

@@ -280,6 +280,25 @@ void require_fleet_compatible(const stayaway::harness::Scenario& scenario,
              where + ": `series_csv` is unsupported in fleet mode");
 }
 
+/// The document both fleet paths run: --workers applied, then
+/// canonicalized like a replayer will materialize it (DESIGN.md §14).
+/// --hosts replicas get their own seeds and regenerate their diurnal
+/// traces from them; a plain document (the recovery flags put it on the
+/// fleet path) is the single-host run, one host on its own seed.
+stayaway::harness::FleetScenario fleet_document(
+    const stayaway::harness::FleetScenario& doc, const Options& opts) {
+  SA_REQUIRE(opts.hosts == 0 || doc.hosts.empty(),
+             "--hosts replicates a plain scenario; this file already "
+             "defines [host] sections");
+  require_fleet_compatible(doc.base, "base scenario");
+  for (const auto& [name, scenario] : doc.hosts) {
+    require_fleet_compatible(scenario, "[host \"" + name + "\"]");
+  }
+  stayaway::harness::FleetScenario canonical = doc;
+  if (opts.workers != 0) canonical.workers = opts.workers;
+  return stayaway::replay::canonical_fleet(canonical, opts.hosts);
+}
+
 int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
                    const Options& opts) {
   using namespace stayaway;
@@ -288,29 +307,7 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
   SA_REQUIRE(!opts.faults.has_value(),
              "--faults applies to single-host runs; use per-host "
              "`fault =` lines in the scenario");
-  SA_REQUIRE(opts.hosts == 0 || doc.hosts.empty(),
-             "--hosts replicates a plain scenario; this file already "
-             "defines [host] sections");
-  require_fleet_compatible(doc.base, "base scenario");
-
-  FleetSpec fleet;
-  std::size_t workers = opts.workers != 0 ? opts.workers : doc.workers;
-  if (!doc.hosts.empty()) {
-    fleet.workers = workers;
-    for (const auto& [name, scenario] : doc.hosts) {
-      require_fleet_compatible(scenario, "[host \"" + name + "\"]");
-      fleet.hosts.push_back({name, scenario.spec});
-    }
-  } else if (opts.hosts == 0) {
-    // A plain document on the fleet path (the recovery flags put it
-    // there) is the single-host run: one host, the scenario's own seed.
-    fleet.workers = workers;
-    fleet.hosts.push_back({"host0", doc.base.spec});
-  } else {
-    fleet = replicate_fleet(doc.base.spec, opts.hosts, doc.base.spec.seed,
-                            workers);
-  }
-  fleet.cluster = doc.cluster;
+  FleetSpec fleet = replay::to_fleet_spec(fleet_document(doc, opts));
 
   fleet.supervise = opts.supervise;
   fleet.checkpoint_every = opts.checkpoint_every;
@@ -475,19 +472,7 @@ int run_record_mode(const stayaway::harness::FleetScenario& doc,
   SA_REQUIRE(!opts.recovery_requested(),
              "--record supervises hosts with crash faults automatically; "
              "drop --supervise/--checkpoint-*/--restore");
-  SA_REQUIRE(opts.hosts == 0 || doc.hosts.empty(),
-             "--hosts replicates a plain scenario; this file already "
-             "defines [host] sections");
-  require_fleet_compatible(doc.base, "base scenario");
-  for (const auto& [name, scenario] : doc.hosts) {
-    require_fleet_compatible(scenario, "[host \"" + name + "\"]");
-  }
-
-  FleetScenario canonical = doc;
-  if (opts.workers != 0) canonical.workers = opts.workers;
-  canonical = replay::canonical_fleet(canonical, opts.hosts);
-
-  replay::RecordedRun run = replay::record_run(canonical);
+  replay::RecordedRun run = replay::record_run(fleet_document(doc, opts));
   replay::save_run_log(run.log, *opts.record);
 
   std::size_t periods = 0;
