@@ -13,7 +13,9 @@
 #                                when clang-tidy is not installed)
 #   ./ci.sh --faults             fault-injection smoke: stayaway_sim under a
 #                                generated fault plan in the ASan tree, so the
-#                                degraded-mode path runs sanitized end to end
+#                                degraded-mode path runs sanitized end to end;
+#                                the faulted run must also record -> replay
+#                                and summarize identically when supervised
 #   ./ci.sh --fleet              fleet gate (DESIGN.md §13): the fleet tests
 #                                (pinned single-host goldens, scenario
 #                                overlays, worker invariance) in the tier-1
@@ -42,7 +44,7 @@
 #                                re-export cmp-equal; the v3 blob's record
 #                                lines cmp-equal to a --record run's
 #                                records block), a plain vs supervised
-#                                summary comparison and a corrupt-blob
+#                                summary row comparison and a corrupt-blob
 #                                rejection
 #   ./ci.sh --cluster            cluster-coordination gate (DESIGN.md §18):
 #                                the cluster test suite plus the
@@ -155,16 +157,32 @@ fault = sensor-dropout start=10 end=40 p=0.2
 fault = qos-blind start=20 end=30
 fault = pause-fail start=10 end=40 p=0.5
 EOF
-      local out rc
+      local out rc supervised
       out="$(./build-asan/tools/stayaway_sim \
         --faults "$tmpdir/faults.conf" "$tmpdir/scenario.conf")"
       rc=$?
-      rm -rf "$tmpdir"
       echo "$out"
-      [[ $rc -eq 0 ]] || return 1
       # The degraded path must actually have been exercised.
-      grep -q "fault plan loaded" <<<"$out" &&
-        grep -q "readings quarantined" <<<"$out"
+      [[ $rc -eq 0 ]] && grep -q "fault plan loaded" <<<"$out" &&
+        grep -q "readings quarantined" <<<"$out" ||
+        { rm -rf "$tmpdir"; return 1; }
+      # --faults lands in the canonical scenario text, so a recording of
+      # the faulted run replays; and supervising the run (one path for
+      # every invocation) leaves its summary row unchanged.
+      ./build-asan/tools/stayaway_sim --faults "$tmpdir/faults.conf" \
+        --record "$tmpdir/faults.runlog" "$tmpdir/scenario.conf" \
+        >/dev/null &&
+        ./build-asan/tools/stayaway_sim --replay "$tmpdir/faults.runlog" ||
+        { rm -rf "$tmpdir"; return 1; }
+      supervised="$(./build-asan/tools/stayaway_sim --faults \
+        "$tmpdir/faults.conf" --supervise "$tmpdir/scenario.conf" |
+        tail -n 1)"
+      rm -rf "$tmpdir"
+      [[ -n "$supervised" && "$supervised" == "$(tail -n 1 <<<"$out")" ]] || {
+        echo "supervised faulted run diverged from the plain one:" \
+          "[$(tail -n 1 <<<"$out")] vs [$supervised]" >&2
+        return 1
+      }
       ;;
     fleet)
       # Fleet gate: the single-host golden / overlay / invariance tests in
@@ -426,8 +444,8 @@ EOF
           >/dev/null &&
         cmp "$tmpdir/ring/host0.ckpt" "$tmpdir/ring2/host0.ckpt" ||
         { rm -rf "$tmpdir"; return 1; }
-      # The recovery flags run a plain document as a fleet of one, which
-      # must be the single-host run itself: same seed, same summary.
+      # The recovery flags leave a plain document the single-host run:
+      # same seed, same summary row, label included.
       cat >"$tmpdir/seeded.conf" <<'EOF'
 sensitive      = webservice-mix
 batch          = membomb
@@ -438,11 +456,9 @@ noise_fraction = 0.05
 batch_start_s  = 5
 EOF
       local plain supervised
-      plain="$(./build/tools/stayaway_sim "$tmpdir/seeded.conf" |
-        tail -n 1 | awk '{$1 = ""; print}')"
+      plain="$(./build/tools/stayaway_sim "$tmpdir/seeded.conf" | tail -n 1)"
       supervised="$(./build/tools/stayaway_sim --supervise \
-        --checkpoint-every 5 "$tmpdir/seeded.conf" |
-        tail -n 1 | awk '{$1 = ""; print}')"
+        --checkpoint-every 5 "$tmpdir/seeded.conf" | tail -n 1)"
       [[ -n "$plain" && "$plain" == "$supervised" ]] || {
         echo "supervised run diverged from the plain run:" \
           "[$plain] vs [$supervised]" >&2

@@ -1,5 +1,6 @@
 #include "harness/rig.hpp"
 
+#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
@@ -11,7 +12,8 @@ namespace stayaway::harness {
 
 HostRig build_host_rig(const ExperimentSpec& spec,
                        const std::vector<TwinSpec>& twins) {
-  SA_REQUIRE(spec.duration_s > 0.0, "experiment duration must be positive");
+  SA_REQUIRE(spec.duration_s > 0.0 && std::isfinite(spec.duration_s),
+             "experiment duration must be positive and finite");
   SA_REQUIRE(spec.period_s >= spec.tick_s, "period must cover >= one tick");
 
   HostRig rig;

@@ -1,5 +1,6 @@
 #include "harness/scenario_file.hpp"
 
+#include <cmath>
 #include <istream>
 #include <set>
 
@@ -20,8 +21,16 @@ struct Kind {
   std::string (*format)(const T& value);
 };
 
+/// A finite real: nan or an infinite duration/rate would never end a run.
+/// (Fault specs parse their own reals and keep accepting `end=inf`.)
 constexpr Kind<double> kReal{
-    [](const SourceLine& at, const std::string& v) { return at.real(v); },
+    [](const SourceLine& at, const std::string& v) {
+      double x = at.real(v);
+      if (!std::isfinite(x)) {
+        at.fail("expected a finite number, got '" + v + "'");
+      }
+      return x;
+    },
     [](const double& v) { return format_double_exact(v); }};
 
 constexpr Kind<std::size_t> kCount{

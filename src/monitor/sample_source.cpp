@@ -92,13 +92,15 @@ RingSampleSource::RingSampleSource(MetricLayout layout,
   SA_REQUIRE(scale_.size() == layout_.dimension(),
              "scale vector must match the layout dimension");
   SA_REQUIRE(options_.ring_capacity > 0, "ring capacity must be positive");
-  SA_REQUIRE(options_.rate_hz > 0.0, "ingest rate must be positive");
+  SA_REQUIRE(options_.rate_hz > 0.0 && std::isfinite(options_.rate_hz),
+             "ingest rate must be positive and finite");
   SA_REQUIRE(options_.lookahead_s >= 0.0, "lookahead must be non-negative");
   SA_REQUIRE(options_.noise_fraction >= 0.0,
              "noise fraction must be non-negative");
   SA_REQUIRE(options_.time_scale > 0.0, "time scale must be positive");
-  SA_REQUIRE(options_.burst_rate_hz >= 0.0,
-             "burst rate must be non-negative");
+  SA_REQUIRE(options_.burst_rate_hz >= 0.0 &&
+                 std::isfinite(options_.burst_rate_hz),
+             "burst rate must be non-negative and finite");
   if (options_.burst_rate_hz > 0.0) {
     SA_REQUIRE(options_.burst_end_s > options_.burst_start_s,
                "burst window must satisfy end > start");
@@ -170,7 +172,8 @@ DrainReport RingSampleSource::drain(double now,
   // back are released behind newer ones (the late/out-of-order anomaly)
   // and at the latest when generation stops, so none outlive the drain.
   std::vector<TimedSample> held;
-  while (next_time_ <= now + options_.lookahead_s) {
+  const double horizon = now + options_.lookahead_s;
+  while (next_time_ <= horizon) {
     TimedSample s;
     s.sequence = next_sequence_++;
     s.measurement = synthesize(next_time_);
@@ -196,7 +199,12 @@ DrainReport RingSampleSource::drain(double now,
       for (TimedSample& h : held) emit(std::move(h));
       held.clear();
     }
-    next_time_ += interval_at(next_time_);
+    // An interval below the horizon's resolution would stall the clock
+    // (or crawl toward the horizon for ~2^53 emissions).
+    const double interval = interval_at(next_time_);
+    SA_REQUIRE(horizon + interval > horizon,
+               "ingest rate too high to advance the stream clock");
+    next_time_ += interval;
   }
   for (TimedSample& h : held) emit(std::move(h));
 

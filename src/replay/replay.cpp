@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/fleet.hpp"
-#include "replay/recorder.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::replay {
@@ -48,22 +47,40 @@ harness::FleetScenario canonical_fleet(const harness::FleetScenario& doc,
   return harness::parse_fleet_scenario(in);
 }
 
-RecordedRun record_run(const harness::FleetScenario& fleet) {
-  harness::FleetSpec spec = to_fleet_spec(fleet);
+namespace {
+
+std::vector<std::string> host_names(const harness::FleetSpec& spec) {
   std::vector<std::string> names;
   names.reserve(spec.hosts.size());
   for (const harness::FleetHostSpec& host : spec.hosts) {
     names.push_back(host.name);
   }
-  RunRecorder recorder(names);
-  spec.recorder = &recorder;
+  return names;
+}
+
+}  // namespace
+
+Recording::Recording(const harness::FleetScenario& fleet,
+                     harness::FleetSpec& spec)
+    : scenario_text_(harness::serialize_fleet_scenario(fleet)),
+      recorder_(host_names(spec)) {
+  spec.recorder = &recorder_;
+}
+
+RunLog Recording::log(const harness::FleetResult& result) const {
+  RunLog log;
+  log.scenario_text = scenario_text_;
+  log.hosts = recorder_.streams();
+  if (result.cluster) log.cluster_events = result.cluster->events;
+  return log;
+}
+
+RecordedRun record_run(const harness::FleetScenario& fleet) {
+  harness::FleetSpec spec = to_fleet_spec(fleet);
+  Recording recording(fleet, spec);
   RecordedRun run;
   run.result = harness::run_fleet(spec);
-  run.log.scenario_text = harness::serialize_fleet_scenario(fleet);
-  run.log.hosts = recorder.streams();
-  if (run.result.cluster) {
-    run.log.cluster_events = run.result.cluster->events;
-  }
+  run.log = recording.log(run.result);
   return run;
 }
 

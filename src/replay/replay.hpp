@@ -12,6 +12,7 @@
 
 #include "harness/fleet.hpp"
 #include "harness/scenario_file.hpp"
+#include "replay/recorder.hpp"
 #include "replay/run_log.hpp"
 
 namespace stayaway::replay {
@@ -30,6 +31,25 @@ harness::FleetSpec to_fleet_spec(const harness::FleetScenario& fleet);
 /// without explicit [host] sections. 0 keeps the document as written.
 harness::FleetScenario canonical_fleet(const harness::FleetScenario& doc,
                                        std::size_t hosts_override);
+
+/// One recorded fleet run. Construction attaches a RunRecorder for the
+/// spec's hosts (spec.recorder points into this object afterwards);
+/// log() assembles the run-log once harness::run_fleet has returned.
+/// record_run and stayaway_sim --record both record through this.
+class Recording {
+ public:
+  /// `fleet` must be canonical (canonical_fleet) and `spec` built from
+  /// it by to_fleet_spec; passive wiring (observer, ...) may be added.
+  Recording(const harness::FleetScenario& fleet, harness::FleetSpec& spec);
+
+  /// The canonical scenario text, every host's PeriodRecord stream and
+  /// the coordinator's decision log of the finished run.
+  RunLog log(const harness::FleetResult& result) const;
+
+ private:
+  std::string scenario_text_;
+  RunRecorder recorder_;
+};
 
 struct RecordedRun {
   RunLog log;

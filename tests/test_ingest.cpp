@@ -202,6 +202,28 @@ TEST(RingSampleSource, BurstWindowRaisesTheRate) {
   EXPECT_GT(sb.size(), sp.size() + 80);
 }
 
+// A rate whose interval vanishes next to the clock would spin drain()
+// forever (next_time += 1/rate stops advancing): non-finite rates are
+// rejected up front, and a finite one too high to resolve throws.
+TEST(RingSampleSource, RejectsRatesThatCannotAdvanceTheClock) {
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    monitor::RingStreamOptions options;
+    options.rate_hz = bad;
+    EXPECT_THROW(make_ring(options), PreconditionError) << bad;
+    options.rate_hz = 4.0;
+    options.burst_rate_hz = bad;
+    options.burst_start_s = 1.0;
+    options.burst_end_s = 2.0;
+    EXPECT_THROW(make_ring(options), PreconditionError) << bad;
+  }
+  monitor::RingStreamOptions options;
+  options.rate_hz = 1e300;
+  auto ring = make_ring(options);
+  std::vector<monitor::TimedSample> out;
+  EXPECT_THROW(ring->drain(1.0, out), PreconditionError);
+}
+
 TEST(RingSampleSource, IngestFaultsProduceLateAndDuplicateSamples) {
   monitor::RingStreamOptions options;
   options.rate_hz = 32.0;

@@ -122,6 +122,13 @@ TEST(ScenarioFile, RejectsMalformedInput) {
     }
   }
   EXPECT_EQ(parse("seed = 1e6\n").spec.seed, 1000000u);
+  // Reals must be finite: an infinite duration or rate never ends a run.
+  // A fault window stays open-ended by default, so `end=inf` still parses.
+  for (const std::string bad : {"duration_s = inf\n", "ingest_rate_hz = inf\n",
+                                "resume_grace_s = nan\n"}) {
+    EXPECT_THROW(parse(bad), PreconditionError) << bad;
+  }
+  EXPECT_NO_THROW(parse("fault = qos-blind start=10 end=inf\n"));
 }
 
 TEST(ScenarioFile, RejectsDuplicateKeys) {

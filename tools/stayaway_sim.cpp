@@ -1,68 +1,52 @@
 // stayaway_sim — run a co-location scenario from a description file.
 //
-//   stayaway_sim scenario.conf
-//   stayaway_sim - < scenario.conf        (read from stdin)
-//   stayaway_sim --example                (print a template scenario)
+//   stayaway_sim [flags] scenario.conf   (`-` reads the scenario from stdin)
+//   stayaway_sim --example               (print a template scenario)
+//   stayaway_sim --replay FILE           (re-execute a saved run-log and
+//                                         byte-diff every PeriodRecord;
+//                                         exits 1 on any divergence)
 //
-// Observability (optional, attached to the primary run only):
-//   --events-out FILE    JSONL event stream (periods, decisions, spans,
-//                        pause/resume transitions)
-//   --metrics-out FILE   JSON metrics summary (counters/gauges/histograms)
+// One path runs every scenario: the flags override the parsed document,
+// replay::canonical_fleet canonicalizes it exactly as a replayer will
+// (DESIGN.md §14), one harness::run_fleet call runs it and one report
+// prints it, section by section: faults/recovery, cluster, checkpoints,
+// recording, observability, the summary table, then compare/series/
+// template. A plain document is the single-host run (a fleet of one
+// named host0): a `running:` header and one row labelled with its
+// policy. A fleet ([host "name"] sections or --hosts) prints a
+// `running fleet:` header and labels its lines and rows with host names.
+// `compare` (unobserved no-prevention + isolated references),
+// `series_csv` and templates need a plain run without --record or the
+// recovery flags, which --record rejects as well.
 //
-// Fault injection (DESIGN.md §12):
-//   --faults FILE        deterministic fault plan applied to the primary
-//                        run (overrides the scenario's `fault =` lines);
-//                        format: `seed = 7` plus repeatable `fault =`
-//                        lines, see src/sim/faults.hpp
-//
-// Multi-host fleets (DESIGN.md §13):
+// Flags (DESIGN.md section in brackets):
+//   --events-out FILE    JSONL event stream [§10]
+//   --metrics-out FILE   JSON metrics summary [§10]
+//   --faults FILE        fault plan replacing a plain scenario's `fault =`
+//                        lines (format: src/sim/faults.hpp) [§12]
 //   --hosts N            replicate a plain scenario across N hosts with
-//                        decorrelated per-host seeds and run them as a
-//                        fleet; alternatively give the scenario file
-//                        [host "name"] sections (see
-//                        src/harness/scenario_file.hpp)
-//   --workers N          drive fleet hosts on N concurrent workers
-//                        (overrides the scenario's `workers` key)
-//
-// Record/replay (DESIGN.md §14):
-//   --record FILE        run the scenario (plus --hosts/--workers) with a
-//                        recorder attached and save the versioned run-log
-//                        (canonical scenario + per-host PeriodRecord
-//                        streams) to FILE
-//   --replay FILE        re-execute a saved run-log and byte-diff every
-//                        PeriodRecord against the recording; exits 1 on
-//                        any divergence (no scenario argument)
-//
-// Fault tolerance (DESIGN.md §17):
-//   --supervise          run every host under the crash supervisor (hosts
-//                        whose fault plan injects crash faults are
-//                        supervised automatically)
-//   --checkpoint-every N supervisor checkpoint cadence in periods
-//   --checkpoint-dir D   write each host's end-of-run checkpoint to
-//                        D/<host>.ckpt (plus D/coordinator.ckpt on
-//                        coordinated runs)
-//   --restore D          warm-start each host from D/<host>.ckpt when the
-//                        file exists (hosts without one start cold; a
-//                        coordinated run also reads D/coordinator.ckpt)
-//
-// Cluster coordination (DESIGN.md §18):
-//   --cluster on|off     force the scenario's [cluster] section on
-//                        (requires one) or strip it — the coordinator-off
-//                        fleet is byte-identical to an uncoordinated run
-//   --migrate on|off     override the [cluster] `migrate` knob: off keeps
-//                        admission control but never opens migration
-//                        gates, so violating hosts pause instead
+//                        decorrelated per-host seeds [§13]
+//   --workers N          fleet workers (overrides the `workers` key) [§13]
+//   --ingest-rate HZ     ring ingestion at HZ on every host [§15]
+//   --record FILE        save the versioned run-log (canonical scenario +
+//                        per-host PeriodRecord streams) [§14]
+//   --supervise          supervise every host (hosts whose plan injects
+//                        crash faults always are) [§17]
+//   --checkpoint-every N supervisor checkpoint cadence in periods [§17]
+//   --checkpoint-dir D   write D/<host>.ckpt, plus D/coordinator.ckpt on
+//                        coordinated runs [§17]
+//   --restore D          warm-start each host from D/<host>.ckpt where it
+//                        exists (and the coordinator likewise) [§17]
+//   --cluster on|off     require or strip the [cluster] section [§18]
+//   --migrate on|off     override the [cluster] `migrate` knob [§18]
 //
 // The scenario format is documented in src/harness/scenario_file.hpp.
-// Prints the QoS/utilization summary (and the full comparison when
-// `compare = true`), optionally saving the per-period series as CSV and
-// importing/exporting Stay-Away templates. Fleet runs print one summary
-// row per host; `compare`, templates, series CSV and --faults are
-// single-host features.
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -111,7 +95,8 @@ constexpr const char* kUsage =
     "                    [--supervise] [--checkpoint-every N]\n"
     "                    [--checkpoint-dir DIR] [--restore DIR]\n"
     "                    [--cluster on|off] [--migrate on|off]\n"
-    "                    <scenario-file | - | --example>\n"
+    "                    <scenario-file | ->\n"
+    "       stayaway_sim --example\n"
     "       stayaway_sim --replay FILE\n";
 
 struct Options {
@@ -123,19 +108,13 @@ struct Options {
   std::optional<std::string> replay;
   std::size_t hosts = 0;    // 0 = no replication requested
   std::size_t workers = 0;  // 0 = take the scenario's `workers` key
-  /// Set: override every host to ring ingestion at this rate (DESIGN.md
-  /// §15) — equivalent to `ingest_source = ring` + `ingest_rate_hz`.
   std::optional<double> ingest_rate;
-  // --- Fault tolerance (DESIGN.md §17). -------------------------------
   bool supervise = false;
   std::size_t checkpoint_every = 0;
   std::optional<std::string> checkpoint_dir;
   std::optional<std::string> restore_dir;
-  // --- Cluster coordination (DESIGN.md §18). --------------------------
-  /// --cluster on|off: force/strip the scenario's [cluster] section.
-  std::optional<bool> cluster_on;
-  /// --migrate on|off: override the [cluster] `migrate` knob.
-  std::optional<bool> migrate_on;
+  std::optional<bool> cluster_on;  // --cluster on|off
+  std::optional<bool> migrate_on;  // --migrate on|off
 
   bool recovery_requested() const {
     return supervise || checkpoint_every != 0 ||
@@ -147,85 +126,112 @@ std::string checkpoint_path(const std::string& dir, const std::string& host) {
   return dir + "/" + host + ".ckpt";
 }
 
-int run_single(stayaway::harness::Scenario scenario, const Options& opts) {
+/// A checkpoint file's bytes; nullopt when it cannot be opened.
+std::optional<std::string> read_blob(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return std::nullopt;
+  std::ostringstream blob;
+  blob << in.rdbuf();
+  return blob.str();
+}
+
+void write_blob(const std::string& path, const std::string& blob) {
+  std::ofstream out(path, std::ios::binary);
+  SA_REQUIRE(out.good(), "cannot write checkpoint: " + path);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  out.flush();
+  SA_REQUIRE(out.good(), "failed writing checkpoint: " + path);
+}
+
+const char* plural(std::size_t n) { return n == 1 ? "" : "s"; }
+
+/// Rejects the single-host-only scenario features outside a plain run,
+/// naming the offending section.
+void require_fleet_compatible(const stayaway::harness::Scenario& scenario,
+                              const std::string& where) {
+  SA_REQUIRE(!scenario.compare,
+             where + ": `compare` is unsupported in fleet mode");
+  SA_REQUIRE(!scenario.template_in.has_value() &&
+                 !scenario.template_out.has_value(),
+             where + ": templates are unsupported in fleet mode");
+  SA_REQUIRE(!scenario.series_csv.has_value(),
+             where + ": `series_csv` is unsupported in fleet mode");
+}
+
+/// Applies the command-line overrides to the parsed document.
+void apply_overrides(stayaway::harness::FleetScenario& doc,
+                     const Options& opts) {
+  using namespace stayaway;
+  if (opts.ingest_rate.has_value()) {
+    auto to_ring = [&opts](harness::Scenario& s) {
+      s.spec.stayaway.ingest.source = core::IngestSource::Ring;
+      s.spec.stayaway.ingest.rate_hz = *opts.ingest_rate;
+    };
+    to_ring(doc.base);
+    for (auto& host : doc.hosts) to_ring(host.second);
+  }
+  SA_REQUIRE(opts.cluster_on != true || doc.cluster.has_value(),
+             "--cluster on needs a [cluster] section in the scenario");
+  if (opts.cluster_on == false) doc.cluster.reset();
+  if (opts.migrate_on.has_value()) {
+    SA_REQUIRE(doc.cluster.has_value(),
+               "--migrate needs an active [cluster] section");
+    doc.cluster->config.migrate = *opts.migrate_on;
+  }
+  if (opts.workers != 0) doc.workers = opts.workers;
+  if (opts.faults.has_value()) {
+    SA_REQUIRE(doc.hosts.empty() && opts.hosts == 0,
+               "--faults applies to single-host runs; use per-host "
+               "`fault =` lines in the scenario");
+    std::ifstream fin(*opts.faults);
+    SA_REQUIRE(fin.good(), "cannot open fault plan: " + *opts.faults);
+    const sim::FaultPlan& plan = doc.base.spec.faults.emplace(
+        sim::parse_fault_plan(fin));
+    std::cout << "fault plan loaded: " << *opts.faults << " ("
+              << plan.faults.size() << " faults, seed " << plan.seed
+              << ")\n";
+  }
+}
+
+/// The document every invocation runs, canonicalized like a replayer
+/// will materialize it (DESIGN.md §14): --hosts replicas get their own
+/// seeds and diurnal traces. `compare`, templates and series CSV belong
+/// to a plain, unrecorded, unsupervised run, the one --workers misses.
+stayaway::harness::FleetScenario fleet_document(
+    const stayaway::harness::FleetScenario& doc, const Options& opts) {
+  SA_REQUIRE(!opts.record.has_value() || !opts.recovery_requested(),
+             "--record supervises hosts with crash faults automatically; "
+             "drop --supervise/--checkpoint-*/--restore");
+  SA_REQUIRE(opts.hosts == 0 || doc.hosts.empty(),
+             "--hosts replicates a plain scenario; this file already "
+             "defines [host] sections");
+  if (doc.hosts.empty() && opts.hosts == 0 && !opts.record.has_value() &&
+      !opts.recovery_requested()) {
+    SA_REQUIRE(opts.workers == 0,
+               "--workers needs a fleet (--hosts N or [host] sections)");
+  } else {
+    require_fleet_compatible(doc.base, "base scenario");
+    for (const auto& [name, scenario] : doc.hosts) {
+      require_fleet_compatible(scenario, "[host \"" + name + "\"]");
+    }
+  }
+  return stayaway::replay::canonical_fleet(doc, opts.hosts);
+}
+
+/// The `compare` references, series CSV and template export of a plain
+/// run (`scenario` is its canonical base, `spec` the host it ran).
+void report_single_host(const stayaway::harness::Scenario& scenario,
+                        const stayaway::harness::ExperimentSpec& spec,
+                        const stayaway::harness::ExperimentResult& result) {
   using namespace stayaway;
   using namespace stayaway::harness;
 
-  if (opts.faults.has_value()) {
-    std::ifstream fin(*opts.faults);
-    SA_REQUIRE(fin.good(), "cannot open fault plan: " + *opts.faults);
-    scenario.spec.faults = sim::parse_fault_plan(fin);
-    std::cout << "fault plan loaded: " << *opts.faults << " ("
-              << scenario.spec.faults->faults.size() << " faults, seed "
-              << scenario.spec.faults->seed << ")\n";
-  }
-  if (scenario.template_in.has_value()) {
-    std::ifstream tin(*scenario.template_in);
-    SA_REQUIRE(tin.good(), "cannot open template: " + *scenario.template_in);
-    scenario.spec.seed_template = core::StateTemplate::load(tin);
-    std::cout << "template loaded: " << *scenario.template_in << " ("
-              << scenario.spec.seed_template->entries.size() << " states)\n";
-  }
-
-  // Observability attaches to the primary run only; the compare/isolated
-  // reference runs stay unobserved so their series are not interleaved
-  // into the event stream.
-  std::ofstream events_file;
-  std::optional<obs::JsonlSink> sink;
-  std::optional<obs::Observer> observer;
-  if (opts.events_out.has_value() || opts.metrics_out.has_value()) {
-    observer.emplace();
-    if (opts.events_out.has_value()) {
-      events_file.open(*opts.events_out);
-      SA_REQUIRE(events_file.good(), "cannot write: " + *opts.events_out);
-      sink.emplace(events_file);
-      observer->set_sink(&*sink);
-    }
-    scenario.spec.observer = &*observer;
-  }
-
-  std::cout << "running: " << to_string(scenario.spec.sensitive) << " + "
-            << to_string(scenario.spec.batch) << " under "
-            << to_string(scenario.spec.policy) << ", "
-            << scenario.spec.duration_s << " s\n\n";
-  ExperimentResult result = run_experiment(scenario.spec);
-  scenario.spec.observer = nullptr;
-
-  if (scenario.spec.faults.has_value() && !scenario.spec.faults->empty()) {
-    std::cout << "faults: " << result.readings_quarantined
-              << " readings quarantined, " << result.degraded_periods
-              << " degraded + " << result.failsafe_periods
-              << " failsafe periods, " << result.actuation_retries
-              << " actuation retries (" << result.actuation_abandoned
-              << " abandoned)\n\n";
-  }
-
-  if (observer.has_value()) {
-    observer->flush();
-    if (sink.has_value()) {
-      std::cout << "events written: " << *opts.events_out << " ("
-                << sink->emitted() << " events)\n";
-    }
-    if (opts.metrics_out.has_value()) {
-      std::ofstream mout(*opts.metrics_out);
-      SA_REQUIRE(mout.good(), "cannot write: " + *opts.metrics_out);
-      observer->metrics().write_json(mout);
-      std::cout << "metrics written: " << *opts.metrics_out << "\n";
-    }
-    std::cout << "\n";
-    print_metrics_summary(std::cout, observer->metrics());
-    std::cout << "\n";
-  }
-
-  print_summary_header(std::cout);
-  print_summary_row(std::cout, to_string(scenario.spec.policy), result);
-
   if (scenario.compare) {
-    ExperimentSpec np = scenario.spec;
+    ExperimentSpec np = spec;
     np.policy = PolicyKind::NoPrevention;
     np.seed_template.reset();
     ExperimentResult no_prev = run_experiment(np);
-    ExperimentResult isolated = run_isolated(scenario.spec);
+    ExperimentResult isolated = run_isolated(spec);
     print_summary_row(std::cout, "no-prevention", no_prev);
     print_summary_row(std::cout, "isolated", isolated);
 
@@ -264,76 +270,88 @@ int run_single(stayaway::harness::Scenario scenario, const Options& opts) {
               << result.exported_template->violation_count()
               << " violations)\n";
   }
-  return 0;
 }
 
-/// Rejects the single-host-only scenario features in fleet mode, naming
-/// the offending section.
-void require_fleet_compatible(const stayaway::harness::Scenario& scenario,
-                              const std::string& where) {
-  SA_REQUIRE(!scenario.compare,
-             where + ": `compare` is unsupported in fleet mode");
-  SA_REQUIRE(!scenario.template_in.has_value() &&
-                 !scenario.template_out.has_value(),
-             where + ": templates are unsupported in fleet mode");
-  SA_REQUIRE(!scenario.series_csv.has_value(),
-             where + ": `series_csv` is unsupported in fleet mode");
-}
-
-/// The document both fleet paths run: --workers applied, then
-/// canonicalized like a replayer will materialize it (DESIGN.md §14).
-/// --hosts replicas get their own seeds and regenerate their diurnal
-/// traces from them; a plain document (the recovery flags put it on the
-/// fleet path) is the single-host run, one host on its own seed.
-stayaway::harness::FleetScenario fleet_document(
-    const stayaway::harness::FleetScenario& doc, const Options& opts) {
-  SA_REQUIRE(opts.hosts == 0 || doc.hosts.empty(),
-             "--hosts replicates a plain scenario; this file already "
-             "defines [host] sections");
-  require_fleet_compatible(doc.base, "base scenario");
-  for (const auto& [name, scenario] : doc.hosts) {
-    require_fleet_compatible(scenario, "[host \"" + name + "\"]");
+/// The run header: `running:` for a plain document, `running fleet:`
+/// plus one line per host for a fleet.
+void print_running(const stayaway::harness::FleetSpec& fleet, bool plain) {
+  using stayaway::harness::ExperimentSpec;
+  auto describe = [](const ExperimentSpec& spec) {
+    std::cout << to_string(spec.sensitive) << " + " << to_string(spec.batch)
+              << " under " << to_string(spec.policy) << ", "
+              << spec.duration_s << " s";
+  };
+  if (plain) {
+    std::cout << "running: ";
+    describe(fleet.hosts.front().experiment);
+    std::cout << "\n\n";
+    return;
   }
-  stayaway::harness::FleetScenario canonical = doc;
-  if (opts.workers != 0) canonical.workers = opts.workers;
-  return stayaway::replay::canonical_fleet(canonical, opts.hosts);
+  std::cout << "running fleet: " << fleet.hosts.size() << " host"
+            << plural(fleet.hosts.size()) << ", " << fleet.workers
+            << " worker" << plural(fleet.workers);
+  if (fleet.cluster.has_value()) {
+    std::cout << ", coordinated (migrate "
+              << (fleet.cluster->config.migrate ? "on" : "off") << ", "
+              << fleet.cluster->mobile.size() << " mobile, "
+              << fleet.cluster->admissions.size() << " incoming)";
+  }
+  std::cout << "\n";
+  for (const auto& host : fleet.hosts) {
+    std::cout << "  " << host.name << ": ";
+    describe(host.experiment);
+    std::cout << " (seed " << host.experiment.seed << ")\n";
+  }
+  std::cout << "\n";
 }
 
-int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
-                   const Options& opts) {
+/// The one scenario path: overrides, canonical document, FleetSpec, one
+/// run_fleet call, one report. A plain document reports as the
+/// single-host run (`running:` header, policy-labelled row); a fleet
+/// labels everything with host names.
+int run(std::istream& in, const Options& opts) {
   using namespace stayaway;
   using namespace stayaway::harness;
 
-  SA_REQUIRE(!opts.faults.has_value(),
-             "--faults applies to single-host runs; use per-host "
-             "`fault =` lines in the scenario");
-  FleetSpec fleet = replay::to_fleet_spec(fleet_document(doc, opts));
+  FleetScenario doc = parse_fleet_scenario(in);
+  apply_overrides(doc, opts);
+  const FleetScenario canonical = fleet_document(doc, opts);
+  const bool plain = canonical.hosts.empty();
 
+  FleetSpec fleet = replay::to_fleet_spec(canonical);
   fleet.supervise = opts.supervise;
   fleet.checkpoint_every = opts.checkpoint_every;
   fleet.export_checkpoints = opts.checkpoint_dir.has_value();
+  if (canonical.base.template_in.has_value()) {
+    const std::string& path = *canonical.base.template_in;
+    std::ifstream tin(path);
+    SA_REQUIRE(tin.good(), "cannot open template: " + path);
+    const core::StateTemplate& loaded =
+        fleet.hosts.front().experiment.seed_template.emplace(
+            core::StateTemplate::load(tin));
+    std::cout << "template loaded: " << path << " (" << loaded.entries.size()
+              << " states)\n";
+  }
   if (opts.restore_dir.has_value()) {
     for (const FleetHostSpec& host : fleet.hosts) {
       std::string path = checkpoint_path(*opts.restore_dir, host.name);
-      std::ifstream ckpt(path, std::ios::binary);
-      if (!ckpt.good()) continue;  // no checkpoint: this host starts cold
-      std::ostringstream blob;
-      blob << ckpt.rdbuf();
-      fleet.restore[host.name] = blob.str();
+      std::optional<std::string> blob = read_blob(path);
+      if (!blob.has_value()) continue;  // no checkpoint: this host starts cold
+      fleet.restore[host.name] = std::move(*blob);
       std::cout << "restoring " << host.name << " from " << path << "\n";
     }
     if (fleet.cluster.has_value()) {
       std::string path = *opts.restore_dir + "/coordinator.ckpt";
-      std::ifstream ckpt(path, std::ios::binary);
-      if (ckpt.good()) {
-        std::ostringstream blob;
-        blob << ckpt.rdbuf();
-        fleet.cluster->restore = blob.str();
+      if (std::optional<std::string> blob = read_blob(path)) {
+        fleet.cluster->restore = std::move(*blob);
         std::cout << "restoring coordinator from " << path << "\n";
       }
     }
   }
 
+  // Observability attaches to the primary run only; the compare/isolated
+  // reference runs stay unobserved so their series are not interleaved
+  // into the event stream.
   std::ofstream events_file;
   std::optional<obs::JsonlSink> sink;
   std::optional<obs::Observer> observer;
@@ -347,36 +365,28 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
     }
     fleet.observer = &*observer;
   }
+  std::optional<replay::Recording> recording;
+  if (opts.record.has_value()) recording.emplace(canonical, fleet);
 
-  std::cout << "running fleet: " << fleet.hosts.size() << " hosts, "
-            << fleet.workers << " worker" << (fleet.workers == 1 ? "" : "s");
-  if (fleet.cluster.has_value()) {
-    std::cout << ", coordinated (migrate "
-              << (fleet.cluster->config.migrate ? "on" : "off") << ", "
-              << fleet.cluster->mobile.size() << " mobile, "
-              << fleet.cluster->admissions.size() << " incoming)";
-  }
-  std::cout << "\n";
-  for (const FleetHostSpec& host : fleet.hosts) {
-    std::cout << "  " << host.name << ": "
-              << to_string(host.experiment.sensitive) << " + "
-              << to_string(host.experiment.batch) << " under "
-              << to_string(host.experiment.policy) << ", "
-              << host.experiment.duration_s << " s (seed "
-              << host.experiment.seed << ")\n";
-  }
-  std::cout << "\n";
+  print_running(fleet, plain);
+  const FleetResult result = run_fleet(fleet);
 
-  FleetResult result = run_fleet(fleet);
+  // A plain run closes each report section with a blank line; a fleet
+  // prints its sections as one block.
+  auto end_section = [plain](bool printed) {
+    if (plain && printed) std::cout << "\n";
+  };
 
+  bool printed = false;
   for (std::size_t i = 0; i < result.hosts.size(); ++i) {
     const FleetHostResult& host = result.hosts[i];
     const ExperimentSpec& spec = fleet.hosts[i].experiment;
+    const std::string tag = plain ? "" : "[" + host.name + "]";
     if (host.recovery.any_failures()) {
-      std::cout << "recovery[" << host.name << "]: "
-                << host.recovery.crashes << " crashes, "
-                << host.recovery.stage_throws << " stage throws, "
-                << host.recovery.stalls << " stalls ("
+      printed = true;
+      std::cout << "recovery" << tag << ": " << host.recovery.crashes
+                << " crashes, " << host.recovery.stage_throws
+                << " stage throws, " << host.recovery.stalls << " stalls ("
                 << host.recovery.watchdog_trips << " watchdog trips), "
                 << host.recovery.recoveries << " recoveries ("
                 << host.recovery.cold_starts << " cold starts), "
@@ -385,8 +395,8 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
                 << " divergences\n";
     }
     if (spec.faults.has_value() && !spec.faults->empty()) {
-      std::cout << "faults[" << host.name << "]: "
-                << host.result.readings_quarantined
+      printed = true;
+      std::cout << "faults" << tag << ": " << host.result.readings_quarantined
                 << " readings quarantined, " << host.result.degraded_periods
                 << " degraded + " << host.result.failsafe_periods
                 << " failsafe periods, " << host.result.actuation_retries
@@ -394,16 +404,18 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
                 << " abandoned)\n";
     }
   }
+  end_section(printed);
 
   if (result.cluster.has_value()) {
     const ClusterReport& cluster = *result.cluster;
     std::cout << "cluster: " << cluster.migrations << " migration"
-              << (cluster.migrations == 1 ? "" : "s") << ", "
-              << cluster.admitted << " admitted, " << cluster.rejected
-              << " rejected, " << cluster.queued << " still queued\n";
+              << plural(cluster.migrations) << ", " << cluster.admitted
+              << " admitted, " << cluster.rejected << " rejected, "
+              << cluster.queued << " still queued\n";
     for (const std::string& event : cluster.events) {
       std::cout << "  " << event << "\n";
     }
+    end_section(true);
   }
 
   if (opts.checkpoint_dir.has_value()) {
@@ -411,13 +423,8 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
     std::filesystem::create_directories(*opts.checkpoint_dir, ec);
     SA_REQUIRE(!ec, "cannot create checkpoint dir: " + *opts.checkpoint_dir);
     for (const FleetHostResult& host : result.hosts) {
-      std::string path = checkpoint_path(*opts.checkpoint_dir, host.name);
-      std::ofstream out(path, std::ios::binary);
-      SA_REQUIRE(out.good(), "cannot write checkpoint: " + path);
-      out.write(host.final_checkpoint.data(),
-                static_cast<std::streamsize>(host.final_checkpoint.size()));
-      out.flush();
-      SA_REQUIRE(out.good(), "failed writing checkpoint: " + path);
+      write_blob(checkpoint_path(*opts.checkpoint_dir, host.name),
+                 host.final_checkpoint);
     }
     std::cout << "checkpoints written: " << *opts.checkpoint_dir << " ("
               << result.hosts.size() << " of " << result.hosts.size()
@@ -425,14 +432,25 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
     if (result.cluster.has_value() &&
         !result.cluster->final_coordinator.empty()) {
       std::string path = *opts.checkpoint_dir + "/coordinator.ckpt";
-      std::ofstream out(path, std::ios::binary);
-      SA_REQUIRE(out.good(), "cannot write checkpoint: " + path);
-      const std::string& blob = result.cluster->final_coordinator;
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-      out.flush();
-      SA_REQUIRE(out.good(), "failed writing checkpoint: " + path);
+      write_blob(path, result.cluster->final_coordinator);
       std::cout << "coordinator checkpoint written: " << path << "\n";
     }
+    end_section(true);
+  }
+
+  if (recording.has_value()) {
+    replay::RunLog log = recording->log(result);
+    replay::save_run_log(log, *opts.record);
+    std::size_t periods = 0;
+    for (const auto& host : log.hosts) periods += host.records.size();
+    std::cout << "recorded: " << *opts.record << " (" << log.hosts.size()
+              << " host" << plural(log.hosts.size()) << ", " << periods
+              << " periods";
+    if (!log.cluster_events.empty()) {
+      std::cout << ", " << log.cluster_events.size() << " cluster events";
+    }
+    std::cout << ")\n";
+    end_section(true);
   }
 
   if (observer.has_value()) {
@@ -447,53 +465,24 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
       observer->metrics().write_json(mout);
       std::cout << "metrics written: " << *opts.metrics_out << "\n";
     }
-    std::cout << "\n";
+    end_section(true);
+  }
+  if (!plain) std::cout << "\n";
+  if (observer.has_value()) {
     print_metrics_summary(std::cout, observer->metrics());
+    std::cout << "\n";
   }
 
-  std::cout << "\n";
   print_summary_header(std::cout);
   for (const FleetHostResult& host : result.hosts) {
-    print_summary_row(std::cout, host.name, host.result);
+    print_summary_row(std::cout,
+                      plain ? to_string(fleet.hosts.front().experiment.policy)
+                            : host.name,
+                      host.result);
   }
-  return 0;
-}
-
-int run_record_mode(const stayaway::harness::FleetScenario& doc,
-                    const Options& opts) {
-  using namespace stayaway;
-  using namespace stayaway::harness;
-
-  SA_REQUIRE(!opts.faults.has_value(),
-             "--record captures the scenario's own `fault =` lines; "
-             "--faults is unsupported");
-  SA_REQUIRE(!opts.events_out.has_value() && !opts.metrics_out.has_value(),
-             "--record runs unobserved; drop --events-out/--metrics-out");
-  SA_REQUIRE(!opts.recovery_requested(),
-             "--record supervises hosts with crash faults automatically; "
-             "drop --supervise/--checkpoint-*/--restore");
-  replay::RecordedRun run = replay::record_run(fleet_document(doc, opts));
-  replay::save_run_log(run.log, *opts.record);
-
-  std::size_t periods = 0;
-  for (const auto& host : run.log.hosts) periods += host.records.size();
-  std::cout << "recorded: " << *opts.record << " (" << run.log.hosts.size()
-            << " host" << (run.log.hosts.size() == 1 ? "" : "s") << ", "
-            << periods << " periods";
-  if (!run.log.cluster_events.empty()) {
-    std::cout << ", " << run.log.cluster_events.size() << " cluster events";
-  }
-  std::cout << ")\n\n";
-  if (run.result.cluster.has_value()) {
-    const ClusterReport& cluster = *run.result.cluster;
-    std::cout << "cluster: " << cluster.migrations << " migration"
-              << (cluster.migrations == 1 ? "" : "s") << ", "
-              << cluster.admitted << " admitted, " << cluster.rejected
-              << " rejected, " << cluster.queued << " still queued\n\n";
-  }
-  print_summary_header(std::cout);
-  for (const FleetHostResult& host : run.result.hosts) {
-    print_summary_row(std::cout, host.name, host.result);
+  if (plain) {
+    report_single_host(canonical.base, fleet.hosts.front().experiment,
+                       result.hosts.front().result);
   }
   return 0;
 }
@@ -510,8 +499,8 @@ int run_replay_mode(const Options& opts) {
   if (report.ok) {
     std::cout << "replay ok: " << *opts.replay << " ("
               << report.periods_checked << " periods byte-identical across "
-              << log.hosts.size() << " host"
-              << (log.hosts.size() == 1 ? "" : "s") << ")\n";
+              << log.hosts.size() << " host" << plural(log.hosts.size())
+              << ")\n";
     return 0;
   }
   std::cerr << "replay DIVERGED: " << *opts.replay << " ("
@@ -528,53 +517,30 @@ int run_replay_mode(const Options& opts) {
   return 1;
 }
 
-int run(std::istream& in, const Options& opts) {
-  using namespace stayaway::harness;
-
-  FleetScenario doc = parse_fleet_scenario(in);
-  if (opts.ingest_rate.has_value()) {
-    auto to_ring = [&opts](Scenario& s) {
-      s.spec.stayaway.ingest.source = stayaway::core::IngestSource::Ring;
-      s.spec.stayaway.ingest.rate_hz = *opts.ingest_rate;
-    };
-    to_ring(doc.base);
-    for (auto& [name, scenario] : doc.hosts) {
-      (void)name;
-      to_ring(scenario);
-    }
-  }
-  if (opts.cluster_on.has_value()) {
-    if (*opts.cluster_on) {
-      SA_REQUIRE(doc.cluster.has_value(),
-                 "--cluster on needs a [cluster] section in the scenario");
-    } else {
-      doc.cluster.reset();
-    }
-  }
-  if (opts.migrate_on.has_value()) {
-    SA_REQUIRE(doc.cluster.has_value(),
-               "--migrate needs an active [cluster] section");
-    doc.cluster->config.migrate = *opts.migrate_on;
-  }
-  if (opts.record.has_value()) return run_record_mode(doc, opts);
-  // Plain documents without --hosts keep the historical single-host path
-  // (and its exact output) — fleet mode is strictly opt-in, except that
-  // the recovery flags always ride the fleet path (a fleet of one replays
-  // the single-host run byte-for-byte).
-  if (doc.hosts.empty() && opts.hosts == 0) {
-    if (opts.recovery_requested()) return run_fleet_mode(doc, opts);
-    SA_REQUIRE(opts.workers == 0,
-               "--workers needs a fleet (--hosts N or [host] sections)");
-    return run_single(doc.base, opts);
-  }
-  return run_fleet_mode(doc, opts);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opts;
+  const std::map<std::string, std::optional<std::string>*> path_flags = {
+      {"--events-out", &opts.events_out},
+      {"--metrics-out", &opts.metrics_out},
+      {"--faults", &opts.faults},
+      {"--record", &opts.record},
+      {"--replay", &opts.replay},
+      {"--checkpoint-dir", &opts.checkpoint_dir},
+      {"--restore", &opts.restore_dir}};
+  const std::map<std::string, std::size_t*> count_flags = {
+      {"--hosts", &opts.hosts},
+      {"--workers", &opts.workers},
+      {"--checkpoint-every", &opts.checkpoint_every}};
+  const std::map<std::string, std::optional<bool>*> switch_flags = {
+      {"--cluster", &opts.cluster_on}, {"--migrate", &opts.migrate_on}};
+  auto usage_error = [](const std::string& message) {
+    std::cerr << "error: " << message << "\n" << kUsage;
+    return 2;
+  };
   bool have_scenario = false;
+  bool other_than_replay = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--example") {
@@ -583,112 +549,59 @@ int main(int argc, char** argv) {
     }
     if (arg == "--supervise") {
       opts.supervise = true;
+      other_than_replay = true;
       continue;
     }
-    if (arg == "--cluster" || arg == "--migrate") {
+    const bool is_switch = switch_flags.count(arg) != 0;
+    if (path_flags.count(arg) != 0 || count_flags.count(arg) != 0 ||
+        is_switch || arg == "--ingest-rate") {
       if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " needs on|off\n" << kUsage;
-        return 2;
+        return usage_error(arg +
+                           (is_switch ? " needs on|off" : " needs an argument"));
       }
       std::string value = argv[++i];
-      if (value != "on" && value != "off") {
-        std::cerr << "error: " << arg << " needs on|off, got '" << value
-                  << "'\n"
-                  << kUsage;
-        return 2;
-      }
-      (arg == "--cluster" ? opts.cluster_on : opts.migrate_on) =
-          (value == "on");
-      continue;
-    }
-    if (arg == "--events-out" || arg == "--metrics-out" || arg == "--faults" ||
-        arg == "--record" || arg == "--replay" || arg == "--hosts" ||
-        arg == "--workers" || arg == "--ingest-rate" ||
-        arg == "--checkpoint-every" || arg == "--checkpoint-dir" ||
-        arg == "--restore") {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " needs an argument\n" << kUsage;
-        return 2;
-      }
-      ++i;
-      if (arg == "--events-out") {
-        opts.events_out = argv[i];
-      } else if (arg == "--metrics-out") {
-        opts.metrics_out = argv[i];
-      } else if (arg == "--faults") {
-        opts.faults = argv[i];
-      } else if (arg == "--record") {
-        opts.record = argv[i];
-      } else if (arg == "--replay") {
-        opts.replay = argv[i];
-      } else if (arg == "--checkpoint-dir") {
-        opts.checkpoint_dir = argv[i];
-      } else if (arg == "--restore") {
-        opts.restore_dir = argv[i];
-      } else if (arg == "--checkpoint-every") {
+      other_than_replay = other_than_replay || arg != "--replay";
+      if (auto path = path_flags.find(arg); path != path_flags.end()) {
+        *path->second = value;
+      } else if (auto count = count_flags.find(arg);
+                 count != count_flags.end()) {
         char* end = nullptr;
-        long n = std::strtol(argv[i], &end, 10);
-        if (end == nullptr || *end != '\0' || n < 1) {
-          std::cerr << "error: --checkpoint-every needs a positive integer\n"
-                    << kUsage;
-          return 2;
+        long n = std::strtol(value.c_str(), &end, 10);
+        if (*end != '\0' || n < 1) {
+          return usage_error(arg + " needs a positive integer");
         }
-        opts.checkpoint_every = static_cast<std::size_t>(n);
-      } else if (arg == "--ingest-rate") {
-        char* end = nullptr;
-        double hz = std::strtod(argv[i], &end);
-        if (end == nullptr || *end != '\0' || !(hz > 0.0)) {
-          std::cerr << "error: --ingest-rate needs a positive rate in Hz\n"
-                    << kUsage;
-          return 2;
+        *count->second = static_cast<std::size_t>(n);
+      } else if (is_switch) {
+        if (value != "on" && value != "off") {
+          return usage_error(arg + " needs on|off, got '" + value + "'");
         }
-        opts.ingest_rate = hz;
+        *switch_flags.at(arg) = value == "on";
       } else {
         char* end = nullptr;
-        long n = std::strtol(argv[i], &end, 10);
-        if (end == nullptr || *end != '\0' || n < 1) {
-          std::cerr << "error: " << arg << " needs a positive integer\n"
-                    << kUsage;
-          return 2;
+        double hz = std::strtod(value.c_str(), &end);
+        if (*end != '\0' || !(hz > 0.0) || !std::isfinite(hz)) {
+          return usage_error("--ingest-rate needs a positive rate in Hz");
         }
-        (arg == "--hosts" ? opts.hosts : opts.workers) =
-            static_cast<std::size_t>(n);
+        opts.ingest_rate = hz;
       }
       continue;
     }
     if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::cerr << "error: unknown flag " << arg << "\n" << kUsage;
-      return 2;
+      return usage_error("unknown flag " + arg);
     }
-    if (have_scenario) {
-      std::cerr << "error: more than one scenario argument\n" << kUsage;
-      return 2;
-    }
+    if (have_scenario) return usage_error("more than one scenario argument");
     opts.scenario = arg;
     have_scenario = true;
   }
-  if (opts.replay.has_value()) {
-    if (have_scenario || opts.record.has_value() || opts.faults.has_value() ||
-        opts.events_out.has_value() || opts.metrics_out.has_value() ||
-        opts.hosts != 0 || opts.workers != 0 ||
-        opts.ingest_rate.has_value() || opts.recovery_requested() ||
-        opts.cluster_on.has_value() || opts.migrate_on.has_value()) {
-      std::cerr << "error: --replay takes no scenario and no other flags\n"
-                << kUsage;
-      return 2;
-    }
-    try {
-      return run_replay_mode(opts);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
+  if (opts.replay.has_value() && (have_scenario || other_than_replay)) {
+    return usage_error("--replay takes no scenario and no other flags");
   }
-  if (!have_scenario) {
+  if (!opts.replay.has_value() && !have_scenario) {
     std::cerr << kUsage;
     return 2;
   }
   try {
+    if (opts.replay.has_value()) return run_replay_mode(opts);
     if (opts.scenario == "-") return run(std::cin, opts);
     std::ifstream file(opts.scenario);
     if (!file.good()) {
