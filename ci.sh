@@ -41,7 +41,7 @@
 #                                end-to-end checkpoint -> restore ->
 #                                re-export round trips through
 #                                stayaway_sim (synchronous and ring-fed,
-#                                re-export cmp-equal; the v3 blob's record
+#                                re-export cmp-equal; the v4 blob's record
 #                                lines cmp-equal to a --record run's
 #                                records block), a plain vs supervised
 #                                summary row comparison and a corrupt-blob
@@ -407,13 +407,13 @@ EOF
       ./build/tools/stayaway_sim --supervise --checkpoint-every 5 \
         --checkpoint-dir "$tmpdir/ckpt" "$tmpdir/scenario.conf" >/dev/null &&
         [[ -s "$tmpdir/ckpt/host0.ckpt" ]] || { rm -rf "$tmpdir"; return 1; }
-      # One PeriodRecord codec: the exported blob is v3 and its
+      # One PeriodRecord codec: the exported blob is v4 and its
       # `record = ` payloads are, line for line, the records block of a
       # --record run of the same scenario (--record rejects checkpoint
       # flags, so it is a second run; supervision does not perturb it).
       [[ "$(head -n 1 "$tmpdir/ckpt/host0.ckpt")" == \
-        "stayaway-checkpoint v3" ]] || {
-        echo "exported checkpoint is not stayaway-checkpoint v3" >&2
+        "stayaway-checkpoint v4" ]] || {
+        echo "exported checkpoint is not stayaway-checkpoint v4" >&2
         rm -rf "$tmpdir"
         return 1
       }
@@ -476,7 +476,7 @@ EOF
         echo "corrupted checkpoint was not rejected" >&2
         return 1
       }
-      echo "checkpoint v3 record lines = run-log lines + round trips +" \
+      echo "checkpoint v4 record lines = run-log lines + round trips +" \
         "re-export cmp (sync + ring) + plain/supervised equality +" \
         "corrupt-blob rejection: ok"
       ;;

@@ -15,15 +15,6 @@ constexpr std::string_view kChecksumKey = "checksum = ";
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (char c : text) {
-    hash ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::size_t begin_envelope(std::string& out, std::string_view magic,
                            std::uint64_t version) {
   out += magic;
@@ -33,9 +24,11 @@ std::size_t begin_envelope(std::string& out, std::string_view magic,
   return out.size();
 }
 
-void seal_envelope(std::string& out, std::size_t body_start) {
+void seal_envelope(std::string& out, std::size_t body_start,
+                   std::size_t hashed, std::uint64_t hash) {
+  SA_CHECK(body_start + hashed <= out.size(), "hashed prefix past the body");
   const std::uint64_t checksum =
-      fnv1a64(std::string_view(out).substr(body_start));
+      fnv1a64(std::string_view(out).substr(body_start + hashed), hash);
   out += kChecksumKey;
   out += std::to_string(checksum);
   out += '\n';
@@ -92,22 +85,25 @@ std::string_view open_envelope(std::string_view blob, std::string_view magic,
 }
 
 std::string encode_checkpoint(HostPipeline& pipeline) {
-  const std::string& records = pipeline.encoded_records();
-  // The stage state goes through its own buffer first so the blob can be
-  // sized exactly: stored checkpoints then carry no spare capacity.
+  const HostPipeline::RecordSection records = pipeline.encoded_records();
+  // The rest of the body goes through its own buffer first so the blob
+  // can be sized exactly: stored checkpoints then carry no spare
+  // capacity.
   std::string state;
   util::StateIO state_io = util::StateIO::writer(state);
+  std::size_t count = pipeline.records().size();
+  state_io.u64("records", count);
   pipeline.persist(state_io);
 
   std::string out;
-  out.reserve(records.size() + state.size() + 96);  // + header, count, trailer
+  out.reserve(records.text.size() + state.size() + 64);  // + header, trailer
   const std::size_t body =
       begin_envelope(out, kCheckpointMagic, kCheckpointVersion);
-  std::size_t count = pipeline.records().size();
-  util::StateIO::writer(out).count("records", count);
-  out += records;
+  out += records.text;
   out += state;
-  seal_envelope(out, body);
+  // The record section's hash is already running in the memo: only the
+  // state after it is hashed here.
+  seal_envelope(out, body, records.text.size(), records.fnv);
   return out;
 }
 
@@ -117,10 +113,12 @@ std::size_t restore_checkpoint(HostPipeline& pipeline,
       open_envelope(blob, kCheckpointMagic, kCheckpointVersion));
   std::vector<PeriodRecord> records;
   std::string line;
-  io.list("records", records, [&](PeriodRecord& rec) {
+  while (io.next_is("record")) {
     io.line("record", line);
-    rec = decode_record(line);
-  });
+    records.push_back(decode_record(line));
+  }
+  io.expect("records", records.size(),
+            "checkpoint record count disagrees with its record lines");
   pipeline.persist(io);
   io.finish();
   const std::size_t count = records.size();

@@ -246,18 +246,22 @@ void HostPipeline::seed_records(std::vector<PeriodRecord> records) {
   records_ = std::move(records);
 }
 
-const std::string& HostPipeline::encoded_records() {
+HostPipeline::RecordSection HostPipeline::encoded_records() {
+  const std::size_t hashed = encoded_records_.size();
   util::StateIO io = util::StateIO::writer(encoded_records_);
   for (; encoded_count_ < records_.size(); ++encoded_count_) {
     std::string line = encode_record(records_[encoded_count_]);
     io.line("record", line);
   }
-  return encoded_records_;
+  encoded_fnv_ =
+      fnv1a64(std::string_view(encoded_records_).substr(hashed), encoded_fnv_);
+  return {encoded_records_, encoded_fnv_};
 }
 
 std::vector<PeriodRecord> HostPipeline::take_records() {
   std::string().swap(encoded_records_);
   encoded_count_ = 0;
+  encoded_fnv_ = kFnv1a64Basis;
   return std::move(records_);
 }
 

@@ -11,10 +11,11 @@
 // monolithic control loop — the invariant every figure bench and the
 // fault golden rest on, pinned by tests/test_runtime.cpp and
 // tests/test_fleet.cpp. The pipeline owns the record history and, for
-// checkpoints, an append-only memo of its encoded text
-// (encoded_records(), DESIGN.md §17).
+// checkpoints, an append-only memo of its encoded text and that text's
+// running checksum (encoded_records(), DESIGN.md §17).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -32,6 +33,7 @@
 #include "obs/observer.hpp"
 #include "sim/faults.hpp"
 #include "sim/host.hpp"
+#include "util/strings.hpp"
 
 namespace stayaway::core {
 
@@ -139,13 +141,19 @@ class HostPipeline {
   void seed_records(std::vector<PeriodRecord> records);
 
   const std::vector<PeriodRecord>& records() const { return records_; }
+  /// The record section of a checkpoint body and its fnv1a64.
+  struct RecordSection {
+    const std::string& text;
+    std::uint64_t fnv;
+  };
   /// The `record = <encode_record line>` body line of every record so
-  /// far, concatenated in order — the record section of a checkpoint
-  /// body. An append-only memo: each call encodes only the records added
-  /// since the previous one, so periodic checkpoints cost O(new periods)
-  /// record encoding instead of O(history). Filled lazily; a pipeline
-  /// that is never checkpointed never pays for it.
-  const std::string& encoded_records();
+  /// far, concatenated in order, with the running fnv1a64 of that text.
+  /// An append-only memo: each call encodes and hashes only the records
+  /// added since the previous one, so periodic checkpoints cost
+  /// O(new periods) record encoding and checksumming instead of
+  /// O(history). Filled lazily; a pipeline that is never checkpointed
+  /// never pays for it.
+  RecordSection encoded_records();
   /// Moves the record history out (for the run's result once the run is
   /// over) and leaves the pipeline with an empty history and memo.
   std::vector<PeriodRecord> take_records();
@@ -209,9 +217,11 @@ class HostPipeline {
   /// Set on a state transition, consumed by publish() for the event.
   std::optional<std::pair<DegradationState, DegradationState>> transition_;
   std::vector<PeriodRecord> records_;
-  /// encoded_records() memo: the text of records_[0, encoded_count_).
+  /// encoded_records() memo: the text of records_[0, encoded_count_)
+  /// and its fnv1a64.
   std::string encoded_records_;
   std::size_t encoded_count_ = 0;
+  std::uint64_t encoded_fnv_ = kFnv1a64Basis;
   Actuator::Outcome last_outcome_;
 
   // --- Observability (passive; see set_observer). -----------------------

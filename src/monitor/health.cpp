@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "util/check.hpp"
@@ -21,7 +22,15 @@ SampleQuarantine::SampleQuarantine(std::vector<double> upper_bounds)
 
 SampleQuarantine::Admit SampleQuarantine::admit(double time,
                                                 std::uint64_t sequence) {
-  if (!seen_sequences_.insert(sequence).second) {
+  if (sequence == seen_below_) {
+    // In order: advance the watermark, then over any contiguous run of
+    // early arrivals it now reaches.
+    ++seen_below_;
+    while (!seen_above_.empty() && *seen_above_.begin() == seen_below_) {
+      seen_above_.erase(seen_above_.begin());
+      ++seen_below_;
+    }
+  } else if (sequence < seen_below_ || !seen_above_.insert(sequence).second) {
     ++total_duplicates_;
     return Admit::Duplicate;
   }
@@ -69,13 +78,18 @@ void SampleQuarantine::persist(util::StateIO& io) {
   io.u64("total_duplicates", total_duplicates_);
   io.real("newest_time", newest_time_);
   io.boolean("any_admitted", any_admitted_);
-  std::vector<std::uint64_t> seen(seen_sequences_.begin(),
-                                  seen_sequences_.end());
-  std::sort(seen.begin(), seen.end());
-  io.u64s("seen_sequences", seen);
+  io.u64("seen_below", seen_below_);
+  std::vector<std::uint64_t> above(seen_above_.begin(), seen_above_.end());
+  io.u64s("seen_above", above);
   if (io.loading()) {
-    seen_sequences_.clear();
-    seen_sequences_.insert(seen.begin(), seen.end());
+    if ((!above.empty() && above.front() <= seen_below_) ||
+        std::adjacent_find(above.begin(), above.end(),
+                           std::greater_equal<>()) != above.end()) {
+      throw util::StateCodecError(
+          "quarantine state: seen sequences not strictly above the "
+          "watermark");
+    }
+    seen_above_ = std::set<std::uint64_t>(above.begin(), above.end());
   }
 }
 

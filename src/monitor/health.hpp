@@ -22,7 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "util/statecodec.hpp"
@@ -76,8 +76,8 @@ class SampleQuarantine {
   std::size_t total_duplicates() const { return total_duplicates_; }
 
   /// Snapshot of imputation state, admission clock and counters
-  /// (DESIGN.md §17). The seen-sequence set serializes sorted — it is
-  /// only ever membership-tested, so insertion order is immaterial.
+  /// (DESIGN.md §17). The seen sequences serialize as the watermark plus
+  /// the sorted set above it, so an in-order feed snapshots in O(1).
   /// A load targets a freshly constructed quarantine with the same
   /// upper-bound layout (dimension checked).
   void persist(util::StateIO& io);
@@ -91,7 +91,12 @@ class SampleQuarantine {
   std::size_t total_duplicates_ = 0;
   double newest_time_ = 0.0;
   bool any_admitted_ = false;
-  std::unordered_set<std::uint64_t> seen_sequences_;
+  /// Every sequence below seen_below_ has been delivered; seen_above_
+  /// holds the delivered ones above it (a reordered or gapped feed).
+  /// An in-order sequence only advances the watermark, so the state
+  /// stays bounded by the feed's disorder, not its length.
+  std::uint64_t seen_below_ = 0;
+  std::set<std::uint64_t> seen_above_;
 };
 
 }  // namespace stayaway::monitor

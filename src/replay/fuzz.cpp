@@ -37,8 +37,6 @@ T pick(Rng& rng, const T (&options)[N]) {
   return options[rng.index(N)];
 }
 
-std::uint64_t draw_u64(Rng& rng) { return rng.engine()(); }
-
 /// One random scenario within the declared mutation bounds. Every bound
 /// keeps the document valid (parse-clean), so a mutation can only expose
 /// controller bugs, never parser rejections. Ingest draws (when enabled)
@@ -55,7 +53,7 @@ harness::FleetScenario mutate(Rng& rng, const FuzzConfig& config) {
   spec.tick_s = 0.1;
   spec.sensitive_start_s = 2.0;
   spec.batch_start_s = std::floor(rng.uniform(5.0, 15.0));
-  spec.seed = draw_u64(rng);
+  spec.seed = rng();
   base.workload = rng.chance(0.5) ? "diurnal" : "constant";
   base.workload_cycles = rng.uniform(1.0, 4.0);
 
@@ -71,7 +69,7 @@ harness::FleetScenario mutate(Rng& rng, const FuzzConfig& config) {
   spec.stayaway.sampler.noise_fraction = rng.uniform(0.0, 0.1);
 
   sim::FaultPlan plan;
-  plan.seed = draw_u64(rng);
+  plan.seed = rng();
   std::size_t fault_count = 1 + rng.index(4);
   for (std::size_t i = 0; i < fault_count; ++i) {
     sim::FaultSpec fault;

@@ -2,8 +2,9 @@
 //
 // Every stochastic component in the library draws from an explicitly
 // seeded Rng so that experiments are reproducible run-to-run. The class
-// wraps std::mt19937_64 and exposes the handful of distributions the
-// library needs.
+// wraps std::mt19937_64, is itself a uniform random bit generator (so
+// std:: distributions draw through it) and exposes the handful of
+// distributions the library needs.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +15,19 @@ namespace stayaway {
 
 class Rng {
  public:
+  using result_type = std::mt19937_64::result_type;
+
   /// Seeded construction; the same seed always yields the same stream.
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
+
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  /// The engine's next raw output; every draw of every helper goes
+  /// through here and is counted.
+  result_type operator()() {
+    ++draws_;
+    return engine_();
+  }
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -39,13 +51,19 @@ class Rng {
   /// decorrelated from the parent and from each other.
   Rng fork();
 
-  /// Access to the raw engine for use with std:: distributions. The
-  /// engine is the only state an Rng has: util::StateIO::rng snapshots
-  /// it (DESIGN.md §17).
-  std::mt19937_64& engine() { return engine_; }
+  /// The construction seed and the raw draws made since: together the
+  /// whole state of an Rng, which util::StateIO::rng snapshots as
+  /// `<seed> <draws>` (DESIGN.md §17).
+  std::uint64_t seed() const { return seed_; }
+  std::uint64_t draws() const { return draws_; }
+  /// The Rng `seed` builds, advanced past its first `draws` outputs.
+  /// Costs O(draws).
+  static Rng resumed(std::uint64_t seed, std::uint64_t draws);
 
  private:
   std::mt19937_64 engine_;
+  std::uint64_t seed_;
+  std::uint64_t draws_ = 0;
 };
 
 }  // namespace stayaway

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <random>
-#include <sstream>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -82,6 +80,10 @@ std::string_view StateIO::next_value(std::string_view key) {
     fail(key, "found field '" + std::string(raw.substr(0, eq)) + "' instead");
   }
   return raw.substr(eq + 3);
+}
+
+bool StateIO::next_is(std::string_view key) const {
+  return in_.starts_with(key) && in_.substr(key.size()).starts_with(" = ");
 }
 
 std::uint64_t StateIO::read_u64(std::string_view key) {
@@ -163,17 +165,22 @@ void StateIO::line(std::string_view key, std::string& v) {
 
 void StateIO::rng(std::string_view key, Rng& rng) {
   if (!loading()) {
-    std::ostringstream text;
-    text << rng.engine();
-    begin_line(key) += text.str();
-    *out_ += '\n';
+    std::string& out = begin_line(key);
+    out += std::to_string(rng.seed());
+    out += ' ';
+    out += std::to_string(rng.draws());
+    out += '\n';
     return;
   }
-  std::istringstream text{std::string(next_value(key))};
-  std::mt19937_64 restored;
-  text >> restored;
-  if (text.fail()) fail(key, "malformed mt19937_64 stream");
-  rng.engine() = restored;
+  std::string_view rest = next_value(key);
+  std::uint64_t seed = 0;
+  std::uint64_t draws = 0;
+  if (!parse_u64(next_token(rest), seed) ||
+      !parse_u64(next_token(rest), draws) || !next_token(rest).empty()) {
+    fail(key, "malformed rng '<seed> <draws>'");
+  }
+  if (draws > kMaxRngDraws) fail(key, "draw count over the restore cap");
+  rng = Rng::resumed(seed, draws);
 }
 
 void StateIO::reals(std::string_view key, std::vector<double>& v) {

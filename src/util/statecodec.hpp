@@ -36,6 +36,9 @@ class Rng;
 
 namespace stayaway::util {
 
+/// The largest Rng draw count a snapshot may carry (StateIO::rng).
+inline constexpr std::uint64_t kMaxRngDraws = std::uint64_t{1} << 32;
+
 /// Thrown on any malformed, truncated or out-of-order snapshot field.
 class StateCodecError : public std::runtime_error {
  public:
@@ -53,6 +56,9 @@ class StateIO {
   }
 
   bool loading() const { return out_ == nullptr; }
+  /// Reading: whether the next line's key is `key` — for a run of
+  /// same-key lines whose length the blob states after them.
+  bool next_is(std::string_view key) const;
 
   /// Unsigned integers (counters, indices, sizes) as plain decimals.
   template <std::unsigned_integral T>
@@ -76,10 +82,12 @@ class StateIO {
     }
     v = static_cast<E>(raw);
   }
-  /// An Rng's mt19937_64 engine as one text line (the engine's stream
-  /// form). Write→read is the identity: the restored Rng emits the
-  /// exact draws the original would have, since every Rng distribution
-  /// helper builds its std:: distribution fresh per call.
+  /// An Rng as `<key> = <seed> <draws>`: its construction seed and the
+  /// raw draws made since. Reading reseeds and discards `draws` outputs,
+  /// so the restored Rng emits the exact draws the original would have
+  /// (every Rng distribution helper builds its std:: distribution fresh
+  /// per call, so the engine position is the whole state). Restoring
+  /// costs O(draws); a count over kMaxRngDraws fails instead of spinning.
   void rng(std::string_view key, Rng& rng);
 
   /// `<has_key> = true|false`, then `field(value)` when present.

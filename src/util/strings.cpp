@@ -71,4 +71,12 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
+  for (char c : text) {
+    hash ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
 }  // namespace stayaway

@@ -22,6 +22,16 @@ std::string format_double_exact(double v);
 /// rather than a double parse — a 64-bit seed truncates above 2^53.
 bool parse_u64(std::string_view text, std::uint64_t& out);
 
+/// The FNV-1a 64-bit offset basis: fnv1a64 of the empty text.
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ULL;
+
+/// FNV-1a 64-bit over `text`, continuing from `hash`: fnv1a64(b,
+/// fnv1a64(a)) == fnv1a64(a + b), so a hash can run along a growing
+/// text. The checkpoint envelope's integrity hash and the record
+/// digests' hash (core/checkpoint.hpp).
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t hash = kFnv1a64Basis);
+
 /// Left-pads s with spaces to the given width.
 std::string pad_left(const std::string& s, std::size_t width);
 

@@ -188,9 +188,9 @@ std::string sample_blob() {
 
 TEST(CheckpointEnvelope, VersionMismatchIsItsOwnError) {
   std::string blob = sample_blob();
-  ASSERT_NE(blob.find("stayaway-checkpoint v3\n"), std::string::npos);
+  ASSERT_NE(blob.find("stayaway-checkpoint v4\n"), std::string::npos);
   std::string wrong = blob;
-  wrong.replace(wrong.find("v3\n"), 3, "v2\n");
+  wrong.replace(wrong.find("v4\n"), 3, "v3\n");
 
   ExperimentSpec spec = short_spec();
   spec.duration_s = 12.0;
@@ -219,7 +219,9 @@ TEST(CheckpointEnvelope, TruncationAndTrailingGarbageRejected) {
 
   for (const std::string& damaged :
        {blob.substr(0, blob.size() - 10), blob.substr(0, blob.size() / 2),
-        blob + "extra = 1\n", std::string("stayaway-checkpoint v3\n")}) {
+        blob + "extra = 1\n",
+        "stayaway-checkpoint v" + std::to_string(core::kCheckpointVersion) +
+            "\n"}) {
     FleetSpec fleet;
     fleet.hosts.push_back({"solo", spec});
     fleet.restore["solo"] = damaged;
@@ -313,18 +315,19 @@ TEST(CheckpointRoundTrip, NonFinitesInHistory) {
 
 // --- Encoded-record memo -----------------------------------------------
 
-/// The checkpoint encoder without the encoded-record memo: every record,
-/// then persist, then the FNV envelope. encode_checkpoint must match
-/// it byte for byte whenever and however often it is called.
+/// The checkpoint encoder without the encoded-record memo or its running
+/// hash: every record, their count, then persist, then the FNV envelope
+/// over the whole body. encode_checkpoint must match it byte for byte
+/// whenever and however often it is called.
 std::string reference_encode_checkpoint(core::HostPipeline& pipeline) {
   std::string body;
   util::StateIO w = util::StateIO::writer(body);
-  std::size_t count = pipeline.records().size();
-  w.count("records", count);
   for (const core::PeriodRecord& rec : pipeline.records()) {
     std::string line = core::encode_record(rec);
     w.line("record", line);
   }
+  std::size_t count = pipeline.records().size();
+  w.u64("records", count);
   pipeline.persist(w);
   return "stayaway-checkpoint v" + std::to_string(core::kCheckpointVersion) +
          "\n" + body + "checksum = " + std::to_string(core::fnv1a64(body)) +
@@ -1150,6 +1153,69 @@ std::vector<LineEdit> sample_lines(const std::string& prefix, std::size_t n,
           {prefix + "_values", 0, set_to(repeated(n * dimension, "0"))}};
 }
 
+// --- State size -------------------------------------------------------
+
+/// `blob` without its history: the `record = ` lines and the delivered-
+/// actuation journal (`journal_*`, one entry per actuation, which
+/// warm_start replays). What is left is the header, the record count,
+/// the stage state and the trailer.
+std::string state_section(const std::string& blob) {
+  std::istringstream in(blob);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.starts_with("record = ") && !line.starts_with("journal_")) {
+      out += line + '\n';
+    }
+  }
+  return out;
+}
+
+TEST(CheckpointStateSize, StateSectionDoesNotGrowWithTheRun) {
+  // Apart from its history, a checkpoint holds bounded stage state: Rng
+  // snapshots are `<seed> <draws>` and the quarantine keeps a watermark
+  // plus the out-of-order sequences above it. So the state section at
+  // period 400 is within 10% of its size at period 100.
+  ExperimentSpec spec = short_spec();
+  spec.faults = stress_plan();
+  spec.duration_s = 400.0;
+  ManualHost h(spec);
+  h.run_to(100);
+  const std::string at_100 = state_section(core::encode_checkpoint(h.pipeline));
+  h.run_to(400);
+  const std::string at_400 = state_section(core::encode_checkpoint(h.pipeline));
+  EXPECT_NE(at_400.find("\nrecords = 400\n"), std::string::npos);
+  EXPECT_NE(at_400.find("\nseen_below = 400\nseen_above = 0\n"),
+            std::string::npos);
+  const double small = static_cast<double>(at_100.size());
+  const double large = static_cast<double>(at_400.size());
+  EXPECT_LE(large, 1.1 * small) << small << " -> " << large;
+}
+
+TEST(CheckpointStateSize, RingFedSeenSequencesStayBounded) {
+  // A ring-fed quarantine admits 16 samples a period, delayed and
+  // duplicated throughout: its seen-sequence state holds the samples
+  // still out of order, never the 6,400 admitted ones.
+  ExperimentSpec spec = ring_fed_spec();
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.faults.push_back(
+      fault_of(sim::FaultKind::IngestDelay, 0.0, 1000.0, 0.6));
+  plan.faults.push_back(
+      fault_of(sim::FaultKind::IngestDuplicate, 0.0, 1000.0, 0.3));
+  spec.faults = plan;
+  spec.duration_s = 400.0;
+  ManualHost h(spec);
+  for (std::size_t periods : {100u, 400u}) {
+    h.run_to(periods);
+    const std::string blob = core::encode_checkpoint(h.pipeline);
+    EXPECT_GT(leading_count(blob, "total_late"), 0u) << periods;
+    EXPECT_GE(leading_count(blob, "seen_below"), 15 * periods) << periods;
+    EXPECT_LE(leading_count(blob, "seen_above"),
+              spec.stayaway.ingest.ring_capacity)
+        << periods;
+  }
+}
+
 struct Rejection {
   std::string name;
   Fixture fixture;
@@ -1185,6 +1251,10 @@ TEST(CheckpointRejection, EveryLoadCheckThrowsStateCodecError) {
   const FixtureBlobs& b = fixture_blobs();
   const std::size_t ring_dim = leading_count(b.ring, "last_good");
   ASSERT_GT(ring_dim, 0u);
+  const std::size_t record_at = b.sync.find("\nrecord = ");
+  ASSERT_NE(record_at, std::string::npos);
+  const std::string first_record = b.sync.substr(
+      record_at + 10, b.sync.find('\n', record_at + 1) - record_at - 10);
   std::vector<Rejection> table = {
       // Enums out of range.
       {"degradation", Fixture::Sync, {{"degradation", 0, set_to("3")}}},
@@ -1248,6 +1318,30 @@ TEST(CheckpointRejection, EveryLoadCheckThrowsStateCodecError) {
       // Malformed values.
       {"bool", Fixture::Sync, {{"batch_paused", 0, set_to("maybe")}}},
       {"rng", Fixture::Sync, {{"governor_rng", 0, set_to("garbage")}}},
+      {"rng without draws", Fixture::Sync,
+       {{"governor_rng", 0, set_to("7")}}},
+      {"rng with a third token", Fixture::Sync,
+       {{"governor_rng", 0, set_to("7 1 2")}}},
+      {"rng draws over the cap", Fixture::Sync,
+       {{"governor_rng", 0,
+         set_to("7 " + std::to_string(util::kMaxRngDraws + 1))}}},
+      {"records count above the record lines", Fixture::Sync,
+       {{"records", 0, plus_one()}}},
+      {"records count below the record lines", Fixture::Sync,
+       {{"records", 0,
+         [](const std::string& v) {
+           return std::to_string(std::stoull(v) - 1);
+         }}}},
+      {"record line after the count", Fixture::Sync,
+       {{"records", 0,
+         [&](const std::string& v) {
+           return v + "\nrecord = " + first_record;
+         }}}},
+      {"seen sequence below the watermark", Fixture::Sync,
+       {{"seen_above", 0, set_to("1 0")}}},
+      {"seen sequences out of order", Fixture::Ring,
+       {{"seen_above", 0,
+         set_to("2 18446744073709551615 18446744073709551614")}}},
       {"u64", Fixture::Sync, {{"pauses", 0, set_to("-1")}}},
       {"double", Fixture::Sync, {{"beta", 0, set_to("0x")}}},
       {"vector longer than count", Fixture::Sync,
@@ -1294,15 +1388,16 @@ TEST(CheckpointRejection, HistogramBinMismatchIsACodecError) {
 }
 
 TEST(CheckpointBytePins, FinalExportsMatchPinnedDigests) {
-  // fnv1a64 of each final blob, computed on the build before the
-  // symmetric state API: restore -> re-export proves only
-  // self-consistency, these pins prove the bytes did not move.
+  // fnv1a64 of each final blob: restore -> re-export proves only
+  // self-consistency, these pins prove the bytes did not move. A format
+  // change re-pins them once each new blob is shown to be the old one
+  // under the mechanical rewrite.
   const FixtureBlobs& b = fixture_blobs();
-  EXPECT_EQ(core::fnv1a64(b.sync), 0xc721df6da4e54b40ULL);
-  EXPECT_EQ(core::fnv1a64(b.ring), 0xb9f92f70b0b825eeULL);
-  EXPECT_EQ(core::fnv1a64(b.landmark), 0xf26ab5bcbecdadd1ULL);
-  EXPECT_EQ(core::fnv1a64(b.reactive), 0x7df54708a454ffa3ULL);
-  EXPECT_EQ(core::fnv1a64(b.member_a), 0x76fce9d4112bb2cdULL);
+  EXPECT_EQ(core::fnv1a64(b.sync), 0x8f8346e67f659517ULL);
+  EXPECT_EQ(core::fnv1a64(b.ring), 0xa95e9bf1f4631fc4ULL);
+  EXPECT_EQ(core::fnv1a64(b.landmark), 0x06c1fa08bb663515ULL);
+  EXPECT_EQ(core::fnv1a64(b.reactive), 0xb2f7803847f17bb9ULL);
+  EXPECT_EQ(core::fnv1a64(b.member_a), 0xa99a2527131a1940ULL);
   EXPECT_EQ(core::fnv1a64(b.coordinator), 0x59045f9342960342ULL);
 }
 

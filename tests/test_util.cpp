@@ -1,4 +1,5 @@
-// Unit tests for src/util: contracts, RNG, CSV, strings (including a
+// Unit tests for src/util: contracts, RNG (and its `seed draws`
+// snapshot), CSV, strings (including a
 // differential test of format_double_exact), ASCII plotting.
 #include <gtest/gtest.h>
 
@@ -12,11 +13,15 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/ascii_plot.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
+#include "util/statecodec.hpp"
 #include "util/strings.hpp"
 
 namespace stayaway {
@@ -145,6 +150,100 @@ TEST(Rng, ForkDecorrelates) {
     if (parent.uniform() == child.uniform()) ++same;
   }
   EXPECT_LT(same, 5);
+}
+
+TEST(Rng, RawOutputsEqualTheEngine) {
+  // Rng is the URBG its helpers draw through: its raw stream must be
+  // std::mt19937_64's, so wrapping it changed no historical draw.
+  for (std::uint64_t seed : {0ULL, 7ULL, 0xfeedfaceULL, ~0ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 engine(seed);
+    for (int i = 0; i < 5000; ++i) ASSERT_EQ(rng(), engine()) << seed;
+    EXPECT_EQ(rng.draws(), 5000u);
+    EXPECT_EQ(rng.seed(), seed);
+  }
+  EXPECT_EQ(Rng::min(), std::mt19937_64::min());
+  EXPECT_EQ(Rng::max(), std::mt19937_64::max());
+}
+
+TEST(Rng, HelpersDrawTheEngineStream) {
+  // Each helper draws through the counting operator(): a helper over an
+  // Rng equals the same std:: distribution over a bare engine.
+  Rng rng(21);
+  std::mt19937_64 engine(21);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rng.uniform(),
+              std::uniform_real_distribution<double>(0.0, 1.0)(engine));
+    ASSERT_EQ(rng.index(17),
+              std::uniform_int_distribution<std::size_t>(0, 16)(engine));
+    ASSERT_EQ(rng.normal(1.0, 2.0),
+              std::normal_distribution<double>(1.0, 2.0)(engine));
+  }
+}
+
+/// `rng` written by StateIO::rng and read back into a fresh Rng.
+Rng snapshot_round_trip(Rng& rng) {
+  std::string body;
+  util::StateIO::writer(body).rng("r", rng);
+  Rng restored(0);
+  util::StateIO reader = util::StateIO::reader(body);
+  reader.rng("r", restored);
+  reader.finish();
+  return restored;
+}
+
+TEST(Rng, SnapshotIsSeedAndDraws) {
+  Rng rng(99);
+  for (int i = 0; i < 3; ++i) rng.uniform();
+  std::string body;
+  util::StateIO::writer(body).rng("r", rng);
+  EXPECT_EQ(body, "r = 99 3\n");
+}
+
+TEST(Rng, SnapshotAfterEveryHelperResumesTheStream) {
+  // After each helper — including the variable-draw ones (index's
+  // rejection loop, normal's polar method) and fork — a restored Rng
+  // must emit the same next 10k draws as the original.
+  const std::vector<std::pair<const char*, void (*)(Rng&)>> helpers = {
+      {"uniform", [](Rng& r) { r.uniform(); }},
+      {"uniform(lo,hi)", [](Rng& r) { r.uniform(-3.0, 5.0); }},
+      {"index", [](Rng& r) { r.index(3); }},
+      {"normal", [](Rng& r) { r.normal(0.0, 1.0); }},
+      {"exponential", [](Rng& r) { r.exponential(2.5); }},
+      {"chance", [](Rng& r) { r.chance(0.3); }},
+      {"fork", [](Rng& r) { r.fork(); }},
+  };
+  for (const auto& [name, helper] : helpers) {
+    SCOPED_TRACE(name);
+    Rng original(1234);
+    for (int i = 0; i < 37; ++i) helper(original);
+    Rng restored = snapshot_round_trip(original);
+    EXPECT_EQ(restored.seed(), original.seed());
+    EXPECT_EQ(restored.draws(), original.draws());
+    for (int i = 0; i < 10000; ++i) ASSERT_EQ(restored(), original()) << i;
+  }
+  // A forked child snapshots as its own seed and draws.
+  Rng parent(5);
+  Rng child = parent.fork();
+  child.normal(0.0, 1.0);
+  Rng restored = snapshot_round_trip(child);
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(restored(), child()) << i;
+}
+
+TEST(Rng, SnapshotRejectsMalformedAndOverCapDraws) {
+  // Restoring costs O(draws), so a count past the cap must fail rather
+  // than spin.
+  const std::string over = std::to_string(util::kMaxRngDraws + 1);
+  for (const std::string& value :
+       {std::string("garbage"), std::string("7"), std::string("7 x"),
+        std::string("7 -1"), std::string("7 1 2"), std::string(""),
+        "7 " + over, std::string("7 18446744073709551616")}) {
+    SCOPED_TRACE(value);
+    Rng rng(0);
+    const std::string body = "r = " + value + "\n";
+    util::StateIO reader = util::StateIO::reader(body);
+    EXPECT_THROW(reader.rng("r", rng), util::StateCodecError);
+  }
 }
 
 // -------------------------------------------------------------- strings
