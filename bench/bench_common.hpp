@@ -1,7 +1,6 @@
 // Shared helpers for the figure-reproduction bench binaries.
 #pragma once
 
-#include <cctype>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "harness/fleet.hpp"
 #include "harness/report.hpp"
 #include "harness/scenarios.hpp"
-#include "obs/metrics.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/strings.hpp"
 
@@ -79,34 +77,6 @@ inline FigureRuns run_figure(const harness::ExperimentSpec& spec) {
   return out;
 }
 
-/// Filesystem-safe slug of a figure title, for BENCH_<slug>.json names.
-inline std::string bench_slug(const std::string& title) {
-  std::string out;
-  for (char c : title) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  return out;
-}
-
-/// Writes a BENCH_<name>.json perf record of a figure triple's aggregates
-/// when STAYAWAY_BENCH_JSON_DIR is set; silent no-op otherwise.
-inline void emit_figure_bench_record(const std::string& name,
-                                     const FigureRuns& runs) {
-  obs::MetricsRegistry registry;
-  harness::publish_result_metrics(registry, "stay_away", runs.stay_away);
-  harness::publish_result_metrics(registry, "no_prevention",
-                                  runs.no_prevention);
-  harness::publish_result_metrics(registry, "isolated", runs.isolated);
-  if (obs::write_bench_record(name, registry)) {
-    std::cout << "BENCH_" << name << ".json written\n";
-  }
-}
-
 /// Prints the standard QoS-figure block: plot, CSV series, summary rows.
 inline void print_qos_figure(const std::string& title, const FigureRuns& runs) {
   std::cout << "=== " << title << " ===\n\n";
@@ -136,7 +106,6 @@ inline void print_qos_figure(const std::string& title, const FigureRuns& runs) {
       {&runs.stay_away.time, &runs.stay_away.qos, &runs.no_prevention.qos,
        &runs.stay_away.utilization, &runs.no_prevention.utilization,
        &runs.isolated.utilization});
-  emit_figure_bench_record(bench_slug(title), runs);
 }
 
 /// Prints a gained-utilization figure (paper Figs. 10/11 shape): the upper
@@ -162,7 +131,6 @@ inline void print_gain_figure(const std::string& title, const FigureRuns& runs) 
   harness::print_series_csv(std::cout,
                             {"time", "gain_noprev", "gain_stayaway"},
                             {&runs.stay_away.time, &upper, &lower});
-  emit_figure_bench_record(bench_slug(title), runs);
 }
 
 /// Offline evaluation data for the ablation benches: a passive run's

@@ -23,8 +23,7 @@
 // acceptance bound is <5%.
 //
 // Prints per-period latency per engine and the speedup versus
-// from-scratch, then a CSV block. When STAYAWAY_BENCH_JSON_DIR is set a
-// BENCH_hotpath.json perf record of the summary gauges is written there.
+// from-scratch, then a CSV block.
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -332,19 +331,5 @@ int main() {
               << "\n";
   }
 
-  // Machine-readable perf record, gated on STAYAWAY_BENCH_JSON_DIR.
-  obs::MetricsRegistry record;
-  for (const auto& r : rows) {
-    std::string p = "hotpath.n" + std::to_string(r.n) + ".";
-    record.gauge(p + "scratch_period_ms").set(r.scratch.period_ms);
-    record.gauge(p + "incr_period_ms").set(r.fast.period_ms);
-    record.gauge(p + "obs_period_us").set(r.obs_period_us);
-    record.gauge(p + "obs_overhead_pct").set(r.obs_overhead_pct);
-    record.gauge(p + "speedup_incr")
-        .set(r.scratch.period_ms / r.fast.period_ms);
-  }
-  if (obs::write_bench_record("hotpath", record)) {
-    std::cout << "\nBENCH_hotpath.json written\n";
-  }
   return 0;
 }

@@ -25,8 +25,7 @@
 //
 // `--smoke` shrinks both measurements for CI (`ci.sh --ingest`); the
 // bounds still apply. Exits nonzero when a bound fails. Prints a CSV
-// block; when STAYAWAY_BENCH_JSON_DIR is set a BENCH_ingest.json perf
-// record is written there.
+// block.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -37,7 +36,6 @@
 #include "core/embedder.hpp"
 #include "harness/experiment.hpp"
 #include "monitor/representative.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -234,17 +232,6 @@ int main(int argc, char** argv) {
             << format_double(fl.early_us_per_point, 2) << ","
             << format_double(fl.late_us_per_point, 2) << ","
             << format_double(fl.ratio, 2) << "\n";
-
-  obs::MetricsRegistry record;
-  record.gauge("ingest.speedup").set(tp.speedup);
-  record.gauge("ingest.sync_wall_s").set(tp.sync_wall_s);
-  record.gauge("ingest.ring_wall_s").set(tp.ring_wall_s);
-  record.gauge("ingest.flatness_ratio").set(fl.ratio);
-  record.gauge("ingest.early_us_per_point").set(fl.early_us_per_point);
-  record.gauge("ingest.late_us_per_point").set(fl.late_us_per_point);
-  if (obs::write_bench_record("ingest", record)) {
-    std::cout << "\nBENCH_ingest.json written\n";
-  }
 
   bool ok = true;
   if (tp.speedup < kMinSpeedup) {

@@ -34,29 +34,32 @@
 #                                ring-fed pipelines on a 4-worker pool —
 #                                under ThreadSanitizer
 #   ./ci.sh --recovery           crash-recovery gate (DESIGN.md §17): the
-#                                checkpoint/restore test suite plus the
-#                                bench_recovery acceptance bounds (--smoke:
-#                                zero aborted runs with 1-of-8 hosts
-#                                crashing) in the tier-1 tree, then
-#                                end-to-end checkpoint -> restore ->
-#                                re-export round trips through
-#                                stayaway_sim (synchronous and ring-fed,
-#                                re-export cmp-equal; the v4 blob's record
-#                                lines cmp-equal to a --record run's
-#                                records block), a plain vs supervised
-#                                summary row comparison and a corrupt-blob
-#                                rejection
+#                                checkpoint/restore test suite in the tier-1
+#                                tree (its acceptance bounds are tier-1
+#                                tests: SupervisorGolden.
+#                                FleetSurvivesSingleHostCrash pins 1-of-8
+#                                hosts crashing at every checkpoint cadence
+#                                and worker count), then end-to-end
+#                                checkpoint -> restore -> re-export round
+#                                trips through stayaway_sim (synchronous
+#                                and ring-fed, re-export cmp-equal; the v4
+#                                blob's record lines cmp-equal to a
+#                                --record run's records block), a plain vs
+#                                supervised summary row comparison and a
+#                                corrupt-blob rejection
 #   ./ci.sh --cluster            cluster-coordination gate (DESIGN.md §18):
-#                                the cluster test suite plus the
-#                                bench_cluster acceptance bound (--smoke:
-#                                migration strictly beats per-host pausing
-#                                on both violations and batch progress) in
-#                                the tier-1 tree, then a coordinated
-#                                migration run through a record -> replay
-#                                round trip, and a supervised coordinated
-#                                run through checkpoint -> restore ->
-#                                re-export (every host blob and the
-#                                coordinator blob cmp-equal)
+#                                the cluster test suite in the tier-1 tree
+#                                (its acceptance bound is a tier-1 test:
+#                                ClusterCoordinator.
+#                                FlashCrowdMigrationBeatsPausing requires
+#                                migration to strictly beat per-host
+#                                pausing on both violations and batch
+#                                progress), then a coordinated migration
+#                                run through a record -> replay round trip,
+#                                and a supervised coordinated run through
+#                                checkpoint -> restore -> re-export (every
+#                                host blob and the coordinator blob
+#                                cmp-equal)
 #   ./ci.sh --analyze            static-analysis gate (DESIGN.md §16):
 #                                stayaway_analyze self-test, then the
 #                                include-graph / lock-discipline /
@@ -287,16 +290,17 @@ EOF
     cluster)
       # Cluster-coordination gate (DESIGN.md §18): the cluster test suite
       # (scoring, idle-coordinator byte identity, migration/admission,
-      # coordinator checkpoint) plus the bench_cluster acceptance bound
-      # (migration strictly beats per-host pausing on both violations and
-      # batch progress) in the tier-1 tree, then a migration run driven
-      # through a full record -> replay round trip via stayaway_sim, and
-      # a coordinated checkpoint -> restore -> re-export round trip.
+      # coordinator checkpoint) in the tier-1 tree. Its acceptance bound
+      # lives in tier-1: ClusterCoordinator.FlashCrowdMigrationBeatsPausing
+      # requires migration to strictly beat per-host pausing on both
+      # violations and batch progress and pins the EXPERIMENTS.md counts.
+      # Then a migration run driven through a full record -> replay round
+      # trip via stayaway_sim, and a coordinated checkpoint -> restore ->
+      # re-export round trip.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
-          --target test_cluster bench_cluster stayaway_sim || return 1
+          --target test_cluster stayaway_sim || return 1
       ./build/tests/test_cluster || return 1
-      ./build/bench/bench_cluster --smoke || return 1
       local tmpdir
       tmpdir="$(mktemp -d)" || return 1
       cat >"$tmpdir/cluster.conf" <<'EOF'
@@ -382,19 +386,21 @@ CONF
       ;;
     recovery)
       # Crash-recovery gate (DESIGN.md §17): the checkpoint codec + super-
-      # visor test suite and the bench_recovery acceptance bounds (full
-      # record streams, zero divergences, 1-of-8 hosts crashing) in the
-      # tier-1 tree, then stayaway_sim driven through full checkpoint ->
-      # restore -> re-export round trips (synchronous and ring-fed: every
-      # pipeline checkpoints; the re-exported blob must equal the one
-      # restored, and its record lines the run-log's), a supervised run
-      # that must summarize exactly like the plain one, and a corrupted
-      # blob, which must be rejected by checksum, not silently restored.
+      # visor test suite in the tier-1 tree. Its acceptance bounds live in
+      # tier-1: SupervisorGolden.FleetSurvivesSingleHostCrash runs 1-of-8
+      # hosts crashing at workers {1, 4} x checkpoint cadence {0, 10, 5,
+      # 2} and requires full record streams, zero divergences, the pinned
+      # gap-period table and worker invariance. Then stayaway_sim driven
+      # through full checkpoint -> restore -> re-export round trips
+      # (synchronous and ring-fed: every pipeline checkpoints; the
+      # re-exported blob must equal the one restored, and its record lines
+      # the run-log's), a supervised run that must summarize exactly like
+      # the plain one, and a corrupted blob, which must be rejected by
+      # checksum, not silently restored.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
-          --target test_checkpoint bench_recovery stayaway_sim || return 1
+          --target test_checkpoint stayaway_sim || return 1
       ./build/tests/test_checkpoint || return 1
-      ./build/bench/bench_recovery --smoke || return 1
       local tmpdir out rc
       tmpdir="$(mktemp -d)" || return 1
       cat >"$tmpdir/scenario.conf" <<'EOF'

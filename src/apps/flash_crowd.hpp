@@ -1,7 +1,8 @@
 // Flash-crowd front-end model (DESIGN.md §18): a latency-sensitive
 // request-serving tier whose offered load surges by a large multiplier
 // for a bounded window — the canonical cluster-scheduling stressor
-// (bench_cluster's headline scenario). Outside the surge the front end
+// (ClusterCoordinator.FlashCrowdMigrationBeatsPausing's headline
+// scenario). Outside the surge the front end
 // is comfortably provisioned; during it the CPU demand alone can exceed
 // the host, so any batch neighbour pushes QoS under water and the only
 // real remedies are pausing the neighbour (per-host Stay-Away) or moving
@@ -44,7 +45,7 @@ class FlashCrowd final : public sim::AppModel, public sim::QosProbe {
   /// top); omit for a constant full base. Unlike the webservice, samples
   /// are not re-normalized by the trace's own min/max — a constant trace
   /// of 0.25 really means a quarter-loaded front end, which is how
-  /// bench_cluster provisions its calm spare hosts.
+  /// coordinated flash-crowd fleets provision their calm spare hosts.
   FlashCrowd(FlashCrowdSpec spec, std::optional<trace::Trace> workload);
   explicit FlashCrowd(FlashCrowdSpec spec = {})
       : FlashCrowd(spec, std::nullopt) {}

@@ -98,24 +98,4 @@ void print_metrics_summary(std::ostream& out,
   }
 }
 
-void publish_result_metrics(obs::MetricsRegistry& registry,
-                            const std::string& label,
-                            const ExperimentResult& result) {
-  auto gauge = [&](const char* name, double v) {
-    registry.gauge(label + "." + name).set(v);
-  };
-  gauge("periods", static_cast<double>(result.qos.size()));
-  gauge("violation_fraction", result.violation_fraction);
-  gauge("avg_qos", result.avg_qos);
-  gauge("avg_utilization", result.avg_utilization);
-  gauge("batch_cpu_work_s", result.batch_cpu_work);
-  gauge("sensitive_cpu_work_s", result.sensitive_cpu_work);
-  gauge("pauses", static_cast<double>(result.pauses));
-  gauge("resumes", static_cast<double>(result.resumes));
-  gauge("final_beta", result.final_beta);
-  gauge("representatives", static_cast<double>(result.representative_count));
-  gauge("final_stress", result.final_stress);
-  gauge("tally_accuracy", result.tally.accuracy());
-}
-
 }  // namespace stayaway::harness

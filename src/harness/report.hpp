@@ -39,11 +39,4 @@ double series_mean(const std::vector<double>& xs);
 void print_metrics_summary(std::ostream& out,
                            const obs::MetricsRegistry& registry);
 
-/// Publishes an experiment's aggregate results into a registry as gauges
-/// under "<label>." — the common path for benches assembling a
-/// BENCH_*.json perf record via obs::write_bench_record.
-void publish_result_metrics(obs::MetricsRegistry& registry,
-                            const std::string& label,
-                            const ExperimentResult& result);
-
 }  // namespace stayaway::harness

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
 
 #include "obs/json.hpp"
@@ -149,17 +147,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   root.set("histograms", std::move(histograms));
   root.dump(out);
   out << "\n";
-}
-
-bool write_bench_record(const std::string& bench_name,
-                        const MetricsRegistry& registry) {
-  const char* dir = std::getenv("STAYAWAY_BENCH_JSON_DIR");
-  if (dir == nullptr || *dir == '\0') return false;
-  std::string path = std::string(dir) + "/BENCH_" + bench_name + ".json";
-  std::ofstream out(path);
-  SA_REQUIRE(out.good(), "cannot write bench record: " + path);
-  registry.write_json(out);
-  return true;
 }
 
 }  // namespace stayaway::obs

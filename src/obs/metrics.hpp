@@ -136,11 +136,4 @@ class MetricsRegistry {
   std::deque<Named<Histogram::Cell>> histograms_ SA_GUARDED_BY(mu_);
 };
 
-/// Writes a BENCH_<name>.json perf record of the registry into the
-/// directory named by the STAYAWAY_BENCH_JSON_DIR environment variable.
-/// Returns false (and writes nothing) when the variable is unset; throws
-/// when the file cannot be written.
-bool write_bench_record(const std::string& bench_name,
-                        const MetricsRegistry& registry);
-
 }  // namespace stayaway::obs

@@ -567,35 +567,74 @@ TEST(SupervisorGolden, CrashFaultsAutoEnableSupervision) {
 
 TEST(SupervisorGolden, FleetSurvivesSingleHostCrash) {
   // 1-of-8 hosts crashes twice; every host still delivers its full
-  // period count and the crashing host's stream matches its solo run.
+  // period count, only the crashing host recovers, and its stream matches
+  // its solo run, at every checkpoint cadence and worker count. The
+  // pinned counts are the periods-to-reconverge table: cadence 0 is a
+  // cold restart replaying from period zero, and a tighter cadence never
+  // replays more.
+  struct Cadence {
+    std::size_t checkpoint_every;
+    std::size_t crashes;
+    std::size_t gap_periods_replayed;
+    std::size_t cold_starts;
+  };
+  const std::vector<Cadence> table = {
+      {0, 2, 33, 2}, {10, 2, 3, 0}, {5, 2, 3, 0}, {2, 2, 1, 0}};
+
   ExperimentSpec base = short_spec();
   base.duration_s = 30.0;
-  FleetSpec fleet = replicate_fleet(base, 8, 77, 1);
-  fleet.supervise = true;
-  fleet.checkpoint_every = 5;
-
-  ExperimentSpec crash_spec = fleet.hosts[3].experiment;
   sim::FaultPlan plan;
   plan.seed = 1;
   plan.faults.push_back(fault_of(sim::FaultKind::HostCrash, 10.0, 11.0));
   plan.faults.push_back(fault_of(sim::FaultKind::HostCrash, 22.0, 23.0));
-  fleet.hosts[3].experiment.faults = plan;
+  const ExperimentResult solo =
+      run_experiment(replicate_fleet(base, 8, 77, 1).hosts[3].experiment);
 
-  FleetResult r = run_fleet(fleet);
-  ASSERT_EQ(r.hosts.size(), 8u);
-  for (const FleetHostResult& host : r.hosts) {
-    EXPECT_EQ(host.result.stayaway_records.size(), 30u) << host.name;
-  }
-  EXPECT_GE(r.hosts[3].recovery.crashes, 2u);
-  EXPECT_EQ(r.hosts[3].recovery.divergences, 0u);
-  for (std::size_t i = 0; i < r.hosts.size(); ++i) {
-    if (i == 3) continue;
-    EXPECT_FALSE(r.hosts[i].recovery.any_failures()) << r.hosts[i].name;
-  }
+  std::size_t previous_gap = std::numeric_limits<std::size_t>::max();
+  for (const Cadence& c : table) {
+    std::vector<FleetResult> by_workers;
+    for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("checkpoint_every=" + std::to_string(c.checkpoint_every) +
+                   " workers=" + std::to_string(workers));
+      FleetSpec fleet = replicate_fleet(base, 8, 77, workers);
+      fleet.supervise = true;
+      fleet.checkpoint_every = c.checkpoint_every;
+      fleet.hosts[3].experiment.faults = plan;
 
-  ExperimentResult solo = run_experiment(crash_spec);
-  expect_records_byte_identical(r.hosts[3].result.stayaway_records,
-                                solo.stayaway_records);
+      FleetResult r = run_fleet(fleet);
+      ASSERT_EQ(r.hosts.size(), 8u);
+      for (std::size_t i = 0; i < r.hosts.size(); ++i) {
+        const FleetHostResult& host = r.hosts[i];
+        EXPECT_EQ(host.result.stayaway_records.size(), 30u) << host.name;
+        EXPECT_EQ(host.recovery.divergences, 0u) << host.name;
+        EXPECT_EQ(host.recovery.any_failures(), i == 3) << host.name;
+      }
+      const core::RecoveryReport& rec = r.hosts[3].recovery;
+      EXPECT_EQ(rec.crashes, c.crashes);
+      EXPECT_EQ(rec.gap_periods_replayed, c.gap_periods_replayed);
+      EXPECT_EQ(rec.cold_starts, c.cold_starts);
+      expect_records_byte_identical(r.hosts[3].result.stayaway_records,
+                                    solo.stayaway_records);
+      by_workers.push_back(std::move(r));
+    }
+    SCOPED_TRACE("checkpoint_every=" + std::to_string(c.checkpoint_every));
+    const FleetResult& one = by_workers[0];
+    const FleetResult& four = by_workers[1];
+    for (std::size_t i = 0; i < one.hosts.size(); ++i) {
+      expect_records_byte_identical(four.hosts[i].result.stayaway_records,
+                                    one.hosts[i].result.stayaway_records);
+      const core::RecoveryReport& a = one.hosts[i].recovery;
+      const core::RecoveryReport& b = four.hosts[i].recovery;
+      EXPECT_EQ(b.crashes, a.crashes) << one.hosts[i].name;
+      EXPECT_EQ(b.recoveries, a.recoveries) << one.hosts[i].name;
+      EXPECT_EQ(b.cold_starts, a.cold_starts) << one.hosts[i].name;
+      EXPECT_EQ(b.checkpoints_saved, a.checkpoints_saved) << one.hosts[i].name;
+      EXPECT_EQ(b.gap_periods_replayed, a.gap_periods_replayed)
+          << one.hosts[i].name;
+    }
+    EXPECT_LE(one.hosts[3].recovery.gap_periods_replayed, previous_gap);
+    previous_gap = one.hosts[3].recovery.gap_periods_replayed;
+  }
 }
 
 // --- Warm restarts of every wiring --------------------------------------

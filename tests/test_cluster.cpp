@@ -2,11 +2,13 @@
 // the idle-coordinator byte-identity contract (a ClusterSpec with
 // nothing to move must not perturb the per-host loops, fault-free or
 // faulted), migration and admission behaviour on a three-host fleet,
+// the flash-crowd acceptance bound (migration beats pausing),
 // record→replay byte-identity for runs with migrations and rejections,
 // the cluster fields of the run-log line format, and coordinator
 // checkpoint/restore.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +19,9 @@
 #include "harness/scenario_file.hpp"
 #include "replay/replay.hpp"
 #include "replay/run_log.hpp"
+#include "trace/trace.hpp"
 #include "util/check.hpp"
+#include "util/strings.hpp"
 
 namespace stayaway::harness {
 namespace {
@@ -228,6 +232,78 @@ TEST(ClusterCoordinator, AdmissionRejectsWhenBudgetNeverClears) {
     saw_reject = saw_reject || e.find("reject vm=doomed") != std::string::npos;
   }
   EXPECT_TRUE(saw_reject);
+}
+
+/// Three flash-crowd hosts: "front" at full load surges 60..120 s, the
+/// two spares idle at a quarter of its crowd (a constant trace is the
+/// load fraction under flash_crowd.hpp's absolute scaling). A 4-core
+/// cpubomb is the mobile batch VM, homed on front from 15 s.
+FleetSpec flash_crowd_fleet(bool migrate) {
+  constexpr double kDuration = 240.0;
+  auto host = [](const char* name, double load, std::uint64_t seed) {
+    ExperimentSpec spec;
+    spec.sensitive = SensitiveKind::FlashCrowd;
+    spec.batch = BatchKind::None;
+    spec.policy = PolicyKind::StayAway;
+    spec.duration_s = kDuration;
+    spec.seed = seed;
+    if (load < 1.0) spec.workload = trace::Trace({load}, kDuration);
+    return FleetHostSpec{name, std::move(spec)};
+  };
+  FleetSpec fleet;
+  fleet.hosts.push_back(host("front", 1.0, 11));
+  fleet.hosts.push_back(host("spare-a", 0.25, 12));
+  fleet.hosts.push_back(host("spare-b", 0.25, 13));
+  ClusterSpec cs;
+  cs.config.migrate = migrate;
+  cs.mobile.push_back({"crunch", BatchKind::CpuBomb, "front", 15.0});
+  fleet.cluster = std::move(cs);
+  return fleet;
+}
+
+struct FleetTotals {
+  std::size_t violations = 0;
+  double batch_core_s = 0.0;
+  std::size_t migrations = 0;
+  std::vector<std::string> events;
+};
+
+FleetTotals run_totals(const FleetSpec& spec) {
+  FleetResult r = run_fleet(spec);
+  FleetTotals t;
+  for (const FleetHostResult& host : r.hosts) {
+    t.violations += host.result.violation_periods;
+    t.batch_core_s += host.result.batch_cpu_work;
+  }
+  if (r.cluster.has_value()) {
+    t.migrations = r.cluster->migrations;
+    t.events = r.cluster->events;
+  }
+  return t;
+}
+
+TEST(ClusterCoordinator, FlashCrowdMigrationBeatsPausing) {
+  // When the surge hits front, pausing leaves the bomb idle on front for
+  // the length of the crowd; migration moves it to a calm spare, where it
+  // keeps crunching. Migration must strictly win on BOTH fleet-wide
+  // violation periods and batch core-seconds (EXPERIMENTS.md, cluster
+  // row: 6 vs 1 violations, 556.7 vs 786.4 core-s).
+  FleetTotals pausing = run_totals(flash_crowd_fleet(false));
+  FleetTotals migration = run_totals(flash_crowd_fleet(true));
+
+  EXPECT_GE(migration.migrations, 1u);
+  EXPECT_LT(migration.violations, pausing.violations);
+  EXPECT_GT(migration.batch_core_s, pausing.batch_core_s);
+
+  EXPECT_EQ(pausing.violations, 6u);
+  EXPECT_EQ(format_double(pausing.batch_core_s, 1), "556.7");
+  EXPECT_EQ(pausing.migrations, 0u);
+  EXPECT_EQ(migration.violations, 1u);
+  EXPECT_EQ(format_double(migration.batch_core_s, 1), "786.4");
+  EXPECT_EQ(migration.migrations, 1u);
+  EXPECT_EQ(migration.events,
+            std::vector<std::string>{
+                "period=62 migrate vm=crunch from=front to=spare-a"});
 }
 
 // --- Record/replay -----------------------------------------------------

@@ -2,8 +2,6 @@
 // lock-cheap metrics registry, event sinks and span timers.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -272,23 +270,6 @@ TEST(Observer, DisabledSpanIsNoop) {
   no_sink.emit(Event(0.0, "period"));
   no_sink.flush();
   EXPECT_EQ(no_sink.metrics().snapshot().histograms.size(), 1u);
-}
-
-TEST(Observer, BenchRecordGatedOnEnv) {
-  MetricsRegistry reg;
-  reg.counter("x").inc();
-  // Unset env -> no record written, false returned.
-  ::unsetenv("STAYAWAY_BENCH_JSON_DIR");
-  EXPECT_FALSE(write_bench_record("obs_unit", reg));
-  ::setenv("STAYAWAY_BENCH_JSON_DIR", ::testing::TempDir().c_str(), 1);
-  EXPECT_TRUE(write_bench_record("obs_unit", reg));
-  std::ifstream in(::testing::TempDir() + "/BENCH_obs_unit.json");
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  JsonValue root = JsonValue::parse(buf.str());
-  EXPECT_DOUBLE_EQ(root.find("counters")->find("x")->as_double(), 1.0);
-  ::unsetenv("STAYAWAY_BENCH_JSON_DIR");
 }
 
 }  // namespace
