@@ -50,7 +50,7 @@ RuleScore replay(const OfflineData& data, double fixed_radius) {
     bool flag = flagged_by(known, rec.state, fixed_radius);
     if (flag) ++out.flagged;
     out.tally.score(flag, rec.violation_observed);
-    if (rec.violation_observed) known.mark_violation(rec.representative);
+    if (rec.violation_observed) known.force_violation(rec.representative);
   }
   return out;
 }

@@ -3,6 +3,9 @@
 #
 #   ./ci.sh                      tier-1 + ASan/UBSan (the historical default)
 #   ./ci.sh --tier1              configure, build, ctest (the gate, ROADMAP.md)
+#   ./ci.sh --release            Release (-O3, NDEBUG) build of every target
+#                                plus the full suite, so optimizer-only
+#                                warnings fail CI like any other warning
 #   ./ci.sh --asan               AddressSanitizer + UBSan, Debug, full suite
 #   ./ci.sh --tsan               ThreadSanitizer, full suite (data races in the
 #                                fleet worker pool — the only threads — and
@@ -71,10 +74,10 @@
 #                                annotations (skipped otherwise)
 #   ./ci.sh --all                every leg above
 #
-# Each leg builds in its own tree (build, build-asan, build-tsan,
-# build-paranoid) so configurations never contaminate each other. A
-# per-leg pass/fail summary prints at the end; the exit code is non-zero
-# when any requested leg failed. Warnings are errors in every leg
+# Each leg builds in its own tree (build, build-release, build-asan,
+# build-tsan, build-paranoid) so configurations never contaminate each
+# other. A per-leg pass/fail summary prints at the end; the exit code is
+# non-zero when any requested leg failed. Warnings are errors in every leg
 # (-Wall -Wextra -Wpedantic -Wshadow -Wconversion -Werror via
 # STAYAWAY_STRICT_WARNINGS/STAYAWAY_WERROR, default ON).
 set -uo pipefail
@@ -86,6 +89,7 @@ LEGS=()
 for arg in "$@"; do
   case "$arg" in
     --tier1) LEGS+=(tier1) ;;
+    --release) LEGS+=(release) ;;
     --asan) LEGS+=(asan) ;;
     --tsan) LEGS+=(tsan) ;;
     --paranoid) LEGS+=(paranoid) ;;
@@ -97,9 +101,9 @@ for arg in "$@"; do
     --recovery) LEGS+=(recovery) ;;
     --analyze) LEGS+=(analyze) ;;
     --cluster) LEGS+=(cluster) ;;
-    --all) LEGS+=(tier1 asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze) ;;
+    --all) LEGS+=(tier1 release asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze) ;;
     *)
-      echo "usage: ./ci.sh [--tier1] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--all]" >&2
+      echo "usage: ./ci.sh [--tier1] [--release] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--all]" >&2
       exit 2
       ;;
   esac
@@ -120,6 +124,9 @@ run_leg() {
   case "$1" in
     tier1)
       build_and_test build
+      ;;
+    release)
+      build_and_test build-release -DCMAKE_BUILD_TYPE=Release
       ;;
     asan)
       build_and_test build-asan \

@@ -48,27 +48,9 @@ struct DegradationConfig {
   /// false nothing else reacts: the no-degradation baseline that
   /// bench_faults compares against.
   bool enabled = true;
-  /// Consecutive QoS-blind periods before the failsafe: with no violation
-  /// signal for this long, every batch VM is paused until telemetry
-  /// recovers (protecting the sensitive app is the prime directive; lost
-  /// batch throughput is the accepted cost).
-  std::size_t qos_blind_failsafe_periods = 3;
-  /// Hysteresis on recovery: consecutive fully-healthy periods required
-  /// to step one level back toward Normal (Failsafe -> Degraded ->
-  /// Normal), so a flickering sensor cannot flap the state machine.
-  std::size_t recovery_periods = 3;
-  /// Prediction vote threshold while Degraded or Failsafe. Lower than
-  /// majority_fraction: with imputed inputs the map position is less
-  /// trustworthy, so the controller pauses on weaker evidence.
-  double degraded_majority_fraction = 0.35;
   /// Delivery rounds retried for a dropped pause/resume command before
   /// the ledger gives up and surfaces the divergence.
   std::size_t actuation_max_retries = 3;
-  /// Control periods before the first retry; doubles every round.
-  std::size_t actuation_backoff_periods = 1;
-  /// Raw readings above (host capacity x this margin) quarantine as
-  /// sensor spikes.
-  double spike_margin = 2.0;
 };
 
 /// How the map over representatives is (re)computed each period.
@@ -132,13 +114,6 @@ struct StayAwayConfig {
   /// "with 5 samples to model uncertainty, we are able to achieve more
   /// than 90% accuracy" (§3.2.3).
   std::size_t prediction_samples = 5;
-  /// "Whenever a majority of the generated sample set fall within a
-  /// violation range, Stay-Away takes an action."
-  double majority_fraction = 0.5;
-  /// Observations a mode's trajectory model needs before it predicts.
-  std::size_t min_mode_observations = 6;
-  /// Bins of the step-length and angle histograms.
-  std::size_t histogram_bins = 24;
   /// When false the runtime observes, maps and predicts but never acts —
   /// used by the template-validation experiment (Fig. 18) and by the
   /// prediction-accuracy bench.
@@ -181,10 +156,6 @@ struct FleetConfig {
   /// Checkpoint every N completed periods (0 = checkpoints off; failures
   /// then recover by cold replay from period zero).
   std::size_t checkpoint_every = 0;
-  /// Stalled on_period attempts the per-stage watchdog retries in place
-  /// before escalating a StageStall to a full crash recovery. The budget
-  /// is counted in deterministic retry attempts, never wall clock.
-  std::size_t watchdog_budget = 3;
 };
 
 }  // namespace stayaway::core

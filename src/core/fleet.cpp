@@ -61,6 +61,10 @@ void FleetController::drive_period(
   // again; after this many recoveries the member is declared dead and
   // its exception surfaces through run().
   constexpr std::size_t kMaxRecoveriesPerPeriod = 3;
+  // Stalled on_period attempts the per-stage watchdog retries in place
+  // before escalating a StageStall to a full crash recovery. The budget
+  // is counted in deterministic retry attempts, never wall clock.
+  constexpr std::size_t kWatchdogBudget = 3;
   const bool supervised = static_cast<bool>(member.rebuild);
   std::size_t recoveries = 0;
   // HostCrash fires at the period boundary, before any tick of p, so
@@ -92,7 +96,7 @@ void FleetController::drive_period(
           // retry the stage in place until the budget runs out, then
           // treat the stall as a crash.
           ++member.recovery.stalls;
-          if (++stall_retries < config_.watchdog_budget) continue;
+          if (++stall_retries < kWatchdogBudget) continue;
           ++member.recovery.watchdog_trips;
           fail_time = stall->time();
         } else if (const auto* thrown =

@@ -20,9 +20,9 @@ namespace stayaway::core {
 /// Degradation state machine (DESIGN.md §12). Normal: full telemetry,
 /// paper behaviour. Degraded: running on imputed samples or a briefly
 /// blind QoS probe — decisions widen conservatively. Failsafe: QoS-blind
-/// past the configured patience — every batch VM is paused until
+/// past the failsafe patience — every batch VM is paused until
 /// telemetry recovers. Recovery steps down one level at a time with
-/// hysteresis (DegradationConfig::recovery_periods).
+/// hysteresis (kRecoveryPeriods in core/pipeline.cpp).
 enum class DegradationState {
   Normal = 0,
   Degraded = 1,
@@ -42,9 +42,9 @@ inline const char* to_string(DegradationState state) {
 }
 
 /// Everything the pipeline learned and did in one control period. Each
-/// stage owns a slice: the Mapper fills the mapping fields
+/// stage owns a slice: the StayAwayMapper fills the mapping fields
 /// (representative, state, stress, quarantine health), the
-/// ViolationForecaster the prediction fields, the Actuator the action
+/// TrajectoryForecaster the prediction fields, the Actuator the action
 /// fields; the pipeline itself stamps time/mode/QoS/degradation.
 struct PeriodRecord {
   double time = 0.0;

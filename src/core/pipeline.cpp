@@ -7,6 +7,16 @@ namespace stayaway::core {
 
 namespace {
 
+/// Consecutive QoS-blind periods before the failsafe (DESIGN.md §12):
+/// with no violation signal for this long, every batch VM is paused
+/// until telemetry recovers (protecting the sensitive app is the prime
+/// directive; lost batch throughput is the accepted cost).
+constexpr std::size_t kQosBlindFailsafePeriods = 3;
+/// Hysteresis on recovery: consecutive fully-healthy periods required to
+/// step one level back toward Normal (Failsafe -> Degraded -> Normal),
+/// so a flickering sensor cannot flap the state machine.
+constexpr std::size_t kRecoveryPeriods = 3;
+
 /// Builds the configured SampleSource (DESIGN.md §15). The synchronous
 /// source is the default and keeps the record stream byte-identical to
 /// the historical loop; the ring source replays a diurnal trace through
@@ -56,50 +66,31 @@ StageStallError::StageStallError(double time)
       time_(time) {}
 
 HostPipeline::HostPipeline(sim::SimHost& host, const sim::QosProbe& probe,
-                           StayAwayConfig config)
-    : host_(&host), probe_(&probe), config_(std::move(config)) {
-  StageSet stages;
-  monitor::CapacityNormalizer normalizer(
-      host.spec(), monitor::HostSampler(host, config_.sampler).layout());
-  auto mapper = std::make_unique<StayAwayMapper>(
-      make_sample_source(host, config_, normalizer), std::move(normalizer),
-      config_);
-  stages.forecaster = std::make_unique<TrajectoryForecaster>(
-      config_, mapper->layout().dimension());
-  stages.actuator = std::make_unique<GovernorActuator>(config_);
-  stages.mapper = std::move(mapper);
-  init(std::move(stages));
+                           StayAwayConfig config,
+                           std::unique_ptr<Actuator> actuator)
+    : host_(&host),
+      probe_(&probe),
+      config_(std::move(config)),
+      port_(std::make_unique<SimHostActuationPort>(host)),
+      actuator_(std::move(actuator)),
+      sa_actuator_(dynamic_cast<GovernorActuator*>(actuator_.get())) {
+  SA_REQUIRE(config_.period_s > 0.0, "control period must be positive");
 }
 
 HostPipeline::HostPipeline(sim::SimHost& host, const sim::QosProbe& probe,
-                           StayAwayConfig config, StageSet stages)
-    : host_(&host), probe_(&probe), config_(std::move(config)) {
-  init(std::move(stages));
+                           StayAwayConfig config)
+    : HostPipeline(host, probe, std::move(config), nullptr) {
+  monitor::CapacityNormalizer normalizer(
+      host.spec(), monitor::HostSampler(host, config_.sampler).layout());
+  mapper_ = std::make_unique<StayAwayMapper>(
+      make_sample_source(host, config_, normalizer), std::move(normalizer),
+      config_);
+  forecaster_ = std::make_unique<TrajectoryForecaster>(
+      config_, mapper_->layout().dimension());
+  set_actuator(std::make_unique<GovernorActuator>(config_));
 }
 
 HostPipeline::~HostPipeline() = default;
-
-void HostPipeline::init(StageSet stages) {
-  SA_REQUIRE(config_.period_s > 0.0, "control period must be positive");
-  SA_REQUIRE(config_.degradation.spike_margin > 0.0,
-             "spike margin must be positive");
-  SA_REQUIRE(config_.degradation.qos_blind_failsafe_periods > 0,
-             "failsafe patience must be at least one period");
-  SA_REQUIRE(config_.degradation.recovery_periods > 0,
-             "recovery hysteresis must be at least one period");
-  SA_REQUIRE(config_.degradation.degraded_majority_fraction >= 0.0 &&
-                 config_.degradation.degraded_majority_fraction <= 1.0,
-             "degraded majority fraction must be in [0,1]");
-  SA_REQUIRE(stages.forecaster == nullptr || stages.mapper != nullptr,
-             "a forecaster needs a mapper's state space");
-  port_ = std::make_unique<SimHostActuationPort>(*host_);
-  mapper_ = std::move(stages.mapper);
-  forecaster_ = std::move(stages.forecaster);
-  actuator_ = std::move(stages.actuator);
-  sa_mapper_ = dynamic_cast<StayAwayMapper*>(mapper_.get());
-  sa_forecaster_ = dynamic_cast<TrajectoryForecaster*>(forecaster_.get());
-  sa_actuator_ = dynamic_cast<GovernorActuator*>(actuator_.get());
-}
 
 void HostPipeline::set_host_label(std::string label) {
   SA_REQUIRE(observer_ == nullptr,
@@ -111,7 +102,7 @@ void HostPipeline::install_faults(const sim::FaultPlan& plan) {
   SA_REQUIRE(records_.empty(),
              "fault plans must be installed before the first period");
   faults_.emplace(plan);
-  if (sa_mapper_ != nullptr) sa_mapper_->set_fault_injector(&*faults_);
+  if (mapper_ != nullptr) mapper_->set_fault_injector(&*faults_);
   port_->set_faults(&*faults_);
 }
 
@@ -187,11 +178,11 @@ void HostPipeline::update_degradation(const monitor::SampleHealth& health,
   DegradationState before = degradation_;
   bool healthy = qos_visible && !health.imputed();
   if (healthy) {
-    // Recovery is hysteretic and stepwise: recovery_periods clean periods
+    // Recovery is hysteretic and stepwise: kRecoveryPeriods clean periods
     // buy one level down, so a flapping sensor cannot bounce the loop
     // straight back to Normal.
     ++healthy_streak_;
-    if (healthy_streak_ >= config_.degradation.recovery_periods &&
+    if (healthy_streak_ >= kRecoveryPeriods &&
         degradation_ != DegradationState::Normal) {
       degradation_ = degradation_ == DegradationState::Failsafe
                          ? DegradationState::Degraded
@@ -201,7 +192,7 @@ void HostPipeline::update_degradation(const monitor::SampleHealth& health,
   } else {
     healthy_streak_ = 0;
     DegradationState escalated =
-        qos_blind_streak_ >= config_.degradation.qos_blind_failsafe_periods
+        qos_blind_streak_ >= kQosBlindFailsafePeriods
             ? DegradationState::Failsafe
             : DegradationState::Degraded;
     if (escalated > degradation_) degradation_ = escalated;
@@ -336,26 +327,26 @@ void HostPipeline::publish(const PeriodRecord& rec,
   if (rec.action == ThrottleAction::Resume) metrics_.resumes.inc();
   metrics_.beta.set(rec.beta);
   metrics_.stress.set(rec.stress);
-  if (sa_mapper_ != nullptr) {
+  if (mapper_ != nullptr) {
     metrics_.representatives.set(
-        static_cast<double>(sa_mapper_->representatives().size()));
+        static_cast<double>(mapper_->representatives().size()));
     metrics_.violation_states.set(
-        static_cast<double>(sa_mapper_->space().violation_count()));
+        static_cast<double>(mapper_->space().violation_count()));
     metrics_.embed_iterations.set(
-        static_cast<double>(sa_mapper_->embedder().total_iterations()));
+        static_cast<double>(mapper_->embedder().total_iterations()));
     metrics_.embed_cold_skips.set(
-        static_cast<double>(sa_mapper_->embedder().cold_runs_skipped()));
+        static_cast<double>(mapper_->embedder().cold_runs_skipped()));
     metrics_.embed_rebuilds.set(
-        static_cast<double>(sa_mapper_->embedder().rebuilds()));
+        static_cast<double>(mapper_->embedder().rebuilds()));
     metrics_.space_invalidations.set(
-        static_cast<double>(sa_mapper_->space().cache_invalidations()));
+        static_cast<double>(mapper_->space().cache_invalidations()));
     metrics_.space_rebuilds.set(
-        static_cast<double>(sa_mapper_->space().cache_rebuilds()));
+        static_cast<double>(mapper_->space().cache_rebuilds()));
     metrics_.sampler_samples.set(
-        static_cast<double>(sa_mapper_->source().samples_taken()));
+        static_cast<double>(mapper_->source().samples_taken()));
   }
-  if (sa_forecaster_ != nullptr) {
-    metrics_.tally_accuracy.set(sa_forecaster_->tally().accuracy());
+  if (forecaster_ != nullptr) {
+    metrics_.tally_accuracy.set(forecaster_->tally().accuracy());
   }
   if (sa_actuator_ != nullptr) {
     metrics_.governor_failed_resumes.set(

@@ -1,18 +1,19 @@
-// HostPipeline — one host's control loop as a thin composition of the
-// three stage interfaces (DESIGN.md §13): every period it stamps
-// time/mode, runs Mapper -> (QoS labelling) -> ViolationForecaster ->
-// Actuator, threads the degradation state machine between them, and
-// publishes the period to an optional passive observer. Any stage may be
-// absent: a null mapper/forecaster leaves that slice of the record at
-// its defaults, a null actuator never acts (the no-prevention shape).
+// HostPipeline — one host's control loop (DESIGN.md §13): every period
+// it stamps time/mode, runs StayAwayMapper -> (QoS labelling) ->
+// TrajectoryForecaster -> Actuator, threads the degradation state
+// machine between them, and publishes the period to an optional passive
+// observer. The Stay-Away constructor wires all three stages; the other
+// constructor wires only an actuator (the baselines) or nothing at all
+// (no-prevention), and leaves the mapping and prediction slices of the
+// record at their defaults.
 //
-// With the full Stay-Away wiring (the three-argument constructor) the
-// emitted PeriodRecord stream is byte-identical to the historical
-// monolithic control loop — the invariant every figure bench and the
-// fault golden rest on, pinned by tests/test_runtime.cpp and
-// tests/test_fleet.cpp. The pipeline owns the record history and, for
-// checkpoints, an append-only memo of its encoded text and that text's
-// running checksum (encoded_records(), DESIGN.md §17).
+// With the full Stay-Away wiring the emitted PeriodRecord stream is
+// byte-identical to the historical monolithic control loop — the
+// invariant every figure bench and the fault golden rest on, pinned by
+// tests/test_runtime.cpp and tests/test_fleet.cpp. The pipeline owns the
+// record history and, for checkpoints, an append-only memo of its
+// encoded text and that text's running checksum (encoded_records(),
+// DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
@@ -29,20 +30,12 @@
 #include "core/stages/actuator.hpp"
 #include "core/stages/forecaster.hpp"
 #include "core/stages/mapper.hpp"
-#include "core/stages/stage.hpp"
 #include "obs/observer.hpp"
 #include "sim/faults.hpp"
 #include "sim/host.hpp"
 #include "util/strings.hpp"
 
 namespace stayaway::core {
-
-/// The stages a custom pipeline is wired from. Any pointer may be null.
-struct StageSet {
-  std::unique_ptr<Mapper> mapper;
-  std::unique_ptr<ViolationForecaster> forecaster;
-  std::unique_ptr<Actuator> actuator;
-};
 
 /// Injected stage failure (sim::FaultKind::StageThrow). Raised at
 /// on_period entry before any stage state mutates, so the supervisor can
@@ -78,11 +71,12 @@ class HostPipeline {
   HostPipeline(sim::SimHost& host, const sim::QosProbe& probe,
                StayAwayConfig config);
 
-  /// Custom wiring: drive the given stages (each may be null). The
+  /// Actuator-only wiring (the baselines), or an empty pipeline that
+  /// only records periods when `actuator` is null (no-prevention). The
   /// degradation machinery still runs off config.degradation, and the
   /// actuator receives this pipeline's fault-aware ActuationPort.
   HostPipeline(sim::SimHost& host, const sim::QosProbe& probe,
-               StayAwayConfig config, StageSet stages);
+               StayAwayConfig config, std::unique_ptr<Actuator> actuator);
 
   ~HostPipeline();
   HostPipeline(const HostPipeline&) = delete;
@@ -164,14 +158,15 @@ class HostPipeline {
   /// Resume released, and why.
   const Actuator::Outcome& last_outcome() const { return last_outcome_; }
 
-  /// Typed views of the default stages; null when a custom StageSet
-  /// supplied a different implementation (or none).
-  StayAwayMapper* stay_away_mapper() { return sa_mapper_; }
-  const StayAwayMapper* stay_away_mapper() const { return sa_mapper_; }
-  TrajectoryForecaster* trajectory_forecaster() { return sa_forecaster_; }
+  /// The mapping and prediction stages; null unless the pipeline was
+  /// built with the Stay-Away constructor.
+  StayAwayMapper* stay_away_mapper() { return mapper_.get(); }
+  const StayAwayMapper* stay_away_mapper() const { return mapper_.get(); }
+  TrajectoryForecaster* trajectory_forecaster() { return forecaster_.get(); }
   const TrajectoryForecaster* trajectory_forecaster() const {
-    return sa_forecaster_;
+    return forecaster_.get();
   }
+  /// Typed view of the actuator; null when it is not a GovernorActuator.
   GovernorActuator* governor_actuator() { return sa_actuator_; }
   const GovernorActuator* governor_actuator() const { return sa_actuator_; }
 
@@ -187,7 +182,6 @@ class HostPipeline {
   const Actuator* actuator() const { return actuator_.get(); }
 
  private:
-  void init(StageSet stages);
   /// Updates the degradation state machine with this period's health.
   void update_degradation(const monitor::SampleHealth& health,
                           bool qos_visible);
@@ -199,12 +193,10 @@ class HostPipeline {
   const sim::QosProbe* probe_;
   StayAwayConfig config_;
   std::unique_ptr<SimHostActuationPort> port_;
-  std::unique_ptr<Mapper> mapper_;
-  std::unique_ptr<ViolationForecaster> forecaster_;
   std::unique_ptr<Actuator> actuator_;
-  StayAwayMapper* sa_mapper_ = nullptr;
-  TrajectoryForecaster* sa_forecaster_ = nullptr;
   GovernorActuator* sa_actuator_ = nullptr;
+  std::unique_ptr<StayAwayMapper> mapper_;
+  std::unique_ptr<TrajectoryForecaster> forecaster_;
   std::string label_;
   // --- Degraded-mode control loop (DESIGN.md §12). ----------------------
   std::optional<sim::FaultInjector> faults_;

@@ -6,6 +6,20 @@
 
 namespace stayaway::core {
 
+namespace {
+
+/// Control periods before the first retry of a dropped pause/resume
+/// command (DESIGN.md §12); the wait doubles every round.
+constexpr double kActuationBackoffPeriods = 1.0;
+
+/// Wait before delivery round `attempts + 1` of a dropped command.
+double retry_backoff(double period_s, std::size_t attempts) {
+  return kActuationBackoffPeriods * period_s *
+         static_cast<double>(1ULL << (attempts - 1));
+}
+
+}  // namespace
+
 GovernorActuator::GovernorActuator(const StayAwayConfig& config)
     : actions_enabled_(config.actions_enabled),
       allow_sensitive_demotion_(config.allow_sensitive_demotion),
@@ -95,10 +109,8 @@ std::size_t GovernorActuator::reconcile_actuation(ActuationPort& port,
     actuation_abandoned_total_ += pending_->targets.size();
     abandon_pending();
   } else {
-    double backoff =
-        static_cast<double>(degradation_.actuation_backoff_periods) *
-        period_s_ * static_cast<double>(1ULL << (pending_->attempts - 1));
-    pending_->next_retry_time = now + backoff;
+    pending_->next_retry_time =
+        now + retry_backoff(period_s_, pending_->attempts);
   }
   return reissued;
 }
@@ -198,11 +210,9 @@ void GovernorActuator::apply_action(ActuationPort& port, ThrottleAction action,
       failsafe_pause_ = failsafe_all_batch;
       pending_.reset();
       if (!undelivered.empty() && degradation_.enabled) {
-        double backoff =
-            static_cast<double>(degradation_.actuation_backoff_periods) *
-            period_s_;
         pending_ = PendingActuation{ThrottleAction::Pause,
-                                    std::move(undelivered), 1, now + backoff,
+                                    std::move(undelivered), 1,
+                                    now + retry_backoff(period_s_, 1),
                                     failsafe_all_batch};
       }
       return;
@@ -222,11 +232,9 @@ void GovernorActuator::apply_action(ActuationPort& port, ThrottleAction action,
       failsafe_pause_ = false;
       pending_.reset();
       if (!undelivered.empty() && degradation_.enabled) {
-        double backoff =
-            static_cast<double>(degradation_.actuation_backoff_periods) *
-            period_s_;
         pending_ = PendingActuation{ThrottleAction::Resume,
-                                    std::move(undelivered), 1, now + backoff,
+                                    std::move(undelivered), 1,
+                                    now + retry_backoff(period_s_, 1),
                                     releasing_failsafe};
       }
       return;

@@ -6,15 +6,29 @@
 
 namespace stayaway::core {
 
+namespace {
+
+/// Bins of the step-length and angle histograms.
+constexpr std::size_t kHistogramBins = 24;
+/// "Whenever a majority of the generated sample set fall within a
+/// violation range, Stay-Away takes an action."
+constexpr double kMajorityFraction = 0.5;
+/// Observations a mode's trajectory model needs before it predicts.
+constexpr std::size_t kMinModeObservations = 6;
+/// Vote threshold while Degraded or Failsafe (DESIGN.md §12). Lower than
+/// kMajorityFraction: with imputed inputs the map position is less
+/// trustworthy, so the controller pauses on weaker evidence.
+constexpr double kDegradedMajorityFraction = 0.35;
+
+}  // namespace
+
 TrajectoryForecaster::TrajectoryForecaster(const StayAwayConfig& config,
                                            std::size_t dimension)
     : modes_(/*max_step=*/std::sqrt(static_cast<double>(dimension)),
-             config.histogram_bins),
-      predictor_(config.prediction_samples, config.majority_fraction,
-                 config.min_mode_observations),
-      rng_(config.seed ^ 0x5eedF00dULL),
-      degraded_majority_fraction_(
-          config.degradation.degraded_majority_fraction) {}
+             kHistogramBins),
+      predictor_(config.prediction_samples, kMajorityFraction,
+                 kMinModeObservations),
+      rng_(config.seed ^ 0x5eedF00dULL) {}
 
 void TrajectoryForecaster::forecast(const StateSpace& space, PeriodRecord& rec,
                                     bool widened, obs::Observer* observer) {
@@ -33,7 +47,7 @@ void TrajectoryForecaster::forecast(const StateSpace& space, PeriodRecord& rec,
   // shift the random stream (the no-fault golden test depends on that).
   Prediction prediction =
       widened ? predictor_.predict(space, modes_, rec.mode, rec.state, rng_,
-                                   degraded_majority_fraction_)
+                                   kDegradedMajorityFraction)
               : predictor_.predict(space, modes_, rec.mode, rec.state, rng_);
   rec.model_ready = prediction.model_ready;
   rec.violation_predicted = prediction.violation_predicted;

@@ -7,34 +7,41 @@
 #include <optional>
 
 #include "core/config.hpp"
+#include "core/period.hpp"
 #include "core/predictor.hpp"
-#include "core/stages/stage.hpp"
+#include "core/statespace.hpp"
 #include "core/trajectory.hpp"
+#include "obs/observer.hpp"
 #include "util/rng.hpp"
+#include "util/statecodec.hpp"
 
 namespace stayaway::core {
 
-class TrajectoryForecaster final : public ViolationForecaster {
+class TrajectoryForecaster {
  public:
   /// `dimension` is the metric-space dimension (bounds the trajectory
   /// step length, since normalized coordinates live in [0,1]^dimension).
   TrajectoryForecaster(const StayAwayConfig& config, std::size_t dimension);
 
+  /// Observes the latest within-mode trajectory step, fills
+  /// rec.model_ready and rec.violation_predicted, and scores last
+  /// period's forecast against this period's realised position.
+  /// `widened` lowers the vote threshold under degraded telemetry without
+  /// shifting the RNG stream.
   void forecast(const StateSpace& space, PeriodRecord& rec, bool widened,
-                obs::Observer* observer) override;
+                obs::Observer* observer);
 
   const ModeTrajectories& trajectories() const { return modes_; }
   const PredictionTally& tally() const { return tally_; }
 
   /// Snapshot of the per-mode trajectory models, vote RNG, the carried
   /// previous-period observation and the accuracy tally (DESIGN.md §17).
-  void persist(util::StateIO& io) override;
+  void persist(util::StateIO& io);
 
  private:
   ModeTrajectories modes_;
   Predictor predictor_;
   Rng rng_;
-  double degraded_majority_fraction_;
   std::optional<std::size_t> prev_rep_;
   std::optional<monitor::ExecutionMode> prev_mode_;
   std::optional<bool> prev_predicted_;  // last period's passive prediction

@@ -8,16 +8,20 @@ namespace stayaway::core {
 
 namespace {
 
+/// Raw readings above (host capacity x this margin) quarantine as sensor
+/// spikes (DESIGN.md §12).
+constexpr double kSpikeMargin = 2.0;
+
 /// Plausible upper bound of every raw reading: host capacity times the
 /// spike margin. Feeds the validate-and-quarantine stage.
 std::vector<double> quarantine_bounds(
-    const monitor::CapacityNormalizer& normalizer, double spike_margin) {
+    const monitor::CapacityNormalizer& normalizer) {
   const monitor::MetricLayout& layout = normalizer.layout();
   std::vector<double> bounds(layout.dimension(), 0.0);
   for (std::size_t e = 0; e < layout.entities.size(); ++e) {
     for (std::size_t k = 0; k < layout.metrics.size(); ++k) {
       bounds[layout.index_of(e, k)] =
-          normalizer.capacity_of(layout.metrics[k]) * spike_margin;
+          normalizer.capacity_of(layout.metrics[k]) * kSpikeMargin;
     }
   }
   return bounds;
@@ -30,8 +34,7 @@ StayAwayMapper::StayAwayMapper(std::unique_ptr<monitor::SampleSource> source,
                                const StayAwayConfig& config)
     : source_(std::move(source)),
       normalizer_(std::move(normalizer)),
-      quarantine_(
-          quarantine_bounds(normalizer_, config.degradation.spike_margin)),
+      quarantine_(quarantine_bounds(normalizer_)),
       reps_(config.dedup_epsilon, config.max_representatives),
       embedder_(config.embed_method, config.landmark_count,
                 config.warm_skip_stress) {
@@ -111,7 +114,7 @@ void StayAwayMapper::seed_template(const StateTemplate& t) {
     if (assignment.is_new) {
       space_.add_state(entry.label);
     } else if (entry.label == StateLabel::Violation) {
-      space_.mark_violation(assignment.representative);
+      space_.force_violation(assignment.representative);
     }
   }
   space_.sync_positions(embedder_.update(reps_));

@@ -20,17 +20,19 @@
 
 #include "core/config.hpp"
 #include "core/embedder.hpp"
-#include "core/stages/stage.hpp"
+#include "core/period.hpp"
 #include "core/statespace.hpp"
 #include "core/template_store.hpp"
 #include "monitor/health.hpp"
 #include "monitor/normalizer.hpp"
 #include "monitor/representative.hpp"
 #include "monitor/sample_source.hpp"
+#include "obs/observer.hpp"
+#include "util/statecodec.hpp"
 
 namespace stayaway::core {
 
-class StayAwayMapper final : public Mapper {
+class StayAwayMapper {
  public:
   /// `source` and `normalizer` must describe the same layout (the
   /// pipeline builds both from the host).
@@ -38,10 +40,15 @@ class StayAwayMapper final : public Mapper {
                  monitor::CapacityNormalizer normalizer,
                  const StayAwayConfig& config);
 
-  monitor::SampleHealth map(PeriodRecord& rec,
-                            obs::Observer* observer) override;
-  void observe_qos(std::size_t representative, bool violated) override;
-  const StateSpace& space() const override { return space_; }
+  /// Fills rec.quarantined_dims, max_staleness, representative,
+  /// new_representative, state and stress, and returns the sample health
+  /// for the pipeline's degradation tracking.
+  monitor::SampleHealth map(PeriodRecord& rec, obs::Observer* observer);
+  /// One (visit, violated?) evidence observation; the pipeline calls it
+  /// only on QoS-visible periods.
+  void observe_qos(std::size_t representative, bool violated);
+  /// The labelled map the forecaster predicts over.
+  const StateSpace& space() const { return space_; }
 
   /// Sensor faults from the plan apply to every sample (and a streaming
   /// source additionally schedules the plan's ingest anomalies); nullptr
@@ -70,12 +77,11 @@ class StayAwayMapper final : public Mapper {
   std::size_t duplicate_samples() const {
     return quarantine_.total_duplicates();
   }
-  bool mapped_any_period() const { return mapped_any_period_; }
 
   /// Snapshot of the whole mapping chain: source/sampler RNG, quarantine,
   /// representative set, state space, embedder layout, and the carried
   /// representative (DESIGN.md §17).
-  void persist(util::StateIO& io) override;
+  void persist(util::StateIO& io);
 
  private:
   std::unique_ptr<monitor::SampleSource> source_;
@@ -88,6 +94,7 @@ class StayAwayMapper final : public Mapper {
   /// Representative of the most recent assigned sample, carried across
   /// periods whose drain delivered nothing.
   std::size_t last_representative_ = 0;
+  /// Set by the first map(); kept in the checkpoint body (DESIGN.md §17).
   bool mapped_any_period_ = false;
 };
 

@@ -48,8 +48,6 @@ class StateSpace {
   /// Marks state i as a violation-state unconditionally (template import;
   /// irreversible).
   void force_violation(std::size_t i);
-  /// Backwards-compatible alias for force_violation().
-  void mark_violation(std::size_t i) { force_violation(i); }
 
   /// Replaces all positions after a re-embedding. Size must match.
   void sync_positions(const mds::Embedding& positions);

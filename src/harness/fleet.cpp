@@ -51,19 +51,15 @@ std::unique_ptr<core::HostPipeline> make_pipeline(
     }
     case PolicyKind::NoPrevention:
       return std::make_unique<core::HostPipeline>(
-          *rig.host, *rig.probe, std::move(sa_config), core::StageSet{});
-    case PolicyKind::Reactive: {
-      core::StageSet stages;
-      stages.actuator = std::make_unique<baseline::ReactiveActuator>();
+          *rig.host, *rig.probe, std::move(sa_config), nullptr);
+    case PolicyKind::Reactive:
       return std::make_unique<core::HostPipeline>(
-          *rig.host, *rig.probe, std::move(sa_config), std::move(stages));
-    }
-    case PolicyKind::StaticThreshold: {
-      core::StageSet stages;
-      stages.actuator = std::make_unique<baseline::StaticThresholdActuator>();
+          *rig.host, *rig.probe, std::move(sa_config),
+          std::make_unique<baseline::ReactiveActuator>());
+    case PolicyKind::StaticThreshold:
       return std::make_unique<core::HostPipeline>(
-          *rig.host, *rig.probe, std::move(sa_config), std::move(stages));
-    }
+          *rig.host, *rig.probe, std::move(sa_config),
+          std::make_unique<baseline::StaticThresholdActuator>());
   }
   SA_CHECK(false, "unknown policy kind");
   return nullptr;
@@ -146,7 +142,6 @@ FleetResult run_fleet(const FleetSpec& spec) {
   core::FleetConfig controller_config;
   controller_config.workers = spec.workers;
   controller_config.checkpoint_every = spec.checkpoint_every;
-  controller_config.watchdog_budget = spec.watchdog_budget;
   core::FleetController controller(controller_config);
 
   // --- Cluster coordination (DESIGN.md §18). --------------------------

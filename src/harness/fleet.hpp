@@ -86,8 +86,6 @@ struct FleetSpec {
   /// Supervisor checkpoint cadence in periods (0 = off; crash recovery
   /// then cold-replays from period zero — byte-identical either way).
   std::size_t checkpoint_every = 0;
-  /// Stall retries before the watchdog escalates to a crash recovery.
-  std::size_t watchdog_budget = 3;
   /// When true each host's final checkpoint lands in
   /// FleetHostResult::final_checkpoint — what `stayaway_sim
   /// --checkpoint-dir` writes to disk.

@@ -48,23 +48,6 @@ std::string render_qos_figure(const std::string& title,
                     {"stay-away", "no-prevention", "threshold"}, opts);
 }
 
-std::string render_state_space(const std::string& title,
-                               const core::StateSpace& space) {
-  ScatterGroup safe{"safe", '.', {}};
-  ScatterGroup violation{"violation", '#', {}};
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    const auto& p = space.position(i);
-    if (space.label(i) == core::StateLabel::Violation) {
-      violation.points.emplace_back(p.x, p.y);
-    } else {
-      safe.points.emplace_back(p.x, p.y);
-    }
-  }
-  PlotOptions opts;
-  opts.title = title;
-  return plot_scatter({safe, violation}, opts);
-}
-
 double series_mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double acc = 0.0;

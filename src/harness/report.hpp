@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/statespace.hpp"
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
 
@@ -25,11 +24,6 @@ void print_summary_header(std::ostream& out);
 std::string render_qos_figure(const std::string& title,
                               const ExperimentResult& with,
                               const ExperimentResult& without);
-
-/// Renders a state-space scatter with safe/violation groups (Figs. 5-7,
-/// 17-18 shape).
-std::string render_state_space(const std::string& title,
-                               const core::StateSpace& space);
 
 /// Mean of a series (0 for empty).
 double series_mean(const std::vector<double>& xs);

@@ -106,7 +106,7 @@ SensitiveSetup make_sensitive(SensitiveKind kind,
       return out;
     }
   }
-  SA_ENSURE(false, "unhandled sensitive kind");
+  SA_CHECK(false, "unhandled sensitive kind");
 }
 
 std::vector<std::unique_ptr<sim::AppModel>> make_batch(BatchKind kind) {
@@ -144,7 +144,7 @@ std::vector<std::unique_ptr<sim::AppModel>> make_batch(BatchKind kind) {
       out.push_back(std::make_unique<apps::MemBomb>());
       return out;
   }
-  SA_ENSURE(false, "unhandled batch kind");
+  SA_CHECK(false, "unhandled batch kind");
 }
 
 trace::Trace compressed_diurnal(double experiment_s, double cycles,

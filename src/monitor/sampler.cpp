@@ -56,11 +56,7 @@ Measurement HostSampler::sample() {
       v = std::max(0.0, v * (1.0 + rng_.normal(0.0, options_.noise_fraction)));
     }
   }
-  if (injector_ != nullptr) {
-    last_fault_report_ = injector_->corrupt_sample(m.time, m.values);
-  } else {
-    last_fault_report_ = sim::SensorFaultReport{};
-  }
+  if (injector_ != nullptr) injector_->corrupt_sample(m.time, m.values);
   return m;
 }
 

@@ -48,12 +48,6 @@ class HostSampler {
     injector_ = injector;
   }
 
-  /// What the injector did to the most recent sample (empty report when
-  /// no injector is attached or no fault fired).
-  const sim::SensorFaultReport& last_fault_report() const {
-    return last_fault_report_;
-  }
-
   /// Measurements taken so far (observability).
   std::size_t samples_taken() const { return samples_taken_; }
 
@@ -74,7 +68,6 @@ class HostSampler {
   std::size_t layout_vm_count_ = 0;
   Rng rng_;
   sim::FaultInjector* injector_ = nullptr;
-  sim::SensorFaultReport last_fault_report_;
   std::size_t samples_taken_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "obs/events.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -72,110 +71,6 @@ std::vector<Event> parse_jsonl(std::istream& in) {
     out.push_back(Event::from_json(JsonValue::parse(line)));
   }
   return out;
-}
-
-void TextSink::emit(const Event& e) {
-  std::ostringstream line;
-  line << "t=" << e.time << " " << e.type;
-  for (const auto& [k, v] : e.fields) {
-    line << " " << k << "=";
-    if (v.is_string()) {
-      line << v.as_string();  // unquoted: this sink is for humans
-    } else {
-      v.dump(line);
-    }
-  }
-  line << "\n";
-  util::MutexLock lock(mu_);
-  *out_ << line.str();
-}
-
-void TextSink::flush() {
-  util::MutexLock lock(mu_);
-  out_->flush();
-}
-
-CsvSummarySink::~CsvSummarySink() {
-  // Best-effort final flush; an explicit flush() beforehand is cleaner.
-  // The buffered/flushed state is inspected under the same lock
-  // acquisition that writes the table: the historical unlocked
-  // events_.empty() peek here was the one read of guarded state outside
-  // mu_ that the thread-safety annotations flagged.
-  util::MutexLock lock(mu_);
-  if (!events_.empty() || !flushed_) flush_locked();
-}
-
-void CsvSummarySink::emit(const Event& e) {
-  if (e.type != type_) return;
-  util::MutexLock lock(mu_);
-  events_.push_back(e);
-}
-
-std::size_t CsvSummarySink::buffered() const {
-  util::MutexLock lock(mu_);
-  return events_.size();
-}
-
-void CsvSummarySink::flush() {
-  util::MutexLock lock(mu_);
-  flush_locked();
-}
-
-void CsvSummarySink::flush_locked() {
-  flushed_ = true;
-  std::vector<std::string> columns{"t"};
-  for (const auto& e : events_) {
-    for (const auto& [k, v] : e.fields) {
-      if (std::find(columns.begin(), columns.end(), k) == columns.end()) {
-        columns.push_back(k);
-      }
-    }
-  }
-  auto csv_cell = [](std::ostream& out, const JsonValue& v) {
-    if (v.is_string()) {
-      const std::string& s = v.as_string();
-      if (s.find_first_of(",\"\n") != std::string::npos) {
-        out << '"';
-        for (char c : s) {
-          if (c == '"') out << "\"\"";
-          else out << c;
-        }
-        out << '"';
-      } else {
-        out << s;
-      }
-    } else {
-      v.dump(out);
-    }
-  };
-
-  std::ostream& out = *out_;
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    if (i > 0) out << ',';
-    out << columns[i];
-  }
-  out << "\n";
-  for (const auto& e : events_) {
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      if (i > 0) out << ',';
-      if (columns[i] == "t") {
-        JsonValue(e.time).dump(out);
-      } else if (const JsonValue* v = e.find(columns[i])) {
-        csv_cell(out, *v);
-      }
-    }
-    out << "\n";
-  }
-  events_.clear();
-  out.flush();
-}
-
-void MultiSink::emit(const Event& e) {
-  for (EventSink* s : sinks_) s->emit(e);
-}
-
-void MultiSink::flush() {
-  for (EventSink* s : sinks_) s->flush();
 }
 
 }  // namespace stayaway::obs

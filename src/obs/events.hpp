@@ -1,14 +1,14 @@
 // Structured event stream: the control loop narrates what it did each
 // period (phase spans, decisions, pause/resume transitions) as typed
-// events routed through pluggable sinks — machine-readable JSONL, a CSV
-// summary of one event type, or a human text log. Sinks are passive:
-// emitting an event never feeds back into the control decisions.
+// events routed through a pluggable sink — JsonlSink, the canonical
+// machine-readable stream. Sinks are passive: emitting an event never
+// feeds back into the control decisions.
 //
-// The sinks defined here serialize emit/flush internally, so one sink
-// may be shared by the concurrent host pipelines of a fleet (DESIGN.md
-// §13); lines from different hosts interleave whole, never mid-line.
-// Custom EventSink implementations attached to a multi-worker fleet
-// must do the same.
+// JsonlSink serializes emit/flush internally, so one sink may be shared
+// by the concurrent host pipelines of a fleet (DESIGN.md §13); lines
+// from different hosts interleave whole, never mid-line. Custom
+// EventSink implementations attached to a multi-worker fleet must do
+// the same.
 #pragma once
 
 #include <iosfwd>
@@ -69,55 +69,5 @@ class JsonlSink final : public EventSink {
 /// Parses a JSONL document back into events (round-trip testing and
 /// offline analysis). Blank lines are skipped; malformed lines throw.
 std::vector<Event> parse_jsonl(std::istream& in);
-
-/// Human-readable one-line-per-event log.
-class TextSink final : public EventSink {
- public:
-  explicit TextSink(std::ostream& out) : out_(&out) {}
-  void emit(const Event& e) override;
-  void flush() override;
-
- private:
-  mutable util::Mutex mu_;
-  std::ostream* out_ SA_PT_GUARDED_BY(mu_);
-};
-
-/// Collects every event of one type and writes them as a CSV table on
-/// flush: columns are the union of field keys in first-seen order.
-class CsvSummarySink final : public EventSink {
- public:
-  CsvSummarySink(std::ostream& out, std::string event_type)
-      : out_(&out), type_(std::move(event_type)) {}
-  ~CsvSummarySink() override;
-  void emit(const Event& e) override;
-  /// Writes the table (header + one row per event) and clears the buffer.
-  void flush() override;
-  std::size_t buffered() const;
-
- private:
-  void flush_locked() SA_REQUIRES(mu_);
-
-  mutable util::Mutex mu_;
-  std::ostream* out_ SA_PT_GUARDED_BY(mu_);
-  // sa-lint: unguarded(immutable after construction; emit's type filter
-  // reads it without the lock by design)
-  const std::string type_;
-  std::vector<Event> events_ SA_GUARDED_BY(mu_);
-  bool flushed_ SA_GUARDED_BY(mu_) = false;
-};
-
-/// Fans one event out to several sinks (non-owning).
-class MultiSink final : public EventSink {
- public:
-  MultiSink() = default;
-  explicit MultiSink(std::vector<EventSink*> sinks)
-      : sinks_(std::move(sinks)) {}
-  void add(EventSink* sink) { sinks_.push_back(sink); }
-  void emit(const Event& e) override;
-  void flush() override;
-
- private:
-  std::vector<EventSink*> sinks_;
-};
 
 }  // namespace stayaway::obs

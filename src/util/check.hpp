@@ -18,8 +18,6 @@
 //                           --paranoid). Full-audit tier: O(n^2) matrix
 //                           symmetry sweeps, probability-mass sums, range
 //                           re-derivations. Not evaluated when disabled.
-//
-// SA_ENSURE is the historical name of SA_CHECK and remains as an alias.
 #pragma once
 
 #include <stdexcept>
@@ -81,9 +79,6 @@ namespace detail {
       ::stayaway::detail::fail_invariant(#expr, __FILE__, __LINE__, (msg));        \
     }                                                                              \
   } while (false)
-
-/// Historical alias for SA_CHECK.
-#define SA_ENSURE(expr, msg) SA_CHECK(expr, msg)
 
 // The disabled forms still name-check expr and msg (so a disabled check
 // cannot rot) but never evaluate them: `false && (expr)` short-circuits.

@@ -73,7 +73,7 @@ Step step(core::Actuator& actuator, Rig& rig) {
 TEST(NoPrevention, NeverActs) {
   Rig rig;
   core::HostPipeline pipeline(rig.host, *rig.probe, core::StayAwayConfig{},
-                              core::StageSet{});
+                              nullptr);
   for (int p = 0; p < 20; ++p) {
     rig.host.run(10);
     EXPECT_EQ(pipeline.on_period().action, core::ThrottleAction::None);
@@ -194,7 +194,7 @@ TEST(StaticThreshold, InvalidHysteresisRejected) {
 TEST(BaselineOutcome, NoPreventionAlwaysNone) {
   Rig rig;
   core::HostPipeline pipeline(rig.host, *rig.probe, core::StayAwayConfig{},
-                              core::StageSet{});
+                              nullptr);
   rig.host.run(10);
   const core::PeriodRecord& rec = pipeline.on_period();
   EXPECT_EQ(rec.action, core::ThrottleAction::None);

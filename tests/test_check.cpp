@@ -24,10 +24,6 @@ TEST(Check, CheckThrowsInvariantErrorWhenFalse) {
   EXPECT_THROW(SA_CHECK(false, "broken"), std::logic_error);
 }
 
-TEST(Check, EnsureIsAnAliasForCheck) {
-  EXPECT_THROW(SA_ENSURE(false, "legacy name"), InvariantError);
-}
-
 TEST(Check, MessageCarriesExpressionLocationAndText) {
   try {
     SA_CHECK(2 < 1, "two is not less than one");

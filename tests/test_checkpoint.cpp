@@ -82,13 +82,11 @@ void expect_records_byte_identical(
 
 /// Runs `spec` as a supervised fleet of one and returns the host result.
 FleetHostResult run_supervised(const ExperimentSpec& spec,
-                               std::size_t checkpoint_every = 0,
-                               std::size_t watchdog_budget = 3) {
+                               std::size_t checkpoint_every = 0) {
   FleetSpec fleet;
   fleet.hosts.push_back({"solo", spec});
   fleet.supervise = true;
   fleet.checkpoint_every = checkpoint_every;
-  fleet.watchdog_budget = watchdog_budget;
   fleet.export_checkpoints = true;
   FleetResult r = run_fleet(fleet);
   return r.hosts.at(0);
@@ -437,7 +435,7 @@ TEST(CheckpointRecordMemo, ExportedRecordCountMatchesResult) {
 void expect_crash_run_matches_clean(
     const ExperimentSpec& clean,
     const std::vector<sim::FaultSpec>& crash_faults,
-    std::size_t checkpoint_every, std::size_t watchdog_budget,
+    std::size_t checkpoint_every,
     const std::function<void(const core::RecoveryReport&)>& check) {
   ASSERT_TRUE(clean.faults.has_value());
   FleetHostResult baseline = run_supervised(clean);
@@ -448,7 +446,7 @@ void expect_crash_run_matches_clean(
     faulted.faults->faults.push_back(f);
   }
   FleetHostResult crashed =
-      run_supervised(faulted, checkpoint_every, watchdog_budget);
+      run_supervised(faulted, checkpoint_every);
 
   expect_records_byte_identical(crashed.result.stayaway_records,
                                 baseline.result.stayaway_records);
@@ -461,18 +459,18 @@ void expect_crash_run_matches_clean(
 
 void expect_crash_run_matches_clean(
     const std::vector<sim::FaultSpec>& crash_faults,
-    std::size_t checkpoint_every, std::size_t watchdog_budget,
+    std::size_t checkpoint_every,
     const std::function<void(const core::RecoveryReport&)>& check) {
   ExperimentSpec clean = short_spec();
   clean.faults = stress_plan();
   expect_crash_run_matches_clean(clean, crash_faults, checkpoint_every,
-                                 watchdog_budget, check);
+                                 check);
 }
 
 TEST(SupervisorGolden, HostCrashColdRestartIsByteIdentical) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::HostCrash, 20.0, 21.0)},
-      /*checkpoint_every=*/0, /*watchdog_budget=*/3,
+      /*checkpoint_every=*/0,
       [](const core::RecoveryReport& r) {
         EXPECT_GE(r.crashes, 1u);
         EXPECT_GE(r.cold_starts, 1u);
@@ -486,7 +484,7 @@ TEST(SupervisorGolden, HostCrashWarmRestartIsByteIdentical) {
   // gap-replay the two periods in between.
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::HostCrash, 22.0, 23.0)},
-      /*checkpoint_every=*/5, /*watchdog_budget=*/3,
+      /*checkpoint_every=*/5,
       [](const core::RecoveryReport& r) {
         EXPECT_GE(r.crashes, 1u);
         EXPECT_EQ(r.cold_starts, 0u);
@@ -498,7 +496,7 @@ TEST(SupervisorGolden, HostCrashWarmRestartIsByteIdentical) {
 TEST(SupervisorGolden, StageThrowIsTrappedAndByteIdentical) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::StageThrow, 15.0, 16.0)},
-      /*checkpoint_every=*/5, /*watchdog_budget=*/3,
+      /*checkpoint_every=*/5,
       [](const core::RecoveryReport& r) {
         EXPECT_GE(r.stage_throws, 1u);
         EXPECT_GE(r.recoveries, 1u);
@@ -511,7 +509,7 @@ TEST(SupervisorGolden, StallWithinBudgetRecoversInPlace) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::StageStall, 17.5, 18.5, 1.0,
                 /*magnitude=*/2.0)},
-      /*checkpoint_every=*/0, /*watchdog_budget=*/3,
+      /*checkpoint_every=*/0,
       [](const core::RecoveryReport& r) {
         EXPECT_GE(r.stalls, 1u);
         EXPECT_EQ(r.watchdog_trips, 0u);
@@ -523,7 +521,7 @@ TEST(SupervisorGolden, StallBeyondBudgetTripsWatchdog) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::StageStall, 17.5, 18.5, 1.0,
                 /*magnitude=*/8.0)},
-      /*checkpoint_every=*/5, /*watchdog_budget=*/3,
+      /*checkpoint_every=*/5,
       [](const core::RecoveryReport& r) {
         EXPECT_GE(r.watchdog_trips, 1u);
         EXPECT_GE(r.recoveries, 1u);
@@ -536,7 +534,7 @@ TEST(SupervisorGolden, CorruptCheckpointFallsBackAndStaysIdentical) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::CheckpointCorrupt, 0.0, 40.0),
        fault_of(sim::FaultKind::HostCrash, 20.0, 21.0)},
-      /*checkpoint_every=*/3, /*watchdog_budget=*/3,
+      /*checkpoint_every=*/3,
       [](const core::RecoveryReport& r) {
         EXPECT_GE(r.crashes, 1u);
         EXPECT_GE(r.corrupt_checkpoints_dropped, 1u);
@@ -655,7 +653,7 @@ void expect_crash_at_22_restarts_warm(ExperimentSpec clean) {
   if (!clean.faults.has_value()) clean.faults = sim::FaultPlan{};
   expect_crash_run_matches_clean(
       clean, {fault_of(sim::FaultKind::HostCrash, 22.0, 23.0)},
-      /*checkpoint_every=*/5, /*watchdog_budget=*/3, expect_warm_restart);
+      /*checkpoint_every=*/5, expect_warm_restart);
 }
 
 ExperimentSpec ring_fed_spec() {
@@ -742,15 +740,15 @@ core::RecoveryReport run_baseline_supervised(
   auto rebuild = [&] {
     pipeline.reset();
     rig = build_host_rig(spec);
-    core::StageSet stages;
+    std::unique_ptr<core::Actuator> actuator;
     if (policy == PolicyKind::Reactive) {
-      stages.actuator = std::make_unique<baseline::ReactiveActuator>();
+      actuator = std::make_unique<baseline::ReactiveActuator>();
     } else {
-      stages.actuator = std::make_unique<baseline::StaticThresholdActuator>();
+      actuator = std::make_unique<baseline::StaticThresholdActuator>();
     }
     pipeline = std::make_unique<core::HostPipeline>(
         *rig.host, *rig.probe, derive_stayaway_config(spec),
-        std::move(stages));
+        std::move(actuator));
     pipeline->install_faults(plan);
     return core::FleetController::Member::Rebuilt{rig.host.get(),
                                                   pipeline.get()};

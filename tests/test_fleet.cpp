@@ -427,7 +427,8 @@ TEST(FleetController, FailingMemberStopsTheRunWithItsError) {
         for (std::size_t i = 0; i < kMembers; ++i) {
           DirectSlot& slot = slots[i];
           core::FleetController::Member member;
-          member.name = "m" + std::to_string(i);
+          member.name = "m";
+          member.name += std::to_string(i);
           core::FleetController::Member::Rebuilt fresh = slot.build(spec);
           member.host = fresh.host;
           member.pipeline = fresh.pipeline;

@@ -261,7 +261,6 @@ StayAwayConfig actuator_config() {
   StayAwayConfig cfg;
   cfg.governor.random_resume_probability = 0.0;
   cfg.degradation.actuation_max_retries = 2;
-  cfg.degradation.actuation_backoff_periods = 1;
   return cfg;
 }
 

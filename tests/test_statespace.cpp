@@ -25,9 +25,9 @@ TEST(StateSpace, AddAndLabelStates) {
 TEST(StateSpace, MarkViolationIsSticky) {
   StateSpace space;
   space.add_state(StateLabel::Safe);
-  space.mark_violation(0);
+  space.force_violation(0);
   EXPECT_EQ(space.label(0), StateLabel::Violation);
-  space.mark_violation(0);  // idempotent
+  space.force_violation(0);  // idempotent
   EXPECT_EQ(space.violation_count(), 1u);
 }
 
@@ -146,7 +146,7 @@ TEST(StateSpace, OutOfRangeQueriesRejected) {
   StateSpace space;
   EXPECT_THROW(space.label(0), PreconditionError);
   EXPECT_THROW(space.position(0), PreconditionError);
-  EXPECT_THROW(space.mark_violation(0), PreconditionError);
+  EXPECT_THROW(space.force_violation(0), PreconditionError);
 }
 
 }  // namespace
