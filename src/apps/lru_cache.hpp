@@ -6,77 +6,85 @@
 // keys each tick; the measured hit rate feeds its disk-I/O demand and
 // service time.
 //
-// Flat layout, no per-entry allocation: entries are nodes in parallel
-// vectors (key, prev/next recency links as 32-bit indices), and keys are
-// found through an open-addressing, linear-probing table of node indices
-// (power-of-two size, load <= 0.5, backward-shift deletion, no
-// tombstones). A full insert reuses the evicted tail's node. Storage
-// grows with size(), not capacity(). O(1) lookup, insert and eviction.
+// Dense keys: the Webservice's keys are Zipf ranks 0..universe-1, so the
+// cache needs no hash table. It keeps one {prev, next} pair of 32-bit
+// recency links per key of the universe in a single array (8 bytes a
+// key); a key is resident iff its prev is not the kAbsent sentinel. A
+// lookup reads its key's own link pair, and moving a hit to the front or
+// evicting the tail rewrites only the links of its list neighbours. O(1)
+// lookup, insert and eviction with no probing and no allocation after
+// construction. replay() runs a tick's keys read-through and requests
+// each key's links, and its list neighbours', a few lookups ahead; the
+// hints cannot change a hit, a miss or the eviction order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace stayaway::apps {
 
 class LruCache {
  public:
-  /// Capacity in entries; zero capacity is allowed and caches nothing.
-  /// Requires capacity < UINT32_MAX (node links are 32-bit).
-  explicit LruCache(std::size_t capacity);
+  /// A cache over keys 0..universe-1 holding at most `capacity` of them.
+  /// Zero capacity is allowed and caches nothing; a capacity above the
+  /// universe is never reached. Requires universe < UINT32_MAX - 1 (the
+  /// links are 32-bit and reserve two sentinels).
+  LruCache(std::size_t universe, std::size_t capacity);
 
   /// Looks a key up, promoting it to most-recently-used on a hit.
+  /// Requires key < universe.
   bool get(std::uint64_t key);
 
   /// Inserts (or refreshes) a key, evicting the least-recently-used entry
-  /// when full.
+  /// when full. Requires key < universe.
   void put(std::uint64_t key);
 
-  /// Shrinks/expands capacity; shrinking evicts LRU entries immediately.
-  void set_capacity(std::size_t capacity);
+  /// Looks each key up in order and inserts it on a miss (a read-through
+  /// fill): the same as `if (!get(k)) put(k)` for each k in turn, so a
+  /// key outside the universe throws after the keys before it applied.
+  void replay(std::span<const std::uint32_t> keys);
 
+  /// Requires key < universe.
   bool contains(std::uint64_t key) const;
-  std::size_t size() const { return keys_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   /// Lifetime hit rate; 0 before any lookup.
   double hit_rate() const;
-  void reset_counters();
-
-  void clear();
 
  private:
+  /// End of the recency list (head's prev, tail's next, empty head/tail).
   static constexpr std::uint32_t kNil = UINT32_MAX;
+  /// The prev of a key that is not resident.
+  static constexpr std::uint32_t kAbsent = UINT32_MAX - 1;
 
-  /// Home slot of a key in the probe table.
-  std::size_t home(std::uint64_t key) const;
-  /// Probe-table slot holding `key`'s node, or the empty slot ending its
-  /// probe chain.
-  std::size_t probe(std::uint64_t key) const;
-  /// Empties `slot`, shifting later entries of its cluster back so every
-  /// probe chain stays unbroken.
-  void erase_slot(std::size_t slot);
-  void unlink(std::uint32_t node);
-  void push_front(std::uint32_t node);
-  /// Keeps the `keep` most recent entries as nodes 0..keep-1 in MRU order
-  /// and rebuilds the probe table for them.
-  void rebuild(std::size_t keep);
-  /// Re-indexes every node into a fresh table of `slots` (a power of two).
-  void rehash(std::size_t slots);
-  /// Full structural audit (list, table and counts agree); paranoid only.
+  struct Link {
+    std::uint32_t prev = kAbsent;  // more recent key, kNil, or kAbsent
+    std::uint32_t next = kNil;     // less recent key, or kNil
+  };
+
+  /// The key as a link index; throws PreconditionError outside the
+  /// universe.
+  std::uint32_t index(std::uint64_t key) const;
+  /// Moves a resident key to the front; false if it is not resident.
+  bool touch(std::uint32_t k);
+  void unlink(std::uint32_t k);
+  void push_front(std::uint32_t k);
+  /// Full structural audit (the list walks exactly the resident keys,
+  /// its links agree both ways, counts match); paranoid builds run it
+  /// after every power-of-two-th insertion.
   bool audit() const;
 
   std::size_t capacity_;
-  std::vector<std::uint64_t> keys_;  // node -> key
-  std::vector<std::uint32_t> prev_;  // node -> more recent node, or kNil
-  std::vector<std::uint32_t> next_;  // node -> less recent node, or kNil
-  std::uint32_t head_ = kNil;        // most recent
-  std::uint32_t tail_ = kNil;        // least recent
-  std::vector<std::uint32_t> slots_;  // probe table: node index or kNil
-  unsigned shift_ = 64;               // 64 - log2(slots_.size())
+  std::vector<Link> links_;      // key -> recency links
+  std::uint32_t head_ = kNil;    // most recent
+  std::uint32_t tail_ = kNil;    // least recent
+  std::uint32_t size_ = 0;
+  std::uint64_t inserts_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

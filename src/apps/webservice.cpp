@@ -21,15 +21,15 @@ const char* to_string(WorkloadMix mix) {
 Webservice::Webservice(WebserviceSpec spec, std::optional<trace::Trace> workload)
     : spec_(spec),
       workload_(std::move(workload)),
-      cache_(0),
+      cache_(spec.keyspace, cache_entries()),
       keys_(spec.keyspace, spec.zipf_exponent),
-      rng_(spec.seed) {
+      rng_(spec.seed),
+      draws_(spec.probe_accesses) {
   SA_REQUIRE(spec.peak_rps > 0.0, "peak load must be positive");
   SA_REQUIRE(spec.qos_threshold > 0.0 && spec.qos_threshold <= 1.0,
              "threshold must be a ratio in (0,1]");
   SA_REQUIRE(spec.smoothing > 0.0 && spec.smoothing <= 1.0,
              "smoothing factor must be in (0,1]");
-  cache_.set_capacity(cache_entries());
 }
 
 bool Webservice::finished() const {
@@ -103,13 +103,12 @@ sim::ResourceDemand Webservice::demand(sim::SimTime now) {
 void Webservice::advance(sim::SimTime now, double dt,
                          const sim::Allocation& alloc) {
   // Replay a sample of the tick's key accesses against the real cache to
-  // measure the miss rate that shapes next tick's disk demand.
+  // measure the miss rate that shapes next tick's disk demand. The keys
+  // are drawn first, in RNG order, then replayed in that order.
   std::uint64_t before_h = cache_.hits();
   std::uint64_t before_m = cache_.misses();
-  for (std::size_t i = 0; i < spec_.probe_accesses; ++i) {
-    auto key = static_cast<std::uint64_t>(keys_.sample(rng_));
-    if (!cache_.get(key)) cache_.put(key);
-  }
+  keys_.sample(rng_, draws_);
+  cache_.replay(draws_);
   std::uint64_t dh = cache_.hits() - before_h;
   std::uint64_t dm = cache_.misses() - before_m;
   last_miss_rate_ = (dh + dm > 0)

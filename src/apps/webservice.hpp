@@ -10,7 +10,9 @@
 // makes it swap-sensitive to memory-hungry batch neighbours, §7.2).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "apps/lru_cache.hpp"
 #include "apps/qos_latch.hpp"
@@ -85,6 +87,7 @@ class Webservice final : public sim::AppModel, public sim::QosProbe {
   LruCache cache_;
   stats::ZipfSampler keys_;
   Rng rng_;
+  std::vector<std::uint32_t> draws_;  // this tick's key ranks, reused
   double smoothed_ratio_ = 1.0;
   QosLatch latch_;
   double completed_tps_ = 0.0;

@@ -7,12 +7,25 @@
 // starts at the rank of u = j/m, so a draw binary-searches only its own
 // bucket. The result is always upper_bound's over the whole CDF: a bucket
 // answer is accepted only if it meets upper_bound's postcondition, and a
-// full search settles anything else.
+// full search settles anything else. Within a bucket the search is
+// branch-free and takes the same number of steps for every draw, and the
+// batched sample() requests each draw's guide entry and CDF block before
+// it searches any, so one tick's cache misses overlap.
+//
+// One table per (n, exponent): samplers built while another sampler of
+// the same keyspace is alive share its CDF and guide table instead of
+// building their own (a mutex-guarded intern map of weak references; the
+// last sampler to go frees the table). Sharing is safe because a table is
+// immutable once built and is a pure function of (n, exponent): every
+// draw reads it without locks, and which host happened to build it
+// changes no byte of it. All mutable sampling state lives in the caller's
+// Rng.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "util/rng.hpp"
 
@@ -26,19 +39,23 @@ class ZipfSampler {
 
   /// One draw: rank(rng.uniform()).
   std::size_t sample(Rng& rng) const;
+  /// out.size() draws, the same ranks from the same uniforms as that
+  /// many sample(rng) calls in turn.
+  void sample(Rng& rng, std::span<std::uint32_t> out) const;
   /// The rank whose CDF interval holds u: the first k with cdf[k] > u
   /// (the last rank if none).
   std::size_t rank(double u) const;
-  std::size_t size() const { return cdf_.size(); }
+  std::size_t size() const;
 
   /// Probability mass of a given rank.
   double mass(std::size_t rank) const;
 
  private:
-  std::vector<double> cdf_;
-  /// guide_[j] = rank(j / m) for m = guide_.size() buckets, m a power
-  /// of two.
-  std::vector<std::uint32_t> guide_;
+  struct Table;
+  /// The live table for (n, exponent), built if no sampler holds one.
+  static std::shared_ptr<const Table> intern(std::size_t n, double exponent);
+
+  std::shared_ptr<const Table> table_;
 };
 
 }  // namespace stayaway::stats

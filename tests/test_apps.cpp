@@ -6,6 +6,7 @@
 #include <limits>
 #include <list>
 #include <unordered_map>
+#include <vector>
 
 #include "apps/cpubomb.hpp"
 #include "apps/lru_cache.hpp"
@@ -297,7 +298,7 @@ TEST(VlcTranscode, RateThresholdViolation) {
 
 // ------------------------------------------------------------ lru cache
 TEST(LruCache, HitAndMissAccounting) {
-  LruCache c(2);
+  LruCache c(8, 2);
   EXPECT_FALSE(c.get(1));
   c.put(1);
   EXPECT_TRUE(c.get(1));
@@ -307,7 +308,7 @@ TEST(LruCache, HitAndMissAccounting) {
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache c(2);
+  LruCache c(8, 2);
   c.put(1);
   c.put(2);
   EXPECT_TRUE(c.get(1));  // 1 is now most recent
@@ -318,7 +319,7 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCache, PutRefreshesRecency) {
-  LruCache c(2);
+  LruCache c(8, 2);
   c.put(1);
   c.put(2);
   c.put(1);  // refresh 1
@@ -327,50 +328,57 @@ TEST(LruCache, PutRefreshesRecency) {
   EXPECT_FALSE(c.contains(2));
 }
 
-TEST(LruCache, ShrinkEvictsImmediately) {
-  LruCache c(3);
-  c.put(1);
-  c.put(2);
-  c.put(3);
-  c.set_capacity(1);
-  EXPECT_EQ(c.size(), 1u);
-  EXPECT_TRUE(c.contains(3));
-}
-
 TEST(LruCache, ZeroCapacityCachesNothing) {
-  LruCache c(0);
+  LruCache c(8, 0);
   c.put(1);
   EXPECT_EQ(c.size(), 0u);
   EXPECT_FALSE(c.get(1));
 }
 
 TEST(LruCache, SizeNeverExceedsCapacity) {
-  LruCache c(5);
+  LruCache c(100, 5);
   for (std::uint64_t k = 0; k < 100; ++k) c.put(k);
   EXPECT_EQ(c.size(), 5u);
 }
 
-TEST(LruCache, ResetCounters) {
-  LruCache c(2);
-  c.get(1);
-  c.put(1);
-  c.get(1);
-  c.reset_counters();
-  EXPECT_EQ(c.hits(), 0u);
-  EXPECT_EQ(c.misses(), 0u);
-  EXPECT_DOUBLE_EQ(c.hit_rate(), 0.0);
+TEST(LruCache, UniverseMustFitThirtyTwoBitLinks) {
+  // The two largest 32-bit values are the list's sentinels.
+  EXPECT_THROW(LruCache(std::numeric_limits<std::uint32_t>::max(), 1),
+               PreconditionError);
+  EXPECT_THROW(LruCache(std::numeric_limits<std::uint32_t>::max() - 1, 1),
+               PreconditionError);
+  // A capacity above the universe is accepted and never reached.
+  LruCache c(4, 1000);
+  for (std::uint64_t k = 0; k < 4; ++k) c.put(k);
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.capacity(), 1000u);
 }
 
-TEST(LruCache, CapacityMustFitThirtyTwoBitLinks) {
-  EXPECT_THROW(LruCache(std::numeric_limits<std::uint32_t>::max()),
+TEST(LruCache, KeysOutsideTheUniverseThrow) {
+  LruCache c(4, 2);
+  c.put(3);
+  EXPECT_THROW(c.get(4), PreconditionError);
+  EXPECT_THROW(c.put(4), PreconditionError);
+  EXPECT_THROW(c.contains(std::numeric_limits<std::uint64_t>::max()),
                PreconditionError);
-  LruCache c(4);
-  EXPECT_THROW(c.set_capacity(std::numeric_limits<std::uint32_t>::max()),
-               PreconditionError);
+  // A rejected key leaves the cache and its counters as they were.
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.hits() + c.misses(), 0u);
+  EXPECT_TRUE(c.get(3));
+  // A replay applies the keys before a rejected one, and no more.
+  const std::vector<std::uint32_t> run = {1, 4, 2};
+  EXPECT_THROW(c.replay(run), PreconditionError);
+  EXPECT_TRUE(c.contains(1));
+  EXPECT_FALSE(c.contains(2));
+  EXPECT_EQ(c.misses(), 1u);
+  // An empty universe rejects every key, replayed ones too.
+  LruCache empty(0, 4);
+  EXPECT_THROW(empty.replay(run), PreconditionError);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
-/// The original cache: a hash map over a std::list recency list. Kept
-/// here as the reference model the flat cache must match op for op.
+/// A hash map over a std::list recency list: the plain LRU the dense
+/// cache must match op for op.
 class ReferenceLru {
  public:
   explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
@@ -394,33 +402,17 @@ class ReferenceLru {
     if (capacity_ == 0) return;
     recency_.push_front(key);
     index_.emplace(key, recency_.begin());
-    evict_to_capacity();
-  }
-  void set_capacity(std::size_t capacity) {
-    capacity_ = capacity;
-    evict_to_capacity();
-  }
-  bool contains(std::uint64_t key) const { return index_.count(key) != 0; }
-  std::size_t size() const { return index_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  void reset_counters() { hits_ = misses_ = 0; }
-  void clear() {
-    recency_.clear();
-    index_.clear();
-  }
-  /// Keys from most to least recently used.
-  const std::list<std::uint64_t>& recency() const { return recency_; }
-
- private:
-  void evict_to_capacity() {
-    while (index_.size() > capacity_) {
+    if (index_.size() > capacity_) {
       index_.erase(recency_.back());
       recency_.pop_back();
     }
   }
+  bool contains(std::uint64_t key) const { return index_.count(key) != 0; }
+  std::size_t size() const { return index_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
 
+ private:
   std::size_t capacity_;
   std::list<std::uint64_t> recency_;
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
@@ -428,80 +420,58 @@ class ReferenceLru {
   std::uint64_t misses_ = 0;
 };
 
-/// Asserts the flat cache holds the reference's keys in the same recency
-/// order: on copies filled to capacity, each fresh put must evict exactly
-/// the reference's next least-recent key.
-void expect_same_recency(const LruCache& flat, const ReferenceLru& ref) {
-  ASSERT_EQ(flat.size(), ref.size());
-  LruCache probe = flat;
-  probe.set_capacity(probe.size());
-  std::uint64_t fresh = std::uint64_t{1} << 63;
-  for (auto it = ref.recency().rbegin(); it != ref.recency().rend(); ++it) {
-    ASSERT_TRUE(probe.contains(*it));
-    probe.put(fresh++);
-    ASSERT_FALSE(probe.contains(*it)) << "evicted out of recency order";
-    ASSERT_EQ(probe.size(), ref.size());
-  }
-}
-
-/// Keys whose Fibonacci hash (key * 0x9e3779b97f4a7c15) shares its top
-/// 44 bits, so they land on one probe home for every table the cache can
-/// grow to: all probing, no spreading.
-std::uint64_t colliding_key(std::uint64_t i) {
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t inverse = kGolden;  // Newton: inverse of an odd number
-  for (int k = 0; k < 6; ++k) inverse *= 2 - kGolden * inverse;
-  return inverse * ((std::uint64_t{0x5bd1e995} << 32) + i);
-}
-
 TEST(LruCache, MatchesReferenceModelOpForOp) {
-  ASSERT_EQ((colliding_key(3) * 0x9e3779b97f4a7c15ULL) >> 20,
-            (colliding_key(2003) * 0x9e3779b97f4a7c15ULL) >> 20);
-  for (std::size_t base : {0u, 1u, 2u, 7u, 1000u}) {
-    for (bool adversarial : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "capacity " << base
-                                        << (adversarial ? " adversarial"
-                                                        : " dense"));
-      LruCache flat(base);
-      ReferenceLru ref(base);
-      Rng rng(1000 + base + (adversarial ? 1 : 0));
-      const std::size_t domain = 2 * base + 4;
-      auto draw_key = [&] {
-        std::uint64_t i = rng.index(domain);
-        return adversarial ? colliding_key(i) : i;
-      };
-      for (int op = 0; op < 100000; ++op) {
-        std::size_t pick = rng.index(1000);
-        if (pick < 420) {
-          std::uint64_t k = draw_key();
-          ASSERT_EQ(flat.get(k), ref.get(k)) << "op " << op;
-        } else if (pick < 840) {
-          std::uint64_t k = draw_key();
-          flat.put(k);
-          ref.put(k);
-        } else if (pick < 960) {
-          std::uint64_t k = draw_key();
-          ASSERT_EQ(flat.contains(k), ref.contains(k)) << "op " << op;
-        } else if (pick < 980) {
-          // Shrink or grow, then drift back to the base capacity.
-          std::size_t cap = rng.chance(0.5) ? base : rng.index(domain);
-          flat.set_capacity(cap);
-          ref.set_capacity(cap);
-        } else if (pick < 990) {
-          flat.reset_counters();
-          ref.reset_counters();
-        } else if (pick < 993) {
-          flat.clear();
-          ref.clear();
-        } else {
-          expect_same_recency(flat, ref);
-        }
-        ASSERT_EQ(flat.size(), ref.size()) << "op " << op;
-        ASSERT_EQ(flat.capacity(), ref.capacity()) << "op " << op;
-        ASSERT_EQ(flat.hits(), ref.hits()) << "op " << op;
-        ASSERT_EQ(flat.misses(), ref.misses()) << "op " << op;
+  constexpr std::size_t kUniverse = 1000;
+  for (std::size_t capacity : {std::size_t{0}, std::size_t{1},
+                               kUniverse / 2, kUniverse}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    LruCache dense(kUniverse, capacity);
+    ReferenceLru ref(capacity);
+    Rng rng(1000 + capacity);
+    // The edge keys 0 and universe-1 come up a quarter of the time, so
+    // they are hit, evicted and refreshed at every capacity.
+    auto draw_key = [&]() -> std::uint64_t {
+      switch (rng.index(8)) {
+        case 0:
+          return 0;
+        case 1:
+          return kUniverse - 1;
+        default:
+          return rng.index(kUniverse);
       }
-      expect_same_recency(flat, ref);
+    };
+    for (int batch = 0; batch < 1000; ++batch) {
+      for (int op = 0; op < 100; ++op) {
+        const std::uint64_t k = draw_key();
+        switch (rng.index(4)) {
+          case 0:
+            ASSERT_EQ(dense.get(k), ref.get(k)) << "batch " << batch;
+            break;
+          case 1:
+            dense.put(k);
+            ref.put(k);
+            break;
+          case 2:  // read-through, one key
+            if (!dense.get(k)) dense.put(k);
+            if (!ref.get(k)) ref.put(k);
+            break;
+          default: {  // read-through, a run of keys (the Webservice's tick)
+            std::vector<std::uint32_t> run(rng.index(24));
+            for (std::uint32_t& key : run) {
+              key = static_cast<std::uint32_t>(draw_key());
+              if (!ref.get(key)) ref.put(key);
+            }
+            dense.replay(run);
+          }
+        }
+      }
+      ASSERT_EQ(dense.size(), ref.size()) << "batch " << batch;
+      ASSERT_EQ(dense.hits(), ref.hits()) << "batch " << batch;
+      ASSERT_EQ(dense.misses(), ref.misses()) << "batch " << batch;
+      for (std::uint64_t k = 0; k < kUniverse; ++k) {
+        ASSERT_EQ(dense.contains(k), ref.contains(k))
+            << "batch " << batch << " key " << k;
+      }
     }
   }
 }
@@ -557,6 +527,15 @@ TEST(Webservice, MissRateFeedsDiskDemand) {
   ws.advance(0.0, 0.1, full_progress());
   double cold_disk = ws.demand(0.1).disk_mbps;
   EXPECT_GT(cold_disk, 0.0);
+  EXPECT_EQ(ws.cache().hits(), 0u);
+  EXPECT_EQ(ws.cache().misses(), 400u);
+  // A universe ten times the 100k-entry cache: the replay fills it and
+  // then evicts ~265k keys. The counts are pinned to the hash-table
+  // cache's, which the dense cache replaced.
+  for (int i = 0; i < 1000; ++i) ws.advance(0.0, 0.1, full_progress());
+  EXPECT_EQ(ws.cache().size(), 100000u);
+  EXPECT_EQ(ws.cache().hits(), 35058u);
+  EXPECT_EQ(ws.cache().misses(), 365342u);
 }
 
 TEST(Webservice, MixNamesStable) {

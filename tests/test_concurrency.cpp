@@ -15,14 +15,19 @@
 #include <thread>
 #include <vector>
 
+#include "apps/webservice.hpp"
 #include "core/checkpoint.hpp"
+#include "core/fleet.hpp"
+#include "core/pipeline.hpp"
 #include "harness/fleet.hpp"
 #include "harness/scenario_file.hpp"
+#include "harness/scenarios.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "replay/recorder.hpp"
 #include "replay/replay.hpp"
+#include "sim/host.hpp"
 #include "util/thread_pool.hpp"
 
 namespace stayaway {
@@ -244,6 +249,102 @@ TEST(FleetConcurrency, CoordinatedFleetOnFourWorkersMatchesSerialRun) {
     EXPECT_FALSE(sh.final_checkpoint.empty());
     EXPECT_EQ(ph.final_checkpoint, sh.final_checkpoint);
   }
+}
+
+struct WebFleetRun {
+  std::vector<std::vector<std::string>> records;  // encoded, per host
+  std::vector<std::uint64_t> hits;
+  std::vector<std::uint64_t> misses;
+};
+
+/// Four Stay-Away-guarded webservice hosts: two mixes, and web-3 at a
+/// Zipf exponent of its own. The hosts are built and torn down on a
+/// `workers`-thread pool, so the Zipf table intern map takes racing
+/// lookups, inserts and expiries, and the fleet then drives them on the
+/// same number of workers, reading the shared tables concurrently.
+WebFleetRun run_web_fleet(std::size_t workers) {
+  constexpr std::size_t kHosts = 4;
+  struct Host {
+    std::unique_ptr<sim::SimHost> sim;
+    const apps::Webservice* web = nullptr;
+    std::unique_ptr<core::HostPipeline> pipeline;
+  };
+  std::vector<Host> hosts(kHosts);
+  util::ThreadPool pool(workers);
+  pool.for_ranges(kHosts, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      apps::WebserviceSpec ws;
+      ws.mix = (i % 2 == 0) ? apps::WorkloadMix::Mixed
+                            : apps::WorkloadMix::MemIntensive;
+      ws.zipf_exponent = (i == 3) ? 1.1 : 0.9;
+      ws.seed = 40 + i;
+      Host& h = hosts[i];
+      h.sim = std::make_unique<sim::SimHost>(harness::paper_host());
+      auto app = std::make_unique<apps::Webservice>(ws);
+      h.web = app.get();
+      h.sim->add_vm("webservice", sim::VmKind::Sensitive, std::move(app), 2.0);
+      for (auto& batch : harness::make_batch(harness::BatchKind::Batch2)) {
+        std::string name(batch->name());
+        h.sim->add_vm(std::move(name), sim::VmKind::Batch, std::move(batch),
+                      15.0);
+      }
+      core::StayAwayConfig config;
+      config.seed = 70 + i;
+      config.sampler.seed = config.seed ^ 0xabcdULL;
+      h.pipeline =
+          std::make_unique<core::HostPipeline>(*h.sim, *h.web, config);
+    }
+  });
+
+  WebFleetRun run;
+  run.records.resize(kHosts);
+  core::FleetConfig config;
+  config.workers = workers;
+  core::FleetController fleet(config);
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    core::FleetController::Member member;
+    member.name = "web-" + std::to_string(i);
+    member.host = hosts[i].sim.get();
+    member.pipeline = hosts[i].pipeline.get();
+    member.periods = 60;
+    member.on_period = [&out = run.records[i]](const core::PeriodRecord& rec) {
+      out.push_back(core::encode_record(rec));
+    };
+    fleet.add_member(std::move(member));
+  }
+  fleet.run();
+  for (const Host& h : hosts) {
+    run.hits.push_back(h.web->cache().hits());
+    run.misses.push_back(h.web->cache().misses());
+  }
+  pool.for_ranges(kHosts, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      hosts[i].pipeline.reset();
+      hosts[i].sim.reset();
+    }
+  });
+  return run;
+}
+
+// Webservice hosts of one keyspace share one immutable Zipf table
+// (stats/zipf.hpp). Building, driving and destroying them on four
+// workers must be invisible in the results: every host's records and
+// cache counts match the same fleet built and run on one worker. Runs
+// under TSan via `ci.sh --tsan` and `ci.sh --fleet`.
+TEST(FleetConcurrency, WebserviceHostsShareZipfTables) {
+  WebFleetRun serial = run_web_fleet(1);
+  WebFleetRun parallel = run_web_fleet(4);
+  ASSERT_EQ(serial.records.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("web-" + std::to_string(i));
+    EXPECT_EQ(serial.records[i].size(), 60u);
+    EXPECT_EQ(parallel.records[i], serial.records[i]);
+  }
+  EXPECT_EQ(parallel.hits, serial.hits);
+  EXPECT_EQ(parallel.misses, serial.misses);
+  // The exponents and mixes give the hosts distinct replays.
+  EXPECT_NE(serial.hits[0], serial.hits[2]);
+  EXPECT_NE(serial.hits[1], serial.hits[3]);
 }
 
 // DESIGN.md §15: each ring source generates inline on the worker that

@@ -569,6 +569,28 @@ TEST(Zipf, RankMatchesPlainUpperBoundAtEdges) {
   }
 }
 
+TEST(Zipf, BatchedSampleMatchesSingleDraws) {
+  for (std::size_t n : kDiffSizes) {
+    for (double s : {0.0, 0.9, 5000.0}) {
+      // Two samplers of one keyspace (they share a table) and one drawn
+      // in batches of every length around the prefetch chunk.
+      ZipfSampler single(n, s);
+      ZipfSampler batched(n, s);
+      Rng a(n + 17);
+      Rng b = a;
+      for (std::size_t len : {0u, 1u, 31u, 32u, 33u, 400u}) {
+        std::vector<std::uint32_t> out(len);
+        batched.sample(b, out);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(out[i], single.sample(a))
+              << "n=" << n << " s=" << s << " len=" << len << " i=" << i;
+        }
+      }
+      EXPECT_EQ(a.draws(), b.draws());
+    }
+  }
+}
+
 TEST(Zipf, NonFiniteExponentRejected) {
   EXPECT_THROW(ZipfSampler(8, std::numeric_limits<double>::infinity()),
                PreconditionError);
