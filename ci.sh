@@ -72,6 +72,13 @@
 #                                -DSTAYAWAY_ANALYZE=ON build so Clang's
 #                                -Wthread-safety checks the SA_*
 #                                annotations (skipped otherwise)
+#   ./ci.sh --perfbench          benchmark self-test: perfbench/smoke_test.py
+#                                (every workload at smoke length, --trace 0
+#                                and 1; the traced mirror's record digests
+#                                must agree with the plain run's) with its
+#                                build in build-perfbench, so a checkpoint
+#                                or record-path change that breaks digest
+#                                agreement fails here first
 #   ./ci.sh --all                every leg above
 #
 # Each leg builds in its own tree (build, build-release, build-asan,
@@ -101,9 +108,10 @@ for arg in "$@"; do
     --recovery) LEGS+=(recovery) ;;
     --analyze) LEGS+=(analyze) ;;
     --cluster) LEGS+=(cluster) ;;
-    --all) LEGS+=(tier1 release asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze) ;;
+    --perfbench) LEGS+=(perfbench) ;;
+    --all) LEGS+=(tier1 release asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze perfbench) ;;
     *)
-      echo "usage: ./ci.sh [--tier1] [--release] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--all]" >&2
+      echo "usage: ./ci.sh [--tier1] [--release] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--perfbench] [--all]" >&2
       exit 2
       ;;
   esac
@@ -492,6 +500,11 @@ EOF
       echo "checkpoint v4 record lines = run-log lines + round trips +" \
         "re-export cmp (sync + ring) + plain/supervised equality +" \
         "corrupt-blob rejection: ok"
+      ;;
+    perfbench)
+      # The repo benchmark's own self-test; it builds and runs only what
+      # perfbench/ declares (CARGO_TARGET_DIR names run.py's build tree).
+      CARGO_TARGET_DIR=build-perfbench python3 perfbench/smoke_test.py
       ;;
     analyze)
       # Static-analysis gate (DESIGN.md §16). The textual passes always

@@ -81,21 +81,25 @@ class FieldTokens {
 
 }  // namespace
 
-std::string encode_record(const PeriodRecord& rec) {
-  std::string out;
-  auto field = [&out](const char* key, const std::string& value) {
-    if (!out.empty()) out += ' ';
+void append_record(std::string& out, const PeriodRecord& rec) {
+  const std::size_t start = out.size();
+  auto open = [&out, start](const char* key) {
+    if (out.size() != start) out += ' ';
     out += key;
     out += '=';
-    out += value;
   };
-  auto num = [&field](const char* key, double v) {
-    field(key, format_double_exact(v));
+  auto num = [&](const char* key, double v) {
+    open(key);
+    append_double_exact(out, v);
   };
-  auto count = [&field](const char* key, std::size_t v) {
-    field(key, std::to_string(v));
+  auto count = [&](const char* key, std::size_t v) {
+    open(key);
+    append_u64(out, v);
   };
-  auto flag = [&field](const char* key, bool v) { field(key, v ? "1" : "0"); };
+  auto flag = [&](const char* key, bool v) {
+    open(key);
+    out += v ? '1' : '0';
+  };
   num("t", rec.time);
   count("mode", static_cast<std::size_t>(rec.mode));
   num("x", rec.state.x);
@@ -125,6 +129,11 @@ std::string encode_record(const PeriodRecord& rec) {
     count("migout", rec.migrations_out);
     count("migin", rec.migrations_in);
   }
+}
+
+std::string encode_record(const PeriodRecord& rec) {
+  std::string out;
+  append_record(out, rec);
   return out;
 }
 

@@ -107,6 +107,9 @@ struct PeriodRecord {
 /// would lie). Run-log record lines, checkpoint `record = ` lines, the
 /// supervisor's divergence check and record digests all use it.
 std::string encode_record(const PeriodRecord& rec);
+/// Appends encode_record(rec) to `out` in place, with no temporaries
+/// (the checkpoint record memo's writer).
+void append_record(std::string& out, const PeriodRecord& rec);
 
 /// Inverse of encode_record. Throws util::StateCodecError on a malformed
 /// number, an unknown, missing or reordered field, an out-of-range

@@ -239,10 +239,11 @@ void HostPipeline::seed_records(std::vector<PeriodRecord> records) {
 
 HostPipeline::RecordSection HostPipeline::encoded_records() {
   const std::size_t hashed = encoded_records_.size();
-  util::StateIO io = util::StateIO::writer(encoded_records_);
+  // The StateIO `line("record", ...)` form, appended in place.
   for (; encoded_count_ < records_.size(); ++encoded_count_) {
-    std::string line = encode_record(records_[encoded_count_]);
-    io.line("record", line);
+    encoded_records_ += "record = ";
+    append_record(encoded_records_, records_[encoded_count_]);
+    encoded_records_ += '\n';
   }
   encoded_fnv_ =
       fnv1a64(std::string_view(encoded_records_).substr(hashed), encoded_fnv_);

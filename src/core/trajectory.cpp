@@ -57,14 +57,15 @@ std::vector<mds::Point2> TrajectoryModel::sample_future(
 
 namespace {
 
-/// `<key>_total` then the raw bin counts, restored verbatim.
+/// `<key>_total` then the raw bin counts, restored verbatim. Writing
+/// reads the counts in place (no copy).
 void persist_histogram(util::StateIO& io, const std::string& key,
                        stats::Histogram& h) {
   double total = h.total_weight();
-  std::vector<double> counts = h.raw_counts();
   io.real(key + "_total", total);
+  if (!io.loading()) return io.write_reals(key, h.raw_counts());
+  std::vector<double> counts;
   io.reals(key, counts);
-  if (!io.loading()) return;
   if (counts.size() != h.raw_counts().size()) {
     throw util::StateCodecError("trajectory state: " + key +
                                 " bin count mismatch");

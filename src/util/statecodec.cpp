@@ -1,7 +1,10 @@
 #include "util/statecodec.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <system_error>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -28,6 +31,10 @@ std::string_view next_token(std::string_view& rest) {
 
 double parse_exact_double(std::string_view text, std::string_view what) {
   if (text.empty()) fail(what, "empty double");
+  const char* const last = text.data() + text.size();
+  double fast = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), last, fast);
+  if (ec == std::errc{} && ptr == last && !std::isnan(fast)) return fast;
   // strtod needs a terminated copy; exact doubles fit the stack buffer.
   char buf[64];
   std::string long_text;
@@ -49,16 +56,19 @@ double parse_exact_double(std::string_view text, std::string_view what) {
 
 // --- Writing ------------------------------------------------------------
 
-std::string& StateIO::begin_line(std::string_view key) {
-  SA_CHECK(key.find_first_of(" =\n") == std::string_view::npos,
+std::string& StateIO::begin_line(std::string_view key,
+                                 std::string_view suffix) {
+  SA_CHECK(key.find_first_of(" =\n") == std::string_view::npos &&
+               suffix.find_first_of(" =\n") == std::string_view::npos,
            "snapshot keys are bare identifiers");
   *out_ += key;
+  *out_ += suffix;
   *out_ += " = ";
   return *out_;
 }
 
 void StateIO::write_u64(std::string_view key, std::uint64_t v) {
-  begin_line(key) += std::to_string(v);
+  append_u64(begin_line(key), v);
   *out_ += '\n';
 }
 
@@ -130,7 +140,7 @@ void StateIO::finish() const {
 
 void StateIO::real(std::string_view key, double& v) {
   if (!loading()) {
-    begin_line(key) += format_double_exact(v);
+    append_double_exact(begin_line(key), v);
     *out_ += '\n';
     return;
   }
@@ -166,9 +176,9 @@ void StateIO::line(std::string_view key, std::string& v) {
 void StateIO::rng(std::string_view key, Rng& rng) {
   if (!loading()) {
     std::string& out = begin_line(key);
-    out += std::to_string(rng.seed());
+    append_u64(out, rng.seed());
     out += ' ';
-    out += std::to_string(rng.draws());
+    append_u64(out, rng.draws());
     out += '\n';
     return;
   }
@@ -184,16 +194,7 @@ void StateIO::rng(std::string_view key, Rng& rng) {
 }
 
 void StateIO::reals(std::string_view key, std::vector<double>& v) {
-  if (!loading()) {
-    std::string& out = begin_line(key);
-    out += std::to_string(v.size());
-    for (double x : v) {
-      out += ' ';
-      out += format_double_exact(x);
-    }
-    out += '\n';
-    return;
-  }
+  if (!loading()) return write_reals(key, v);
   std::string_view rest;
   const std::size_t n = open_vector(key, rest);
   v.clear();
@@ -204,6 +205,12 @@ void StateIO::reals(std::string_view key, std::vector<double>& v) {
     v.push_back(parse_exact_double(item, key));
   }
   close_vector(key, rest);
+}
+
+void StateIO::write_reals(std::string_view key, std::span<const double> v) {
+  SA_CHECK(!loading(), "write_reals on a reading StateIO");
+  append_reals(begin_line(key), v.size(),
+               [v](std::size_t i) { return v[i]; });
 }
 
 void StateIO::count(std::string_view key, std::size_t& n) {

@@ -10,25 +10,30 @@
 // Format: one `key = value` line per field, in the order the persist()
 // calls make — the reader names the key it expects next and fails
 // loudly on any mismatch, so a truncated or reordered snapshot can
-// never be half-applied. Doubles use format_double_exact, making
-// write→read the identity on every value including the non-finite
-// ones; that exactness is what the crash/restore byte-identity
-// guarantee rests on. A count read from a blob never sizes an
-// allocation larger than the bytes left could fill: a count the rest
-// of the input cannot hold fails as StateCodecError. The writer appends
-// to a caller-owned std::string (an envelope frames its body in the
-// buffer it returns); the reader walks a string_view over the body.
+// never be half-applied. Doubles use append_double_exact (shortest
+// round-trip digits in %g layout, util/strings.hpp), making write→read
+// the identity on every value including the non-finite ones; that
+// exactness is what the crash/restore byte-identity guarantee rests
+// on. A count read from a blob never sizes an allocation larger than
+// the bytes left could fill: a count the rest of the input cannot hold
+// fails as StateCodecError. The writer appends to a caller-owned
+// std::string (an envelope frames its body in the buffer it returns),
+// numbers going straight in through std::to_chars with no temporary
+// strings; the reader walks a string_view over the body.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "util/strings.hpp"
 
 namespace stayaway {
 class Rng;
@@ -104,15 +109,18 @@ class StateIO {
 
   /// `<key> = <n> v1 ... vn` vectors.
   void reals(std::string_view key, std::vector<double>& v);
+  /// Writing only: the same `reals` line from values the caller holds
+  /// read-only (no copy to satisfy the two-way signature).
+  void write_reals(std::string_view key, std::span<const double> v);
   /// Unsigned integer vectors; a vector<bool> stores 0/1 entries.
   template <std::unsigned_integral T>
   void u64s(std::string_view key, std::vector<T>& v) {
     if (!loading()) {
       std::string& out = begin_line(key);
-      out += std::to_string(v.size());
+      append_u64(out, v.size());
       for (auto x : v) {
         out += ' ';
-        out += std::to_string(static_cast<std::uint64_t>(x));
+        append_u64(out, static_cast<std::uint64_t>(x));
       }
       out += '\n';
       return;
@@ -130,16 +138,16 @@ class StateIO {
   /// vectors, `<key>_x` then `<key>_y`.
   template <typename P>
   void points(std::string_view key, std::vector<P>& pts) {
-    std::vector<double> xs, ys;
-    xs.reserve(pts.size());
-    ys.reserve(pts.size());
-    for (const P& p : pts) {
-      xs.push_back(p.x);
-      ys.push_back(p.y);
+    if (!loading()) {
+      append_reals(begin_line(key, "_x"), pts.size(),
+                   [&pts](std::size_t i) { return pts[i].x; });
+      append_reals(begin_line(key, "_y"), pts.size(),
+                   [&pts](std::size_t i) { return pts[i].y; });
+      return;
     }
+    std::vector<double> xs, ys;
     reals(std::string(key) + "_x", xs);
     reals(std::string(key) + "_y", ys);
-    if (!loading()) return;
     if (xs.size() != ys.size()) fail_field(key, "x/y length mismatch");
     pts.resize(xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -180,8 +188,19 @@ class StateIO {
  private:
   StateIO(std::string* out, std::string_view in) : out_(out), in_(in) {}
 
-  /// Appends `key = ` and returns the buffer for the value and newline.
-  std::string& begin_line(std::string_view key);
+  /// Appends `<key><suffix> = ` and returns the buffer for the value
+  /// and newline.
+  std::string& begin_line(std::string_view key, std::string_view suffix = {});
+  /// Appends a reals value and its newline: `n`, then ` at(i)` per i.
+  template <typename F>
+  static void append_reals(std::string& out, std::size_t n, F&& at) {
+    append_u64(out, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out += ' ';
+      append_double_exact(out, at(i));
+    }
+    out += '\n';
+  }
   void write_u64(std::string_view key, std::uint64_t v);
   /// The value of the next line; throws unless its key is `key`.
   std::string_view next_value(std::string_view key);
@@ -200,6 +219,12 @@ class StateIO {
 
 /// Exact double parse accepting format_double_exact's full range
 /// ("inf", "-inf", "nan"); throws StateCodecError on anything else.
+/// std::from_chars parses first and its result stands when it consumed
+/// the whole text, did not overflow or underflow, and is not a NaN;
+/// anything else (leading space or '+', hex, out-of-range values,
+/// `nan(n)` payloads, which from_chars drops) goes to strtod, so the
+/// texts accepted and the bits returned are strtod's. The common path
+/// does not read LC_NUMERIC.
 double parse_exact_double(std::string_view text, std::string_view what);
 
 }  // namespace stayaway::util

@@ -1,5 +1,7 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
+#include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -19,14 +21,14 @@ std::string format_double(double v, int precision) {
   return s;
 }
 
-std::string format_double_exact(double v) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0.0 ? "inf" : "-inf";
+namespace {
+
+/// The %.{15,16,17}g loop: the first precision whose text from_chars
+/// parses back to v. Only subnormals take it (append_double_exact).
+void append_by_precision_loop(std::string& out, double v) {
   char buf[64];
-  // 15 digits suffice for most values; some need 16 or 17 to survive the
-  // decimal round trip bit-exactly. to_chars with an explicit precision
-  // is printf's %.*g in the C locale, so the text is the same as
-  // snprintf's, without the locale and format-string overhead.
+  // to_chars with an explicit precision is printf's %.*g in the C
+  // locale, without the locale and format-string overhead.
   char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
     end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
@@ -36,7 +38,84 @@ std::string format_double_exact(double v) {
     std::from_chars(buf, end, back);
     if (back == v) break;
   }
-  return std::string(buf, end);
+  out.append(buf, end);
+}
+
+}  // namespace
+
+void append_double_exact(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "nan";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0.0 ? "inf" : "-inf";
+    return;
+  }
+  char buf[32];
+  if (std::abs(v) < 1e15) {
+    const auto i = static_cast<std::int64_t>(v);
+    if (static_cast<double>(i) == v) {
+      if (i == 0 && std::signbit(v)) {
+        out += "-0";
+      } else {
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, i).ptr);
+      }
+      return;
+    }
+    if (std::abs(v) < DBL_MIN) return append_by_precision_loop(out, v);
+  }
+  // The shortest round-trip digits, as [-]d[.ddd]e(+|-)XX[X].
+  const std::string_view sci(
+      buf,
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+          .ptr);
+  const std::size_t mark = sci.find('e');
+  int exponent = 0;
+  for (char c : sci.substr(mark + 2)) exponent = exponent * 10 + (c - '0');
+  if (sci[mark + 1] == '-') exponent = -exponent;
+  const bool negative = sci[0] == '-';
+  const char lead = sci[negative ? 1 : 0];
+  // The digits after the lead one: past the point, if there is one.
+  const std::size_t lead_end = negative ? 2 : 1;
+  const std::string_view tail =
+      mark == lead_end ? std::string_view()
+                       : sci.substr(lead_end + 1, mark - lead_end - 1);
+  const int digits = 1 + static_cast<int>(tail.size());
+  if (exponent < -4 || exponent >= std::max(15, digits)) {
+    out += sci;  // %g's scientific layout is to_chars's own
+    return;
+  }
+  if (negative) out += '-';
+  if (exponent < 0) {
+    out += "0.";
+    out.append(static_cast<std::size_t>(-exponent - 1), '0');
+    out += lead;
+    out += tail;
+    return;
+  }
+  // exponent digits of tail belong before the point.
+  const auto whole = static_cast<std::size_t>(exponent);
+  out += lead;
+  if (tail.size() <= whole) {
+    out += tail;
+    out.append(whole - tail.size(), '0');
+    return;
+  }
+  out += tail.substr(0, whole);
+  out += '.';
+  out += tail.substr(whole);
+}
+
+std::string format_double_exact(double v) {
+  std::string out;
+  append_double_exact(out, v);
+  return out;
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {

@@ -11,11 +11,29 @@ namespace stayaway {
 /// Formats v with fixed precision, trimming trailing zeros ("1.5", "0.001").
 std::string format_double(double v, int precision);
 
-/// Shortest %g form of v that strtod parses back to the identical value
-/// ("0.1", not "0.100000000000000006"); "inf"/"-inf"/"nan" for the
-/// non-finite values. The exact round-trip is what record/replay's
-/// byte-diff guarantee rests on (DESIGN.md §14).
+/// Appends the shortest %g form of v that strtod parses back to the
+/// identical value ("0.1", not "0.100000000000000006"): the text of
+/// `%.15g`, `%.16g` or `%.17g`, whichever round-trips first; "inf",
+/// "-inf" or "nan" for the non-finite values. The exact round-trip is
+/// what record/replay's byte-diff guarantee and checkpoint restore
+/// rest on (DESIGN.md §14, §17).
+///
+/// One std::to_chars call yields the shortest round-trip digits d (n of
+/// them) and the decimal exponent X. For a normal double the
+/// correctly rounded %.{max(15, n)}g text is d itself, so it is laid out
+/// directly: fixed when -4 <= X < max(15, n), else d as scientific,
+/// with no parse-back. Integer-valued |v| < 1e15 print as the integer
+/// ("-0" keeps its sign). Subnormals keep the 15→17 precision loop:
+/// there 15 digits can round-trip without being the padded shortest
+/// ("4.94065645841247e-324", not "5e-324"). Appends in place, with no
+/// temporary string.
+void append_double_exact(std::string& out, double v);
+
+/// append_double_exact into a fresh string.
 std::string format_double_exact(double v);
+
+/// Appends v as a plain decimal (std::to_chars, no temporary string).
+void append_u64(std::string& out, std::uint64_t v);
 
 /// Parses a full plain decimal u64 into out; false when text has signs,
 /// spaces, trailing characters or overflows. Seeds must go through this

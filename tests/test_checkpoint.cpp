@@ -935,7 +935,9 @@ TEST(RecordCodecAcrossArtifacts, RingFedCheckpointCarriesRecorderLines) {
   expect_checkpoints_carry_recorder_lines(fleet, " ing=");
 }
 
-TEST(RecordCodecAcrossArtifacts, CoordinatedCheckpointsCarryRecorderLines) {
+/// Two webservice hosts under a `[cluster]` coordinator that migrates
+/// a mobile cpubomb, so records carry the cluster block.
+FleetSpec coordinated_fleet() {
   std::istringstream in(R"(sensitive  = webservice-cpu
 batch      = none
 policy     = stay-away
@@ -948,10 +950,72 @@ seed = 5
 [cluster]
 mobile = crunch:cpubomb:web-a:20
 )");
-  expect_checkpoints_carry_recorder_lines(
-      replay::to_fleet_spec(replay::canonical_fleet(parse_fleet_scenario(in),
-                                                    0)),
-      " migout=");
+  return replay::to_fleet_spec(
+      replay::canonical_fleet(parse_fleet_scenario(in), 0));
+}
+
+TEST(RecordCodecAcrossArtifacts, CoordinatedCheckpointsCarryRecorderLines) {
+  expect_checkpoints_carry_recorder_lines(coordinated_fleet(), " migout=");
+}
+
+/// The memo text for `records`: one `record = <encode_record line>`
+/// line per record, in order.
+std::string expected_record_memo(
+    const std::vector<core::PeriodRecord>& records) {
+  std::string text;
+  for (const core::PeriodRecord& rec : records) {
+    text += "record = ";
+    text += core::encode_record(rec);
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(CheckpointRecordMemo, RingFedMemoIsTheEncodeRecordLines) {
+  ExperimentSpec spec = ring_fed_spec();
+  spec.faults = stress_plan();
+  spec.faults->faults.push_back(
+      fault_of(sim::FaultKind::IngestDelay, 0.0, 40.0, 0.6));
+  ManualHost h(spec);
+  for (std::size_t periods : {1u, 9u, 9u, 25u, 40u}) {
+    h.run_to(periods);
+    const core::HostPipeline::RecordSection memo =
+        h.pipeline.encoded_records();
+    EXPECT_EQ(memo.text, expected_record_memo(h.pipeline.records()))
+        << "at " << periods << " periods";
+    EXPECT_EQ(memo.fnv, core::fnv1a64(memo.text));
+  }
+  EXPECT_NE(h.pipeline.encoded_records().text.find(" ing="),
+            std::string::npos);
+}
+
+TEST(CheckpointRecordMemo, ClusterMemoIsTheEncodeRecordLines) {
+  FleetSpec fleet = coordinated_fleet();
+  fleet.supervise = true;
+  fleet.checkpoint_every = 10;
+  fleet.export_checkpoints = true;
+  const FleetResult r = run_fleet(fleet);
+  ASSERT_EQ(r.hosts.size(), 2u);
+  bool saw_block = false;
+  for (const FleetHostResult& host : r.hosts) {
+    SCOPED_TRACE(host.name);
+    const std::string expected =
+        expected_record_memo(host.result.stayaway_records);
+    saw_block = saw_block || expected.find(" migout=") != std::string::npos;
+    // The exported blob carries the member's memo right after its header.
+    const std::string& blob = host.final_checkpoint;
+    const std::size_t body = blob.find('\n') + 1;
+    EXPECT_EQ(blob.substr(body, expected.size()), expected);
+    EXPECT_EQ(blob.compare(body + expected.size(), 10, "records = "), 0);
+    // A pipeline seeded with the same records builds the same memo.
+    ExperimentSpec spec = short_spec();
+    HostRig rig = build_host_rig(spec);
+    core::HostPipeline seeded(*rig.host, *rig.probe,
+                              derive_stayaway_config(spec));
+    seeded.seed_records(host.result.stayaway_records);
+    EXPECT_EQ(seeded.encoded_records().text, expected);
+  }
+  EXPECT_TRUE(saw_block) << "no record carries the cluster block";
 }
 
 

@@ -345,6 +345,100 @@ TEST(Strings, FormatDoubleExactEdgeCases) {
   EXPECT_EQ(format_double_exact(-kNan), "nan");
 }
 
+TEST(Strings, FormatDoubleExactMatchesOracleOnEverySubnormalBinade) {
+  // Subnormals take the precision loop, not the shortest-digits layout:
+  // every binade, several mantissas each, both signs.
+  std::vector<double> subnormals;
+  for (int exponent = -1074; exponent <= -1023; ++exponent) {
+    for (double mantissa : {1.0, 1.0 + 0x1p-52, 1.1, 1.25, 1.5, 1.7,
+                            1.9999999999999998}) {
+      const double v = std::ldexp(mantissa, exponent);
+      subnormals.push_back(v);
+      subnormals.push_back(-v);
+      subnormals.push_back(std::nextafter(v, 0.0));
+    }
+  }
+  subnormals.push_back(std::nextafter(DBL_MIN, 0.0));
+  expect_matches_reference(subnormals, "subnormal binades");
+}
+
+TEST(Strings, FormatDoubleExactIntegerFastPath) {
+  std::vector<double> integers = {0.0,           -0.0,       1.0,
+                                  -1.0,          7.0,        480.0,
+                                  1e15 - 1.0,    -(1e15 - 1.0),
+                                  1e15,          -1e15,      1e16,
+                                  -1e16,         1e15 + 1.0, 9007199254740992.0};
+  std::mt19937_64 rng(20140922);
+  for (int i = 0; i < 20000; ++i) {
+    const auto digits = static_cast<int>(rng() % 16);
+    const double v = std::floor(static_cast<double>(rng() % 1000000007) *
+                                std::pow(10.0, digits - 9));
+    integers.push_back(v);
+    integers.push_back(-v);
+  }
+  expect_matches_reference(integers, "integer-valued doubles");
+  EXPECT_EQ(format_double_exact(-0.0), "-0");
+  EXPECT_EQ(format_double_exact(480.0), "480");
+  EXPECT_EQ(format_double_exact(1e15 - 1.0), "999999999999999");
+  EXPECT_EQ(format_double_exact(-(1e15 - 1.0)), "-999999999999999");
+  EXPECT_EQ(format_double_exact(1e16), "1e+16");
+}
+
+TEST(Strings, FormatDoubleExactMatchesOracleAroundPowersOfTen) {
+  // The fixed/scientific switch sits at 1e-5 and at 1e15..1e17.
+  std::vector<double> values;
+  for (int exponent = -5; exponent <= 22; ++exponent) {
+    std::string text = "1e";
+    text += std::to_string(exponent);
+    const double p = std::stod(text);
+    for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, DBL_MAX)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  expect_matches_reference(values, "powers of ten and neighbours");
+}
+
+TEST(Strings, AppendDoubleExactKeepsThePrefix) {
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  for (double v : {0.1, -0.0, 42.0, 1e-7, 1e300, 0.1 + 0.2, denorm_min,
+                   std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::infinity()}) {
+    std::string out = "key = 3 ";
+    append_double_exact(out, v);
+    std::string want = "key = 3 ";
+    want += format_double_exact(v);
+    EXPECT_EQ(out, want);
+  }
+  std::string out = "n=";
+  append_u64(out, UINT64_MAX);
+  EXPECT_EQ(out, "n=18446744073709551615");
+}
+
+// ------------------------------------------------------------ statecodec
+TEST(ParseExactDouble, AcceptsAndRejectsExactlyWhatStrtodDoes) {
+  // from_chars answers first; whatever it leaves (signs, spaces, hex,
+  // out-of-range values, NaN payloads) falls back to strtod, so the
+  // verdicts and the bits are strtod's.
+  for (const char* text :
+       {" 1", "+1", "0x1p3", "1e999", "-1e999", "1e-400",
+        "4.94065645841247e-324", "inf", "INF", "infinity", "nan", "nan(1)",
+        "1.", ".5", "1e", "--1", "", "-0", "0.30000000000000004",
+        "1.7976931348623157e+308"}) {
+    SCOPED_TRACE(std::string("text '") + text + "'");
+    char* end = nullptr;
+    const double want = std::strtod(text, &end);
+    const bool accepted = *text != '\0' && *end == '\0';
+    if (!accepted) {
+      EXPECT_THROW(util::parse_exact_double(text, "v"), util::StateCodecError);
+      continue;
+    }
+    double got = 0.0;
+    ASSERT_NO_THROW(got = util::parse_exact_double(text, "v"));
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0);
+  }
+}
+
 TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
