@@ -1,7 +1,7 @@
 #include "util/strings.hpp"
 
 #include <algorithm>
-#include <cfloat>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -24,7 +24,8 @@ std::string format_double(double v, int precision) {
 namespace {
 
 /// The %.{15,16,17}g loop: the first precision whose text from_chars
-/// parses back to v. Only subnormals take it (append_double_exact).
+/// parses back to v. Only subnormals and exact powers of two take it
+/// (append_double_exact).
 void append_by_precision_loop(std::string& out, double v) {
   char buf[64];
   // to_chars with an explicit precision is printf's %.*g in the C
@@ -53,6 +54,8 @@ void append_double_exact(std::string& out, double v) {
     return;
   }
   char buf[32];
+  // About four in five checkpointed doubles are integer-valued, most of
+  // them empty histogram bins: they print as the integer.
   if (std::abs(v) < 1e15) {
     const auto i = static_cast<std::int64_t>(v);
     if (static_cast<double>(i) == v) {
@@ -63,7 +66,15 @@ void append_double_exact(std::string& out, double v) {
       }
       return;
     }
-    if (std::abs(v) < DBL_MIN) return append_by_precision_loop(out, v);
+  }
+  // A subnormal (exponent field 0) or an exact power of two (fraction
+  // field 0) can round-trip at a precision whose text is not the
+  // shortest digits padded; the loop gives %g's own answer there.
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kExponent = std::uint64_t{0x7ff} << 52;
+  if ((bits & kExponent) == 0 || (bits & kFraction) == 0) {
+    return append_by_precision_loop(out, v);
   }
   // The shortest round-trip digits, as [-]d[.ddd]e(+|-)XX[X].
   const std::string_view sci(

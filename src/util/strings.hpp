@@ -19,14 +19,18 @@ std::string format_double(double v, int precision);
 /// rest on (DESIGN.md §14, §17).
 ///
 /// One std::to_chars call yields the shortest round-trip digits d (n of
-/// them) and the decimal exponent X. For a normal double the
-/// correctly rounded %.{max(15, n)}g text is d itself, so it is laid out
-/// directly: fixed when -4 <= X < max(15, n), else d as scientific,
-/// with no parse-back. Integer-valued |v| < 1e15 print as the integer
-/// ("-0" keeps its sign). Subnormals keep the 15→17 precision loop:
-/// there 15 digits can round-trip without being the padded shortest
-/// ("4.94065645841247e-324", not "5e-324"). Appends in place, with no
-/// temporary string.
+/// them) and the decimal exponent X. For a normal double that is not a
+/// power of two the rounding interval is symmetric, so the correctly
+/// rounded %.{max(15, n)}g text is d itself and is laid out directly:
+/// fixed when -4 <= X < max(15, n), else d as scientific, with no
+/// parse-back. Integer-valued |v| < 1e15 print as the integer ("-0"
+/// keeps its sign). Subnormals and exact powers of two keep the 15→17
+/// precision loop. A subnormal can round-trip at 15 digits without being
+/// the padded shortest ("4.94065645841247e-324", not "5e-324"). A power
+/// of two's interval is twice as wide above it as below, so %.16g can
+/// miss while a farther 16-digit d still round-trips (2^-44 prints
+/// "5.6843418860808015e-14", not "5.684341886080802e-14"). Appends in
+/// place, with no temporary string.
 void append_double_exact(std::string& out, double v);
 
 /// append_double_exact into a fresh string.

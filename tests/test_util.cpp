@@ -399,6 +399,21 @@ TEST(Strings, FormatDoubleExactMatchesOracleAroundPowersOfTen) {
   expect_matches_reference(values, "powers of ten and neighbours");
 }
 
+TEST(Strings, FormatDoubleExactMatchesOracleOnEveryPowerOfTwo) {
+  // A power of two has a rounding interval twice as wide above it as
+  // below, so a %.16g text can miss while a farther 16-digit one still
+  // round-trips: every normal ±2^k, and the subnormal ones too.
+  std::vector<double> powers;
+  for (int exponent = -1074; exponent <= 1023; ++exponent) {
+    const double v = std::ldexp(1.0, exponent);
+    powers.push_back(v);
+    powers.push_back(-v);
+  }
+  expect_matches_reference(powers, "powers of two");
+  EXPECT_EQ(format_double_exact(std::ldexp(1.0, -44)),
+            "5.6843418860808015e-14");
+}
+
 TEST(Strings, AppendDoubleExactKeepsThePrefix) {
   const double denorm_min = std::numeric_limits<double>::denorm_min();
   for (double v : {0.1, -0.0, 42.0, 1e-7, 1e300, 0.1 + 0.2, denorm_min,
