@@ -5,6 +5,8 @@
 //
 // Compared on identical passive runs: passive prediction accuracy, map
 // stress (distance distortion), and violation/safe separation margin.
+#include <cmath>
+
 #include "bench_common.hpp"
 
 namespace {

@@ -9,6 +9,7 @@
 // both sides) with three metrics: one-step position error, negative
 // log-likelihood of the realised (step, angle) pairs, and violation
 // forecast accuracy (where the lifecycle produces any).
+#include <cmath>
 #include <memory>
 
 #include "apps/cpubomb.hpp"

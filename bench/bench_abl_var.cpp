@@ -8,6 +8,8 @@
 // predicts the next *high-dimensional* vector and checks whether its
 // nearest representative is a violation state; the histogram forecaster
 // is the paper's 2-D sampler.
+#include <cmath>
+
 #include "bench_common.hpp"
 
 #include "core/trajectory.hpp"

@@ -29,7 +29,7 @@ const char* to_string(ResumeReason reason) {
   return "unknown";
 }
 
-// The Rng is a sink parameter (mt19937_64 carries ~2.5 KB of state):
+// The Rng is a sink parameter (its MT19937-64 state is ~2.5 KB):
 // moved, not copied, into the member.
 ThrottleGovernor::ThrottleGovernor(GovernorConfig config, Rng rng)
     : config_(config), rng_(std::move(rng)), beta_(config.beta_initial) {

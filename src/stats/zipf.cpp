@@ -17,36 +17,44 @@ struct ZipfSampler::Table {
 
   /// The guide bucket of u in [0, 1).
   std::size_t bucket(double u) const {
-    const std::size_t m = guide.size();
+    const std::size_t m = guide.size() - 1;
     return std::min(static_cast<std::size_t>(u * static_cast<double>(m)),
                     m - 1);
   }
 
-  /// upper_bound's answer for u in [0, 1) from u's bucket, or kMiss if
-  /// the bucket does not hold it.
-  std::size_t search(double u) const {
-    // Branch-free and in the same number of steps for every draw: the
-    // answer lies in [k, k + 2w - 1] before the step of width w. Entries
-    // past the bucket's end exceed u, and indices past the CDF's end
-    // read its last entry, 1.0, which does.
-    std::size_t k = guide[bucket(u)];
-    const std::size_t last = cdf.size() - 1;
-    for (std::size_t w = search_width; w > 0; w /= 2) {
-      k = (cdf[std::min(k + w - 1, last)] <= u) ? k + w : k;
-    }
-    return (cdf[k] > u && (k == 0 || cdf[k - 1] <= u)) ? k : kMiss;
+  /// An estimate of upper_bound's answer for u in [0, 1), in
+  /// [guide[b], guide[b + 1]] for u's bucket b: the rank at u's offset
+  /// into the bucket, as if the bucket's mass were spread evenly over
+  /// its ranks. u * m - b is exact because m is a power of two.
+  std::size_t estimate(double u) const {
+    const std::size_t b = bucket(u);
+    const std::size_t lo = guide[b];
+    const std::size_t hi = guide[b + 1];
+    const double frac =
+        u * static_cast<double>(guide.size() - 1) - static_cast<double>(b);
+    const auto step =
+        static_cast<std::size_t>(frac * static_cast<double>(hi - lo + 1));
+    return std::min(lo + step, hi);
+  }
+
+  /// upper_bound's answer for u in [0, 1) from estimate k, or kMiss if
+  /// it lies more than one rank from k. One step down, then one up,
+  /// without a data-dependent branch; the answer is accepted only if it
+  /// meets upper_bound's postcondition.
+  std::size_t settle(double u, std::size_t k) const {
+    k -= static_cast<std::size_t>((k > 0) & (cdf[k - (k > 0)] > u));
+    k += static_cast<std::size_t>(cdf[k] <= u);
+    const bool above = cdf[k] > u;
+    const bool below = (k == 0) | (cdf[k - (k > 0)] <= u);
+    return (above & below) ? k : kMiss;
   }
   static constexpr std::size_t kMiss = SIZE_MAX;
 
   std::vector<double> cdf;
-  /// guide[j] = rank(j / m) for m = guide.size() buckets, m a power of
-  /// two.
+  /// guide[j] = rank(j / m) for j < m buckets, m a power of two, and
+  /// the sentinel guide[m] = n - 1: bucket j holds the ranks guide[j]
+  /// through guide[j + 1].
   std::vector<std::uint32_t> guide;
-  /// Half the smallest power of two above every bucket's rank span
-  /// (guide[j + 1] - guide[j], the last bucket ending at n - 1): the
-  /// first step of rank()'s in-bucket search. 0 when no bucket spans a
-  /// rank.
-  std::size_t search_width = 0;
 };
 
 namespace {
@@ -77,7 +85,7 @@ ZipfSampler::Table::Table(std::size_t n, double exponent) : cdf(n) {
   // power of two, j/m is exact.
   const std::size_t m = std::min(std::bit_ceil(n), kGuideBuckets);
   const double bucket_width = 1.0 / static_cast<double>(m);
-  guide.resize(m);
+  guide.resize(m + 1);
   std::size_t j = 0;
   double prev = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -90,12 +98,9 @@ ZipfSampler::Table::Table(std::size_t n, double exponent) : cdf(n) {
       guide[j] = static_cast<std::uint32_t>(k);
     }
   }
-  std::size_t span = 0;
-  for (std::size_t b = 0; b < m; ++b) {
-    const std::size_t end = (b + 1 < m) ? guide[b + 1] : n - 1;
-    span = std::max(span, end - guide[b]);
-  }
-  search_width = std::bit_floor(span);
+  guide[m] = static_cast<std::uint32_t>(n - 1);
+  SA_INVARIANT(std::is_sorted(guide.begin(), guide.end()) && guide[m] == n - 1,
+               "zipf guide must be non-decreasing and end at the last rank");
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double exponent) {
@@ -134,17 +139,16 @@ std::size_t ZipfSampler::sample(Rng& rng) const { return rank(rng.uniform()); }
 
 void ZipfSampler::sample(Rng& rng, std::span<std::uint32_t> out) const {
   // Chunks of kBatch draws. The uniforms come first, in stream order;
-  // then every draw's guide entry and the first kSpan CDF entries of its
-  // search window (one request per 64-byte line) are requested before
-  // the first search, so a chunk's cache misses overlap instead of
-  // queueing. The prefetches are hints: the ranks are rank()'s.
+  // then every draw's guide entry, and next the CDF lines around its
+  // estimate (the two ends of the window settle() reads), are requested
+  // before the first draw is settled, so a chunk's cache misses overlap
+  // instead of queueing. The prefetches are hints: the ranks are
+  // rank()'s.
   constexpr std::size_t kBatch = 32;
-  constexpr std::size_t kSpan = 32;
-  constexpr std::size_t kLine = 64 / sizeof(double);
   const Table& t = *table_;
   const std::size_t last = t.cdf.size() - 1;
-  const std::size_t span = std::min(2 * t.search_width, kSpan);
   double u[kBatch];
+  std::size_t est[kBatch];
   for (std::size_t done = 0; done < out.size(); done += kBatch) {
     const std::size_t n = std::min(kBatch, out.size() - done);
     for (std::size_t i = 0; i < n; ++i) {
@@ -152,14 +156,12 @@ void ZipfSampler::sample(Rng& rng, std::span<std::uint32_t> out) const {
       __builtin_prefetch(&t.guide[t.bucket(u[i])]);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t lo = t.guide[t.bucket(u[i])];
-      const std::size_t end = std::min(lo + span, last);
-      for (std::size_t x = lo; x <= end; x += kLine) {
-        __builtin_prefetch(&t.cdf[x]);
-      }
+      est[i] = t.estimate(u[i]);
+      __builtin_prefetch(&t.cdf[est[i] - (est[i] > 0)]);
+      __builtin_prefetch(&t.cdf[std::min(est[i] + 1, last)]);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      std::size_t k = t.search(u[i]);
+      std::size_t k = t.settle(u[i], est[i]);
       if (k == Table::kMiss) k = rank(u[i]);
       out[done + i] = static_cast<std::uint32_t>(k);
     }
@@ -167,17 +169,16 @@ void ZipfSampler::sample(Rng& rng, std::span<std::uint32_t> out) const {
 }
 
 std::size_t ZipfSampler::rank(double u) const {
+  const Table& t = *table_;
   if (u >= 0.0 && u < 1.0) {  // false for NaN
-    const std::size_t k = table_->search(u);
+    const std::size_t k = t.settle(u, t.estimate(u));
     if (k != Table::kMiss) return k;
   }
-  const std::vector<double>& cdf = table_->cdf;
-  const auto first = cdf.begin();
-  // u outside [0, 1), or a bucket that does not hold upper_bound's answer
-  // (cannot happen while m is a power of two: j/m and u*m are exact):
-  // search the whole CDF, clamped to the last rank.
-  auto it = std::upper_bound(first, cdf.end(), u);
-  if (it == cdf.end()) --it;
+  // u outside [0, 1), or an estimate more than one rank off: search the
+  // whole CDF, clamped to the last rank.
+  const auto first = t.cdf.begin();
+  auto it = std::upper_bound(first, t.cdf.end(), u);
+  if (it == t.cdf.end()) --it;
   return static_cast<std::size_t>(it - first);
 }
 

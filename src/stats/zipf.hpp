@@ -4,13 +4,16 @@
 // workloads are heavily skewed, so the simulated service samples keys from
 // a Zipf distribution over its keyspace. Sampling inverts a precomputed
 // CDF through a guide table (Chen-Asau indexed search): bucket j of m
-// starts at the rank of u = j/m, so a draw binary-searches only its own
-// bucket. The result is always upper_bound's over the whole CDF: a bucket
-// answer is accepted only if it meets upper_bound's postcondition, and a
-// full search settles anything else. Within a bucket the search is
-// branch-free and takes the same number of steps for every draw, and the
-// batched sample() requests each draw's guide entry and CDF block before
-// it searches any, so one tick's cache misses overlap.
+// starts at the rank of u = j/m, and a sentinel entry ends the last
+// bucket at the last rank, so bucket j holds the ranks guide[j] through
+// guide[j + 1]. A draw's estimate interpolates its offset into its
+// bucket over those ranks; one branch-free step down and one up settle
+// it. The result is always upper_bound's over the whole CDF: a settled
+// rank is accepted only if it meets upper_bound's postcondition, and a
+// full search answers anything else (an estimate more than one rank
+// off, which only costs time). The batched sample() requests each
+// draw's guide entry, then the CDF lines around its estimate, before it
+// settles any, so one tick's cache misses overlap.
 //
 // One table per (n, exponent): samplers built while another sampler of
 // the same keyspace is alive share its CDF and guide table instead of

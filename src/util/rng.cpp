@@ -1,11 +1,39 @@
 #include "util/rng.hpp"
 
+#include <random>
+
 #include "util/check.hpp"
 
 namespace stayaway {
 
-double Rng::uniform() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(*this);
+Rng::Rng(std::uint64_t seed) : seed_(seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kWords; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Rng::refill() {
+  // The MT19937-64 twist in the three runs std::mt19937_64 uses. The
+  // matrix term is a mask of the low bit, not a branch on it: that bit
+  // is random, so a branch mispredicts on every other word.
+  constexpr std::size_t kShift = 156;
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  constexpr std::uint64_t kLower = ~kUpper;
+  constexpr std::uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
+  std::uint64_t* x = state_.data();
+  auto twist = [](std::uint64_t hi, std::uint64_t lo, std::uint64_t far) {
+    const std::uint64_t y = (hi & kUpper) | (lo & kLower);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  };
+  std::size_t k = 0;
+  for (; k < kWords - kShift; ++k) x[k] = twist(x[k], x[k + 1], x[k + kShift]);
+  for (; k < kWords - 1; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k + kShift - kWords]);
+  }
+  x[kWords - 1] = twist(x[kWords - 1], x[0], x[kShift - 1]);
+  next_ = 0;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -48,7 +76,12 @@ Rng Rng::fork() {
 
 Rng Rng::resumed(std::uint64_t seed, std::uint64_t draws) {
   Rng rng(seed);
-  rng.engine_.discard(draws);
+  std::uint64_t left = draws;
+  while (left > kWords - rng.next_) {
+    left -= kWords - rng.next_;
+    rng.refill();
+  }
+  rng.next_ += static_cast<std::size_t>(left);
   rng.draws_ = draws;
   return rng;
 }

@@ -2,6 +2,8 @@
 // method selection, stress reporting.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/embedder.hpp"
 #include "monitor/representative.hpp"
 #include "util/check.hpp"

@@ -508,7 +508,7 @@ std::size_t reference_rank(const std::vector<double>& cdf, double u) {
 
 const double kDiffExponents[] = {0.0, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
                                  1.2, 5000.0};
-const std::size_t kDiffSizes[] = {1, 2, 64, 4097, 200000};
+const std::size_t kDiffSizes[] = {1, 2, 64, 4097, 65537, 131073, 200000};
 
 TEST(Zipf, SampleMatchesPlainUpperBound) {
   for (std::size_t n : kDiffSizes) {

@@ -177,6 +177,29 @@ TEST(Rng, HelpersDrawTheEngineStream) {
   }
 }
 
+TEST(Rng, ResumedMatchesEngineDiscardAtBlockEdges) {
+  // resumed skips whole 312-word blocks by refilling without tempering:
+  // around every block edge it must land where the engine's discard
+  // does, with the same count.
+  for (std::uint64_t d : {0u, 1u, 311u, 312u, 313u, 623u, 624u, 625u, 9684u}) {
+    Rng rng = Rng::resumed(77, d);
+    std::mt19937_64 engine(77);
+    engine.discard(d);
+    EXPECT_EQ(rng.draws(), d);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng(), engine()) << d << " " << i;
+  }
+}
+
+TEST(Rng, CopyMidBlockContinuesTheStream) {
+  // A copy carries the whole state, including the position inside the
+  // current block, and from there the two draw the same outputs.
+  Rng original(3);
+  for (int i = 0; i < 500; ++i) original();
+  Rng copy = original;
+  EXPECT_EQ(copy.draws(), original.draws());
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(copy(), original()) << i;
+}
+
 /// `rng` written by StateIO::rng and read back into a fresh Rng.
 Rng snapshot_round_trip(Rng& rng) {
   std::string body;

@@ -38,7 +38,11 @@
 //                    stats/, linalg/, mds/, sim/, replay/): every
 //                    stochastic or environmental input must flow through
 //                    an explicitly seeded util/rng Rng or a config knob,
-//                    or experiments stop reproducing.
+//                    or experiments stop reproducing. The standard raw
+//                    engines (mt19937*, minstd_rand*, ranlux*, knuth_b,
+//                    default_random_engine) are banned in all of src/
+//                    outside util/rng.*: their draws go uncounted, so a
+//                    `<seed> <draws>` checkpoint cannot restore them.
 //   style            `#pragma once` in every header, no `using
 //                    namespace` in headers, no naked new/delete in
 //                    library or tool code, no std::cout/cerr/clog in
@@ -777,8 +781,20 @@ void lock_discipline_pass(const SourceFile& f, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 // Pass: determinism taint
 
+/// The standard library's raw engines. An engine outside util::Rng draws
+/// uncounted, so a `<seed> <draws>` snapshot could not restore it.
+bool raw_engine(const std::string& name) {
+  static const std::set<std::string> kEngines = {
+      "mt19937",  "mt19937_64",    "minstd_rand",   "minstd_rand0",
+      "ranlux24", "ranlux24_base", "ranlux48",      "ranlux48_base",
+      "knuth_b",  "default_random_engine"};
+  return kEngines.contains(name);
+}
+
 void determinism_pass(const SourceFile& f, std::vector<Finding>& out) {
-  if (!library_code(f.path) || !deterministic_domain(f.path)) return;
+  if (!library_code(f.path)) return;
+  const bool domain = deterministic_domain(f.path);
+  const bool rng_itself = path_has_dir(f.path, "src/util/rng.");
   const std::vector<Token>& toks = f.tokens;
   auto sig_before = [&](std::size_t j) -> const Token* {
     while (j > 0) {
@@ -796,6 +812,14 @@ void determinism_pass(const SourceFile& f, std::vector<Finding>& out) {
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != Tok::Ident) continue;
+    if (!rng_itself && raw_engine(t.text)) {
+      out.push_back({f.path, t.line, "determinism", "raw-engine",
+                     "std::" + t.text + " draws outside util::Rng, "
+                     "uncounted, so a checkpoint cannot restore it; draw "
+                     "from an explicitly seeded util/rng Rng"});
+      continue;
+    }
+    if (!domain) continue;
     if (t.text == "rand" || t.text == "srand") {
       const Token* nxt = sig_after(i);
       const Token* prv = sig_before(i);
@@ -1074,6 +1098,22 @@ std::vector<Fixture> self_test_fixtures() {
                {}});
   f.push_back({"member-rand-ok", "src/core/det9.cpp",
                "double d = dist.rand();\n",
+               {}});
+  f.push_back({"raw-engine-in-apps", "src/apps/det10.cpp",
+               "std::mt19937_64 gen(seed);\n",
+               {"raw-engine"}});
+  f.push_back({"raw-engines-in-core", "src/core/det11.cpp",
+               "std::minstd_rand a(1);\nstd::ranlux48_base b(2);\n"
+               "std::default_random_engine c;\n",
+               {"raw-engine", "raw-engine", "raw-engine"}});
+  f.push_back({"raw-engine-in-rng-ok", "src/util/rng.cpp",
+               "std::mt19937_64 engine(seed);\n",
+               {}});
+  f.push_back({"raw-engine-in-comment-ok", "src/util/det12.cpp",
+               "// equals std::mt19937_64's stream\nint x = 0;\n",
+               {}});
+  f.push_back({"raw-engine-in-tests-ok", "tests/det13.cpp",
+               "std::mt19937_64 engine(21);\n",
                {}});
   // --- include graph / layering ------------------------------------------
   f.push_back({"apps-include-core", "src/apps/inc1.cpp",
