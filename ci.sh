@@ -66,8 +66,9 @@
 #   ./ci.sh --analyze            static-analysis gate (DESIGN.md §16):
 #                                stayaway_analyze self-test, then the
 #                                include-graph / lock-discipline /
-#                                determinism / style passes over src,
-#                                tools and tests; when clang++ is on
+#                                determinism / style / test-only-api
+#                                passes over src, tools, tests, bench,
+#                                examples and perfbench; when clang++ is on
 #                                PATH, additionally a
 #                                -DSTAYAWAY_ANALYZE=ON build so Clang's
 #                                -Wthread-safety checks the SA_*
@@ -513,7 +514,8 @@ EOF
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" --target stayaway_analyze || return 1
       ./build/tools/stayaway_analyze --self-test || return 1
-      ./build/tools/stayaway_analyze src tools tests || return 1
+      ./build/tools/stayaway_analyze src tools tests bench examples perfbench ||
+        return 1
       if command -v clang++ >/dev/null 2>&1; then
         cmake -B build-analyze -S . \
           -DCMAKE_CXX_COMPILER=clang++ \

@@ -30,6 +30,7 @@ class MemBomb final : public sim::AppModel {
   sim::ResourceDemand demand(sim::SimTime now) override;
   void advance(sim::SimTime now, double dt, const sim::Allocation& alloc) override;
 
+  // sa-lint: test-observer(tests check the allocation growth rate)
   double allocated_mb() const { return allocated_mb_; }
 
  private:

@@ -46,10 +46,4 @@ void PhaseMachine::advance(double dt, double progress_factor) {
   }
 }
 
-double PhaseMachine::cycle_duration() const {
-  double acc = 0.0;
-  for (const auto& p : phases_) acc += p.duration_s;
-  return acc;
-}
-
 }  // namespace stayaway::apps

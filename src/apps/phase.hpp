@@ -28,15 +28,12 @@ class PhaseMachine {
 
   bool finished() const;
   const Phase& current() const;
-  std::size_t current_index() const { return index_; }
+  // sa-lint: test-observer(tests check phase roll-over)
   std::size_t cycles_completed() const { return cycles_; }
 
   /// Advances phase-progress by dt * progress_factor seconds of effective
   /// work; rolls over to subsequent phases as they complete.
   void advance(double dt, double progress_factor);
-
-  /// Total nominal duration of one cycle.
-  double cycle_duration() const;
 
  private:
   std::vector<Phase> phases_;

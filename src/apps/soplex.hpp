@@ -32,6 +32,7 @@ class Soplex final : public sim::AppModel {
   sim::ResourceDemand demand(sim::SimTime now) override;
   void advance(sim::SimTime now, double dt, const sim::Allocation& alloc) override;
 
+  // sa-lint: test-observer(tests check the progress the host granted)
   double work_done() const { return work_done_; }
   double working_set_mb() const;
   bool refactorizing() const;

@@ -53,6 +53,7 @@ class VlcStream final : public sim::AppModel, public sim::QosProbe {
 
   /// Workload intensity in [0,1] at the given time.
   double intensity(sim::SimTime now) const;
+  // sa-lint: test-observer(tests check the delivered frame rate)
   double frames_delivered() const { return frames_delivered_; }
 
  private:

@@ -71,6 +71,7 @@ class Webservice final : public sim::AppModel, public sim::QosProbe {
   /// Transactions completed in the last tick, per second.
   double completed_tps() const { return completed_tps_; }
   /// Lifetime cache hit rate.
+  // sa-lint: test-observer(tests compare cache models and fleet hosts)
   double cache_hit_rate() const { return cache_.hit_rate(); }
   const LruCache& cache() const { return cache_; }
 

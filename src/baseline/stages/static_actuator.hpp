@@ -30,6 +30,8 @@ class StaticThresholdActuator final : public core::Actuator {
               core::DegradationState degradation,
               obs::Observer* observer) override;
 
+  // sa-lint: test-observer(tests check whether the batch is paused)
+
   bool batch_paused() const { return paused_; }
   std::size_t pauses() const { return pauses_; }
 

@@ -54,14 +54,6 @@ std::size_t ClusterCoordinator::admissions_queued() const {
   return n;
 }
 
-std::size_t ClusterCoordinator::placement(const std::string& name) const {
-  for (const MobileVm& vm : mobile_) {
-    if (vm.name == name) return vm.host;
-  }
-  SA_CHECK(false, "placement() of an unregistered mobile VM");
-  return 0;
-}
-
 void ClusterCoordinator::attach_on(std::size_t h, sim::VmId vm,
                                    std::size_t next) {
   hosts_[h].port()->attach(vm);

@@ -102,9 +102,6 @@ class ClusterCoordinator {
   /// Canonical event log, one line per decision, in decision order —
   /// recorded into run-logs so cluster runs replay byte-identically.
   const std::vector<std::string>& events() const { return events_; }
-  const ClusterConfig& config() const { return config_; }
-  /// Current host index of a registered mobile VM.
-  std::size_t placement(const std::string& name) const;
 
   /// Snapshot of everything step() mutates: placements, cooldowns, the
   /// admission queue, per-host directives, counters and the event log.

@@ -33,7 +33,6 @@ class MigrationActuator final : public Actuator {
 
   /// Opens the migration gate for the next period (coordinator only).
   void set_gate(bool open) { gate_ = open; }
-  bool gate() const { return gate_; }
 
   /// Tells the actuator `n` VMs were attached to its host at the current
   /// boundary, so the next period's record stamps migrations_in.
@@ -48,7 +47,6 @@ class MigrationActuator final : public Actuator {
 
   Actuator* inner() { return inner_.get(); }
   const Actuator* inner() const { return inner_.get(); }
-  std::size_t migrations_out() const { return migrations_out_total_; }
 
   /// Snapshots the gate, incoming note and outbox with the inner stage,
   /// so a restore resumes mid-handshake exactly.

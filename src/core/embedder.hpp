@@ -64,10 +64,9 @@ class MapEmbedder {
   /// Full matrix rebuilds forced by a shrinking representative set.
   std::size_t rebuilds() const { return rebuilds_; }
 
-  EmbedMethod method() const { return method_; }
-
   /// Representative-set size at the most recent landmark-model fit
   /// (LandmarkIncremental only; 0 before the first fit).
+  // sa-lint: test-observer(tests check refit points and their restore)
   std::size_t landmark_fit_size() const { return last_fit_size_; }
 
   /// Snapshot of layout, stress and overhead counters, plus the landmark

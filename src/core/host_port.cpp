@@ -92,14 +92,6 @@ bool SimHostActuationPort::attach(sim::VmId id) {
   return true;
 }
 
-std::vector<sim::VmId> SimHostActuationPort::parked_batch() const {
-  std::vector<sim::VmId> out;
-  for (sim::VmId id : host_->vms_of_kind(sim::VmKind::Batch)) {
-    if (host_->vm(id).detached()) out.push_back(id);
-  }
-  return out;
-}
-
 void SimHostActuationPort::replay_delivered(double now) {
   while (replay_cursor_ < journal_.size() &&
          journal_[replay_cursor_].time <= now) {

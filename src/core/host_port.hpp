@@ -53,10 +53,7 @@ class SimHostActuationPort final : public ActuationPort {
   bool resume(sim::VmId id) override;
   bool detach(sim::VmId id) override;
   bool attach(sim::VmId id) override;
-  std::vector<sim::VmId> parked_batch() const override;
 
-  /// Every delivered actuation so far, in delivery order.
-  const std::vector<DeliveredOp>& journal() const { return journal_; }
   /// Re-applies restored journal entries with time <= `now` directly to
   /// the host — no fault draws, no re-journalling — in original delivery
   /// order. An internal cursor makes repeated calls apply each entry

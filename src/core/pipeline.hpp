@@ -97,7 +97,6 @@ class HostPipeline {
   /// keeps names identical to the historical single-host stream. Call
   /// before set_observer.
   void set_host_label(std::string label);
-  const std::string& host_label() const { return label_; }
 
   /// Installs a fault plan (DESIGN.md §12). Must be called before the
   /// first on_period(). With no plan installed (or an empty one) the
@@ -151,7 +150,7 @@ class HostPipeline {
   /// Moves the record history out (for the run's result once the run is
   /// over) and leaves the pipeline with an empty history and memo.
   std::vector<PeriodRecord> take_records();
-  const StayAwayConfig& config() const { return config_; }
+  // sa-lint: test-observer(tests check faulted runs recover to Normal)
   DegradationState degradation() const { return degradation_; }
   /// The actuator's outcome for the most recent period (empty before the
   /// first period or with no actuator) — what a Pause paused, what a

@@ -24,6 +24,7 @@ class GovernorActuator final : public Actuator {
               DegradationState degradation, obs::Observer* observer) override;
 
   const ThrottleGovernor& governor() const { return governor_; }
+  // sa-lint: test-observer(tests check whether the batch is paused)
   bool batch_paused() const { return batch_paused_; }
   /// VMs paused by the last Pause action (empty after a Resume).
   const std::vector<sim::VmId>& throttled() const { return throttled_; }

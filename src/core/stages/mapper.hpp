@@ -71,12 +71,6 @@ class StayAwayMapper {
   std::size_t readings_quarantined() const {
     return quarantine_.total_quarantined();
   }
-  /// Late/out-of-order samples admitted (lifetime, streaming only).
-  std::size_t late_samples() const { return quarantine_.total_late(); }
-  /// Duplicate deliveries dropped (lifetime, streaming only).
-  std::size_t duplicate_samples() const {
-    return quarantine_.total_duplicates();
-  }
 
   /// Snapshot of the whole mapping chain: source/sampler RNG, quarantine,
   /// representative set, state space, embedder layout, and the carried

@@ -65,10 +65,6 @@ class ActuationPort {
   /// baseline adapters) keep the default refusal.
   virtual bool detach(sim::VmId) { return false; }
   virtual bool attach(sim::VmId) { return false; }
-
-  /// Batch VMs currently parked on this host: detached twins a migration
-  /// could attach here. Enumeration order.
-  virtual std::vector<sim::VmId> parked_batch() const { return {}; }
 };
 
 }  // namespace stayaway::core

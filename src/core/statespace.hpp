@@ -57,10 +57,13 @@ class StateSpace {
   const mds::Point2& position(std::size_t i) const;
   const mds::Embedding& positions() const { return positions_; }
 
+  // sa-lint: test-observer(tests check how visits are labelled)
   std::size_t visits(std::size_t i) const;
+  // sa-lint: test-observer(tests check how visits are labelled)
   std::size_t violating_visits(std::size_t i) const;
 
   std::size_t violation_count() const;
+  // sa-lint: test-observer(tests check the label split)
   std::size_t safe_count() const { return size() - violation_count(); }
 
   /// Scale parameter c: the median of the coordinate ranges of the map.

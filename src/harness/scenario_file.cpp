@@ -474,16 +474,6 @@ FleetScenario parse_fleet_scenario(std::istream& in) {
   return fleet;
 }
 
-Scenario parse_scenario(std::istream& in) {
-  FleetScenario fleet = parse_fleet_scenario(in);
-  if (fleet.fleet_syntax) {
-    throw PreconditionError(
-        "multi-host scenario ([host] sections / workers key): use "
-        "parse_fleet_scenario");
-  }
-  return fleet.base;
-}
-
 std::string serialize_scenario(const Scenario& scenario) {
   std::string out;
   serialize_body(scenario, out);

@@ -94,28 +94,24 @@ struct FleetScenario {
   bool fleet_syntax = false;
 };
 
-/// Parses a scenario document. Unknown keys, malformed lines, invalid
-/// values, duplicate VM names and unknown fault/metric kinds throw
-/// PreconditionError naming the offending line. Empty lines and '#'
-/// comments are ignored and values may be double-quoted ("a # b"; the
-/// lexical rules are util/keyvalue.hpp's). Keys may appear at most once,
-/// except the list-building `fault` and `vm` keys. Rejects fleet syntax —
-/// use parse_fleet_scenario for documents with [host] sections.
-Scenario parse_scenario(std::istream& in);
-
 /// Parses a scenario document that may contain [host "name"] sections
-/// and the `workers` key (see the header comment for the syntax). Plain
-/// single-host documents parse with hosts empty and base identical to
-/// parse_scenario's result. Section names must be unique and non-empty;
-/// per-section keys may override any base key once.
+/// and the `workers` key (see the header comment for the syntax). Unknown
+/// keys, malformed lines, invalid values, duplicate VM names and unknown
+/// fault/metric kinds throw PreconditionError naming the offending line.
+/// Empty lines and '#' comments are ignored and values may be
+/// double-quoted ("a # b"; the lexical rules are util/keyvalue.hpp's).
+/// Keys may appear at most once, except the list-building `fault` and
+/// `vm` keys. Plain single-host documents parse with fleet_syntax false,
+/// hosts empty and the scenario in base. Section names must be unique
+/// and non-empty; per-section keys may override any base key once.
 FleetScenario parse_fleet_scenario(std::istream& in);
 
 /// Canonical scenario-document form of a parsed scenario: every spec
 /// scalar written explicitly with exact-round-trip numbers, values
-/// quoted when they need it. parse_scenario(serialize_scenario(s))
-/// reproduces s, and serialize ∘ parse is a fixed point (pinned in
-/// tests/test_scenario_file.cpp). The run-log recorder (DESIGN.md §14)
-/// embeds scenarios through this.
+/// quoted when they need it. Parsing serialize_scenario(s) reproduces s
+/// as the base of a plain document, and serialize ∘ parse is a fixed
+/// point (pinned in tests/test_scenario_file.cpp). The run-log recorder
+/// (DESIGN.md §14) embeds scenarios through this.
 std::string serialize_scenario(const Scenario& scenario);
 
 /// Fleet documents serialize with the workers key first and every host

@@ -1,6 +1,5 @@
 #include "linalg/matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -23,16 +22,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
 Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
-  SA_REQUIRE(!rows.empty(), "from_rows requires at least one row");
-  Matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    SA_REQUIRE(rows[r].size() == m.cols_, "all rows must have equal length");
-    std::copy(rows[r].begin(), rows[r].end(), m.row(r).begin());
-  }
   return m;
 }
 
@@ -77,44 +66,6 @@ Matrix Matrix::multiply(const Matrix& other) const {
     }
   }
   return out;
-}
-
-Matrix Matrix::scaled(double factor) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= factor;
-  return out;
-}
-
-Matrix Matrix::plus(const Matrix& other) const {
-  SA_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-             "matrix shapes must match");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
-Matrix Matrix::minus(const Matrix& other) const {
-  SA_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-             "matrix shapes must match");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
-double Matrix::max_abs_difference(const Matrix& other) const {
-  SA_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-             "matrix shapes must match");
-  double m = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    m = std::max(m, std::abs(data_[i] - other.data_[i]));
-  }
-  return m;
 }
 
 double euclidean_distance(std::span<const double> a, std::span<const double> b) {

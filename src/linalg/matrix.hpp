@@ -22,9 +22,6 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
-  /// Builds a matrix whose rows are the given equal-length vectors.
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
@@ -37,15 +34,6 @@ class Matrix {
 
   Matrix transposed() const;
   Matrix multiply(const Matrix& other) const;
-  Matrix scaled(double factor) const;
-  Matrix plus(const Matrix& other) const;
-  Matrix minus(const Matrix& other) const;
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
-  /// Maximum absolute entry difference against another same-shape matrix.
-  double max_abs_difference(const Matrix& other) const;
 
  private:
   std::size_t rows_ = 0;

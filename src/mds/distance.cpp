@@ -48,14 +48,4 @@ linalg::Matrix extended_distance_matrix(
   return out;
 }
 
-std::vector<double> distances_to(const std::vector<std::vector<double>>& vectors,
-                                 const std::vector<double>& v) {
-  std::vector<double> out;
-  out.reserve(vectors.size());
-  for (const auto& row : vectors) {
-    out.push_back(linalg::euclidean_distance(row, v));
-  }
-  return out;
-}
-
 }  // namespace stayaway::mds

@@ -19,8 +19,4 @@ linalg::Matrix distance_matrix(const std::vector<std::vector<double>>& vectors);
 linalg::Matrix extended_distance_matrix(
     const linalg::Matrix& d, const std::vector<std::vector<double>>& vectors);
 
-/// Distances from one vector to each row of `vectors`.
-std::vector<double> distances_to(const std::vector<std::vector<double>>& vectors,
-                                 const std::vector<double>& v);
-
 }  // namespace stayaway::mds

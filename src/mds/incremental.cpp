@@ -49,17 +49,4 @@ Point2 place_point(const Embedding& anchors,
   return p;
 }
 
-double placement_stress(const Embedding& anchors,
-                        const std::vector<double>& target_distances,
-                        const Point2& p) {
-  SA_REQUIRE(anchors.size() == target_distances.size(),
-             "anchors and distances must align");
-  double acc = 0.0;
-  for (std::size_t j = 0; j < anchors.size(); ++j) {
-    double diff = target_distances[j] - distance(p, anchors[j]);
-    acc += diff * diff;
-  }
-  return acc;
-}
-
 }  // namespace stayaway::mds

@@ -27,10 +27,4 @@ Point2 place_point(const Embedding& anchors,
                    const std::vector<double>& target_distances,
                    const PlacementOptions& options = {});
 
-/// Local (per-point) stress of a placement: sum of squared residuals
-/// between target distances and realized map distances.
-double placement_stress(const Embedding& anchors,
-                        const std::vector<double>& target_distances,
-                        const Point2& p);
-
 }  // namespace stayaway::mds

@@ -12,7 +12,6 @@ struct Point2 {
 
   Point2 operator+(const Point2& o) const { return {x + o.x, y + o.y}; }
   Point2 operator-(const Point2& o) const { return {x - o.x, y - o.y}; }
-  Point2 scaled(double f) const { return {x * f, y * f}; }
   bool operator==(const Point2& o) const = default;
 };
 

@@ -27,20 +27,6 @@ std::size_t MetricLayout::index_of(std::size_t entity, std::size_t metric) const
   return entity * metrics.size() + metric;
 }
 
-std::string MetricLayout::dimension_name(std::size_t flat_index) const {
-  SA_REQUIRE(flat_index < dimension(), "dimension index out of range");
-  std::size_t entity = flat_index / metrics.size();
-  std::size_t metric = flat_index % metrics.size();
-  return entities[entity] + "." + to_string(metrics[metric]);
-}
-
-double metric_value(const MetricLayout& layout, const Measurement& m,
-                    std::size_t entity, std::size_t metric) {
-  std::size_t i = layout.index_of(entity, metric);
-  SA_REQUIRE(i < m.values.size(), "measurement shorter than its layout");
-  return m.values[i];
-}
-
 double allocation_metric(const sim::Allocation& alloc, MetricKind kind) {
   switch (kind) {
     case MetricKind::Cpu:

@@ -35,18 +35,12 @@ struct MetricLayout {
   std::size_t dimension() const { return entities.size() * metrics.size(); }
   /// Flat index of (entity e, metric m).
   std::size_t index_of(std::size_t entity, std::size_t metric) const;
-  /// Human-readable name of a flat dimension, e.g. "vlc.cpu".
-  std::string dimension_name(std::size_t flat_index) const;
 };
 
 struct Measurement {
   double time = 0.0;
   std::vector<double> values;  // layout.dimension() entries
 };
-
-/// Extracts the metric value of one entity from a flat measurement.
-double metric_value(const MetricLayout& layout, const Measurement& m,
-                    std::size_t entity, std::size_t metric);
 
 /// Reads one metric kind out of a granted allocation.
 double allocation_metric(const sim::Allocation& alloc, MetricKind kind);

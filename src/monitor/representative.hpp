@@ -43,13 +43,12 @@ class RepresentativeSet {
   const std::vector<std::vector<double>>& all() const { return reps_; }
 
   /// How many raw samples were merged into representative i (>= 1).
+  // sa-lint: test-observer(tests check which representative absorbed a sample)
   std::size_t weight(std::size_t i) const;
 
   /// Total raw samples observed.
   std::size_t total_observed() const { return observed_; }
 
-  double epsilon() const { return epsilon_; }
-  std::size_t max_size() const { return max_size_; }
   bool full() const { return max_size_ > 0 && reps_.size() >= max_size_; }
 
   /// Snapshot of the representative vectors, merge weights and observed

@@ -157,10 +157,9 @@ class RingSampleSource final : public SampleSource {
 
   std::uint64_t samples_taken() const override { return delivered_total_; }
 
-  /// Emissions dropped by a full ring so far (observability).
+  /// Emissions dropped by a full ring so far.
+  // sa-lint: test-observer(tests check it sums the per-drain reports)
   std::uint64_t overflow_total() const { return overflow_total_; }
-
-  const RingStreamOptions& options() const { return options_; }
 
   /// Snapshot of the stream position: both RNGs, the next emission time
   /// and sequence, the queued and pending samples, and the delivered /

@@ -34,12 +34,9 @@ struct Event {
     fields.emplace_back(std::string(key), std::move(value));
     return *this;
   }
-  const JsonValue* find(std::string_view key) const;
 
   /// {"t":<time>,"type":<type>,<fields...>} — field order preserved.
   JsonValue to_json() const;
-  /// Inverse of to_json (unknown layouts throw PreconditionError).
-  static Event from_json(const JsonValue& v);
 
   bool operator==(const Event& o) const = default;
 };
@@ -65,9 +62,5 @@ class JsonlSink final : public EventSink {
   std::ostream* out_ SA_PT_GUARDED_BY(mu_);
   std::size_t emitted_ SA_GUARDED_BY(mu_) = 0;
 };
-
-/// Parses a JSONL document back into events (round-trip testing and
-/// offline analysis). Blank lines are skipped; malformed lines throw.
-std::vector<Event> parse_jsonl(std::istream& in);
 
 }  // namespace stayaway::obs

@@ -1,9 +1,7 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
@@ -19,10 +17,6 @@ JsonValue::~JsonValue() = default;
 
 namespace {
 
-[[noreturn]] void fail(const std::string& message) {
-  throw PreconditionError("json: " + message);
-}
-
 void write_number(std::ostream& out, double v) {
   SA_REQUIRE(std::isfinite(v), "json numbers must be finite");
   // Integral values print without an exponent or fraction; everything
@@ -37,173 +31,6 @@ void write_number(std::ostream& out, double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out << buf;
 }
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  JsonValue run() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "' at offset " +
-           std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(std::string_view w) {
-    if (text_.substr(pos_, w.size()) == w) {
-      pos_ += w.size();
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return JsonValue(string());
-    if (consume_word("true")) return JsonValue(true);
-    if (consume_word("false")) return JsonValue(false);
-    if (consume_word("null")) return JsonValue(nullptr);
-    return number();
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue out = JsonValue::object();
-    skip_ws();
-    if (consume('}')) return out;
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      out.set(std::move(key), value());
-      skip_ws();
-      if (consume('}')) return out;
-      expect(',');
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue out = JsonValue::array();
-    skip_ws();
-    if (consume(']')) return out;
-    while (true) {
-      out.push_back(value());
-      skip_ws();
-      if (consume(']')) return out;
-      expect(',');
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': out += unicode_escape(); break;
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  std::string unicode_escape() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_++];
-      code <<= 4;
-      if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') code |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') code |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("invalid \\u escape");
-    }
-    // UTF-8 encode the code point (surrogate pairs are not needed for the
-    // ASCII event streams this layer produces, but basic-plane values work).
-    std::string out;
-    if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-    return out;
-  }
-
-  JsonValue number() {
-    std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
-    return JsonValue(v);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -232,31 +59,6 @@ void write_json_string(std::ostream& out, std::string_view s) {
   out << '"';
 }
 
-bool JsonValue::as_bool() const {
-  SA_REQUIRE(kind() == Kind::Bool, "json value is not a bool");
-  return std::get<bool>(value_);
-}
-
-double JsonValue::as_double() const {
-  SA_REQUIRE(kind() == Kind::Number, "json value is not a number");
-  return std::get<double>(value_);
-}
-
-const std::string& JsonValue::as_string() const {
-  SA_REQUIRE(kind() == Kind::String, "json value is not a string");
-  return std::get<std::string>(value_);
-}
-
-const JsonValue::Array& JsonValue::as_array() const {
-  SA_REQUIRE(kind() == Kind::Array, "json value is not an array");
-  return std::get<Array>(value_);
-}
-
-const JsonValue::Object& JsonValue::as_object() const {
-  SA_REQUIRE(kind() == Kind::Object, "json value is not an object");
-  return std::get<Object>(value_);
-}
-
 void JsonValue::push_back(JsonValue v) {
   SA_REQUIRE(kind() == Kind::Array, "push_back needs an array value");
   std::get<Array>(value_).push_back(std::move(v));
@@ -265,14 +67,6 @@ void JsonValue::push_back(JsonValue v) {
 void JsonValue::set(std::string key, JsonValue v) {
   SA_REQUIRE(kind() == Kind::Object, "set needs an object value");
   std::get<Object>(value_).emplace_back(std::move(key), std::move(v));
-}
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  SA_REQUIRE(kind() == Kind::Object, "find needs an object value");
-  for (const auto& [k, v] : std::get<Object>(value_)) {
-    if (k == key) return &v;
-  }
-  return nullptr;
 }
 
 void JsonValue::dump(std::ostream& out) const {
@@ -320,10 +114,6 @@ std::string JsonValue::dump() const {
   std::ostringstream out;
   dump(out);
   return out.str();
-}
-
-JsonValue JsonValue::parse(std::string_view text) {
-  return Parser(text).run();
 }
 
 }  // namespace stayaway::obs

@@ -1,7 +1,6 @@
-// Minimal JSON value: enough to write and re-read the observability
-// layer's event stream and metrics summaries without an external
-// dependency. Objects keep insertion order so a dump -> parse -> dump
-// round trip is stable, which the JSONL tests rely on.
+// Minimal JSON value: enough to write the observability layer's event
+// stream and metrics summaries without an external dependency. Objects
+// keep insertion order, so a value always dumps to the same text.
 #pragma once
 
 #include <cstddef>
@@ -49,34 +48,16 @@ class JsonValue {
   static JsonValue object() { return JsonValue(Object{}); }
 
   Kind kind() const { return static_cast<Kind>(value_.index()); }
-  bool is_null() const { return kind() == Kind::Null; }
-  bool is_number() const { return kind() == Kind::Number; }
-  bool is_string() const { return kind() == Kind::String; }
-  bool is_object() const { return kind() == Kind::Object; }
-  bool is_array() const { return kind() == Kind::Array; }
-
-  /// Typed accessors; throw PreconditionError on a kind mismatch.
-  bool as_bool() const;
-  double as_double() const;
-  const std::string& as_string() const;
-  const Array& as_array() const;
-  const Object& as_object() const;
 
   /// Appends to an array value (must be an array).
   void push_back(JsonValue v);
   /// Appends a key to an object value (must be an object; keys are not
   /// deduplicated — callers control uniqueness).
   void set(std::string key, JsonValue v);
-  /// First value under `key` in an object, nullptr when absent.
-  const JsonValue* find(std::string_view key) const;
 
   /// Compact single-line serialization (no trailing newline).
   void dump(std::ostream& out) const;
   std::string dump() const;
-
-  /// Parses one JSON document; trailing non-whitespace or malformed input
-  /// throws PreconditionError.
-  static JsonValue parse(std::string_view text);
 
   bool operator==(const JsonValue& o) const = default;
 

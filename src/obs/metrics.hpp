@@ -34,6 +34,7 @@ class Counter {
   std::uint64_t value() const {
     return cell_ != nullptr ? cell_->load(std::memory_order_relaxed) : 0;
   }
+  // sa-lint: test-observer(tests check a default handle is a no-op)
   bool enabled() const { return cell_ != nullptr; }
 
  private:
@@ -52,6 +53,7 @@ class Gauge {
   double value() const {
     return cell_ != nullptr ? cell_->load(std::memory_order_relaxed) : 0.0;
   }
+  // sa-lint: test-observer(tests check a default handle is a no-op)
   bool enabled() const { return cell_ != nullptr; }
 
  private:
@@ -70,6 +72,7 @@ class Histogram {
   std::uint64_t count() const;
   double sum() const;
   double mean() const;
+  // sa-lint: test-observer(tests check a default handle is a no-op)
   bool enabled() const { return cell_ != nullptr; }
 
  private:

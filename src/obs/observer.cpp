@@ -45,7 +45,7 @@ Histogram& Observer::span_histogram(const char* name) {
 
 void Observer::record_span(const char* name, double sim_time, double us) {
   span_histogram(name).observe(us);
-  if (span_events_ && sink_ != nullptr) {
+  if (sink_ != nullptr) {
     Event e(sim_time, "span");
     e.with("name", JsonValue(name)).with("us", JsonValue(us));
     sink_->emit(e);

@@ -22,7 +22,7 @@ class Observer;
 
 /// RAII wall-clock timer over one named phase of a period. On close (or
 /// destruction) it records the elapsed microseconds into the histogram
-/// "span.<name>.us" and, when span events are enabled, emits a
+/// "span.<name>.us" and, when a sink is attached, emits a
 /// {"type":"span","name":...,"us":...} event stamped with the simulated
 /// time the span was opened at. A default-constructed Span is a no-op,
 /// so call sites do not branch on whether an observer is attached.
@@ -63,11 +63,6 @@ class Observer {
   EventSink* sink() const { return sink_; }
   void set_sink(EventSink* sink) { sink_ = sink; }
 
-  /// Whether each Span additionally emits a "span" event (default on;
-  /// the histogram is always fed).
-  bool span_events() const { return span_events_; }
-  void set_span_events(bool on) { span_events_ = on; }
-
   /// Opens a phase timer. `name` must outlive the observer (string
   /// literals in practice).
   Span span(const char* name, double sim_time) {
@@ -93,8 +88,6 @@ class Observer {
   // sa-lint: unguarded(wiring-time configuration: set before any
   // concurrent phase runs; sinks serialize emit/flush themselves)
   EventSink* sink_ = nullptr;
-  // sa-lint: unguarded(wiring-time configuration, read-only once running)
-  bool span_events_ = true;
   /// Handle cache so per-period spans take one short lock instead of the
   /// registry's name lookup. Guarded by span_mu_: an observer may be
   /// shared by the concurrent host pipelines of a fleet, whose phase

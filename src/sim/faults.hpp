@@ -148,6 +148,7 @@ class FaultInjector {
   /// Samples that left corrupt_sample with at least one fault applied.
   std::size_t faulted_samples() const { return faulted_samples_; }
   /// Pause/resume commands dropped so far.
+  // sa-lint: test-observer(tests check actuation faults drop commands)
   std::size_t dropped_commands() const { return dropped_commands_; }
 
   /// Crash-class queries (fleet supervisor only; DESIGN.md §17). Unlike
@@ -170,7 +171,6 @@ class FaultInjector {
   /// True when a checkpoint saved at `now` corrupts at rest. Not horizon
   /// masked — corruption is a storage property, not a handled failure.
   bool checkpoint_corrupt(double now) const;
-  double crash_horizon() const { return crash_horizon_; }
   /// Monotone: keeps the larger of the current and given horizon.
   void set_crash_horizon(double horizon);
 

@@ -56,19 +56,11 @@ void SimHost::step() {
     v.add_cpu_work(granted_cpu * tick_seconds_);
   }
   last_utilization_ = cpu_used / spec_.cpu_cores;
-  total_cpu_work_ += cpu_used * tick_seconds_;
   now_ += tick_seconds_;
 }
 
 void SimHost::run(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) step();
-}
-
-bool SimHost::all_finished() const {
-  for (const auto& v : vms_) {
-    if (!v->app().finished()) return false;
-  }
-  return true;
 }
 
 std::vector<VmId> SimHost::vms_of_kind(VmKind kind) const {

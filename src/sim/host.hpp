@@ -27,7 +27,6 @@ class SimHost {
 
   const HostSpec& spec() const { return spec_; }
   SimTime now() const { return now_; }
-  double tick_seconds() const { return tick_seconds_; }
 
   /// Advances the simulation by one tick: collect demands from active VMs,
   /// resolve contention, advance the apps, update ledgers.
@@ -39,12 +38,6 @@ class SimHost {
   /// Host CPU utilization in [0,1] for the most recent tick.
   double instantaneous_cpu_utilization() const { return last_utilization_; }
 
-  /// Total CPU work granted across all VMs so far (core-seconds).
-  double total_cpu_work() const { return total_cpu_work_; }
-
-  /// True when every VM has finished its workload.
-  bool all_finished() const;
-
   /// Ids of the VMs of a given kind.
   std::vector<VmId> vms_of_kind(VmKind kind) const;
 
@@ -54,7 +47,6 @@ class SimHost {
   SimTime now_ = 0.0;
   std::vector<std::unique_ptr<SimVm>> vms_;
   double last_utilization_ = 0.0;
-  double total_cpu_work_ = 0.0;
 };
 
 }  // namespace stayaway::sim

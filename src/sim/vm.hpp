@@ -29,7 +29,6 @@ class SimVm {
   VmId id() const { return id_; }
   const std::string& name() const { return name_; }
   VmKind kind() const { return kind_; }
-  SimTime start_time() const { return start_time_; }
   int priority() const { return priority_; }
 
   AppModel& app() { return *app_; }
@@ -50,7 +49,6 @@ class SimVm {
   /// Migration-in analogue (cold restart): the VM re-arrives at `now`
   /// unpaused; its app resumes from wherever its internal clock left off.
   void attach(SimTime now);
-  bool detached() const { return detached_; }
 
   /// Active means: arrived, not finished, not paused.
   bool active(SimTime now) const;

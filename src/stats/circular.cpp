@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "util/check.hpp"
 
 namespace stayaway::stats {
-
-double wrap_angle(double radians) {
-  constexpr double two_pi = 2.0 * std::numbers::pi;
-  double w = std::fmod(radians + std::numbers::pi, two_pi);
-  if (w < 0.0) w += two_pi;
-  return w - std::numbers::pi;
-}
-
-double angle_difference(double a, double b) { return wrap_angle(a - b); }
 
 CircularSummary circular_summary(std::span<const double> angles) {
   SA_REQUIRE(!angles.empty(), "circular summary of an empty set");

@@ -9,12 +9,6 @@
 
 namespace stayaway::stats {
 
-/// Wraps an angle into [-pi, pi).
-double wrap_angle(double radians);
-
-/// Smallest signed difference a-b on the circle, in [-pi, pi).
-double angle_difference(double a, double b);
-
 struct CircularSummary {
   double mean = 0.0;       // circular mean direction, in [-pi, pi)
   double resultant = 0.0;  // mean resultant length in [0,1]; 1 = no spread

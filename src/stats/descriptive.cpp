@@ -16,8 +16,6 @@ double mean(std::span<const double> xs) {
   return acc / static_cast<double>(xs.size());
 }
 
-double median(std::span<const double> xs) { return percentile(xs, 50.0); }
-
 double percentile(std::span<const double> xs, double p) {
   SA_REQUIRE(!xs.empty(), "percentile of an empty set");
   SA_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
@@ -35,15 +33,6 @@ double stddev(std::span<const double> xs) {
   OnlineMoments m;
   for (double x : xs) m.observe(x);
   return m.stddev();
-}
-
-double fraction_below(std::span<const double> xs, double threshold) {
-  SA_REQUIRE(!xs.empty(), "fraction_below of an empty set");
-  std::size_t n = 0;
-  for (double x : xs) {
-    if (x < threshold) ++n;
-  }
-  return static_cast<double>(n) / static_cast<double>(xs.size());
 }
 
 }  // namespace stayaway::stats

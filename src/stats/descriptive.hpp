@@ -8,17 +8,10 @@ namespace stayaway::stats {
 /// Arithmetic mean. Requires non-empty input.
 double mean(std::span<const double> xs);
 
-/// Median (average of the two middle order statistics for even n).
-/// Requires non-empty input.
-double median(std::span<const double> xs);
-
 /// Percentile p in [0,100] with linear interpolation. Requires non-empty.
 double percentile(std::span<const double> xs, double p);
 
 /// Sample standard deviation; zero for fewer than two samples.
 double stddev(std::span<const double> xs);
-
-/// Fraction of samples strictly below the threshold.
-double fraction_below(std::span<const double> xs, double threshold);
 
 }  // namespace stayaway::stats

@@ -54,53 +54,11 @@ std::size_t Histogram::bin_index(double v) const {
   return std::min(i, counts_.size() - 1);
 }
 
-double Histogram::cumulative(std::size_t i) const {
-  SA_REQUIRE(i < counts_.size(), "bin index out of range");
-  double acc = 0.0;
-  for (std::size_t b = 0; b <= i; ++b) acc += mass(b);
-  return acc;
-}
-
-double Histogram::quantile(double q) const {
-  SA_REQUIRE(!empty(), "quantile of an empty histogram");
-  SA_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  double acc = 0.0;
-  std::size_t last_loaded = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    double m = mass(b);
-    // Empty bins carry no quantile mass: without this skip, quantile(0)
-    // of a histogram whose support starts mid-range would report lo_.
-    if (m <= 0.0) continue;
-    last_loaded = b;
-    if (acc + m >= q) {
-      double within = std::clamp((q - acc) / m, 0.0, 1.0);
-      return lo_ + (static_cast<double>(b) + within) * bin_width();
-    }
-    acc += m;
-  }
-  // Floating-point drift can leave acc a hair under q == 1; the answer is
-  // the upper edge of the last mass-bearing bin (not hi_, which may sit
-  // past the support).
-  return lo_ + (static_cast<double>(last_loaded) + 1.0) * bin_width();
-}
-
-void Histogram::decay(double factor) {
-  SA_REQUIRE(factor >= 0.0 && factor <= 1.0, "decay factor must be in [0,1]");
-  for (double& c : counts_) c *= factor;
-  total_ *= factor;
-}
-
 void Histogram::restore(const std::vector<double>& counts, double total) {
   SA_REQUIRE(counts.size() == counts_.size(),
              "histogram restore requires a matching bin count");
   counts_ = counts;
   total_ = total;
-}
-
-std::vector<double> Histogram::masses() const {
-  std::vector<double> out(counts_.size(), 0.0);
-  for (std::size_t i = 0; i < counts_.size(); ++i) out[i] = mass(i);
-  return out;
 }
 
 }  // namespace stayaway::stats

@@ -22,7 +22,6 @@ class Histogram {
 
   std::size_t bins() const { return counts_.size(); }
   double lo() const { return lo_; }
-  double hi() const { return hi_; }
   double total_weight() const { return total_; }
   bool empty() const { return total_ <= 0.0; }
 
@@ -38,20 +37,6 @@ class Histogram {
 
   /// Index of the bin containing v (after clamping).
   std::size_t bin_index(double v) const;
-
-  /// Cumulative mass up to and including bin i.
-  double cumulative(std::size_t i) const;
-
-  /// Quantile by linear interpolation inside the containing bin.
-  /// Requires a non-empty histogram and q in [0,1].
-  double quantile(double q) const;
-
-  /// Multiplies every bin weight by `factor` (exponential forgetting, so a
-  /// long-running mode model can track slowly drifting behaviour).
-  void decay(double factor);
-
-  /// The probability masses for all bins, in order.
-  std::vector<double> masses() const;
 
   /// Raw per-bin weights in bin order, for state snapshots.
   const std::vector<double>& raw_counts() const { return counts_; }

@@ -28,12 +28,4 @@ double InverseTransformSampler::sample(Rng& rng) const {
   return lo_ + (static_cast<double>(bin) + jitter) * bin_width_;
 }
 
-std::vector<double> InverseTransformSampler::sample_n(Rng& rng,
-                                                      std::size_t n) const {
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(sample(rng));
-  return out;
-}
-
 }  // namespace stayaway::stats

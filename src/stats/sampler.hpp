@@ -21,7 +21,6 @@ class InverseTransformSampler {
   explicit InverseTransformSampler(const Histogram& hist);
 
   double sample(Rng& rng) const;
-  std::vector<double> sample_n(Rng& rng, std::size_t n) const;
 
  private:
   double lo_;

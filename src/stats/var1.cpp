@@ -10,7 +10,7 @@ namespace stayaway::stats {
 namespace {
 
 // Forecast components are clamped to this magnitude so an unstable
-// fitted transition (spectral radius > 1) cannot iterate predict_k into
+// fitted transition (spectral radius > 1) cannot iterate predict into
 // overflow: forecasts stay huge-but-finite and comparable.
 constexpr double kForecastClamp = 1e150;
 
@@ -93,13 +93,6 @@ std::vector<double> Var1Model::predict(const std::vector<double>& state) const {
     out[r] = acc;
   }
   return out;
-}
-
-std::vector<double> Var1Model::predict_k(const std::vector<double>& state,
-                                         std::size_t steps) const {
-  std::vector<double> cur = state;
-  for (std::size_t i = 0; i < steps; ++i) cur = predict(cur);
-  return cur;
 }
 
 }  // namespace stayaway::stats

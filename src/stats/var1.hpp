@@ -29,10 +29,6 @@ class Var1Model {
   /// One-step-ahead forecast from the given state.
   std::vector<double> predict(const std::vector<double>& state) const;
 
-  /// Iterated k-step forecast.
-  std::vector<double> predict_k(const std::vector<double>& state,
-                                std::size_t steps) const;
-
   const linalg::Matrix& transition() const { return transition_; }
   const std::vector<double>& intercept() const { return intercept_; }
 

@@ -4,11 +4,10 @@
 // up the intensity for the current simulated time (linear interpolation)
 // to scale their demand. The Wikipedia read trace the paper uses (Fig. 1)
 // is no longer downloadable, so traces here come from the generator in
-// diurnal.hpp or from CSV files.
+// diurnal.hpp.
 #pragma once
 
-#include <iosfwd>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace stayaway::trace {
@@ -20,7 +19,6 @@ class Trace {
   Trace(std::vector<double> samples, double sample_interval_s);
 
   std::size_t size() const { return samples_.size(); }
-  double sample_interval() const { return interval_; }
   double duration() const;
   const std::vector<double>& samples() const { return samples_; }
 
@@ -35,13 +33,6 @@ class Trace {
   double min() const { return min_; }
   double max() const { return max_; }
   double mean() const;
-
-  /// Returns a copy rescaled so values span [lo, hi].
-  Trace rescaled(double lo, double hi) const;
-
-  /// Serialization as a two-column CSV (time_s, value).
-  void save_csv(std::ostream& out) const;
-  static Trace load_csv(std::istream& in);
 
  private:
   std::vector<double> samples_;

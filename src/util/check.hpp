@@ -38,6 +38,7 @@ class InvariantError : public std::logic_error {
 };
 
 /// True when SA_DCHECK conditions are evaluated in this build.
+// sa-lint: test-observer(tests expect a throw only where the tier runs)
 constexpr bool dchecks_enabled() {
 #ifdef NDEBUG
   return false;
@@ -47,6 +48,7 @@ constexpr bool dchecks_enabled() {
 }
 
 /// True when SA_INVARIANT audits are evaluated in this build.
+// sa-lint: test-observer(tests expect a throw only where the tier runs)
 constexpr bool invariants_enabled() {
 #ifdef STAYAWAY_PARANOID
   return true;

@@ -63,15 +63,8 @@ class Rng {
   /// Normal with the given mean and standard deviation (sigma >= 0).
   double normal(double mean, double sigma);
 
-  /// Exponential with the given rate (rate > 0).
-  double exponential(double rate);
-
   /// Bernoulli trial with probability p in [0, 1].
   bool chance(double p);
-
-  /// Splits off an independently seeded child generator. Children are
-  /// decorrelated from the parent and from each other.
-  Rng fork();
 
   /// The construction seed and the raw draws made since: together the
   /// whole state of an Rng, which util::StateIO::rng snapshots as

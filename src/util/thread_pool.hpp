@@ -47,6 +47,7 @@ class ThreadPool {
   void for_ranges(std::size_t n, const RangeFn& fn);
 
   /// True while a parallel section is executing on this pool.
+  // sa-lint: test-observer(tests check the reentrancy guard)
   bool in_parallel() const {
     return in_parallel_.load(std::memory_order_relaxed);
   }

@@ -76,8 +76,14 @@ TEST(PhaseMachine, ZeroProgressFreezes) {
 }
 
 TEST(PhaseMachine, CycleDuration) {
+  // One cycle lasts the sum of the phase durations.
   PhaseMachine pm({{"a", {}, 1.5}, {"b", {}, 2.5}}, true);
-  EXPECT_DOUBLE_EQ(pm.cycle_duration(), 4.0);
+  pm.advance(3.5, 1.0);
+  EXPECT_EQ(pm.cycles_completed(), 0u);
+  EXPECT_EQ(pm.current().name, "b");
+  pm.advance(1.0, 1.0);
+  EXPECT_EQ(pm.cycles_completed(), 1u);
+  EXPECT_EQ(pm.current().name, "a");
 }
 
 TEST(PhaseMachine, InvalidConstruction) {

@@ -457,7 +457,6 @@ TEST(ConcurrentObs, RacingFirstSpanUsesShareOneHistogram) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kSpansPerThread = 200;
   obs::Observer observer;
-  observer.set_span_events(false);
 
   std::vector<std::thread> workers;
   workers.reserve(kThreads);

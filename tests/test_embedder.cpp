@@ -163,9 +163,11 @@ TEST(Embedder, ClustersRemainSeparated) {
   // Centroids of the two clusters must be far apart relative to spread.
   mds::Point2 c0{}, c1{};
   for (std::size_t i = 0; i < 6; ++i) {
-    c0 = c0 + pos[i].scaled(1.0 / 6.0);
-    c1 = c1 + pos[6 + i].scaled(1.0 / 6.0);
+    c0 = c0 + pos[i];
+    c1 = c1 + pos[6 + i];
   }
+  c0 = {c0.x / 6.0, c0.y / 6.0};
+  c1 = {c1.x / 6.0, c1.y / 6.0};
   EXPECT_GT(mds::distance(c0, c1), 1.0);
 }
 

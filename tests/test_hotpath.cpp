@@ -14,6 +14,7 @@
 #include "core/predictor.hpp"
 #include "core/statespace.hpp"
 #include "core/trajectory.hpp"
+#include "matrix_compare.hpp"
 #include "mds/distance.hpp"
 #include "mds/incremental.hpp"
 #include "mds/procrustes.hpp"
@@ -89,7 +90,8 @@ TEST(HotPath, ExtendedDistanceMatrixMatchesFromScratch) {
     incremental = mds::extended_distance_matrix(incremental, prefix);
     linalg::Matrix scratch = mds::distance_matrix(prefix);
     ASSERT_EQ(incremental.rows(), scratch.rows());
-    EXPECT_EQ(incremental.max_abs_difference(scratch), 0.0) << "n=" << n;
+    EXPECT_EQ(testutil::max_abs_difference(incremental, scratch), 0.0)
+        << "n=" << n;
   }
 }
 
@@ -99,11 +101,13 @@ TEST(HotPath, ExtendedDistanceMatrixHandlesEdgeCases) {
   // Empty base: full build.
   linalg::Matrix from_empty =
       mds::extended_distance_matrix(linalg::Matrix(), vectors);
-  EXPECT_EQ(from_empty.max_abs_difference(mds::distance_matrix(vectors)), 0.0);
+  EXPECT_EQ(testutil::max_abs_difference(from_empty,
+                                         mds::distance_matrix(vectors)),
+            0.0);
   // Already complete: unchanged.
   linalg::Matrix full = mds::distance_matrix(vectors);
-  EXPECT_EQ(mds::extended_distance_matrix(full, vectors)
-                .max_abs_difference(full),
+  EXPECT_EQ(testutil::max_abs_difference(
+                mds::extended_distance_matrix(full, vectors), full),
             0.0);
 }
 

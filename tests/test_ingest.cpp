@@ -577,7 +577,7 @@ TEST(ScenarioIngest, ParsesAndSerializesAsAFixedPoint) {
       "ingest_burst_rate_hz = 128\n"
       "ingest_burst_start_s = 10\n"
       "ingest_burst_end_s = 20\n");
-  harness::Scenario scenario = harness::parse_scenario(in);
+  harness::Scenario scenario = harness::parse_fleet_scenario(in).base;
   const core::IngestConfig& ing = scenario.spec.stayaway.ingest;
   EXPECT_EQ(ing.source, core::IngestSource::Ring);
   EXPECT_EQ(ing.rate_hz, 16.0);
@@ -590,7 +590,7 @@ TEST(ScenarioIngest, ParsesAndSerializesAsAFixedPoint) {
   std::string once = harness::serialize_scenario(scenario);
   std::istringstream again(once);
   std::string twice =
-      harness::serialize_scenario(harness::parse_scenario(again));
+      harness::serialize_scenario(harness::parse_fleet_scenario(again).base);
   EXPECT_EQ(once, twice);
 }
 

@@ -6,6 +6,7 @@
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
+#include "matrix_compare.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::linalg {
@@ -39,7 +40,7 @@ TEST(Matrix, OutOfRangeAccessThrows) {
 TEST(Matrix, IdentityMultiplication) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   Matrix result = a.multiply(Matrix::identity(2));
-  EXPECT_DOUBLE_EQ(result.max_abs_difference(a), 0.0);
+  EXPECT_DOUBLE_EQ(testutil::max_abs_difference(result, a), 0.0);
 }
 
 TEST(Matrix, MultiplyKnownProduct) {
@@ -64,27 +65,7 @@ TEST(Matrix, TransposeInvolution) {
   Matrix t = a.transposed();
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_DOUBLE_EQ(t.at(2, 1), 6.0);
-  EXPECT_DOUBLE_EQ(t.transposed().max_abs_difference(a), 0.0);
-}
-
-TEST(Matrix, PlusMinusScaled) {
-  Matrix a{{1.0, 2.0}};
-  Matrix b{{3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(a.plus(b).at(0, 1), 6.0);
-  EXPECT_DOUBLE_EQ(b.minus(a).at(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(a.scaled(3.0).at(0, 1), 6.0);
-}
-
-TEST(Matrix, FrobeniusNorm) {
-  Matrix a{{3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);
-}
-
-TEST(Matrix, FromRows) {
-  Matrix m = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_DOUBLE_EQ(m.at(1, 1), 4.0);
-  EXPECT_THROW(Matrix::from_rows({{1.0}, {2.0, 3.0}}), PreconditionError);
-  EXPECT_THROW(Matrix::from_rows({}), PreconditionError);
+  EXPECT_DOUBLE_EQ(testutil::max_abs_difference(t.transposed(), a), 0.0);
 }
 
 TEST(Vectors, EuclideanDistance) {
@@ -176,7 +157,7 @@ TEST(Eigen, ReconstructsMatrix) {
       }
     }
   }
-  EXPECT_LT(recon.max_abs_difference(a), 1e-9);
+  EXPECT_LT(testutil::max_abs_difference(recon, a), 1e-9);
 }
 
 TEST(Eigen, ValuesSortedDescending) {

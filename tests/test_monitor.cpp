@@ -41,22 +41,7 @@ TEST(MetricLayout, IndexingAndNames) {
   EXPECT_EQ(layout.dimension(), 4u);
   EXPECT_EQ(layout.index_of(0, 1), 1u);
   EXPECT_EQ(layout.index_of(1, 0), 2u);
-  EXPECT_EQ(layout.dimension_name(0), "vlc.cpu");
-  EXPECT_EQ(layout.dimension_name(3), "batch.mem");
   EXPECT_THROW(layout.index_of(2, 0), PreconditionError);
-  EXPECT_THROW(layout.dimension_name(4), PreconditionError);
-}
-
-TEST(Measurement, MetricValueExtraction) {
-  MetricLayout layout;
-  layout.entities = {"a", "b"};
-  layout.metrics = {MetricKind::Cpu, MetricKind::Network};
-  Measurement m;
-  m.values = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(metric_value(layout, m, 1, 0), 3.0);
-  Measurement short_m;
-  short_m.values = {1.0};
-  EXPECT_THROW(metric_value(layout, short_m, 1, 0), PreconditionError);
 }
 
 TEST(Measurement, AllocationMetricMapsKinds) {
@@ -89,8 +74,8 @@ TEST(Sampler, AggregatesBatchVmsIntoLogicalEntity) {
   host.run(2);
   Measurement m = sampler.sample();
   // Batch entity CPU = 1.0 + 0.5 summed.
-  EXPECT_NEAR(metric_value(sampler.layout(), m, 1, 0), 1.5, 1e-9);
-  EXPECT_NEAR(metric_value(sampler.layout(), m, 0, 0), 1.0, 1e-9);
+  EXPECT_NEAR(m.values[sampler.layout().index_of(1, 0)], 1.5, 1e-9);
+  EXPECT_NEAR(m.values[sampler.layout().index_of(0, 0)], 1.0, 1e-9);
 }
 
 TEST(Sampler, SingleBatchKeepsItsName) {
@@ -150,7 +135,7 @@ TEST(Sampler, PausedVmReadsZero) {
   host.vm(1).pause();
   host.run(1);
   Measurement m = sampler.sample();
-  EXPECT_DOUBLE_EQ(metric_value(sampler.layout(), m, 1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(m.values[sampler.layout().index_of(1, 0)], 0.0);
 }
 
 // ------------------------------------------------------------ normalizer

@@ -2,10 +2,10 @@
 // Action loop against the simulated host.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +13,7 @@
 #include "apps/cpubomb.hpp"
 #include "apps/vlc_stream.hpp"
 #include "core/pipeline.hpp"
+#include "event_log.hpp"
 #include "harness/scenarios.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
@@ -178,7 +179,7 @@ TEST(Runtime, BetaAdaptsOverLongRun) {
   run_periods(rig, rt, 120);
   // CPUBomb never phase-changes, so resumes mostly fail and beta grows.
   const ThrottleGovernor& governor = rt.governor_actuator()->governor();
-  EXPECT_GE(governor.beta(), rt.config().governor.beta_initial);
+  EXPECT_GE(governor.beta(), test_config().governor.beta_initial);
   EXPECT_GT(governor.resumes(), 0u);
 }
 
@@ -254,9 +255,8 @@ TEST(Runtime, ObserverIsPassive) {
 }
 
 TEST(Runtime, ObserverCoversAllLoopPhases) {
-  std::ostringstream events;
-  obs::JsonlSink sink(events);
-  obs::Observer observer(&sink);
+  testutil::EventLog log;
+  obs::Observer observer(&log);
   Rig rig(3.0);
   HostPipeline rt(rig.host, *rig.probe, test_config());
   rt.set_observer(&observer);
@@ -264,17 +264,14 @@ TEST(Runtime, ObserverCoversAllLoopPhases) {
   observer.flush();
 
   // Every phase span shows up in the stream and in the histograms.
-  std::istringstream in(events.str());
-  std::vector<obs::Event> parsed = obs::parse_jsonl(in);
-  std::size_t periods = 0;
-  std::set<std::string> span_names;
-  for (const auto& e : parsed) {
-    if (e.type == "period") ++periods;
-    if (e.type == "span") span_names.insert(e.find("name")->as_string());
-  }
-  EXPECT_EQ(periods, 30u);
+  EXPECT_EQ(log.of_type("period").size(), 30u);
+  std::vector<obs::Event> spans = log.of_type("span");
   for (const char* phase : {"period", "sample", "embed", "predict", "act"}) {
-    EXPECT_TRUE(span_names.count(phase) == 1)
+    EXPECT_TRUE(std::any_of(spans.begin(), spans.end(),
+                            [&](const obs::Event& e) {
+                              return *testutil::field(e, "name") ==
+                                     obs::JsonValue(phase);
+                            }))
         << "missing span for phase " << phase;
     obs::MetricsSnapshot snap = observer.metrics().snapshot();
     bool found = false;
@@ -294,14 +291,11 @@ TEST(Runtime, ObserverCoversAllLoopPhases) {
   EXPECT_EQ(loop_periods, 30u);
   // Governor activity surfaced as pause/resume events with reasons.
   if (rt.governor_actuator()->governor().pauses() > 0) {
-    bool saw_pause = false;
-    for (const auto& e : parsed) {
-      if (e.type == "pause") {
-        saw_pause = true;
-        EXPECT_NE(e.find("reason"), nullptr);
-      }
+    std::vector<obs::Event> pauses = log.of_type("pause");
+    EXPECT_FALSE(pauses.empty());
+    for (const auto& e : pauses) {
+      EXPECT_NE(testutil::field(e, "reason"), nullptr);
     }
-    EXPECT_TRUE(saw_pause);
   }
 }
 
@@ -482,9 +476,8 @@ TEST(RuntimeFaults, ObserverStaysPassiveUnderFaults) {
   rt_plain.install_faults(plan);
   run_periods(rig_plain, rt_plain, 30);
 
-  std::ostringstream events;
-  obs::JsonlSink sink(events);
-  obs::Observer observer(&sink);
+  testutil::EventLog log;
+  obs::Observer observer(&log);
   Rig rig_obs(3.0);
   HostPipeline rt_obs(rig_obs.host, *rig_obs.probe, test_config());
   rt_obs.set_observer(&observer);
@@ -493,13 +486,7 @@ TEST(RuntimeFaults, ObserverStaysPassiveUnderFaults) {
 
   EXPECT_EQ(rt_plain.records(), rt_obs.records());
   // The degradation episode shows up in the event stream.
-  std::istringstream in(events.str());
-  std::vector<obs::Event> parsed = obs::parse_jsonl(in);
-  bool saw_degradation_event = false;
-  for (const auto& e : parsed) {
-    if (e.type == "degradation") saw_degradation_event = true;
-  }
-  EXPECT_TRUE(saw_degradation_event);
+  EXPECT_FALSE(log.of_type("degradation").empty());
 }
 
 }  // namespace

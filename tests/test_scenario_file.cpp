@@ -15,7 +15,9 @@ namespace {
 
 Scenario parse(const std::string& text) {
   std::istringstream in(text);
-  return parse_scenario(in);
+  FleetScenario fleet = parse_fleet_scenario(in);
+  EXPECT_FALSE(fleet.fleet_syntax);
+  return fleet.base;
 }
 
 FleetScenario parse_fleet(const std::string& text) {
@@ -340,11 +342,6 @@ TEST(FleetScenarioFile, RejectsMalformedFleetSyntax) {
   // Per-section duplicate keys are still duplicates.
   EXPECT_THROW(parse_fleet("[host \"a\"]\nseed = 1\nseed = 2\n"),
                PreconditionError);
-}
-
-TEST(FleetScenarioFile, PlainParserRejectsFleetSyntax) {
-  EXPECT_THROW(parse("workers = 2\n"), PreconditionError);
-  EXPECT_THROW(parse("[host \"a\"]\n"), PreconditionError);
 }
 
 TEST(ScenarioFile, QuotedValuesAndEscapes) {

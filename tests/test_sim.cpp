@@ -201,7 +201,6 @@ TEST(Host, TickAdvancesTimeAndWork) {
   EXPECT_NEAR(host.now(), 1.0, 1e-9);
   EXPECT_NEAR(raw->work_done(), 1.0, 1e-9);  // full progress for 1 s
   EXPECT_NEAR(host.vm(0).cpu_work_done(), 2.0, 1e-9);
-  EXPECT_NEAR(host.total_cpu_work(), 2.0, 1e-9);
   EXPECT_NEAR(host.instantaneous_cpu_utilization(), 0.5, 1e-9);
 }
 
@@ -245,9 +244,9 @@ TEST(Host, AllFinishedDetected) {
   SimHost host(test_host(), 0.1);
   host.add_vm("a", VmKind::Batch,
               std::make_unique<FixedApp>(cpu_demand(1.0), 0.3));
-  EXPECT_FALSE(host.all_finished());
+  EXPECT_FALSE(host.vm(0).app().finished());
   host.run(10);
-  EXPECT_TRUE(host.all_finished());
+  EXPECT_TRUE(host.vm(0).app().finished());
 }
 
 TEST(Host, VmsOfKind) {
@@ -274,7 +273,7 @@ TEST(Host, FinishedAppStopsConsuming) {
   auto app = std::make_unique<FixedApp>(cpu_demand(4.0), /*total_work_s=*/0.2);
   host.add_vm("short", VmKind::Batch, std::move(app));
   host.run(2);  // finishes at 0.2s
-  EXPECT_TRUE(host.all_finished());
+  EXPECT_TRUE(host.vm(0).app().finished());
   host.step();
   EXPECT_DOUBLE_EQ(host.instantaneous_cpu_utilization(), 0.0);
 }

@@ -92,27 +92,6 @@ TEST(Histogram, DensityIntegratesToOne) {
   EXPECT_NEAR(integral, 1.0, 1e-12);
 }
 
-TEST(Histogram, QuantileInterpolation) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1e-12);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1e-12);
-}
-
-TEST(Histogram, QuantileOfEmptyThrows) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.quantile(0.5), PreconditionError);
-}
-
-TEST(Histogram, DecayReducesWeight) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25, 4.0);
-  h.decay(0.5);
-  EXPECT_DOUBLE_EQ(h.total_weight(), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-}
-
 TEST(Histogram, WeightedAdd) {
   Histogram h(0.0, 1.0, 2);
   h.add(0.1, 3.0);
@@ -134,7 +113,9 @@ TEST(Histogram, CumulativeReachesOne) {
   Histogram h(0.0, 1.0, 5);
   h.add(0.1);
   h.add(0.9);
-  EXPECT_NEAR(h.cumulative(h.bins() - 1), 1.0, 1e-12);
+  double cumulative = 0.0;
+  for (std::size_t b = 0; b < h.bins(); ++b) cumulative += h.mass(b);
+  EXPECT_NEAR(cumulative, 1.0, 1e-12);
 }
 
 // -------------------------------------------------------------- sampler
@@ -173,28 +154,7 @@ TEST(InverseTransform, EmptyHistogramRejected) {
   EXPECT_THROW(InverseTransformSampler{h}, PreconditionError);
 }
 
-TEST(InverseTransform, SampleN) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.3);
-  InverseTransformSampler sampler(h);
-  Rng rng(8);
-  EXPECT_EQ(sampler.sample_n(rng, 5).size(), 5u);
-}
-
 // ------------------------------------------------------------- circular
-TEST(Circular, WrapAngle) {
-  constexpr double pi = std::numbers::pi;
-  EXPECT_NEAR(wrap_angle(0.0), 0.0, 1e-12);
-  EXPECT_NEAR(wrap_angle(2.0 * pi), 0.0, 1e-12);
-  EXPECT_NEAR(wrap_angle(pi + 0.1), -pi + 0.1, 1e-12);
-  EXPECT_NEAR(wrap_angle(-pi - 0.1), pi - 0.1, 1e-12);
-}
-
-TEST(Circular, DifferenceAcrossWrap) {
-  constexpr double pi = std::numbers::pi;
-  EXPECT_NEAR(angle_difference(pi - 0.1, -pi + 0.1), -0.2, 1e-12);
-}
-
 TEST(Circular, SummaryOfTightCluster) {
   std::vector<double> angles{0.1, -0.1, 0.05, -0.05};
   auto s = circular_summary(angles);
@@ -252,16 +212,9 @@ TEST(Rayleigh, InvalidInputsRejected) {
 TEST(Descriptive, MeanMedianPercentile) {
   std::vector<double> xs{4.0, 1.0, 3.0, 2.0};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_DOUBLE_EQ(median(xs), 2.5);
+  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
-}
-
-TEST(Descriptive, FractionBelow) {
-  std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(fraction_below(xs, 2.5), 0.5);
-  EXPECT_DOUBLE_EQ(fraction_below(xs, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(fraction_below(xs, 10.0), 1.0);
 }
 
 TEST(Descriptive, StddevMatchesOnline) {
@@ -272,8 +225,7 @@ TEST(Descriptive, StddevMatchesOnline) {
 TEST(Descriptive, EmptyInputsRejected) {
   std::vector<double> xs;
   EXPECT_THROW(mean(xs), PreconditionError);
-  EXPECT_THROW(median(xs), PreconditionError);
-  EXPECT_THROW(fraction_below(xs, 1.0), PreconditionError);
+  EXPECT_THROW(percentile(xs, 50.0), PreconditionError);
 }
 
 // ----------------------------------------------------------------- zipf
@@ -331,18 +283,6 @@ TEST(Var1, RecoversLinearDynamics) {
   EXPECT_NEAR(pred[1], truth[1], 1e-3);
 }
 
-TEST(Var1, KStepIteratesPrediction) {
-  std::vector<std::vector<double>> series;
-  double v = 1.0;
-  for (int t = 0; t < 20; ++t) {
-    series.push_back({v});
-    v *= 0.5;
-  }
-  Var1Model model = Var1Model::fit(series);
-  auto two = model.predict_k({1.0}, 2);
-  EXPECT_NEAR(two[0], 0.25, 1e-6);
-}
-
 TEST(Var1, InsufficientSamplesRejected) {
   std::vector<std::vector<double>> series{{1.0, 2.0}, {2.0, 3.0}};
   EXPECT_THROW(Var1Model::fit(series), PreconditionError);
@@ -376,16 +316,6 @@ TEST(Histogram, NonFiniteWeightRejected) {
   // The rejected adds must not have poisoned the totals.
   h.add(0.5);
   EXPECT_DOUBLE_EQ(h.mass(h.bin_index(0.5)), 1.0);
-}
-
-TEST(Histogram, QuantileOfSingleLoadedBinStaysInsideThatBin) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(7.3, 5.0);  // all mass in bin [7, 8)
-  for (double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    double x = h.quantile(q);
-    EXPECT_GE(x, 7.0) << "q=" << q;
-    EXPECT_LE(x, 8.0) << "q=" << q;
-  }
 }
 
 TEST(Circular, VarianceNeverNegative) {
@@ -439,7 +369,8 @@ TEST(Var1, UnstablePredictKSaturatesFinite) {
     x *= 2.0;
   }
   Var1Model model = Var1Model::fit(series);
-  std::vector<double> far = model.predict_k({1.0}, 600);
+  std::vector<double> far = {1.0};
+  for (int step = 0; step < 600; ++step) far = model.predict(far);
   ASSERT_EQ(far.size(), 1u);
   EXPECT_TRUE(std::isfinite(far[0]));
 }

@@ -1,8 +1,6 @@
 // Unit tests for src/trace: trace container and diurnal generator.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "trace/diurnal.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -37,25 +35,6 @@ TEST(Trace, NormalizedAt) {
 TEST(Trace, NormalizedAtConstantTraceIsZero) {
   Trace t({5.0, 5.0}, 1.0);
   EXPECT_DOUBLE_EQ(t.normalized_at(0.5), 0.0);
-}
-
-TEST(Trace, Rescale) {
-  Trace t({0.0, 5.0, 10.0}, 1.0);
-  Trace r = t.rescaled(100.0, 200.0);
-  EXPECT_DOUBLE_EQ(r.min(), 100.0);
-  EXPECT_DOUBLE_EQ(r.max(), 200.0);
-  EXPECT_DOUBLE_EQ(r.at(1.0), 150.0);
-}
-
-TEST(Trace, CsvRoundTrip) {
-  Trace t({1.5, 2.5, 3.5}, 2.0);
-  std::ostringstream out;
-  t.save_csv(out);
-  std::istringstream in(out.str());
-  Trace back = Trace::load_csv(in);
-  ASSERT_EQ(back.size(), 3u);
-  EXPECT_DOUBLE_EQ(back.sample_interval(), 2.0);
-  EXPECT_DOUBLE_EQ(back.at(2.0), 2.5);
 }
 
 TEST(Trace, InvalidConstruction) {

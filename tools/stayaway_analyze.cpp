@@ -1,7 +1,7 @@
 // stayaway_analyze: multi-pass static analyzer for the repo (DESIGN.md
 // §16). Grown out of the old line-regex stayaway_lint: the line scanner
 // is replaced by a real tokenizer (comment-, string-, raw-string- and
-// preprocessor-aware), and the single rule list by four passes that each
+// preprocessor-aware), and the single rule list by five passes that each
 // walk the token stream:
 //
 //   include-graph    every `#include "module/..."` must respect the
@@ -50,6 +50,19 @@
 //                    HostSampler::sample() calls outside the synchronous
 //                    SampleSource, and no sim::SimHost mention inside
 //                    pipeline stages (the ActuationPort seam).
+//   test-only-api    every public function declared in a src/ header
+//                    must be named somewhere outside tests/ other than
+//                    its own declarations and definitions (a member
+//                    function by a call or a Class::name reference):
+//                    src/ (its own files included), tools/, bench/,
+//                    examples/ and perfbench/ are its users, tests/ only
+//                    exercises it.
+//                    An accessor kept so tests can observe state carries
+//                    a `// sa-lint: test-observer(<reason>)` waiver. This
+//                    pass needs every file at once, so it runs after the
+//                    per-file passes, over all roots together; scan every
+//                    directory that calls into src/, or names used only
+//                    by a left-out directory are reported.
 //
 // Usage:
 //   stayaway_analyze [--format=text|json] <root>...
@@ -277,27 +290,52 @@ std::vector<Token> tokenize(const std::string& src) {
 struct SourceFile {
   std::string path;           // generic path; domain rules key off it
   std::vector<Token> tokens;  // comments included
-  std::vector<std::size_t> waiver_lines;  // `// sa-lint: unguarded(...)`
+  std::vector<std::size_t> waiver_lines;    // `// sa-lint: unguarded(...)`
+  std::vector<std::size_t> observer_lines;  // `// sa-lint: test-observer(...)`
 };
+
+/// Lines of the `// sa-lint: <kind>(<reason>)` waivers in `tokens`. The
+/// reason must be non-empty; the closing paren may sit on a continuation
+/// comment line, so it is not demanded here.
+std::vector<std::size_t> waivers(const std::vector<Token>& tokens,
+                                 std::string_view kind) {
+  std::vector<std::size_t> lines;
+  const std::string open_text = std::string(kind) + "(";
+  for (const Token& t : tokens) {
+    if (t.kind != Tok::Comment) continue;
+    std::size_t pos = t.text.find("sa-lint:");
+    if (pos == std::string::npos) continue;
+    std::size_t open = t.text.find(open_text, pos);
+    if (open == std::string::npos) continue;
+    std::size_t reason = open + open_text.size();
+    if (reason < t.text.size() && t.text[reason] != ')') {
+      lines.push_back(t.line);
+    }
+  }
+  return lines;
+}
 
 SourceFile make_source(std::string path, const std::string& content) {
   SourceFile f;
   f.path = std::move(path);
   f.tokens = tokenize(content);
-  for (const Token& t : f.tokens) {
-    if (t.kind != Tok::Comment) continue;
-    std::size_t pos = t.text.find("sa-lint:");
-    if (pos == std::string::npos) continue;
-    std::size_t open = t.text.find("unguarded(", pos);
-    if (open == std::string::npos) continue;
-    // Require a non-empty reason; the closing paren may sit on a
-    // continuation comment line, so it is not demanded here.
-    std::size_t reason = open + std::string("unguarded(").size();
-    if (reason < t.text.size() && t.text[reason] != ')') {
-      f.waiver_lines.push_back(t.line);
+  f.waiver_lines = waivers(f.tokens, "unguarded");
+  f.observer_lines = waivers(f.tokens, "test-observer");
+  return f;
+}
+
+/// Consumes the first unused waiver on a declaration spanning
+/// [first_line, name_line] or in the comment block just above it (up to
+/// 4 lines), so one waiver covers exactly one declaration.
+bool consume_waiver(std::vector<std::size_t>& lines, std::size_t first_line,
+                    std::size_t name_line) {
+  for (std::size_t& w : lines) {
+    if (w != 0 && w <= name_line && w + 4 >= first_line) {
+      w = 0;
+      return true;
     }
   }
-  return f;
+  return false;
 }
 
 bool is_header(const std::string& path) { return path.ends_with(".hpp"); }
@@ -608,17 +646,7 @@ void finalize_class(const ClassScope& cls, const SourceFile& f,
   if (!cls.owns_mutex) return;
   for (const MemberDecl& m : cls.members) {
     if (m.guarded || m.is_mutex || m.is_condvar || m.is_atomic) continue;
-    // Consume a waiver sitting on the declaration or in the comment
-    // block immediately above it (up to 4 lines, one waiver per field).
-    bool waived = false;
-    for (std::size_t& w : free_waivers) {
-      if (w != 0 && w <= m.name_line && w + 4 >= m.first_line) {
-        w = 0;  // consumed
-        waived = true;
-        break;
-      }
-    }
-    if (waived) continue;
+    if (consume_waiver(free_waivers, m.first_line, m.name_line)) continue;
     out.push_back(
         {f.path, m.name_line, "lock-discipline", "unguarded-field",
          "field '" + m.name + "' of mutex-owning class '" +
@@ -965,38 +993,263 @@ void style_pass(const SourceFile& f, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// Pass: test-only API (whole tree)
+
+/// A declaration or definition of a function: `name(` at namespace or
+/// class scope, outside any parenthesis and before any `=` of its
+/// declaration, after a type, `::`, `*`, `&`, `>` or `~`.
+struct DeclSite {
+  std::size_t token = 0;       // index of the name in SourceFile::tokens
+  std::size_t first_line = 0;  // line of the declaration's first token
+  bool visible = false;  // named namespaces and public sections all the way
+  bool member = false;   // declared in a class body
+};
+
+/// Keywords written like a call, which a declaration may contain.
+bool call_like_keyword(const std::string& s) {
+  static const std::set<std::string> kWords = {
+      "alignas", "decltype", "explicit", "noexcept",
+      "operator", "requires", "sizeof", "static_assert"};
+  return kWords.contains(s);
+}
+
+std::vector<DeclSite> declaration_sites(const SourceFile& f) {
+  struct Scope {
+    enum Kind { kNamespace, kClass, kBody } kind;
+    bool reachable = false;  // the scope itself can be named from outside
+    bool public_section = true;
+    std::string name;  // classes: constructors are not API names
+  };
+  const std::vector<Token>& toks = f.tokens;
+  std::vector<Scope> scopes;
+  std::vector<const Token*> stmt;  // the current declaration so far
+  std::vector<DeclSite> out;
+  std::size_t parens = 0;
+  std::size_t directive_line = 0;
+  auto visible = [&] {
+    return scopes.empty() ||
+           (scopes.back().reachable && scopes.back().public_section);
+  };
+  auto next_sig = [&](std::size_t j) -> const Token* {
+    for (++j; j < toks.size(); ++j) {
+      if (toks[j].kind != Tok::Comment) return &toks[j];
+    }
+    return nullptr;
+  };
+  auto is = [](const Token* t, std::string_view text) {
+    return t != nullptr && t->text == text &&
+           (t->kind == Tok::Punct || t->kind == Tok::Ident);
+  };
+  // Classifies the `{` ending `stmt`: a namespace, a class body, or a
+  // body (function, lambda, enum, initializer) whose names are all uses.
+  auto open_scope = [&]() -> Scope {
+    std::size_t k = 0;
+    if (k < stmt.size() && is(stmt[k], "template")) {
+      int depth = 0;
+      for (++k; k < stmt.size(); ++k) {
+        if (is(stmt[k], "<")) ++depth;
+        if (is(stmt[k], ">") && --depth == 0) {
+          ++k;
+          break;
+        }
+      }
+    }
+    while (k < stmt.size() &&
+           (is(stmt[k], "inline") || is(stmt[k], "export"))) {
+      ++k;
+    }
+    if (k == stmt.size()) return {Scope::kBody, false, false, ""};
+    if (is(stmt[k], "namespace") || is(stmt[k], "extern")) {
+      // An anonymous namespace hides its contents.
+      return {Scope::kNamespace, visible() && k + 1 < stmt.size(), true, ""};
+    }
+    if (is(stmt[k], "class") || is(stmt[k], "struct") ||
+        is(stmt[k], "union")) {
+      std::string name;
+      for (std::size_t j = k + 1; j < stmt.size(); ++j) {
+        if (is(stmt[j], ":")) break;
+        if (stmt[j]->kind == Tok::Ident && stmt[j]->text != "final") {
+          name = stmt[j]->text;
+        }
+      }
+      return {Scope::kClass, visible(), !is(stmt[k], "class"), name};
+    }
+    return {Scope::kBody, false, false, ""};
+  };
+
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind == Tok::Comment) continue;
+    // Preprocessor lines (continued with a trailing backslash) never
+    // declare API; names in a macro body stay uses.
+    if (t.kind == Tok::Directive) directive_line = t.line;
+    if (t.line == directive_line) {
+      if (is(&t, "\\")) ++directive_line;
+      continue;
+    }
+    const bool in_body =
+        !scopes.empty() && scopes.back().kind == Scope::kBody;
+    if (is(&t, "{")) {
+      // A brace inside a parameter list is a default argument's value.
+      scopes.push_back(in_body || parens > 0
+                           ? Scope{Scope::kBody, false, false, ""}
+                           : open_scope());
+      if (parens == 0) stmt.clear();
+      continue;
+    }
+    if (is(&t, "}")) {
+      if (!scopes.empty()) scopes.pop_back();
+      if (parens == 0) stmt.clear();
+      continue;
+    }
+    if (in_body) continue;
+    if (is(&t, ";")) {
+      stmt.clear();
+      parens = 0;
+      continue;
+    }
+    if (!scopes.empty() && scopes.back().kind == Scope::kClass &&
+        (is(&t, "public") || is(&t, "private") || is(&t, "protected")) &&
+        is(next_sig(i), ":")) {
+      scopes.back().public_section = t.text == "public";
+      stmt.clear();
+      ++i;
+      continue;
+    }
+    if (is(&t, "(")) ++parens;
+    if (is(&t, ")") && parens > 0) --parens;
+    if (t.kind == Tok::Ident && parens == 0 && is(next_sig(i), "(") &&
+        !stmt.empty()) {
+      const Token* prev = stmt.back();
+      bool assigned = false;
+      for (const Token* s : stmt) assigned = assigned || is(s, "=");
+      if (!assigned &&
+          (prev->kind == Tok::Ident || is(prev, "::") || is(prev, "*") ||
+           is(prev, "&") || is(prev, ">") || is(prev, "~"))) {
+        // Destructors, operators and constructors are not API names.
+        const bool api = visible() && !is(prev, "~") &&
+                         !is(prev, "operator") && !call_like_keyword(t.text) &&
+                         (scopes.empty() || t.text != scopes.back().name);
+        out.push_back({i, stmt.front()->line, api,
+                       !scopes.empty() && scopes.back().kind == Scope::kClass});
+      }
+    }
+    stmt.push_back(&t);
+  }
+  return out;
+}
+
+/// tests/ exercises the library; it does not use it.
+bool test_code(const std::string& path) {
+  return path_has_dir(path, "tests/");
+}
+
+/// A public function or method declared in a src/ header must have a use
+/// outside tests/: a mention in src/, tools/, bench/, examples/ or
+/// perfbench/ other than a declaration or definition, its own header and
+/// .cpp included. Matching is by name, so any use of a name keeps every
+/// overload of it. One-line accessors that exist so tests can observe
+/// state carry a `// sa-lint: test-observer(<reason>)` waiver instead.
+void test_only_api_pass(const std::vector<SourceFile>& files,
+                        std::vector<Finding>& out) {
+  // A member function is used by a call or a `Class::name` reference; a
+  // bare mention of its name is usually a field, parameter or local.
+  std::set<std::string> used;
+  std::set<std::string> called;
+  std::vector<std::vector<DeclSite>> sites;
+  for (const SourceFile& f : files) {
+    sites.push_back(declaration_sites(f));
+    if (test_code(f.path)) continue;
+    std::vector<bool> declared(f.tokens.size(), false);
+    for (const DeclSite& d : sites.back()) declared[d.token] = true;
+    for (std::size_t i = 0; i < f.tokens.size(); ++i) {
+      const Token& t = f.tokens[i];
+      if (t.kind != Tok::Ident || declared[i]) continue;
+      used.insert(t.text);
+      std::size_t next = i + 1;
+      while (next < f.tokens.size() && f.tokens[next].kind == Tok::Comment) {
+        ++next;
+      }
+      if ((next < f.tokens.size() && f.tokens[next].text == "(") ||
+          (i > 0 && f.tokens[i - 1].text == "::")) {
+        called.insert(t.text);
+      }
+    }
+  }
+  for (std::size_t fi = 0; fi < files.size(); ++fi) {
+    const SourceFile& f = files[fi];
+    if (!library_code(f.path) || !is_header(f.path)) continue;
+    std::vector<std::size_t> observers = f.observer_lines;
+    for (const DeclSite& d : sites[fi]) {
+      const Token& name = f.tokens[d.token];
+      // A name with no lowercase letter is a macro or attribute, not API.
+      if (!d.visible || (d.member ? called : used).contains(name.text) ||
+          std::none_of(name.text.begin(), name.text.end(), [](char c) {
+            return std::islower(static_cast<unsigned char>(c)) != 0;
+          })) {
+        continue;
+      }
+      if (consume_waiver(observers, d.first_line, name.line)) continue;
+      out.push_back({f.path, name.line, "test-only-api", "test-only-api",
+                     "public '" + name.text + "' has no use outside tests/; "
+                     "delete it, or keep it with a "
+                     "`// sa-lint: test-observer(<reason>)` waiver"});
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 
-std::vector<Finding> analyze_content(const std::string& path,
-                                     const std::string& content) {
-  SourceFile f = make_source(path, content);
-  std::vector<Finding> out;
+void per_file_passes(const SourceFile& f, std::vector<Finding>& out) {
   include_graph_pass(f, out);
   lock_discipline_pass(f, out);
   determinism_pass(f, out);
   style_pass(f, out);
+}
+
+std::vector<Finding> analyze_content(const std::string& path,
+                                     const std::string& content) {
+  std::vector<Finding> out;
+  per_file_passes(make_source(path, content), out);
   std::sort(out.begin(), out.end(), finding_order);
   return out;
 }
 
-std::vector<Finding> analyze_tree(const std::string& root) {
+/// Every pass over a set of (path, content) files: the per-file passes
+/// on each, then the test-only-api pass, which needs all of them at once.
+std::vector<Finding> analyze_files(
+    const std::vector<std::pair<std::string, std::string>>& contents) {
+  std::vector<SourceFile> files;
   std::vector<Finding> out;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(root)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext == ".hpp" || ext == ".cpp") files.push_back(entry.path());
+  for (const auto& [path, content] : contents) {
+    files.push_back(make_source(path, content));
+    per_file_passes(files.back(), out);
   }
-  std::sort(files.begin(), files.end());
-  for (const auto& file : files) {
-    std::ifstream in(file);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::vector<Finding> v = analyze_content(file.generic_string(), buf.str());
-    out.insert(out.end(), v.begin(), v.end());
-  }
+  test_only_api_pass(files, out);
+  std::sort(out.begin(), out.end(), finding_order);
   return out;
+}
+
+std::vector<Finding> analyze_tree(const std::vector<std::string>& roots) {
+  std::vector<std::pair<std::string, std::string>> contents;
+  for (const std::string& root : roots) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(root)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string ext = entry.path().extension().string();
+      if (ext == ".hpp" || ext == ".cpp") files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    for (const auto& file : files) {
+      std::ifstream in(file);
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      contents.emplace_back(file.generic_string(), buf.str());
+    }
+  }
+  return analyze_files(contents);
 }
 
 std::string json_escape(const std::string& s) {
@@ -1302,26 +1555,110 @@ std::vector<Fixture> self_test_fixtures() {
   return f;
 }
 
+/// Whole-tree fixtures for the test-only-api pass: several files
+/// analyzed together, as `analyze_tree` would.
+struct TreeFixture {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> files;
+  std::vector<std::string> expect;
+};
+
+std::vector<TreeFixture> tree_fixtures() {
+  const std::string header =
+      "#pragma once\nnamespace sa {\nclass Meter {\n public:\n"
+      "  double reading() const;\n";
+  const std::string source =
+      "#include \"obs/meter.hpp\"\n"
+      "double sa::Meter::reading() const { return 1.0; }\n";
+  const std::pair<std::string, std::string> test = {
+      "tests/test_meter.cpp", "TEST(Meter, Reads) { m.reading(); }\n"};
+  std::vector<TreeFixture> f;
+  f.push_back({"test-only-method",
+               {{"src/obs/meter.hpp", header + "};\n}\n"},
+                {"src/obs/meter.cpp", source},
+                test},
+               {"test-only-api"}});
+  f.push_back({"method-used-by-bench-ok",
+               {{"src/obs/meter.hpp", header + "};\n}\n"},
+                {"src/obs/meter.cpp", source},
+                test,
+                {"bench/bench_meter.cpp",
+                 "int main() { return m.reading() > 0; }\n"}},
+               {}});
+  f.push_back({"method-used-in-own-cpp-ok",
+               {{"src/obs/meter.hpp",
+                 header + "  double twice() const;\n};\n}\n"},
+                {"src/obs/meter.cpp",
+                 source + "double sa::Meter::twice() const {\n"
+                          "  return 2 * reading();\n}\n"},
+                {"tools/meter.cpp", "int main() { m.twice(); }\n"},
+                test},
+               {}});
+  f.push_back({"field-of-same-name-is-not-a-call",
+               {{"src/obs/meter.hpp", header + "};\n}\n"},
+                {"bench/bench_meter.cpp",
+                 "int main() { Sample s; s.reading = 2.0; }\n"},
+                test},
+               {"test-only-api"}});
+  f.push_back({"free-function-passed-as-value-ok",
+               {{"src/obs/units.hpp",
+                 "#pragma once\nnamespace sa {\n"
+                 "int unit_from_string(const char* s);\n}\n"},
+                {"src/obs/table.cpp",
+                 "int u = lookup(sa::unit_from_string, \"ms\");\n"}},
+               {}});
+  f.push_back({"private-member-ok",
+               {{"src/obs/meter.hpp",
+                 "#pragma once\nclass Meter {\n  double reading() const;\n"
+                 " public:\n  double twice() const { return reading(); }\n"
+                 " private:\n  double raw();\n};\n"},
+                {"examples/meter.cpp", "int main() { m.twice(); }\n"}},
+               {}});
+  f.push_back({"test-observer-waiver-ok",
+               {{"src/obs/meter.hpp",
+                 header + "  // sa-lint: test-observer(tests read the "
+                          "dial without a sink)\n  double dial() const;\n"
+                          "};\n}\n"},
+                {"bench/bench_meter.cpp", "int main() { m.reading(); }\n"},
+                test},
+               {}});
+  f.push_back({"empty-test-observer-rejected",
+               {{"src/obs/meter.hpp",
+                 header + "  double dial() const;  // sa-lint: "
+                          "test-observer()\n};\n}\n"},
+                {"bench/bench_meter.cpp", "int main() { m.reading(); }\n"},
+                test},
+               {"test-only-api"}});
+  return f;
+}
+
 int run_self_test() {
   int failures = 0;
-  for (const Fixture& fx : self_test_fixtures()) {
-    std::vector<Finding> got = analyze_content(fx.path, fx.content);
-    bool ok = got.size() == fx.expect.size();
+  auto check = [&](const std::string& name,
+                   const std::vector<Finding>& got,
+                   const std::vector<std::string>& expect) {
+    bool ok = got.size() == expect.size();
     if (ok) {
       for (std::size_t i = 0; i < got.size(); ++i) {
-        if (got[i].rule != fx.expect[i]) ok = false;
+        if (got[i].rule != expect[i]) ok = false;
       }
     }
     if (!ok) {
       ++failures;
-      std::cerr << "self-test FAIL: " << fx.name << " expected [";
-      for (const auto& r : fx.expect) std::cerr << r << " ";
+      std::cerr << "self-test FAIL: " << name << " expected [";
+      for (const auto& r : expect) std::cerr << r << " ";
       std::cerr << "] got [";
       for (const auto& v : got) {
         std::cerr << v.rule << "@" << v.line << " ";
       }
       std::cerr << "]\n";
     }
+  };
+  for (const Fixture& fx : self_test_fixtures()) {
+    check(fx.name, analyze_content(fx.path, fx.content), fx.expect);
+  }
+  for (const TreeFixture& fx : tree_fixtures()) {
+    check(fx.name, analyze_files(fx.files), fx.expect);
   }
   // The JSON emitter is part of the machine-readable contract: pin it.
   std::vector<Finding> one = analyze_content(
@@ -1339,7 +1676,8 @@ int run_self_test() {
   }
   if (failures == 0) {
     std::cout << "stayaway_analyze self-test: "
-              << self_test_fixtures().size() + 1 << " fixtures ok\n";
+              << self_test_fixtures().size() + tree_fixtures().size() + 1
+              << " fixtures ok\n";
     return 0;
   }
   std::cerr << "stayaway_analyze self-test: " << failures
@@ -1372,16 +1710,13 @@ int main(int argc, char** argv) {
                  "[--format=text|json] <root>...\n";
     return 2;
   }
-  std::vector<Finding> all;
   for (const std::string& root : roots) {
     if (!std::filesystem::exists(root)) {
       std::cerr << "stayaway_analyze: no such path: " << root << "\n";
       return 2;
     }
-    std::vector<Finding> v = analyze_tree(root);
-    all.insert(all.end(), v.begin(), v.end());
   }
-  std::sort(all.begin(), all.end(), finding_order);
+  const std::vector<Finding> all = analyze_tree(roots);
   if (json) {
     std::cout << findings_to_json(all) << "\n";
     return all.empty() ? 0 : 1;
