@@ -8,8 +8,9 @@
 #                                warnings fail CI like any other warning
 #   ./ci.sh --asan               AddressSanitizer + UBSan, Debug, full suite
 #   ./ci.sh --tsan               ThreadSanitizer, full suite (data races in the
-#                                fleet worker pool — the only threads — and
-#                                the obs layer it shares)
+#                                fleet's worker team and its period barrier
+#                                — the only threads — and the obs layer
+#                                they share)
 #   ./ci.sh --paranoid           STAYAWAY_PARANOID=ON Debug build: every
 #                                SA_INVARIANT audit enabled, full suite
 #   ./ci.sh --tidy               best-effort clang-tidy over src/ (skipped
@@ -34,7 +35,7 @@
 #                                the ingest test suite plus the bench_ingest
 #                                bounds (--smoke) in the tier-1 tree, then
 #                                fleet workers over ring-fed members — 8
-#                                ring-fed pipelines on a 4-worker pool —
+#                                ring-fed pipelines on a 4-worker team —
 #                                under ThreadSanitizer
 #   ./ci.sh --recovery           crash-recovery gate (DESIGN.md §17): the
 #                                checkpoint/restore test suite in the tier-1
@@ -206,9 +207,10 @@ EOF
     fleet)
       # Fleet gate: the single-host golden / overlay / invariance tests in
       # the tier-1 tree first (fast failure), then a plain --hosts fleet
-      # against its own recording, then the fleet concurrency surfaces —
-      # 8 pipelines on a 4-worker pool sharing one observer — under
-      # ThreadSanitizer.
+      # against its own recording, then the fleet concurrency surfaces
+      # under ThreadSanitizer: all of test_fleet (its error-path test
+      # stops a coordinated run at the period barrier on 3 workers) and
+      # 8 pipelines on a 4-worker team sharing one observer.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
           --target test_fleet test_scenario_file test_concurrency \
@@ -385,7 +387,7 @@ CONF
       # bench_ingest acceptance bounds (>=5x ring throughput, flat
       # landmark-incremental embed cost) in the tier-1 tree, then fleet
       # workers over ring-fed members — 8 ring sources generating inline
-      # on a 4-worker fleet pool — under TSan.
+      # on a 4-worker fleet team — under TSan.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" --target test_ingest bench_ingest ||
         return 1

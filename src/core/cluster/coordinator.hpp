@@ -1,7 +1,9 @@
 // ClusterCoordinator — the cluster-scale control loop (DESIGN.md §18).
-// Runs between fleet periods, reads every host's pipeline state through
-// read-only hooks over the FleetController seam, and turns the per-host
-// Stay-Away loops into a coordinated cluster:
+// Runs between fleet periods — harness::run_fleet steps it on the last
+// worker to reach the period barrier, with no host in flight — reads
+// every host's pipeline state through read-only hooks over the fleet's
+// host slots, and turns the per-host Stay-Away loops into a coordinated
+// cluster:
 //
 //   - scores every (batch VM, host) placement with the deterministic
 //     interference score (score.hpp);
@@ -20,7 +22,7 @@
 // cannot be created mid-run; migration re-attaches a parked twin —
 // cold-restart semantics). Every decision the coordinator takes against
 // a host is also recorded as that host's per-period directives, so a
-// crash-recovered member can replay them (replay_host_period) and
+// crash-recovered host can replay them (replay_host_period) and
 // reproduce its record stream byte for byte.
 #pragma once
 
@@ -56,7 +58,7 @@ struct ClusterConfig {
 class ClusterCoordinator {
  public:
   /// Accessor hooks for one host. Closures rather than raw pointers:
-  /// the supervisor rebuilds crashed members, so the coordinator must
+  /// the supervisor rebuilds crashed hosts, so the coordinator must
   /// re-resolve on every use. actuator() may return null (hosts without
   /// migration wiring still get scored and can receive admissions).
   struct HostHooks {
@@ -69,7 +71,7 @@ class ClusterCoordinator {
   explicit ClusterCoordinator(ClusterConfig config);
 
   /// Registers a host; returns its index. Registration order must match
-  /// the fleet's member order.
+  /// the fleet's host order.
   std::size_t add_host(HostHooks hooks);
 
   /// Registers a mobile batch VM: `twins[h]` is its (parked or attached)
@@ -91,7 +93,7 @@ class ClusterCoordinator {
   /// Re-applies the directives recorded for `period` against host
   /// `host` — attaches through its port, incoming note and migration
   /// gate on its actuator. The supervisor calls this before replaying
-  /// each gap period of a recovered member.
+  /// each gap period of a recovered host.
   void replay_host_period(std::size_t host, std::size_t period);
 
   std::size_t migrations() const { return migrations_; }

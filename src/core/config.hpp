@@ -3,8 +3,7 @@
 // StayAwayConfig is the single config entry point: it carries the
 // monitor's SamplerConfig and the streaming IngestConfig too, so
 // HostPipeline and harness::ExperimentSpec are configured through one
-// object. FleetConfig sizes the multi-host controller built on top of
-// per-host pipelines.
+// object.
 #pragma once
 
 #include <cstddef>
@@ -143,19 +142,6 @@ struct StayAwayConfig {
   /// one-per-period (default) or an async per-host ring feed.
   IngestConfig ingest;
   std::uint64_t seed = 1234;
-};
-
-/// Sizing of core::FleetController: how many worker threads drive the
-/// per-host pipelines, and the supervisor's cadences. Per-host seeds are
-/// the members' own (harness::replicate_fleet splits them).
-struct FleetConfig {
-  /// Concurrent pipeline drivers. 1 = strictly sequential host-by-host.
-  std::size_t workers = 1;
-  // --- Supervision (DESIGN.md §17); active only for members that carry
-  // a rebuild callback. ------------------------------------------------
-  /// Checkpoint every N completed periods (0 = checkpoints off; failures
-  /// then recover by cold replay from period zero).
-  std::size_t checkpoint_every = 0;
 };
 
 }  // namespace stayaway::core

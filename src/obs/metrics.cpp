@@ -18,19 +18,6 @@ void Histogram::observe(double v) {
   cell_->sum.fetch_add(v, std::memory_order_relaxed);
 }
 
-std::uint64_t Histogram::count() const {
-  return cell_ != nullptr ? cell_->count.load(std::memory_order_relaxed) : 0;
-}
-
-double Histogram::sum() const {
-  return cell_ != nullptr ? cell_->sum.load(std::memory_order_relaxed) : 0.0;
-}
-
-double Histogram::mean() const {
-  std::uint64_t n = count();
-  return n > 0 ? sum() / static_cast<double>(n) : 0.0;
-}
-
 std::vector<double> exponential_bounds(double lo, double hi, std::size_t n) {
   SA_REQUIRE(lo > 0.0 && hi > lo, "bounds need 0 < lo < hi");
   SA_REQUIRE(n >= 2, "need at least two buckets");

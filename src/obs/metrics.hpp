@@ -63,15 +63,13 @@ class Gauge {
 };
 
 /// Fixed-bucket histogram: bucket i counts observations <= bounds[i], the
-/// final implicit bucket counts the overflow. Also tracks count and sum so
-/// means survive bucket quantization.
+/// final implicit bucket counts the overflow. Also tracks count and sum
+/// (reported in its HistogramSnapshot) so means survive bucket
+/// quantization.
 class Histogram {
  public:
   Histogram() = default;
   void observe(double v);
-  std::uint64_t count() const;
-  double sum() const;
-  double mean() const;
   // sa-lint: test-observer(tests check a default handle is a no-op)
   bool enabled() const { return cell_ != nullptr; }
 

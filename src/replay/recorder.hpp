@@ -1,4 +1,4 @@
-// RunRecorder: the passive core::PeriodSink that captures a fleet run's
+// RunRecorder: the passive harness::PeriodSink that captures a fleet run's
 // PeriodRecord streams as serialized run-log lines (DESIGN.md §14).
 // Strictly observational — attaching one changes nothing about the run
 // (pinned by tests/test_replay.cpp).
@@ -7,13 +7,13 @@
 #include <string>
 #include <vector>
 
-#include "core/fleet.hpp"
+#include "harness/fleet.hpp"
 #include "replay/run_log.hpp"
 #include "util/sync.hpp"
 
 namespace stayaway::replay {
 
-class RunRecorder final : public core::PeriodSink {
+class RunRecorder final : public harness::PeriodSink {
  public:
   /// One stream per expected host, in fleet order; record_period rejects
   /// unknown host names (a recorder outliving its fleet wiring is a bug).

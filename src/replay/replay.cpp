@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/fleet.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::replay {
@@ -34,7 +33,7 @@ harness::FleetScenario canonical_fleet(const harness::FleetScenario& doc,
     expanded.hosts.clear();
     for (std::size_t i = 0; i < hosts_override; ++i) {
       harness::Scenario host = doc.base;
-      host.spec.seed = core::fleet_host_seed(doc.base.spec.seed, i);
+      host.spec.seed = harness::fleet_host_seed(doc.base.spec.seed, i);
       expanded.hosts.emplace_back("host" + std::to_string(i),
                                   std::move(host));
     }

@@ -8,23 +8,16 @@
 //              expressions name a Mutex member.
 //   MutexLock  the RAII guard (scoped capability) — the only way
 //              library code takes a Mutex.
-//   CondVar    a condition variable that waits on a Mutex the caller
-//              already holds (SA_REQUIRES-checked), built on
-//              std::condition_variable via adopt/release so the wait
-//              uses the native fast path.
 //
 // Zero-cost: on non-Clang builds every annotation expands to nothing
 // and the wrappers inline to the std primitives they hold.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/annotations.hpp"
 
 namespace stayaway::util {
-
-class CondVar;
 
 class SA_CAPABILITY("mutex") Mutex {
  public:
@@ -36,13 +29,7 @@ class SA_CAPABILITY("mutex") Mutex {
   void unlock() SA_RELEASE() { mu_.unlock(); }
   bool try_lock() SA_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  /// Analysis-only assertion that this mutex is held. Runtime no-op.
-  /// Needed inside lambdas (condition-variable predicates) whose calling
-  /// context the analysis cannot see.
-  void assert_held() const SA_ASSERT_CAPABILITY(this) {}
-
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -56,36 +43,6 @@ class SA_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable bound to a Mutex at each wait site. The caller
-/// must already hold the mutex (enforced by SA_REQUIRES under Clang);
-/// wait atomically releases it while parked and reacquires before
-/// returning, exactly like std::condition_variable.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Blocks until `pred()` is true. The predicate runs with `mu` held;
-  /// it must not throw (a throwing predicate would unwind with the
-  /// adopted lock in an inconsistent ownership state).
-  template <typename Pred>
-  void wait(Mutex& mu, Pred pred) SA_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the duration of the wait,
-    // then release the association so the caller's MutexLock (or lock()
-    // call) keeps sole ownership of the unlock.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native, std::move(pred));
-    native.release();
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace stayaway::util

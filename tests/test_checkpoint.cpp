@@ -15,14 +15,15 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/stages/reactive_actuator.hpp"
 #include "baseline/stages/static_actuator.hpp"
 #include "core/checkpoint.hpp"
-#include "core/fleet.hpp"
 #include "core/period.hpp"
 #include "harness/fleet.hpp"
 #include "harness/rig.hpp"
@@ -436,7 +437,7 @@ void expect_crash_run_matches_clean(
     const ExperimentSpec& clean,
     const std::vector<sim::FaultSpec>& crash_faults,
     std::size_t checkpoint_every,
-    const std::function<void(const core::RecoveryReport&)>& check) {
+    const std::function<void(const RecoveryReport&)>& check) {
   ASSERT_TRUE(clean.faults.has_value());
   FleetHostResult baseline = run_supervised(clean);
   EXPECT_FALSE(baseline.recovery.any_failures());
@@ -460,7 +461,7 @@ void expect_crash_run_matches_clean(
 void expect_crash_run_matches_clean(
     const std::vector<sim::FaultSpec>& crash_faults,
     std::size_t checkpoint_every,
-    const std::function<void(const core::RecoveryReport&)>& check) {
+    const std::function<void(const RecoveryReport&)>& check) {
   ExperimentSpec clean = short_spec();
   clean.faults = stress_plan();
   expect_crash_run_matches_clean(clean, crash_faults, checkpoint_every,
@@ -471,7 +472,7 @@ TEST(SupervisorGolden, HostCrashColdRestartIsByteIdentical) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::HostCrash, 20.0, 21.0)},
       /*checkpoint_every=*/0,
-      [](const core::RecoveryReport& r) {
+      [](const RecoveryReport& r) {
         EXPECT_GE(r.crashes, 1u);
         EXPECT_GE(r.cold_starts, 1u);
         EXPECT_GE(r.recoveries, 1u);
@@ -485,7 +486,7 @@ TEST(SupervisorGolden, HostCrashWarmRestartIsByteIdentical) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::HostCrash, 22.0, 23.0)},
       /*checkpoint_every=*/5,
-      [](const core::RecoveryReport& r) {
+      [](const RecoveryReport& r) {
         EXPECT_GE(r.crashes, 1u);
         EXPECT_EQ(r.cold_starts, 0u);
         EXPECT_GT(r.checkpoints_saved, 0u);
@@ -497,7 +498,7 @@ TEST(SupervisorGolden, StageThrowIsTrappedAndByteIdentical) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::StageThrow, 15.0, 16.0)},
       /*checkpoint_every=*/5,
-      [](const core::RecoveryReport& r) {
+      [](const RecoveryReport& r) {
         EXPECT_GE(r.stage_throws, 1u);
         EXPECT_GE(r.recoveries, 1u);
       });
@@ -510,7 +511,7 @@ TEST(SupervisorGolden, StallWithinBudgetRecoversInPlace) {
       {fault_of(sim::FaultKind::StageStall, 17.5, 18.5, 1.0,
                 /*magnitude=*/2.0)},
       /*checkpoint_every=*/0,
-      [](const core::RecoveryReport& r) {
+      [](const RecoveryReport& r) {
         EXPECT_GE(r.stalls, 1u);
         EXPECT_EQ(r.watchdog_trips, 0u);
         EXPECT_EQ(r.recoveries, 0u);
@@ -522,7 +523,7 @@ TEST(SupervisorGolden, StallBeyondBudgetTripsWatchdog) {
       {fault_of(sim::FaultKind::StageStall, 17.5, 18.5, 1.0,
                 /*magnitude=*/8.0)},
       /*checkpoint_every=*/5,
-      [](const core::RecoveryReport& r) {
+      [](const RecoveryReport& r) {
         EXPECT_GE(r.watchdog_trips, 1u);
         EXPECT_GE(r.recoveries, 1u);
       });
@@ -535,7 +536,7 @@ TEST(SupervisorGolden, CorruptCheckpointFallsBackAndStaysIdentical) {
       {fault_of(sim::FaultKind::CheckpointCorrupt, 0.0, 40.0),
        fault_of(sim::FaultKind::HostCrash, 20.0, 21.0)},
       /*checkpoint_every=*/3,
-      [](const core::RecoveryReport& r) {
+      [](const RecoveryReport& r) {
         EXPECT_GE(r.crashes, 1u);
         EXPECT_GE(r.corrupt_checkpoints_dropped, 1u);
         EXPECT_GE(r.cold_starts, 1u);
@@ -607,7 +608,7 @@ TEST(SupervisorGolden, FleetSurvivesSingleHostCrash) {
         EXPECT_EQ(host.recovery.divergences, 0u) << host.name;
         EXPECT_EQ(host.recovery.any_failures(), i == 3) << host.name;
       }
-      const core::RecoveryReport& rec = r.hosts[3].recovery;
+      const RecoveryReport& rec = r.hosts[3].recovery;
       EXPECT_EQ(rec.crashes, c.crashes);
       EXPECT_EQ(rec.gap_periods_replayed, c.gap_periods_replayed);
       EXPECT_EQ(rec.cold_starts, c.cold_starts);
@@ -621,8 +622,8 @@ TEST(SupervisorGolden, FleetSurvivesSingleHostCrash) {
     for (std::size_t i = 0; i < one.hosts.size(); ++i) {
       expect_records_byte_identical(four.hosts[i].result.stayaway_records,
                                     one.hosts[i].result.stayaway_records);
-      const core::RecoveryReport& a = one.hosts[i].recovery;
-      const core::RecoveryReport& b = four.hosts[i].recovery;
+      const RecoveryReport& a = one.hosts[i].recovery;
+      const RecoveryReport& b = four.hosts[i].recovery;
       EXPECT_EQ(b.crashes, a.crashes) << one.hosts[i].name;
       EXPECT_EQ(b.recoveries, a.recoveries) << one.hosts[i].name;
       EXPECT_EQ(b.cold_starts, a.cold_starts) << one.hosts[i].name;
@@ -639,7 +640,7 @@ TEST(SupervisorGolden, FleetSurvivesSingleHostCrash) {
 
 /// Every stage snapshots, so a crash in any wiring restores the newest
 /// checkpoint — never a cold replay.
-void expect_warm_restart(const core::RecoveryReport& r) {
+void expect_warm_restart(const RecoveryReport& r) {
   EXPECT_GE(r.crashes, 1u);
   EXPECT_EQ(r.cold_starts, 0u);
   EXPECT_GT(r.checkpoints_saved, 0u);
@@ -723,23 +724,16 @@ TEST(SupervisorGolden, LandmarkIncrementalWarmRestartIsByteIdentical) {
   expect_crash_at_22_restarts_warm(spec);
 }
 
-/// The harness installs no fault plan into baseline pipelines, so the
-/// baseline crash goldens wire the supervisor directly: a one-member
-/// core::FleetController whose rebuild installs a crash-only plan (it
-/// draws nothing, so the baseline's decisions are untouched). Returns
-/// the member's recovery report; `records` receives the encoded record
-/// stream and `batch_work` the batch core-seconds delivered.
-core::RecoveryReport run_baseline_supervised(
-    PolicyKind policy, const std::vector<sim::FaultSpec>& faults,
-    std::vector<std::string>& records, double& batch_work) {
-  const ExperimentSpec spec = short_spec();
-  sim::FaultPlan plan;
-  plan.faults = faults;
+/// One baseline host driven the way the fleet drives a host. The
+/// harness installs no fault plan into baseline pipelines
+/// (ExperimentSpec::faults), so a fleet cannot crash one; the baseline
+/// restart goldens exercise the supervisor's restore seam directly.
+struct BaselineHost {
   HostRig rig;
   std::unique_ptr<core::HostPipeline> pipeline;
-  auto rebuild = [&] {
-    pipeline.reset();
-    rig = build_host_rig(spec);
+
+  BaselineHost(PolicyKind policy, const ExperimentSpec& spec)
+      : rig(build_host_rig(spec)) {
     std::unique_ptr<core::Actuator> actuator;
     if (policy == PolicyKind::Reactive) {
       actuator = std::make_unique<baseline::ReactiveActuator>();
@@ -749,58 +743,66 @@ core::RecoveryReport run_baseline_supervised(
     pipeline = std::make_unique<core::HostPipeline>(
         *rig.host, *rig.probe, derive_stayaway_config(spec),
         std::move(actuator));
-    pipeline->install_faults(plan);
-    return core::FleetController::Member::Rebuilt{rig.host.get(),
-                                                  pipeline.get()};
-  };
-  core::FleetConfig config;
-  config.checkpoint_every = 5;
-  core::FleetController controller(config);
-  core::FleetController::Member member;
-  member.name = "solo";
-  core::FleetController::Member::Rebuilt fresh = rebuild();
-  member.host = fresh.host;
-  member.pipeline = fresh.pipeline;
-  member.ticks_per_period =
-      static_cast<std::size_t>(std::llround(spec.period_s / spec.tick_s));
-  member.periods =
-      static_cast<std::size_t>(std::llround(spec.duration_s / spec.period_s));
-  member.rebuild = rebuild;
-  controller.add_member(std::move(member));
-  controller.run();
-  records.clear();
-  for (const core::PeriodRecord& rec : pipeline->records()) {
-    records.push_back(core::encode_record(rec));
   }
-  batch_work = 0.0;
-  for (sim::VmId id : rig.batch_ids) {
-    batch_work += rig.host->vm(id).cpu_work_done();
-  }
-  return controller.members().front().recovery;
-}
 
-void expect_baseline_crash_at_22_restarts_warm(PolicyKind policy) {
-  std::vector<std::string> clean, crashed;
-  double clean_work = 0.0, crashed_work = 0.0;
-  run_baseline_supervised(policy, {}, clean, clean_work);
-  core::RecoveryReport r = run_baseline_supervised(
-      policy, {fault_of(sim::FaultKind::HostCrash, 22.0, 23.0)}, crashed,
-      crashed_work);
-  ASSERT_EQ(crashed.size(), 40u);
-  EXPECT_EQ(crashed, clean);
-  EXPECT_EQ(crashed_work, clean_work);
-  expect_warm_restart(r);
+  std::vector<std::string> records() const {
+    std::vector<std::string> out;
+    for (const core::PeriodRecord& rec : pipeline->records()) {
+      out.push_back(core::encode_record(rec));
+    }
+    return out;
+  }
+
+  double batch_work() const {
+    double work = 0.0;
+    for (sim::VmId id : rig.batch_ids) {
+      work += rig.host->vm(id).cpu_work_done();
+    }
+    return work;
+  }
+};
+
+/// Checkpoints a baseline run after period 19, warm-starts a rebuilt rig
+/// and pipeline from it and runs on to period 40: the record stream and
+/// the batch core-seconds must equal the uninterrupted run's exactly.
+void expect_baseline_restart_at_19_is_byte_identical(PolicyKind policy) {
+  const ExperimentSpec spec = short_spec();
+  const auto ticks =
+      static_cast<std::size_t>(std::llround(spec.period_s / spec.tick_s));
+  const auto periods =
+      static_cast<std::size_t>(std::llround(spec.duration_s / spec.period_s));
+  ASSERT_EQ(periods, 40u);
+  BaselineHost clean(policy, spec);
+  std::string blob;
+  for (std::size_t p = 0; p < periods; ++p) {
+    clean.rig.host->run(ticks);
+    clean.pipeline->on_period();
+    if (p == 19) blob = core::encode_checkpoint(*clean.pipeline);
+  }
+
+  BaselineHost resumed(policy, spec);
+  const std::size_t restored =
+      core::warm_start(*resumed.pipeline, *resumed.rig.host, ticks, blob);
+  ASSERT_EQ(restored, 20u);
+  EXPECT_TRUE(resumed.pipeline->records().back().batch_paused_after);
+  for (std::size_t p = restored; p < periods; ++p) {
+    resumed.rig.host->run(ticks);
+    resumed.pipeline->on_period();
+  }
+  EXPECT_EQ(resumed.records(), clean.records());
+  EXPECT_EQ(resumed.batch_work(), clean.batch_work());
 }
 
 // Both baselines hold the batch paused at the restored period-19
 // checkpoint; the reactive one must also carry its pause time across the
 // restore to resume on schedule.
 TEST(SupervisorGolden, ReactiveWarmRestartIsByteIdentical) {
-  expect_baseline_crash_at_22_restarts_warm(PolicyKind::Reactive);
+  expect_baseline_restart_at_19_is_byte_identical(PolicyKind::Reactive);
 }
 
 TEST(SupervisorGolden, StaticThresholdWarmRestartIsByteIdentical) {
-  expect_baseline_crash_at_22_restarts_warm(PolicyKind::StaticThreshold);
+  expect_baseline_restart_at_19_is_byte_identical(
+      PolicyKind::StaticThreshold);
 }
 
 // --- Migration × recovery (DESIGN.md §18) ------------------------------

@@ -447,20 +447,64 @@ TEST(ClusterCheckpoint, CoordinatorStateSurvivesRestore) {
   expect_host_records_identical(got, want, /*skip=*/59);
 }
 
-TEST(ClusterCheckpoint, DamagedCoordinatorBlobIsRejected) {
-  const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
+/// Checkpoints of a 40 s coordinated run (hosts and coordinator).
+FleetResult checkpointed_half_run(const std::string& extra) {
   FleetSpec half = spec_of(with_cluster_section(extra));
   for (auto& host : half.hosts) host.experiment.duration_s = 40.0;
   half.export_checkpoints = true;
-  FleetResult first = run_fleet(half);
+  return run_fleet(half);
+}
+
+/// The PreconditionError message of `run_fleet(spec)`, or "" if none.
+std::string precondition_error(const FleetSpec& spec) {
+  try {
+    run_fleet(spec);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ClusterCheckpoint, DamagedCoordinatorBlobIsRejected) {
+  const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
+  FleetResult first = checkpointed_half_run(extra);
   ASSERT_TRUE(first.cluster.has_value());
 
+  // The host blobs are genuine, so only the damaged coordinator blob
+  // can fail the restore.
   FleetSpec resumed = spec_of(with_cluster_section(extra));
+  for (const auto& host : first.hosts) {
+    resumed.restore[host.name] = host.final_checkpoint;
+  }
   std::string blob = first.cluster->final_coordinator;
   ASSERT_FALSE(blob.empty());
   blob[blob.size() / 2] ^= 0x20;
   resumed.cluster->restore = blob;
   EXPECT_THROW(run_fleet(resumed), util::StateCodecError);
+}
+
+// A coordinated warm start restores both sides or neither: restored
+// hosts next to a fresh coordinator (or the reverse) would diverge from
+// the uninterrupted run without a word.
+TEST(ClusterCheckpoint, HostRestoresWithoutCoordinatorAreRejected) {
+  const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
+  FleetResult first = checkpointed_half_run(extra);
+  FleetSpec resumed = spec_of(with_cluster_section(extra));
+  for (const auto& host : first.hosts) {
+    resumed.restore[host.name] = host.final_checkpoint;
+  }
+  EXPECT_NE(precondition_error(resumed).find("no coordinator checkpoint"),
+            std::string::npos);
+}
+
+TEST(ClusterCheckpoint, CoordinatorRestoreWithoutHostsIsRejected) {
+  const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
+  FleetResult first = checkpointed_half_run(extra);
+  ASSERT_TRUE(first.cluster.has_value());
+  FleetSpec resumed = spec_of(with_cluster_section(extra));
+  resumed.cluster->restore = first.cluster->final_coordinator;
+  EXPECT_NE(precondition_error(resumed).find("no host checkpoints"),
+            std::string::npos);
 }
 
 }  // namespace

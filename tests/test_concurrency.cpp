@@ -1,15 +1,15 @@
 // Multi-threaded stress tests, written to run under ThreadSanitizer
 // (./ci.sh --tsan) as well as in the plain tier-1 suite. They hammer the
-// concurrent surfaces of the library: the fleet's worker pool (worker
-// hand-off at every size), the obs metrics registry (relaxed-atomic
-// updates racing registration and snapshots), and the fleet runner (full
-// host pipelines publishing into one shared observer from a worker
-// pool, independently or coordinated period by period).
+// concurrent surfaces of the library: the obs metrics registry
+// (relaxed-atomic updates racing registration and snapshots) and the
+// fleet runner (full host pipelines publishing into one shared observer
+// from a worker team, independently or coordinated period by period).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,7 +17,6 @@
 
 #include "apps/webservice.hpp"
 #include "core/checkpoint.hpp"
-#include "core/fleet.hpp"
 #include "core/pipeline.hpp"
 #include "harness/fleet.hpp"
 #include "harness/scenario_file.hpp"
@@ -33,44 +32,9 @@
 namespace stayaway {
 namespace {
 
-TEST(ThreadPoolStress, ForRangesCoversEveryIndexAtEverySize) {
-  constexpr std::size_t kN = 10'000;
-  for (std::size_t threads = 1; threads <= 8; ++threads) {
-    util::ThreadPool pool(threads);
-    std::vector<std::uint64_t> out(kN, 0);
-    for (int round = 0; round < 20; ++round) {
-      pool.for_ranges(kN, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) out[i] += i;
-      });
-    }
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(out[i], 20 * i) << "index " << i << " at " << threads
-                                << " threads";
-    }
-  }
-}
-
-TEST(ThreadPoolStress, InParallelIsVisibleDuringASection) {
-  util::ThreadPool pool(4);
-  EXPECT_FALSE(pool.in_parallel());
-  std::atomic<bool> release{false};
-  std::atomic<bool> observed{false};
-  std::thread observer([&] {
-    while (!pool.in_parallel()) std::this_thread::yield();
-    observed.store(true);
-    release.store(true);
-  });
-  pool.for_ranges(64, [&](std::size_t, std::size_t) {
-    while (!release.load()) std::this_thread::yield();
-  });
-  observer.join();
-  EXPECT_TRUE(observed.load());
-  EXPECT_FALSE(pool.in_parallel());
-}
-
 // DESIGN.md §13: eight full host pipelines — map, predict, act, degraded
 // -mode bookkeeping and observability publish — driven 200 periods each
-// on a 4-worker fleet pool, all publishing into one shared observer.
+// on a 4-worker fleet team, all publishing into one shared observer.
 // Concurrency must be invisible in the results: every host's record
 // stream matches a serial run of the same fleet, host by host.
 TEST(FleetConcurrency, EightPipelinesOnFourWorkersMatchSerialRun) {
@@ -180,9 +144,9 @@ std::vector<std::string> encoded(const std::vector<core::PeriodRecord>& recs) {
   return out;
 }
 
-// DESIGN.md §18: a coordinated fleet drives its members on the worker
-// pool one period at a time and steps the coordinator between periods
-// with every worker joined. The worker count must be invisible: recorded
+// DESIGN.md §18: a coordinated fleet drives its hosts on the worker
+// team one period at a time and steps the coordinator between periods
+// with every worker at the period barrier. The worker count must be invisible: recorded
 // streams, result series, recoveries, the coordinator's decisions and
 // every final checkpoint match the serial run exactly. Runs under TSan
 // via `ci.sh --fleet`.
@@ -234,8 +198,8 @@ TEST(FleetConcurrency, CoordinatedFleetOnFourWorkersMatchesSerialRun) {
     EXPECT_EQ(ph.result.batch_cpu_work, sh.result.batch_cpu_work);
     EXPECT_EQ(ph.result.pauses, sh.result.pauses);
     EXPECT_EQ(ph.result.resumes, sh.result.resumes);
-    const core::RecoveryReport& pr = ph.recovery;
-    const core::RecoveryReport& sr = sh.recovery;
+    const harness::RecoveryReport& pr = ph.recovery;
+    const harness::RecoveryReport& sr = sh.recovery;
     EXPECT_EQ(pr.crashes, sr.crashes);
     EXPECT_EQ(pr.stage_throws, sr.stage_throws);
     EXPECT_EQ(pr.stalls, sr.stalls);
@@ -258,70 +222,67 @@ struct WebFleetRun {
 };
 
 /// Four Stay-Away-guarded webservice hosts: two mixes, and web-3 at a
-/// Zipf exponent of its own. The hosts are built and torn down on a
-/// `workers`-thread pool, so the Zipf table intern map takes racing
-/// lookups, inserts and expiries, and the fleet then drives them on the
-/// same number of workers, reading the shared tables concurrently.
+/// Zipf exponent of its own. The hosts are built, driven for 60 periods
+/// and torn down on a `workers`-thread team, each worker owning a fixed
+/// slice of the hosts the way run_fleet splits them, so the Zipf table
+/// intern map takes racing lookups, inserts and expiries, and the
+/// workers read the shared tables concurrently while driving.
 WebFleetRun run_web_fleet(std::size_t workers) {
   constexpr std::size_t kHosts = 4;
+  constexpr std::size_t kPeriods = 60;
+  constexpr std::size_t kTicksPerPeriod = 10;
   struct Host {
     std::unique_ptr<sim::SimHost> sim;
     const apps::Webservice* web = nullptr;
     std::unique_ptr<core::HostPipeline> pipeline;
   };
   std::vector<Host> hosts(kHosts);
-  util::ThreadPool pool(workers);
-  pool.for_ranges(kHosts, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      apps::WebserviceSpec ws;
-      ws.mix = (i % 2 == 0) ? apps::WorkloadMix::Mixed
-                            : apps::WorkloadMix::MemIntensive;
-      ws.zipf_exponent = (i == 3) ? 1.1 : 0.9;
-      ws.seed = 40 + i;
-      Host& h = hosts[i];
-      h.sim = std::make_unique<sim::SimHost>(harness::paper_host());
-      auto app = std::make_unique<apps::Webservice>(ws);
-      h.web = app.get();
-      h.sim->add_vm("webservice", sim::VmKind::Sensitive, std::move(app), 2.0);
-      for (auto& batch : harness::make_batch(harness::BatchKind::Batch2)) {
-        std::string name(batch->name());
-        h.sim->add_vm(std::move(name), sim::VmKind::Batch, std::move(batch),
-                      15.0);
+  auto on_slices = [workers](const std::function<void(std::size_t)>& fn) {
+    util::run_team(workers, [&](std::size_t w) {
+      for (std::size_t i = w * kHosts / workers;
+           i < (w + 1) * kHosts / workers; ++i) {
+        fn(i);
       }
-      core::StayAwayConfig config;
-      config.seed = 70 + i;
-      config.sampler.seed = config.seed ^ 0xabcdULL;
-      h.pipeline =
-          std::make_unique<core::HostPipeline>(*h.sim, *h.web, config);
+    });
+  };
+  on_slices([&](std::size_t i) {
+    apps::WebserviceSpec ws;
+    ws.mix = (i % 2 == 0) ? apps::WorkloadMix::Mixed
+                          : apps::WorkloadMix::MemIntensive;
+    ws.zipf_exponent = (i == 3) ? 1.1 : 0.9;
+    ws.seed = 40 + i;
+    Host& h = hosts[i];
+    h.sim = std::make_unique<sim::SimHost>(harness::paper_host());
+    auto app = std::make_unique<apps::Webservice>(ws);
+    h.web = app.get();
+    h.sim->add_vm("webservice", sim::VmKind::Sensitive, std::move(app), 2.0);
+    for (auto& batch : harness::make_batch(harness::BatchKind::Batch2)) {
+      std::string name(batch->name());
+      h.sim->add_vm(std::move(name), sim::VmKind::Batch, std::move(batch),
+                    15.0);
     }
+    core::StayAwayConfig config;
+    config.seed = 70 + i;
+    config.sampler.seed = config.seed ^ 0xabcdULL;
+    h.pipeline = std::make_unique<core::HostPipeline>(*h.sim, *h.web, config);
   });
 
   WebFleetRun run;
   run.records.resize(kHosts);
-  core::FleetConfig config;
-  config.workers = workers;
-  core::FleetController fleet(config);
-  for (std::size_t i = 0; i < kHosts; ++i) {
-    core::FleetController::Member member;
-    member.name = "web-" + std::to_string(i);
-    member.host = hosts[i].sim.get();
-    member.pipeline = hosts[i].pipeline.get();
-    member.periods = 60;
-    member.on_period = [&out = run.records[i]](const core::PeriodRecord& rec) {
-      out.push_back(core::encode_record(rec));
-    };
-    fleet.add_member(std::move(member));
-  }
-  fleet.run();
+  on_slices([&](std::size_t i) {
+    for (std::size_t p = 0; p < kPeriods; ++p) {
+      hosts[i].sim->run(kTicksPerPeriod);
+      run.records[i].push_back(
+          core::encode_record(hosts[i].pipeline->on_period()));
+    }
+  });
   for (const Host& h : hosts) {
     run.hits.push_back(h.web->cache().hits());
     run.misses.push_back(h.web->cache().misses());
   }
-  pool.for_ranges(kHosts, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      hosts[i].pipeline.reset();
-      hosts[i].sim.reset();
-    }
+  on_slices([&](std::size_t i) {
+    hosts[i].pipeline.reset();
+    hosts[i].sim.reset();
   });
   return run;
 }
@@ -432,18 +393,22 @@ TEST(ConcurrentObs, CountersGaugesHistogramsUnderContention) {
 
   EXPECT_EQ(shared_counter.value(), kThreads * kOps);
   EXPECT_EQ(reg.counter("stress.shared").value(), kThreads * kOps);
-  EXPECT_EQ(shared_hist.count(), kThreads * kOps);
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(reg.counter("stress.t" + std::to_string(t)).value(), kOps);
   }
-  // Every bucket observation landed somewhere: bucket sums equal count.
+  // Every observation was counted and landed in a bucket: bucket sums
+  // equal count.
   obs::MetricsSnapshot snap = reg.snapshot();
+  bool seen = false;
   for (const auto& h : snap.histograms) {
     if (h.name != "stress.latency") continue;
+    seen = true;
+    EXPECT_EQ(h.count, kThreads * kOps);
     std::uint64_t bucket_total = 0;
     for (std::uint64_t b : h.buckets) bucket_total += b;
     EXPECT_EQ(bucket_total, h.count);
   }
+  EXPECT_TRUE(seen);
 }
 
 // Pins the Observer span-cache locking fix (DESIGN.md §16): racing

@@ -1,8 +1,11 @@
 // Fleet runner tests: pinned single-host goldens (fault-free and under a
 // fault plan, for every policy kind), per-host seed splitting,
-// host-labelled observability and worker-count invariance.
+// host-labelled observability, worker-count invariance and the
+// failing-host error path.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -15,7 +18,6 @@
 #include "apps/lru_cache.hpp"
 #include "apps/webservice.hpp"
 #include "core/checkpoint.hpp"
-#include "core/fleet.hpp"
 #include "harness/fleet.hpp"
 #include "harness/rig.hpp"
 #include "obs/events.hpp"
@@ -90,11 +92,11 @@ void expect_results_equal(const ExperimentResult& fleet,
 }
 
 TEST(FleetHostSeed, SplitsAreDeterministicAndDecorrelated) {
-  EXPECT_EQ(core::fleet_host_seed(7, 0), core::fleet_host_seed(7, 0));
+  EXPECT_EQ(fleet_host_seed(7, 0), fleet_host_seed(7, 0));
   std::set<std::uint64_t> seen;
   for (std::uint64_t base : {1ULL, 99ULL, 1234ULL}) {
     for (std::size_t i = 0; i < 8; ++i) {
-      EXPECT_TRUE(seen.insert(core::fleet_host_seed(base, i)).second)
+      EXPECT_TRUE(seen.insert(fleet_host_seed(base, i)).second)
           << "collision at base " << base << " host " << i;
     }
   }
@@ -108,11 +110,11 @@ TEST(FleetHostSeed, NoAdditiveLatticeCollisions) {
   const std::uint64_t gamma = 0x9e3779b97f4a7c15ULL;
   for (std::uint64_t base : {1ULL, 99ULL, 424242ULL}) {
     for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_NE(core::fleet_host_seed(base + gamma, i),
-                core::fleet_host_seed(base, i + 1))
+      EXPECT_NE(fleet_host_seed(base + gamma, i),
+                fleet_host_seed(base, i + 1))
           << "lattice collision at base " << base << " host " << i;
-      EXPECT_NE(core::fleet_host_seed(base - gamma, i + 1),
-                core::fleet_host_seed(base, i))
+      EXPECT_NE(fleet_host_seed(base - gamma, i + 1),
+                fleet_host_seed(base, i))
           << "lattice collision at base " << base << " host " << i;
     }
   }
@@ -132,10 +134,10 @@ TEST(FleetHostSeed, SplitsAreStatisticallyIndependent) {
   int pairs = 0;
   for (std::uint64_t base = 1; base <= 64; ++base) {
     for (std::size_t i = 0; i < 8; ++i) {
-      flips += popcount(core::fleet_host_seed(base, i) ^
-                        core::fleet_host_seed(base, i + 1));
-      flips += popcount(core::fleet_host_seed(base, i) ^
-                        core::fleet_host_seed(base ^ (1ULL << (i * 7)), i));
+      flips += popcount(fleet_host_seed(base, i) ^
+                        fleet_host_seed(base, i + 1));
+      flips += popcount(fleet_host_seed(base, i) ^
+                        fleet_host_seed(base ^ (1ULL << (i * 7)), i));
       pairs += 2;
     }
   }
@@ -150,7 +152,7 @@ TEST(FleetHostSeed, SplitsAreStatisticallyIndependent) {
     int total = 0;
     for (std::uint64_t base = 1; base <= 32; ++base) {
       for (std::size_t i = 0; i < 16; ++i) {
-        set += static_cast<int>((core::fleet_host_seed(base * 11, i) >> bit) &
+        set += static_cast<int>((fleet_host_seed(base * 11, i) >> bit) &
                                 1u);
         ++total;
       }
@@ -326,7 +328,7 @@ TEST(Fleet, ReplicateSplitsNamesAndSeeds) {
   EXPECT_EQ(fleet.hosts[0].name, "host0");
   EXPECT_EQ(fleet.hosts[2].name, "host2");
   EXPECT_NE(fleet.hosts[0].experiment.seed, fleet.hosts[1].experiment.seed);
-  EXPECT_EQ(fleet.hosts[1].experiment.seed, core::fleet_host_seed(99, 1));
+  EXPECT_EQ(fleet.hosts[1].experiment.seed, fleet_host_seed(99, 1));
 }
 
 TEST(Fleet, WorkersDoNotChangeResults) {
@@ -386,94 +388,72 @@ TEST(Fleet, SingleHostKeepsUnlabelledObservability) {
   EXPECT_EQ(out.str().find("\"host\":"), std::string::npos);
 }
 
-/// One host driven straight through core::FleetController; build() is
-/// also the member's rebuild.
-struct DirectSlot {
-  HostRig rig;
-  std::unique_ptr<core::HostPipeline> pipeline;
+/// Counts the records each host hands the recorder and throws for host
+/// m1 from period `fail_at` on. The recorder runs inside the
+/// supervisor's trap, so a supervised m1 fails like a stage defect.
+class FailingSink final : public PeriodSink {
+ public:
+  explicit FailingSink(std::size_t fail_at) : fail_at_(fail_at) {}
 
-  core::FleetController::Member::Rebuilt build(const ExperimentSpec& spec) {
-    pipeline.reset();
-    rig = build_host_rig(spec);
-    pipeline = std::make_unique<core::HostPipeline>(
-        *rig.host, *rig.probe, derive_stayaway_config(spec));
-    return {rig.host.get(), pipeline.get()};
+  void record_period(const std::string& host,
+                     const core::PeriodRecord&) override {
+    const std::size_t i = static_cast<std::size_t>(host.back() - '0');
+    if (calls[i]++ >= fail_at_ && host == "m1") {
+      throw std::runtime_error("host m1 failed");
+    }
   }
+
+  // Each host's counter is only touched by the worker driving it.
+  std::array<std::atomic<std::size_t>, 3> calls{};
+
+ private:
+  std::size_t fail_at_;
 };
 
-// The fleet loop's error path. The middle member's on_period hook throws
-// from period 2 on, so an unsupervised member fails at once and a
-// supervised one exhausts its per-period recovery budget. Either way
-// run() rethrows that error — at one worker or three, with or without a
-// period hook — the hook never sees the failing period, and no segment
-// after it runs.
-TEST(FleetController, FailingMemberStopsTheRunWithItsError) {
-  constexpr std::size_t kMembers = 3;
+// The fleet loop's error path. Host m1's recorder call throws from
+// period 2 on, so an unsupervised m1 fails at once and a supervised one
+// exhausts its per-period recovery budget (1 + 3 attempts). Either way
+// run_fleet rethrows that error — at one, three or eight workers (eight
+// clamp to the three hosts), independent or coordinated — and a
+// coordinated run stops at the failing period's barrier while an
+// independent one lets the healthy hosts finish.
+TEST(Fleet, FailingHostStopsTheRunWithItsError) {
   constexpr std::size_t kPeriods = 6;
   constexpr std::size_t kFailAt = 2;
   constexpr std::size_t kMaxRecoveriesPerPeriod = 3;
-  const ExperimentSpec spec = short_spec(PolicyKind::StayAway);
+  ExperimentSpec spec = short_spec(PolicyKind::StayAway);
+  spec.duration_s = static_cast<double>(kPeriods) * spec.period_s;
   for (bool supervised : {false, true}) {
-    for (bool hooked : {false, true}) {
-      for (std::size_t workers : {1u, 3u}) {
+    for (bool coordinated : {false, true}) {
+      for (std::size_t workers : {1u, 3u, 8u}) {
         SCOPED_TRACE(std::string(supervised ? "supervised" : "unsupervised") +
-                     (hooked ? ", hooked" : ", independent") + ", workers " +
-                     std::to_string(workers));
-        std::vector<DirectSlot> slots(kMembers);
-        core::FleetConfig config;
-        config.workers = workers;
-        config.checkpoint_every = 1;
-        core::FleetController controller(config);
-        for (std::size_t i = 0; i < kMembers; ++i) {
-          DirectSlot& slot = slots[i];
-          core::FleetController::Member member;
-          member.name = "m";
-          member.name += std::to_string(i);
-          core::FleetController::Member::Rebuilt fresh = slot.build(spec);
-          member.host = fresh.host;
-          member.pipeline = fresh.pipeline;
-          member.ticks_per_period = 10;
-          member.periods = kPeriods;
-          if (i == 1) {
-            member.on_period = [&slot](const core::PeriodRecord&) {
-              if (slot.pipeline->records().size() > kFailAt) {
-                throw std::runtime_error("member m1 failed");
-              }
-            };
-          }
-          if (supervised) {
-            member.rebuild = [&slot, &spec] { return slot.build(spec); };
-          }
-          controller.add_member(std::move(member));
+                     (coordinated ? ", coordinated" : ", independent") +
+                     ", workers " + std::to_string(workers));
+        FleetSpec fleet;
+        for (const char* name : {"m0", "m1", "m2"}) {
+          fleet.hosts.push_back({name, spec});
         }
-        std::vector<std::size_t> hook_calls;
-        if (hooked) {
-          controller.set_period_hook(
-              [&hook_calls](std::size_t p) { hook_calls.push_back(p); });
-        }
+        fleet.workers = workers;
+        fleet.supervise = supervised;
+        fleet.checkpoint_every = 1;
+        if (coordinated) fleet.cluster = ClusterSpec{};
+        FailingSink sink(kFailAt);
+        fleet.recorder = &sink;
 
         std::string error;
         try {
-          controller.run();
+          run_fleet(fleet);
         } catch (const std::runtime_error& e) {
           error = e.what();
         }
-        EXPECT_EQ(error, "member m1 failed");
-        // A coordinated fleet stops at the failing period's barrier; an
-        // independent one lets the healthy members finish.
-        const std::size_t healthy_periods = hooked ? kFailAt + 1 : kPeriods;
-        const std::vector<std::size_t> completed_boundaries =
-            hooked ? std::vector<std::size_t>{0, 1}
-                   : std::vector<std::size_t>{};
-        EXPECT_EQ(hook_calls, completed_boundaries);
-        for (std::size_t i : {0u, 2u}) {
-          EXPECT_EQ(slots[i].pipeline->records().size(), healthy_periods);
-          EXPECT_EQ(controller.members()[i].recovery.recoveries, 0u);
-        }
-        const core::RecoveryReport& failed = controller.members()[1].recovery;
-        EXPECT_EQ(failed.recoveries,
-                  supervised ? kMaxRecoveriesPerPeriod : 0u);
-        EXPECT_EQ(failed.checkpoints_saved, supervised ? kFailAt : 0u);
+        EXPECT_EQ(error, "host m1 failed");
+        const std::size_t healthy_periods =
+            coordinated ? kFailAt + 1 : kPeriods;
+        EXPECT_EQ(sink.calls[0].load(), healthy_periods);
+        EXPECT_EQ(sink.calls[2].load(), healthy_periods);
+        const std::size_t attempts =
+            supervised ? 1 + kMaxRecoveriesPerPeriod : 1;
+        EXPECT_EQ(sink.calls[1].load(), kFailAt + attempts);
       }
     }
   }

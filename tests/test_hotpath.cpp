@@ -1,13 +1,16 @@
 // Tests for the incremental/cached map->predict hot path: the growable
 // dissimilarity matrix, the violation-range cache, the warm-start
-// cold-skip, the fleet's worker pool, and the predictor's
+// cold-skip, the fleet's worker team, and the predictor's
 // empty-candidate guard. The load-bearing property throughout is
 // equivalence: every fast path must produce the same results as the
 // from-scratch path it replaces.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/embedder.hpp"
@@ -40,37 +43,40 @@ std::vector<std::vector<double>> random_vectors(std::size_t n, std::size_t dim,
 // Thread pool.
 
 TEST(ThreadPool, SingleThreadRunsInline) {
-  util::ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  std::vector<int> hits(10, 0);
-  pool.for_ranges(10, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++hits[i];
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran;
+  std::vector<std::size_t> workers;
+  util::run_team(1, [&](std::size_t w) {
+    workers.push_back(w);
+    ran.push_back(std::this_thread::get_id());
   });
-  for (int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_EQ(workers, std::vector<std::size_t>{0});
+  EXPECT_EQ(ran, std::vector<std::thread::id>{caller});
 }
 
+// Every worker index of a team runs exactly once, each on its own
+// thread, worker 0 on the caller — at every team size from 1 to 8.
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 127u, 1000u}) {
-    std::vector<int> hits(n, 0);
-    pool.for_ranges(n, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) ++hits[i];
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t threads = 1; threads <= 8; ++threads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Each worker writes only its own element.
+    std::vector<int> runs(threads, 0);
+    std::vector<std::thread::id> ids(threads);
+    std::atomic<std::size_t> strays{0};
+    util::run_team(threads, [&](std::size_t w) {
+      if (w >= threads) {
+        ++strays;
+        return;
+      }
+      ++runs[w];
+      ids[w] = std::this_thread::get_id();
     });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i], 1) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossManyCalls) {
-  util::ThreadPool pool(3);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<int> hits(64, 0);
-    pool.for_ranges(64, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) ++hits[i];
-    });
-    for (int h : hits) ASSERT_EQ(h, 1);
+    EXPECT_EQ(strays.load(), 0u);
+    for (int r : runs) EXPECT_EQ(r, 1);
+    EXPECT_EQ(ids.front(), caller);
+    EXPECT_EQ(std::set<std::thread::id>(ids.begin(), ids.end()).size(),
+              threads);
   }
 }
 

@@ -19,11 +19,11 @@
 //                    through the core/pipeline.hpp seam and takes IDs
 //                    from core/stages/stage.hpp. One parallelism axis:
 //                    fleet workers are the library's only threads, so
-//                    under src/ only the fleet controller
-//                    (src/core/fleet.*) may include util/thread_pool.hpp,
-//                    and only the pool itself (src/util/thread_pool.*)
-//                    may include <thread> or name std::thread /
-//                    std::jthread.
+//                    under src/ only the fleet runner
+//                    (src/harness/fleet.cpp) may include
+//                    util/thread_pool.hpp, and only the team itself
+//                    (src/util/thread_pool.*) may include <thread> or
+//                    name std::thread / std::jthread.
 //   lock-discipline  any mutable field of a class that owns a mutex must
 //                    carry SA_GUARDED_BY / SA_PT_GUARDED_BY
 //                    (src/util/annotations.hpp) or an explicit
@@ -442,10 +442,10 @@ const std::map<std::string, std::set<std::string>>& layering() {
   return kAllowed;
 }
 
-/// One parallelism axis (DESIGN.md §9): the fleet controller's worker pool
-/// is the library's only source of threads. Under src/ only the pool's
-/// own implementation may start threads, and only src/core/fleet.* (plus
-/// the pool) may include the pool.
+/// One parallelism axis (DESIGN.md §9): the fleet's worker team is the
+/// library's only source of threads. Under src/ only the team's own
+/// implementation may start threads, and only the fleet runner
+/// (src/harness/fleet.cpp, plus the team itself) may include the team.
 bool in_dir_with_prefix(const std::string& path, std::string_view dir,
                         std::string_view prefix) {
   const std::size_t slash = path.rfind('/');
@@ -458,7 +458,7 @@ bool may_own_threads(const std::string& path) {
 }
 
 bool may_include_thread_pool(const std::string& path) {
-  return in_dir_with_prefix(path, "src/core/", "fleet.") ||
+  return in_dir_with_prefix(path, "src/harness/", "fleet.cpp") ||
          may_own_threads(path);
 }
 
@@ -521,7 +521,7 @@ void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
       if (!mod.empty() && t.text == "util/thread_pool.hpp" &&
           !may_include_thread_pool(f.path)) {
         out.push_back({f.path, t.line, "include-graph", "parallelism-axis",
-                       "only src/core/fleet.* may include " + t.text +
+                       "only src/harness/fleet.cpp may include " + t.text +
                            "; fleet workers are the only parallelism axis, "
                            "kernels stay sequential"});
         continue;
@@ -1440,9 +1440,15 @@ std::vector<Fixture> self_test_fixtures() {
   f.push_back({"thread-pool-in-mds", "src/mds/inc21.cpp",
                "#include \"util/thread_pool.hpp\"\n",
                {"parallelism-axis"}});
-  f.push_back({"thread-pool-in-fleet-ok", "src/core/fleet.cpp",
+  f.push_back({"thread-pool-in-fleet-ok", "src/harness/fleet.cpp",
                "#include \"util/thread_pool.hpp\"\n",
                {}});
+  f.push_back({"thread-pool-in-fleet-header", "src/harness/fleet.hpp",
+               "#pragma once\n#include \"util/thread_pool.hpp\"\n",
+               {"parallelism-axis"}});
+  f.push_back({"thread-pool-in-core", "src/core/fleet.cpp",
+               "#include \"util/thread_pool.hpp\"\n",
+               {"parallelism-axis"}});
   f.push_back({"std-thread-in-monitor", "src/monitor/inc22.cpp",
                "#include <thread>\nstd::thread producer_;\n",
                {"parallelism-axis", "parallelism-axis"}});
