@@ -63,7 +63,9 @@
 #                                and a supervised coordinated run through
 #                                checkpoint -> restore -> re-export (every
 #                                host blob and the coordinator blob
-#                                cmp-equal)
+#                                cmp-equal), then a 21 s export resumed
+#                                into the 80 s run (its coordinator blob
+#                                cmp-equal to the uninterrupted run's)
 #   ./ci.sh --analyze            static-analysis gate (DESIGN.md §16):
 #                                stayaway_analyze self-test, then the
 #                                include-graph / lock-discipline /
@@ -313,8 +315,8 @@ EOF
       # requires migration to strictly beat per-host pausing on both
       # violations and batch progress and pins the EXPERIMENTS.md counts.
       # Then a migration run driven through a full record -> replay round
-      # trip via stayaway_sim, and a coordinated checkpoint -> restore ->
-      # re-export round trip.
+      # trip via stayaway_sim, a coordinated checkpoint -> restore ->
+      # re-export round trip, and a mid-run resume.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" \
           --target test_cluster stayaway_sim || return 1
@@ -378,9 +380,28 @@ CONF
           return 1
         }
       done
+      # A resumed run keeps the original period numbers and steps the
+      # boundary before its first period: export at 21 s, restore into
+      # the 80 s run, and the coordinator blob must equal the
+      # uninterrupted run's (the host blobs differ at the 21 s run's
+      # natural-end record, so only the coordinator is compared).
+      sed 's/^duration_s = 80$/duration_s = 21/' "$tmpdir/ckpt.conf" \
+        >"$tmpdir/ckpt21.conf"
+      grep -qx 'duration_s = 21' "$tmpdir/ckpt21.conf" &&
+        ./build/tools/stayaway_sim --supervise --checkpoint-every 5 \
+          --checkpoint-dir "$tmpdir/ckpt21" "$tmpdir/ckpt21.conf" >/dev/null &&
+        ./build/tools/stayaway_sim --supervise --checkpoint-every 5 \
+          --restore "$tmpdir/ckpt21" --checkpoint-dir "$tmpdir/ckpt3" \
+          "$tmpdir/ckpt.conf" >/dev/null &&
+        cmp "$tmpdir/ckpt/coordinator.ckpt" \
+          "$tmpdir/ckpt3/coordinator.ckpt" || {
+        echo "coordinator resumed at 21 s diverged from the uninterrupted run" >&2
+        rm -rf "$tmpdir"
+        return 1
+      }
       rm -rf "$tmpdir"
       echo "cluster record -> replay round trip + coordinated checkpoint" \
-        "re-export cmp (hosts + coordinator): ok"
+        "re-export cmp (hosts + coordinator) + 21 s resume cmp: ok"
       ;;
     ingest)
       # Streaming-ingestion gate (DESIGN.md §15): the ingest suite and the

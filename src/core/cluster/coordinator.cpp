@@ -10,9 +10,10 @@ namespace stayaway::core::cluster {
 
 namespace {
 
-// Framed by the host checkpoint's envelope: `stayaway-coordinator v1`.
+// Framed by the host checkpoint's envelope: `stayaway-coordinator v2`.
+// v2 opens the body with the period count the blob was saved at.
 constexpr std::string_view kMagic = "stayaway-coordinator";
-constexpr std::uint64_t kVersion = 1;
+constexpr std::uint64_t kVersion = 2;
 
 }  // namespace
 
@@ -232,21 +233,26 @@ void ClusterCoordinator::persist(util::StateIO& io) {
           [&io](std::string& event) { io.line("event", event); });
 }
 
-std::string encode_coordinator(ClusterCoordinator& coordinator) {
+std::string encode_coordinator(ClusterCoordinator& coordinator,
+                               std::size_t periods) {
   std::string out;
   const std::size_t body = begin_envelope(out, kMagic, kVersion);
   util::StateIO io = util::StateIO::writer(out);
+  io.u64("periods", periods);
   coordinator.persist(io);
   seal_envelope(out, body);
   return out;
 }
 
-void restore_coordinator(ClusterCoordinator& coordinator,
-                         const std::string& blob) {
+std::size_t restore_coordinator(ClusterCoordinator& coordinator,
+                                const std::string& blob) {
   util::StateIO io =
       util::StateIO::reader(open_envelope(blob, kMagic, kVersion));
+  std::size_t periods = 0;
+  io.u64("periods", periods);
   coordinator.persist(io);
   io.finish();
+  return periods;
 }
 
 }  // namespace stayaway::core::cluster

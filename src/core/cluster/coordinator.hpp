@@ -157,13 +157,17 @@ class ClusterCoordinator {
 };
 
 /// Versioned, checksummed single-string encoding of the coordinator
-/// state, framed by core/checkpoint.hpp's envelope under the header
-/// `stayaway-coordinator v1`.
-std::string encode_coordinator(ClusterCoordinator& coordinator);
+/// state after `periods` fleet periods, framed by core/checkpoint.hpp's
+/// envelope under the header `stayaway-coordinator v2`: a `periods = k`
+/// line, then persist()'s fields.
+std::string encode_coordinator(ClusterCoordinator& coordinator,
+                               std::size_t periods);
 
 /// Decodes `blob` into a freshly wired coordinator (same hosts, same
-/// VMs). Throws util::StateCodecError on damage or wiring mismatch.
-void restore_coordinator(ClusterCoordinator& coordinator,
-                         const std::string& blob);
+/// VMs) and returns the period count it was saved at. Throws
+/// CheckpointVersionError on a v1 blob and util::StateCodecError on
+/// damage or wiring mismatch.
+std::size_t restore_coordinator(ClusterCoordinator& coordinator,
+                                const std::string& blob);
 
 }  // namespace stayaway::core::cluster

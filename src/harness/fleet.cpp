@@ -41,8 +41,13 @@ struct Slot {
   ExperimentResult result;
   double util_acc = 0.0;
   std::size_t ticks_per_period = 0;
-  /// Live periods to drive (a warm start's restored prefix excluded).
+  /// The slot drives periods [first, periods) of the run: `first` is its
+  /// restore blob's period count, 0 for a cold host (DESIGN.md §17).
+  std::size_t first = 0;
   std::size_t periods = 0;
+  /// FleetSpec::restore's blob for the host (null = cold): the floor
+  /// recovery falls back to, never evicted.
+  const std::string* restore = nullptr;
   /// Runs under the crash supervisor (DESIGN.md §17).
   bool supervised = false;
   /// The supervisor's checkpoints over the whole run, newest last, the
@@ -138,14 +143,14 @@ class FleetRun {
   /// FleetSpec::restore names) and the coordinator.
   explicit FleetRun(const FleetSpec& spec);
 
-  /// Drives every slot for its live periods on min(workers, hosts)
-  /// threads, each owning a fixed contiguous slice of the slots. An
-  /// independent fleet never joins before the end; a coordinated one
-  /// meets at a barrier after every period, whose completion step — on
-  /// the last worker to arrive, with no host in flight — stops the run
-  /// on a host failure or steps the coordinator. Afterwards the first
-  /// host failure in host order is rethrown (a coordinator failure
-  /// first; the two never both happen).
+  /// Drives every slot on min(workers, hosts) threads, each owning a
+  /// fixed contiguous slice of the slots. An independent fleet never
+  /// joins before the end; a coordinated one meets at a barrier at the
+  /// opening of every period p, whose completion step — on the last
+  /// worker to arrive, with no host in flight — stops the run on a host
+  /// failure or steps boundary p-1. Afterwards the first host failure in
+  /// host order is rethrown (a coordinator failure first; the two never
+  /// both happen).
   void drive();
 
   /// Post-run series summaries, Stay-Away internals and exports.
@@ -153,9 +158,10 @@ class FleetRun {
 
  private:
   /// Builds a slot's host and pipeline from scratch — same wiring, same
-  /// fault plan, zero periods run. The first build and the supervisor's
-  /// rebuild both come through here.
-  void build_slot(Slot& slot) const;
+  /// fault plan — and warm-starts them from `blob` (null = cold); returns
+  /// the period the slot resumes at. The first build, a warm start and
+  /// every recovery come through here.
+  std::size_t build_slot(Slot& slot, const std::string* blob) const;
   /// Appends period p's entries to the host's result series and narrates
   /// the decision to the host's observer.
   void record_series(Slot& slot, const core::PeriodRecord& rec) const;
@@ -164,18 +170,16 @@ class FleetRun {
   /// recovery and the end-of-period checkpoint cadence.
   void drive_period(std::size_t i, std::size_t p);
   /// Rebuilds slot `i`, warm-starts it from the newest usable checkpoint
-  /// (corrupt ones are dropped for good; none left = cold start), masks
-  /// the handled fault behind the crash horizon and silently replays up
-  /// to `period` — leaving the host exactly where the crashed run stood
-  /// when period `period`'s ticks were about to run.
+  /// (corrupt ones are dropped for good; none left = the slot's restore
+  /// blob, or period 0), masks the handled fault behind the crash horizon
+  /// and silently replays up to `period` — leaving the host exactly where
+  /// the crashed run stood when period `period`'s ticks were about to run.
   void recover(std::size_t i, std::size_t period, double fail_time);
-  /// Re-applies the coordinator's recorded boundary directives for live
+  /// Re-applies the coordinator's recorded boundary directives for
   /// period `p` against slot `i` (cluster runs only): attaches, the
   /// migration gate, the incoming note.
   void replay_directives(std::size_t i, std::size_t p) {
-    if (coordinator_ != nullptr) {
-      coordinator_->replay_host_period(i, p + coord_offset_);
-    }
+    if (coordinator_ != nullptr) coordinator_->replay_host_period(i, p);
   }
 
   const FleetSpec& spec_;
@@ -185,10 +189,6 @@ class FleetRun {
   bool label_hosts_ = false;
   std::vector<Slot> slots_;
   std::unique_ptr<core::cluster::ClusterCoordinator> coordinator_;
-  /// Warm-started cluster runs continue the original run's period
-  /// numbering: the coordinator's state is indexed by absolute period,
-  /// so its steps and directive replays shift by the restored prefix.
-  std::size_t coord_offset_ = 0;
 };
 
 FleetRun::FleetRun(const FleetSpec& spec)
@@ -231,7 +231,6 @@ FleetRun::FleetRun(const FleetSpec& spec)
     coordinator_ =
         std::make_unique<core::cluster::ClusterCoordinator>(cluster_->config);
   }
-  std::size_t restored_hosts = 0;
 
   for (std::size_t i = 0; i < spec.hosts.size(); ++i) {
     const FleetHostSpec& hs = spec.hosts[i];
@@ -252,7 +251,6 @@ FleetRun::FleetRun(const FleetSpec& spec)
         slot.twins.push_back(TwinSpec{a.name, a.kind, a.arrival_s, false});
       }
     }
-    build_slot(slot);
     slot.ticks_per_period =
         static_cast<std::size_t>(std::llround(espec.period_s / espec.tick_s));
     SA_REQUIRE(slot.ticks_per_period >= 1,
@@ -262,20 +260,11 @@ FleetRun::FleetRun(const FleetSpec& spec)
     // Warm start (DESIGN.md §17): restore the host's checkpoint, replay
     // the restored prefix silently and drive only the live tail.
     if (auto found = spec.restore.find(hs.name); found != spec.restore.end()) {
-      std::size_t restored =
-          core::warm_start(*slot.pipeline, *slot.rig.host,
-                           slot.ticks_per_period, found->second);
-      SA_REQUIRE(restored <= slot.periods,
-                 "checkpoint is longer than the run it restores into");
-      slot.periods -= restored;
-      if (cluster_ != nullptr) {
-        SA_REQUIRE(restored_hosts == 0 || coord_offset_ == restored,
-                   "cluster warm starts must restore the same period count "
-                   "on every host");
-        coord_offset_ = restored;
-        ++restored_hosts;
-      }
+      slot.restore = &found->second;
     }
+    slot.first = build_slot(slot, slot.restore);
+    SA_REQUIRE(slot.first <= slot.periods,
+               "checkpoint is longer than the run it restores into");
     // Crash-class faults in the plan put the host under supervision
     // automatically — derived purely from the scenario, so a recorded
     // run-log replays bit-for-bit without new scenario keys.
@@ -296,21 +285,6 @@ FleetRun::FleetRun(const FleetSpec& spec)
   }
   if (coordinator_ == nullptr) return;
 
-  for (const Slot& slot : slots_) {
-    SA_REQUIRE(slot.periods == slots_.front().periods,
-               "coordinated fleets need a shared period count");
-  }
-  SA_REQUIRE(restored_hosts == 0 || restored_hosts == slots_.size(),
-             "cluster warm starts must restore every host");
-  // The coordinator's state is only meaningful next to the hosts it was
-  // saved with, and restored hosts expect the coordinator that steered
-  // them: a warm start restores both sides or neither.
-  SA_REQUIRE(restored_hosts == 0 || !cluster_->restore.empty(),
-             "cluster warm start restores the hosts but has no coordinator "
-             "checkpoint to pair them with");
-  SA_REQUIRE(restored_hosts > 0 || cluster_->restore.empty(),
-             "cluster warm start restores the coordinator but has no host "
-             "checkpoints to pair it with");
   for (std::size_t j = 0; j < cluster_->mobile.size(); ++j) {
     std::vector<sim::VmId> ids;
     ids.reserve(slots_.size());
@@ -330,12 +304,25 @@ FleetRun::FleetRun(const FleetSpec& spec)
         static_cast<std::size_t>(std::llround(a.arrival_s / period_s));
     coordinator_->add_admission(a.name, std::move(ids), arrival);
   }
-  if (!cluster_->restore.empty()) {
-    core::cluster::restore_coordinator(*coordinator_, cluster_->restore);
+  // The coordinator's state is only meaningful next to the hosts it was
+  // saved with: every host and the coordinator start at the same period,
+  // 0 for a side with no blob.
+  const std::size_t first =
+      cluster_->restore.empty()
+          ? 0
+          : core::cluster::restore_coordinator(*coordinator_,
+                                               cluster_->restore);
+  for (const Slot& slot : slots_) {
+    SA_REQUIRE(slot.periods == slots_.front().periods,
+               "coordinated fleets need a shared period count");
+    SA_REQUIRE(slot.first == first,
+               "coordinated warm start: host " + slot.spec->name +
+                   " starts at period " + std::to_string(slot.first) +
+                   " but the coordinator at period " + std::to_string(first));
   }
 }
 
-void FleetRun::build_slot(Slot& slot) const {
+std::size_t FleetRun::build_slot(Slot& slot, const std::string* blob) const {
   const FleetHostSpec& hs = *slot.spec;
   slot.pipeline.reset();
   slot.rig = build_host_rig(hs.experiment, slot.twins);
@@ -358,6 +345,9 @@ void FleetRun::build_slot(Slot& slot) const {
       hs.experiment.policy == PolicyKind::StayAway) {
     slot.pipeline->set_observer(slot.observer);
   }
+  if (blob == nullptr) return 0;
+  return core::warm_start(*slot.pipeline, *slot.rig.host,
+                          slot.ticks_per_period, *blob);
 }
 
 void FleetRun::record_series(Slot& slot,
@@ -493,15 +483,14 @@ void FleetRun::recover(std::size_t i, std::size_t period, double fail_time) {
   // host through the restored prefix (ticks re-run, journalled
   // actuations re-applied, no observer or series activity). A checkpoint
   // that fails to restore is dropped for good (it will not get better);
-  // with none left the host cold-starts and replays the whole run.
+  // with none left the host restarts where the run started it — its
+  // restore blob, which restored once already, or a cold host that
+  // replays the whole run.
   std::size_t restored = 0;
   bool warm = false;
   while (!slot.checkpoints.empty() && !warm) {
-    build_slot(slot);
     try {
-      restored = core::warm_start(*slot.pipeline, *slot.rig.host,
-                                  slot.ticks_per_period,
-                                  slot.checkpoints.back());
+      restored = build_slot(slot, &slot.checkpoints.back());
       warm = true;
     } catch (const util::StateCodecError&) {
       ++slot.recovery.corrupt_checkpoints_dropped;
@@ -509,8 +498,8 @@ void FleetRun::recover(std::size_t i, std::size_t period, double fail_time) {
     }
   }
   if (!warm) {
-    build_slot(slot);
-    ++slot.recovery.cold_starts;
+    restored = build_slot(slot, slot.restore);
+    if (slot.restore == nullptr) ++slot.recovery.cold_starts;
   }
   // Mask every crash spec whose window had already opened, so the
   // handled failure cannot re-fire during the replay or immediately
@@ -525,7 +514,7 @@ void FleetRun::recover(std::size_t i, std::size_t period, double fail_time) {
   // already consumed periods 0..period-1 on the crashed run.
   obs::Observer* observer = slot.pipeline->observer();
   slot.pipeline->set_observer(nullptr);
-  // Gap replay: live periods from the checkpoint to the failure. The
+  // Gap replay: the periods from the restore point to the failure. The
   // restored RNG streams re-draw exactly what the crashed run drew, so
   // every regenerated record must equal the history — anything else is a
   // divergence (determinism bug or state missing from the snapshot).
@@ -561,7 +550,7 @@ void FleetRun::drive() {
     util::run_team(workers, [&](std::size_t w) {
       for (std::size_t i = first_slot(w); i < first_slot(w + 1); ++i) {
         try {
-          for (std::size_t p = 0; p < slots_[i].periods; ++p) {
+          for (std::size_t p = slots_[i].first; p < slots_[i].periods; ++p) {
             drive_period(i, p);
           }
         } catch (...) {
@@ -571,34 +560,36 @@ void FleetRun::drive() {
     });
   } else {
     // The coordinator's decisions must see every host's state for period
-    // p before any host starts period p+1, so the workers meet after
-    // every period. The completion step runs on the last worker to
-    // arrive; `boundary` and `stop` are only written there, and the
-    // barrier orders those writes before every worker's next read.
+    // p-1 before any host starts period p, so boundary p-1 is stepped at
+    // the opening of period p (a run resumed at k closes k-1 first). The
+    // completion step runs on the last worker to arrive; `opening` and
+    // `stop` are only written there, and the barrier orders those writes
+    // before every worker's next read.
+    const std::size_t first = slots_.front().first;
     const std::size_t periods = slots_.front().periods;
-    std::size_t boundary = 0;
+    std::size_t opening = first;
     bool stop = false;
-    auto close_period = [&]() noexcept {
-      const std::size_t p = boundary++;
+    auto open_period = [&]() noexcept {
+      const std::size_t p = opening++;
       for (const Slot& slot : slots_) {
         if (slot.error) {
           stop = true;
           return;
         }
       }
-      // No step after the final period: the run is over, and a boundary
-      // mutation there would touch hosts that never tick again.
-      if (p + 1 == periods) return;
+      if (p == 0) return;
       try {
-        coordinator_->step(p + coord_offset_);
+        coordinator_->step(p - 1);
       } catch (...) {
         coordinator_error = std::current_exception();
         stop = true;
       }
     };
-    std::barrier sync(static_cast<std::ptrdiff_t>(workers), close_period);
+    std::barrier sync(static_cast<std::ptrdiff_t>(workers), open_period);
     util::run_team(workers, [&](std::size_t w) {
-      for (std::size_t p = 0; p < periods && !stop; ++p) {
+      for (std::size_t p = first; p < periods; ++p) {
+        sync.arrive_and_wait();
+        if (stop) break;
         for (std::size_t i = first_slot(w); i < first_slot(w + 1); ++i) {
           try {
             drive_period(i, p);
@@ -606,7 +597,6 @@ void FleetRun::drive() {
             slots_[i].error = std::current_exception();
           }
         }
-        sync.arrive_and_wait();
       }
     });
   }
@@ -660,8 +650,8 @@ FleetResult FleetRun::results() {
     report.queued = coordinator_->admissions_queued();
     report.events = coordinator_->events();
     if (spec_.export_checkpoints) {
-      report.final_coordinator =
-          core::cluster::encode_coordinator(*coordinator_);
+      report.final_coordinator = core::cluster::encode_coordinator(
+          *coordinator_, slots_.front().periods);
     }
     out.cluster = std::move(report);
   }

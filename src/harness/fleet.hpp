@@ -55,6 +55,9 @@ struct RecoveryReport {
   std::size_t corrupt_checkpoints_dropped = 0;
   std::size_t cold_starts = 0;       // recoveries with no usable checkpoint
   std::size_t checkpoints_saved = 0;
+  /// Periods re-run live between each recovery's restore point (a
+  /// checkpoint, the FleetSpec::restore blob, or period 0) and the
+  /// failed period.
   std::size_t gap_periods_replayed = 0;
   /// Replayed records that differed from the crashed run's history — the
   /// determinism guarantee says this stays zero; the fuzzer's
@@ -99,9 +102,10 @@ struct ClusterSpec {
   core::cluster::ClusterConfig config;
   std::vector<MobileVmSpec> mobile;
   std::vector<AdmissionSpec> admissions;
-  /// Coordinator blob to warm-start from (encode_coordinator). A
-  /// coordinated warm start restores both sides or neither: this blob
-  /// and a FleetSpec::restore entry for every host, from the same run.
+  /// Coordinator blob to warm-start from (encode_coordinator). Every
+  /// host and the coordinator must start at the same period (0 for a
+  /// side without a blob), or run_fleet raises a PreconditionError. A
+  /// run resumed at period k steps boundary k-1 before its first period.
   std::string restore;
 };
 
@@ -142,10 +146,12 @@ struct FleetSpec {
   /// --checkpoint-dir` writes to disk.
   bool export_checkpoints = false;
   /// Per-host checkpoint blobs to warm-start from (keyed by host name;
-  /// hosts without an entry start cold). The restored periods are
-  /// replayed silently: the per-period result series (time/qos/...)
-  /// cover only the live tail, while stayaway_records always span the
-  /// full history.
+  /// hosts without an entry start cold). A blob of k periods resumes its
+  /// host at period k, numbered as in the original run. The restored
+  /// periods are replayed silently: the per-period result series
+  /// (time/qos/...) cover only the live tail, while stayaway_records
+  /// span the full history. The blob is the host's recovery floor: a
+  /// crash with no usable checkpoint restores it, never period 0.
   std::map<std::string, std::string> restore;
   // --- Cluster coordination (DESIGN.md §18). --------------------------
   std::optional<ClusterSpec> cluster;

@@ -57,6 +57,29 @@ std::vector<std::string> host_names(const harness::FleetSpec& spec) {
   return names;
 }
 
+/// Diffs one recorded line stream against its replay: any byte
+/// difference (order, count, content) fails the report, and the first
+/// few land in its mismatches under `stream`. Returns the number of
+/// lines present on both sides.
+std::size_t diff_lines(const std::string& stream,
+                       const std::vector<std::string>& recorded,
+                       const std::vector<std::string>& replayed,
+                       ReplayReport& report) {
+  constexpr std::size_t kMaxMismatches = 5;
+  const std::size_t both = std::min(recorded.size(), replayed.size());
+  for (std::size_t p = 0; p < std::max(recorded.size(), replayed.size());
+       ++p) {
+    if (p < both && recorded[p] == replayed[p]) continue;
+    report.ok = false;
+    if (report.mismatches.size() < kMaxMismatches) {
+      report.mismatches.push_back(
+          {stream, p, p < recorded.size() ? recorded[p] : "",
+           p < replayed.size() ? replayed[p] : ""});
+    }
+  }
+  return both;
+}
+
 }  // namespace
 
 Recording::Recording(const harness::FleetScenario& fleet,
@@ -84,7 +107,6 @@ RecordedRun record_run(const harness::FleetScenario& fleet) {
 }
 
 ReplayReport replay_run_log(const RunLog& log) {
-  constexpr std::size_t kMaxMismatches = 5;
   ReplayReport report;
   RunLog fresh_log;
   try {
@@ -113,48 +135,12 @@ ReplayReport replay_run_log(const RunLog& log) {
                      "', replayed '" + replayed.name + "'";
       return report;
     }
-    std::size_t periods =
-        std::max(recorded.records.size(), replayed.records.size());
-    for (std::size_t p = 0; p < periods; ++p) {
-      const std::string* old_line =
-          p < recorded.records.size() ? &recorded.records[p] : nullptr;
-      const std::string* new_line =
-          p < replayed.records.size() ? &replayed.records[p] : nullptr;
-      if (old_line != nullptr && new_line != nullptr) ++report.periods_checked;
-      if (old_line != nullptr && new_line != nullptr &&
-          *old_line == *new_line) {
-        continue;
-      }
-      report.ok = false;
-      if (report.mismatches.size() < kMaxMismatches) {
-        report.mismatches.push_back(
-            {recorded.name, p, old_line != nullptr ? *old_line : "",
-             new_line != nullptr ? *new_line : ""});
-      }
-    }
+    report.periods_checked += diff_lines(recorded.name, recorded.records,
+                                         replayed.records, report);
   }
-  // The coordinator decision log diffs like a host stream: any byte
-  // difference (order, count, content) fails the replay.
-  std::size_t events = std::max(log.cluster_events.size(),
-                                fresh_log.cluster_events.size());
-  for (std::size_t e = 0; e < events; ++e) {
-    const std::string* old_line = e < log.cluster_events.size()
-                                      ? &log.cluster_events[e]
-                                      : nullptr;
-    const std::string* new_line = e < fresh_log.cluster_events.size()
-                                      ? &fresh_log.cluster_events[e]
-                                      : nullptr;
-    if (old_line != nullptr && new_line != nullptr &&
-        *old_line == *new_line) {
-      continue;
-    }
-    report.ok = false;
-    if (report.mismatches.size() < kMaxMismatches) {
-      report.mismatches.push_back(
-          {"<cluster>", e, old_line != nullptr ? *old_line : "",
-           new_line != nullptr ? *new_line : ""});
-    }
-  }
+  // The coordinator decision log diffs like a host stream.
+  diff_lines("<cluster>", log.cluster_events, fresh_log.cluster_events,
+             report);
   return report;
 }
 

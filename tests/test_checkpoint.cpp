@@ -636,6 +636,47 @@ TEST(SupervisorGolden, FleetSurvivesSingleHostCrash) {
   }
 }
 
+TEST(SupervisorGolden, WarmStartedHostCrashMatchesUninterrupted) {
+  // A host warm-started from a 20 s checkpoint and crashed at 30 s
+  // recovers in the original run's period numbers: from the newest
+  // supervisor checkpoint, or from its restore blob when it has none —
+  // never a cold start from period 0.
+  ExperimentSpec spec = short_spec();
+  spec.faults = sim::FaultPlan{};
+  spec.faults->faults.push_back(
+      fault_of(sim::FaultKind::HostCrash, 30.0, 31.0));
+  const FleetHostResult want = run_supervised(spec);
+  ASSERT_EQ(want.result.stayaway_records.size(), 40u);
+  ExperimentSpec half = spec;
+  half.duration_s = 20.0;
+  const std::string blob = run_supervised(half).final_checkpoint;
+
+  for (std::size_t every : {std::size_t{0}, std::size_t{5}, std::size_t{7}}) {
+    SCOPED_TRACE("checkpoint_every=" + std::to_string(every));
+    FleetSpec fleet;
+    fleet.hosts.push_back({"solo", spec});
+    fleet.supervise = true;
+    fleet.checkpoint_every = every;
+    fleet.restore["solo"] = blob;
+    const FleetHostResult got = run_fleet(fleet).hosts.at(0);
+    const auto& records = got.result.stayaway_records;
+    ASSERT_EQ(records.size(), 40u);
+    for (std::size_t p = 0; p < records.size(); ++p) {
+      // Record 19 is the 20 s run's natural end (its app stamps the
+      // period Idle).
+      if (p == 19) continue;
+      EXPECT_EQ(core::encode_record(records[p]),
+                core::encode_record(want.result.stayaway_records[p]))
+          << "period " << p;
+    }
+    EXPECT_EQ(got.result.batch_cpu_work, want.result.batch_cpu_work);
+    EXPECT_EQ(got.recovery.crashes, 1u);
+    EXPECT_LT(got.recovery.gap_periods_replayed, 40u);
+    EXPECT_EQ(got.recovery.cold_starts, 0u);
+    EXPECT_EQ(got.recovery.divergences, 0u);
+  }
+}
+
 // --- Warm restarts of every wiring --------------------------------------
 
 /// Every stage snapshots, so a crash in any wiring restores the newest
@@ -1490,6 +1531,18 @@ TEST(CheckpointRejection, HistogramBinMismatchIsACodecError) {
   EXPECT_THROW(restore_fixture(Fixture::Sync, edited), util::StateCodecError);
 }
 
+/// The same coordinator state as a v1 blob: v2 only bumped the header
+/// and opened the body with the `periods` line.
+std::string as_coordinator_v1(const std::string& blob) {
+  const std::size_t body = blob.find('\n', blob.find('\n') + 1) + 1;
+  std::string v1;
+  const std::size_t v1_body =
+      core::begin_envelope(v1, "stayaway-coordinator", 1);
+  v1 += blob.substr(body, blob.rfind("checksum = ") - body);
+  core::seal_envelope(v1, v1_body);
+  return v1;
+}
+
 TEST(CheckpointBytePins, FinalExportsMatchPinnedDigests) {
   // fnv1a64 of each final blob: restore -> re-export proves only
   // self-consistency, these pins prove the bytes did not move. A format
@@ -1501,7 +1554,12 @@ TEST(CheckpointBytePins, FinalExportsMatchPinnedDigests) {
   EXPECT_EQ(core::fnv1a64(b.landmark), 0x06c1fa08bb663515ULL);
   EXPECT_EQ(core::fnv1a64(b.reactive), 0xb2f7803847f17bb9ULL);
   EXPECT_EQ(core::fnv1a64(b.member_a), 0xa99a2527131a1940ULL);
-  EXPECT_EQ(core::fnv1a64(b.coordinator), 0x59045f9342960342ULL);
+  // The coordinator's pin holds its state bytes as v1 wrote them; v2
+  // adds only the header bump and the period count of the 80 s run.
+  EXPECT_TRUE(b.coordinator.starts_with(
+      "stayaway-coordinator v2\nperiods = 80\ncluster_migrate = "));
+  EXPECT_EQ(core::fnv1a64(as_coordinator_v1(b.coordinator)),
+            0x59045f9342960342ULL);
 }
 
 }  // namespace

@@ -408,11 +408,21 @@ TEST(ClusterRunLog, ClusterEventsMustBeLastSection) {
 
 // --- Checkpoint/restore ------------------------------------------------
 
+/// Host and coordinator checkpoints of a coordinated run of `seconds`.
+FleetResult checkpointed_run(const std::string& extra, double seconds) {
+  FleetSpec half = spec_of(with_cluster_section(extra));
+  for (auto& host : half.hosts) host.experiment.duration_s = seconds;
+  half.export_checkpoints = true;
+  return run_fleet(half);
+}
+
 TEST(ClusterCheckpoint, CoordinatorStateSurvivesRestore) {
-  // Cold 120 s coordinated run vs checkpoint-at-60 + warm restore into
-  // the same 120 s scenario: the event stream and every host record must
-  // come out identical — the coordinator's placements, cooldowns and
-  // admission queue all live in the checkpoint.
+  // Cold 120 s coordinated run vs checkpoint-at-`split` + warm restore
+  // into the same 120 s scenario: the event stream and every host record
+  // must come out identical — the coordinator's placements, cooldowns and
+  // admission queue all live in the checkpoint, and the resumed run steps
+  // boundary split-1 before its first period. The splits other than 60
+  // fall one period before or on a decision, where a missed step shows.
   const std::string extra =
       "mobile = crunch:cpubomb:web-a:20\nadmit = late:soplex:90\n";
   FleetSpec cold = spec_of(with_cluster_section(extra));
@@ -420,54 +430,38 @@ TEST(ClusterCheckpoint, CoordinatorStateSurvivesRestore) {
   ASSERT_TRUE(want.cluster.has_value());
   EXPECT_GE(want.cluster->migrations, 1u);
 
-  // First half, checkpoints exported.
-  FleetSpec half = spec_of(with_cluster_section(extra));
-  for (auto& host : half.hosts) host.experiment.duration_s = 60.0;
-  half.export_checkpoints = true;
-  FleetResult first = run_fleet(half);
-  ASSERT_TRUE(first.cluster.has_value());
-  ASSERT_FALSE(first.cluster->final_coordinator.empty());
+  const std::size_t splits[] = {60, 20, 21, 43, 44, 67, 68, 90, 91, 92};
+  for (std::size_t split : splits) {
+    SCOPED_TRACE("split at " + std::to_string(split) + " s");
+    FleetResult first =
+        checkpointed_run(extra, static_cast<double>(split));
+    ASSERT_TRUE(first.cluster.has_value());
+    ASSERT_FALSE(first.cluster->final_coordinator.empty());
 
-  // Second half, warm-started from the blobs.
-  FleetSpec resumed = spec_of(with_cluster_section(extra));
-  for (const auto& host : first.hosts) {
-    ASSERT_FALSE(host.final_checkpoint.empty()) << host.name;
-    resumed.restore[host.name] = host.final_checkpoint;
+    // Second half, warm-started from the blobs.
+    FleetSpec resumed = spec_of(with_cluster_section(extra));
+    for (const auto& host : first.hosts) {
+      ASSERT_FALSE(host.final_checkpoint.empty()) << host.name;
+      resumed.restore[host.name] = host.final_checkpoint;
+    }
+    resumed.cluster->restore = first.cluster->final_coordinator;
+    FleetResult got = run_fleet(resumed);
+    ASSERT_TRUE(got.cluster.has_value());
+
+    EXPECT_EQ(got.cluster->events, want.cluster->events);
+    EXPECT_EQ(got.cluster->migrations, want.cluster->migrations);
+    EXPECT_EQ(got.cluster->admitted, want.cluster->admitted);
+    EXPECT_EQ(got.cluster->rejected, want.cluster->rejected);
+    // Record split-1 is the first run's natural end (its app stamps the
+    // period Idle); every other period, prefix and live tail alike, must
+    // match.
+    expect_host_records_identical(got, want, /*skip=*/split - 1);
   }
-  resumed.cluster->restore = first.cluster->final_coordinator;
-  FleetResult got = run_fleet(resumed);
-  ASSERT_TRUE(got.cluster.has_value());
-
-  EXPECT_EQ(got.cluster->events, want.cluster->events);
-  EXPECT_EQ(got.cluster->migrations, want.cluster->migrations);
-  EXPECT_EQ(got.cluster->admitted, want.cluster->admitted);
-  EXPECT_EQ(got.cluster->rejected, want.cluster->rejected);
-  // Record 59 is the half-run's natural end (its app stamps the period
-  // Idle); every other period, prefix and live tail alike, must match.
-  expect_host_records_identical(got, want, /*skip=*/59);
-}
-
-/// Checkpoints of a 40 s coordinated run (hosts and coordinator).
-FleetResult checkpointed_half_run(const std::string& extra) {
-  FleetSpec half = spec_of(with_cluster_section(extra));
-  for (auto& host : half.hosts) host.experiment.duration_s = 40.0;
-  half.export_checkpoints = true;
-  return run_fleet(half);
-}
-
-/// The PreconditionError message of `run_fleet(spec)`, or "" if none.
-std::string precondition_error(const FleetSpec& spec) {
-  try {
-    run_fleet(spec);
-  } catch (const PreconditionError& e) {
-    return e.what();
-  }
-  return "";
 }
 
 TEST(ClusterCheckpoint, DamagedCoordinatorBlobIsRejected) {
   const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
-  FleetResult first = checkpointed_half_run(extra);
+  FleetResult first = checkpointed_run(extra, 40.0);
   ASSERT_TRUE(first.cluster.has_value());
 
   // The host blobs are genuine, so only the damaged coordinator blob
@@ -483,28 +477,93 @@ TEST(ClusterCheckpoint, DamagedCoordinatorBlobIsRejected) {
   EXPECT_THROW(run_fleet(resumed), util::StateCodecError);
 }
 
-// A coordinated warm start restores both sides or neither: restored
-// hosts next to a fresh coordinator (or the reverse) would diverge from
-// the uninterrupted run without a word.
+/// The PreconditionError message of `run_fleet(spec)`, or "" if none.
+std::string precondition_error(const FleetSpec& spec) {
+  try {
+    run_fleet(spec);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A coordinated warm start is paired by one rule: every host and the
+// coordinator start at the same period, 0 for a side with no blob.
+// Anything else would diverge from the uninterrupted run without a word.
 TEST(ClusterCheckpoint, HostRestoresWithoutCoordinatorAreRejected) {
   const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
-  FleetResult first = checkpointed_half_run(extra);
+  FleetResult first = checkpointed_run(extra, 40.0);
   FleetSpec resumed = spec_of(with_cluster_section(extra));
   for (const auto& host : first.hosts) {
     resumed.restore[host.name] = host.final_checkpoint;
   }
-  EXPECT_NE(precondition_error(resumed).find("no coordinator checkpoint"),
-            std::string::npos);
+  EXPECT_NE(precondition_error(resumed).find(
+                "host web-a starts at period 40 but the coordinator at "
+                "period 0"),
+            std::string::npos)
+      << precondition_error(resumed);
 }
 
 TEST(ClusterCheckpoint, CoordinatorRestoreWithoutHostsIsRejected) {
   const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
-  FleetResult first = checkpointed_half_run(extra);
+  FleetResult first = checkpointed_run(extra, 40.0);
   ASSERT_TRUE(first.cluster.has_value());
   FleetSpec resumed = spec_of(with_cluster_section(extra));
   resumed.cluster->restore = first.cluster->final_coordinator;
-  EXPECT_NE(precondition_error(resumed).find("no host checkpoints"),
-            std::string::npos);
+  EXPECT_NE(precondition_error(resumed).find(
+                "host web-a starts at period 0 but the coordinator at "
+                "period 40"),
+            std::string::npos)
+      << precondition_error(resumed);
+}
+
+// The same rule for partial and mismatched pairings, and the coordinator
+// blob's version.
+TEST(ClusterCheckpoint, UnpairedWarmStartsAreRejected) {
+  const std::string extra = "mobile = crunch:cpubomb:web-a:20\n";
+  const FleetResult at40 = checkpointed_run(extra, 40.0);
+  const FleetResult at30 = checkpointed_run(extra, 30.0);
+  ASSERT_TRUE(at40.cluster.has_value() && at30.cluster.has_value());
+  const std::string& coordinator40 = at40.cluster->final_coordinator;
+  ASSERT_TRUE(coordinator40.starts_with("stayaway-coordinator v2\n"
+                                        "periods = 40\n"));
+  // A blob under the v1 header, which names no period, is refused by its
+  // version before any of its body is read.
+  std::string v1 = coordinator40;
+  v1.replace(0, v1.find('\n'), "stayaway-coordinator v1");
+  struct Case {
+    std::string name;
+    std::vector<std::string> hosts;  // restore blob per host, "" = cold
+    std::string coordinator;         // "" = none
+    std::string error;  // expected PreconditionError text ("" = a
+                        // CheckpointVersionError)
+  };
+  std::vector<std::string> hosts40;
+  for (const auto& host : at40.hosts) hosts40.push_back(host.final_checkpoint);
+  const std::vector<Case> cases = {
+      {"one host cold", {hosts40[0], "", hosts40[2]}, coordinator40,
+       "host web-b starts at period 0 but the coordinator at period 40"},
+      {"coordinator of another period", hosts40,
+       at30.cluster->final_coordinator,
+       "host web-a starts at period 40 but the coordinator at period 30"},
+      {"v1 coordinator", hosts40, v1, ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FleetSpec resumed = spec_of(with_cluster_section(extra));
+    for (std::size_t h = 0; h < c.hosts.size(); ++h) {
+      if (!c.hosts[h].empty()) {
+        resumed.restore[resumed.hosts[h].name] = c.hosts[h];
+      }
+    }
+    resumed.cluster->restore = c.coordinator;
+    if (c.error.empty()) {
+      EXPECT_THROW(run_fleet(resumed), core::CheckpointVersionError);
+    } else {
+      EXPECT_NE(precondition_error(resumed).find(c.error), std::string::npos)
+          << precondition_error(resumed);
+    }
+  }
 }
 
 }  // namespace
