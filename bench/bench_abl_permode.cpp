@@ -105,12 +105,14 @@ EvalResult evaluate(const Lifecycle& life, bool per_mode, std::uint64_t seed) {
   EvalResult out;
   Rng rng(seed);
   std::size_t scored = 0;
+  core::TrajectoryModel::Samplers samplers;
+  std::vector<mds::Point2> futures;
   for (std::size_t i = 1; i + 1 < life.records.size(); i += 2) {
     const auto& cur = life.records[i];
     const core::TrajectoryModel& model =
         per_mode ? mode_models.model(cur.mode) : global_model;
     if (model.observations() < 6) continue;
-    auto futures = model.sample_future(cur.state, 5, rng);
+    model.sample_future(cur.state, 5, rng, samplers, futures);
     mds::Point2 mean{};
     std::size_t hits = 0;
     for (const auto& f : futures) {

@@ -61,11 +61,13 @@ OfflineTally evaluate_histogram(const OfflineData& data, std::uint64_t seed) {
   }
   OfflineTally tally;
   Rng rng(seed);
+  core::TrajectoryModel::Samplers samplers;
+  std::vector<mds::Point2> futures;
   for (std::size_t i = split; i + 1 < data.records.size(); ++i) {
     const auto& cur = data.records[i];
     const auto& model = models.model(cur.mode);
     if (model.observations() < 6) continue;
-    auto futures = model.sample_future(cur.state, 5, rng);
+    model.sample_future(cur.state, 5, rng, samplers, futures);
     std::size_t hits = 0;
     for (const auto& f : futures) {
       if (data.space.in_violation_region(f)) ++hits;

@@ -24,8 +24,10 @@
 #                                (pinned single-host goldens, scenario
 #                                overlays, worker invariance) in the tier-1
 #                                tree, a diurnal --hosts 2 run against its
-#                                own --record run and replay, then the fleet
-#                                concurrency surfaces under ThreadSanitizer
+#                                own --record run and replay, a 900-period
+#                                --hosts 5 run on 3 workers against 1, then
+#                                the fleet concurrency surfaces under
+#                                ThreadSanitizer
 #   ./ci.sh --fuzz               record/replay gate (DESIGN.md §14): replay
 #                                every committed tests/regressions/*.runlog
 #                                byte-identically, then a budgeted
@@ -243,6 +245,24 @@ EOF
         echo "--hosts run diverged from its recording:" >&2
         echo "$plain" >&2
         echo "$recorded" >&2
+        rm -rf "$tmpdir"
+        return 1
+      }
+      # Independent fleets hand hosts between workers in 256-period
+      # chunks (DESIGN.md §13): a 900-period run of 5 hosts on 3 workers
+      # moves every host between threads several times and must print
+      # the one-worker run's rows.
+      local serial handed
+      sed 's/^duration_s .*/duration_s    = 900/' "$tmpdir/diurnal.conf" \
+        >"$tmpdir/long.conf"
+      serial="$(./build/tools/stayaway_sim --hosts 5 --workers 1 \
+        "$tmpdir/long.conf" | grep -E '^host[0-9]+ ')"
+      handed="$(./build/tools/stayaway_sim --hosts 5 --workers 3 \
+        "$tmpdir/long.conf" | grep -E '^host[0-9]+ ')"
+      [[ "$(wc -l <<<"$serial")" -eq 5 && "$serial" == "$handed" ]] || {
+        echo "--workers 3 fleet diverged from --workers 1:" >&2
+        echo "$serial" >&2
+        echo "$handed" >&2
         rm -rf "$tmpdir"
         return 1
       }

@@ -8,13 +8,11 @@ ReactiveActuator::ReactiveActuator(ReactiveConfig config) : config_(config) {
   SA_REQUIRE(config.cooldown_s > 0.0, "cooldown must be positive");
 }
 
-core::Actuator::Outcome ReactiveActuator::act(core::ActuationPort& port,
-                                              core::PeriodRecord& rec,
-                                              core::DegradationState,
-                                              obs::Observer* observer) {
+void ReactiveActuator::act(core::ActuationPort& port, core::PeriodRecord& rec,
+                           core::DegradationState, obs::Observer* observer,
+                           Outcome& outcome) {
   obs::Span act_span = observer != nullptr ? observer->span("act", rec.time)
                                            : obs::Span{};
-  Outcome outcome;
   if (!paused_) {
     if (rec.violation_observed) {
       for (sim::VmId id : port.all_batch()) {
@@ -38,7 +36,6 @@ core::Actuator::Outcome ReactiveActuator::act(core::ActuationPort& port,
   }
   rec.batch_paused_after = paused_;
   act_span.close();
-  return outcome;
 }
 
 void ReactiveActuator::persist(util::StateIO& io) {

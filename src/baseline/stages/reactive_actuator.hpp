@@ -23,9 +23,9 @@ class ReactiveActuator final : public core::Actuator {
 
   /// Reads rec.violation_observed (the pipeline fills it from the probe,
   /// gated on QoS visibility) and fills rec.action/batch_paused_after.
-  Outcome act(core::ActuationPort& port, core::PeriodRecord& rec,
-              core::DegradationState degradation,
-              obs::Observer* observer) override;
+  void act(core::ActuationPort& port, core::PeriodRecord& rec,
+           core::DegradationState degradation, obs::Observer* observer,
+           Outcome& out) override;
 
   // sa-lint: test-observer(tests check whether the batch is paused)
 

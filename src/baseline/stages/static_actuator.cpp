@@ -9,14 +9,13 @@ StaticThresholdActuator::StaticThresholdActuator(StaticThresholdConfig config)
   SA_REQUIRE(config.hysteresis >= 0.0, "hysteresis must be non-negative");
 }
 
-core::Actuator::Outcome StaticThresholdActuator::act(core::ActuationPort& port,
-                                                     core::PeriodRecord& rec,
-                                                     core::DegradationState,
-                                                     obs::Observer* observer) {
+void StaticThresholdActuator::act(core::ActuationPort& port,
+                                  core::PeriodRecord& rec,
+                                  core::DegradationState,
+                                  obs::Observer* observer, Outcome& outcome) {
   obs::Span act_span = observer != nullptr ? observer->span("act", rec.time)
                                            : obs::Span{};
   core::ResourceUtilization u = port.utilization();
-  Outcome outcome;
   if (!paused_) {
     bool over = u.cpu > config_.cpu_cap || u.memory > config_.memory_cap ||
                 u.membw > config_.membw_cap;
@@ -46,7 +45,6 @@ core::Actuator::Outcome StaticThresholdActuator::act(core::ActuationPort& port,
   }
   rec.batch_paused_after = paused_;
   act_span.close();
-  return outcome;
 }
 
 void StaticThresholdActuator::persist(util::StateIO& io) {

@@ -26,9 +26,9 @@ class StaticThresholdActuator final : public core::Actuator {
   /// Ignores the record's prediction slice entirely: the decision is a
   /// pure function of port.utilization() and the pause latch. Fills
   /// rec.action/batch_paused_after.
-  Outcome act(core::ActuationPort& port, core::PeriodRecord& rec,
-              core::DegradationState degradation,
-              obs::Observer* observer) override;
+  void act(core::ActuationPort& port, core::PeriodRecord& rec,
+           core::DegradationState degradation, obs::Observer* observer,
+           Outcome& out) override;
 
   // sa-lint: test-observer(tests check whether the batch is paused)
 

@@ -16,10 +16,9 @@ std::vector<sim::VmId> MigrationActuator::take_migrated() {
   return std::exchange(outbox_, {});
 }
 
-Actuator::Outcome MigrationActuator::act(ActuationPort& port,
-                                         PeriodRecord& rec,
-                                         DegradationState degradation,
-                                         obs::Observer* observer) {
+void MigrationActuator::act(ActuationPort& port, PeriodRecord& rec,
+                            DegradationState degradation,
+                            obs::Observer* observer, Outcome& out) {
   rec.migrations_in = incoming_;
   incoming_ = 0;
 
@@ -31,7 +30,9 @@ Actuator::Outcome MigrationActuator::act(ActuationPort& port,
     sim::VmId victim = 0;
     double best = -1.0;
     bool found = false;
-    for (const VmFootprint& f : port.batch_footprints()) {
+    std::vector<VmFootprint> footprints;
+    port.batch_footprints(footprints);
+    for (const VmFootprint& f : footprints) {
       if (std::find(mobile_.begin(), mobile_.end(), f.id) == mobile_.end()) {
         continue;
       }
@@ -47,15 +48,13 @@ Actuator::Outcome MigrationActuator::act(ActuationPort& port,
       rec.migrations_out = 1;
       rec.action = ThrottleAction::None;
       rec.batch_paused_after = false;
-      Outcome out;
       out.reason = "migrate-out";
-      return out;
+      return;
     }
   }
   gate_ = false;
 
-  if (inner_ == nullptr) return {};
-  return inner_->act(port, rec, degradation, observer);
+  if (inner_ != nullptr) inner_->act(port, rec, degradation, observer, out);
 }
 
 void MigrationActuator::persist(util::StateIO& io) {

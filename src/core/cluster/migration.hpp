@@ -42,8 +42,8 @@ class MigrationActuator final : public Actuator {
   /// in detach order.
   std::vector<sim::VmId> take_migrated();
 
-  Outcome act(ActuationPort& port, PeriodRecord& rec,
-              DegradationState degradation, obs::Observer* observer) override;
+  void act(ActuationPort& port, PeriodRecord& rec, DegradationState degradation,
+           obs::Observer* observer, Outcome& out) override;
 
   Actuator* inner() { return inner_.get(); }
   const Actuator* inner() const { return inner_.get(); }

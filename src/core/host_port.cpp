@@ -7,18 +7,18 @@ namespace stayaway::core {
 
 double SimHostActuationPort::now() const { return host_->now(); }
 
-std::vector<VmFootprint> SimHostActuationPort::batch_footprints() const {
-  std::vector<VmFootprint> out;
+void SimHostActuationPort::batch_footprints(
+    std::vector<VmFootprint>& out) const {
+  out.clear();
   const auto& spec = host_->spec();
-  for (sim::VmId id : host_->vms_of_kind(sim::VmKind::Batch)) {
+  for (sim::VmId id = 0; id < host_->vm_count(); ++id) {
     const auto& vm = host_->vm(id);
-    if (!vm.present(host_->now())) continue;
+    if (vm.kind() != sim::VmKind::Batch || !vm.present(host_->now())) continue;
     const auto& g = vm.last_allocation().granted;
     double f = g.cpu_cores / spec.cpu_cores + g.memory_mb / spec.memory_mb +
                g.membw_mbps / spec.membw_mbps;
     out.push_back({id, f});
   }
-  return out;
 }
 
 std::vector<sim::VmId> SimHostActuationPort::present_batch() const {

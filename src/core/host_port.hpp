@@ -44,7 +44,7 @@ class SimHostActuationPort final : public ActuationPort {
   void set_faults(sim::FaultInjector* faults) { faults_ = faults; }
 
   double now() const override;
-  std::vector<VmFootprint> batch_footprints() const override;
+  void batch_footprints(std::vector<VmFootprint>& out) const override;
   std::vector<sim::VmId> present_batch() const override;
   std::vector<sim::VmId> all_batch() const override;
   std::vector<sim::VmId> demotion_candidates() const override;

@@ -155,9 +155,9 @@ const PeriodRecord& HostPipeline::on_period() {
   }
 
   // --- Action (§3.3). ---
-  last_outcome_ = Actuator::Outcome{};
+  last_outcome_.clear();
   if (actuator_ != nullptr) {
-    last_outcome_ = actuator_->act(*port_, rec, degradation_, observer_);
+    actuator_->act(*port_, rec, degradation_, observer_, last_outcome_);
   }
 
   records_.push_back(rec);

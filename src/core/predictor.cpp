@@ -17,7 +17,7 @@ Predictor::Predictor(std::size_t sample_count, double majority_fraction,
 Prediction Predictor::predict(const StateSpace& space,
                               const ModeTrajectories& modes,
                               monitor::ExecutionMode mode,
-                              const mds::Point2& current, Rng& rng) const {
+                              const mds::Point2& current, Rng& rng) {
   return predict(space, modes, mode, current, rng, majority_fraction_);
 }
 
@@ -25,7 +25,7 @@ Prediction Predictor::predict(const StateSpace& space,
                               const ModeTrajectories& modes,
                               monitor::ExecutionMode mode,
                               const mds::Point2& current, Rng& rng,
-                              double majority_fraction) const {
+                              double majority_fraction) {
   SA_REQUIRE(majority_fraction >= 0.0 && majority_fraction <= 1.0,
              "majority fraction must be in [0,1]");
   Prediction out;
@@ -36,17 +36,18 @@ Prediction Predictor::predict(const StateSpace& space,
   out.model_ready = true;
   // ready(0) holds even for a model with zero observations, and
   // sample_future requires at least one — only sample when it can.
+  candidates_.clear();
   if (model.observations() > 0) {
-    out.candidates = model.sample_future(current, sample_count_, rng);
+    model.sample_future(current, sample_count_, rng, samplers_, candidates_);
   }
-  out.samples = out.candidates.size();
+  out.samples = candidates_.size();
   if (out.samples == 0) {
     // No candidates: nothing to vote on. Without this guard the fraction
     // below is 0/0 (NaN) and the comparison silently reads as "no
     // violation" — return the non-predicting result explicitly instead.
     return out;
   }
-  for (const auto& p : out.candidates) {
+  for (const auto& p : candidates_) {
     if (space.in_violation_region(p)) ++out.samples_in_violation;
   }
   SA_CHECK(out.samples_in_violation <= out.samples,

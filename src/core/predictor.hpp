@@ -21,7 +21,6 @@ struct Prediction {
   bool model_ready = false;
   std::size_t samples = 0;
   std::size_t samples_in_violation = 0;
-  std::vector<mds::Point2> candidates;
 };
 
 class Predictor {
@@ -35,7 +34,7 @@ class Predictor {
 
   Prediction predict(const StateSpace& space, const ModeTrajectories& modes,
                      monitor::ExecutionMode mode, const mds::Point2& current,
-                     Rng& rng) const;
+                     Rng& rng);
 
   /// Same, with an explicit vote threshold overriding the configured
   /// majority_fraction — the degraded-mode control loop widens its
@@ -43,12 +42,16 @@ class Predictor {
   /// §12). Consumes exactly the same Rng draws as the overload above.
   Prediction predict(const StateSpace& space, const ModeTrajectories& modes,
                      monitor::ExecutionMode mode, const mds::Point2& current,
-                     Rng& rng, double majority_fraction) const;
+                     Rng& rng, double majority_fraction);
 
  private:
   std::size_t sample_count_;
   double majority_fraction_;
   std::size_t min_observations_;
+  // Draw scratch reused by every predict(): a steady-state prediction
+  // allocates nothing.
+  TrajectoryModel::Samplers samplers_;
+  std::vector<mds::Point2> candidates_;
 };
 
 }  // namespace stayaway::core

@@ -27,9 +27,9 @@ GovernorActuator::GovernorActuator(const StayAwayConfig& config)
       degradation_(config.degradation),
       governor_(config.governor, Rng(config.seed)) {}
 
-Actuator::Outcome GovernorActuator::act(ActuationPort& port, PeriodRecord& rec,
-                                        DegradationState degradation,
-                                        obs::Observer* observer) {
+void GovernorActuator::act(ActuationPort& port, PeriodRecord& rec,
+                           DegradationState degradation,
+                           obs::Observer* observer, Outcome& outcome) {
   // In passive mode the governor is not consulted at all: a decision that
   // is never applied must not advance its state (pause ledger, beta
   // chain).
@@ -66,7 +66,6 @@ Actuator::Outcome GovernorActuator::act(ActuationPort& port, PeriodRecord& rec,
   }
   // The set a Resume releases is cleared by apply_action — keep it for
   // the event stream.
-  Outcome outcome;
   if (action == ThrottleAction::Resume) {
     outcome.resumed = throttled_;
     std::optional<ResumeReason> reason = governor_.last_resume_reason();
@@ -83,7 +82,6 @@ Actuator::Outcome GovernorActuator::act(ActuationPort& port, PeriodRecord& rec,
   rec.batch_paused_after = batch_paused_;
   rec.actuation_pending = pending_.has_value();
   rec.beta = governor_.beta();
-  return outcome;
 }
 
 std::size_t GovernorActuator::reconcile_actuation(ActuationPort& port,
@@ -157,33 +155,31 @@ bool GovernorActuator::deliver(ActuationPort& port, ThrottleAction op,
   return op == ThrottleAction::Pause ? port.pause(id) : port.resume(id);
 }
 
-std::vector<sim::VmId> GovernorActuator::throttle_targets(
-    ActuationPort& port) const {
+void GovernorActuator::select_throttle_targets(ActuationPort& port) {
   // Rank active batch VMs by their demand footprint (CPU share + memory
   // share + bus share) and take the head of the ranking until it covers
   // the majority of the total batch footprint.
-  std::vector<VmFootprint> entries = port.batch_footprints();
+  port.batch_footprints(footprints_);
   double total = 0.0;
-  for (const auto& e : entries) total += e.footprint;
-  std::sort(entries.begin(), entries.end(),
+  for (const auto& e : footprints_) total += e.footprint;
+  std::sort(footprints_.begin(), footprints_.end(),
             [](const VmFootprint& a, const VmFootprint& b) {
               return a.footprint > b.footprint;
             });
 
-  std::vector<sim::VmId> out;
+  throttled_.clear();
   double covered = 0.0;
-  for (const auto& e : entries) {
-    out.push_back(e.id);
+  for (const auto& e : footprints_) {
+    throttled_.push_back(e.id);
     covered += e.footprint;
     if (total > 0.0 && covered / total >= 0.75) break;
   }
 
   // §2.1 fallback: with no batch VM to throttle, sacrifice lower-priority
   // sensitive VMs (when the deployment opted in).
-  if (out.empty() && allow_sensitive_demotion_) {
-    out = port.demotion_candidates();
+  if (throttled_.empty() && allow_sensitive_demotion_) {
+    throttled_ = port.demotion_candidates();
   }
-  return out;
 }
 
 void GovernorActuator::apply_action(ActuationPort& port, ThrottleAction action,
@@ -198,8 +194,11 @@ void GovernorActuator::apply_action(ActuationPort& port, ThrottleAction action,
       // throttled_ records intent — the pause set the loop believes is
       // stopped. deliver() records reality; the gap lands in pending_ and
       // reconcile_actuation() closes it with bounded retries.
-      throttled_ = failsafe_all_batch ? port.present_batch()
-                                      : throttle_targets(port);
+      if (failsafe_all_batch) {
+        throttled_ = port.present_batch();
+      } else {
+        select_throttle_targets(port);
+      }
       std::vector<sim::VmId> undelivered;
       for (sim::VmId id : throttled_) {
         if (!deliver(port, ThrottleAction::Pause, id)) {

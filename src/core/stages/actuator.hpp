@@ -20,8 +20,8 @@ class GovernorActuator final : public Actuator {
  public:
   explicit GovernorActuator(const StayAwayConfig& config);
 
-  Outcome act(ActuationPort& port, PeriodRecord& rec,
-              DegradationState degradation, obs::Observer* observer) override;
+  void act(ActuationPort& port, PeriodRecord& rec, DegradationState degradation,
+           obs::Observer* observer, Outcome& out) override;
 
   const ThrottleGovernor& governor() const { return governor_; }
   // sa-lint: test-observer(tests check whether the batch is paused)
@@ -67,10 +67,10 @@ class GovernorActuator final : public Actuator {
   void abandon_pending();
   /// Sends one pause/resume command through the port; true when it took.
   static bool deliver(ActuationPort& port, ThrottleAction op, sim::VmId id);
-  /// Batch VMs consuming the major share of batch resources (§5:
-  /// "batch applications consuming a majority share of resources are
-  /// collectively throttled").
-  std::vector<sim::VmId> throttle_targets(ActuationPort& port) const;
+  /// Replaces throttled_ with the batch VMs consuming the major share of
+  /// batch resources (§5: "batch applications consuming a majority share
+  /// of resources are collectively throttled").
+  void select_throttle_targets(ActuationPort& port);
 
   bool actions_enabled_;
   bool allow_sensitive_demotion_;
@@ -79,6 +79,7 @@ class GovernorActuator final : public Actuator {
   ThrottleGovernor governor_;
   bool batch_paused_ = false;
   std::vector<sim::VmId> throttled_;  // VMs paused by the last Pause action
+  std::vector<VmFootprint> footprints_;  // select_throttle_targets scratch
   bool failsafe_pause_ = false;  // the current pause was failsafe-initiated
   std::optional<PendingActuation> pending_;
   std::size_t actuation_retries_total_ = 0;

@@ -51,7 +51,6 @@ monitor::SampleHealth StayAwayMapper::map(PeriodRecord& rec,
   obs::Span sample_span = observer != nullptr
                               ? observer->span("sample", rec.time)
                               : obs::Span{};
-  drain_buffer_.clear();
   monitor::DrainReport report = source_->drain(rec.time, drain_buffer_);
   // Worst health over the period's samples: the degradation state machine
   // reacts to the most impaired reading, not the average.
@@ -69,9 +68,8 @@ monitor::SampleHealth StayAwayMapper::map(PeriodRecord& rec,
     monitor::SampleHealth h = quarantine_.validate(sample.measurement.values);
     health.quarantined = std::max(health.quarantined, h.quarantined);
     health.max_staleness = std::max(health.max_staleness, h.max_staleness);
-    std::vector<double> normalized =
-        normalizer_.normalize(sample.measurement);
-    monitor::Assignment assignment = reps_.assign(normalized);
+    normalizer_.normalize(sample.measurement, normalized_);
+    monitor::Assignment assignment = reps_.assign(normalized_);
     if (assignment.is_new) space_.add_state(StateLabel::Safe);
     last_representative_ = assignment.representative;
     rec.new_representative = assignment.is_new;

@@ -84,7 +84,9 @@ class StayAwayMapper {
   monitor::RepresentativeSet reps_;
   StateSpace space_;
   MapEmbedder embedder_;
+  // Per-period buffers, reused so a steady-state map() allocates nothing.
   std::vector<monitor::TimedSample> drain_buffer_;
+  std::vector<double> normalized_;
   /// Representative of the most recent assigned sample, carried across
   /// periods whose drain delivered nothing.
   std::size_t last_representative_ = 0;

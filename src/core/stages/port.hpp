@@ -35,8 +35,9 @@ class ActuationPort {
   /// Current simulated time.
   virtual double now() const = 0;
 
-  /// Demand footprints of every *present* batch VM, in enumeration order.
-  virtual std::vector<VmFootprint> batch_footprints() const = 0;
+  /// Replaces `out` with the demand footprints of every *present* batch
+  /// VM, in enumeration order (out's storage is reused).
+  virtual void batch_footprints(std::vector<VmFootprint>& out) const = 0;
 
   /// Every present batch VM (the failsafe pause set).
   virtual std::vector<sim::VmId> present_batch() const = 0;

@@ -48,11 +48,21 @@ class Actuator {
     /// Why the action fired — a static string ("observed-violation",
     /// "cooldown-elapsed", ...). Empty for None.
     std::string_view reason;
+
+    /// Empties the outcome, keeping the vectors' storage.
+    void clear() {
+      paused.clear();
+      resumed.clear();
+      reason = {};
+    }
   };
 
-  virtual Outcome act(ActuationPort& port, PeriodRecord& rec,
-                      DegradationState degradation,
-                      obs::Observer* observer) = 0;
+  /// Records what this period did in `out`, which arrives empty (the
+  /// pipeline clears and reuses one Outcome, so a period that pauses or
+  /// resumes need not allocate).
+  virtual void act(ActuationPort& port, PeriodRecord& rec,
+                   DegradationState degradation, obs::Observer* observer,
+                   Outcome& out) = 0;
 
   /// Checkpoint support (DESIGN.md §17): the stage describes its full
   /// mutable state at a period boundary once, for both directions; a

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stats/sampler.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::core {
@@ -36,23 +35,23 @@ void TrajectoryModel::observe(const mds::Point2& from, const mds::Point2& to) {
   ++observations_;
 }
 
-std::vector<mds::Point2> TrajectoryModel::sample_future(
-    const mds::Point2& current, std::size_t count, Rng& rng) const {
+void TrajectoryModel::sample_future(const mds::Point2& current,
+                                    std::size_t count, Rng& rng,
+                                    Samplers& samplers,
+                                    std::vector<mds::Point2>& out) const {
   SA_REQUIRE(observations_ > 0, "trajectory model has no observations");
   SA_INVARIANT(mass_sums_to_one(steps_),
                "step-length histogram masses must sum to 1");
   SA_INVARIANT(mass_sums_to_one(angles_),
                "angle histogram masses must sum to 1");
-  stats::InverseTransformSampler step_sampler(steps_);
-  stats::InverseTransformSampler angle_sampler(angles_);
-  std::vector<mds::Point2> out;
-  out.reserve(count);
+  samplers.step.reset(steps_);
+  samplers.angle.reset(angles_);
+  out.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    double d = step_sampler.sample(rng);
-    double a = angle_sampler.sample(rng);
+    double d = samplers.step.sample(rng);
+    double a = samplers.angle.sample(rng);
     out.push_back(mds::step_from(current, d, a));
   }
-  return out;
 }
 
 namespace {

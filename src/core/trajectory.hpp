@@ -16,6 +16,7 @@
 #include "mds/point.hpp"
 #include "monitor/mode.hpp"
 #include "stats/histogram.hpp"
+#include "stats/sampler.hpp"
 #include "util/rng.hpp"
 #include "util/statecodec.hpp"
 
@@ -35,11 +36,19 @@ class TrajectoryModel {
     return observations_ >= min_observations;
   }
 
-  /// Draws `count` candidate next-states from the current position by
-  /// inverse-transform sampling of the step and angle histograms.
-  /// Requires at least one observation.
-  std::vector<mds::Point2> sample_future(const mds::Point2& current,
-                                         std::size_t count, Rng& rng) const;
+  /// The step and angle samplers sample_future() draws through. The
+  /// caller keeps them, so their CDFs are rebuilt in place instead of
+  /// reallocated on every draw.
+  struct Samplers {
+    stats::InverseTransformSampler step;
+    stats::InverseTransformSampler angle;
+  };
+
+  /// Replaces `out` with `count` candidate next-states drawn from the
+  /// current position by inverse-transform sampling of the step and
+  /// angle histograms. Requires at least one observation.
+  void sample_future(const mds::Point2& current, std::size_t count, Rng& rng,
+                     Samplers& samplers, std::vector<mds::Point2>& out) const;
 
   const stats::Histogram& step_histogram() const { return steps_; }
   const stats::Histogram& angle_histogram() const { return angles_; }

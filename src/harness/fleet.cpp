@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <barrier>
 #include <cmath>
+#include <deque>
 #include <exception>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -16,10 +19,18 @@
 #include "core/cluster/migration.hpp"
 #include "harness/rig.hpp"
 #include "util/check.hpp"
+#include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
 namespace stayaway::harness {
 namespace {
+
+/// Periods an independent fleet's worker drives a host for before handing
+/// it back to the ready queue. Long enough that a host's working set
+/// (a webservice cache model especially) stays warm across most of its
+/// periods, short enough that the last hosts still spread over every
+/// worker.
+constexpr std::size_t kChunk = 256;
 
 // splitmix64 finalizer: full-avalanche bijection on u64.
 std::uint64_t mix64(std::uint64_t z) {
@@ -28,10 +39,12 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// One host's mutable driving state for the duration of run_fleet. Slots
-/// are only ever touched by the single worker driving them, or by the
+/// One host's mutable driving state for the duration of run_fleet. A slot
+/// is only ever touched by the one worker holding it, or by the
 /// coordinator between periods with every worker at the period barrier,
-/// so the fleet needs no cross-host synchronisation.
+/// so the fleet needs no cross-host synchronisation; an independent
+/// fleet passes a slot between workers through ReadyQueue, whose mutex
+/// orders the slot's state across the hand-off.
 struct Slot {
   const FleetHostSpec* spec = nullptr;
   obs::Observer* observer = nullptr;
@@ -45,6 +58,8 @@ struct Slot {
   /// restore blob's period count, 0 for a cold host (DESIGN.md §17).
   std::size_t first = 0;
   std::size_t periods = 0;
+  /// Next period an independent fleet drives, first..periods.
+  std::size_t next = 0;
   /// FleetSpec::restore's blob for the host (null = cold): the floor
   /// recovery falls back to, never evicted.
   const std::string* restore = nullptr;
@@ -56,6 +71,33 @@ struct Slot {
   RecoveryReport recovery;
   /// The exception that stopped this host, surfaced after the run.
   std::exception_ptr error;
+};
+
+/// An independent fleet's hand-off: the indices of the slots waiting for
+/// a worker to drive their next chunk of periods, oldest first.
+class ReadyQueue {
+ public:
+  explicit ReadyQueue(std::size_t slots) {
+    for (std::size_t i = 0; i < slots; ++i) ready_.push_back(i);
+  }
+
+  /// Takes the oldest waiting slot; nullopt when none is waiting.
+  std::optional<std::size_t> pop() {
+    util::MutexLock lock(mu_);
+    if (ready_.empty()) return std::nullopt;
+    const std::size_t i = ready_.front();
+    ready_.pop_front();
+    return i;
+  }
+
+  void push(std::size_t i) {
+    util::MutexLock lock(mu_);
+    ready_.push_back(i);
+  }
+
+ private:
+  util::Mutex mu_;
+  std::deque<std::size_t> ready_ SA_GUARDED_BY(mu_);
 };
 
 /// Builds the pipeline a policy kind runs as: Stay-Away gets the full
@@ -143,14 +185,17 @@ class FleetRun {
   /// FleetSpec::restore names) and the coordinator.
   explicit FleetRun(const FleetSpec& spec);
 
-  /// Drives every slot on min(workers, hosts) threads, each owning a
-  /// fixed contiguous slice of the slots. An independent fleet never
-  /// joins before the end; a coordinated one meets at a barrier at the
-  /// opening of every period p, whose completion step — on the last
-  /// worker to arrive, with no host in flight — stops the run on a host
-  /// failure or steps boundary p-1. Afterwards the first host failure in
-  /// host order is rethrown (a coordinator failure first; the two never
-  /// both happen).
+  /// Drives every slot on min(workers, hosts) threads. An independent
+  /// fleet never joins before the end: each worker takes a slot from the
+  /// ReadyQueue, drives its next kChunk periods (a lone worker drives it
+  /// to the end), queues it again if unfinished and stops when it finds
+  /// the queue empty, so every worker stays busy until the last slots.
+  /// A coordinated fleet gives each worker a fixed contiguous slice of
+  /// the slots and meets at a barrier at the opening of every period p,
+  /// whose completion step — on the last worker to arrive, with no host
+  /// in flight — stops the run on a host failure or steps boundary p-1.
+  /// Afterwards the first host failure in host order is rethrown (a
+  /// coordinator failure first; the two never both happen).
   void drive();
 
   /// Post-run series summaries, Stay-Away internals and exports.
@@ -542,23 +587,33 @@ void FleetRun::recover(std::size_t i, std::size_t period, double fail_time) {
 void FleetRun::drive() {
   const std::size_t n = slots_.size();
   const std::size_t workers = std::min(spec_.workers, n);
-  // Worker w owns slots [first_slot(w), first_slot(w + 1)) for the whole
-  // run, so a slot's state never crosses threads mid-run.
-  auto first_slot = [n, workers](std::size_t w) { return w * n / workers; };
   std::exception_ptr coordinator_error;
   if (coordinator_ == nullptr) {
-    util::run_team(workers, [&](std::size_t w) {
-      for (std::size_t i = first_slot(w); i < first_slot(w + 1); ++i) {
+    // Hosts are independent, so which worker drives which chunk cannot
+    // change a result. A lone worker has nobody to balance against and
+    // drives each host to completion, keeping its caches warm.
+    const std::size_t chunk =
+        workers == 1 ? std::numeric_limits<std::size_t>::max() : kChunk;
+    for (Slot& slot : slots_) slot.next = slot.first;
+    ReadyQueue ready(n);
+    util::run_team(workers, [&](std::size_t) {
+      while (std::optional<std::size_t> i = ready.pop()) {
+        Slot& slot = slots_[*i];
+        const std::size_t end =
+            slot.periods - slot.next > chunk ? slot.next + chunk : slot.periods;
         try {
-          for (std::size_t p = slots_[i].first; p < slots_[i].periods; ++p) {
-            drive_period(i, p);
-          }
+          for (; slot.next < end; ++slot.next) drive_period(*i, slot.next);
         } catch (...) {
-          slots_[i].error = std::current_exception();
+          slot.error = std::current_exception();
+          continue;  // a failed host stops here
         }
+        if (slot.next < slot.periods) ready.push(*i);
       }
     });
   } else {
+    // Worker w owns slots [first_slot(w), first_slot(w + 1)) for the
+    // whole run, so a slot's state never crosses threads mid-run.
+    auto first_slot = [n, workers](std::size_t w) { return w * n / workers; };
     // The coordinator's decisions must see every host's state for period
     // p-1 before any host starts period p, so boundary p-1 is stepped at
     // the opening of period p (a run resumed at k closes k-1 first). The

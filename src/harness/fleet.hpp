@@ -35,7 +35,8 @@ std::uint64_t fleet_host_seed(std::uint64_t base, std::size_t host_index);
 /// every freshly emitted PeriodRecord to the attached sink, tagged with
 /// the owning host's name. Implementations must be thread-safe — with
 /// workers > 1 the fleet invokes the sink concurrently from different
-/// workers (always in period order per host). Sinks are strictly
+/// workers, and one host's calls may come from several workers over the
+/// run, one at a time and always in period order. Sinks are strictly
 /// observational: they must not touch hosts or pipelines.
 class PeriodSink {
  public:
@@ -120,9 +121,11 @@ struct FleetHostSpec {
 struct FleetSpec {
   std::vector<FleetHostSpec> hosts;
   /// Hosts driven concurrently: run_fleet's worker team (util/thread_pool)
-  /// runs min(workers, hosts) threads, each owning a fixed contiguous
-  /// slice of the hosts for the whole run — the library's only
-  /// parallelism axis. Results do not depend on it.
+  /// runs min(workers, hosts) threads — the library's only parallelism
+  /// axis. An independent fleet hands hosts to workers in chunks of
+  /// periods from a shared queue, so a host may change workers mid-run;
+  /// a coordinated one gives each worker a fixed contiguous slice of the
+  /// hosts (DESIGN.md §13). Results do not depend on it.
   std::size_t workers = 1;
   /// Shared passive observer for every host that does not carry its own
   /// (ExperimentSpec::observer takes precedence per host). With more

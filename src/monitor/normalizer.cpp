@@ -41,10 +41,11 @@ double CapacityNormalizer::capacity_of(MetricKind kind) const {
   return 1.0;
 }
 
-std::vector<double> CapacityNormalizer::normalize(const Measurement& m) const {
+void CapacityNormalizer::normalize(const Measurement& m,
+                                   std::vector<double>& out) const {
   SA_REQUIRE(m.values.size() == layout_.dimension(),
              "measurement does not match the layout");
-  std::vector<double> out(m.values.size(), 0.0);
+  out.assign(m.values.size(), 0.0);
   for (std::size_t e = 0; e < layout_.entities.size(); ++e) {
     for (std::size_t k = 0; k < layout_.metrics.size(); ++k) {
       std::size_t i = layout_.index_of(e, k);
@@ -55,7 +56,6 @@ std::vector<double> CapacityNormalizer::normalize(const Measurement& m) const {
   }
   SA_INVARIANT(in_unit_interval(out),
                "capacity normalization must land in [0,1]");
-  return out;
 }
 
 RunningNormalizer::RunningNormalizer(std::size_t dimension)

@@ -26,8 +26,9 @@ class CapacityNormalizer {
 
   const MetricLayout& layout() const { return layout_; }
 
-  /// Normalized copy of a measurement's values.
-  std::vector<double> normalize(const Measurement& m) const;
+  /// Writes a measurement's normalized values into `out`, replacing its
+  /// contents (its storage is reused).
+  void normalize(const Measurement& m, std::vector<double>& out) const;
 
   /// Capacity used for a metric kind.
   double capacity_of(MetricKind kind) const;

@@ -63,10 +63,10 @@ void persist_samples(util::StateIO& io, const std::string& key,
 DrainReport SynchronousSampleSource::drain(double now,
                                            std::vector<TimedSample>& out) {
   (void)now;  // the sampler stamps the host clock itself
-  TimedSample s;
+  out.resize(1);
+  TimedSample& s = out.front();
   s.sequence = next_sequence_++;
-  s.measurement = sampler_.sample();
-  out.push_back(std::move(s));
+  sampler_.sample(s.measurement);
   DrainReport report;
   report.delivered = 1;
   return report;
@@ -166,6 +166,7 @@ void RingSampleSource::emit(TimedSample sample) {
 
 DrainReport RingSampleSource::drain(double now,
                                     std::vector<TimedSample>& out) {
+  out.clear();
   DrainReport report;
   const std::uint64_t overflow_before = overflow_total_;
   // Generate up to the lookahead horizon. Samples an ingest-delay holds

@@ -50,7 +50,7 @@ struct TimedSample {
 
 /// What one drain() delivered and dropped.
 struct DrainReport {
-  /// Samples appended to the caller's buffer.
+  /// Samples in the caller's buffer.
   std::size_t delivered = 0;
   /// Emissions this drain rejected because the ring was full.
   std::size_t overflow = 0;
@@ -68,7 +68,9 @@ class SampleSource {
   /// format.
   virtual bool streaming() const = 0;
 
-  /// Appends every sample due by `now` to `out` in arrival order.
+  /// Replaces `out`'s contents with every sample due by `now`, in
+  /// arrival order. Implementations may reuse out's elements (and their
+  /// value storage) instead of reallocating them.
   virtual DrainReport drain(double now, std::vector<TimedSample>& out) = 0;
 
   /// Attaches (or detaches, with nullptr) the pipeline's fault injector.
@@ -86,9 +88,10 @@ class SampleSource {
   virtual void persist(util::StateIO& io) = 0;
 };
 
-/// The historical path: one HostSampler reading per drain. Exists so
-/// every caller speaks SampleSource while the default configuration
-/// stays byte-identical to the pre-streaming loop.
+/// The historical path: one HostSampler reading per drain, taken in
+/// place into out[0]. Exists so every caller speaks SampleSource while
+/// the default configuration stays byte-identical to the pre-streaming
+/// loop.
 class SynchronousSampleSource final : public SampleSource {
  public:
   explicit SynchronousSampleSource(HostSampler sampler)

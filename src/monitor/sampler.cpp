@@ -34,12 +34,11 @@ HostSampler::HostSampler(const sim::SimHost& host, SamplerConfig options)
   }
 }
 
-Measurement HostSampler::sample() {
+void HostSampler::sample(Measurement& m) {
   SA_CHECK(host_->vm_count() == layout_vm_count_,
            "host VM set changed after the sampler fixed its layout; "
            "construct the sampler (or runtime) after adding every VM");
   ++samples_taken_;
-  Measurement m;
   m.time = host_->now();
   m.values.assign(layout_.dimension(), 0.0);
   for (std::size_t e = 0; e < entity_vms_.size(); ++e) {
@@ -57,7 +56,6 @@ Measurement HostSampler::sample() {
     }
   }
   if (injector_ != nullptr) injector_->corrupt_sample(m.time, m.values);
-  return m;
 }
 
 void HostSampler::persist(util::StateIO& io) {

@@ -36,10 +36,11 @@ class HostSampler {
 
   const MetricLayout& layout() const { return layout_; }
 
-  /// Samples the most recent tick's granted usage. Fails loudly (rather
-  /// than sampling a stale entity map) when VMs were added to the host
-  /// after this sampler fixed its layout.
-  Measurement sample();
+  /// Samples the most recent tick's granted usage into `out`, reusing
+  /// its value storage. Fails loudly (rather than sampling a stale entity
+  /// map) when VMs were added to the host after this sampler fixed its
+  /// layout.
+  void sample(Measurement& out);
 
   /// Attaches (or detaches, with nullptr) a fault injector: sensor faults
   /// from its plan are applied to every sample, after measurement noise.

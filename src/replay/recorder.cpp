@@ -21,8 +21,10 @@ RunRecorder::RunRecorder(const std::vector<std::string>& host_names) {
 void RunRecorder::record_period(const std::string& host,
                                 const core::PeriodRecord& rec) {
   // Encode outside the lock; only the append is serialized. Per-host
-  // ordering is the controller's: one worker drives one member, so a
-  // host's periods arrive in emission order.
+  // ordering is the fleet's: one worker at a time holds a host and drives
+  // its periods in order, and the fleet's hand-off orders one holder's
+  // calls before the next one's, so a host's periods arrive in emission
+  // order.
   std::string line = core::encode_record(rec);
   util::MutexLock lock(mutex_);
   for (HostStream& stream : streams_) {

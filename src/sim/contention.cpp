@@ -12,7 +12,11 @@ namespace {
 /// Max-min fair (water-filling) share of a rate resource, the behaviour of
 /// CFS and of fair I/O and network schedulers: a VM demanding less than
 /// its fair share receives its full demand; the remainder is split among
-/// the still-hungry VMs round by round.
+/// the still-hungry VMs round by round. Grants accumulate in place in
+/// out[i].granted.*field. A VM is satisfied when it demands nothing or has
+/// been granted its whole demand: a hungry VM holds exactly 0 until the
+/// final even split, and a filled one exactly its demand (0 + want), so
+/// the grant itself carries the flag and the rounds need no scratch.
 void share_rate_fair(double capacity, double ResourceDemand::*field,
                      const std::vector<ResourceDemand>& demands,
                      std::vector<Allocation>& out) {
@@ -24,27 +28,26 @@ void share_rate_fair(double capacity, double ResourceDemand::*field,
     return;
   }
 
-  std::vector<double> granted(n, 0.0);
-  std::vector<bool> satisfied(n, false);
+  auto satisfied = [&](std::size_t i) {
+    const double demand = demands[i].*field;
+    return !(demand > 0.0) || out[i].granted.*field == demand;
+  };
   double remaining = capacity;
   std::size_t hungry = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (demands[i].*field > 0.0) {
-      ++hungry;
-    } else {
-      satisfied[i] = true;
-    }
+    out[i].granted.*field = 0.0;
+    if (demands[i].*field > 0.0) ++hungry;
   }
   while (hungry > 0 && remaining > 1e-12) {
     double share = remaining / static_cast<double>(hungry);
     bool anyone_filled = false;
     for (std::size_t i = 0; i < n; ++i) {
-      if (satisfied[i]) continue;
-      double want = demands[i].*field - granted[i];
+      if (satisfied(i)) continue;
+      double& granted = out[i].granted.*field;
+      double want = demands[i].*field - granted;
       if (want <= share) {
-        granted[i] += want;
+        granted += want;
         remaining -= want;
-        satisfied[i] = true;
         --hungry;
         anyone_filled = true;
       }
@@ -52,12 +55,11 @@ void share_rate_fair(double capacity, double ResourceDemand::*field,
     if (!anyone_filled) {
       // Everyone still hungry wants at least the fair share: split evenly.
       for (std::size_t i = 0; i < n; ++i) {
-        if (!satisfied[i]) granted[i] += share;
+        if (!satisfied(i)) out[i].granted.*field += share;
       }
       remaining = 0.0;
     }
   }
-  for (std::size_t i = 0; i < n; ++i) out[i].granted.*field = granted[i];
 }
 
 double progress_of(double granted, double demanded) {
@@ -67,12 +69,13 @@ double progress_of(double granted, double demanded) {
 
 }  // namespace
 
-std::vector<Allocation> resolve_contention(
-    const HostSpec& host, const std::vector<ResourceDemand>& demands) {
+void resolve_contention(const HostSpec& host,
+                        const std::vector<ResourceDemand>& demands,
+                        std::vector<Allocation>& out) {
   SA_REQUIRE(host.cpu_cores > 0.0 && host.memory_mb > 0.0,
              "host must have CPU and memory");
-  std::vector<Allocation> out(demands.size());
-  if (demands.empty()) return out;
+  out.assign(demands.size(), Allocation{});
+  if (demands.empty()) return;
 
   share_rate_fair(host.cpu_cores, &ResourceDemand::cpu_cores, demands, out);
   share_rate_fair(host.membw_mbps, &ResourceDemand::membw_mbps, demands, out);
@@ -118,7 +121,6 @@ std::vector<Allocation> resolve_contention(
     p /= 1.0 + host.swap_penalty * a.swapped_fraction;
     a.progress = std::clamp(p, 0.0, 1.0);
   }
-  return out;
 }
 
 }  // namespace stayaway::sim

@@ -13,9 +13,12 @@
 
 namespace stayaway::sim {
 
-/// Resolves one tick of contention. demands[i] describes VM i; the result
-/// is aligned by index. Zero-demand entries receive zero and progress 1.
-std::vector<Allocation> resolve_contention(const HostSpec& host,
-                                           const std::vector<ResourceDemand>& demands);
+/// Resolves one tick of contention into `out`, replacing its contents
+/// (its storage is reused, so a caller that keeps the buffer allocates
+/// nothing once it has grown). demands[i] describes VM i; out is aligned
+/// by index. Zero-demand entries receive zero and progress 1.
+void resolve_contention(const HostSpec& host,
+                        const std::vector<ResourceDemand>& demands,
+                        std::vector<Allocation>& out);
 
 }  // namespace stayaway::sim

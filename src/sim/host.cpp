@@ -31,27 +31,32 @@ const SimVm& SimHost::vm(VmId id) const {
 }
 
 void SimHost::step() {
-  std::vector<ResourceDemand> demands(vms_.size());
-  for (std::size_t i = 0; i < vms_.size(); ++i) {
+  const std::size_t n = vms_.size();
+  demands_.resize(n);
+  active_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     auto& v = *vms_[i];
-    if (v.active(now_)) {
-      demands[i] = v.app().demand(now_);
+    // Only a VM's own advance() can finish it and nothing in this tick
+    // pauses one, so the flag holds for the advance loop below.
+    active_[i] = v.active(now_);
+    if (active_[i]) {
+      demands_[i] = v.app().demand(now_);
     } else {
-      demands[i] = ResourceDemand{};  // absent/paused/finished: no demand
+      demands_[i] = ResourceDemand{};  // absent/paused/finished: no demand
       if (v.present(now_) && v.paused()) v.add_paused_time(tick_seconds_);
     }
   }
 
-  std::vector<Allocation> allocations = resolve_contention(spec_, demands);
+  resolve_contention(spec_, demands_, allocations_);
 
   double cpu_used = 0.0;
-  for (std::size_t i = 0; i < vms_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     auto& v = *vms_[i];
-    v.set_last_allocation(allocations[i]);
-    if (v.active(now_)) {
-      v.app().advance(now_, tick_seconds_, allocations[i]);
+    v.set_last_allocation(allocations_[i]);
+    if (active_[i]) {
+      v.app().advance(now_, tick_seconds_, allocations_[i]);
     }
-    double granted_cpu = allocations[i].granted.cpu_cores;
+    double granted_cpu = allocations_[i].granted.cpu_cores;
     cpu_used += granted_cpu;
     v.add_cpu_work(granted_cpu * tick_seconds_);
   }

@@ -29,7 +29,8 @@ class SimHost {
   SimTime now() const { return now_; }
 
   /// Advances the simulation by one tick: collect demands from active VMs,
-  /// resolve contention, advance the apps, update ledgers.
+  /// resolve contention, advance the apps, update ledgers. Once the tick
+  /// buffers have grown to the VM count, a tick allocates nothing.
   void step();
 
   /// Runs `n` ticks.
@@ -47,6 +48,10 @@ class SimHost {
   SimTime now_ = 0.0;
   std::vector<std::unique_ptr<SimVm>> vms_;
   double last_utilization_ = 0.0;
+  // Per-tick buffers, aligned with vms_ and reused by every step().
+  std::vector<ResourceDemand> demands_;
+  std::vector<Allocation> allocations_;
+  std::vector<unsigned char> active_;
 };
 
 }  // namespace stayaway::sim

@@ -6,20 +6,22 @@
 
 namespace stayaway::stats {
 
-InverseTransformSampler::InverseTransformSampler(const Histogram& hist)
-    : lo_(hist.lo()), bin_width_(hist.bin_width()) {
+void InverseTransformSampler::reset(const Histogram& hist) {
   SA_REQUIRE(!hist.empty(), "cannot sample from an empty histogram");
-  cumulative_.reserve(hist.bins());
+  lo_ = hist.lo();
+  bin_width_ = hist.bin_width();
+  cumulative_.resize(hist.bins());
   double acc = 0.0;
   for (std::size_t i = 0; i < hist.bins(); ++i) {
     acc += hist.mass(i);
-    cumulative_.push_back(acc);
+    cumulative_[i] = acc;
   }
   // Guard against floating-point drift so upper_bound always lands in range.
   cumulative_.back() = 1.0;
 }
 
 double InverseTransformSampler::sample(Rng& rng) const {
+  SA_REQUIRE(!cumulative_.empty(), "sampler has no distribution; reset it");
   double u = rng.uniform();
   auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
   if (it == cumulative_.end()) --it;

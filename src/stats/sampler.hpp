@@ -17,14 +17,16 @@ namespace stayaway::stats {
 /// the piecewise-constant density the histogram represents.
 class InverseTransformSampler {
  public:
-  /// Snapshots the histogram's bin masses. Requires a non-empty histogram.
-  explicit InverseTransformSampler(const Histogram& hist);
+  /// Snapshots the histogram's bin masses, rebuilding the CDF in place
+  /// (its storage is reused across calls). Requires a non-empty
+  /// histogram; sample() requires a reset first.
+  void reset(const Histogram& hist);
 
   double sample(Rng& rng) const;
 
  private:
-  double lo_;
-  double bin_width_;
+  double lo_ = 0.0;
+  double bin_width_ = 0.0;
   std::vector<double> cumulative_;  // cumulative mass per bin; back() == 1
 };
 

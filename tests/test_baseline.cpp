@@ -60,7 +60,7 @@ Step step(core::Actuator& actuator, sim::SimHost& host,
   rec.time = host.now();
   rec.violation_observed = probe.violated();
   Step s;
-  s.outcome = actuator.act(port, rec, core::DegradationState::Normal, nullptr);
+  actuator.act(port, rec, core::DegradationState::Normal, nullptr, s.outcome);
   s.action = rec.action;
   s.batch_paused_after = rec.batch_paused_after;
   return s;

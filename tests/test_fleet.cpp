@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
 #include "util/strings.hpp"
+#include "util/sync.hpp"
 
 namespace stayaway::harness {
 namespace {
@@ -331,21 +333,90 @@ TEST(Fleet, ReplicateSplitsNamesAndSeeds) {
   EXPECT_EQ(fleet.hosts[1].experiment.seed, fleet_host_seed(99, 1));
 }
 
-TEST(Fleet, WorkersDoNotChangeResults) {
-  ExperimentSpec base = short_spec(PolicyKind::StayAway);
-  base.duration_s = 30.0;
-  FleetSpec serial = replicate_fleet(base, 4, 5, 1);
-  FleetSpec parallel = replicate_fleet(base, 4, 5, 4);
-  FleetResult rs = run_fleet(serial);
-  FleetResult rp = run_fleet(parallel);
-  ASSERT_EQ(rs.hosts.size(), rp.hosts.size());
-  for (std::size_t i = 0; i < rs.hosts.size(); ++i) {
-    EXPECT_EQ(rs.hosts[i].name, rp.hosts[i].name);
-    expect_results_equal(rp.hosts[i].result, rs.hosts[i].result);
+/// Per-host running fnv1a64 of the encoded records a sink receives, and
+/// their count: two runs whose sinks agree saw the same records in the
+/// same per-host order.
+class DigestSink final : public PeriodSink {
+ public:
+  struct Stream {
+    std::uint64_t digest = kFnv1a64Basis;
+    std::size_t records = 0;
+    bool operator==(const Stream&) const = default;
+  };
+
+  void record_period(const std::string& host,
+                     const core::PeriodRecord& rec) override {
+    const std::string line = core::encode_record(rec);
+    util::MutexLock lock(mu_);
+    Stream& s = streams_[host];
+    s.digest = fnv1a64(line, s.digest);
+    ++s.records;
   }
-  // Decorrelated seeds: sibling hosts must not mirror each other.
-  EXPECT_NE(rs.hosts[0].result.stayaway_records,
-            rs.hosts[1].result.stayaway_records);
+
+  std::map<std::string, Stream> streams() {
+    util::MutexLock lock(mu_);
+    return streams_;
+  }
+
+ private:
+  util::Mutex mu_;
+  std::map<std::string, Stream> streams_ SA_GUARDED_BY(mu_);
+};
+
+// Worker-count invariance. Each run is long enough that every host is
+// handed between workers several times (more than three 256-period
+// chunks), and 5 hosts on 2-4 workers never divide evenly, so hosts
+// change threads mid-run; every result must still equal the one-worker
+// run's. The supervised variant crashes one host mid-chunk and records
+// every period through a sink.
+TEST(Fleet, WorkersDoNotChangeResults) {
+  constexpr std::size_t kHosts = 5;
+  ExperimentSpec base = short_spec(PolicyKind::StayAway);
+  base.duration_s = 800.0;  // 800 periods: 3 full chunks and a partial
+  for (bool supervised : {false, true}) {
+    SCOPED_TRACE(supervised ? "supervised" : "unsupervised");
+    auto make = [&](std::size_t workers) {
+      FleetSpec fleet = replicate_fleet(base, kHosts, 5, workers);
+      if (supervised) {
+        fleet.supervise = true;
+        fleet.checkpoint_every = 100;
+        fleet.hosts[2].experiment.faults = sim::FaultPlan{
+            3, {fault_of(sim::FaultKind::HostCrash, 300.0, 301.0)}};
+      }
+      return fleet;
+    };
+    DigestSink serial_sink;
+    FleetSpec serial = make(1);
+    serial.recorder = &serial_sink;
+    FleetResult rs = run_fleet(serial);
+    ASSERT_EQ(rs.hosts.size(), kHosts);
+    EXPECT_EQ(rs.hosts[2].recovery.crashes, supervised ? 1u : 0u);
+    for (const auto& [host, stream] : serial_sink.streams()) {
+      EXPECT_EQ(stream.records, 800u) << host;
+    }
+    for (std::size_t workers : {2u, 3u, 4u}) {
+      SCOPED_TRACE("workers " + std::to_string(workers));
+      DigestSink sink;
+      FleetSpec parallel = make(workers);
+      parallel.recorder = &sink;
+      FleetResult rp = run_fleet(parallel);
+      ASSERT_EQ(rp.hosts.size(), kHosts);
+      for (std::size_t i = 0; i < kHosts; ++i) {
+        EXPECT_EQ(rs.hosts[i].name, rp.hosts[i].name);
+        expect_results_equal(rp.hosts[i].result, rs.hosts[i].result);
+        EXPECT_EQ(rp.hosts[i].recovery.crashes, rs.hosts[i].recovery.crashes);
+        EXPECT_EQ(rp.hosts[i].recovery.recoveries,
+                  rs.hosts[i].recovery.recoveries);
+        EXPECT_EQ(rp.hosts[i].recovery.gap_periods_replayed,
+                  rs.hosts[i].recovery.gap_periods_replayed);
+        EXPECT_EQ(rp.hosts[i].recovery.divergences, 0u);
+      }
+      EXPECT_EQ(sink.streams(), serial_sink.streams());
+    }
+    // Decorrelated seeds: sibling hosts must not mirror each other.
+    EXPECT_NE(rs.hosts[0].result.stayaway_records,
+              rs.hosts[1].result.stayaway_records);
+  }
 }
 
 TEST(Fleet, HostLabelledObservability) {
@@ -403,7 +474,8 @@ class FailingSink final : public PeriodSink {
     }
   }
 
-  // Each host's counter is only touched by the worker driving it.
+  // Each host's counter is touched by one worker at a time: the one
+  // holding the host (the fleet's hand-off orders successive holders).
   std::array<std::atomic<std::size_t>, 3> calls{};
 
  private:

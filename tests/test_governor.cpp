@@ -234,10 +234,9 @@ class FakePort final : public ActuationPort {
   std::vector<sim::VmId> paused;
 
   double now() const override { return time; }
-  std::vector<VmFootprint> batch_footprints() const override {
-    std::vector<VmFootprint> out;
+  void batch_footprints(std::vector<VmFootprint>& out) const override {
+    out.clear();
     for (sim::VmId id : batch) out.push_back({id, 1.0});
-    return out;
   }
   std::vector<sim::VmId> present_batch() const override { return batch; }
   std::vector<sim::VmId> all_batch() const override { return batch; }
@@ -273,6 +272,13 @@ PeriodRecord period_at(double t, bool observed = false,
   return rec;
 }
 
+/// One act() call into a fresh outcome, as the pipeline makes it.
+void act(GovernorActuator& actuator, FakePort& port, PeriodRecord& rec,
+         DegradationState degradation) {
+  Actuator::Outcome outcome;
+  actuator.act(port, rec, degradation, nullptr, outcome);
+}
+
 TEST(ActuatorLedger, AbandonedPauseRollsBackTheBooks) {
   GovernorActuator actuator(actuator_config());
   FakePort port;
@@ -280,7 +286,7 @@ TEST(ActuatorLedger, AbandonedPauseRollsBackTheBooks) {
 
   PeriodRecord rec = period_at(0.0, /*observed=*/true);
   port.time = 0.0;
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_EQ(rec.action, ThrottleAction::Pause);
   EXPECT_TRUE(rec.actuation_pending);
   EXPECT_TRUE(rec.batch_paused_after);
@@ -289,7 +295,7 @@ TEST(ActuatorLedger, AbandonedPauseRollsBackTheBooks) {
   for (double t : {1.0, 2.0, 3.0}) {
     rec = period_at(t);
     port.time = t;
-    actuator.act(port, rec, DegradationState::Normal, nullptr);
+    act(actuator, port, rec, DegradationState::Normal);
   }
   // Nothing was ever paused on the host; the books must say so instead
   // of leaving the governor reasoning in its paused branch over a
@@ -306,7 +312,7 @@ TEST(ActuatorLedger, AbandonedPauseRollsBackTheBooks) {
   port.pause_ok = true;
   rec = period_at(10.0, /*observed=*/true);
   port.time = 10.0;
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_EQ(rec.action, ThrottleAction::Pause);
   EXPECT_EQ(port.paused.size(), 2u);
 }
@@ -320,16 +326,16 @@ TEST(ActuatorLedger, AbandonedResumeKeepsPausedBooks) {
   // Deliver a pause, then break the resume channel.
   port.time = 0.0;
   PeriodRecord rec = period_at(0.0, /*observed=*/true);
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   ASSERT_EQ(port.paused.size(), 2u);
 
   port.resume_ok = false;
   port.time = 1.0;
   rec = period_at(1.0);  // seeds the distance chain
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   port.time = 2.0;
   rec = period_at(2.0, false, {1.0, 1.0});  // movement >> beta
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_EQ(rec.action, ThrottleAction::Resume);
   EXPECT_TRUE(rec.actuation_pending);
 
@@ -338,7 +344,7 @@ TEST(ActuatorLedger, AbandonedResumeKeepsPausedBooks) {
   // them forever behind a "running" flag.
   port.time = 3.0;
   rec = period_at(3.0, false, {1.0, 1.0});
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_FALSE(rec.actuation_pending);
   EXPECT_TRUE(rec.batch_paused_after);
   EXPECT_TRUE(actuator.batch_paused());
@@ -349,7 +355,7 @@ TEST(ActuatorLedger, AbandonedResumeKeepsPausedBooks) {
   port.resume_ok = true;
   port.time = 4.0;
   rec = period_at(4.0, false, {2.0, 2.0});
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_EQ(rec.action, ThrottleAction::Resume);
   EXPECT_TRUE(port.paused.empty());
   EXPECT_FALSE(actuator.batch_paused());
@@ -364,7 +370,7 @@ TEST(ActuatorLedger, AbandonedFailsafeReleaseRelatchesFailsafe) {
   // QoS-blind failsafe: every batch VM is paused.
   port.time = 0.0;
   PeriodRecord rec = period_at(0.0);
-  actuator.act(port, rec, DegradationState::Failsafe, nullptr);
+  act(actuator, port, rec, DegradationState::Failsafe);
   EXPECT_EQ(rec.action, ThrottleAction::Pause);
   ASSERT_EQ(port.paused.size(), 2u);
 
@@ -373,7 +379,7 @@ TEST(ActuatorLedger, AbandonedFailsafeReleaseRelatchesFailsafe) {
   port.resume_ok = false;
   port.time = 1.0;
   rec = period_at(1.0);
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_EQ(rec.action, ThrottleAction::Resume);
   EXPECT_TRUE(rec.actuation_pending);
 
@@ -381,7 +387,7 @@ TEST(ActuatorLedger, AbandonedFailsafeReleaseRelatchesFailsafe) {
   // so the very same period retries the release instead of dropping it.
   port.time = 2.0;
   rec = period_at(2.0);
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_EQ(rec.action, ThrottleAction::Resume);
   EXPECT_TRUE(rec.batch_paused_after || rec.actuation_pending);
 
@@ -389,7 +395,7 @@ TEST(ActuatorLedger, AbandonedFailsafeReleaseRelatchesFailsafe) {
   port.resume_ok = true;
   port.time = 3.0;
   rec = period_at(3.0);
-  actuator.act(port, rec, DegradationState::Normal, nullptr);
+  act(actuator, port, rec, DegradationState::Normal);
   EXPECT_TRUE(port.paused.empty());
   EXPECT_FALSE(actuator.batch_paused());
   EXPECT_FALSE(rec.actuation_pending);

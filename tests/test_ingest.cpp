@@ -168,8 +168,11 @@ std::vector<monitor::TimedSample> drain_all(monitor::SampleSource& source,
                                             const std::vector<double>& times,
                                             std::size_t* overflow = nullptr) {
   std::vector<monitor::TimedSample> out;
+  std::vector<monitor::TimedSample> batch;
   for (double t : times) {
-    monitor::DrainReport report = source.drain(t, out);
+    monitor::DrainReport report = source.drain(t, batch);
+    EXPECT_EQ(report.delivered, batch.size());
+    out.insert(out.end(), batch.begin(), batch.end());
     if (overflow != nullptr) *overflow += report.overflow;
   }
   return out;
@@ -206,10 +209,15 @@ TEST(RingSampleSource, DeliversOnlySamplesDueByNow) {
   for (const auto& s : out) EXPECT_LE(s.measurement.time, 1.0);
   std::size_t first = out.size();
   EXPECT_NEAR(static_cast<double>(first), 8.0, 2.0);
+  // A drain replaces the buffer's contents: the second one holds only
+  // the samples that fell due after the first.
   source->drain(3.0, out);
-  for (const auto& s : out) EXPECT_LE(s.measurement.time, 3.0);
-  EXPECT_GT(out.size(), first);
-  EXPECT_EQ(source->samples_taken(), out.size());
+  for (const auto& s : out) {
+    EXPECT_GT(s.measurement.time, 1.0);
+    EXPECT_LE(s.measurement.time, 3.0);
+  }
+  EXPECT_GT(out.size(), 0u);
+  EXPECT_EQ(source->samples_taken(), first + out.size());
   EXPECT_TRUE(source->streaming());
   // Values are physical: finite, non-negative, within a generous
   // multiple of the configured full scale.

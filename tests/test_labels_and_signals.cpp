@@ -81,7 +81,8 @@ TEST(SwapIoSignal, NoSwapNoTraffic) {
   host.memory_mb = 4096.0;
   std::vector<sim::ResourceDemand> demands(1);
   demands[0].memory_mb = 2000.0;
-  auto alloc = sim::resolve_contention(host, demands);
+  std::vector<sim::Allocation> alloc;
+  sim::resolve_contention(host, demands, alloc);
   EXPECT_DOUBLE_EQ(alloc[0].swap_io_mbps, 0.0);
 }
 
@@ -92,7 +93,8 @@ TEST(SwapIoSignal, SwapGeneratesDiskTraffic) {
   std::vector<sim::ResourceDemand> demands(2);
   demands[0].memory_mb = 3000.0;
   demands[1].memory_mb = 3000.0;  // 6000 > 4096: both swap
-  auto alloc = sim::resolve_contention(host, demands);
+  std::vector<sim::Allocation> alloc;
+  sim::resolve_contention(host, demands, alloc);
   EXPECT_GT(alloc[0].swap_io_mbps, 0.0);
   EXPECT_LE(alloc[0].swap_io_mbps, host.disk_mbps);
 }
@@ -103,7 +105,8 @@ TEST(SwapIoSignal, SteepResponseSaturates) {
   host.disk_mbps = 200.0;
   std::vector<sim::ResourceDemand> demands(1);
   demands[0].memory_mb = 2000.0;  // 50% swapped -> 4 * 0.5 >= 1 -> saturated
-  auto alloc = sim::resolve_contention(host, demands);
+  std::vector<sim::Allocation> alloc;
+  sim::resolve_contention(host, demands, alloc);
   EXPECT_DOUBLE_EQ(alloc[0].swap_io_mbps, host.disk_mbps);
 }
 

@@ -72,7 +72,8 @@ TEST(Sampler, AggregatesBatchVmsIntoLogicalEntity) {
   EXPECT_EQ(sampler.layout().entities[1], "batch-aggregate");
 
   host.run(2);
-  Measurement m = sampler.sample();
+  Measurement m;
+  sampler.sample(m);
   // Batch entity CPU = 1.0 + 0.5 summed.
   EXPECT_NEAR(m.values[sampler.layout().index_of(1, 0)], 1.5, 1e-9);
   EXPECT_NEAR(m.values[sampler.layout().index_of(0, 0)], 1.0, 1e-9);
@@ -106,8 +107,10 @@ TEST(Sampler, NoiseIsDeterministicPerSeed) {
   opts.seed = 7;
   HostSampler a(host, opts);
   HostSampler b(host, opts);
-  auto ma = a.sample();
-  auto mb = b.sample();
+  Measurement ma;
+  Measurement mb;
+  a.sample(ma);
+  b.sample(mb);
   for (std::size_t i = 0; i < ma.values.size(); ++i) {
     EXPECT_DOUBLE_EQ(ma.values[i], mb.values[i]);
   }
@@ -120,8 +123,10 @@ TEST(Sampler, NoiseNeverProducesNegativeReadings) {
   SamplerConfig opts;
   opts.noise_fraction = 2.0;  // extreme noise
   HostSampler sampler(host, opts);
+  Measurement m;
   for (int i = 0; i < 100; ++i) {
-    for (double v : sampler.sample().values) EXPECT_GE(v, 0.0);
+    sampler.sample(m);
+    for (double v : m.values) EXPECT_GE(v, 0.0);
   }
 }
 
@@ -134,7 +139,8 @@ TEST(Sampler, PausedVmReadsZero) {
   HostSampler sampler(host, opts);
   host.vm(1).pause();
   host.run(1);
-  Measurement m = sampler.sample();
+  Measurement m;
+  sampler.sample(m);
   EXPECT_DOUBLE_EQ(m.values[sampler.layout().index_of(1, 0)], 0.0);
 }
 
@@ -146,7 +152,8 @@ TEST(CapacityNormalizer, NormalizesByHostCapacity) {
   CapacityNormalizer norm(test_spec(), layout);
   Measurement m;
   m.values = {2.0, 2048.0, 500.0};
-  auto n = norm.normalize(m);
+  std::vector<double> n;
+  norm.normalize(m, n);
   EXPECT_DOUBLE_EQ(n[0], 0.5);
   EXPECT_DOUBLE_EQ(n[1], 0.5);
   EXPECT_DOUBLE_EQ(n[2], 0.5);
@@ -159,7 +166,10 @@ TEST(CapacityNormalizer, ClampsOverCapacityReadings) {
   CapacityNormalizer norm(test_spec(), layout);
   Measurement m;
   m.values = {99.0};
-  EXPECT_DOUBLE_EQ(norm.normalize(m)[0], 1.0);
+  std::vector<double> n{0.25, 0.5};  // replaced, not appended to
+  norm.normalize(m, n);
+  ASSERT_EQ(n.size(), 1u);
+  EXPECT_DOUBLE_EQ(n[0], 1.0);
 }
 
 TEST(CapacityNormalizer, LayoutMismatchRejected) {
@@ -169,7 +179,8 @@ TEST(CapacityNormalizer, LayoutMismatchRejected) {
   CapacityNormalizer norm(test_spec(), layout);
   Measurement m;
   m.values = {1.0, 2.0};
-  EXPECT_THROW(norm.normalize(m), PreconditionError);
+  std::vector<double> n;
+  EXPECT_THROW(norm.normalize(m, n), PreconditionError);
 }
 
 TEST(RunningNormalizer, AdaptsToObservedRange) {
@@ -273,9 +284,11 @@ TEST(RepresentativeSet, RuntimeConfigBoundsGrowth) {
   opts.noise_fraction = 0.3;
   RepresentativeSet reps(0.0, 16);
   HostSampler sampler(host, opts);
+  Measurement m;
   for (int i = 0; i < 500; ++i) {
     host.step();
-    reps.assign(sampler.sample().values);
+    sampler.sample(m);
+    reps.assign(m.values);
   }
   EXPECT_LE(reps.size(), 16u);
   EXPECT_EQ(reps.total_observed(), 500u);
@@ -397,9 +410,10 @@ TEST(Sampler, RejectsVmsAddedAfterConstruction) {
   host.add_vm("b1", sim::VmKind::Batch, cpu_app(1.0));
   HostSampler sampler(host, {});
   host.run(2);
-  EXPECT_NO_THROW(sampler.sample());
+  Measurement m;
+  EXPECT_NO_THROW(sampler.sample(m));
   host.add_vm("late", sim::VmKind::Batch, cpu_app(0.5));
-  EXPECT_THROW(sampler.sample(), InvariantError);
+  EXPECT_THROW(sampler.sample(m), InvariantError);
 }
 
 }  // namespace

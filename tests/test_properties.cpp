@@ -64,7 +64,8 @@ TEST_P(HistogramSweep, InverseTransformMatchesEmpiricalMass) {
   stats::Histogram h(0.0, 1.0, bins);
   Rng fill(bins * 7 + 1);
   for (int i = 0; i < 300; ++i) h.add(fill.uniform() * fill.uniform());
-  stats::InverseTransformSampler sampler(h);
+  stats::InverseTransformSampler sampler;
+  sampler.reset(h);
   Rng rng(bins * 13 + 5);
   std::vector<double> counts(bins, 0.0);
   const int n = 20000;
@@ -143,7 +144,8 @@ TEST_P(ContentionSweep, ConservationAndBounds) {
   demands[0].memory_mb = cs.mem_a;
   demands[1].cpu_cores = cs.cpu_b;
   demands[1].memory_mb = cs.mem_b;
-  auto alloc = sim::resolve_contention(host, demands);
+  std::vector<sim::Allocation> alloc;
+  sim::resolve_contention(host, demands, alloc);
 
   double cpu_total = 0.0;
   for (std::size_t i = 0; i < 2; ++i) {
@@ -174,13 +176,15 @@ TEST_P(ContentionSweep, MoreContentionNeverSpeedsAnyoneUp) {
   std::vector<sim::ResourceDemand> alone(1);
   alone[0].cpu_cores = cs.cpu_a;
   alone[0].memory_mb = cs.mem_a;
-  auto alloc_alone = sim::resolve_contention(host, alone);
+  std::vector<sim::Allocation> alloc_alone;
+  sim::resolve_contention(host, alone, alloc_alone);
 
   std::vector<sim::ResourceDemand> both(2);
   both[0] = alone[0];
   both[1].cpu_cores = cs.cpu_b;
   both[1].memory_mb = cs.mem_b;
-  auto alloc_both = sim::resolve_contention(host, both);
+  std::vector<sim::Allocation> alloc_both;
+  sim::resolve_contention(host, both, alloc_both);
 
   EXPECT_LE(alloc_both[0].progress, alloc_alone[0].progress + 1e-9);
 }

@@ -59,7 +59,8 @@ ResourceDemand cpu_demand(double cores) {
 // ------------------------------------------------------------ contention
 TEST(Contention, UndersubscribedGetsFullDemand) {
   std::vector<ResourceDemand> demands{cpu_demand(1.0), cpu_demand(2.0)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(test_host(), demands, alloc);
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 1.0);
   EXPECT_DOUBLE_EQ(alloc[1].granted.cpu_cores, 2.0);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
@@ -70,14 +71,16 @@ TEST(Contention, WaterFillingProtectsSmallDemands) {
   // A small demand below fair share must be fully satisfied even when a
   // hog wants everything (CFS behaviour, unlike naive proportional share).
   std::vector<ResourceDemand> demands{cpu_demand(0.5), cpu_demand(10.0)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(test_host(), demands, alloc);
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 0.5);
   EXPECT_NEAR(alloc[1].granted.cpu_cores, 3.5, 1e-9);
 }
 
 TEST(Contention, EqualHogsSplitEvenly) {
   std::vector<ResourceDemand> demands{cpu_demand(4.0), cpu_demand(4.0)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(test_host(), demands, alloc);
   EXPECT_NEAR(alloc[0].granted.cpu_cores, 2.0, 1e-9);
   EXPECT_NEAR(alloc[1].granted.cpu_cores, 2.0, 1e-9);
 }
@@ -85,7 +88,8 @@ TEST(Contention, EqualHogsSplitEvenly) {
 TEST(Contention, CapacityConserved) {
   std::vector<ResourceDemand> demands{cpu_demand(3.0), cpu_demand(2.0),
                                       cpu_demand(1.5)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(test_host(), demands, alloc);
   double total = 0.0;
   for (const auto& a : alloc) total += a.granted.cpu_cores;
   EXPECT_NEAR(total, 4.0, 1e-9);
@@ -94,14 +98,15 @@ TEST(Contention, CapacityConserved) {
 TEST(Contention, FrictionDegradesCoRunners) {
   HostSpec host = test_host();
   std::vector<ResourceDemand> demands{cpu_demand(1.0), cpu_demand(5.0)};
-  auto alloc = resolve_contention(host, demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(host, demands, alloc);
   // Demand 1.0 is granted fully, but co-run friction still bites:
   // excess = 6/4 - 1 = 0.5, efficiency = 1/1.25 = 0.8.
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 1.0);
   EXPECT_NEAR(alloc[0].progress, 0.8, 1e-9);
 
   host.contention_friction = 0.0;
-  alloc = resolve_contention(host, demands);
+  resolve_contention(host, demands, alloc);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
 }
 
@@ -110,7 +115,8 @@ TEST(Contention, SwapPenaltyOnMemoryOvercommit) {
   std::vector<ResourceDemand> demands(2);
   demands[0].memory_mb = 2000.0;
   demands[1].memory_mb = 3000.0;  // total 5000 > 4096 -> overflow 904
-  auto alloc = resolve_contention(host, demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(host, demands, alloc);
   // Overflow distributed proportionally to working set.
   EXPECT_NEAR(alloc[0].swapped_fraction, 904.0 * (2000.0 / 5000.0) / 2000.0,
               1e-9);
@@ -125,7 +131,8 @@ TEST(Contention, NoSwapWhenMemoryFits) {
   std::vector<ResourceDemand> demands(2);
   demands[0].memory_mb = 2000.0;
   demands[1].memory_mb = 2000.0;
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(test_host(), demands, alloc);
   EXPECT_DOUBLE_EQ(alloc[0].swapped_fraction, 0.0);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
 }
@@ -136,7 +143,8 @@ TEST(Contention, BottleneckResourceSetsProgress) {
   demands[0].cpu_cores = 1.0;
   demands[0].membw_mbps = 12000.0;
   demands[1].membw_mbps = 12000.0;  // bus oversubscribed 1.5x
-  auto alloc = resolve_contention(host, demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(host, demands, alloc);
   // Each gets 8000 of 12000 -> progress 2/3 (no CPU excess).
   EXPECT_NEAR(alloc[0].progress, 2.0 / 3.0, 1e-9);
 }
@@ -144,20 +152,58 @@ TEST(Contention, BottleneckResourceSetsProgress) {
 TEST(Contention, ZeroDemandHasFullProgress) {
   std::vector<ResourceDemand> demands(2);
   demands[1].cpu_cores = 8.0;
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  resolve_contention(test_host(), demands, alloc);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 0.0);
 }
 
 TEST(Contention, EmptyDemandsHandled) {
-  auto alloc = resolve_contention(test_host(), {});
+  std::vector<Allocation> alloc;
+  resolve_contention(test_host(), {}, alloc);
   EXPECT_TRUE(alloc.empty());
 }
 
 TEST(Contention, InvalidHostRejected) {
   HostSpec bad = test_host();
   bad.cpu_cores = 0.0;
-  EXPECT_THROW(resolve_contention(bad, {}), PreconditionError);
+  std::vector<Allocation> alloc;
+  EXPECT_THROW(resolve_contention(bad, {}, alloc), PreconditionError);
+}
+
+TEST(Contention, ReusedBufferMatchesAFreshOne) {
+  // The first result is larger and sets every field a later, smaller one
+  // leaves at its default (swap, oversubscribed rates); the buffer must
+  // not leak any of it into the second result.
+  std::vector<ResourceDemand> big(4);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i].cpu_cores = 3.0;
+    big[i].memory_mb = 1500.0;
+    big[i].membw_mbps = 6000.0;
+    big[i].disk_mbps = 90.0;
+    big[i].net_mbps = 400.0;
+  }
+  std::vector<ResourceDemand> small{cpu_demand(0.5), cpu_demand(10.0)};
+  small[0].memory_mb = 100.0;
+
+  std::vector<Allocation> reused;
+  resolve_contention(test_host(), big, reused);
+  ASSERT_GT(reused[1].swapped_fraction, 0.0);
+  resolve_contention(test_host(), small, reused);
+  std::vector<Allocation> fresh;
+  resolve_contention(test_host(), small, fresh);
+
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(reused[i].granted.cpu_cores, fresh[i].granted.cpu_cores) << i;
+    EXPECT_EQ(reused[i].granted.memory_mb, fresh[i].granted.memory_mb) << i;
+    EXPECT_EQ(reused[i].granted.membw_mbps, fresh[i].granted.membw_mbps) << i;
+    EXPECT_EQ(reused[i].granted.disk_mbps, fresh[i].granted.disk_mbps) << i;
+    EXPECT_EQ(reused[i].granted.net_mbps, fresh[i].granted.net_mbps) << i;
+    EXPECT_EQ(reused[i].swapped_fraction, fresh[i].swapped_fraction) << i;
+    EXPECT_EQ(reused[i].swap_io_mbps, fresh[i].swap_io_mbps) << i;
+    EXPECT_EQ(reused[i].progress, fresh[i].progress) << i;
+  }
 }
 
 // ------------------------------------------------------------------- vm

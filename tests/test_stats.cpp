@@ -124,7 +124,8 @@ TEST(InverseTransform, ReproducesHistogramDistribution) {
   h.add(0.5, 700.0);  // bin 0: 70%
   h.add(1.5, 200.0);  // bin 1: 20%
   h.add(2.5, 100.0);  // bin 2: 10%
-  InverseTransformSampler sampler(h);
+  InverseTransformSampler sampler;
+  sampler.reset(h);
   Rng rng(5);
   std::vector<int> counts(3, 0);
   const int n = 30000;
@@ -140,7 +141,8 @@ TEST(InverseTransform, SamplesStayInRange) {
   Histogram h(-2.0, 2.0, 8);
   Rng fill(6);
   for (int i = 0; i < 50; ++i) h.add(fill.uniform(-2.0, 2.0));
-  InverseTransformSampler sampler(h);
+  InverseTransformSampler sampler;
+  sampler.reset(h);
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
     double s = sampler.sample(rng);
@@ -151,7 +153,29 @@ TEST(InverseTransform, SamplesStayInRange) {
 
 TEST(InverseTransform, EmptyHistogramRejected) {
   Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(InverseTransformSampler{h}, PreconditionError);
+  InverseTransformSampler sampler;
+  EXPECT_THROW(sampler.reset(h), PreconditionError);
+  Rng rng(8);
+  EXPECT_THROW(sampler.sample(rng), PreconditionError);
+}
+
+TEST(InverseTransform, ResetMatchesASamplerBuiltForTheHistogram) {
+  // A sampler reset from a wider histogram to a narrower one draws
+  // exactly what a sampler only ever reset to the narrow one draws.
+  Histogram wide(-1.0, 1.0, 16);
+  Histogram narrow(0.0, 3.0, 3);
+  Rng fill(9);
+  for (int i = 0; i < 40; ++i) wide.add(fill.uniform(-1.0, 1.0));
+  narrow.add(0.5, 3.0);
+  narrow.add(2.5, 1.0);
+  InverseTransformSampler reused;
+  reused.reset(wide);
+  reused.reset(narrow);
+  InverseTransformSampler fresh;
+  fresh.reset(narrow);
+  Rng a(10);
+  Rng b(10);
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(reused.sample(a), fresh.sample(b));
 }
 
 // ------------------------------------------------------------- circular

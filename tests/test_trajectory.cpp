@@ -29,7 +29,9 @@ TEST(TrajectoryModel, SampleFollowsObservedBias) {
     model.observe({0.0, 0.0}, {1.0, 0.0});
   }
   Rng rng(1);
-  auto futures = model.sample_future({5.0, 5.0}, 200, rng);
+  TrajectoryModel::Samplers samplers;
+  std::vector<mds::Point2> futures;
+  model.sample_future({5.0, 5.0}, 200, rng, samplers, futures);
   ASSERT_EQ(futures.size(), 200u);
   double mean_dx = 0.0;
   double mean_dy = 0.0;
@@ -46,7 +48,10 @@ TEST(TrajectoryModel, SampleFollowsObservedBias) {
 TEST(TrajectoryModel, SampleWithoutObservationsRejected) {
   TrajectoryModel model(2.0, 16);
   Rng rng(2);
-  EXPECT_THROW(model.sample_future({0.0, 0.0}, 5, rng), PreconditionError);
+  TrajectoryModel::Samplers samplers;
+  std::vector<mds::Point2> futures;
+  EXPECT_THROW(model.sample_future({0.0, 0.0}, 5, rng, samplers, futures),
+               PreconditionError);
 }
 
 TEST(TrajectoryModel, MixedDirectionsProduceSpread) {
@@ -56,7 +61,10 @@ TEST(TrajectoryModel, MixedDirectionsProduceSpread) {
     model.observe({0.0, 0.0}, {-1.0, 0.0});
   }
   Rng rng(3);
-  auto futures = model.sample_future({0.0, 0.0}, 400, rng);
+  TrajectoryModel::Samplers samplers;
+  std::vector<mds::Point2> futures(7);  // replaced, not appended to
+  model.sample_future({0.0, 0.0}, 400, rng, samplers, futures);
+  ASSERT_EQ(futures.size(), 400u);
   int east = 0;
   int west = 0;
   for (const auto& f : futures) {

@@ -1547,13 +1547,13 @@ std::vector<Fixture> self_test_fixtures() {
                "/* a new representative */ int x = 0;\n",
                {}});
   f.push_back({"direct-sample-call", "src/core/stages/sty11.cpp",
-               "monitor::Measurement m = sampler_.sample();\n",
+               "sampler_.sample(m);\n",
                {"direct-sample-call"}});
   f.push_back({"direct-sample-call-arrow", "src/harness/sty12.cpp",
-               "auto m = sampler->sample();\n",
+               "sampler->sample(m);\n",
                {"direct-sample-call"}});
   f.push_back({"sample-in-sample-source-ok", "src/monitor/sample_source.cpp",
-               "s.measurement = sampler_.sample();\n",
+               "sampler_.sample(s.measurement);\n",
                {}});
   f.push_back({"stats-sampler-ok", "src/core/sty13.cpp",
                "double d = step_sampler.sample(rng);\n",
