@@ -87,7 +87,7 @@ ThroughputRow run_throughput(double duration_s) {
   ring_spec.stayaway.warm_skip_stress = 0.05;
   ring_spec.stayaway.dedup_epsilon = 0.0005;
   ring_spec.stayaway.max_representatives = 0;
-  ring_spec.stayaway.ingest.source = core::IngestSource::Ring;
+  ring_spec.stayaway.ingest.source = monitor::IngestSource::Ring;
   ring_spec.stayaway.ingest.rate_hz = kRateHz;
   ring_spec.stayaway.ingest.ring_capacity = 64;
   {

@@ -35,7 +35,10 @@
 #                                set (must keep reproducing findings)
 #   ./ci.sh --ingest             streaming-ingestion gate (DESIGN.md §15):
 #                                the ingest test suite plus the bench_ingest
-#                                bounds (--smoke) in the tier-1 tree, then
+#                                bounds (--smoke) in the tier-1 tree, a
+#                                ring-fed (--ingest-rate 16) --record run
+#                                of the --example scenario and its clean
+#                                --replay, then
 #                                fleet workers over ring-fed members — 8
 #                                ring-fed pipelines on a 4-worker team —
 #                                under ThreadSanitizer
@@ -434,6 +437,22 @@ CONF
         return 1
       ./build/tests/test_ingest || return 1
       ./build/bench/bench_ingest --smoke || return 1
+      # A ring-fed run of the example scenario (compare dropped: a
+      # recorded run is one policy) must replay clean: its run-log
+      # carries the ingest_* keys through canonicalization.
+      cmake --build build -j"$JOBS" --target stayaway_sim || return 1
+      tmpdir="$(mktemp -d)" || return 1
+      ./build/tools/stayaway_sim --example | sed '/^compare /d' \
+        >"$tmpdir/example.conf" &&
+        ./build/tools/stayaway_sim --ingest-rate 16 \
+          --record "$tmpdir/ring.runlog" "$tmpdir/example.conf" >/dev/null &&
+        grep -qx 'ingest_source = ring' "$tmpdir/ring.runlog" &&
+        ./build/tools/stayaway_sim --replay "$tmpdir/ring.runlog" || {
+        echo "ring-fed record -> replay round trip failed" >&2
+        rm -rf "$tmpdir"
+        return 1
+      }
+      rm -rf "$tmpdir"
       cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \

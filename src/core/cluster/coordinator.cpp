@@ -84,7 +84,7 @@ void ClusterCoordinator::step(std::size_t period) {
   std::vector<HostSnapshot> snaps;
   snaps.reserve(hosts_.size());
   for (const HostHooks& host : hosts_) {
-    snaps.push_back(snapshot_host(host.name, *host.pipeline()));
+    snaps.push_back(snapshot_host(*host.pipeline()));
   }
 
   // 1. Drain migration outboxes: re-attach each freshly detached VM on

@@ -15,12 +15,9 @@ double clamp_margin(double margin) {
 
 }  // namespace
 
-HostSnapshot snapshot_host(const std::string& name,
-                           const HostPipeline& pipeline) {
+HostSnapshot snapshot_host(const HostPipeline& pipeline) {
   HostSnapshot snap;
-  snap.name = name;
   const std::vector<PeriodRecord>& records = pipeline.records();
-  snap.periods = records.size();
   if (!records.empty()) {
     const PeriodRecord& last = records.back();
     snap.violating_now = last.violation_observed || last.violation_predicted;

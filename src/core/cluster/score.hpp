@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "core/pipeline.hpp"
 
@@ -21,7 +20,6 @@ namespace stayaway::core::cluster {
 /// The slice of one host's pipeline state the scorer consumes, extracted
 /// once per coordinator step through the read-only fleet seam.
 struct HostSnapshot {
-  std::string name;
   /// The host's map knows at least one violation range.
   bool has_geometry = false;
   /// Signed distance (in map units / scale) from the host's current state
@@ -36,8 +34,6 @@ struct HostSnapshot {
   double step_length = 0.0;
   /// The most recent period observed or predicted a QoS violation.
   bool violating_now = false;
-  /// Periods recorded so far (snapshot provenance, for events/debug).
-  std::size_t periods = 0;
 };
 
 /// Margin assigned to hosts whose map has no violation geometry yet, and
@@ -56,8 +52,7 @@ inline constexpr std::size_t kStepWindow = 8;
 /// Extracts the scorer's view of one host. `pipeline` may lack a
 /// Stay-Away mapper (baseline policies, custom stages): such hosts report
 /// no geometry and zero step length — neutral, deterministic.
-HostSnapshot snapshot_host(const std::string& name,
-                           const HostPipeline& pipeline);
+HostSnapshot snapshot_host(const HostPipeline& pipeline);
 
 /// The interference score of placing a VM with demand footprint
 /// `vm_footprint` on the host described by `snap`:

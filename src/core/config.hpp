@@ -1,14 +1,15 @@
 // Configuration of the Stay-Away runtime and its components.
 //
-// StayAwayConfig is the single config entry point: it carries the
-// monitor's SamplerConfig and the streaming IngestConfig too, so
-// HostPipeline and harness::ExperimentSpec are configured through one
+// StayAwayConfig is the single config entry point: it embeds the
+// monitor's SamplerConfig and IngestConfig (monitor/sample_source.hpp),
+// so HostPipeline and harness::ExperimentSpec are configured through one
 // object.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "monitor/sample_source.hpp"
 #include "monitor/sampler.hpp"
 
 namespace stayaway::core {
@@ -63,44 +64,6 @@ enum class EmbedMethod {
                         // doubled since the last fit
 };
 
-/// Where the control loop's samples come from (DESIGN.md §15).
-enum class IngestSource {
-  Synchronous,  // one Sampler::sample() per period — the historical,
-                // byte-identical default
-  Ring,         // each drain replays a trace into a bounded per-host
-                // ring up to a lookahead and pops the due samples
-};
-
-/// Unified ingestion surface: the synchronous sampler, trace replay and
-/// the ring feed all construct from this one block inside
-/// StayAwayConfig. Scenario-file keys: ingest_source, ingest_rate_hz,
-/// ingest_ring_capacity, ingest_lookahead_s, ingest_burst_rate_hz,
-/// ingest_burst_start_s, ingest_burst_end_s (serialized only when the
-/// block differs from the defaults, so historical run-logs stay
-/// byte-identical).
-struct IngestConfig {
-  IngestSource source = IngestSource::Synchronous;
-  /// Emission rate in samples per simulated second (Ring only).
-  double rate_hz = 4.0;
-  /// Ring capacity in samples (rounded up to a power of two). A full
-  /// ring drops the push and counts the overflow — backpressure is
-  /// surfaced, never silently absorbed.
-  std::size_t ring_capacity = 1024;
-  /// How far past the drain clock each drain generates, in simulated
-  /// seconds. Samples inside the lookahead wait in the ring until their
-  /// period.
-  double lookahead_s = 0.25;
-  /// Optional burst window: within [burst_start_s, burst_end_s) the
-  /// ring emits at burst_rate_hz instead of rate_hz. 0 disables the
-  /// burst. This is the window the fuzzer's shrinker minimizes.
-  double burst_rate_hz = 0.0;
-  double burst_start_s = 0.0;
-  double burst_end_s = 0.0;
-
-  bool streaming() const { return source == IngestSource::Ring; }
-  bool operator==(const IngestConfig&) const = default;
-};
-
 struct StayAwayConfig {
   /// Control period in seconds of simulated time.
   double period_s = 1.0;
@@ -140,7 +103,7 @@ struct StayAwayConfig {
   monitor::SamplerConfig sampler;
   /// How samples reach the mapping stage (DESIGN.md §15): synchronous
   /// one-per-period (default) or an async per-host ring feed.
-  IngestConfig ingest;
+  monitor::IngestConfig ingest;
   std::uint64_t seed = 1234;
 };
 

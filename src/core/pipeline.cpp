@@ -17,42 +17,6 @@ constexpr std::size_t kQosBlindFailsafePeriods = 3;
 /// so a flickering sensor cannot flap the state machine.
 constexpr std::size_t kRecoveryPeriods = 3;
 
-/// Builds the configured SampleSource (DESIGN.md §15). The synchronous
-/// source is the default and keeps the record stream byte-identical to
-/// the historical loop; the ring source replays a diurnal trace through
-/// a bounded ring at config.ingest.rate_hz.
-std::unique_ptr<monitor::SampleSource> make_sample_source(
-    sim::SimHost& host, const StayAwayConfig& config,
-    const monitor::CapacityNormalizer& normalizer) {
-  monitor::HostSampler sampler(host, config.sampler);
-  if (!config.ingest.streaming()) {
-    return std::make_unique<monitor::SynchronousSampleSource>(
-        std::move(sampler));
-  }
-  const monitor::MetricLayout& layout = sampler.layout();
-  // Full-scale raw value per flat dimension: the host capacity of the
-  // dimension's metric kind (same basis the normalizer divides by).
-  std::vector<double> scale(layout.dimension(), 0.0);
-  for (std::size_t e = 0; e < layout.entities.size(); ++e) {
-    for (std::size_t k = 0; k < layout.metrics.size(); ++k) {
-      scale[layout.index_of(e, k)] = normalizer.capacity_of(layout.metrics[k]);
-    }
-  }
-  trace::DiurnalSpec spec;
-  spec.seed = config.sampler.seed;
-  monitor::RingStreamOptions options;
-  options.rate_hz = config.ingest.rate_hz;
-  options.lookahead_s = config.ingest.lookahead_s;
-  options.ring_capacity = config.ingest.ring_capacity;
-  options.burst_rate_hz = config.ingest.burst_rate_hz;
-  options.burst_start_s = config.ingest.burst_start_s;
-  options.burst_end_s = config.ingest.burst_end_s;
-  options.noise_fraction = config.sampler.noise_fraction;
-  options.seed = config.sampler.seed;
-  return std::make_unique<monitor::RingSampleSource>(
-      layout, std::move(scale), trace::generate_diurnal(spec), options);
-}
-
 }  // namespace
 
 StageThrowError::StageThrowError(double time)
@@ -80,11 +44,25 @@ HostPipeline::HostPipeline(sim::SimHost& host, const sim::QosProbe& probe,
 HostPipeline::HostPipeline(sim::SimHost& host, const sim::QosProbe& probe,
                            StayAwayConfig config)
     : HostPipeline(host, probe, std::move(config), nullptr) {
-  monitor::CapacityNormalizer normalizer(
-      host.spec(), monitor::HostSampler(host, config_.sampler).layout());
-  mapper_ = std::make_unique<StayAwayMapper>(
-      make_sample_source(host, config_, normalizer), std::move(normalizer),
-      config_);
+  // One sampler fixes the layout. The synchronous source (the default,
+  // byte-identical to the historical loop) takes it over; the ring
+  // source (DESIGN.md §15) replays a diurnal trace through a bounded ring
+  // at config.ingest.rate_hz, scaled by the normalizer's capacities.
+  monitor::HostSampler sampler(host, config_.sampler);
+  monitor::CapacityNormalizer normalizer(host.spec(), sampler.layout());
+  std::unique_ptr<monitor::SampleSource> source;
+  if (config_.ingest.streaming()) {
+    trace::DiurnalSpec spec;
+    spec.seed = config_.sampler.seed;
+    source = std::make_unique<monitor::RingSampleSource>(
+        sampler.layout(), normalizer.capacity(), trace::generate_diurnal(spec),
+        config_.ingest, config_.sampler.noise_fraction, config_.sampler.seed);
+  } else {
+    source =
+        std::make_unique<monitor::SynchronousSampleSource>(std::move(sampler));
+  }
+  mapper_ = std::make_unique<StayAwayMapper>(std::move(source),
+                                             std::move(normalizer), config_);
   forecaster_ = std::make_unique<TrajectoryForecaster>(
       config_, mapper_->layout().dimension());
   set_actuator(std::make_unique<GovernorActuator>(config_));

@@ -16,14 +16,8 @@ constexpr double kSpikeMargin = 2.0;
 /// spike margin. Feeds the validate-and-quarantine stage.
 std::vector<double> quarantine_bounds(
     const monitor::CapacityNormalizer& normalizer) {
-  const monitor::MetricLayout& layout = normalizer.layout();
-  std::vector<double> bounds(layout.dimension(), 0.0);
-  for (std::size_t e = 0; e < layout.entities.size(); ++e) {
-    for (std::size_t k = 0; k < layout.metrics.size(); ++k) {
-      bounds[layout.index_of(e, k)] =
-          normalizer.capacity_of(layout.metrics[k]) * kSpikeMargin;
-    }
-  }
+  std::vector<double> bounds = normalizer.capacity();
+  for (double& b : bounds) b *= kSpikeMargin;
   return bounds;
 }
 
@@ -39,7 +33,7 @@ StayAwayMapper::StayAwayMapper(std::unique_ptr<monitor::SampleSource> source,
       embedder_(config.embed_method, config.landmark_count,
                 config.warm_skip_stress) {
   SA_REQUIRE(source_ != nullptr, "the mapper needs a sample source");
-  SA_REQUIRE(source_->layout().dimension() == normalizer_.layout().dimension(),
+  SA_REQUIRE(source_->layout().dimension() == normalizer_.capacity().size(),
              "sample source and normalizer layouts must agree");
 }
 

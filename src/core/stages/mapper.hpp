@@ -35,7 +35,7 @@ namespace stayaway::core {
 class StayAwayMapper {
  public:
   /// `source` and `normalizer` must describe the same layout (the
-  /// pipeline builds both from the host).
+  /// pipeline builds both from one sampler's layout).
   StayAwayMapper(std::unique_ptr<monitor::SampleSource> source,
                  monitor::CapacityNormalizer normalizer,
                  const StayAwayConfig& config);

@@ -68,14 +68,14 @@ constexpr Kind<std::string> kWorkload{
 
 /// Streaming ingestion (DESIGN.md §15): sync is the default
 /// one-sample-per-period path, ring drains a trace-replay stream.
-constexpr Kind<core::IngestSource> kIngestSource{
+constexpr Kind<monitor::IngestSource> kIngestSource{
     [](const SourceLine& at, const std::string& v) {
-      if (v == "sync") return core::IngestSource::Synchronous;
-      if (v == "ring") return core::IngestSource::Ring;
+      if (v == "sync") return monitor::IngestSource::Synchronous;
+      if (v == "ring") return monitor::IngestSource::Ring;
       at.fail("expected 'sync' or 'ring', got '" + v + "'");
     },
-    [](const core::IngestSource& v) {
-      return std::string(v == core::IngestSource::Ring ? "ring" : "sync");
+    [](const monitor::IngestSource& v) {
+      return std::string(v == monitor::IngestSource::Ring ? "ring" : "sync");
     }};
 
 /// A comma-separated sampler metric set, e.g. `cpu,mem,io`.
@@ -297,7 +297,7 @@ void describe_body(auto& io, auto& scenario, auto& faults,
   // The ingest block is written only when it differs from the default:
   // historical scenarios (and the scenario text embedded in committed
   // run-logs) keep their exact canonical bytes.
-  if (io.when(ingest != core::IngestConfig{})) {
+  if (io.when(ingest != monitor::IngestConfig{})) {
     io.field("ingest_source", ingest.source, kIngestSource);
     io.field("ingest_rate_hz", ingest.rate_hz, kReal);
     io.field("ingest_ring_capacity", ingest.ring_capacity, kCount);

@@ -1,14 +1,24 @@
 #include "mds/incremental.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "util/check.hpp"
 
 namespace stayaway::mds {
 
+namespace {
+
+/// Guttman iterations per placement; one free point converges in a
+/// handful.
+constexpr std::size_t kMaxIterations = 50;
+/// Squared movement per iteration below which the placement stops.
+constexpr double kTolerance = 1e-9;
+
+}  // namespace
+
 Point2 place_point(const Embedding& anchors,
-                   const std::vector<double>& target_distances,
-                   const PlacementOptions& options) {
+                   const std::vector<double>& target_distances) {
   SA_REQUIRE(!anchors.empty(), "placement needs at least one anchor");
   SA_REQUIRE(anchors.size() == target_distances.size(),
              "anchors and distances must align");
@@ -26,7 +36,7 @@ Point2 place_point(const Embedding& anchors,
            anchors[nearest].y};
 
   const double n = static_cast<double>(anchors.size());
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kMaxIterations; ++it) {
     double accx = 0.0;
     double accy = 0.0;
     for (std::size_t j = 0; j < anchors.size(); ++j) {
@@ -44,7 +54,7 @@ Point2 place_point(const Embedding& anchors,
     double moved = (next.x - p.x) * (next.x - p.x) +
                    (next.y - p.y) * (next.y - p.y);
     p = next;
-    if (moved < options.tolerance) break;
+    if (moved < kTolerance) break;
   }
   return p;
 }

@@ -7,24 +7,17 @@
 // iterations.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "mds/point.hpp"
 
 namespace stayaway::mds {
 
-struct PlacementOptions {
-  std::size_t max_iterations = 50;
-  double tolerance = 1e-9;  // squared movement per iteration
-};
-
 /// Places a new point whose high-dimensional distances to the already
 /// embedded points are `target_distances` (aligned with `anchors`).
 /// Starts from the anchor with the smallest target distance.
 /// Requires non-empty, equal-length inputs.
 Point2 place_point(const Embedding& anchors,
-                   const std::vector<double>& target_distances,
-                   const PlacementOptions& options = {});
+                   const std::vector<double>& target_distances);
 
 }  // namespace stayaway::mds

@@ -7,50 +7,32 @@
 //
 // Capacity normalization divides each reading by the host capacity of its
 // metric kind — stable across the whole run, so distances mean the same
-// thing early and late. A running min-max alternative is provided for
-// metrics without a natural capacity.
+// thing early and late. The per-dimension capacity vector is the one
+// place a dimension's full scale is decided: the quarantine's spike
+// bounds and the ring source's full-scale stream read it too.
 #pragma once
 
 #include <vector>
 
 #include "monitor/measurement.hpp"
 #include "sim/resource.hpp"
-#include "stats/online.hpp"
 
 namespace stayaway::monitor {
 
 /// Normalizes by host capacity per metric kind; values clamp into [0,1].
 class CapacityNormalizer {
  public:
-  CapacityNormalizer(const sim::HostSpec& spec, MetricLayout layout);
+  CapacityNormalizer(const sim::HostSpec& spec, const MetricLayout& layout);
 
-  const MetricLayout& layout() const { return layout_; }
+  /// Host capacity of each flat dimension of the layout (index_of order).
+  const std::vector<double>& capacity() const { return capacity_; }
 
   /// Writes a measurement's normalized values into `out`, replacing its
   /// contents (its storage is reused).
   void normalize(const Measurement& m, std::vector<double>& out) const;
 
-  /// Capacity used for a metric kind.
-  double capacity_of(MetricKind kind) const;
-
  private:
-  sim::HostSpec spec_;
-  MetricLayout layout_;
-};
-
-/// Normalizes by the running min/max of each dimension. The first few
-/// observations are unstable (range still growing), matching the paper's
-/// behaviour that early-phase states are less reliable.
-class RunningNormalizer {
- public:
-  explicit RunningNormalizer(std::size_t dimension);
-
-  /// Observes a raw vector and returns its normalized form under the
-  /// bounds known so far.
-  std::vector<double> observe(const std::vector<double>& values);
-
- private:
-  std::vector<stats::OnlineMinMax> bounds_;
+  std::vector<double> capacity_;
 };
 
 }  // namespace stayaway::monitor

@@ -18,6 +18,11 @@ namespace {
 /// hold-back queue.
 constexpr std::size_t kMaxHeld = 4;
 
+/// Sim-seconds -> trace-seconds: how fast the replayed trace advances
+/// relative to the control clock. One diurnal day (86400 trace-seconds)
+/// per 300 simulated seconds.
+constexpr double kTraceTimeScale = 288.0;
+
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
   // Golden-ratio xor-mix, same family as fleet_host_seed: decorrelates
   // the ingest-anomaly stream from the value-noise stream.
@@ -80,29 +85,30 @@ void SynchronousSampleSource::persist(util::StateIO& io) {
 RingSampleSource::RingSampleSource(MetricLayout layout,
                                    std::vector<double> scale,
                                    trace::Trace trace,
-                                   RingStreamOptions options)
+                                   const IngestConfig& config,
+                                   double noise_fraction, std::uint64_t seed)
     : layout_(std::move(layout)),
       scale_(std::move(scale)),
       trace_(std::move(trace)),
-      options_(options),
-      capacity_(std::bit_ceil(options.ring_capacity)),
-      value_rng_(options.seed),
-      ingest_rng_(mix_seed(0, options.seed)) {
+      config_(config),
+      noise_fraction_(noise_fraction),
+      seed_(seed),
+      capacity_(std::bit_ceil(config.ring_capacity)),
+      value_rng_(seed),
+      ingest_rng_(mix_seed(0, seed)) {
   SA_REQUIRE(layout_.dimension() > 0, "ring source needs a non-empty layout");
   SA_REQUIRE(scale_.size() == layout_.dimension(),
              "scale vector must match the layout dimension");
-  SA_REQUIRE(options_.ring_capacity > 0, "ring capacity must be positive");
-  SA_REQUIRE(options_.rate_hz > 0.0 && std::isfinite(options_.rate_hz),
+  SA_REQUIRE(config_.ring_capacity > 0, "ring capacity must be positive");
+  SA_REQUIRE(config_.rate_hz > 0.0 && std::isfinite(config_.rate_hz),
              "ingest rate must be positive and finite");
-  SA_REQUIRE(options_.lookahead_s >= 0.0, "lookahead must be non-negative");
-  SA_REQUIRE(options_.noise_fraction >= 0.0,
-             "noise fraction must be non-negative");
-  SA_REQUIRE(options_.time_scale > 0.0, "time scale must be positive");
-  SA_REQUIRE(options_.burst_rate_hz >= 0.0 &&
-                 std::isfinite(options_.burst_rate_hz),
+  SA_REQUIRE(config_.lookahead_s >= 0.0, "lookahead must be non-negative");
+  SA_REQUIRE(noise_fraction_ >= 0.0, "noise fraction must be non-negative");
+  SA_REQUIRE(config_.burst_rate_hz >= 0.0 &&
+                 std::isfinite(config_.burst_rate_hz),
              "burst rate must be non-negative and finite");
-  if (options_.burst_rate_hz > 0.0) {
-    SA_REQUIRE(options_.burst_end_s > options_.burst_start_s,
+  if (config_.burst_rate_hz > 0.0) {
+    SA_REQUIRE(config_.burst_end_s > config_.burst_start_s,
                "burst window must satisfy end > start");
   }
   // Per-dimension demand mix: each metric tracks the shared trace with
@@ -118,8 +124,8 @@ void RingSampleSource::set_fault_injector(sim::FaultInjector* injector) {
              "the fault injector must be attached before the first sample");
   injector_ = injector;
   ingest_specs_.clear();
-  ingest_rng_ = Rng(mix_seed(injector != nullptr ? injector->plan().seed : 0,
-                             options_.seed));
+  ingest_rng_ =
+      Rng(mix_seed(injector != nullptr ? injector->plan().seed : 0, seed_));
   if (injector == nullptr) return;
   for (const sim::FaultSpec& f : injector->plan().faults) {
     if (f.kind == sim::FaultKind::IngestDelay ||
@@ -130,10 +136,10 @@ void RingSampleSource::set_fault_injector(sim::FaultInjector* injector) {
 }
 
 double RingSampleSource::interval_at(double t) const {
-  double rate = options_.rate_hz;
-  if (options_.burst_rate_hz > 0.0 && t >= options_.burst_start_s &&
-      t < options_.burst_end_s) {
-    rate = options_.burst_rate_hz;
+  double rate = config_.rate_hz;
+  if (config_.burst_rate_hz > 0.0 && t >= config_.burst_start_s &&
+      t < config_.burst_end_s) {
+    rate = config_.burst_rate_hz;
   }
   return 1.0 / rate;
 }
@@ -143,12 +149,12 @@ Measurement RingSampleSource::synthesize(double t) {
   m.time = t;
   const double span = trace_.duration();
   const double tt =
-      span > 0.0 ? std::fmod(t * options_.time_scale, span) : 0.0;
+      span > 0.0 ? std::fmod(t * kTraceTimeScale, span) : 0.0;
   const double intensity = trace_.normalized_at(tt);
   m.values.resize(layout_.dimension());
   for (std::size_t d = 0; d < m.values.size(); ++d) {
     double v = scale_[d] * mix_[d] * intensity;
-    v *= 1.0 + value_rng_.normal(0.0, options_.noise_fraction);
+    v *= 1.0 + value_rng_.normal(0.0, noise_fraction_);
     m.values[d] = std::max(0.0, v);
   }
   return m;
@@ -173,7 +179,7 @@ DrainReport RingSampleSource::drain(double now,
   // back are released behind newer ones (the late/out-of-order anomaly)
   // and at the latest when generation stops, so none outlive the drain.
   std::vector<TimedSample> held;
-  const double horizon = now + options_.lookahead_s;
+  const double horizon = now + config_.lookahead_s;
   while (next_time_ <= horizon) {
     TimedSample s;
     s.sequence = next_sequence_++;

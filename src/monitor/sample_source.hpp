@@ -40,6 +40,44 @@
 
 namespace stayaway::monitor {
 
+/// Where the control loop's samples come from (DESIGN.md §15).
+enum class IngestSource {
+  Synchronous,  // one Sampler::sample() per period — the historical,
+                // byte-identical default
+  Ring,         // each drain replays a trace into a bounded per-host
+                // ring up to a lookahead and pops the due samples
+};
+
+/// Unified ingestion surface: the synchronous sampler, trace replay and
+/// the ring feed all construct from this one block inside
+/// core::StayAwayConfig. Scenario-file keys: ingest_source,
+/// ingest_rate_hz, ingest_ring_capacity, ingest_lookahead_s,
+/// ingest_burst_rate_hz, ingest_burst_start_s, ingest_burst_end_s
+/// (serialized only when the block differs from the defaults, so
+/// historical run-logs stay byte-identical).
+struct IngestConfig {
+  IngestSource source = IngestSource::Synchronous;
+  /// Emission rate in samples per simulated second (Ring only).
+  double rate_hz = 4.0;
+  /// Ring capacity in samples (rounded up to a power of two). A full
+  /// ring drops the push and counts the overflow — backpressure is
+  /// surfaced, never silently absorbed.
+  std::size_t ring_capacity = 1024;
+  /// How far past the drain clock each drain generates, in simulated
+  /// seconds. Samples inside the lookahead wait in the ring until their
+  /// period.
+  double lookahead_s = 0.25;
+  /// Optional burst window: within [burst_start_s, burst_end_s) the
+  /// ring emits at burst_rate_hz instead of rate_hz. 0 disables the
+  /// burst. This is the window the fuzzer's shrinker minimizes.
+  double burst_rate_hz = 0.0;
+  double burst_start_s = 0.0;
+  double burst_end_s = 0.0;
+
+  bool streaming() const { return source == IngestSource::Ring; }
+  bool operator==(const IngestConfig&) const = default;
+};
+
 /// One streamed measurement. `sequence` is the source's emission
 /// index; a duplicated delivery reuses its original's sequence, which is
 /// how the quarantine recognizes it.
@@ -112,44 +150,22 @@ class SynchronousSampleSource final : public SampleSource {
 
   void persist(util::StateIO& io) override;
 
-  const HostSampler& sampler() const { return sampler_; }
-
  private:
   HostSampler sampler_;
   std::uint64_t next_sequence_ = 0;
-};
-
-/// Stream shape of a RingSampleSource, derived from core::IngestConfig
-/// plus the per-host seed (monitor cannot see core's config types).
-struct RingStreamOptions {
-  /// Emission rate in samples per simulated second.
-  double rate_hz = 4.0;
-  /// Each drain generates this far past its `now`.
-  double lookahead_s = 0.25;
-  /// Ring capacity in samples (rounded up to a power of two).
-  std::size_t ring_capacity = 1024;
-  /// Optional burst window at burst_rate_hz; 0 disables.
-  double burst_rate_hz = 0.0;
-  double burst_start_s = 0.0;
-  double burst_end_s = 0.0;
-  /// Multiplicative gaussian measurement noise per reading.
-  double noise_fraction = 0.01;
-  /// Sim-seconds -> trace-seconds: how fast the replayed trace advances
-  /// relative to the control clock. The default sweeps one diurnal day
-  /// (86400 trace-seconds) in 300 simulated seconds.
-  double time_scale = 288.0;
-  /// Seeds the value noise and per-dimension demand mix.
-  std::uint64_t seed = 17;
 };
 
 class RingSampleSource final : public SampleSource {
  public:
   /// `scale[d]` is the full-scale raw value of flat dimension d (the
   /// host capacity of its metric kind); the stream emits
-  /// scale * mix * trace intensity plus noise. The trace replays on a
-  /// loop via RingStreamOptions::time_scale.
+  /// scale * mix * trace intensity times (1 + gaussian noise of
+  /// `noise_fraction`). The trace replays on a loop, one trace-day per
+  /// 300 simulated seconds. `seed` seeds the value noise and the
+  /// per-dimension demand mix.
   RingSampleSource(MetricLayout layout, std::vector<double> scale,
-                   trace::Trace trace, RingStreamOptions options);
+                   trace::Trace trace, const IngestConfig& config,
+                   double noise_fraction, std::uint64_t seed);
 
   const MetricLayout& layout() const override { return layout_; }
   bool streaming() const override { return true; }
@@ -182,8 +198,10 @@ class RingSampleSource final : public SampleSource {
   std::vector<double> scale_;
   std::vector<double> mix_;  // per-dimension demand weight, seed-derived
   trace::Trace trace_;
-  RingStreamOptions options_;
-  /// options_.ring_capacity rounded up to a power of two.
+  IngestConfig config_;
+  double noise_fraction_;
+  std::uint64_t seed_;
+  /// config_.ring_capacity rounded up to a power of two.
   std::size_t capacity_;
   sim::FaultInjector* injector_ = nullptr;
   std::vector<sim::FaultSpec> ingest_specs_;

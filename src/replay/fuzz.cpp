@@ -97,8 +97,8 @@ harness::FleetScenario mutate(Rng& rng, const FuzzConfig& config) {
     // randomized base rate, a small ring so burst windows can overflow
     // it, and optionally a burst window plus source-side ingest
     // anomalies (late/out-of-order and duplicate deliveries).
-    core::IngestConfig& ing = spec.stayaway.ingest;
-    ing.source = core::IngestSource::Ring;
+    monitor::IngestConfig& ing = spec.stayaway.ingest;
+    ing.source = monitor::IngestSource::Ring;
     ing.rate_hz = std::floor(rng.uniform(8.0, 64.0));
     ing.ring_capacity = std::size_t{64} << rng.index(4);  // 64..512
     if (rng.chance(0.5)) {
@@ -290,12 +290,12 @@ harness::FleetScenario shrink(harness::FleetScenario fleet,
     // that still overflows.
     // (Snapshot by value before each step: an accepted candidate
     // reassigns `fleet`, invalidating references into it.)
-    core::IngestConfig ing = fleet.hosts.front().second.spec.stayaway.ingest;
+    monitor::IngestConfig ing = fleet.hosts.front().second.spec.stayaway.ingest;
     if (ing.streaming()) {
       if (ing.burst_rate_hz > 0.0) {
         harness::FleetScenario candidate = fleet;
         for (auto& [name, scenario] : candidate.hosts) {
-          core::IngestConfig& c = scenario.spec.stayaway.ingest;
+          monitor::IngestConfig& c = scenario.spec.stayaway.ingest;
           c.burst_rate_hz = 0.0;
           c.burst_start_s = 0.0;
           c.burst_end_s = 0.0;
@@ -309,7 +309,7 @@ harness::FleetScenario shrink(harness::FleetScenario fleet,
         double narrowed = std::max(
             1.0, std::floor((ing.burst_end_s - ing.burst_start_s) / 2.0));
         for (auto& [name, scenario] : candidate.hosts) {
-          core::IngestConfig& c = scenario.spec.stayaway.ingest;
+          monitor::IngestConfig& c = scenario.spec.stayaway.ingest;
           c.burst_end_s = c.burst_start_s + narrowed;
         }
         if (try_candidate(candidate, &fleet)) improved = true;

@@ -7,31 +7,6 @@
 
 namespace stayaway::stats {
 
-void OnlineMinMax::observe(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-}
-
-double OnlineMinMax::min() const {
-  SA_REQUIRE(count_ > 0, "min of an empty stream");
-  return min_;
-}
-
-double OnlineMinMax::max() const {
-  SA_REQUIRE(count_ > 0, "max of an empty stream");
-  return max_;
-}
-
-double OnlineMinMax::range() const {
-  SA_REQUIRE(count_ > 0, "range of an empty stream");
-  return max_ - min_;
-}
-
 void OnlineMoments::observe(double v) {
   ++count_;
   double delta = v - mean_;

@@ -1,27 +1,10 @@
-// Streaming statistics: running min/max and Welford mean/variance.
-// Used by the monitor's normalizer and by diagnostics across the library.
+// Streaming statistics: Welford mean/variance, used by the descriptive
+// statistics (stats/descriptive.hpp).
 #pragma once
 
 #include <cstddef>
 
 namespace stayaway::stats {
-
-/// Running minimum and maximum of a stream of doubles.
-class OnlineMinMax {
- public:
-  void observe(double v);
-  bool empty() const { return count_ == 0; }
-  std::size_t count() const { return count_; }
-  double min() const;
-  double max() const;
-  /// max - min; zero before two distinct values have been seen.
-  double range() const;
-
- private:
-  std::size_t count_ = 0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Welford's online algorithm for mean and (sample) variance.
 class OnlineMoments {

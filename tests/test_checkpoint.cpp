@@ -700,7 +700,7 @@ void expect_crash_at_22_restarts_warm(ExperimentSpec clean) {
 
 ExperimentSpec ring_fed_spec() {
   ExperimentSpec spec = short_spec();
-  spec.stayaway.ingest.source = core::IngestSource::Ring;
+  spec.stayaway.ingest.source = monitor::IngestSource::Ring;
   spec.stayaway.ingest.rate_hz = 16.0;
   spec.stayaway.ingest.ring_capacity = 64;
   return spec;

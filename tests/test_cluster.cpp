@@ -32,12 +32,10 @@ namespace cluster = core::cluster;
 
 cluster::HostSnapshot snap_of(double margin, double step, bool violating) {
   cluster::HostSnapshot s;
-  s.name = "h";
   s.has_geometry = true;
   s.safety_margin = margin;
   s.step_length = step;
   s.violating_now = violating;
-  s.periods = 10;
   return s;
 }
 

@@ -321,7 +321,7 @@ TEST(IngestConcurrency, RingFedFleetMatchesSerialRun) {
   base.policy = harness::PolicyKind::StayAway;
   base.duration_s = 120.0;
   base.stayaway.embed_method = core::EmbedMethod::LandmarkIncremental;
-  base.stayaway.ingest.source = core::IngestSource::Ring;
+  base.stayaway.ingest.source = monitor::IngestSource::Ring;
   base.stayaway.ingest.rate_hz = 16.0;
   base.stayaway.ingest.ring_capacity = 64;
 

@@ -155,13 +155,15 @@ monitor::MetricLayout tiny_layout() {
   return layout;
 }
 
+/// A ring over tiny_layout() with 1% measurement noise; `seed` seeds the
+/// value noise and demand mix.
 std::unique_ptr<monitor::RingSampleSource> make_ring(
-    monitor::RingStreamOptions options) {
+    const monitor::IngestConfig& options, std::uint64_t seed = 17) {
   trace::DiurnalSpec spec;
   spec.seed = 7;
   return std::make_unique<monitor::RingSampleSource>(
       tiny_layout(), std::vector<double>{4.0, 2048.0, 4.0, 2048.0},
-      trace::generate_diurnal(spec), options);
+      trace::generate_diurnal(spec), options, 0.01, seed);
 }
 
 std::vector<monitor::TimedSample> drain_all(monitor::SampleSource& source,
@@ -179,14 +181,13 @@ std::vector<monitor::TimedSample> drain_all(monitor::SampleSource& source,
 }
 
 TEST(RingSampleSource, StreamIsDeterministic) {
-  monitor::RingStreamOptions options;
+  monitor::IngestConfig options;
   options.rate_hz = 16.0;
   options.ring_capacity = 64;
-  options.seed = 123;
   const std::vector<double> times = {1.0, 2.0, 2.5, 4.0, 10.0};
 
-  auto a = make_ring(options);
-  auto b = make_ring(options);
+  auto a = make_ring(options, 123);
+  auto b = make_ring(options, 123);
   std::vector<monitor::TimedSample> sa = drain_all(*a, times);
   std::vector<monitor::TimedSample> sb = drain_all(*b, times);
 
@@ -200,7 +201,7 @@ TEST(RingSampleSource, StreamIsDeterministic) {
 }
 
 TEST(RingSampleSource, DeliversOnlySamplesDueByNow) {
-  monitor::RingStreamOptions options;
+  monitor::IngestConfig options;
   options.rate_hz = 8.0;
   options.ring_capacity = 64;
   auto source = make_ring(options);
@@ -231,7 +232,7 @@ TEST(RingSampleSource, DeliversOnlySamplesDueByNow) {
 }
 
 TEST(RingSampleSource, OverflowIsCountedAndDeterministic) {
-  monitor::RingStreamOptions options;
+  monitor::IngestConfig options;
   options.rate_hz = 64.0;
   options.ring_capacity = 4;
   const std::vector<double> times = {2.0, 4.0};
@@ -279,10 +280,10 @@ TEST(RingSampleSource, OverflowIsCountedAndDeterministic) {
 }
 
 TEST(RingSampleSource, BurstWindowRaisesTheRate) {
-  monitor::RingStreamOptions base;
+  monitor::IngestConfig base;
   base.rate_hz = 4.0;
   base.ring_capacity = 1024;
-  monitor::RingStreamOptions burst = base;
+  monitor::IngestConfig burst = base;
   burst.burst_rate_hz = 64.0;
   burst.burst_start_s = 2.0;
   burst.burst_end_s = 4.0;
@@ -301,7 +302,7 @@ TEST(RingSampleSource, BurstWindowRaisesTheRate) {
 TEST(RingSampleSource, RejectsRatesThatCannotAdvanceTheClock) {
   for (double bad : {std::numeric_limits<double>::infinity(),
                      std::numeric_limits<double>::quiet_NaN()}) {
-    monitor::RingStreamOptions options;
+    monitor::IngestConfig options;
     options.rate_hz = bad;
     EXPECT_THROW(make_ring(options), PreconditionError) << bad;
     options.rate_hz = 4.0;
@@ -310,7 +311,7 @@ TEST(RingSampleSource, RejectsRatesThatCannotAdvanceTheClock) {
     options.burst_end_s = 2.0;
     EXPECT_THROW(make_ring(options), PreconditionError) << bad;
   }
-  monitor::RingStreamOptions options;
+  monitor::IngestConfig options;
   options.rate_hz = 1e300;
   auto ring = make_ring(options);
   std::vector<monitor::TimedSample> out;
@@ -318,11 +319,10 @@ TEST(RingSampleSource, RejectsRatesThatCannotAdvanceTheClock) {
 }
 
 TEST(RingSampleSource, IngestFaultsProduceLateAndDuplicateSamples) {
-  monitor::RingStreamOptions options;
+  monitor::IngestConfig options;
   options.rate_hz = 32.0;
   options.ring_capacity = 2048;
-  options.seed = 9;
-  auto source = make_ring(options);
+  auto source = make_ring(options, 9);
 
   sim::FaultPlan plan;
   plan.seed = 5;
@@ -355,11 +355,10 @@ TEST(RingSampleSource, IngestFaultsProduceLateAndDuplicateSamples) {
 }
 
 TEST(RingSampleSource, SaveLoadResumesTheStreamExactly) {
-  monitor::RingStreamOptions options;
+  monitor::IngestConfig options;
   options.rate_hz = 24.0;
   options.ring_capacity = 16;
   options.lookahead_s = 0.5;
-  options.seed = 4;
   sim::FaultPlan plan;
   plan.seed = 6;
   plan.faults.push_back({sim::FaultKind::IngestDelay, 0.0, kInf, 0.6, 1.0, -1});
@@ -368,7 +367,7 @@ TEST(RingSampleSource, SaveLoadResumesTheStreamExactly) {
   sim::FaultInjector injector_a(plan);
   sim::FaultInjector injector_b(plan);
 
-  auto original = make_ring(options);
+  auto original = make_ring(options, 4);
   original->set_fault_injector(&injector_a);
   drain_all(*original, {1.0, 2.0, 3.0});
   std::string saved;
@@ -378,7 +377,7 @@ TEST(RingSampleSource, SaveLoadResumesTheStreamExactly) {
   EXPECT_NE(saved.find("ring_pending_sequence = 1 "),
             std::string::npos);
 
-  auto restored = make_ring(options);
+  auto restored = make_ring(options, 4);
   restored->set_fault_injector(&injector_b);
   util::StateIO reader = util::StateIO::reader(saved);
   restored->persist(reader);
@@ -411,7 +410,7 @@ harness::ExperimentSpec ring_spec() {
   harness::ExperimentSpec spec;
   spec.duration_s = 40.0;
   spec.stayaway.embed_method = core::EmbedMethod::LandmarkIncremental;
-  spec.stayaway.ingest.source = core::IngestSource::Ring;
+  spec.stayaway.ingest.source = monitor::IngestSource::Ring;
   spec.stayaway.ingest.rate_hz = 16.0;
   spec.stayaway.ingest.ring_capacity = 64;
   return spec;
@@ -539,7 +538,7 @@ TEST(RunLogIngest, RingRunRecordsAndReplaysByteIdentically) {
   harness::Scenario scenario;
   scenario.spec.duration_s = 30.0;
   scenario.spec.stayaway.embed_method = core::EmbedMethod::LandmarkIncremental;
-  scenario.spec.stayaway.ingest.source = core::IngestSource::Ring;
+  scenario.spec.stayaway.ingest.source = monitor::IngestSource::Ring;
   scenario.spec.stayaway.ingest.rate_hz = 16.0;
   scenario.spec.stayaway.ingest.ring_capacity = 64;
   sim::FaultPlan plan;
@@ -586,8 +585,8 @@ TEST(ScenarioIngest, ParsesAndSerializesAsAFixedPoint) {
       "ingest_burst_start_s = 10\n"
       "ingest_burst_end_s = 20\n");
   harness::Scenario scenario = harness::parse_fleet_scenario(in).base;
-  const core::IngestConfig& ing = scenario.spec.stayaway.ingest;
-  EXPECT_EQ(ing.source, core::IngestSource::Ring);
+  const monitor::IngestConfig& ing = scenario.spec.stayaway.ingest;
+  EXPECT_EQ(ing.source, monitor::IngestSource::Ring);
   EXPECT_EQ(ing.rate_hz, 16.0);
   EXPECT_EQ(ing.ring_capacity, 64u);
   EXPECT_EQ(ing.lookahead_s, 0.5);

@@ -1,5 +1,6 @@
 // Unit tests for src/monitor: measurement layout, host sampler (incl. §5
-// batch aggregation), normalizers, representative dedup, mode detection.
+// batch aggregation), capacity normalizer, representative dedup, mode
+// detection.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -172,6 +173,50 @@ TEST(CapacityNormalizer, ClampsOverCapacityReadings) {
   EXPECT_DOUBLE_EQ(n[0], 1.0);
 }
 
+// The capacity vector follows the layout's flat order (entity-major),
+// for every metric kind, whether the batch VMs aggregate or not.
+TEST(CapacityNormalizer, CapacityOfEachFlatDimension) {
+  sim::SimHost host(test_spec(), 0.1);
+  host.add_vm("sensitive", sim::VmKind::Sensitive, cpu_app(1.0));
+  host.add_vm("b1", sim::VmKind::Batch, cpu_app(1.0));
+  host.add_vm("b2", sim::VmKind::Batch, cpu_app(0.5));
+  auto expected = [](MetricKind kind) {
+    switch (kind) {
+      case MetricKind::Cpu:
+        return 4.0;
+      case MetricKind::Memory:
+        return 4096.0;
+      case MetricKind::MemBandwidth:
+        return 16000.0;
+      case MetricKind::DiskIo:
+        return 200.0;
+      case MetricKind::Network:
+        return 1000.0;
+    }
+    return 0.0;
+  };
+  for (bool aggregate : {true, false}) {
+    SCOPED_TRACE(aggregate ? "aggregated" : "per-VM");
+    SamplerConfig opts;
+    opts.metrics = {MetricKind::Network, MetricKind::Cpu,
+                    MetricKind::MemBandwidth, MetricKind::DiskIo,
+                    MetricKind::Memory};
+    opts.aggregate_batch = aggregate;
+    HostSampler sampler(host, opts);
+    const MetricLayout& layout = sampler.layout();
+    ASSERT_EQ(layout.entities.size(), aggregate ? 2u : 3u);
+    CapacityNormalizer norm(test_spec(), layout);
+    ASSERT_EQ(norm.capacity().size(), layout.dimension());
+    for (std::size_t e = 0; e < layout.entities.size(); ++e) {
+      for (std::size_t k = 0; k < layout.metrics.size(); ++k) {
+        EXPECT_EQ(norm.capacity()[layout.index_of(e, k)],
+                  expected(layout.metrics[k]))
+            << "entity " << e << " metric " << k;
+      }
+    }
+  }
+}
+
 TEST(CapacityNormalizer, LayoutMismatchRejected) {
   MetricLayout layout;
   layout.entities = {"a"};
@@ -181,15 +226,6 @@ TEST(CapacityNormalizer, LayoutMismatchRejected) {
   m.values = {1.0, 2.0};
   std::vector<double> n;
   EXPECT_THROW(norm.normalize(m, n), PreconditionError);
-}
-
-TEST(RunningNormalizer, AdaptsToObservedRange) {
-  RunningNormalizer norm(1);
-  EXPECT_DOUBLE_EQ(norm.observe({5.0})[0], 0.0);  // single point: no range
-  EXPECT_DOUBLE_EQ(norm.observe({10.0})[0], 1.0);
-  EXPECT_DOUBLE_EQ(norm.observe({7.5})[0], 0.5);
-  EXPECT_DOUBLE_EQ(norm.observe({0.0})[0], 0.0);  // new minimum
-  EXPECT_DOUBLE_EQ(norm.observe({10.0})[0], 1.0);
 }
 
 // --------------------------------------------------------- representative

@@ -13,8 +13,11 @@
 #include "apps/cpubomb.hpp"
 #include "apps/vlc_stream.hpp"
 #include "core/pipeline.hpp"
+#include "core/stages/mapper.hpp"
 #include "event_log.hpp"
 #include "harness/scenarios.hpp"
+#include "monitor/normalizer.hpp"
+#include "monitor/sample_source.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
 #include "sim/faults.hpp"
@@ -360,6 +363,65 @@ TEST(RuntimeFaults, NonFiniteReadingsNeverReachTheMap) {
       EXPECT_TRUE(std::isfinite(v)) << "representative " << i;
     }
   }
+}
+
+/// Delivers one scripted raw reading per drain.
+class ScriptedSource final : public monitor::SampleSource {
+ public:
+  ScriptedSource(monitor::MetricLayout layout,
+                 std::vector<std::vector<double>> readings)
+      : layout_(std::move(layout)), readings_(std::move(readings)) {}
+
+  const monitor::MetricLayout& layout() const override { return layout_; }
+  bool streaming() const override { return false; }
+  monitor::DrainReport drain(double now,
+                             std::vector<monitor::TimedSample>& out) override {
+    out.resize(1);
+    out[0].sequence = next_;
+    out[0].measurement.time = now;
+    out[0].measurement.values = readings_.at(next_++);
+    monitor::DrainReport report;
+    report.delivered = 1;
+    return report;
+  }
+  void set_fault_injector(sim::FaultInjector*) override {}
+  std::uint64_t samples_taken() const override { return next_; }
+  void persist(util::StateIO&) override {}
+
+ private:
+  monitor::MetricLayout layout_;
+  std::vector<std::vector<double>> readings_;
+  std::uint64_t next_ = 0;
+};
+
+// The mapper quarantines a raw reading above twice its dimension's host
+// capacity (the normalizer's capacity vector times the spike margin),
+// and passes one just below it.
+TEST(StayAwayMapper, QuarantinesOnlyReadingsAboveTwiceCapacity) {
+  sim::HostSpec spec;
+  monitor::MetricLayout layout;
+  layout.entities = {"vlc", "batch"};
+  layout.metrics = {monitor::MetricKind::Cpu, monitor::MetricKind::Memory};
+  const std::size_t dim = layout.index_of(1, 1);
+  const std::vector<double> calm = {1.0, 1024.0, 1.0, 1024.0};
+  std::vector<double> below = calm;
+  below[dim] = 1.999 * spec.memory_mb;
+  std::vector<double> above = calm;
+  above[dim] = 2.001 * spec.memory_mb;
+  StayAwayMapper mapper(
+      std::make_unique<ScriptedSource>(
+          layout, std::vector<std::vector<double>>{below, above}),
+      monitor::CapacityNormalizer(spec, layout), test_config());
+
+  PeriodRecord first;
+  first.time = 1.0;
+  mapper.map(first, nullptr);
+  EXPECT_EQ(first.quarantined_dims, 0u);
+  PeriodRecord second;
+  second.time = 2.0;
+  mapper.map(second, nullptr);
+  EXPECT_EQ(second.quarantined_dims, 1u);
+  EXPECT_EQ(mapper.readings_quarantined(), 1u);
 }
 
 TEST(RuntimeFaults, QosBlindnessEscalatesToFailsafeAndRecovers) {

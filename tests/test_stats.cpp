@@ -24,25 +24,6 @@ namespace stayaway::stats {
 namespace {
 
 // --------------------------------------------------------------- online
-TEST(OnlineMinMax, TracksBounds) {
-  OnlineMinMax mm;
-  EXPECT_TRUE(mm.empty());
-  mm.observe(3.0);
-  mm.observe(-1.0);
-  mm.observe(2.0);
-  EXPECT_DOUBLE_EQ(mm.min(), -1.0);
-  EXPECT_DOUBLE_EQ(mm.max(), 3.0);
-  EXPECT_DOUBLE_EQ(mm.range(), 4.0);
-  EXPECT_EQ(mm.count(), 3u);
-}
-
-TEST(OnlineMinMax, EmptyQueriesThrow) {
-  OnlineMinMax mm;
-  EXPECT_THROW(mm.min(), PreconditionError);
-  EXPECT_THROW(mm.max(), PreconditionError);
-  EXPECT_THROW(mm.range(), PreconditionError);
-}
-
 TEST(OnlineMoments, MeanAndVariance) {
   OnlineMoments m;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) m.observe(v);

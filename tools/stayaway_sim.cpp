@@ -164,7 +164,7 @@ void apply_overrides(stayaway::harness::FleetScenario& doc,
   using namespace stayaway;
   if (opts.ingest_rate.has_value()) {
     auto to_ring = [&opts](harness::Scenario& s) {
-      s.spec.stayaway.ingest.source = core::IngestSource::Ring;
+      s.spec.stayaway.ingest.source = monitor::IngestSource::Ring;
       s.spec.stayaway.ingest.rate_hz = *opts.ingest_rate;
     };
     to_ring(doc.base);
